@@ -168,6 +168,16 @@ impl Acker {
         }
     }
 
+    /// Fails every pending tree (a worker process died and nobody knows
+    /// which trees had an edge on it); returns their roots.
+    pub fn fail_all(&mut self, now: f64) -> Vec<RootId> {
+        let roots: Vec<RootId> = self.pending.keys().copied().collect();
+        for &root in &roots {
+            self.finish(root, Completion::Failed, now);
+        }
+        roots
+    }
+
     /// Expires every tree older than `timeout` seconds.
     pub fn expire(&mut self, now: f64, timeout: f64) {
         let expired: Vec<RootId> = self
@@ -298,6 +308,15 @@ impl ShardedAcker {
     /// A tuple of `root`'s tree was failed.  See [`Acker::on_fail`].
     pub fn on_fail(&self, root: RootId, now: f64) {
         self.shards[self.shard_of(root)].lock().on_fail(root, now);
+    }
+
+    /// Fails every pending tree in every shard.  See [`Acker::fail_all`].
+    pub fn fail_all(&self, now: f64) -> Vec<RootId> {
+        let mut roots = Vec::new();
+        for shard in &self.shards {
+            roots.append(&mut shard.lock().fail_all(now));
+        }
+        roots
     }
 
     /// Expires trees older than `timeout` in every shard.

@@ -26,8 +26,7 @@
 //! the workspace serde model — and back.  The checkpoint store reuses them
 //! for compact state snapshots (see [`crate::rt::checkpoint`]).
 
-use std::collections::HashMap;
-
+use crate::rt::CreditTotals;
 use crate::topology::Topology;
 use crate::tuple::{Fields, Tuple, Value};
 
@@ -174,10 +173,15 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.byte_str()?).map_err(|_| CodecError::Malformed("invalid UTF-8"))
     }
 
+    /// Reads an 8-byte little-endian u64.
+    pub fn u64_le(&mut self) -> Result<u64, CodecError> {
+        let b = self.bytes(8)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
     /// Reads an 8-byte little-endian f64.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
-        let b = self.bytes(8)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(f64::from_bits(self.u64_le()?))
     }
 }
 
@@ -284,9 +288,8 @@ fn read_values(d: &mut Dec<'_>) -> Result<Vec<Value>, CodecError> {
 /// the interned [`Fields`] schema without any per-tuple schema bytes.
 pub struct InternTable {
     entries: Vec<(crate::stream::StreamId, Fields)>,
-    /// `(component id, stream name) -> entry index`.
-    index: HashMap<(usize, String), u32>,
-    /// First entry index of each component, for per-component lookups.
+    /// First entry index of each component, plus one trailing sentinel, so
+    /// component `c` owns `entries[base[c]..base[c + 1]]`.
     component_base: Vec<u32>,
 }
 
@@ -294,21 +297,16 @@ impl InternTable {
     /// Builds the table for `topology`.
     pub fn new(topology: &Topology) -> Self {
         let mut entries = Vec::new();
-        let mut index = HashMap::new();
         let mut component_base = Vec::new();
         for comp in topology.components() {
             component_base.push(entries.len() as u32);
             for decl in &comp.outputs {
-                index.insert(
-                    (comp.id.0, decl.id.as_str().to_owned()),
-                    entries.len() as u32,
-                );
                 entries.push((decl.id.clone(), decl.fields.clone()));
             }
         }
+        component_base.push(entries.len() as u32);
         InternTable {
             entries,
-            index,
             component_base,
         }
     }
@@ -325,9 +323,15 @@ impl InternTable {
         self.entries.is_empty()
     }
 
-    /// Index of `stream` as declared by `component`, if declared.
+    /// Index of `stream` as declared by `component`, if declared.  A
+    /// component declares a handful of streams, so this scans them — no
+    /// allocation or hashing on the per-emission path.
     pub fn lookup(&self, component: usize, stream: &str) -> Option<u32> {
-        self.index.get(&(component, stream.to_owned())).copied()
+        let (lo, hi) = (
+            *self.component_base.get(component)?,
+            *self.component_base.get(component + 1)?,
+        );
+        (lo..hi).find(|&i| self.entries[i as usize].0.as_str() == stream)
     }
 
     /// The interned stream id and schema at `idx`.
@@ -351,21 +355,23 @@ impl InternTable {
 
 // --- frames -------------------------------------------------------------
 
-/// One tuple delivery on the coordinator → worker path.
+/// One tuple delivery, on any data link (coordinator → worker for spout
+/// emissions, worker → worker for bolt and tick emissions).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireTuple {
-    /// Coordinator-assigned delivery token, echoed back in the result.
+    /// Edge id of this delivery in its tuple tree (`0` when unanchored);
+    /// the executing worker XORs it into its ack record ([`AckItem::xor`]).
     pub token: u64,
     /// Destination global task id.
     pub dest_task: u32,
     /// Interned index of the producing stream (fields schema implied).
     pub stream: u32,
-    /// Spout message id for replay dedup, when the delivery is tracked.
+    /// Replay-dedup id under exactly-once-effect recovery: the spout
+    /// message id on the first hop, derived from the parent's id after.
     pub dedup: Option<u64>,
-    /// Root id of the tuple tree **when the coordinator sampled it for
-    /// tracing** — the sampling decision travels with the tuple so workers
-    /// record hop spans for exactly the trees the coordinator traces
-    /// (`trace_id = splitmix64(root)` is derived, never sent).
+    /// Root id of the tuple tree, present iff the delivery is anchored.
+    /// Workers derive the trace sampling decision from it and the rate in
+    /// `Assign` (`trace_id = splitmix64(root)` is never sent).
     pub trace_root: Option<u64>,
     /// Raw tuple values; the schema comes from the intern table.
     pub values: Vec<Value>,
@@ -381,7 +387,7 @@ pub struct WireSpan {
     /// [`SpanKind`](crate::telemetry::SpanKind) discriminant
     /// (0 = spout-emit, 1 = hop, 2 = ack, 3 = fail, 4 = timeout).
     pub kind: u8,
-    /// Tuple-tree root id (the sampled `trace_root` the tuple carried).
+    /// Tuple-tree root id the delivery carried.
     pub root: u64,
     /// Global task id that executed the tuple.
     pub task: u32,
@@ -403,39 +409,65 @@ pub struct WireSpan {
 pub struct WireMetric {
     /// 0 = counter delta, 1 = gauge.
     pub kind: u8,
-    /// Metric family name (worker-local registries are label-free; the
-    /// coordinator re-registers under `worker`/`generation` labels).
+    /// Metric family name (the coordinator re-registers it under
+    /// `worker`/`generation` labels).
     pub name: String,
+    /// Peer slot when the sample describes one worker→worker link
+    /// (re-registered with an extra `peer` label).
+    pub peer: Option<u32>,
     /// Counter delta, or `f64::to_bits` of the gauge value.
     pub value: u64,
 }
 
-/// One bolt emission on the worker → coordinator path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireEmission {
-    /// Interned index of the emitting stream.
-    pub stream: u32,
-    /// Anchored to the input tuple's tree (`false` = fire-and-forget).
-    pub anchored: bool,
-    /// Direct-grouping destination task index, when emitted direct.
-    pub direct_task: Option<u32>,
-    /// Raw tuple values.
-    pub values: Vec<Value>,
+/// Storm's ack record: what one executed tuple did to its tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckItem {
+    /// Root id of the tree.
+    pub root: u64,
+    /// The executed delivery's edge id XOR the fresh edge id of every
+    /// anchored tuple it emitted; zero in the acker means complete.
+    pub xor: u64,
+    /// The bolt failed the tuple, or an anchored emission was bound for a
+    /// dead peer: the whole tree fails.
+    pub failed: bool,
 }
 
-/// The outcome of executing one delivered tuple.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireResult {
-    /// The delivery token being answered.
-    pub token: u64,
-    /// The bolt failed the tuple (fails the whole tree).
-    pub failed: bool,
-    /// Ack withheld until a checkpoint covers this input (stateful tasks
-    /// under exactly-once / at-least-once recovery); a later
-    /// [`Frame::AckFlush`] releases it.
-    pub deferred: bool,
-    /// Emissions produced while executing the tuple.
-    pub emissions: Vec<WireEmission>,
+impl AckItem {
+    /// The record that fails `root`'s tree.
+    pub fn failed(root: u64) -> Self {
+        AckItem {
+            root,
+            xor: 0,
+            failed: true,
+        }
+    }
+}
+
+/// A worker's answer to [`Frame::Flush`]: its send-side accounting at the
+/// moment the flush completed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlushReport {
+    /// The flush sequence number being answered.
+    pub seq: u64,
+    /// Deliveries this worker sent or parked that no receiver has credited
+    /// back yet.
+    pub in_flight: u64,
+    /// Monotone count of tuples executed plus tuples sent: unchanged
+    /// between two reports means the worker did nothing in between.
+    pub activity: u64,
+    /// Totals of the worker's own credit ledger.
+    pub credits: CreditTotals,
+}
+
+/// A live worker's data listener, as listed in [`Frame::Assign`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WirePeer {
+    /// Worker slot index.
+    pub slot: u32,
+    /// Connection generation of that slot (1 = first spawn).
+    pub generation: u64,
+    /// Its data endpoint, in `DSDPS_DIST_ADDR` syntax.
+    pub endpoint: String,
 }
 
 /// Frame tag of `TupleBatch`, exposed so the transport's batching writer
@@ -446,16 +478,15 @@ pub const TUPLE_BATCH_TAG: u8 = 3;
 const T_HELLO: u8 = 1;
 const T_ASSIGN: u8 = 2;
 const T_TUPLE_BATCH: u8 = TUPLE_BATCH_TAG;
-const T_RESULT_BATCH: u8 = 4;
+const T_ACK_BATCH: u8 = 4;
 const T_CREDIT_GRANT: u8 = 5;
 const T_CHECKPOINT: u8 = 6;
-const T_ACK_FLUSH: u8 = 7;
+const T_SET_RATIO: u8 = 7;
 const T_RESTORE: u8 = 8;
 const T_RESTORED: u8 = 9;
 const T_FLUSH: u8 = 10;
 const T_FLUSHED: u8 = 11;
 const T_SHUTDOWN: u8 = 12;
-const T_TICK: u8 = 13;
 const T_SPAN_BATCH: u8 = 14;
 const T_METRICS_PUSH: u8 = 15;
 const T_LAST_WORDS: u8 = 16;
@@ -466,7 +497,8 @@ const T_LAST_WORDS: u8 = 16;
 /// walk-through.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Worker → coordinator, first frame on a fresh connection.
+    /// First frame on a fresh connection: worker → coordinator, and
+    /// dialing worker → accepting worker.
     Hello {
         /// Worker slot index (from `DSDPS_DIST_WORKER`).
         worker: u32,
@@ -477,17 +509,26 @@ pub enum Frame {
         /// `offset = coordinator_now_us − clock_us` on receipt and re-bases
         /// every span the worker later ships.
         clock_us: u64,
+        /// The sender's data listener in `DSDPS_DIST_ADDR` syntax, bound
+        /// *before* this frame is sent so a peer's first dial succeeds.
+        endpoint: String,
     },
-    /// Coordinator → worker: topology assignment and runtime knobs.
+    /// Coordinator → worker: topology assignment, routing table, peers
+    /// and runtime knobs.
     Assign {
         /// Worker slot index the coordinator believes it is talking to.
         worker: u32,
+        /// Connection generation of this slot (1 = first spawn).
+        generation: u64,
         /// Registry name of the topology to build.
         topology: String,
         /// Opaque argument string passed to the registry builder.
         args: String,
-        /// Global bolt task ids this worker executes.
-        tasks: Vec<u32>,
+        /// Owning worker slot per global task (`u32::MAX` = a spout task on
+        /// the coordinator); the length doubles as a fingerprint.
+        task_slots: Vec<u32>,
+        /// Workers connected right now; the assignee dials each of them.
+        peers: Vec<WirePeer>,
         /// [`RecoveryMode`](crate::rt::RecoveryMode) discriminant.
         recovery: u8,
         /// Checkpoint interval for stateful tasks, microseconds.
@@ -497,23 +538,30 @@ pub enum Frame {
         /// Telemetry push cadence, microseconds: the worker ships
         /// [`Frame::SpanBatch`] + [`Frame::MetricsPush`] this often.
         metrics_interval_us: u64,
-        /// Topology fingerprint: total task count.
-        task_count: u32,
         /// Topology fingerprint: interned stream count.
         stream_count: u32,
+        /// Tuples per `TupleBatch` on peer links.
+        batch_size: u32,
+        /// Credit window (tuples per destination task) toward its peers.
+        credit_window: u64,
+        /// `f64::to_bits` of the trace sample rate.
+        trace_sample_bits: u64,
+        /// `RestoreState` frames that follow this one.  The assignee applies
+        /// them all before it dials a peer or takes a tuple off any link.
+        restores: u32,
     },
-    /// Coordinator → worker: a batch of tuple deliveries.
+    /// A batch of tuple deliveries (any data link).
     TupleBatch {
-        /// The deliveries, possibly for several of the worker's tasks.
+        /// The deliveries, possibly for several of the receiver's tasks.
         items: Vec<WireTuple>,
     },
-    /// Worker → coordinator: outcomes and emissions for delivered tuples.
-    ResultBatch {
-        /// One result per answered token.
-        items: Vec<WireResult>,
+    /// Worker → coordinator: one ack record per executed anchored tuple.
+    AckBatch {
+        /// The records; order is irrelevant (XOR commutes).
+        items: Vec<AckItem>,
     },
-    /// Worker → coordinator: receiver-driven flow-control credits for one
-    /// of the worker's tasks (granted back as deliveries are processed).
+    /// Receiver → sender of a data link: flow-control credits for one of
+    /// the receiver's tasks (granted back as deliveries are processed).
     CreditGrant {
         /// Global task id whose credit pool is replenished.
         task: u32,
@@ -521,7 +569,7 @@ pub enum Frame {
         amount: u64,
     },
     /// Worker → coordinator: a full state snapshot of one stateful task.
-    /// An [`Frame::AckFlush`] for the inputs it covers follows.
+    /// The ack records of the inputs it covers follow in an `AckBatch`.
     CheckpointDeposit {
         /// Global task id.
         task: u32,
@@ -530,10 +578,13 @@ pub enum Frame {
         /// Replay-dedup message ids captured with the snapshot.
         dedup: Vec<u64>,
     },
-    /// Worker → coordinator: deferred input acks released by a checkpoint.
-    AckFlush {
-        /// Delivery tokens whose input edges may now be acked.
-        tokens: Vec<u64>,
+    /// Coordinator → worker: a dynamic grouping's split ratio changed.
+    SetRatio {
+        /// Index of the dynamic edge in router order (identical on both
+        /// sides, which build the same topology).
+        edge: u32,
+        /// The new weights.
+        weights: Vec<f64>,
     },
     /// Coordinator → worker: restore a task's state after a respawn,
     /// before any tuple flows.
@@ -554,26 +605,16 @@ pub enum Frame {
         /// Restore latency, microseconds.
         latency_us: u64,
     },
-    /// Coordinator → worker: checkpoint every stateful task now and flush
-    /// deferred acks (drain step of shutdown).
+    /// Coordinator → worker: checkpoint every stateful task now, release
+    /// the withheld ack records and report (drain step of shutdown).
     Flush {
         /// Echoed in the matching [`Frame::Flushed`].
         seq: u64,
     },
     /// Worker → coordinator: the matching [`Frame::Flush`] completed.
-    Flushed {
-        /// The flush sequence number being answered.
-        seq: u64,
-    },
+    Flushed(FlushReport),
     /// Coordinator → worker: exit cleanly.
     Shutdown,
-    /// Worker → coordinator: unanchored emissions from a bolt tick.
-    TickEmissions {
-        /// Global task id that ticked.
-        task: u32,
-        /// The emissions.
-        emissions: Vec<WireEmission>,
-    },
     /// Worker → coordinator: hop spans drained from the worker's local
     /// trace ring buffers, shipped on the metrics interval.
     SpanBatch {
@@ -613,16 +654,15 @@ impl Frame {
             Frame::Hello { .. } => "hello",
             Frame::Assign { .. } => "assign",
             Frame::TupleBatch { .. } => "tuple_batch",
-            Frame::ResultBatch { .. } => "result_batch",
+            Frame::AckBatch { .. } => "ack_batch",
             Frame::CreditGrant { .. } => "credit_grant",
             Frame::CheckpointDeposit { .. } => "checkpoint_deposit",
-            Frame::AckFlush { .. } => "ack_flush",
+            Frame::SetRatio { .. } => "set_ratio",
             Frame::RestoreState { .. } => "restore_state",
             Frame::StateRestored { .. } => "state_restored",
             Frame::Flush { .. } => "flush",
-            Frame::Flushed { .. } => "flushed",
+            Frame::Flushed(_) => "flushed",
             Frame::Shutdown => "shutdown",
-            Frame::TickEmissions { .. } => "tick_emissions",
             Frame::SpanBatch { .. } => "span_batch",
             Frame::MetricsPush { .. } => "metrics_push",
             Frame::LastWords { .. } => "last_words",
@@ -645,6 +685,30 @@ fn read_opt_varint(d: &mut Dec<'_>) -> Result<Option<u64>, CodecError> {
         0 => Ok(None),
         1 => Ok(Some(d.varint()?)),
         _ => Err(CodecError::Malformed("bad option tag")),
+    }
+}
+
+fn write_varints(buf: &mut Vec<u8>, vs: &[u64]) {
+    write_varint(buf, vs.len() as u64);
+    for v in vs {
+        write_varint(buf, *v);
+    }
+}
+
+fn read_varints(d: &mut Dec<'_>) -> Result<Vec<u64>, CodecError> {
+    let n = d.count()?;
+    let mut vs = Vec::with_capacity(n);
+    for _ in 0..n {
+        vs.push(d.varint()?);
+    }
+    Ok(vs)
+}
+
+fn read_bool(d: &mut Dec<'_>) -> Result<bool, CodecError> {
+    match d.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CodecError::Malformed("bad bool")),
     }
 }
 
@@ -688,6 +752,7 @@ fn read_span(d: &mut Dec<'_>) -> Result<WireSpan, CodecError> {
 fn write_metric(buf: &mut Vec<u8>, m: &WireMetric) {
     buf.push(m.kind);
     write_str(buf, &m.name);
+    write_opt_varint(buf, m.peer.map(u64::from));
     write_varint(buf, m.value);
 }
 
@@ -699,31 +764,8 @@ fn read_metric(d: &mut Dec<'_>) -> Result<WireMetric, CodecError> {
     Ok(WireMetric {
         kind,
         name: d.str()?.to_owned(),
+        peer: read_opt_varint(d)?.map(|p| p as u32),
         value: d.varint()?,
-    })
-}
-
-fn write_emission(buf: &mut Vec<u8>, e: &WireEmission) {
-    write_varint(buf, u64::from(e.stream));
-    buf.push(e.anchored as u8);
-    write_opt_varint(buf, e.direct_task.map(u64::from));
-    write_values(buf, &e.values);
-}
-
-fn read_emission(d: &mut Dec<'_>) -> Result<WireEmission, CodecError> {
-    let stream = d.varint()? as u32;
-    let anchored = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(CodecError::Malformed("bad anchored flag")),
-    };
-    let direct_task = read_opt_varint(d)?.map(|v| v as u32);
-    let values = read_values(d)?;
-    Ok(WireEmission {
-        stream,
-        anchored,
-        direct_task,
-        values,
     })
 }
 
@@ -751,38 +793,55 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
             worker,
             pid,
             clock_us,
+            endpoint,
         } => {
             buf.push(T_HELLO);
             write_varint(buf, u64::from(*worker));
             write_varint(buf, u64::from(*pid));
             write_varint(buf, *clock_us);
+            write_str(buf, endpoint);
         }
         Frame::Assign {
             worker,
+            generation,
             topology,
             args,
-            tasks,
+            task_slots,
+            peers,
             recovery,
             ckpt_interval_us,
             tick_interval_us,
             metrics_interval_us,
-            task_count,
             stream_count,
+            batch_size,
+            credit_window,
+            trace_sample_bits,
+            restores,
         } => {
             buf.push(T_ASSIGN);
             write_varint(buf, u64::from(*worker));
+            write_varint(buf, *generation);
             write_str(buf, topology);
             write_str(buf, args);
-            write_varint(buf, tasks.len() as u64);
-            for t in tasks {
+            write_varint(buf, task_slots.len() as u64);
+            for t in task_slots {
                 write_varint(buf, u64::from(*t));
+            }
+            write_varint(buf, peers.len() as u64);
+            for p in peers {
+                write_varint(buf, u64::from(p.slot));
+                write_varint(buf, p.generation);
+                write_str(buf, &p.endpoint);
             }
             buf.push(*recovery);
             write_varint(buf, *ckpt_interval_us);
             write_varint(buf, *tick_interval_us);
             write_varint(buf, *metrics_interval_us);
-            write_varint(buf, u64::from(*task_count));
             write_varint(buf, u64::from(*stream_count));
+            write_varint(buf, u64::from(*batch_size));
+            write_varint(buf, *credit_window);
+            buf.extend_from_slice(&trace_sample_bits.to_le_bytes());
+            write_varint(buf, u64::from(*restores));
         }
         Frame::TupleBatch { items } => {
             buf.push(T_TUPLE_BATCH);
@@ -791,16 +850,15 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
                 write_tuple_item(buf, item);
             }
         }
-        Frame::ResultBatch { items } => {
-            buf.push(T_RESULT_BATCH);
+        Frame::AckBatch { items } => {
+            buf.push(T_ACK_BATCH);
             write_varint(buf, items.len() as u64);
             for item in items {
-                write_varint(buf, item.token);
-                buf.push(u8::from(item.failed) | (u8::from(item.deferred) << 1));
-                write_varint(buf, item.emissions.len() as u64);
-                for e in &item.emissions {
-                    write_emission(buf, e);
-                }
+                // Roots are small counters, edge XORs are uniformly random
+                // 64-bit values: varint the first, fixed-width the second.
+                write_varint(buf, item.root);
+                buf.extend_from_slice(&item.xor.to_le_bytes());
+                buf.push(item.failed as u8);
             }
         }
         Frame::CreditGrant { task, amount } => {
@@ -816,16 +874,14 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
             buf.push(T_CHECKPOINT);
             write_varint(buf, u64::from(*task));
             write_byte_str(buf, payload);
-            write_varint(buf, dedup.len() as u64);
-            for id in dedup {
-                write_varint(buf, *id);
-            }
+            write_varints(buf, dedup);
         }
-        Frame::AckFlush { tokens } => {
-            buf.push(T_ACK_FLUSH);
-            write_varint(buf, tokens.len() as u64);
-            for t in tokens {
-                write_varint(buf, *t);
+        Frame::SetRatio { edge, weights } => {
+            buf.push(T_SET_RATIO);
+            write_varint(buf, u64::from(*edge));
+            write_varint(buf, weights.len() as u64);
+            for w in weights {
+                buf.extend_from_slice(&w.to_le_bytes());
             }
         }
         Frame::RestoreState {
@@ -842,10 +898,7 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
                     write_byte_str(buf, p);
                 }
             }
-            write_varint(buf, dedup.len() as u64);
-            for id in dedup {
-                write_varint(buf, *id);
-            }
+            write_varints(buf, dedup);
         }
         Frame::StateRestored {
             task,
@@ -861,19 +914,22 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
             buf.push(T_FLUSH);
             write_varint(buf, *seq);
         }
-        Frame::Flushed { seq } => {
+        Frame::Flushed(r) => {
             buf.push(T_FLUSHED);
-            write_varint(buf, *seq);
+            let c = &r.credits;
+            for v in [
+                r.seq,
+                r.in_flight,
+                r.activity,
+                c.granted,
+                c.consumed,
+                c.revoked,
+            ] {
+                write_varint(buf, v);
+            }
+            write_varint(buf, zigzag(c.outstanding));
         }
         Frame::Shutdown => buf.push(T_SHUTDOWN),
-        Frame::TickEmissions { task, emissions } => {
-            buf.push(T_TICK);
-            write_varint(buf, u64::from(*task));
-            write_varint(buf, emissions.len() as u64);
-            for e in emissions {
-                write_emission(buf, e);
-            }
-        }
         Frame::SpanBatch {
             worker,
             dropped,
@@ -924,27 +980,39 @@ fn decode_frame_inner(d: &mut Dec<'_>) -> Result<Frame, CodecError> {
             worker: d.varint()? as u32,
             pid: d.varint()? as u32,
             clock_us: d.varint()?,
+            endpoint: d.str()?.to_owned(),
         }),
         T_ASSIGN => {
             let worker = d.varint()? as u32;
+            let generation = d.varint()?;
             let topology = d.str()?.to_owned();
             let args = d.str()?.to_owned();
+            let task_slots = read_varints(d)?.into_iter().map(|t| t as u32).collect();
             let n = d.count()?;
-            let mut tasks = Vec::with_capacity(n);
+            let mut peers = Vec::with_capacity(n);
             for _ in 0..n {
-                tasks.push(d.varint()? as u32);
+                peers.push(WirePeer {
+                    slot: d.varint()? as u32,
+                    generation: d.varint()?,
+                    endpoint: d.str()?.to_owned(),
+                });
             }
             Ok(Frame::Assign {
                 worker,
+                generation,
                 topology,
                 args,
-                tasks,
+                task_slots,
+                peers,
                 recovery: d.u8()?,
                 ckpt_interval_us: d.varint()?,
                 tick_interval_us: d.varint()?,
                 metrics_interval_us: d.varint()?,
-                task_count: d.varint()? as u32,
                 stream_count: d.varint()? as u32,
+                batch_size: d.varint()? as u32,
+                credit_window: d.varint()?,
+                trace_sample_bits: d.u64_le()?,
+                restores: d.varint()? as u32,
             })
         }
         T_TUPLE_BATCH => {
@@ -962,54 +1030,35 @@ fn decode_frame_inner(d: &mut Dec<'_>) -> Result<Frame, CodecError> {
             }
             Ok(Frame::TupleBatch { items })
         }
-        T_RESULT_BATCH => {
+        T_ACK_BATCH => {
             let n = d.count()?;
             let mut items = Vec::with_capacity(n);
             for _ in 0..n {
-                let token = d.varint()?;
-                let flags = d.u8()?;
-                if flags > 3 {
-                    return Err(CodecError::Malformed("bad result flags"));
-                }
-                let m = d.count()?;
-                let mut emissions = Vec::with_capacity(m);
-                for _ in 0..m {
-                    emissions.push(read_emission(d)?);
-                }
-                items.push(WireResult {
-                    token,
-                    failed: flags & 1 != 0,
-                    deferred: flags & 2 != 0,
-                    emissions,
+                items.push(AckItem {
+                    root: d.varint()?,
+                    xor: d.u64_le()?,
+                    failed: read_bool(d)?,
                 });
             }
-            Ok(Frame::ResultBatch { items })
+            Ok(Frame::AckBatch { items })
         }
         T_CREDIT_GRANT => Ok(Frame::CreditGrant {
             task: d.varint()? as u32,
             amount: d.varint()?,
         }),
-        T_CHECKPOINT => {
-            let task = d.varint()? as u32;
-            let payload = d.byte_str()?.to_vec();
+        T_CHECKPOINT => Ok(Frame::CheckpointDeposit {
+            task: d.varint()? as u32,
+            payload: d.byte_str()?.to_vec(),
+            dedup: read_varints(d)?,
+        }),
+        T_SET_RATIO => {
+            let edge = d.varint()? as u32;
             let n = d.count()?;
-            let mut dedup = Vec::with_capacity(n);
+            let mut weights = Vec::with_capacity(n);
             for _ in 0..n {
-                dedup.push(d.varint()?);
+                weights.push(d.f64()?);
             }
-            Ok(Frame::CheckpointDeposit {
-                task,
-                payload,
-                dedup,
-            })
-        }
-        T_ACK_FLUSH => {
-            let n = d.count()?;
-            let mut tokens = Vec::with_capacity(n);
-            for _ in 0..n {
-                tokens.push(d.varint()?);
-            }
-            Ok(Frame::AckFlush { tokens })
+            Ok(Frame::SetRatio { edge, weights })
         }
         T_RESTORE => {
             let task = d.varint()? as u32;
@@ -1018,38 +1067,30 @@ fn decode_frame_inner(d: &mut Dec<'_>) -> Result<Frame, CodecError> {
                 1 => Some(d.byte_str()?.to_vec()),
                 _ => return Err(CodecError::Malformed("bad option tag")),
             };
-            let n = d.count()?;
-            let mut dedup = Vec::with_capacity(n);
-            for _ in 0..n {
-                dedup.push(d.varint()?);
-            }
             Ok(Frame::RestoreState {
                 task,
                 payload,
-                dedup,
+                dedup: read_varints(d)?,
             })
         }
         T_RESTORED => Ok(Frame::StateRestored {
             task: d.varint()? as u32,
-            ok: match d.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(CodecError::Malformed("bad bool")),
-            },
+            ok: read_bool(d)?,
             latency_us: d.varint()?,
         }),
         T_FLUSH => Ok(Frame::Flush { seq: d.varint()? }),
-        T_FLUSHED => Ok(Frame::Flushed { seq: d.varint()? }),
+        T_FLUSHED => Ok(Frame::Flushed(FlushReport {
+            seq: d.varint()?,
+            in_flight: d.varint()?,
+            activity: d.varint()?,
+            credits: CreditTotals {
+                granted: d.varint()?,
+                consumed: d.varint()?,
+                revoked: d.varint()?,
+                outstanding: d.svarint()?,
+            },
+        })),
         T_SHUTDOWN => Ok(Frame::Shutdown),
-        T_TICK => {
-            let task = d.varint()? as u32;
-            let n = d.count()?;
-            let mut emissions = Vec::with_capacity(n);
-            for _ in 0..n {
-                emissions.push(read_emission(d)?);
-            }
-            Ok(Frame::TickEmissions { task, emissions })
-        }
         T_SPAN_BATCH => {
             let worker = d.varint()? as u32;
             let dropped = d.varint()?;
@@ -1363,24 +1404,35 @@ mod tests {
         }
     }
 
+    /// One frame of every kind (arbitrary payloads: `tests/prop.rs`).
     fn sample_frames() -> Vec<Frame> {
         vec![
             Frame::Hello {
                 worker: 2,
                 pid: 4711,
                 clock_us: 12_345,
+                endpoint: "unix:/tmp/dsdps-w2.sock".into(),
             },
             Frame::Assign {
                 worker: 1,
+                generation: 2,
                 topology: "calib".into(),
                 args: "n=100".into(),
-                tasks: vec![1, 3, 5],
+                task_slots: vec![u32::MAX, 0, 1, 1],
+                peers: vec![WirePeer {
+                    slot: 0,
+                    generation: 1,
+                    endpoint: "tcp:127.0.0.1:4000".into(),
+                }],
                 recovery: 0,
                 ckpt_interval_us: 500_000,
                 tick_interval_us: 1_000_000,
                 metrics_interval_us: 250_000,
-                task_count: 6,
                 stream_count: 3,
+                batch_size: 64,
+                credit_window: 1024,
+                trace_sample_bits: 0.25f64.to_bits(),
+                restores: 1,
             },
             Frame::TupleBatch {
                 items: vec![WireTuple {
@@ -1392,18 +1444,15 @@ mod tests {
                     values: sample_values(),
                 }],
             },
-            Frame::ResultBatch {
-                items: vec![WireResult {
-                    token: 99,
-                    failed: false,
-                    deferred: true,
-                    emissions: vec![WireEmission {
-                        stream: 2,
-                        anchored: true,
-                        direct_task: Some(0),
-                        values: vec![Value::from(1i64)],
-                    }],
-                }],
+            Frame::AckBatch {
+                items: vec![
+                    AckItem {
+                        root: 4242,
+                        xor: 99 ^ 0xdead_beef,
+                        failed: false,
+                    },
+                    AckItem::failed(4243),
+                ],
             },
             Frame::CreditGrant {
                 task: 3,
@@ -1414,8 +1463,9 @@ mod tests {
                 payload: vec![0xC5, 1, 2, 3],
                 dedup: vec![7, 8, 9],
             },
-            Frame::AckFlush {
-                tokens: vec![99, 100],
+            Frame::SetRatio {
+                edge: 1,
+                weights: vec![0.25, 0.75],
             },
             Frame::RestoreState {
                 task: 3,
@@ -1428,17 +1478,18 @@ mod tests {
                 latency_us: 120,
             },
             Frame::Flush { seq: 4 },
-            Frame::Flushed { seq: 4 },
+            Frame::Flushed(FlushReport {
+                seq: 4,
+                in_flight: 2,
+                activity: 640,
+                credits: CreditTotals {
+                    granted: 100,
+                    consumed: 60,
+                    revoked: 8,
+                    outstanding: -32,
+                },
+            }),
             Frame::Shutdown,
-            Frame::TickEmissions {
-                task: 5,
-                emissions: vec![WireEmission {
-                    stream: 0,
-                    anchored: false,
-                    direct_task: None,
-                    values: vec![Value::from(2.0f64)],
-                }],
-            },
             Frame::SpanBatch {
                 worker: 1,
                 dropped: 2,
@@ -1457,12 +1508,14 @@ mod tests {
                 samples: vec![
                     WireMetric {
                         kind: 0,
-                        name: "dsdps_worker_executed_total".into(),
+                        name: "dsdps_dist_conn_frames_out_total".into(),
+                        peer: Some(0),
                         value: 640,
                     },
                     WireMetric {
                         kind: 1,
                         name: "dsdps_worker_uptime_seconds".into(),
+                        peer: None,
                         value: 1.5f64.to_bits(),
                     },
                 ],
@@ -1477,7 +1530,10 @@ mod tests {
 
     #[test]
     fn every_frame_round_trips() {
-        for frame in sample_frames() {
+        let frames = sample_frames();
+        let kinds: std::collections::HashSet<_> = frames.iter().map(Frame::kind).collect();
+        assert_eq!(kinds.len(), 15, "one sample per frame kind");
+        for frame in frames {
             let mut buf = Vec::new();
             encode_frame_body(&frame, &mut buf);
             let back = decode_frame(&buf).unwrap_or_else(|e| panic!("{}: {e}", frame.kind()));

@@ -1,19 +1,23 @@
 //! Coordinator side of the distributed runtime.
 //!
-//! The coordinator is the reliability brain: it runs the spouts, the
-//! sharded acker, the per-spout replay buffers, the credit ledger, the
-//! checkpoint store and all routing.  Worker processes only execute
-//! bolts.  One reader thread per worker connection applies results and
-//! control frames; a supervisor thread respawns dead workers, expires
-//! timed-out trees and drains credit-starved overflow queues; a completer
-//! thread fans tree outcomes back to the owning spout threads.
+//! The coordinator runs the spouts and is the control plane for everything
+//! else: the sharded acker, the per-spout replay buffers, the checkpoint
+//! store, the worker supervisor and the cluster's telemetry.  The only
+//! tuples it touches are spout emissions, which it routes to the worker
+//! owning the destination task; bolt and tick emissions travel worker →
+//! worker and reach the coordinator only as XOR ack records.  One reader
+//! thread per worker connection applies those records (handing completed
+//! trees straight to the owning spout thread) and the control frames; a
+//! supervisor thread respawns dead workers, expires timed-out trees,
+//! flushes lingering batches and pushes dynamic-grouping ratio changes.
 //!
 //! Delivery accounting mirrors the threaded runtime exactly —
 //! `tracked == acked + permanently_failed + in_flight` holds at shutdown
 //! ([`DistReport::conservation_holds`]) — with one extra failure source:
-//! a dying connection fails every delivery pending on it into replay.
+//! the coordinator no longer knows which worker holds which edge of a
+//! tree, so a dying connection fails every tree in flight into replay.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -22,38 +26,37 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use super::codec::{Frame, InternTable, WireEmission, WireTuple};
+use super::codec::{FlushReport, Frame, InternTable, WirePeer, WireTuple};
+use super::router::{DistRouter, EdgeIds, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::{snapshot_from_payload, snapshot_to_payload, TopologyRegistry};
-use super::{recovery_to_byte, span_kind_from_byte, DistConfig, LastWordsLine, TransportKind};
+use super::{
+    recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine, TransportKind,
+};
 use crate::acker::{splitmix64, Completion, RootId, ShardedAcker, TreeOutcome};
 use crate::component::{Emission, MessageId, SpoutOutput, TopologyContext};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
-use crate::grouping::{make_grouping, Grouping, GroupingSpec};
+use crate::grouping::dynamic::DynamicGroupingHandle;
+use crate::metrics::{LatencyHistogram, OnlineStats};
+use crate::rt::batch::{AckOp, AckOps};
 use crate::rt::checkpoint::CheckpointStore;
 use crate::rt::replay::{FailDecision, ReplayBuffer};
 use crate::rt::{CreditLedger, CreditTotals, RtConfig, StateSnapshot};
+use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
 use crate::telemetry::{
     chrome_trace_json_named, normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer,
-    Registry, Span, SpanKind, Tracer, HOT_PATH_TELEMETRY,
+    Registry, Span, Tracer, HOT_PATH_TELEMETRY,
 };
 use crate::topology::{ComponentId, ComponentKind, TaskId, Topology};
-use crate::tuple::{Tuple, Value};
 
-/// Credit window (tuples per task) used when `RtConfig::credit_flow` is
-/// off.  The wire always needs *some* bound: the coordinator writes frames
-/// with the slot's state lock held, the worker is single-threaded, and
-/// both directions ride finite kernel socket buffers — if the outstanding
-/// tuples toward one connection can exceed what those buffers absorb, a
-/// flooded run wedges with the worker blocked writing results, the
-/// coordinator's writer blocked sending tuples, and the reader parked on
-/// the slot lock (see DESIGN.md §15.4).  The window must therefore stay
-/// comfortably below the socket capacity divided by the wire size of a
-/// tuple; 1 024 small tuples is tens of kilobytes per task against the
-/// ~200 KiB a default Unix socket buffers.  Topologies that want a wider
-/// (or per-task-tuned) window enable `credit_flow`, which sizes windows as
+/// Credit window (tuples per destination task, per sender) used when
+/// `RtConfig::credit_flow` is off.  Every data link needs *some* bound: a
+/// write into a finite socket buffer is sure to complete only because the
+/// receiver's reader thread never blocks, which holds only while the queue
+/// it fills is bounded — by the windows (DESIGN.md §15.4).  Topologies that
+/// want a wider window enable `credit_flow`, which sizes windows as
 /// `credit_window × batch_size` and re-grants per processed batch.
 const DEFAULT_WINDOW_TUPLES: u64 = 1_024;
 
@@ -61,25 +64,23 @@ const DEFAULT_WINDOW_TUPLES: u64 = 1_024;
 /// windows, overflow depth, connection counters).  Off the tuple path.
 const GAUGE_SYNC_INTERVAL: Duration = Duration::from_millis(250);
 
-/// One delivery awaiting its result (or its deferred ack).
-struct Delivery {
-    /// Tree anchor: `(root, edge)` of this delivery's edge, if tracked.
-    anchor: Option<(RootId, u64)>,
-    /// Destination task (whose credit the delivery consumed).
-    task: u32,
-}
+/// `Assign::task_slots` entry of a spout task (it lives on the coordinator).
+pub(crate) const COORDINATOR_SLOT: u32 = u32::MAX;
 
 /// Mutable per-worker-slot state, all under one lock.
 #[derive(Default)]
 struct SlotState {
-    writer: Option<BatchWriter>,
-    connected: bool,
-    pending: HashMap<u64, Delivery>,
-    deferred: HashMap<u64, Delivery>,
+    /// Send side of the coordinator → worker link.
+    out: Outbox,
     child: Option<Child>,
     pid: u32,
     generation: u64,
     respawns: u32,
+    /// The worker's data listener, from its `Hello`; handed to every worker
+    /// assigned after it.
+    endpoint: String,
+    /// Latest `Flushed` report of the live connection.
+    flushed: Option<FlushReport>,
     /// Snapshot age (s) per task with a restore in flight, for journaling
     /// the worker's `state_restored` reply.
     restore_age: HashMap<u32, Option<f64>>,
@@ -104,254 +105,59 @@ struct WorkerSlot {
     tasks: Vec<u32>,
 }
 
-/// An emission parked because its destination task was out of credits.
-struct Overflow {
-    stream: u32,
-    values: Vec<Value>,
-    anchor: Option<(RootId, u64)>,
-    dedup: Option<u64>,
-}
-
-/// One route of the coordinator-side router (centralized equivalent of
-/// the threaded runtime's per-task router).
-struct RouteEntry {
-    stream: u32,
-    subscriber_base: usize,
-    parallelism: usize,
-    grouping: Mutex<Box<dyn Grouping>>,
-    is_direct: bool,
-}
-
-struct DistRouter {
-    /// Routes indexed by producing component id.
-    per_component: Vec<Vec<RouteEntry>>,
-}
-
-impl DistRouter {
-    fn new(topology: &Topology, intern: &InternTable) -> Self {
-        let mut per_component = Vec::new();
-        for component in topology.components() {
-            let mut routes = Vec::new();
-            for decl in &component.outputs {
-                let stream = intern
-                    .lookup(component.id.0, decl.id.as_str())
-                    .expect("declared stream is interned");
-                for (sub, spec) in topology.subscribers_of(component.id, &decl.id) {
-                    let handle = match spec {
-                        GroupingSpec::Dynamic(_) => {
-                            topology.dynamic_handle(&component.name, &decl.id, &sub.name)
-                        }
-                        _ => None,
-                    };
-                    routes.push(RouteEntry {
-                        stream,
-                        subscriber_base: sub.base_task.0,
-                        parallelism: sub.parallelism,
-                        grouping: Mutex::new(make_grouping(
-                            spec,
-                            sub.parallelism,
-                            &decl.fields,
-                            0,
-                            handle,
-                        )),
-                        is_direct: matches!(spec, GroupingSpec::Direct),
-                    });
-                }
-            }
-            per_component.push(routes);
-        }
-        DistRouter { per_component }
-    }
-
-    /// Destination task ids for one emission of `component` on interned
-    /// stream `stream`.
-    fn select(
-        &self,
-        component: usize,
-        stream: u32,
-        tuple: &Tuple,
-        direct_task: Option<u32>,
-        dests: &mut Vec<usize>,
-    ) {
-        dests.clear();
-        let mut locals = Vec::new();
-        for route in &self.per_component[component] {
-            if route.stream != stream {
-                continue;
-            }
-            match (direct_task, route.is_direct) {
-                (Some(local), true) => {
-                    let local = local as usize;
-                    if local < route.parallelism {
-                        dests.push(route.subscriber_base + local);
-                    }
-                }
-                (None, false) => {
-                    locals.clear();
-                    route.grouping.lock().unwrap().select(tuple, &mut locals);
-                    dests.extend(locals.iter().map(|l| route.subscriber_base + l));
-                }
-                // Direct emissions only travel direct routes and vice versa.
-                _ => {}
-            }
-        }
-    }
-}
-
-#[derive(Default)]
+/// The run's counters, registered in the cluster registry (as
+/// `dsdps_coord_<name>_total`) so the report and the Prometheus endpoint
+/// read the same cells.
 struct Counters {
-    spout_emitted: AtomicU64,
-    tracked: AtomicU64,
-    acked: AtomicU64,
-    failed: AtomicU64,
-    timed_out: AtomicU64,
-    permanently_failed: AtomicU64,
-    replays_scheduled: AtomicU64,
-    replays_emitted: AtomicU64,
-    checkpoints_taken: AtomicU64,
-    restores: AtomicU64,
-    snapshot_bytes: AtomicU64,
-    worker_restarts: AtomicU64,
-    worker_disconnects: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-}
-
-/// Completion-latency reservoir (ms): exact mean plus a fixed-size sample
-/// for p99 so long benches don't accumulate unbounded latency vectors.
-#[derive(Default)]
-struct LatencyStats {
-    count: u64,
-    sum_ms: f64,
-    sample: Vec<f64>,
-}
-
-const LATENCY_SAMPLE_CAP: usize = 8_192;
-
-impl LatencyStats {
-    fn record(&mut self, ms: f64) {
-        self.count += 1;
-        self.sum_ms += ms;
-        if self.sample.len() < LATENCY_SAMPLE_CAP {
-            self.sample.push(ms);
-        } else {
-            let idx = (splitmix64(self.count) % LATENCY_SAMPLE_CAP as u64) as usize;
-            self.sample[idx] = ms;
-        }
-    }
-
-    fn avg(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ms / self.count as f64
-        }
-    }
-
-    fn p99(&self) -> f64 {
-        if self.sample.is_empty() {
-            return 0.0;
-        }
-        let mut s = self.sample.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        s[((s.len() - 1) as f64 * 0.99) as usize]
-    }
-}
-
-/// Cached handles of the per-slot transport/flow families the supervisor
-/// refreshes at gauge cadence (never on the tuple path).
-struct SlotGauges {
-    /// §15.4 deadlock class as a live gauge: deliveries on the wire
-    /// awaiting results.
-    outstanding: Gauge,
-    /// Emissions parked in this slot's overflow queues (credit stall).
-    parked: Gauge,
-    /// Seconds since the last frame arrived on the connection.
-    rx_silence: Gauge,
-    bytes_in: Counter,
-    bytes_out: Counter,
-    frames_in: Counter,
-    frames_out: Counter,
-    decode_us: Counter,
-    encode_us: Counter,
-    write_block_us: Counter,
-}
-
-impl SlotGauges {
-    fn new(reg: &Registry, slot: usize) -> Self {
-        let s = slot.to_string();
-        let labels: [(&str, &str); 1] = [("worker", s.as_str())];
-        SlotGauges {
-            outstanding: reg.gauge("dsdps_dist_outstanding_window", &labels),
-            parked: reg.gauge("dsdps_dist_overflow_parked", &labels),
-            rx_silence: reg.gauge("dsdps_dist_conn_rx_silence_seconds", &labels),
-            bytes_in: reg.counter("dsdps_dist_conn_bytes_in_total", &labels),
-            bytes_out: reg.counter("dsdps_dist_conn_bytes_out_total", &labels),
-            frames_in: reg.counter("dsdps_dist_conn_frames_in_total", &labels),
-            frames_out: reg.counter("dsdps_dist_conn_frames_out_total", &labels),
-            decode_us: reg.counter("dsdps_dist_conn_decode_us_total", &labels),
-            encode_us: reg.counter("dsdps_dist_conn_encode_us_total", &labels),
-            write_block_us: reg.counter("dsdps_dist_conn_write_block_us_total", &labels),
-        }
-    }
-
-    fn sync_conn(&self, stats: &ConnStats) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.bytes_in.set(stats.bytes_in.load(Relaxed));
-        self.bytes_out.set(stats.bytes_out.load(Relaxed));
-        self.frames_in.set(stats.frames_in.load(Relaxed));
-        self.frames_out.set(stats.frames_out.load(Relaxed));
-        self.decode_us.set(stats.decode_us.load(Relaxed));
-        self.encode_us.set(stats.encode_us.load(Relaxed));
-        self.write_block_us.set(stats.write_block_us.load(Relaxed));
-        self.rx_silence.set(stats.rx_silence_s().unwrap_or(0.0));
-    }
-}
-
-/// Cached handles of the coordinator-level reliability families.
-struct CoordMetrics {
+    spout_emitted: Counter,
     tracked: Counter,
     acked: Counter,
     failed: Counter,
     timed_out: Counter,
     permanently_failed: Counter,
+    replays_scheduled: Counter,
     replays_emitted: Counter,
+    checkpoints_taken: Counter,
+    restores: Counter,
+    snapshot_bytes: Counter,
     worker_restarts: Counter,
     worker_disconnects: Counter,
+    bytes_in: Counter,
+    bytes_out: Counter,
+    frames_in: Counter,
+    frames_out: Counter,
     pending_trees: Gauge,
 }
 
-impl CoordMetrics {
+impl Counters {
     fn new(reg: &Registry) -> Self {
-        CoordMetrics {
-            tracked: reg.counter("dsdps_coord_tracked_total", &[]),
-            acked: reg.counter("dsdps_coord_acked_total", &[]),
-            failed: reg.counter("dsdps_coord_failed_total", &[]),
-            timed_out: reg.counter("dsdps_coord_timed_out_total", &[]),
-            permanently_failed: reg.counter("dsdps_coord_permanently_failed_total", &[]),
-            replays_emitted: reg.counter("dsdps_coord_replays_emitted_total", &[]),
-            worker_restarts: reg.counter("dsdps_coord_worker_restarts_total", &[]),
-            worker_disconnects: reg.counter("dsdps_coord_worker_disconnects_total", &[]),
+        let c = |name: &str| reg.counter(&format!("dsdps_coord_{name}_total"), &[]);
+        Counters {
+            spout_emitted: c("spout_emitted"),
+            tracked: c("tracked"),
+            acked: c("acked"),
+            failed: c("failed"),
+            timed_out: c("timed_out"),
+            permanently_failed: c("permanently_failed"),
+            replays_scheduled: c("replays_scheduled"),
+            replays_emitted: c("replays_emitted"),
+            checkpoints_taken: c("checkpoints_taken"),
+            restores: c("restores"),
+            snapshot_bytes: c("snapshot_bytes"),
+            worker_restarts: c("worker_restarts"),
+            worker_disconnects: c("worker_disconnects"),
+            bytes_in: c("bytes_in"),
+            bytes_out: c("bytes_out"),
+            frames_in: c("frames_in"),
+            frames_out: c("frames_out"),
             pending_trees: reg.gauge("dsdps_coord_pending_trees", &[]),
         }
     }
 
-    fn sync(&self, c: &Counters, pending: usize) {
-        self.tracked.set(c.tracked.load(Ordering::Relaxed));
-        self.acked.set(c.acked.load(Ordering::Relaxed));
-        self.failed.set(c.failed.load(Ordering::Relaxed));
-        self.timed_out.set(c.timed_out.load(Ordering::Relaxed));
-        self.permanently_failed
-            .set(c.permanently_failed.load(Ordering::Relaxed));
-        self.replays_emitted
-            .set(c.replays_emitted.load(Ordering::Relaxed));
-        self.worker_restarts
-            .set(c.worker_restarts.load(Ordering::Relaxed));
-        self.worker_disconnects
-            .set(c.worker_disconnects.load(Ordering::Relaxed));
-        self.pending_trees.set(pending as f64);
+    /// Folds a closed connection's writer totals into the run's.
+    fn add_writer(&self, writer: &BatchWriter) {
+        self.bytes_out.add(writer.bytes_out);
+        self.frames_out.add(writer.frames_out);
     }
 }
 
@@ -360,22 +166,24 @@ struct Shared {
     /// The registry key the topology was submitted under (what workers
     /// rebuild from; not necessarily the topology's display name).
     topology_key: String,
-    cfg_args_str: String,
+    args: String,
     intern: InternTable,
-    router: DistRouter,
     engine: EngineConfig,
     rt: RtConfig,
     cfg: DistConfig,
     endpoint: Endpoint,
     ackers: ShardedAcker,
+    /// Credits of the coordinator → worker links (spout emissions only);
+    /// every worker keeps its own ledger toward its peers.
     ledger: CreditLedger,
+    /// Tuples per destination task each sender may have outstanding.
+    window: u64,
     store: CheckpointStore,
     journal: Journal,
     counters: Counters,
     /// Coordinator-side tracer: spout-emit + terminal spans, sampled by
-    /// `RtConfig::trace_sample_rate`.  The per-tree decision also rides
-    /// each delivery as `WireTuple::trace_root`, so workers record hops
-    /// for exactly the trees traced here.
+    /// `RtConfig::trace_sample_rate`.  Workers get the rate in `Assign` and
+    /// re-derive the same decision from the root each delivery carries.
     tracer: Tracer,
     /// Worker hop spans, already clock-normalized and stamped with
     /// pid/generation at receipt.
@@ -386,18 +194,16 @@ struct Shared {
     /// worker push re-registered under `worker`/`generation` labels; served
     /// at `RtConfig::metrics_addr`.
     metrics: Arc<Registry>,
-    coord_metrics: CoordMetrics,
-    slot_gauges: Vec<SlotGauges>,
     /// Coordinator OS pid, stamped into coordinator-side spans at merge.
     coord_pid: u32,
-    latency: Mutex<LatencyStats>,
     start: Instant,
     /// Set at shutdown: spouts stop emitting fresh tuples.
     stop: AtomicBool,
     /// Set after the drain: every background thread exits.
     terminate: AtomicBool,
-    next_token: AtomicU64,
-    flush_seq: AtomicU64,
+    /// Tree roots are small sequential ids (short varints on the wire);
+    /// edge ids are the random ones.
+    next_root: AtomicU64,
     /// Owning worker slot per global task (`None` for spout tasks).
     task_owner: Vec<Option<usize>>,
     /// Component id per global task.
@@ -405,7 +211,10 @@ struct Shared {
     /// Whether each component's bolt reports state (probed at submit).
     component_stateful: Vec<bool>,
     slots: Vec<WorkerSlot>,
-    overflow: Vec<Mutex<VecDeque<Overflow>>>,
+    /// Dynamic-grouping handles in router order (the `SetRatio` edge index).
+    dynamic: Vec<DynamicGroupingHandle>,
+    /// Outcome channel of each spout task (`None` for bolt tasks).
+    feedback: Vec<Option<Sender<Vec<TreeOutcome>>>>,
     /// Live replay-buffer length per spout task (drain check).
     spout_inflight: Vec<AtomicUsize>,
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -416,227 +225,82 @@ impl Shared {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Sends one delivery to its owner if the slot is up.  Returns `false`
-    /// when the slot has no live connection (caller fails the tree).
-    /// Assumes the destination credit was already acquired.
-    fn send_now(
-        &self,
-        dest: usize,
-        stream: u32,
-        values: Vec<Value>,
-        anchor: Option<(RootId, u64)>,
-        dedup: Option<u64>,
-    ) -> bool {
-        let Some(slot_idx) = self.task_owner[dest] else {
-            return false;
-        };
-        let mut state = self.slots[slot_idx].state.lock().unwrap();
-        if !state.connected || state.writer.is_none() {
-            return false;
-        }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        // The sampling decision travels with the tuple: workers record hop
-        // spans iff `trace_root` is set, so worker traces line up with the
-        // coordinator's spout-emit/terminal spans for the same trees.
-        let trace_root = anchor
-            .map(|(root, _)| root)
-            .filter(|&root| self.tracer.enabled() && self.tracer.sampled(root));
-        let item = WireTuple {
-            token,
-            dest_task: dest as u32,
-            stream,
-            dedup,
-            trace_root,
-            values,
-        };
-        state.pending.insert(
-            token,
-            Delivery {
-                anchor,
-                task: dest as u32,
-            },
-        );
-        let failed = state
-            .writer
-            .as_mut()
-            .expect("checked above")
-            .push_tuple(item)
-            .is_err();
-        if failed {
-            // Socket died mid-write.  Leave the pending entry: the reader
-            // thread observes the same failure and fails every pending
-            // delivery (including this one) into replay.
-            state.connected = false;
-        }
-        true
-    }
-
-    /// Delivers or parks one emission instance for `dest`.
-    fn enqueue(
-        &self,
-        dest: usize,
-        stream: u32,
-        values: Vec<Value>,
-        anchor: Option<(RootId, u64)>,
-        dedup: Option<u64>,
-    ) {
-        if self.ledger.try_acquire(dest) {
-            if !self.send_now(dest, stream, values, anchor, dedup) {
-                self.ledger.grant(dest, 1);
-                if let Some((root, _)) = anchor {
-                    self.ackers.on_fail(root, self.now_s());
-                }
+    /// Hands one spout delivery to the link of its owner; a dead link
+    /// fails the tree (into replay).
+    fn enqueue(&self, item: WireTuple) {
+        let root = item.trace_root;
+        let sent = match self.task_owner[item.dest_task as usize] {
+            Some(slot) => {
+                let mut state = self.slots[slot].state.lock().unwrap();
+                state.out.enqueue(&self.ledger, item)
             }
-        } else {
-            self.overflow[dest].lock().unwrap().push_back(Overflow {
-                stream,
-                values,
-                anchor,
-                dedup,
-            });
+            None => false,
+        };
+        if let (false, Some(root)) = (sent, root) {
+            self.ackers.on_fail(root, self.now_s());
         }
     }
 
-    /// Moves credit-starved emissions onto the wire as credits permit.
-    fn drain_overflow(&self, task: usize) {
-        loop {
-            let item = {
-                let mut q = self.overflow[task].lock().unwrap();
-                if q.is_empty() || !self.ledger.try_acquire(task) {
-                    break;
-                }
-                q.pop_front().expect("checked non-empty")
-            };
-            if !self.send_now(task, item.stream, item.values, item.anchor, item.dedup) {
-                self.ledger.grant(task, 1);
-                if let Some((root, _)) = item.anchor {
-                    self.ackers.on_fail(root, self.now_s());
-                }
+    /// Deliveries to `tasks` that no worker has credited back yet.
+    fn in_use(&self, tasks: &[u32]) -> u64 {
+        tasks.iter().map(|&t| self.ledger.in_use(t as usize)).sum()
+    }
+
+    /// Records terminal spans of sampled trees and hands each outcome to
+    /// the spout thread that owns it.
+    fn deliver(&self, mut outcomes: Vec<TreeOutcome>) {
+        if self.tracer.enabled() {
+            // The trailing tracer slot is shared by every completing thread
+            // (readers, supervisor); it is locked per span.
+            let slot = self.topology.task_count();
+            for o in outcomes.iter().filter(|o| self.tracer.sampled(o.root)) {
+                self.tracer.record_outcome(slot, o);
+            }
+        }
+        while let Some(spout) = outcomes.first().map(|o| o.spout_task.0) {
+            let (mine, rest) = outcomes
+                .into_iter()
+                .partition(|o: &TreeOutcome| o.spout_task.0 == spout);
+            outcomes = rest;
+            if let Some(tx) = self.feedback.get(spout).and_then(Option::as_ref) {
+                let _ = tx.send(mine);
             }
         }
     }
 
-    /// Routes one emission whose tuple is already schema-attached.
-    /// Registers every new edge on the tree *before* any delivery leaves,
-    /// then enqueues.  With `track_as` set, the first edge opens a fresh
-    /// tree for that spout message.
-    #[allow(clippy::too_many_arguments)]
-    fn route_tuple(
-        &self,
-        component: usize,
-        stream: u32,
-        tuple: &Tuple,
-        direct_task: Option<u32>,
-        anchor_root: Option<RootId>,
-        track_as: Option<(TaskId, MessageId)>,
-        dedup: Option<u64>,
-    ) -> (usize, Option<RootId>) {
-        let mut dests = Vec::new();
-        self.router
-            .select(component, stream, tuple, direct_task, &mut dests);
-        if dests.is_empty() {
-            return (0, None);
-        }
-        let now = self.now_s();
-        // Register every new edge on the tree before any delivery leaves,
-        // so a fast worker's acks cannot XOR the tree to zero early.
-        let mut new_root = None;
-        let anchors: Vec<Option<(RootId, u64)>> = match (anchor_root, track_as) {
-            (Some(root), _) => dests
-                .iter()
-                .map(|_| {
-                    let edge = self.ackers.new_edge_id();
-                    self.ackers.on_emit(root, edge);
-                    Some((root, edge))
-                })
-                .collect(),
-            (None, Some((spout_task, message_id))) => {
-                let root = self.ackers.new_edge_id();
-                new_root = Some(root);
-                dests
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| {
-                        let edge = self.ackers.new_edge_id();
-                        if i == 0 {
-                            self.ackers.track(root, edge, spout_task, message_id, now);
-                        } else {
-                            self.ackers.on_emit(root, edge);
-                        }
-                        Some((root, edge))
-                    })
-                    .collect()
-            }
-            (None, None) => dests.iter().map(|_| None).collect(),
-        };
-        let n = dests.len();
-        for (dest, anchor) in dests.into_iter().zip(anchors) {
-            self.enqueue(dest, stream, tuple.values().to_vec(), anchor, dedup);
-        }
-        (n, new_root)
-    }
-
-    /// Routes a worker-produced emission (bolt output or tick output).
-    fn route_wire_emission(
-        &self,
-        producer_component: usize,
-        emission: WireEmission,
-        anchor_root: Option<RootId>,
-    ) {
-        let Ok(tuple) = self.intern.tuple(emission.stream, emission.values) else {
-            return;
-        };
-        let _ = self.route_tuple(
-            producer_component,
-            emission.stream,
-            &tuple,
-            emission.direct_task,
-            anchor_root,
-            None,
-            None,
-        );
-    }
-
-    /// Fails every in-flight delivery of a dead connection into replay and
-    /// returns the connection's credits.  Idempotent per connection.
+    /// Closes the link of a dead connection, returns its credits and fails
+    /// every tree in flight into replay: the dead worker may have held an
+    /// edge of any of them, and ack records that still arrive for a failed
+    /// tree hit an unknown root and are ignored.  Idempotent per
+    /// connection.
     fn cleanup_slot(&self, slot_idx: usize, reason: &str) {
-        let (pending, deferred, was_connected) = {
-            let mut state = self.slots[slot_idx].state.lock().unwrap();
-            if !state.connected && state.writer.is_none() {
+        let slot = &self.slots[slot_idx];
+        {
+            let mut state = slot.state.lock().unwrap();
+            let tasks = slot.tasks.iter().map(|&t| t as usize);
+            let Some((writer, _parked)) = state.out.close(&self.ledger, tasks) else {
                 return;
-            }
-            state.connected = false;
-            if let Some(writer) = state.writer.take() {
-                let c = &self.counters;
-                c.bytes_out.fetch_add(writer.bytes_out, Ordering::Relaxed);
-                c.frames_out.fetch_add(writer.frames_out, Ordering::Relaxed);
-            }
+            };
+            self.counters.add_writer(&writer);
             state.restore_age.clear();
             state.conn_stats = None;
+            state.flushed = None;
             state.hb_lagged = false;
             if let Some(child) = state.child.as_mut() {
                 // A dead socket with a live process is a zombie worker:
                 // take it down so the supervisor can respawn cleanly.
                 let _ = child.kill();
             }
-            (
-                std::mem::take(&mut state.pending),
-                std::mem::take(&mut state.deferred),
-                true,
-            )
-        };
-        let _ = was_connected;
+            unlink(&state.endpoint);
+        }
         let now = self.now_s();
-        self.counters
-            .worker_disconnects
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.worker_disconnects.inc();
+        let lost = self.ackers.fail_all(now);
         // Sampled trees that die with the connection, capped so a flooded
         // window cannot bloat the journal; cross-references the span log.
         const LOST_TRACE_CAP: usize = 32;
-        let lost_trace_ids: Vec<u64> = pending
-            .values()
-            .chain(deferred.values())
-            .filter_map(|d| d.anchor.map(|(root, _)| root))
+        let lost_trace_ids: Vec<u64> = lost
+            .into_iter()
             .filter(|&root| self.tracer.enabled() && self.tracer.sampled(root))
             .map(trace_id)
             .take(LOST_TRACE_CAP)
@@ -647,22 +311,19 @@ impl Shared {
             reason: reason.to_owned(),
             lost_trace_ids,
         });
-        for (_, d) in pending {
-            // The delivery never completed: return its credit and fail its
-            // tree into replay.
-            self.ledger.grant(d.task as usize, 1);
-            if let Some((root, _)) = d.anchor {
-                self.ackers.on_fail(root, now);
+        self.deliver(self.ackers.drain_outcomes_blocking());
+    }
+
+    /// Sends `frame` to every connected worker; returns the slots reached.
+    fn broadcast(&self, frame: &Frame) -> Vec<usize> {
+        let mut reached = Vec::new();
+        for (idx, slot) in self.slots.iter().enumerate() {
+            let mut state = slot.state.lock().unwrap();
+            if state.out.send(frame) {
+                reached.push(idx);
             }
         }
-        for (_, d) in deferred {
-            // Processed but not yet covered by a checkpoint: its effect
-            // died with the worker, so the tree must replay.  (The worker
-            // already re-granted this delivery's credit.)
-            if let Some((root, _)) = d.anchor {
-                self.ackers.on_fail(root, now);
-            }
-        }
+        reached
     }
 
     fn spawn_worker(self: &Arc<Self>, slot_idx: usize) -> Result<()> {
@@ -709,29 +370,18 @@ impl Shared {
         Ok(())
     }
 
-    /// All spout replay buffers, worker pendings/deferreds and overflow
-    /// queues are empty and no tree is in flight.
-    fn quiesced(&self) -> bool {
-        if self.ackers.pending_count() != 0 {
-            return false;
-        }
-        if self
-            .spout_inflight
-            .iter()
-            .any(|c| c.load(Ordering::Acquire) != 0)
-        {
-            return false;
-        }
-        if self.overflow.iter().any(|q| !q.lock().unwrap().is_empty()) {
-            return false;
-        }
-        for slot in &self.slots {
-            let state = slot.state.lock().unwrap();
-            if !state.pending.is_empty() || !state.deferred.is_empty() {
-                return false;
-            }
-        }
-        true
+    /// The coordinator's own part of quiescence: no tree pending, no spout
+    /// holding a message, nothing parked and every delivery it sent
+    /// credited back (i.e. executed).
+    fn idle(&self) -> bool {
+        self.ackers.pending_count() == 0
+            && self
+                .spout_inflight
+                .iter()
+                .all(|c| c.load(Ordering::Acquire) == 0)
+            && self.slots.iter().all(|slot| {
+                slot.state.lock().unwrap().out.parked() == 0 && self.in_use(&slot.tasks) == 0
+            })
     }
 }
 
@@ -744,6 +394,10 @@ fn reader_loop(
     pid: u32,
     mut reader: FrameReader,
 ) {
+    // Ack records are applied the way the threaded runtime's tasks apply
+    // theirs: partitioned by acker shard, one lock per dirty shard per
+    // frame, completed trees drained under the same lock.
+    let mut ops = AckOps::new(shared.ackers.num_shards());
     let reason = loop {
         let frame = match reader.read_frame() {
             Ok(Some(frame)) => frame,
@@ -756,53 +410,27 @@ fn reader_loop(
             Err(e) => break e.to_string(),
         };
         match frame {
-            Frame::ResultBatch { items } => {
+            Frame::AckBatch { items } => {
+                let now_s = shared.now_s();
                 for item in items {
-                    let delivery = {
-                        let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                        state.pending.remove(&item.token)
-                    };
-                    // Stale token (delivered before a reconnect): already
-                    // failed into replay by cleanup.
-                    let Some(delivery) = delivery else { continue };
-                    let component = shared.task_component[delivery.task as usize];
-                    let root = delivery.anchor.map(|(r, _)| r);
-                    for emission in item.emissions {
-                        let anchor = if emission.anchored { root } else { None };
-                        shared.route_wire_emission(component, emission, anchor);
-                    }
-                    let now = shared.now_s();
-                    if let Some((root, edge)) = delivery.anchor {
-                        if item.failed {
-                            shared.ackers.on_fail(root, now);
-                        } else if item.deferred {
-                            let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                            state.deferred.insert(item.token, delivery);
-                        } else {
-                            shared.ackers.on_ack(root, edge, now);
+                    let root = item.root;
+                    ops.push(if item.failed {
+                        AckOp::Fail { root, now_s }
+                    } else {
+                        AckOp::Ack {
+                            root,
+                            edge: item.xor,
+                            now_s,
                         }
-                    }
+                    });
                 }
+                ops.apply(&shared.ackers);
+                shared.deliver(ops.take_outcomes());
             }
             Frame::CreditGrant { task, amount } => {
                 shared.ledger.grant(task as usize, amount);
-                shared.drain_overflow(task as usize);
-            }
-            Frame::AckFlush { tokens } => {
-                let now = shared.now_s();
-                for token in tokens {
-                    let delivery = {
-                        let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                        state.deferred.remove(&token)
-                    };
-                    if let Some(Delivery {
-                        anchor: Some((root, edge)),
-                        ..
-                    }) = delivery
-                    {
-                        shared.ackers.on_ack(root, edge, now);
-                    }
-                }
+                let mut state = shared.slots[slot_idx].state.lock().unwrap();
+                state.out.drain(&shared.ledger);
             }
             Frame::CheckpointDeposit {
                 task,
@@ -820,14 +448,8 @@ fn reader_loop(
                             .store
                             .deposit_full(task as usize, generation, now, snap, dedup)
                     {
-                        shared
-                            .counters
-                            .checkpoints_taken
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .snapshot_bytes
-                            .fetch_add(bytes, Ordering::Relaxed);
+                        shared.counters.checkpoints_taken.inc();
+                        shared.counters.snapshot_bytes.add(bytes);
                         shared.journal.append(JournalEvent::CheckpointTaken {
                             time_s: now,
                             task: task as usize,
@@ -850,7 +472,7 @@ fn reader_loop(
                 };
                 let now = shared.now_s();
                 if ok {
-                    shared.counters.restores.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.restores.inc();
                     shared.journal.append(JournalEvent::StateRestored {
                         time_s: now,
                         task: task as usize,
@@ -867,12 +489,8 @@ fn reader_loop(
                     });
                 }
             }
-            Frame::TickEmissions { task, emissions } => {
-                let component = shared.task_component[task as usize];
-                for emission in emissions {
-                    // Tick output has no input tuple: never anchored.
-                    shared.route_wire_emission(component, emission, None);
-                }
+            Frame::Flushed(report) => {
+                shared.slots[slot_idx].state.lock().unwrap().flushed = Some(report);
             }
             Frame::SpanBatch {
                 worker: _,
@@ -923,9 +541,10 @@ fn reader_loop(
             Frame::MetricsPush { worker: _, samples } => {
                 let w = slot_idx.to_string();
                 let g = generation.to_string();
-                let labels: [(&str, &str); 2] =
-                    [("worker", w.as_str()), ("generation", g.as_str())];
                 for sample in samples {
+                    let peer = sample.peer.map(|p| p.to_string());
+                    let mut labels = vec![("worker", w.as_str()), ("generation", g.as_str())];
+                    labels.extend(peer.as_deref().map(|p| ("peer", p)));
                     match sample.kind {
                         0 => shared
                             .metrics
@@ -947,14 +566,12 @@ fn reader_loop(
                 let mut state = shared.slots[slot_idx].state.lock().unwrap();
                 state.last_words = Some((cause, detail));
             }
-            Frame::Flushed { .. } => {}
             // Worker→coordinator direction only carries the frames above.
             _ => {}
         }
     };
-    let c = &shared.counters;
-    c.bytes_in.fetch_add(reader.bytes_in, Ordering::Relaxed);
-    c.frames_in.fetch_add(reader.frames_in, Ordering::Relaxed);
+    shared.counters.bytes_in.add(reader.bytes_in);
+    shared.counters.frames_in.add(reader.frames_in);
     shared.cleanup_slot(slot_idx, &reason);
 }
 
@@ -974,8 +591,7 @@ fn listener_loop(shared: Arc<Shared>, listener: Listener) {
                     });
                 }
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Ok(None) | Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -997,6 +613,7 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
         worker,
         pid,
         clock_us,
+        endpoint,
     } = hello
     else {
         return Err(Error::Runtime(format!(
@@ -1014,30 +631,33 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
     if slot_idx >= shared.slots.len() {
         return Err(Error::Runtime(format!("unknown worker slot {worker}")));
     }
+    // Handshakes run one at a time on the listener thread, so of any two
+    // workers exactly one — the later — sees the other in this list and
+    // dials it.
+    let peers: Vec<WirePeer> = (shared.slots.iter().enumerate())
+        .filter(|(i, _)| *i != slot_idx)
+        .filter_map(|(i, s)| {
+            let state = s.state.lock().unwrap();
+            state.out.is_up().then(|| WirePeer {
+                slot: i as u32,
+                generation: state.generation,
+                endpoint: state.endpoint.clone(),
+            })
+        })
+        .collect();
     let mut writer = BatchWriter::new(writer_conn, shared.rt.batch_size, shared.rt.linger);
     writer.set_stats(Arc::clone(&stats));
     let slot = &shared.slots[slot_idx];
-    writer.send(&Frame::Assign {
-        worker,
-        topology: shared.topology_key.clone(),
-        args: shared.cfg_args().to_owned(),
-        tasks: slot.tasks.clone(),
-        recovery: recovery_to_byte(shared.rt.recovery_mode),
-        ckpt_interval_us: shared.rt.checkpoint_interval.as_micros() as u64,
-        tick_interval_us: (shared.engine.tick_interval_s.max(0.0) * 1e6) as u64,
-        metrics_interval_us: (shared.engine.metrics_interval_s.max(0.0) * 1e6) as u64,
-        task_count: shared.topology.task_count() as u32,
-        stream_count: shared.intern.len() as u32,
-    })?;
-
     let mut state = slot.state.lock().unwrap();
     state.generation += 1;
     let generation = state.generation;
     let now = shared.now_s();
     let restore_start = Instant::now();
-    // Restore stateful tasks from the store *before* the writer is
-    // published: frames are processed in order, so every restore lands
-    // before the first tuple delivery of this connection.
+    // Stateful tasks restart from the store.  `Assign` says how many
+    // restores follow it, and the worker applies them before it dials a
+    // peer or takes a tuple off any link; on this link the writer is only
+    // published below, after the last of them.
+    let mut restores = Vec::new();
     for &task in &slot.tasks {
         if !shared.component_stateful[shared.task_component[task as usize]] {
             continue;
@@ -1049,32 +669,57 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
             Some(base) => {
                 let age = restored.taken_at_s.map(|t| now - t);
                 state.restore_age.insert(task, age);
-                writer.send(&Frame::RestoreState {
+                restores.push(Frame::RestoreState {
                     task,
                     payload: Some(snapshot_to_payload(&base)),
                     dedup: restored.dedup,
-                })?;
+                });
             }
-            None => {
-                if generation > 1 {
-                    shared.journal.append(JournalEvent::StateLost {
-                        time_s: now,
-                        task: task as usize,
-                        generation,
-                        snapshot_age_s: None,
-                    });
-                }
-            }
+            None if generation > 1 => shared.journal.append(JournalEvent::StateLost {
+                time_s: now,
+                task: task as usize,
+                generation,
+                snapshot_age_s: None,
+            }),
+            None => {}
         }
     }
+    writer.send(&Frame::Assign {
+        worker,
+        generation,
+        topology: shared.topology_key.clone(),
+        args: shared.args.clone(),
+        task_slots: (shared.task_owner.iter())
+            .map(|o| o.map_or(COORDINATOR_SLOT, |s| s as u32))
+            .collect(),
+        peers,
+        recovery: recovery_to_byte(shared.rt.recovery_mode),
+        ckpt_interval_us: shared.rt.checkpoint_interval.as_micros() as u64,
+        tick_interval_us: (shared.engine.tick_interval_s.max(0.0) * 1e6) as u64,
+        metrics_interval_us: (shared.engine.metrics_interval_s.max(0.0) * 1e6) as u64,
+        stream_count: shared.intern.len() as u32,
+        batch_size: shared.rt.batch_size.max(1) as u32,
+        credit_window: shared.window,
+        trace_sample_bits: shared.rt.trace_sample_rate.to_bits(),
+        restores: restores.len() as u32,
+    })?;
+    for restore in &restores {
+        writer.send(restore)?;
+    }
     let restore_us = restore_start.elapsed().as_micros() as u64;
+    // The worker built its dynamic groupings at their initial ratios.
+    for (edge, handle) in shared.dynamic.iter().enumerate() {
+        writer.send(&set_ratio_frame(edge, handle))?;
+    }
     state.pid = pid;
-    state.connected = true;
-    state.writer = Some(writer);
+    state.endpoint = endpoint;
     state.clock_offset_us = clock_offset_us;
     state.conn_stats = Some(Arc::clone(&stats));
     state.last_words = None;
     state.hb_lagged = false;
+    // New connection, fresh capacity: anything parked for this slot's
+    // tasks moves now.
+    state.out.open(writer, &shared.ledger);
     let task_count = slot.tasks.len();
     drop(state);
 
@@ -1097,22 +742,25 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
         restore_us,
     });
     let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("dist-reader-{slot_idx}"))
-        .spawn(move || reader_loop(shared2, slot_idx, generation, pid, reader))
-        .map_err(|e| Error::Runtime(format!("spawn reader: {e}")))?;
+    let handle = spawn_thread(format!("dist-reader-{slot_idx}"), move || {
+        reader_loop(shared2, slot_idx, generation, pid, reader)
+    })?;
     shared.reader_threads.lock().unwrap().push(handle);
-    // New connection, fresh capacity: anything parked for this slot's
-    // tasks can move now.
-    for &task in &slot.tasks {
-        shared.drain_overflow(task as usize);
-    }
     Ok(())
 }
 
-impl Shared {
-    fn cfg_args(&self) -> &str {
-        &self.cfg_args_str
+/// Removes the socket file behind a worker's data endpoint (the worker is
+/// dead or stopped; a killed one cannot clean up after itself).
+fn unlink(endpoint: &str) {
+    if let Ok(endpoint) = Endpoint::from_env(endpoint) {
+        endpoint.unlink();
+    }
+}
+
+fn set_ratio_frame(edge: usize, handle: &DynamicGroupingHandle) -> Frame {
+    Frame::SetRatio {
+        edge: edge as u32,
+        weights: handle.ratio().as_slice().to_vec(),
     }
 }
 
@@ -1121,6 +769,9 @@ impl Shared {
 fn supervisor_loop(shared: Arc<Shared>) {
     let mut last_expire = Instant::now();
     let mut last_gauge_sync = Instant::now();
+    // Ratio versions already pushed to the fleet (a worker that connects
+    // later gets the current ratios in its handshake).
+    let mut pushed: Vec<u64> = shared.dynamic.iter().map(|h| h.version()).collect();
     // Heartbeat-lag threshold: a live worker touches the connection at
     // least every metrics interval, so 2× the interval of rx silence is a
     // worker that is wedged (or a connection the OS has not failed yet).
@@ -1138,12 +789,21 @@ fn supervisor_loop(shared: Arc<Shared>) {
                 .ackers
                 .expire(now, shared.engine.message_timeout_s.max(0.001));
         }
+        // Trees completed outside a reader's apply (timeouts, failed
+        // sends) sit in the shard buffers until someone takes them home.
+        shared.deliver(shared.ackers.drain_outcomes());
+        for (edge, handle) in shared.dynamic.iter().enumerate() {
+            let version = handle.version();
+            if version != pushed[edge] {
+                pushed[edge] = version;
+                shared.broadcast(&set_ratio_frame(edge, handle));
+            }
+        }
         let sync_gauges = HOT_PATH_TELEMETRY && last_gauge_sync.elapsed() >= GAUGE_SYNC_INTERVAL;
         if sync_gauges {
             last_gauge_sync = Instant::now();
-            shared
-                .coord_metrics
-                .sync(&shared.counters, shared.ackers.pending_count());
+            let pending = shared.ackers.pending_count();
+            shared.counters.pending_trees.set(pending as f64);
         }
         for (idx, slot) in shared.slots.iter().enumerate() {
             let mut state = slot.state.lock().unwrap();
@@ -1168,21 +828,28 @@ fn supervisor_loop(shared: Arc<Shared>) {
                 });
             }
             if sync_gauges {
-                shared.slot_gauges[idx]
-                    .outstanding
-                    .set(state.pending.len() as f64);
-                let parked: usize = slot
-                    .tasks
-                    .iter()
-                    .map(|&t| shared.overflow[t as usize].lock().unwrap().len())
-                    .sum();
-                shared.slot_gauges[idx].parked.set(parked as f64);
+                // The per-slot flow and transport families.  The first two
+                // are §15.4's failure class live, off the ledger and the link:
+                // deliveries not yet credited back, deliveries parked.
+                let slot_label = idx.to_string();
+                let labels = [("worker", slot_label.as_str())];
+                let gauge = |name: &str, v: f64| shared.metrics.gauge(name, &labels).set(v);
+                gauge(
+                    "dsdps_dist_outstanding_window",
+                    shared.in_use(&slot.tasks) as f64,
+                );
+                gauge("dsdps_dist_overflow_parked", state.out.parked() as f64);
                 if let Some(stats) = state.conn_stats.as_ref() {
-                    shared.slot_gauges[idx].sync_conn(stats);
+                    for (what, value) in stats.counters() {
+                        let family = format!("dsdps_dist_conn_{what}_total");
+                        shared.metrics.counter(&family, &labels).set(value);
+                    }
+                    let silence = stats.rx_silence_s().unwrap_or(0.0);
+                    gauge("dsdps_dist_conn_rx_silence_seconds", silence);
                 }
             }
             // Heartbeat lag: journaled once per silence episode.
-            if let (Some(threshold), true) = (hb_threshold_s, state.connected) {
+            if let (Some(threshold), true) = (hb_threshold_s, state.out.is_up()) {
                 let silence = state
                     .conn_stats
                     .as_ref()
@@ -1203,71 +870,20 @@ fn supervisor_loop(shared: Arc<Shared>) {
             }
             // Respawn a dead, disconnected slot within budget.
             if state.child.is_none()
-                && !state.connected
+                && !state.out.is_up()
                 && state.generation > 0
                 && state.respawns < shared.cfg.max_worker_restarts
                 && !shared.terminate.load(Ordering::Acquire)
             {
                 state.respawns += 1;
-                shared
-                    .counters
-                    .worker_restarts
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.counters.worker_restarts.inc();
                 drop(state);
                 let _ = shared.spawn_worker(idx);
                 continue;
             }
             // Linger: flush partial tuple batches past their deadline.
-            if let Some(writer) = state.writer.as_mut() {
-                if writer.poll_linger().is_err() {
-                    state.connected = false;
-                }
-            }
-        }
-        for task in 0..shared.task_owner.len() {
-            if shared.task_owner[task].is_some() {
-                shared.drain_overflow(task);
-            }
-        }
-    }
-}
-
-// --- completer thread ---------------------------------------------------
-
-fn completer_loop(shared: Arc<Shared>, feedback: HashMap<usize, Sender<TreeOutcome>>) {
-    loop {
-        let outcomes = shared.ackers.drain_outcomes();
-        if outcomes.is_empty() {
-            if shared.terminate.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        for outcome in outcomes {
-            // Terminal span for sampled trees, recorded into the trailing
-            // tracer slot (the completer is the dist counterpart of the
-            // threaded runtime's metrics-thread slot).
-            if shared.tracer.enabled() && shared.tracer.sampled(outcome.root) {
-                let kind = match outcome.completion {
-                    Completion::Acked => SpanKind::Ack,
-                    Completion::Failed => SpanKind::Fail,
-                    Completion::TimedOut => SpanKind::Timeout,
-                };
-                let latency_us = outcome.complete_latency() * 1e6;
-                shared.tracer.record_terminal(
-                    shared.topology.task_count(),
-                    outcome.root,
-                    kind,
-                    outcome.spout_task.0,
-                    (outcome.completed_at * 1e6) as u64,
-                    latency_us.max(0.0) as u64,
-                    outcome.message_id,
-                );
-            }
-            if let Some(tx) = feedback.get(&outcome.spout_task.0) {
-                let _ = tx.send(outcome);
-            }
+            state.out.poll_linger();
+            state.out.drain(&shared.ledger);
         }
     }
 }
@@ -1276,20 +892,83 @@ fn completer_loop(shared: Arc<Shared>, feedback: HashMap<usize, Sender<TreeOutco
 
 struct SpoutThreadResult {
     in_flight: usize,
+    /// Tree-completion latency (µs) of this spout's acked messages.
+    latency: (OnlineStats, LatencyHistogram),
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Routing state owned by one spout thread.
+struct SpoutRoute {
+    component: usize,
+    task: usize,
+    router: DistRouter,
+    edge_ids: EdgeIds,
+    /// Scratch: the edge drawn per destination of the emission in hand.
+    edges: Vec<u64>,
+}
+
+impl SpoutRoute {
+    /// Routes one spout emission.  `tracked_as` carries the spout message
+    /// id for tree tracking + replay dedup; `None` emits untracked.
+    /// Returns the number of deliveries and the new tree's root.
+    fn route(
+        &mut self,
+        shared: &Shared,
+        emission: &Emission,
+        tracked_as: Option<MessageId>,
+    ) -> (usize, Option<RootId>) {
+        let Some(stream) = shared
+            .intern
+            .lookup(self.component, emission.stream.as_str())
+        else {
+            return (0, None);
+        };
+        let dests = self.router.select(
+            self.component,
+            stream,
+            &emission.tuple,
+            emission.direct_task,
+        );
+        if dests.is_empty() {
+            return (0, None);
+        }
+        // The tree is registered with the XOR of all its first-hop edges
+        // *before* any delivery leaves: an ack record that beat the
+        // registration would hit an unknown root and be lost, and one that
+        // beat a later edge's registration could zero the tree early.
+        let root = tracked_as.map(|message_id| {
+            let root = shared.next_root.fetch_add(1, Ordering::Relaxed) + 1;
+            self.edges.clear();
+            self.edges
+                .extend(dests.iter().map(|_| self.edge_ids.next()));
+            let xor = self.edges.iter().fold(0, |acc, e| acc ^ e);
+            shared
+                .ackers
+                .track(root, xor, TaskId(self.task), message_id, shared.now_s());
+            root
+        });
+        for (i, &dest) in dests.iter().enumerate() {
+            shared.enqueue(WireTuple {
+                token: if root.is_some() { self.edges[i] } else { 0 },
+                dest_task: dest as u32,
+                stream,
+                dedup: tracked_as,
+                trace_root: root,
+                values: emission.tuple.values().to_vec(),
+            });
+        }
+        (dests.len(), root)
+    }
+}
+
 fn spout_loop(
     shared: Arc<Shared>,
-    component_id: usize,
-    task: usize,
+    mut route: SpoutRoute,
     task_index: usize,
     spout_index: usize,
-    feedback: Receiver<TreeOutcome>,
+    feedback: Receiver<Vec<TreeOutcome>>,
 ) -> SpoutThreadResult {
-    let component = shared
-        .topology
-        .component(crate::topology::ComponentId(component_id));
+    let task = route.task;
+    let component = shared.topology.component(ComponentId(route.component));
     let ComponentKind::Spout(factory) = &component.kind else {
         unreachable!("spout thread for a bolt component");
     };
@@ -1300,23 +979,24 @@ fn spout_loop(
         parallelism: component.parallelism,
     });
     let mut replay = ReplayBuffer::default();
+    let mut latency = (OnlineStats::new(), LatencyHistogram::new());
     let mut out = SpoutOutput::new();
+    let mut emissions = Vec::new();
     let mut idle_spins = 0u32;
     let mut exhausted = false;
+    let trace_on = shared.tracer.enabled();
     loop {
         let now = shared.now_s();
         // 1. Feedback: completed trees → acks/fails/replay schedule.
-        while let Ok(outcome) = feedback.try_recv() {
+        for outcome in feedback.try_iter().flatten() {
             let id = outcome.message_id;
             match outcome.completion {
                 Completion::Acked => {
                     if replay.on_ack(id) {
-                        shared.counters.acked.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .latency
-                            .lock()
-                            .unwrap()
-                            .record(outcome.complete_latency() * 1e3);
+                        shared.counters.acked.inc();
+                        let us = outcome.complete_latency() * 1e6;
+                        latency.0.update(us);
+                        latency.1.record(us);
                         spout.ack(id);
                     }
                 }
@@ -1326,7 +1006,7 @@ fn spout_loop(
                     } else {
                         &shared.counters.timed_out
                     };
-                    counter.fetch_add(1, Ordering::Relaxed);
+                    counter.inc();
                     match replay.on_fail(
                         id,
                         shared.rt.max_replays,
@@ -1334,10 +1014,7 @@ fn spout_loop(
                         Instant::now(),
                     ) {
                         FailDecision::Scheduled { attempt, delay } => {
-                            shared
-                                .counters
-                                .replays_scheduled
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared.counters.replays_scheduled.inc();
                             shared.journal.append(JournalEvent::ReplayScheduled {
                                 time_s: now,
                                 message_id: id,
@@ -1346,10 +1023,7 @@ fn spout_loop(
                             });
                         }
                         FailDecision::Exhausted { attempts } => {
-                            shared
-                                .counters
-                                .permanently_failed
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared.counters.permanently_failed.inc();
                             shared.journal.append(JournalEvent::ReplayExhausted {
                                 time_s: now,
                                 message_id: id,
@@ -1362,15 +1036,12 @@ fn spout_loop(
                 }
             }
         }
-        // 2. Due replays: re-emit under a fresh tree.
+        // 2. Due replays: re-emit under a fresh tree (O(1) when nothing is
+        // scheduled, which is every iteration of a healthy run).
         for (id, emission, attempt) in replay.take_due(Instant::now()) {
-            let (delivered, root) =
-                route_spout_emission(&shared, component_id, task, &emission, Some(id));
+            let (delivered, root) = route.route(&shared, &emission, Some(id));
             let root = root.unwrap_or(0);
-            shared
-                .counters
-                .replays_emitted
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters.replays_emitted.inc();
             shared.journal.append(JournalEvent::ReplayEmitted {
                 time_s: now,
                 message_id: id,
@@ -1378,65 +1049,47 @@ fn spout_loop(
                 root,
                 trace_id: splitmix64(root),
             });
-            if shared.tracer.enabled() && shared.tracer.sampled(root) {
+            if trace_on && shared.tracer.sampled(root) {
                 shared
                     .tracer
                     .record_emit(task, root, task, (now * 1e6) as u64, attempt, id);
             }
-            if delivered == 0 {
+            if delivered == 0 && replay.on_ack(id) {
                 // Routed to nothing (subscriber set changed?): complete it.
-                if replay.on_ack(id) {
-                    shared.counters.acked.fetch_add(1, Ordering::Relaxed);
-                    spout.ack(id);
-                }
+                shared.counters.acked.inc();
+                spout.ack(id);
             }
         }
         // 3. Fresh emission, gated on max_spout_pending.
         let stopped = shared.stop.load(Ordering::Acquire) || exhausted;
-        let mut emitted_any = false;
         if !stopped && replay.len() < shared.engine.max_spout_pending {
             out.set_now(now);
             if !spout.next_tuple(&mut out) {
                 exhausted = true;
             }
-            for emission in out.drain() {
-                emitted_any = true;
+            out.drain_into(&mut emissions);
+        }
+        let emitted_any = !emissions.is_empty();
+        for emission in emissions.drain(..) {
+            shared.counters.spout_emitted.inc();
+            let Some(id) = emission.message_id else {
+                route.route(&shared, &emission, None);
+                continue;
+            };
+            let emission = Arc::new(emission);
+            if replay.on_track(id, Arc::clone(&emission), now) {
+                shared.counters.tracked.inc();
+            }
+            let (delivered, root) = route.route(&shared, &emission, Some(id));
+            if let Some(root) = root.filter(|&r| trace_on && shared.tracer.sampled(r)) {
                 shared
-                    .counters
-                    .spout_emitted
-                    .fetch_add(1, Ordering::Relaxed);
-                match emission.message_id {
-                    Some(id) => {
-                        let emission = Arc::new(emission);
-                        if replay.on_track(id, Arc::clone(&emission), now) {
-                            shared.counters.tracked.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let (delivered, root) =
-                            route_spout_emission(&shared, component_id, task, &emission, Some(id));
-                        if let Some(root) = root {
-                            if shared.tracer.enabled() && shared.tracer.sampled(root) {
-                                shared.tracer.record_emit(
-                                    task,
-                                    root,
-                                    task,
-                                    (now * 1e6) as u64,
-                                    0,
-                                    id,
-                                );
-                            }
-                        }
-                        if delivered == 0 {
-                            // No subscriber: immediately complete.
-                            if replay.on_ack(id) {
-                                shared.counters.acked.fetch_add(1, Ordering::Relaxed);
-                                spout.ack(id);
-                            }
-                        }
-                    }
-                    None => {
-                        let _ = route_spout_emission(&shared, component_id, task, &emission, None);
-                    }
-                }
+                    .tracer
+                    .record_emit(task, root, task, (now * 1e6) as u64, 0, id);
+            }
+            if delivered == 0 && replay.on_ack(id) {
+                // No subscriber: immediately complete.
+                shared.counters.acked.inc();
+                spout.ack(id);
             }
         }
         shared.spout_inflight[spout_index].store(replay.len(), Ordering::Release);
@@ -1453,36 +1106,8 @@ fn spout_loop(
     spout.close();
     SpoutThreadResult {
         in_flight: replay.len(),
+        latency,
     }
-}
-
-/// Routes one spout emission.  `tracked_as` carries the spout message id
-/// for tree tracking + replay dedup; `None` emits untracked.
-fn route_spout_emission(
-    shared: &Shared,
-    component_id: usize,
-    task: usize,
-    emission: &Emission,
-    tracked_as: Option<MessageId>,
-) -> (usize, Option<RootId>) {
-    let Some(stream) = shared.intern.lookup(component_id, emission.stream.as_str()) else {
-        return (0, None);
-    };
-    let (_, fields) = shared.intern.entry(stream).expect("interned");
-    let tuple = if emission.tuple.fields().ptr_eq(fields) {
-        emission.tuple.clone()
-    } else {
-        emission.tuple.rekeyed(fields.clone())
-    };
-    shared.route_tuple(
-        component_id,
-        stream,
-        &tuple,
-        emission.direct_task.map(|t| t as u32),
-        None,
-        tracked_as.map(|id| (TaskId(task), id)),
-        tracked_as,
-    )
 }
 
 // --- submit / running handle --------------------------------------------
@@ -1506,7 +1131,6 @@ pub fn submit(
     crate::rt::checkpoint::set_json_snapshot_fallback(rt.json_snapshots);
     let topology = registry.build(topology_name, args)?;
     let intern = InternTable::new(&topology);
-    let router = DistRouter::new(&topology, &intern);
     let n_tasks = topology.task_count();
 
     // Placement: spouts on the coordinator, bolt tasks round-robin over
@@ -1585,10 +1209,6 @@ pub fn submit(
         .collect();
     let tracer = Tracer::new(rt.trace_sample_rate, n_tasks + 1, span_meta);
     let metrics = Arc::new(Registry::new());
-    let coord_metrics = CoordMetrics::new(&metrics);
-    let slot_gauges = (0..cfg.workers)
-        .map(|i| SlotGauges::new(&metrics, i))
-        .collect();
     let metrics_server = match rt.metrics_addr {
         Some(addr) => Some(
             MetricsServer::bind(addr, Arc::clone(&metrics))
@@ -1597,29 +1217,41 @@ pub fn submit(
         None => None,
     };
 
+    let mut feedback = vec![None; n_tasks];
+    let mut spout_inputs = Vec::new();
+    for &(component, task, task_index) in &spout_tasks {
+        let (tx, rx) = mpsc::channel();
+        feedback[task] = Some(tx);
+        let route = SpoutRoute {
+            component,
+            task,
+            router: DistRouter::new(&topology, &intern),
+            edge_ids: EdgeIds::new(u64::from(std::process::id()) << 32 | task as u64),
+            edges: Vec::new(),
+        };
+        spout_inputs.push((route, task_index, rx));
+    }
+
     let shared = Arc::new(Shared {
         topology_key: topology_name.to_owned(),
-        cfg_args_str: args.to_owned(),
+        args: args.to_owned(),
+        dynamic: spout_inputs[0].0.router.dynamic_handles().to_vec(),
         intern,
-        router,
         ackers: ShardedAcker::new(rt.acker_shards.max(1)),
         ledger,
+        window,
         store,
         journal,
-        counters: Counters::default(),
+        counters: Counters::new(&metrics),
         tracer,
         worker_spans: Mutex::new(Vec::new()),
         worker_spans_dropped: AtomicU64::new(0),
         metrics,
-        coord_metrics,
-        slot_gauges,
         coord_pid: std::process::id(),
-        latency: Mutex::new(LatencyStats::default()),
         start: Instant::now(),
         stop: AtomicBool::new(false),
         terminate: AtomicBool::new(false),
-        next_token: AtomicU64::new(1),
-        flush_seq: AtomicU64::new(1),
+        next_root: AtomicU64::new(0),
         task_owner,
         task_component,
         component_stateful,
@@ -1630,7 +1262,7 @@ pub fn submit(
                 tasks,
             })
             .collect(),
-        overflow: (0..n_tasks).map(|_| Mutex::new(VecDeque::new())).collect(),
+        feedback,
         spout_inflight: spout_tasks.iter().map(|_| AtomicUsize::new(0)).collect(),
         reader_threads: Mutex::new(Vec::new()),
         topology,
@@ -1640,20 +1272,10 @@ pub fn submit(
         endpoint,
     });
 
-    let listener_handle = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("dist-listener".into())
-            .spawn(move || listener_loop(shared, listener))
-            .map_err(|e| Error::Runtime(format!("spawn listener: {e}")))?
-    };
-    let supervisor_handle = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("dist-supervisor".into())
-            .spawn(move || supervisor_loop(shared))
-            .map_err(|e| Error::Runtime(format!("spawn supervisor: {e}")))?
-    };
+    let (s1, s2) = (Arc::clone(&shared), Arc::clone(&shared));
+    let listener_handle =
+        spawn_thread("dist-listener".into(), move || listener_loop(s1, listener))?;
+    let supervisor_handle = spawn_thread("dist-supervisor".into(), move || supervisor_loop(s2))?;
 
     // Launch the fleet.
     for slot_idx in 0..shared.slots.len() {
@@ -1665,7 +1287,7 @@ pub fn submit(
         let connected = shared
             .slots
             .iter()
-            .filter(|s| s.state.lock().unwrap().connected)
+            .filter(|s| s.state.lock().unwrap().out.is_up())
             .count();
         if connected == shared.slots.len() {
             break;
@@ -1687,36 +1309,22 @@ pub fn submit(
                 shared.cfg.connect_timeout
             )));
         }
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(1));
     }
 
-    // Spout threads + outcome fan-out.
-    let mut feedback = HashMap::new();
     let mut spout_handles = Vec::new();
-    for (spout_index, (component, task, task_index)) in spout_tasks.iter().copied().enumerate() {
-        let (tx, rx) = mpsc::channel();
-        feedback.insert(task, tx);
+    for (spout_index, (route, task_index, rx)) in spout_inputs.into_iter().enumerate() {
         let shared2 = Arc::clone(&shared);
-        spout_handles.push(
-            std::thread::Builder::new()
-                .name(format!("dist-spout-{task}"))
-                .spawn(move || spout_loop(shared2, component, task, task_index, spout_index, rx))
-                .map_err(|e| Error::Runtime(format!("spawn spout: {e}")))?,
-        );
+        spout_handles.push(spawn_thread(
+            format!("dist-spout-{}", route.task),
+            move || spout_loop(shared2, route, task_index, spout_index, rx),
+        )?);
     }
-    let completer_handle = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("dist-completer".into())
-            .spawn(move || completer_loop(shared, feedback))
-            .map_err(|e| Error::Runtime(format!("spawn completer: {e}")))?
-    };
 
     Ok(RunningDist {
         shared,
         listener_handle: Some(listener_handle),
         supervisor_handle: Some(supervisor_handle),
-        completer_handle: Some(completer_handle),
         spout_handles,
         metrics_server,
     })
@@ -1727,7 +1335,6 @@ pub struct RunningDist {
     shared: Arc<Shared>,
     listener_handle: Option<JoinHandle<()>>,
     supervisor_handle: Option<JoinHandle<()>>,
-    completer_handle: Option<JoinHandle<()>>,
     spout_handles: Vec<JoinHandle<SpoutThreadResult>>,
     metrics_server: Option<MetricsServer>,
 }
@@ -1754,6 +1361,20 @@ impl RunningDist {
     /// `worker`/`generation` labels.
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
         self.metrics_server.as_ref().map(|s| s.local_addr())
+    }
+
+    /// The handle of the dynamic grouping on `producer`'s `stream` toward
+    /// `subscriber`.  Ratios set through it reach the workers that route
+    /// the edge within a supervisor tick.
+    pub fn dynamic_handle(
+        &self,
+        producer: &str,
+        stream: &StreamId,
+        subscriber: &str,
+    ) -> Option<DynamicGroupingHandle> {
+        self.shared
+            .topology
+            .dynamic_handle(producer, stream, subscriber)
     }
 
     /// Kills worker `idx`'s OS process (SIGKILL), as a fault-injection
@@ -1783,17 +1404,17 @@ impl RunningDist {
 
     /// Messages fully acked so far.
     pub fn acked(&self) -> u64 {
-        self.shared.counters.acked.load(Ordering::Relaxed)
+        self.shared.counters.acked.get()
     }
 
     /// Distinct messages tracked so far.
     pub fn tracked(&self) -> u64 {
-        self.shared.counters.tracked.load(Ordering::Relaxed)
+        self.shared.counters.tracked.get()
     }
 
     /// Spout emissions so far (fresh, not counting replays).
     pub fn spout_emitted(&self) -> u64 {
-        self.shared.counters.spout_emitted.load(Ordering::Relaxed)
+        self.shared.counters.spout_emitted.get()
     }
 
     /// Tuple trees currently pending in the acker.
@@ -1801,79 +1422,125 @@ impl RunningDist {
         self.shared.ackers.pending_count()
     }
 
-    /// Stops the spouts, drains in-flight trees (forcing checkpoints and
-    /// deferred-ack flushes), tears the fleet down and reports.
-    pub fn shutdown(mut self) -> DistReport {
+    /// One round of the shutdown drain: every connected worker checkpoints,
+    /// releases its withheld ack records and reports its send-side
+    /// accounting.  Returns each worker's activity counter when the round
+    /// was *clean* — the coordinator idle at the instant the round started
+    /// and no worker with a delivery in flight — and `None` otherwise (or
+    /// when `deadline` passed before every worker answered).
+    fn flush_round(&self, seq: u64, deadline: Instant) -> Option<Vec<u64>> {
         let shared = &self.shared;
-        shared.stop.store(true, Ordering::Release);
-        // Drain: nudge workers to checkpoint + flush deferred acks until
-        // every tree settles or the budget expires.
-        let deadline = Instant::now() + shared.cfg.drain_timeout;
-        let mut drained_clean = false;
+        let idle = shared.idle();
+        let asked = shared.broadcast(&Frame::Flush { seq });
         loop {
-            if shared.quiesced() {
-                drained_clean = true;
-                break;
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            let seq = shared.flush_seq.fetch_add(1, Ordering::Relaxed);
-            for slot in &shared.slots {
-                let mut state = slot.state.lock().unwrap();
-                if let Some(writer) = state.writer.as_mut() {
-                    if writer.send(&Frame::Flush { seq }).is_err() {
-                        state.connected = false;
+            let mut reports = Vec::with_capacity(asked.len());
+            let mut waiting = false;
+            for &idx in &asked {
+                let state = shared.slots[idx].state.lock().unwrap();
+                // A worker that disconnected mid-round holds nothing any more.
+                if state.out.is_up() {
+                    match state.flushed.filter(|r| r.seq == seq) {
+                        Some(report) => reports.push(report),
+                        None => waiting = true,
                     }
                 }
             }
-            std::thread::sleep(Duration::from_millis(20));
+            if !waiting {
+                let clean = idle && reports.iter().all(|r| r.in_flight == 0);
+                return clean.then(|| reports.iter().map(|r| r.activity).collect());
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// Stops the spouts, drains in-flight work (forcing checkpoints so
+    /// withheld ack records are released), tears the fleet down and reports.
+    pub fn shutdown(mut self) -> DistReport {
+        let shared = Arc::clone(&self.shared);
+        shared.stop.store(true, Ordering::Release);
+        // Drain.  Unanchored deliveries are invisible to the acker, so
+        // "nothing left to execute" is decided by termination detection
+        // over the workers' reports: two consecutive clean rounds between
+        // which no worker executed or sent anything.  A delivery alive at
+        // the instant between the rounds would be in flight at its sender
+        // in the first round, or have been sent (activity) since.
+        let deadline = Instant::now() + shared.cfg.drain_timeout;
+        let mut previous: Option<Vec<u64>> = None;
+        let mut seq = 0;
+        let drained_clean = loop {
+            seq += 1;
+            let round = self.flush_round(seq, deadline);
+            if round.is_some() && round == previous {
+                break true;
+            }
+            if Instant::now() >= deadline {
+                break false;
+            }
+            if round.is_none() {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            previous = round;
+        };
         shared.terminate.store(true, Ordering::Release);
         // Spouts exit first (they drain their feedback channels on the
-        // way out), then the fan-out machinery.
+        // way out).
         let mut in_flight = 0u64;
+        let mut latency = (OnlineStats::new(), LatencyHistogram::new());
         for handle in self.spout_handles.drain(..) {
             if let Ok(result) = handle.join() {
                 in_flight += result.in_flight as u64;
+                latency.0.merge(&result.latency.0);
+                latency.1.merge(&result.latency.1);
             }
         }
-        if let Some(h) = self.completer_handle.take() {
-            let _ = h.join();
-        }
-        // Stop the fleet.
+        // Stop the fleet.  Every link is closed before its worker is told
+        // to exit, so the readers' EOF is not mistaken for a worker death.
+        let mut credits = shared.ledger.totals();
+        let mut closed = Vec::new();
         for slot in &shared.slots {
             let mut state = slot.state.lock().unwrap();
-            if let Some(writer) = state.writer.as_mut() {
+            // The fleet's ledgers as of the workers' last drain reports.
+            if let Some(report) = state.flushed.take() {
+                credits.granted += report.credits.granted;
+                credits.consumed += report.credits.consumed;
+                credits.revoked += report.credits.revoked;
+                credits.outstanding += report.credits.outstanding;
+            }
+            if let Some((mut writer, _)) = state.out.close(&shared.ledger, std::iter::empty()) {
                 let _ = writer.send(&Frame::Shutdown);
+                closed.push(writer);
             }
         }
         for slot in &shared.slots {
-            let mut state = slot.state.lock().unwrap();
-            if let Some(mut child) = state.child.take() {
-                // Give the worker a moment to exit cleanly, then force it.
-                let deadline = Instant::now() + Duration::from_secs(2);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(5))
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
+            let Some(mut child) = slot.state.lock().unwrap().child.take() else {
+                continue;
+            };
+            // Give the worker a moment to exit cleanly, then force it.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            loop {
+                match child.try_wait() {
+                    Ok(Some(_)) => break,
+                    Ok(None) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(1))
+                    }
+                    _ => {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                        break;
                     }
                 }
             }
-            if let Some(writer) = state.writer.take() {
-                let c = &shared.counters;
-                c.bytes_out.fetch_add(writer.bytes_out, Ordering::Relaxed);
-                c.frames_out.fetch_add(writer.frames_out, Ordering::Relaxed);
-                writer.shutdown();
-            }
-            state.connected = false;
+        }
+        for writer in closed {
+            shared.counters.add_writer(&writer);
+            writer.shutdown();
+        }
+        shared.endpoint.unlink();
+        for slot in &shared.slots {
+            unlink(&slot.state.lock().unwrap().endpoint);
         }
         if let Some(h) = self.listener_handle.take() {
             let _ = h.join();
@@ -1907,7 +1574,6 @@ impl RunningDist {
         let spans_dropped = own_dropped + shared.worker_spans_dropped.load(Ordering::Relaxed);
 
         let c = &shared.counters;
-        let latency = shared.latency.lock().unwrap();
         let final_snapshots = (0..shared.topology.task_count())
             .map(|task| {
                 shared
@@ -1918,32 +1584,32 @@ impl RunningDist {
             .collect();
         DistReport {
             uptime_s: shared.now_s(),
-            spout_emitted: c.spout_emitted.load(Ordering::Relaxed),
-            tracked: c.tracked.load(Ordering::Relaxed),
-            acked: c.acked.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            permanently_failed: c.permanently_failed.load(Ordering::Relaxed),
-            replays_scheduled: c.replays_scheduled.load(Ordering::Relaxed),
-            replays_emitted: c.replays_emitted.load(Ordering::Relaxed),
+            spout_emitted: c.spout_emitted.get(),
+            tracked: c.tracked.get(),
+            acked: c.acked.get(),
+            failed: c.failed.get(),
+            timed_out: c.timed_out.get(),
+            permanently_failed: c.permanently_failed.get(),
+            replays_scheduled: c.replays_scheduled.get(),
+            replays_emitted: c.replays_emitted.get(),
             in_flight,
-            avg_complete_latency_ms: latency.avg(),
-            p99_complete_latency_ms: latency.p99(),
-            credits: shared.ledger.totals(),
-            checkpoints_taken: c.checkpoints_taken.load(Ordering::Relaxed),
-            restores: c.restores.load(Ordering::Relaxed),
-            snapshot_bytes: c.snapshot_bytes.load(Ordering::Relaxed),
+            avg_complete_latency_ms: latency.0.mean() / 1e3,
+            p99_complete_latency_ms: latency.1.quantile(0.99).unwrap_or(0.0) / 1e3,
+            credits,
+            checkpoints_taken: c.checkpoints_taken.get(),
+            restores: c.restores.get(),
+            snapshot_bytes: c.snapshot_bytes.get(),
             worker_pids: shared
                 .slots
                 .iter()
                 .map(|s| s.state.lock().unwrap().pid)
                 .collect(),
-            worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
-            worker_disconnects: c.worker_disconnects.load(Ordering::Relaxed),
-            bytes_sent: c.bytes_out.load(Ordering::Relaxed),
-            bytes_received: c.bytes_in.load(Ordering::Relaxed),
-            frames_sent: c.frames_out.load(Ordering::Relaxed),
-            frames_received: c.frames_in.load(Ordering::Relaxed),
+            worker_restarts: c.worker_restarts.get(),
+            worker_disconnects: c.worker_disconnects.get(),
+            bytes_sent: c.bytes_out.get(),
+            bytes_received: c.bytes_in.get(),
+            frames_sent: c.frames_out.get(),
+            frames_received: c.frames_in.get(),
             journal: shared.journal.events(),
             spans,
             spans_dropped,
@@ -1980,7 +1646,7 @@ pub struct DistReport {
     pub in_flight: u64,
     /// Mean tree-completion latency, milliseconds.
     pub avg_complete_latency_ms: f64,
-    /// p99 tree-completion latency, milliseconds (reservoir-sampled).
+    /// p99 tree-completion latency, milliseconds (histogram estimate).
     pub p99_complete_latency_ms: f64,
     /// Flow-control ledger totals.
     pub credits: CreditTotals,

@@ -6,11 +6,14 @@
 //! the [`RtConfig`](crate::rt::RtConfig) knobs are identical — the same
 //! topology runs unmodified on all three.  What changes is placement:
 //!
-//! * the **coordinator** (this process) runs the spouts, the sharded
-//!   acker, the replay buffers, the credit ledger, the checkpoint store,
-//!   all routing, and the process supervisor;
-//! * **workers** are separate OS processes that execute bolts and speak
-//!   the compact binary wire protocol of [`codec`] over [`transport`].
+//! * the **coordinator** (this process) runs the spouts and is the control
+//!   plane: the sharded acker, the replay buffers, the checkpoint store and
+//!   the process supervisor.  The only tuples it routes are spout
+//!   emissions;
+//! * **workers** are separate OS processes that execute bolts, route their
+//!   emissions to each other directly (over [`transport`]) and
+//!   send the coordinator one XOR ack record per executed tuple, all in
+//!   the compact binary wire protocol of [`codec`].
 //!
 //! Workers are spawned from a command line ([`DistConfig::worker_cmd`])
 //! that must start a binary hosting the same [`TopologyRegistry`] — the
@@ -44,6 +47,7 @@
 
 pub mod codec;
 pub mod coordinator;
+pub(crate) mod router;
 pub mod transport;
 pub mod worker;
 
@@ -141,6 +145,17 @@ pub fn self_worker_cmd() -> Vec<String> {
         .expect("current_exe")
         .to_string_lossy()
         .into_owned()]
+}
+
+/// Spawns a named thread of the runtime; the OS refusing is a runtime error.
+pub(crate) fn spawn_thread<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> crate::error::Result<std::thread::JoinHandle<T>> {
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(body)
+        .map_err(|e| crate::error::Error::Runtime(format!("spawn {name}: {e}")))
 }
 
 /// Wire discriminant of a [`RecoveryMode`] (the `recovery` byte of the

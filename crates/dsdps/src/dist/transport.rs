@@ -83,6 +83,21 @@ impl ConnStats {
         self.epoch.elapsed().as_micros() as u64
     }
 
+    /// The cumulative counters as `(name, value)` pairs, for whoever
+    /// mirrors them into a metrics registry.
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        [
+            ("bytes_in", get(&self.bytes_in)),
+            ("bytes_out", get(&self.bytes_out)),
+            ("frames_in", get(&self.frames_in)),
+            ("frames_out", get(&self.frames_out)),
+            ("decode_us", get(&self.decode_us)),
+            ("encode_us", get(&self.encode_us)),
+            ("write_block_us", get(&self.write_block_us)),
+        ]
+    }
+
     /// Seconds since the last decoded frame (`now - last_rx_us`); `None`
     /// before the first frame arrives.
     pub fn rx_silence_s(&self) -> Option<f64> {
@@ -128,6 +143,15 @@ impl Endpoint {
         }
         Err(Error::Config(format!("unparseable endpoint `{value}`")))
     }
+
+    /// Removes a Unix socket's file once its listener is done (or its
+    /// process dead); a no-op for TCP.
+    pub fn unlink(&self) {
+        #[cfg(unix)]
+        if let Endpoint::Unix(path) = self {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 /// A listening socket of either family.
@@ -167,6 +191,16 @@ impl Listener {
         let l = UnixListener::bind(&path)
             .map_err(|e| Error::Runtime(format!("bind {}: {e}", path.display())))?;
         Ok((Listener::Unix(l), Endpoint::Unix(path)))
+    }
+
+    /// Binds a fresh listener of the same socket family as `other` (a
+    /// worker's data listener next to the coordinator's).
+    pub fn bind_like(other: &Endpoint) -> Result<(Listener, Endpoint)> {
+        match other {
+            Endpoint::Tcp(_) => Listener::tcp_loopback(),
+            #[cfg(unix)]
+            Endpoint::Unix(_) => Listener::unix_temp(),
+        }
     }
 
     /// Switches the listener between blocking and non-blocking accepts.
@@ -623,6 +657,7 @@ mod tests {
             worker: 1,
             pid: 42,
             clock_us: 17,
+            endpoint: "tcp:127.0.0.1:1".into(),
         };
         w.send(&hello).unwrap();
         for i in 0..4 {
@@ -690,9 +725,9 @@ mod tests {
         assert!(rs.rx_silence_s().is_none());
 
         w.send(&Frame::Flush { seq: 1 }).unwrap();
-        w.send(&Frame::Flushed { seq: 1 }).unwrap();
+        w.send(&Frame::Shutdown).unwrap();
         assert_eq!(r.read_frame().unwrap().unwrap(), Frame::Flush { seq: 1 });
-        assert_eq!(r.read_frame().unwrap().unwrap(), Frame::Flushed { seq: 1 });
+        assert_eq!(r.read_frame().unwrap().unwrap(), Frame::Shutdown);
 
         assert_eq!(ws.frames_out.load(Ordering::Relaxed), 2);
         assert_eq!(rs.frames_in.load(Ordering::Relaxed), 2);

@@ -1,34 +1,48 @@
 //! Worker-process side of the distributed runtime.
 //!
-//! A worker is a single-threaded bolt-execution server.  It connects to
-//! the coordinator, introduces itself with `Hello`, receives an `Assign`
-//! naming a topology from its [`TopologyRegistry`] and the bolt tasks it
-//! owns, then loops: execute delivered tuples, answer with results and
-//! credit grants, checkpoint stateful tasks on the configured interval,
-//! tick bolts, and obey `Flush`/`RestoreState`/`Shutdown`.
+//! A worker binds its own data listener, introduces itself to the
+//! coordinator with `Hello` (which carries that listener's endpoint),
+//! receives an `Assign` naming a topology from its [`TopologyRegistry`],
+//! the task → worker map and the peers already up, applies the
+//! `RestoreState` frames `Assign` announces, dials those peers, and then
+//! runs **one executor thread** fed by **one reader thread per
+//! inbound connection**.  The executor runs the bolts and routes their
+//! emissions itself — a destination on this worker is queued locally, a
+//! remote one goes into that peer's batching writer under this worker's
+//! own credit ledger — checkpoints stateful tasks, ticks bolts and obeys
+//! `Flush`/`RestoreState`/`SetRatio`/`Shutdown`.  The coordinator sees
+//! only one XOR ack record per executed anchored tuple.
 //!
-//! Acks under `ExactlyOnceEffect` / `AtLeastOnce` recovery are
-//! **deferred**: a stateful task's input is reported `deferred` and its
-//! ack withheld until a `CheckpointDeposit` covering it has been sent
-//! (frames are processed in order on both sides, so deposit-then-ack-flush
-//! guarantees the coordinator never acks an input whose effect could be
-//! lost with the worker).  `ExactlyOnceEffect` additionally keeps a
-//! replay-dedup set of applied spout message ids so a redelivered tuple is
-//! acknowledged without being applied twice.
+//! Under `ExactlyOnceEffect` / `AtLeastOnce` recovery a stateful task's
+//! ack records are **withheld** until a `CheckpointDeposit` covering their
+//! inputs has been sent (frames are processed in order on both sides, so
+//! deposit-then-acks guarantees the coordinator never completes a tree
+//! whose effect could be lost with the worker).  `ExactlyOnceEffect`
+//! additionally keeps a replay-dedup set of applied ids so a redelivered
+//! tuple is acknowledged without being applied twice.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::codec::{Frame, InternTable, WireEmission, WireMetric, WireResult, WireSpan};
-use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader};
-use super::{recovery_from_byte, span_kind_to_byte, DistConfig, LastWordsLine};
+use super::codec::{
+    AckItem, FlushReport, Frame, InternTable, WireMetric, WirePeer, WireSpan, WireTuple,
+};
+use super::coordinator::COORDINATOR_SLOT;
+use super::router::{DistRouter, EdgeIds, Outbox};
+use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
+use super::{recovery_from_byte, span_kind_to_byte, spawn_thread, DistConfig, LastWordsLine};
+use crate::acker::splitmix64;
 use crate::component::{Bolt, BoltOutput, Emission, TopologyContext};
 use crate::error::{Error, Result};
-use crate::rt::{RecoveryMode, SnapshotKind, StateSnapshot};
-use crate::telemetry::{Counter, Gauge, Registry, SampleValue, Tracer, HOT_PATH_TELEMETRY};
+use crate::grouping::dynamic::SplitRatio;
+use crate::rt::{CreditLedger, RecoveryMode, SnapshotKind, StateSnapshot};
+use crate::telemetry::{Counter, Registry, SampleValue, Tracer, HOT_PATH_TELEMETRY};
 use crate::topology::{ComponentKind, TaskId, Topology};
+use crate::tuple::Tuple;
 
 /// Replay-dedup sets are FIFO-capped at this many message ids (matches the
 /// threaded runtime's bound).
@@ -102,15 +116,108 @@ pub(crate) fn snapshot_from_payload(payload: &[u8]) -> Result<StateSnapshot> {
     })
 }
 
+/// What a reader thread hands the executor.  `link` identifies the
+/// connection (0 = the coordinator's); a peer's link id changes when it
+/// respawns, so input from a replaced connection is recognizably stale.
+enum Input {
+    /// A decoded frame and when it came off the socket.
+    Frame {
+        link: u64,
+        frame: Frame,
+        at: Instant,
+    },
+    /// Worker `slot` dialed in: `conn` is the write half of the new link.
+    PeerUp {
+        link: u64,
+        slot: u32,
+        conn: Conn,
+        stats: Arc<ConnStats>,
+    },
+    /// The connection ended (EOF, socket error or undecodable frame).
+    Closed { link: u64, reason: String },
+}
+
+/// The coordinator's link id.
+const COORDINATOR_LINK: u64 = 0;
+
+/// Body of every reader thread: decode frames off one connection and queue
+/// them for the executor.  Never blocks on anything but the socket — the
+/// channel is unbounded, bounded in practice by the senders' credit
+/// windows — which is what keeps every socket drained (DESIGN.md §15.4).
+fn read_link(mut reader: FrameReader, link: u64, tx: &Sender<Input>) {
+    loop {
+        let input = match reader.read_frame() {
+            Ok(Some(frame)) => Input::Frame {
+                link,
+                frame,
+                at: Instant::now(),
+            },
+            Ok(None) => continue,
+            Err(e) => Input::Closed {
+                link,
+                reason: e.to_string(),
+            },
+        };
+        let closed = matches!(input, Input::Closed { .. });
+        if tx.send(input).is_err() || closed {
+            return;
+        }
+    }
+}
+
+/// Spawns the (detached) reader thread of a connection; it ends with its
+/// socket.
+fn spawn_reader(reader: FrameReader, link: u64, tx: &Sender<Input>) -> Result<()> {
+    let tx = tx.clone();
+    spawn_thread(format!("dist-link-{link}"), move || {
+        read_link(reader, link, &tx)
+    })
+    .map(drop)
+}
+
+/// Accepts peer connections for the life of the process: reads the
+/// dialer's `Hello`, announces the link to the executor and hands the
+/// connection to a reader thread.  A dialer that does not introduce itself
+/// in time is dropped.
+fn accept_loop(listener: Listener, next_link: Arc<AtomicU64>, tx: Sender<Input>) {
+    while let Ok(conn) = listener.accept() {
+        let (Some(conn), stats) = (conn, ConnStats::new()) else {
+            continue;
+        };
+        let Ok(write_half) = conn.try_clone() else {
+            continue;
+        };
+        let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
+        let mut reader = FrameReader::new(conn);
+        reader.set_stats(Arc::clone(&stats));
+        let Ok(Some(Frame::Hello { worker: slot, .. })) = reader.read_frame() else {
+            continue;
+        };
+        let _ = reader.set_read_timeout(None);
+        let link = next_link.fetch_add(1, Ordering::Relaxed);
+        let up = Input::PeerUp {
+            link,
+            slot,
+            conn: write_half,
+            stats,
+        };
+        if tx.send(up).is_err() || spawn_reader(reader, link, &tx).is_err() {
+            return;
+        }
+    }
+}
+
 /// One bolt task hosted by this worker.
 struct TaskState {
-    task: u32,
     component: usize,
     bolt: Box<dyn Bolt>,
     stateful: bool,
-    /// Delivery tokens whose acks wait for the next checkpoint.
-    deferred: Vec<u64>,
-    /// Applied spout message ids (`ExactlyOnceEffect` only).
+    /// Ack records withheld until a checkpoint covers their inputs
+    /// (stateful tasks under exactly-once / at-least-once recovery).
+    withheld: Vec<AckItem>,
+    /// Something was applied since the last checkpoint.
+    dirty: bool,
+    /// Applied replay-dedup ids (`ExactlyOnceEffect` only).
     dedup_set: HashSet<u64>,
     dedup_fifo: VecDeque<u64>,
     last_ckpt: Instant,
@@ -124,6 +231,554 @@ impl TaskState {
                 if let Some(old) = self.dedup_fifo.pop_front() {
                     self.dedup_set.remove(&old);
                 }
+            }
+        }
+    }
+}
+
+/// A tuple delivery ready to execute, off the wire or routed locally.
+struct Delivery {
+    edge: u64,
+    dest: u32,
+    root: Option<u64>,
+    dedup: Option<u64>,
+    tuple: Tuple,
+}
+
+/// The link to one peer worker.
+#[derive(Default)]
+struct Peer {
+    out: Outbox,
+    /// Id of the connection currently backing the link.
+    link: u64,
+    stats: Option<Arc<ConnStats>>,
+    /// Tasks hosted by the peer (whose credit pools the link draws on).
+    tasks: Vec<usize>,
+}
+
+/// The executor: the one thread that runs bolts, routes their emissions
+/// and owns every writer.
+struct Worker {
+    idx: u32,
+    /// Span-clock epoch: every worker-side timestamp is µs since this
+    /// instant.  Its reading travels in `Hello` so the coordinator can
+    /// estimate the offset to its own span clock and re-base shipped spans.
+    t0: Instant,
+    endpoint: String,
+    // Knobs from `Assign`.
+    recovery: RecoveryMode,
+    ckpt_interval: Duration,
+    tick_interval: Option<Duration>,
+    push_interval: Option<Duration>,
+    batch_size: usize,
+    intern: InternTable,
+    router: DistRouter,
+    edge_ids: EdgeIds,
+    /// Owning slot per global task ([`COORDINATOR_SLOT`] for spout tasks).
+    task_slot: Vec<u32>,
+    /// Hosted tasks by global task id (`None` for tasks hosted elsewhere).
+    tasks: Vec<Option<TaskState>>,
+    /// Credits of this worker's links toward its peers.
+    ledger: CreditLedger,
+    coord: BatchWriter,
+    coord_stats: Arc<ConnStats>,
+    peers: Vec<Peer>,
+    next_link: Arc<AtomicU64>,
+    tx: Sender<Input>,
+    /// Deliveries for tasks of this worker: no codec, no socket, no credit.
+    local: VecDeque<Delivery>,
+    /// Ack records not yet sent to the coordinator.
+    acks: Vec<AckItem>,
+    /// Reused across executions.
+    out: BoltOutput,
+    emissions: Vec<Emission>,
+    grants: Vec<(u32, u64)>,
+    /// Tuples executed / handed to a peer link — the activity the shutdown
+    /// drain's termination detection watches.
+    executed: u64,
+    sent: u64,
+    batch_seq: u64,
+    tracer: Tracer,
+    registry: Registry,
+    metrics: WorkerMetrics,
+    last_pushed: HashMap<(String, Option<u32>), u64>,
+}
+
+/// The replay-dedup id of a tuple's `idx`-th emission, derived from the
+/// tuple's own: a replayed tree re-executes the same bolts on the same
+/// inputs, re-derives the same ids hop by hop, and a stateful bolt any
+/// number of hops downstream recognizes the replay.
+fn child_dedup(parent: u64, idx: usize) -> u64 {
+    splitmix64(parent ^ splitmix64(idx as u64 + 1))
+}
+
+impl Worker {
+    /// Executes one delivery and routes what it emits.
+    fn execute(&mut self, d: Delivery, recv_at: Instant) {
+        self.executed += 1;
+        let eoe = self.recovery == RecoveryMode::ExactlyOnceEffect;
+        let Some(ts) = self.tasks.get_mut(d.dest as usize).and_then(Option::as_mut) else {
+            self.acks.extend(d.root.map(AckItem::failed));
+            return;
+        };
+        // Exactly-once: a replay of an already-applied input is
+        // acknowledged (withheld, like any stateful input) but not applied
+        // again.
+        let replayed = ts.stateful && eoe && d.dedup.is_some_and(|id| ts.dedup_set.contains(&id));
+        let mut failed = false;
+        if !replayed {
+            let traced = d
+                .root
+                .filter(|&r| self.tracer.enabled() && self.tracer.sampled(r));
+            let started = traced.map(|_| Instant::now());
+            ts.bolt.execute(&d.tuple, &mut self.out);
+            failed = self.out.drain_into(&mut self.emissions);
+            ts.dirty = true;
+            if let (Some(root), Some(started)) = (traced, started) {
+                self.tracer.record_hop(
+                    d.dest as usize,
+                    root,
+                    d.dest as usize,
+                    started.duration_since(self.t0).as_micros() as u64,
+                    started.saturating_duration_since(recv_at).as_micros() as u64,
+                    started.elapsed().as_micros() as u64,
+                    self.batch_seq,
+                );
+            }
+            if HOT_PATH_TELEMETRY {
+                self.metrics.executed.inc();
+                self.metrics.emitted.add(self.emissions.len() as u64);
+            }
+        }
+        let (component, stateful) = (ts.component, ts.stateful);
+        let xor = d.edge ^ self.route_emissions(component, d.root, d.dedup.filter(|_| eoe));
+        let Some(root) = d.root else { return };
+        let item = AckItem { root, xor, failed };
+        let ts = self.tasks[d.dest as usize]
+            .as_mut()
+            .expect("looked up above");
+        if !failed && stateful && self.recovery != RecoveryMode::Approximate {
+            // The ack waits for the checkpoint that makes the effect durable.
+            ts.withheld.push(item);
+            if let (true, Some(id)) = (eoe, d.dedup) {
+                ts.remember_applied(id);
+            }
+        } else {
+            self.acks.push(item);
+        }
+    }
+
+    /// Routes what the last `execute`/`tick` left in `self.emissions`.
+    /// `root` anchors the anchored ones, whose dedup ids derive from
+    /// `dedup`.  Returns the XOR of all edge ids drawn.
+    fn route_emissions(&mut self, component: usize, root: Option<u64>, dedup: Option<u64>) -> u64 {
+        let mut emissions = std::mem::take(&mut self.emissions);
+        let mut xor = 0;
+        for (i, emission) in emissions.drain(..).enumerate() {
+            let root = root.filter(|_| emission.anchored);
+            let dedup = dedup.filter(|_| root.is_some());
+            xor ^= self.route(
+                component,
+                emission,
+                root,
+                dedup.map(|id| child_dedup(id, i)),
+            );
+        }
+        self.emissions = emissions;
+        xor
+    }
+
+    /// Routes one emission of `component`: a destination on this worker is
+    /// queued locally, a remote one goes to its peer's outbox.  Returns the
+    /// XOR of the edge ids drawn for anchored instances.
+    fn route(
+        &mut self,
+        component: usize,
+        emission: Emission,
+        root: Option<u64>,
+        dedup: Option<u64>,
+    ) -> u64 {
+        // Undeclared stream: nothing can subscribe, drop it.
+        let Some(stream) = self.intern.lookup(component, emission.stream.as_str()) else {
+            return 0;
+        };
+        let dests = self
+            .router
+            .select(component, stream, &emission.tuple, emission.direct_task);
+        let (_, fields) = self.intern.entry(stream).expect("looked up above");
+        let mut xor = 0;
+        // The last destination takes the tuple itself, earlier ones a copy.
+        let mut tuple = Some(emission.tuple);
+        for (i, &dest) in dests.iter().enumerate() {
+            let copy = if i + 1 == dests.len() {
+                tuple.take()
+            } else {
+                tuple.clone()
+            };
+            let copy = copy.expect("taken at the last destination only");
+            let edge = root.map_or(0, |_| self.edge_ids.next());
+            xor ^= edge;
+            let slot = self.task_slot[dest];
+            if slot == self.idx {
+                self.local.push_back(Delivery {
+                    edge,
+                    dest: dest as u32,
+                    root,
+                    dedup,
+                    tuple: copy.into_rekeyed(fields.clone()),
+                });
+                continue;
+            }
+            self.sent += 1;
+            let item = WireTuple {
+                token: edge,
+                dest_task: dest as u32,
+                stream,
+                dedup,
+                trace_root: root,
+                values: copy.into_values(),
+            };
+            let delivered = (self.peers.get_mut(slot as usize))
+                .is_some_and(|peer| peer.out.enqueue(&self.ledger, item));
+            if let (false, Some(root)) = (delivered, root) {
+                // Bound for a dead peer: fail the tree rather than die with it.
+                self.acks.push(AckItem::failed(root));
+            }
+        }
+        xor
+    }
+}
+
+impl Worker {
+    /// Executes a batch off a data link and everything it set in motion
+    /// locally, then returns the batch's credits to its sender.
+    fn on_tuples(&mut self, link: u64, items: Vec<WireTuple>, at: Instant) -> Result<()> {
+        self.batch_seq += 1;
+        if HOT_PATH_TELEMETRY {
+            self.metrics.batches.inc();
+        }
+        self.grants.clear();
+        self.out.set_now(self.t0.elapsed().as_secs_f64());
+        for item in items {
+            match self.grants.iter_mut().find(|(t, _)| *t == item.dest_task) {
+                Some((_, n)) => *n += 1,
+                None => self.grants.push((item.dest_task, 1)),
+            }
+            match self.intern.tuple(item.stream, item.values) {
+                Ok(tuple) => self.execute(
+                    Delivery {
+                        edge: item.token,
+                        dest: item.dest_task,
+                        root: item.trace_root,
+                        dedup: item.dedup,
+                        tuple,
+                    },
+                    at,
+                ),
+                Err(_) => self.acks.extend(item.trace_root.map(AckItem::failed)),
+            }
+            self.run_local(at);
+        }
+        for i in 0..self.grants.len() {
+            let (task, amount) = self.grants[i];
+            let grant = Frame::CreditGrant { task, amount };
+            if link == COORDINATOR_LINK {
+                self.coord.send(&grant)?;
+            } else if let Some(peer) = self.peers.iter_mut().find(|p| p.link == link) {
+                peer.out.send(&grant);
+            }
+        }
+        if self.acks.len() >= 2 * self.batch_size {
+            self.flush_acks()?;
+        }
+        Ok(())
+    }
+
+    /// Runs the local queue dry (executions may keep refilling it).
+    fn run_local(&mut self, at: Instant) {
+        while let Some(d) = self.local.pop_front() {
+            self.execute(d, at);
+        }
+    }
+
+    fn flush_acks(&mut self) -> Result<()> {
+        if self.acks.is_empty() {
+            return Ok(());
+        }
+        let frame = Frame::AckBatch {
+            items: std::mem::take(&mut self.acks),
+        };
+        self.coord.send(&frame)?;
+        // Keep the buffer's capacity for the next batch.
+        if let Frame::AckBatch { mut items } = frame {
+            items.clear();
+            self.acks = items;
+        }
+        Ok(())
+    }
+
+    /// The input ran dry: nothing else will fill the partial batches, so
+    /// they leave now (this is the only linger the mesh has).
+    fn flush_all(&mut self) -> Result<()> {
+        for peer in &mut self.peers {
+            peer.out.flush();
+        }
+        self.flush_acks()
+    }
+
+    /// A connection to `slot` is up (dialed by either side): it replaces
+    /// whatever backed the link before.
+    fn peer_up(
+        &mut self,
+        slot: u32,
+        link: u64,
+        conn: Conn,
+        stats: Arc<ConnStats>,
+        dialed: bool,
+    ) -> bool {
+        self.peer_down(slot as usize);
+        let Some(peer) = self.peers.get_mut(slot as usize) else {
+            return false;
+        };
+        let mut writer = BatchWriter::new(conn, self.batch_size, Duration::ZERO);
+        writer.set_stats(Arc::clone(&stats));
+        // On a link this worker dialed the first frame introduces it.
+        let hello = Frame::Hello {
+            worker: self.idx,
+            pid: std::process::id(),
+            clock_us: self.t0.elapsed().as_micros() as u64,
+            endpoint: self.endpoint.clone(),
+        };
+        if dialed && writer.send(&hello).is_err() {
+            return false;
+        }
+        peer.link = link;
+        peer.stats = Some(stats);
+        peer.out.open(writer, &self.ledger);
+        true
+    }
+
+    /// The link to `slot` died: its credits come home and the tuples
+    /// parked for it fail their trees.
+    fn peer_down(&mut self, slot: usize) {
+        let Some(peer) = self.peers.get_mut(slot) else {
+            return;
+        };
+        let tasks = peer.tasks.iter().copied();
+        if let Some((writer, parked)) = peer.out.close(&self.ledger, tasks) {
+            writer.shutdown();
+            let roots = parked.iter().filter_map(|item| item.trace_root);
+            self.acks.extend(roots.map(AckItem::failed));
+        }
+    }
+
+    /// Dials a peer listed in `Assign` and introduces this worker.
+    fn dial(&mut self, peer: &WirePeer) {
+        let link = self.next_link.fetch_add(1, Ordering::Relaxed);
+        let stats = ConnStats::new();
+        // The peer bound its listener before the coordinator learned its
+        // endpoint, so one attempt either connects or finds it dead.
+        let dialed = Endpoint::from_env(&peer.endpoint)
+            .and_then(|ep| Conn::connect(&ep, Duration::ZERO))
+            .and_then(|conn| {
+                let read_half = conn
+                    .try_clone()
+                    .map_err(|e| Error::Runtime(format!("clone socket: {e}")))?;
+                let mut reader = FrameReader::new(read_half);
+                reader.set_stats(Arc::clone(&stats));
+                spawn_reader(reader, link, &self.tx)?;
+                Ok(conn)
+            });
+        if !dialed.is_ok_and(|conn| self.peer_up(peer.slot, link, conn, stats, true)) {
+            // Dead until it respawns and dials us: refuse, do not park.
+            self.peer_down(peer.slot as usize);
+        }
+    }
+
+    /// Checkpoints one stateful task: deposit the snapshot, then release
+    /// the ack records it covers.  In-order frame processing on the
+    /// coordinator is what aligns the two.
+    fn checkpoint(&mut self, task: usize, force: bool) -> Result<()> {
+        let Some(ts) = self.tasks[task].as_mut() else {
+            return Ok(());
+        };
+        // Nothing applied and nothing withheld since the last deposit: the
+        // store already holds this state.
+        if !ts.stateful || (!ts.dirty && ts.withheld.is_empty()) {
+            return Ok(());
+        }
+        if !force && ts.last_ckpt.elapsed() < self.ckpt_interval {
+            return Ok(());
+        }
+        ts.last_ckpt = Instant::now();
+        ts.dirty = false;
+        let snap = ts
+            .bolt
+            .stateful()
+            .expect("stateful flag implies stateful()")
+            .snapshot();
+        self.coord.send(&Frame::CheckpointDeposit {
+            task: task as u32,
+            payload: snapshot_to_payload(&snap),
+            dedup: ts.dedup_fifo.iter().copied().collect(),
+        })?;
+        if HOT_PATH_TELEMETRY {
+            self.metrics.checkpoints.inc();
+        }
+        self.acks.append(&mut ts.withheld);
+        self.flush_acks()
+    }
+
+    fn checkpoint_all(&mut self, force: bool) -> Result<()> {
+        (0..self.tasks.len()).try_for_each(|task| self.checkpoint(task, force))
+    }
+
+    /// Bolt ticks: their emissions have no input tuple, so never anchored.
+    fn tick(&mut self) {
+        for task in 0..self.tasks.len() {
+            let Some(ts) = self.tasks[task].as_mut() else {
+                continue;
+            };
+            self.out.set_now(self.t0.elapsed().as_secs_f64());
+            ts.bolt.tick(&mut self.out);
+            self.out.drain_into(&mut self.emissions);
+            let component = ts.component;
+            self.route_emissions(component, None, None);
+        }
+        self.run_local(Instant::now());
+    }
+
+    /// Deliveries this worker sent or parked that no peer credited back.
+    fn in_flight(&self) -> u64 {
+        let in_use = |p: &Peer| p.tasks.iter().map(|&t| self.ledger.in_use(t)).sum::<u64>();
+        let count = |p: &Peer| in_use(p) + p.out.parked() as u64;
+        self.peers.iter().map(count).sum()
+    }
+
+    /// Handles one input; `Ok(false)` ends the serve loop (`Shutdown`).
+    fn handle(&mut self, input: Input) -> Result<bool> {
+        let (link, frame, at) = match input {
+            Input::Frame { link, frame, at } => (link, frame, at),
+            Input::PeerUp {
+                link,
+                slot,
+                conn,
+                stats,
+            } => {
+                self.peer_up(slot, link, conn, stats, false);
+                return Ok(true);
+            }
+            Input::Closed { link, reason } => {
+                if link == COORDINATOR_LINK {
+                    return Err(Error::Runtime(format!("coordinator link: {reason}")));
+                }
+                if let Some(slot) = self.peers.iter().position(|p| p.link == link) {
+                    self.peer_down(slot);
+                }
+                return Ok(true);
+            }
+        };
+        // A frame of a connection that has since been replaced: its sender
+        // is gone, and so is anyone who could use the answer.
+        let peer = match self.peers.iter().position(|p| p.link == link) {
+            _ if link == COORDINATOR_LINK => None,
+            Some(slot) => Some(slot),
+            None => return Ok(true),
+        };
+        match (frame, peer) {
+            (Frame::TupleBatch { items }, _) => self.on_tuples(link, items, at)?,
+            (Frame::CreditGrant { task, amount }, Some(slot)) => {
+                self.ledger.grant(task as usize, amount);
+                self.peers[slot].out.drain(&self.ledger);
+            }
+            (Frame::SetRatio { edge, weights }, None) => {
+                if let (Some(handle), Ok(ratio)) = (
+                    self.router.dynamic_handles().get(edge as usize),
+                    SplitRatio::new(weights),
+                ) {
+                    let _ = handle.set_ratio(ratio);
+                }
+            }
+            (
+                Frame::RestoreState {
+                    task,
+                    payload,
+                    dedup,
+                },
+                None,
+            ) => {
+                let start = Instant::now();
+                let ts = self.tasks.get_mut(task as usize).and_then(Option::as_mut);
+                let ok = ts.is_some_and(|ts| {
+                    ts.dedup_set = dedup.iter().copied().collect();
+                    ts.dedup_fifo = dedup.into();
+                    match payload {
+                        Some(p) => match (snapshot_from_payload(&p), ts.bolt.stateful()) {
+                            (Ok(snap), Some(state)) => state.restore(&snap, &[]).is_ok(),
+                            _ => false,
+                        },
+                        // Nothing checkpointed yet: fresh state is the
+                        // correct restore target.
+                        None => true,
+                    }
+                });
+                self.coord.send(&Frame::StateRestored {
+                    task,
+                    ok,
+                    latency_us: start.elapsed().as_micros() as u64,
+                })?;
+            }
+            (Frame::Flush { seq }, None) => {
+                self.checkpoint_all(true)?;
+                self.flush_all()?;
+                self.coord.send(&Frame::Flushed(FlushReport {
+                    seq,
+                    in_flight: self.in_flight(),
+                    activity: self.executed + self.sent,
+                    credits: self.ledger.totals(),
+                }))?;
+            }
+            (Frame::Shutdown, None) => {
+                // Final push so spans and deltas recorded since the last
+                // interval still reach the coordinator's merged view.
+                if self.push_interval.is_some() {
+                    self.push_telemetry()?;
+                }
+                return Ok(false);
+            }
+            _ => {} // Unexpected kind or direction: ignore.
+        }
+        Ok(true)
+    }
+
+    /// The serve loop: drain the input queue; when it runs dry flush every
+    /// partial batch, then wait (bounded, for the periodic work).
+    fn serve(&mut self, rx: &Receiver<Input>) -> Result<()> {
+        let mut last_tick = Instant::now();
+        let mut last_push = Instant::now();
+        loop {
+            let input = match rx.try_recv() {
+                Ok(input) => Some(input),
+                Err(_) => {
+                    self.flush_all()?;
+                    // `self.tx` keeps the channel open, so an error here
+                    // is the timeout.
+                    rx.recv_timeout(Duration::from_millis(10)).ok()
+                }
+            };
+            if let Some(input) = input {
+                if !self.handle(input)? {
+                    return Ok(());
+                }
+            }
+            self.checkpoint_all(false)?;
+            if self.tick_interval.is_some_and(|i| last_tick.elapsed() >= i) {
+                last_tick = Instant::now();
+                self.tick();
+            }
+            if self.push_interval.is_some_and(|i| last_push.elapsed() >= i) {
+                last_push = Instant::now();
+                self.push_telemetry()?;
             }
         }
     }
@@ -156,28 +811,31 @@ pub fn maybe_worker_from_env(registry: &TopologyRegistry) -> bool {
     true
 }
 
-/// Connects to the coordinator at `endpoint` and serves bolt tasks until
-/// `Shutdown` (or the connection drops).
-pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32) -> Result<()> {
-    // Span-clock epoch: every worker-side timestamp is µs since this
-    // instant.  Its reading travels in `Hello` so the coordinator can
-    // estimate the offset to its own span clock and re-base shipped spans.
+/// Binds this worker's data listener (same socket family as the
+/// coordinator's), connects to the coordinator at `endpoint` and serves
+/// bolt tasks until `Shutdown` (or the connection drops).
+pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -> Result<()> {
     let t0 = Instant::now();
+    // Listen *before* saying hello: once the coordinator knows the
+    // endpoint, a peer may dial it at any moment.  (The coordinator also
+    // removes the socket file once this process is gone.)
+    let (listener, my_endpoint) = Listener::bind_like(endpoint)?;
     let conn = Conn::connect(endpoint, DistConfig::new(1, vec![]).connect_timeout)?;
-    let writer_conn = conn
+    let read_half = conn
         .try_clone()
         .map_err(|e| Error::Runtime(format!("clone socket: {e}")))?;
-    let stats = ConnStats::new();
-    let mut reader = FrameReader::new(conn);
-    reader.set_stats(Arc::clone(&stats));
-    // Workers only send control frames (results, grants, deposits), so the
-    // writer's tuple-batching path is idle; batch_size 1 keeps it honest.
-    let mut writer = BatchWriter::new(writer_conn, 1, Duration::ZERO);
-    writer.set_stats(Arc::clone(&stats));
-    writer.send(&Frame::Hello {
-        worker,
+    let coord_stats = ConnStats::new();
+    let mut reader = FrameReader::new(read_half);
+    reader.set_stats(Arc::clone(&coord_stats));
+    // Only control frames travel worker → coordinator, so this writer's
+    // tuple-batching path is idle.
+    let mut coord = BatchWriter::new(conn, 1, Duration::ZERO);
+    coord.set_stats(Arc::clone(&coord_stats));
+    coord.send(&Frame::Hello {
+        worker: idx,
         pid: std::process::id(),
         clock_us: t0.elapsed().as_micros() as u64,
+        endpoint: my_endpoint.to_env(),
     })?;
 
     reader
@@ -188,15 +846,20 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
     };
     let Frame::Assign {
         worker: assigned_to,
+        generation,
         topology: topo_name,
         args,
-        tasks,
+        task_slots,
+        peers,
         recovery,
         ckpt_interval_us,
         tick_interval_us,
         metrics_interval_us,
-        task_count,
         stream_count,
+        batch_size,
+        credit_window,
+        trace_sample_bits,
+        restores,
     } = assign
     else {
         return Err(Error::Runtime(format!(
@@ -204,27 +867,42 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
             assign.kind()
         )));
     };
-    if assigned_to != worker {
+    if assigned_to != idx {
         return Err(Error::Runtime(format!(
-            "assignment for worker {assigned_to} delivered to worker {worker}"
+            "assignment for worker {assigned_to} delivered to worker {idx}"
         )));
     }
     let recovery = recovery_from_byte(recovery)
         .ok_or_else(|| Error::Runtime("unknown recovery mode".into()))?;
     let topology = registry.build(&topo_name, &args)?;
     let intern = InternTable::new(&topology);
-    if topology.task_count() != task_count as usize || intern.len() != stream_count as usize {
+    let n_tasks = topology.task_count();
+    if n_tasks != task_slots.len() || intern.len() != stream_count as usize {
         return Err(Error::Runtime(format!(
             "topology fingerprint mismatch for `{topo_name}`: worker built \
-             {} tasks / {} streams, coordinator has {task_count} / {stream_count}",
-            topology.task_count(),
-            intern.len()
+             {n_tasks} tasks / {} streams, coordinator has {} / {stream_count}",
+            intern.len(),
+            task_slots.len()
         )));
     }
 
-    let mut states: HashMap<u32, TaskState> = HashMap::new();
-    for &task in &tasks {
-        let comp_id = topology.component_of_task(TaskId(task as usize));
+    let mut tasks: Vec<Option<TaskState>> = (0..n_tasks).map(|_| None).collect();
+    let n_slots = (task_slots.iter().filter(|&&s| s != COORDINATOR_SLOT))
+        .chain(peers.iter().map(|p| &p.slot))
+        .fold(idx, |max, &s| max.max(s)) as usize
+        + 1;
+    let mut peer_links: Vec<Peer> = (0..n_slots).map(|_| Peer::default()).collect();
+    let ledger = CreditLedger::new(n_tasks);
+    for (task, &slot) in task_slots.iter().enumerate() {
+        if slot == COORDINATOR_SLOT {
+            continue;
+        }
+        if slot != idx {
+            peer_links[slot as usize].tasks.push(task);
+            ledger.set_window(task, credit_window);
+            continue;
+        }
+        let comp_id = topology.component_of_task(TaskId(task));
         let comp = topology.component(comp_id);
         let ComponentKind::Bolt(factory) = &comp.kind else {
             return Err(Error::Runtime(format!(
@@ -234,277 +912,126 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
         let mut bolt = factory();
         bolt.prepare(&TopologyContext {
             component: comp.name.clone(),
-            task_index: task as usize - comp.base_task.0,
+            task_index: task - comp.base_task.0,
             parallelism: comp.parallelism,
         });
         let stateful = bolt.stateful().is_some();
-        states.insert(
-            task,
-            TaskState {
-                task,
-                component: comp_id.0,
-                bolt,
-                stateful,
-                deferred: Vec::new(),
-                dedup_set: HashSet::new(),
-                dedup_fifo: VecDeque::new(),
-                last_ckpt: Instant::now(),
-            },
-        );
+        tasks[task] = Some(TaskState {
+            component: comp_id.0,
+            bolt,
+            stateful,
+            withheld: Vec::new(),
+            dirty: false,
+            dedup_set: HashSet::new(),
+            dedup_fifo: VecDeque::new(),
+            last_ckpt: Instant::now(),
+        });
     }
 
-    let ckpt_interval = Duration::from_micros(ckpt_interval_us.max(1));
-    let tick_interval = (tick_interval_us > 0).then(|| Duration::from_micros(tick_interval_us));
-    let push_interval = (HOT_PATH_TELEMETRY && metrics_interval_us > 0)
-        .then(|| Duration::from_micros(metrics_interval_us));
-    let mut last_tick = Instant::now();
-    let mut last_push = Instant::now();
-    reader
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .map_err(|e| Error::Runtime(format!("set timeout: {e}")))?;
-
-    // Local telemetry: hop spans are recorded for exactly the trees the
-    // coordinator sampled (the decision arrives as `WireTuple::trace_root`)
+    // Local telemetry: hop spans are recorded for the trees the sample
+    // rate selects — the same per-root decision the coordinator makes —
     // into per-task ring buffers drained by every `SpanBatch` push; the
-    // label-free registry ships counter deltas on the same cadence.
-    let span_meta: Vec<(String, usize)> = (0..topology.task_count())
+    // local registry ships counter deltas on the same cadence.
+    let span_meta: Vec<(String, usize)> = (0..n_tasks)
         .map(|t| {
             let comp = topology.component(topology.component_of_task(TaskId(t)));
-            (comp.name.clone(), worker as usize)
+            (comp.name.clone(), idx as usize)
         })
         .collect();
-    let tracer = Tracer::new(1.0, topology.task_count() + 1, span_meta);
-    let local_registry = Registry::new();
-    let metrics = WorkerMetrics::new(&local_registry);
-    let mut last_pushed: HashMap<(String, String), u64> = HashMap::new();
-    let mut batch_seq: u64 = 0;
+    let registry = Registry::new();
+    let (tx, rx) = mpsc::channel();
+    let next_link = Arc::new(AtomicU64::new(COORDINATOR_LINK + 1));
+    let (accept_tx, links) = (tx.clone(), Arc::clone(&next_link));
+    let micros = |us: u64| (us > 0).then(|| Duration::from_micros(us));
+    let mut w = Worker {
+        idx,
+        t0,
+        endpoint: my_endpoint.to_env(),
+        recovery,
+        ckpt_interval: Duration::from_micros(ckpt_interval_us.max(1)),
+        tick_interval: micros(tick_interval_us),
+        push_interval: micros(metrics_interval_us).filter(|_| HOT_PATH_TELEMETRY),
+        batch_size: batch_size.max(1) as usize,
+        router: DistRouter::new(&topology, &intern),
+        intern,
+        // Distinct per process incarnation: pid plus slot and generation.
+        edge_ids: EdgeIds::new(
+            u64::from(std::process::id()) << 32 | u64::from(idx) << 16 | (generation & 0xffff),
+        ),
+        task_slot: task_slots,
+        tasks,
+        ledger,
+        coord,
+        coord_stats,
+        peers: peer_links,
+        next_link,
+        tx,
+        local: VecDeque::new(),
+        acks: Vec::new(),
+        out: BoltOutput::new(),
+        emissions: Vec::new(),
+        grants: Vec::new(),
+        executed: 0,
+        sent: 0,
+        batch_seq: 0,
+        tracer: Tracer::new(f64::from_bits(trace_sample_bits), n_tasks + 1, span_meta),
+        metrics: WorkerMetrics::new(&registry),
+        registry,
+        last_pushed: HashMap::new(),
+    };
+    // State first: the announced restores are applied here, off the socket,
+    // before any other link exists.  A survivor's first batch on a freshly
+    // dialed link could otherwise overtake a snapshot still in transit, be
+    // applied to fresh state and then be overwritten by the restore.
+    for _ in 0..restores {
+        let Some(frame) = reader.read_frame()? else {
+            return Err(Error::Runtime("timed out waiting for state".into()));
+        };
+        let at = Instant::now();
+        w.handle(Input::Frame {
+            link: COORDINATOR_LINK,
+            frame,
+            at,
+        })?;
+    }
+    let _ = reader.set_read_timeout(None);
+    spawn_reader(reader, COORDINATOR_LINK, &w.tx)?;
+    spawn_thread("dist-accept".into(), move || {
+        accept_loop(listener, links, accept_tx)
+    })?;
+    for peer in &peers {
+        w.dial(peer);
+    }
 
-    let serve = AssertUnwindSafe(|| -> Result<()> {
-        loop {
-            match reader.read_frame()? {
-                Some(Frame::TupleBatch { items }) => {
-                    batch_seq += 1;
-                    let batch_recv = Instant::now();
-                    if HOT_PATH_TELEMETRY {
-                        metrics.batches.inc();
-                    }
-                    let mut results = Vec::with_capacity(items.len());
-                    let mut credits: HashMap<u32, u64> = HashMap::new();
-                    for item in items {
-                        *credits.entry(item.dest_task).or_insert(0) += 1;
-                        let Some(ts) = states.get_mut(&item.dest_task) else {
-                            results.push(WireResult {
-                                token: item.token,
-                                failed: true,
-                                deferred: false,
-                                emissions: vec![],
-                            });
-                            continue;
-                        };
-                        // Exactly-once: a replay of an already-applied input is
-                        // acknowledged (deferred, like any stateful input) but
-                        // not applied again.
-                        if ts.stateful && recovery == RecoveryMode::ExactlyOnceEffect {
-                            if let Some(id) = item.dedup {
-                                if ts.dedup_set.contains(&id) {
-                                    ts.deferred.push(item.token);
-                                    results.push(WireResult {
-                                        token: item.token,
-                                        failed: false,
-                                        deferred: true,
-                                        emissions: vec![],
-                                    });
-                                    continue;
-                                }
-                            }
-                        }
-                        let tuple = match intern.tuple(item.stream, item.values) {
-                            Ok(t) => t,
-                            Err(_) => {
-                                results.push(WireResult {
-                                    token: item.token,
-                                    failed: true,
-                                    deferred: false,
-                                    emissions: vec![],
-                                });
-                                continue;
-                            }
-                        };
-                        let mut out = BoltOutput::new();
-                        out.set_now(t0.elapsed().as_secs_f64());
-                        let exec_t =
-                            (HOT_PATH_TELEMETRY && item.trace_root.is_some()).then(Instant::now);
-                        ts.bolt.execute(&tuple, &mut out);
-                        let (emissions, failed) = out.drain();
-                        if let (Some(root), Some(started)) = (item.trace_root, exec_t) {
-                            tracer.record_hop(
-                                item.dest_task as usize,
-                                root,
-                                item.dest_task as usize,
-                                started.duration_since(t0).as_micros() as u64,
-                                started.duration_since(batch_recv).as_micros() as u64,
-                                started.elapsed().as_micros() as u64,
-                                batch_seq,
-                            );
-                        }
-                        if HOT_PATH_TELEMETRY {
-                            metrics.executed.inc();
-                            metrics.emitted.add(emissions.len() as u64);
-                        }
-                        let deferred =
-                            !failed && ts.stateful && recovery != RecoveryMode::Approximate;
-                        if deferred {
-                            ts.deferred.push(item.token);
-                            if recovery == RecoveryMode::ExactlyOnceEffect {
-                                if let Some(id) = item.dedup {
-                                    ts.remember_applied(id);
-                                }
-                            }
-                        }
-                        let component = ts.component;
-                        results.push(WireResult {
-                            token: item.token,
-                            failed,
-                            deferred,
-                            emissions: convert_emissions(&intern, component, emissions),
-                        });
-                    }
-                    writer.send(&Frame::ResultBatch { items: results })?;
-                    for (task, amount) in credits {
-                        writer.send(&Frame::CreditGrant { task, amount })?;
-                    }
-                }
-                Some(Frame::RestoreState {
-                    task,
-                    payload,
-                    dedup,
-                }) => {
-                    let start = Instant::now();
-                    let ok = match states.get_mut(&task) {
-                        Some(ts) => {
-                            ts.dedup_set = dedup.iter().copied().collect();
-                            ts.dedup_fifo = dedup.into();
-                            match payload {
-                                Some(p) => match (snapshot_from_payload(&p), ts.bolt.stateful()) {
-                                    (Ok(snap), Some(state)) => state.restore(&snap, &[]).is_ok(),
-                                    _ => false,
-                                },
-                                // Nothing checkpointed yet: fresh state is the
-                                // correct restore target.
-                                None => true,
-                            }
-                        }
-                        None => false,
-                    };
-                    writer.send(&Frame::StateRestored {
-                        task,
-                        ok,
-                        latency_us: start.elapsed().as_micros() as u64,
-                    })?;
-                }
-                Some(Frame::Flush { seq }) => {
-                    for ts in states.values_mut() {
-                        checkpoint_task(ts, &mut writer, ckpt_interval, true, &metrics)?;
-                    }
-                    writer.send(&Frame::Flushed { seq })?;
-                }
-                Some(Frame::Shutdown) => {
-                    // Final push so spans and deltas recorded since the last
-                    // interval still reach the coordinator's merged view.
-                    if push_interval.is_some() {
-                        push_telemetry(
-                            worker,
-                            &mut writer,
-                            &tracer,
-                            &local_registry,
-                            &metrics,
-                            &stats,
-                            t0,
-                            &mut last_pushed,
-                        )?;
-                    }
-                    break;
-                }
-                Some(_) => {} // Unexpected direction: ignore.
-                None => {}    // Read timeout: fall through to periodic work.
-            }
-
-            for ts in states.values_mut() {
-                checkpoint_task(ts, &mut writer, ckpt_interval, false, &metrics)?;
-            }
-            if let Some(interval) = tick_interval {
-                if last_tick.elapsed() >= interval {
-                    last_tick = Instant::now();
-                    for ts in states.values_mut() {
-                        let mut out = BoltOutput::new();
-                        out.set_now(t0.elapsed().as_secs_f64());
-                        ts.bolt.tick(&mut out);
-                        let (emissions, _) = out.drain();
-                        if !emissions.is_empty() {
-                            let component = ts.component;
-                            writer.send(&Frame::TickEmissions {
-                                task: ts.task,
-                                emissions: convert_emissions(&intern, component, emissions),
-                            })?;
-                        }
-                    }
-                }
-            }
-            if let Some(interval) = push_interval {
-                if last_push.elapsed() >= interval {
-                    last_push = Instant::now();
-                    push_telemetry(
-                        worker,
-                        &mut writer,
-                        &tracer,
-                        &local_registry,
-                        &metrics,
-                        &stats,
-                        t0,
-                        &mut last_pushed,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    });
-
-    match std::panic::catch_unwind(serve) {
+    let served = std::panic::catch_unwind(AssertUnwindSafe(|| w.serve(&rx)));
+    match served {
         Ok(Ok(())) => {
-            for ts in states.values_mut() {
+            for ts in w.tasks.iter_mut().flatten() {
                 ts.bolt.cleanup();
             }
             Ok(())
         }
         Ok(Err(e)) => {
-            emit_last_words(&mut writer, worker, classify_error(&e), &e.to_string());
+            emit_last_words(&mut w.coord, idx, classify_error(&e), &e.to_string());
             Err(e)
         }
         Err(payload) => {
             let detail = panic_detail(payload.as_ref());
-            emit_last_words(&mut writer, worker, "panic", &detail);
+            emit_last_words(&mut w.coord, idx, "panic", &detail);
             Err(Error::Runtime(format!("worker panicked: {detail}")))
         }
     }
 }
 
-/// Cached handles of the worker's label-free local registry.  The
-/// coordinator re-registers everything pushed here under
-/// `worker`/`generation` labels, so names stay collision-free with the
-/// coordinator's own families.
+/// Cached handles of the hot-path counters in the worker's label-free
+/// local registry.  The coordinator re-registers everything pushed from it
+/// under `worker`/`generation` labels, so names stay collision-free with
+/// the coordinator's own families.
 struct WorkerMetrics {
     executed: Counter,
     emitted: Counter,
     batches: Counter,
     checkpoints: Counter,
-    uptime: Gauge,
-    conn_bytes_in: Counter,
-    conn_bytes_out: Counter,
-    conn_frames_in: Counter,
-    conn_frames_out: Counter,
-    conn_decode_us: Counter,
-    conn_encode_us: Counter,
-    conn_write_block_us: Counter,
 }
 
 impl WorkerMetrics {
@@ -514,98 +1041,96 @@ impl WorkerMetrics {
             emitted: reg.counter("dsdps_worker_emitted_total", &[]),
             batches: reg.counter("dsdps_worker_batches_total", &[]),
             checkpoints: reg.counter("dsdps_worker_checkpoints_total", &[]),
-            uptime: reg.gauge("dsdps_worker_uptime_seconds", &[]),
-            conn_bytes_in: reg.counter("dsdps_worker_conn_bytes_in_total", &[]),
-            conn_bytes_out: reg.counter("dsdps_worker_conn_bytes_out_total", &[]),
-            conn_frames_in: reg.counter("dsdps_worker_conn_frames_in_total", &[]),
-            conn_frames_out: reg.counter("dsdps_worker_conn_frames_out_total", &[]),
-            conn_decode_us: reg.counter("dsdps_worker_conn_decode_us_total", &[]),
-            conn_encode_us: reg.counter("dsdps_worker_conn_encode_us_total", &[]),
-            conn_write_block_us: reg.counter("dsdps_worker_conn_write_block_us_total", &[]),
         }
-    }
-
-    /// Copies the transport counters and uptime gauge into the registry so
-    /// the next `export_samples` sees them; runs at push cadence, never on
-    /// the tuple path.
-    fn sync(&self, stats: &ConnStats, t0: Instant) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.uptime.set(t0.elapsed().as_secs_f64());
-        self.conn_bytes_in.set(stats.bytes_in.load(Relaxed));
-        self.conn_bytes_out.set(stats.bytes_out.load(Relaxed));
-        self.conn_frames_in.set(stats.frames_in.load(Relaxed));
-        self.conn_frames_out.set(stats.frames_out.load(Relaxed));
-        self.conn_decode_us.set(stats.decode_us.load(Relaxed));
-        self.conn_encode_us.set(stats.encode_us.load(Relaxed));
-        self.conn_write_block_us
-            .set(stats.write_block_us.load(Relaxed));
     }
 }
 
-/// Drains the local tracer into a `SpanBatch` and the local registry into a
-/// `MetricsPush` (counters as deltas since the last push, gauges as current
-/// values).  Skips empty frames entirely.
-#[allow(clippy::too_many_arguments)]
-fn push_telemetry(
-    worker: u32,
-    writer: &mut BatchWriter,
-    tracer: &Tracer,
-    registry: &Registry,
-    metrics: &WorkerMetrics,
-    stats: &ConnStats,
-    t0: Instant,
-    last_pushed: &mut HashMap<(String, String), u64>,
-) -> Result<()> {
-    let (spans, dropped) = tracer.drain();
-    if !spans.is_empty() || dropped > 0 {
-        let spans = spans
-            .into_iter()
-            .map(|s| WireSpan {
-                kind: span_kind_to_byte(s.kind),
-                root: s.root,
-                task: s.task as u32,
-                start_us: s.start_us,
-                queue_wait_us: s.queue_wait_us,
-                exec_us: s.exec_us,
-                batch_id: s.batch_id,
-            })
-            .collect();
-        writer.send(&Frame::SpanBatch {
-            worker,
-            dropped,
-            spans,
-        })?;
-    }
-    metrics.sync(stats, t0);
-    let mut samples = Vec::new();
-    for (family, labels, value) in registry.export_samples() {
-        match value {
-            SampleValue::Counter(v) => {
-                let key = (family, labels);
-                let prev = last_pushed.get(&key).copied();
-                let delta = v.saturating_sub(prev.unwrap_or(0));
-                // First push includes zero deltas so the coordinator's
-                // endpoint exposes the full family set immediately.
-                if delta > 0 || prev.is_none() {
-                    samples.push(WireMetric {
-                        kind: 0,
-                        name: key.0.clone(),
-                        value: delta,
-                    });
-                }
-                last_pushed.insert(key, v);
-            }
-            SampleValue::Gauge(g) => samples.push(WireMetric {
-                kind: 1,
-                name: family,
-                value: g.to_bits(),
-            }),
+impl Worker {
+    /// Drains the local tracer into a `SpanBatch` and the local registry
+    /// plus every link's transport counters into a `MetricsPush` (counters
+    /// as deltas since the last push, gauges as current values).  Skips
+    /// empty frames entirely.
+    fn push_telemetry(&mut self) -> Result<()> {
+        let (spans, dropped) = self.tracer.drain();
+        if !spans.is_empty() || dropped > 0 {
+            let spans = spans
+                .into_iter()
+                .map(|s| WireSpan {
+                    kind: span_kind_to_byte(s.kind),
+                    root: s.root,
+                    task: s.task as u32,
+                    start_us: s.start_us,
+                    queue_wait_us: s.queue_wait_us,
+                    exec_us: s.exec_us,
+                    batch_id: s.batch_id,
+                })
+                .collect();
+            self.coord.send(&Frame::SpanBatch {
+                worker: self.idx,
+                dropped,
+                spans,
+            })?;
         }
+        // This worker's own ledger, under the family names the coordinator
+        // exports for its links.
+        let parked: usize = self.peers.iter().map(|p| p.out.parked()).sum();
+        let gauge = |name: &str, v: f64| self.registry.gauge(name, &[]).set(v);
+        gauge(
+            "dsdps_worker_uptime_seconds",
+            self.t0.elapsed().as_secs_f64(),
+        );
+        gauge("dsdps_dist_overflow_parked", parked as f64);
+        let outstanding = self.in_flight() - parked as u64;
+        gauge("dsdps_dist_outstanding_window", outstanding as f64);
+
+        // Counters: the registry's, the coordinator link's (`worker_conn`
+        // families) and each peer link's (the coordinator's own
+        // `dist_conn` families, under a `peer` label).
+        let mut counters: Vec<(String, Option<u32>, u64)> = Vec::new();
+        let mut samples = Vec::new();
+        for (family, _, value) in self.registry.export_samples() {
+            match value {
+                SampleValue::Counter(v) => counters.push((family, None, v)),
+                SampleValue::Gauge(g) => samples.push(WireMetric {
+                    kind: 1,
+                    name: family,
+                    peer: None,
+                    value: g.to_bits(),
+                }),
+            }
+        }
+        for (what, v) in self.coord_stats.counters() {
+            counters.push((format!("dsdps_worker_conn_{what}_total"), None, v));
+        }
+        for (slot, peer) in self.peers.iter().enumerate() {
+            for (what, v) in peer.stats.iter().flat_map(|s| s.counters()) {
+                let name = format!("dsdps_dist_conn_{what}_total");
+                counters.push((name, Some(slot as u32), v));
+            }
+        }
+        for (name, peer, v) in counters {
+            let prev = self.last_pushed.insert((name.clone(), peer), v);
+            // A respawned peer's link restarts from zero.
+            let delta = v.checked_sub(prev.unwrap_or(0)).unwrap_or(v);
+            // First push includes zero deltas so the coordinator's
+            // endpoint exposes the full family set immediately.
+            if delta > 0 || prev.is_none() {
+                samples.push(WireMetric {
+                    kind: 0,
+                    name,
+                    peer,
+                    value: delta,
+                });
+            }
+        }
+        if !samples.is_empty() {
+            self.coord.send(&Frame::MetricsPush {
+                worker: self.idx,
+                samples,
+            })?;
+        }
+        Ok(())
     }
-    if !samples.is_empty() {
-        writer.send(&Frame::MetricsPush { worker, samples })?;
-    }
-    Ok(())
 }
 
 /// Maps a serve-loop error to the machine-readable last-words cause.
@@ -648,60 +1173,4 @@ fn emit_last_words(writer: &mut BatchWriter, worker: u32, cause: &str, detail: &
         cause: cause.to_owned(),
         detail: detail.to_owned(),
     });
-}
-
-/// Checkpoints one stateful task: deposit the snapshot, then release the
-/// acks it covers.  In-order frame processing on the coordinator is what
-/// aligns the two.
-fn checkpoint_task(
-    ts: &mut TaskState,
-    writer: &mut BatchWriter,
-    interval: Duration,
-    force: bool,
-    metrics: &WorkerMetrics,
-) -> Result<()> {
-    if !ts.stateful || (!force && ts.last_ckpt.elapsed() < interval) {
-        return Ok(());
-    }
-    ts.last_ckpt = Instant::now();
-    let snap = ts
-        .bolt
-        .stateful()
-        .expect("stateful flag implies stateful()")
-        .snapshot();
-    writer.send(&Frame::CheckpointDeposit {
-        task: ts.task,
-        payload: snapshot_to_payload(&snap),
-        dedup: ts.dedup_fifo.iter().copied().collect(),
-    })?;
-    if HOT_PATH_TELEMETRY {
-        metrics.checkpoints.inc();
-    }
-    if !ts.deferred.is_empty() {
-        writer.send(&Frame::AckFlush {
-            tokens: std::mem::take(&mut ts.deferred),
-        })?;
-    }
-    Ok(())
-}
-
-fn convert_emissions(
-    intern: &InternTable,
-    component: usize,
-    emissions: Vec<Emission>,
-) -> Vec<WireEmission> {
-    emissions
-        .into_iter()
-        .filter_map(|e| {
-            // Undeclared stream: nothing can subscribe, drop it (matches
-            // the threaded router, which has no route for it).
-            let stream = intern.lookup(component, e.stream.as_str())?;
-            Some(WireEmission {
-                stream,
-                anchored: e.anchored,
-                direct_task: e.direct_task.map(|t| t as u32),
-                values: e.tuple.values().to_vec(),
-            })
-        })
-        .collect()
 }

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{SendTimeoutError, Sender};
 
-use crate::acker::{RootId, TreeOutcome};
+use crate::acker::{RootId, ShardedAcker, TreeOutcome};
 use crate::component::MessageId;
 use crate::topology::TaskId;
 use crate::tuple::Tuple;
@@ -70,7 +70,7 @@ pub(super) enum AckMsg {
 
 /// One deferred acker operation.  Timestamps are captured when the op is
 /// queued, so deferring application does not skew latency accounting.
-pub(super) enum AckOp {
+pub(crate) enum AckOp {
     Track {
         root: RootId,
         spout_task: TaskId,
@@ -109,7 +109,7 @@ impl AckOp {
 ///
 /// Ops on the same root land in the same partition in push order, so the
 /// emit-before-ack ordering the XOR accounting needs survives partitioning.
-pub(super) struct AckOps {
+pub(crate) struct AckOps {
     per_shard: Vec<Vec<AckOp>>,
     len: usize,
     /// Completed-tree outcomes drained while applying (delivered by the
@@ -119,7 +119,7 @@ pub(super) struct AckOps {
 
 impl AckOps {
     /// An op queue partitioned over `num_shards` acker stripes.
-    pub(super) fn new(num_shards: usize) -> Self {
+    pub(crate) fn new(num_shards: usize) -> Self {
         Self {
             per_shard: (0..num_shards.max(1)).map(|_| Vec::new()).collect(),
             len: 0,
@@ -127,7 +127,7 @@ impl AckOps {
         }
     }
 
-    pub(super) fn push(&mut self, op: AckOp) {
+    pub(crate) fn push(&mut self, op: AckOp) {
         let shard = (op.root() % self.per_shard.len() as u64) as usize;
         self.per_shard[shard].push(op);
         self.len += 1;
@@ -141,7 +141,7 @@ impl AckOps {
     /// and applying that shard's ops in queue order.  Outcomes completed by
     /// these ops are drained under the same lock acquisition and held in
     /// this queue until [`take_outcomes`](Self::take_outcomes).
-    pub(super) fn apply(&mut self, shared: &Shared) {
+    pub(crate) fn apply(&mut self, ackers: &ShardedAcker) {
         if self.len == 0 {
             return;
         }
@@ -149,7 +149,7 @@ impl AckOps {
             if ops.is_empty() {
                 continue;
             }
-            let mut acker = shared.ackers.shard(idx).lock();
+            let mut acker = ackers.shard(idx).lock();
             for op in ops.drain(..) {
                 match op {
                     AckOp::Track {
@@ -175,7 +175,7 @@ impl AckOps {
     }
 
     /// Takes the outcomes drained by [`apply`](Self::apply).
-    pub(super) fn take_outcomes(&mut self) -> Vec<TreeOutcome> {
+    pub(crate) fn take_outcomes(&mut self) -> Vec<TreeOutcome> {
         std::mem::take(&mut self.outcomes)
     }
 }
@@ -266,7 +266,7 @@ impl OutputBuffers {
         }
         // Apply-before-send: the acker must know every edge in this batch
         // (and the tracks/acks queued alongside) before downstream can react.
-        ops.apply(shared);
+        ops.apply(&shared.ackers);
         let batch = std::mem::take(&mut buf.items);
         buf.since = None;
         self.nonempty -= 1;
@@ -293,7 +293,7 @@ impl OutputBuffers {
                             ops.push(AckOp::Fail { root, now_s });
                         }
                     }
-                    ops.apply(shared);
+                    ops.apply(&shared.ackers);
                     return;
                 }
                 // Block: poll for a credit with heartbeats so the supervisor

@@ -220,6 +220,19 @@ impl CreditLedger {
         self.pools[task].available.load(Ordering::Acquire)
     }
 
+    /// Credits of `task`'s window that are out with senders right now
+    /// (`window − available`, floored at zero): deliveries sent but not yet
+    /// credited back by the receiver.
+    pub fn in_use(&self, task: usize) -> u64 {
+        (self.window(task) as i64 - self.outstanding(task)).max(0) as u64
+    }
+
+    /// Tops `task`'s pool back up to its window — the receiver is gone, so
+    /// the credits out with deliveries toward it will never be returned.
+    pub fn refill(&self, task: usize) {
+        self.grant(task, self.in_use(task));
+    }
+
     /// Aggregate counters over every pool.
     pub fn totals(&self) -> CreditTotals {
         let mut t = CreditTotals {
@@ -313,6 +326,19 @@ mod tests {
         assert_eq!(ledger.set_window(0, 12), (4, 0));
         assert_eq!(ledger.set_window(0, 5), (0, 7));
         assert_eq!(ledger.outstanding(0), 5);
+        assert!(ledger.conservation_holds());
+    }
+
+    #[test]
+    fn refill_restores_the_window_and_conserves() {
+        let ledger = CreditLedger::new(1);
+        ledger.set_window(0, 4);
+        assert!(ledger.try_acquire_n(0, 3));
+        assert_eq!(ledger.in_use(0), 3);
+        ledger.refill(0);
+        assert_eq!((ledger.in_use(0), ledger.outstanding(0)), (0, 4));
+        ledger.refill(0);
+        assert_eq!(ledger.outstanding(0), 4, "refilling a full pool is a no-op");
         assert!(ledger.conservation_holds());
     }
 

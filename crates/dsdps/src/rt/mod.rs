@@ -40,7 +40,7 @@
 //! virtual time); this runtime exists so the same application code can run
 //! for real, and is exercised by the examples and integration tests.
 
-mod batch;
+pub(crate) mod batch;
 pub mod checkpoint;
 mod config;
 pub mod credit;

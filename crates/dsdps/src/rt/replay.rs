@@ -68,6 +68,10 @@ struct Entry {
 #[derive(Default)]
 pub(crate) struct ReplayBuffer {
     entries: FxHashMap<MessageId, Entry>,
+    /// Entries whose `retry_at` is set.  Zero in the common case (nothing
+    /// failed), which lets [`take_due`](Self::take_due) and
+    /// [`next_due`](Self::next_due) skip walking every tracked entry.
+    scheduled: usize,
 }
 
 impl ReplayBuffer {
@@ -78,7 +82,7 @@ impl ReplayBuffer {
         match self.entries.get_mut(&id) {
             Some(e) => {
                 e.emission = emission;
-                e.retry_at = None;
+                self.scheduled -= usize::from(e.retry_at.take().is_some());
                 e.tracked_at_s = now_s;
                 e.doomed = false;
                 false
@@ -102,7 +106,13 @@ impl ReplayBuffer {
     /// The message's tree completed: forget it.  Returns `true` when it was
     /// tracked.
     pub(crate) fn on_ack(&mut self, id: MessageId) -> bool {
-        self.entries.remove(&id).is_some()
+        match self.entries.remove(&id) {
+            Some(e) => {
+                self.scheduled -= usize::from(e.retry_at.is_some());
+                true
+            }
+            None => false,
+        }
     }
 
     /// The message's tree failed or timed out: schedule a replay or give up.
@@ -115,19 +125,19 @@ impl ReplayBuffer {
     ) -> FailDecision {
         match self.entries.get_mut(&id) {
             None => FailDecision::Untracked,
-            Some(e) if e.doomed => {
-                self.entries.remove(&id);
-                FailDecision::Doomed
-            }
-            Some(e) if e.attempts >= max_replays => {
-                let attempts = e.attempts;
-                self.entries.remove(&id);
-                FailDecision::Exhausted { attempts }
+            Some(e) if e.doomed || e.attempts >= max_replays => {
+                let (doomed, attempts) = (e.doomed, e.attempts);
+                self.on_ack(id);
+                if doomed {
+                    FailDecision::Doomed
+                } else {
+                    FailDecision::Exhausted { attempts }
+                }
             }
             Some(e) => {
                 let delay = backoff * 2u32.saturating_pow(e.attempts).min(1 << 16);
                 e.attempts += 1;
-                e.retry_at = Some(now + delay);
+                self.scheduled += usize::from(e.retry_at.replace(now + delay).is_none());
                 FailDecision::Scheduled {
                     attempt: e.attempts,
                     delay,
@@ -141,18 +151,25 @@ impl ReplayBuffer {
     /// failed again.
     pub(crate) fn take_due(&mut self, now: Instant) -> Vec<(MessageId, Arc<Emission>, u32)> {
         let mut due = Vec::new();
+        if self.scheduled == 0 {
+            return due;
+        }
         for (id, e) in self.entries.iter_mut() {
             if matches!(e.retry_at, Some(at) if at <= now) {
                 e.retry_at = None;
                 due.push((*id, Arc::clone(&e.emission), e.attempts));
             }
         }
+        self.scheduled -= due.len();
         due
     }
 
     /// Earliest scheduled replay, if any (lets an idle spout sleep exactly
     /// long enough).
     pub(crate) fn next_due(&self) -> Option<Instant> {
+        if self.scheduled == 0 {
+            return None;
+        }
         self.entries.values().filter_map(|e| e.retry_at).min()
     }
 
@@ -170,6 +187,7 @@ impl ReplayBuffer {
             }
             if e.retry_at.is_some() {
                 dropped += 1;
+                self.scheduled -= 1;
                 false
             } else {
                 e.doomed = true;
@@ -319,6 +337,38 @@ mod tests {
         b2.doom_tracked_before(1.0);
         assert!(b2.on_ack(9));
         assert!(b2.is_empty());
+    }
+
+    /// The scheduled count is what lets the spout loop skip the scan: it
+    /// must equal the number of entries with a pending retry after every
+    /// kind of transition.
+    #[test]
+    fn scheduled_count_tracks_pending_retries() {
+        let mut b = ReplayBuffer::default();
+        let t0 = Instant::now();
+        let check = |b: &ReplayBuffer| {
+            let pending = b.entries.values().filter(|e| e.retry_at.is_some()).count();
+            assert_eq!(b.scheduled, pending);
+        };
+        for id in 1..=5 {
+            b.on_track(id, emission(id), 0.0);
+        }
+        check(&b);
+        assert!(b.next_due().is_none() && b.take_due(t0).is_empty());
+        for id in 1..=4 {
+            b.on_fail(id, 1, Duration::from_millis(5), t0);
+        }
+        b.on_fail(1, 1, Duration::from_millis(5), t0); // second failure while scheduled
+        check(&b);
+        b.on_ack(2); // acked while awaiting its replay
+        b.on_track(3, emission(3), 1.0); // re-tracked while awaiting its replay
+        check(&b);
+        assert_eq!(b.take_due(t0 + Duration::from_secs(1)).len(), 1);
+        check(&b);
+        assert_eq!(b.scheduled, 0);
+        b.on_fail(5, 1, Duration::ZERO, t0);
+        assert_eq!(b.doom_tracked_before(10.0), 1);
+        check(&b);
     }
 
     #[test]

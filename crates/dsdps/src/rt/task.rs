@@ -22,7 +22,7 @@ use crate::component::{
 };
 use crate::config::EngineConfig;
 use crate::hash::FxHashSet;
-use crate::telemetry::{trace::trace_id, JournalEvent, SpanKind};
+use crate::telemetry::{trace::trace_id, JournalEvent};
 use crate::topology::TaskId;
 
 use super::batch::{AckMsg, AckOp, AckOps, Batch};
@@ -84,7 +84,7 @@ pub(super) fn apply_and_deliver(
     ops: &mut AckOps,
     lat_slot: usize,
 ) {
-    ops.apply(shared);
+    ops.apply(&shared.ackers);
     if ops.has_outcomes() {
         deliver_outcomes(shared, ack_senders, ops.take_outcomes(), lat_slot);
     }
@@ -114,20 +114,7 @@ pub(super) fn deliver_outcomes(
         shared.pending[spout].fetch_sub(1, Ordering::Relaxed);
         let latency_us = o.complete_latency() * 1e6;
         if trace_on && shared.tracer.sampled(o.root) {
-            let kind = match o.completion {
-                Completion::Acked => SpanKind::Ack,
-                Completion::Failed => SpanKind::Fail,
-                Completion::TimedOut => SpanKind::Timeout,
-            };
-            shared.tracer.record_terminal(
-                lat_slot,
-                o.root,
-                kind,
-                spout,
-                (o.completed_at * 1e6) as u64,
-                latency_us.max(0.0) as u64,
-                o.message_id,
-            );
+            shared.tracer.record_outcome(lat_slot, &o);
         }
         let msg = match o.completion {
             Completion::Acked => {

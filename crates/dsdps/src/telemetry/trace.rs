@@ -16,7 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, JsonValue, Serialize};
 
-use crate::acker::{splitmix64, RootId};
+use crate::acker::{splitmix64, Completion, RootId, TreeOutcome};
 use crate::hash::FxHashMap;
 
 /// The role a [`Span`] plays within its tuple tree.
@@ -281,6 +281,24 @@ impl Tracer {
                 pid: 0,
                 generation: 0,
             },
+        );
+    }
+
+    /// Records the terminal event of a sampled tree from its acker outcome.
+    pub fn record_outcome(&self, slot: usize, o: &TreeOutcome) {
+        let kind = match o.completion {
+            Completion::Acked => SpanKind::Ack,
+            Completion::Failed => SpanKind::Fail,
+            Completion::TimedOut => SpanKind::Timeout,
+        };
+        self.record_terminal(
+            slot,
+            o.root,
+            kind,
+            o.spout_task.0,
+            (o.completed_at * 1e6) as u64,
+            (o.complete_latency() * 1e6).max(0.0) as u64,
+            o.message_id,
         );
     }
 

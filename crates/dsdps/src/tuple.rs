@@ -15,9 +15,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// Values are cheap to clone: strings are reference counted and byte blobs
 /// use [`bytes::Bytes`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub enum Value {
     /// Absence of a value.
+    #[default]
     Null,
     /// Boolean.
     Bool(bool),
@@ -340,6 +341,16 @@ impl Tuple {
         }
     }
 
+    /// The values as an owned vector: moved out when this is the only
+    /// handle on them, cloned when they are shared.  Use when the last (or
+    /// only) copy of a tuple instance leaves for the wire.
+    pub fn into_values(mut self) -> Vec<Value> {
+        match Arc::get_mut(&mut self.values) {
+            Some(values) => values.iter_mut().map(std::mem::take).collect(),
+            None => self.values.to_vec(),
+        }
+    }
+
     /// The tuple's values in order.
     pub fn values(&self) -> &[Value] {
         &self.values
@@ -500,6 +511,15 @@ mod tests {
         let r = t.rekeyed(Fields::new(["url"]));
         assert_eq!(r.get_by_field("url").unwrap().as_str(), Some("x"));
         assert_eq!(t.values(), r.values());
+    }
+
+    #[test]
+    fn into_values_moves_a_unique_tuple_and_copies_a_shared_one() {
+        let t = Tuple::of([Value::from("x"), Value::from(2i64)]);
+        let shared = t.clone();
+        let copied = t.into_values();
+        assert_eq!(copied.as_slice(), shared.values());
+        assert_eq!(shared.into_values(), copied);
     }
 
     #[test]

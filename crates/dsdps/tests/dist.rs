@@ -90,13 +90,22 @@ impl Bolt for Sink {
 /// tuples. The dist tests read its final state from the coordinator's
 /// checkpoint store ([`dsdps::dist::coordinator::DistReport::final_snapshots`]), which is
 /// the only cross-process observation channel.
+#[derive(Default)]
 struct StatefulCounter {
     count: u64,
     sum: u64,
+    /// Service time per tuple (zero except where a test needs a backlog).
+    delay: Duration,
+    /// Zero bytes carried in every snapshot (zero except where a test
+    /// needs a snapshot far larger than a socket buffer).
+    ballast: usize,
 }
 
 impl Bolt for StatefulCounter {
     fn execute(&mut self, t: &Tuple, _o: &mut BoltOutput) {
+        if !self.delay.is_zero() {
+            std::thread::sleep(self.delay);
+        }
         self.count += 1;
         self.sum += t.get(0).unwrap().as_i64().unwrap() as u64;
     }
@@ -108,7 +117,13 @@ impl Bolt for StatefulCounter {
 
 impl StatefulComponent for StatefulCounter {
     fn snapshot(&mut self) -> StateSnapshot {
-        StateSnapshot::encode(SnapshotKind::Full, &(self.count, self.sum))
+        let mut bytes = vec![0; 16 + self.ballast];
+        bytes[..8].copy_from_slice(&self.count.to_le_bytes());
+        bytes[8..16].copy_from_slice(&self.sum.to_le_bytes());
+        StateSnapshot {
+            kind: SnapshotKind::Full,
+            bytes,
+        }
     }
 
     fn restore(
@@ -117,11 +132,18 @@ impl StatefulComponent for StatefulCounter {
         deltas: &[StateSnapshot],
     ) -> std::result::Result<(), String> {
         assert!(deltas.is_empty(), "full-only component");
-        let (count, sum): (u64, u64) = base.decode()?;
-        self.count = count;
-        self.sum = sum;
+        (self.count, self.sum) = decode_counter(base).ok_or("short counter snapshot")?;
         Ok(())
     }
+}
+
+fn decode_counter(snap: &StateSnapshot) -> Option<(u64, u64)> {
+    let word = |at: usize| {
+        Some(u64::from_le_bytes(
+            snap.bytes.get(at..at + 8)?.try_into().ok()?,
+        ))
+    };
+    Some((word(0)?, word(8)?))
 }
 
 fn build_calib(args: &str) -> Result<Topology> {
@@ -148,8 +170,136 @@ fn build_stateful(args: &str) -> Result<Topology> {
         rate,
         started: None,
     })?;
-    b.set_bolt("count", 1, || StatefulCounter { count: 0, sum: 0 })?
+    b.set_bolt("count", 1, StatefulCounter::default)?
         .global_grouping("src")?;
+    b.build()
+}
+
+/// Passes its input on, anchored.
+struct Relay;
+
+impl Bolt for Relay {
+    fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
+        out.emit(tuple.clone());
+    }
+}
+
+/// Passes its input on *unanchored*: the tree completes here, and what
+/// travels on is invisible to the acker.
+struct Detach;
+
+impl Bolt for Detach {
+    fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
+        out.emit_unanchored(tuple.clone());
+    }
+}
+
+/// The payload every `mesh` tuple carries next to its id: large enough that
+/// a tuple's values crossing the coordinator again could not hide among
+/// the ack records.
+const MESH_PAYLOAD: &str = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\
+                            0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
+
+struct FatSpout {
+    left: u64,
+    next_id: u64,
+}
+
+impl Spout for FatSpout {
+    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
+        if self.left == 0 {
+            return false;
+        }
+        self.left -= 1;
+        self.next_id += 1;
+        let values = [Value::from(self.next_id as i64), Value::from(MESH_PAYLOAD)];
+        out.emit_with_id(Tuple::of(values), self.next_id);
+        true
+    }
+}
+
+/// `src → relay ×1 → sink ×1`: on three workers the relay lands on worker
+/// 0 and the sink on worker 1, so the relay → sink hop is a peer link.
+fn build_mesh(args: &str) -> Result<Topology> {
+    let n: u64 = args.parse().unwrap_or(1000);
+    let mut b = TopologyBuilder::new("dist-mesh");
+    b.set_spout("src", 1, move || FatSpout {
+        left: n,
+        next_id: 0,
+    })?;
+    b.set_bolt("relay", 1, || Relay)?.shuffle_grouping("src")?;
+    b.set_bolt("sink", 1, || Sink)?.shuffle_grouping("relay")?;
+    b.build()
+}
+
+/// A sink that takes its time, so the trees through it stay pending.
+struct SlowSink;
+
+impl Bolt for SlowSink {
+    fn execute(&mut self, _tuple: &Tuple, _out: &mut BoltOutput) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// `src (paced) → relay ×1 → count ×1`, `args` = `"n:rate:kind"`: the
+/// stateless relay lands on worker 0 and the checkpointed counter on
+/// worker 1.  `kind` picks the variant:
+///
+/// * `detach` — the relay emits *unanchored* and the counter is slow, so
+///   trees complete long before the tuples they set off are counted;
+/// * `audit` — a slow second subscriber of the relay (on worker 2) keeps
+///   every tree pending long after the counter has applied, checkpointed
+///   and acked its part;
+/// * `fat` — the counter's snapshot carries 4 MiB of ballast, many times
+///   what a socket buffers.
+fn build_chain(args: &str) -> Result<Topology> {
+    let mut it = args.split(':');
+    let n: u64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(500);
+    let rate: f64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(1000.0);
+    let kind = it.next().unwrap_or("");
+    let mut b = TopologyBuilder::new("dist-chain");
+    b.set_spout("src", 1, move || PacedSpout {
+        left: n,
+        next_id: 0,
+        rate,
+        started: None,
+    })?;
+    if kind == "detach" {
+        b.set_bolt("relay", 1, || Detach)?.shuffle_grouping("src")?;
+    } else {
+        b.set_bolt("relay", 1, || Relay)?.shuffle_grouping("src")?;
+    }
+    let delay = Duration::from_micros(if kind == "detach" { 100 } else { 0 });
+    let ballast = if kind == "fat" { 4 << 20 } else { 0 };
+    b.set_bolt("count", 1, move || StatefulCounter {
+        delay,
+        ballast,
+        ..StatefulCounter::default()
+    })?
+    .global_grouping("relay")?;
+    if kind == "audit" {
+        b.set_bolt("audit", 1, || SlowSink)?
+            .shuffle_grouping("relay")?;
+    }
+    b.build()
+}
+
+/// `src (paced) → relay ×1 → count ×2` with a *dynamic* grouping on the
+/// relay → count edge — an edge only a worker routes.
+fn build_dynamic(args: &str) -> Result<Topology> {
+    let mut it = args.split(':');
+    let n: u64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(500);
+    let rate: f64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(1000.0);
+    let mut b = TopologyBuilder::new("dist-dynamic");
+    b.set_spout("src", 1, move || PacedSpout {
+        left: n,
+        next_id: 0,
+        rate,
+        started: None,
+    })?;
+    b.set_bolt("relay", 1, || Relay)?.shuffle_grouping("src")?;
+    b.set_bolt("count", 2, StatefulCounter::default)?
+        .dynamic_grouping("relay")?;
     b.build()
 }
 
@@ -157,7 +307,18 @@ fn registry() -> TopologyRegistry {
     let mut r = TopologyRegistry::new();
     r.register("calib", build_calib);
     r.register("stateful", build_stateful);
+    r.register("mesh", build_mesh);
+    r.register("chain", build_chain);
+    r.register("dynamic", build_dynamic);
     r
+}
+
+/// `(count, sum)` of a [`StatefulCounter`] task's last checkpoint.
+fn counter_state(report: &dist::DistReport, task: usize) -> (u64, u64) {
+    let snap = report.final_snapshots[task]
+        .as_ref()
+        .expect("counter task checkpointed");
+    decode_counter(snap).expect("snapshot decodes")
 }
 
 /// The re-exec target that turns this test binary into a worker process.
@@ -331,12 +492,283 @@ fn dist_killed_worker_restores_from_checkpoint() {
 
     // Exactly-once effect: the counter's final snapshot equals the
     // fault-free outcome, despite replays crossing the kill.
-    let snap = report.final_snapshots[1]
-        .as_ref()
-        .expect("counter task checkpointed");
-    let (count, sum): (u64, u64) = snap.decode().expect("snapshot decodes");
-    assert_eq!(count, n, "no lost or duplicated effects");
-    assert_eq!(sum, n * (n + 1) / 2);
+    assert_eq!(
+        counter_state(&report, 1),
+        (n, n * (n + 1) / 2),
+        "no lost or duplicated effects"
+    );
+}
+
+/// The point of the mesh: bolt → bolt tuples travel worker → worker and
+/// the coordinator hears only XOR ack records about them.  With the relay
+/// and the sink on different workers, what the coordinator *receives* per
+/// acked tree must stay below the wire size of a single tuple — no values
+/// cross it on the way back — and the workers' own ledgers must show up in
+/// the report, or the credit identity would be vacuous.
+#[test]
+fn dist_mesh_keeps_tuple_values_off_the_coordinator() {
+    use dsdps::dist::codec::{encode_frame_body, Frame, WireTuple};
+
+    let n = 4_000u64;
+    let running = dist::submit(
+        &registry(),
+        "mesh",
+        &n.to_string(),
+        EngineConfig::default(),
+        RtConfig::default().with_batch_size(32).with_credit_flow(8),
+        DistConfig::new(3, self_worker_cmd()),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == n),
+        "acked {}/{n}",
+        running.acked()
+    );
+    let report = running.shutdown();
+    assert_eq!(report.acked, n, "{report:?}");
+    assert!(report.conservation_holds() && report.drained_clean);
+    assert_eq!(
+        report.worker_disconnects, 0,
+        "clean shutdown is no disconnect"
+    );
+
+    let mut one_tuple = Vec::new();
+    encode_frame_body(
+        &Frame::TupleBatch {
+            items: vec![WireTuple {
+                token: u64::MAX,
+                dest_task: 2,
+                stream: 1,
+                dedup: None,
+                trace_root: Some(n),
+                values: vec![Value::from(n as i64), Value::from(MESH_PAYLOAD)],
+            }],
+        },
+        &mut one_tuple,
+    );
+    let received_per_tree = report.bytes_received as f64 / n as f64;
+    assert!(
+        received_per_tree < one_tuple.len() as f64,
+        "coordinator received {received_per_tree:.1} B per tree, one tuple is {} B",
+        one_tuple.len()
+    );
+    // Sent: each tree leaves the coordinator exactly once (to the relay).
+    let sent_per_tree = report.bytes_sent as f64 / n as f64;
+    assert!(
+        sent_per_tree < 1.5 * one_tuple.len() as f64,
+        "coordinator sent {sent_per_tree:.1} B per tree, one tuple is {} B",
+        one_tuple.len()
+    );
+
+    // The fleet's ledgers: the coordinator consumed one credit per tree
+    // (spout → relay) and worker 0 another (relay → sink).
+    assert!(report.credit_conservation_holds(), "{:?}", report.credits);
+    assert_eq!(report.credits.consumed, 2 * n, "{:?}", report.credits);
+}
+
+/// SIGKILL of the *downstream* peer under exactly-once-effect.  The relay's
+/// worker survives (same pid, its slot never restarts), fails what it
+/// cannot deliver instead of dying with its peer, and reconnects when the
+/// replacement dials in.  Because the coordinator cannot know which trees
+/// had an edge on the dead worker it replays *all* pending ones — here,
+/// thanks to the slow audit sink, hundreds whose effect on the counter was
+/// already checkpointed and acked.  The counter's flushed state must still
+/// equal the fault-free outcome: replayed trees re-derive the same dedup
+/// ids hop by hop, so a stateful bolt two hops from the spout recognizes
+/// them.
+#[test]
+fn dist_killed_downstream_peer_keeps_exactly_once_effect() {
+    let n = 800u64;
+    let engine = EngineConfig {
+        message_timeout_s: 5.0,
+        ..EngineConfig::default()
+    };
+    let rt_config = RtConfig::default()
+        .with_batch_size(8)
+        .with_max_replays(20)
+        .with_replay_backoff(Duration::from_millis(20))
+        .with_checkpoints(Duration::from_millis(50))
+        .with_recovery_mode(RecoveryMode::ExactlyOnceEffect);
+    let running = dist::submit(
+        &registry(),
+        "chain",
+        &format!("{n}:2000:audit"),
+        engine,
+        rt_config,
+        DistConfig::new(3, self_worker_cmd()),
+    )
+    .unwrap();
+    let pids_before = running.worker_pids();
+
+    assert!(
+        wait_until(Duration::from_secs(20), || running.acked() >= n / 4),
+        "stream never got going: acked {}",
+        running.acked()
+    );
+    assert!(running.pending_trees() > 50, "the audit sink lags behind");
+    running.kill_worker(1).expect("kill the counter's worker");
+    assert!(
+        wait_until(Duration::from_secs(40), || running.acked() == n),
+        "recovery stalled: acked {}/{n}",
+        running.acked()
+    );
+    let pids_after = running.worker_pids();
+    assert_eq!(
+        (pids_after[0], pids_after[2]),
+        (pids_before[0], pids_before[2]),
+        "the sender and the bystander survived"
+    );
+    let report = running.shutdown();
+
+    assert_eq!(report.worker_restarts, 1, "only the killed slot respawned");
+    assert!(report.restores >= 1, "restored from checkpoint: {report:?}");
+    assert!(
+        report.replays_emitted > 50,
+        "pending trees replayed: {report:?}"
+    );
+    assert_eq!(report.acked, n, "every message recovered: {report:?}");
+    assert!(report.conservation_holds(), "{report:?}");
+    assert!(report.credit_conservation_holds(), "{:?}", report.credits);
+    assert!(report.drained_clean, "{report:?}");
+    assert_eq!(
+        counter_state(&report, 2),
+        (n, n * (n + 1) / 2),
+        "no lost or duplicated effects two hops from the spout"
+    );
+}
+
+/// A respawned worker applies its restores before it takes a tuple off
+/// any link.  The counter's snapshot is 4 MiB, so it is still crossing the
+/// coordinator link long after the respawned worker could have dialed the
+/// relay's worker, which is forwarding at full rate: a batch overtaking
+/// the snapshot would be counted on fresh state, overwritten by the
+/// restore and acked all the same — a lost effect.
+#[test]
+fn dist_respawned_worker_restores_before_peer_tuples() {
+    let n = 3_000u64;
+    let engine = EngineConfig {
+        message_timeout_s: 5.0,
+        ..EngineConfig::default()
+    };
+    let rt_config = RtConfig::default()
+        .with_batch_size(8)
+        .with_max_replays(20)
+        .with_replay_backoff(Duration::from_millis(5))
+        .with_checkpoints(Duration::from_millis(100))
+        .with_recovery_mode(RecoveryMode::ExactlyOnceEffect);
+    let running = dist::submit(
+        &registry(),
+        "chain",
+        &format!("{n}:4000:fat"),
+        engine,
+        rt_config,
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    let pids_before = running.worker_pids();
+
+    assert!(
+        wait_until(Duration::from_secs(20), || running.acked() >= n / 4),
+        "stream never got going: acked {}",
+        running.acked()
+    );
+    running.kill_worker(1).expect("kill the counter's worker");
+    assert!(
+        wait_until(Duration::from_secs(40), || running.acked() == n),
+        "recovery stalled: acked {}/{n}",
+        running.acked()
+    );
+    assert_eq!(running.worker_pids()[0], pids_before[0], "relay survived");
+    let report = running.shutdown();
+
+    assert_eq!(report.worker_restarts, 1, "{report:?}");
+    assert!(report.restores >= 1, "restored from checkpoint: {report:?}");
+    assert_eq!(report.acked, n, "every message recovered: {report:?}");
+    assert!(report.conservation_holds(), "{report:?}");
+    assert_eq!(
+        counter_state(&report, 2),
+        (n, n * (n + 1) / 2),
+        "no effect applied before the restore and then overwritten"
+    );
+}
+
+/// A ratio set on the coordinator's handle steers an edge that only a
+/// worker routes: the supervisor pushes the new weights to the fleet in a
+/// `SetRatio` frame.
+#[test]
+fn dist_set_ratio_steers_a_worker_routed_edge() {
+    use dsdps::grouping::dynamic::SplitRatio;
+    use dsdps::stream::StreamId;
+
+    let n = 1_600u64;
+    let running = dist::submit(
+        &registry(),
+        "dynamic",
+        &format!("{n}:2000"),
+        EngineConfig::default(),
+        RtConfig::default()
+            .with_batch_size(8)
+            .with_checkpoints(Duration::from_millis(50)),
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    let handle = running
+        .dynamic_handle("relay", &StreamId::default(), "count")
+        .expect("the relay → count edge is dynamic");
+
+    // Uniform split for the first stretch, then everything to task 0.
+    assert!(wait_until(Duration::from_secs(20), || running.acked() >= 200));
+    handle
+        .set_ratio(SplitRatio::new(vec![1.0, 0.0]).unwrap())
+        .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == n),
+        "acked {}/{n}",
+        running.acked()
+    );
+    let report = running.shutdown();
+    assert!(report.drained_clean, "{report:?}");
+
+    let (first, _) = counter_state(&report, 2);
+    let (second, _) = counter_state(&report, 3);
+    assert_eq!(first + second, n, "every tuple counted once");
+    assert!(
+        second > 0 && second < n / 4,
+        "count[1] got {second} of {n}: half of the first stretch, nothing after"
+    );
+}
+
+/// Unanchored emissions are invisible to the acker: when the last tree is
+/// acked, tuples may still be travelling between workers.  Shutdown's
+/// drain must wait for them — `drained_clean` means every delivery was
+/// executed, not just every tree resolved.
+#[test]
+fn dist_unanchored_emissions_are_not_lost_at_shutdown() {
+    let n = 3_000u64;
+    let running = dist::submit(
+        &registry(),
+        "chain",
+        &format!("{n}:1000000:detach"),
+        EngineConfig::default(),
+        RtConfig::default()
+            .with_batch_size(64)
+            .with_checkpoints(Duration::from_secs(3600)),
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == n),
+        "acked {}/{n}",
+        running.acked()
+    );
+    // No grace period: whatever is still between the workers is in flight.
+    let report = running.shutdown();
+    assert!(report.drained_clean, "{report:?}");
+    assert_eq!(
+        counter_state(&report, 2),
+        (n, n * (n + 1) / 2),
+        "every unanchored delivery was executed before the fleet stopped"
+    );
 }
 
 /// Scrapes the coordinator's Prometheus endpoint, returning the response

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use dsdps::acker::Acker;
+use dsdps::acker::{Acker, Completion, ShardedAcker};
 use dsdps::component::{Bolt, BoltOutput};
 use dsdps::grouping::dynamic::{DynamicGrouping, DynamicGroupingHandle, SplitRatio};
 use dsdps::grouping::{FieldsGrouping, Grouping, ShuffleGrouping};
@@ -191,7 +191,7 @@ proptest! {
         prop_assert_eq!(acker.pending_count(), 0);
         let outcomes = acker.drain_outcomes();
         prop_assert_eq!(outcomes.len(), 1);
-        prop_assert_eq!(outcomes[0].completion, dsdps::acker::Completion::Acked);
+        prop_assert_eq!(outcomes[0].completion, Completion::Acked);
     }
 
     /// After enough tuples the realized split converges to the commanded
@@ -658,8 +658,8 @@ proptest! {
 // --- wire codec (dist runtime) ------------------------------------------
 
 use dsdps::dist::codec::{
-    self, decode_frame, encode_frame, encode_frame_body, Dec, Frame, WireEmission, WireMetric,
-    WireResult, WireSpan, WireTuple,
+    self, decode_frame, encode_frame, encode_frame_body, AckItem, Dec, FlushReport, Frame,
+    WireMetric, WirePeer, WireSpan, WireTuple,
 };
 
 /// Scalar tuple values.  Floats stay finite so value equality is
@@ -730,79 +730,91 @@ fn wire_span() -> impl Strategy<Value = WireSpan> {
 }
 
 fn wire_metric() -> impl Strategy<Value = WireMetric> {
-    (0u8..2, "[a-z_]{1,24}", any::<u64>()).prop_map(|(kind, name, value)| WireMetric {
-        kind,
-        name,
-        value,
+    (
+        0u8..2,
+        "[a-z_]{1,24}",
+        prop_oneof![Just(None), (0u32..8).prop_map(Some)],
+        any::<u64>(),
+    )
+        .prop_map(|(kind, name, peer, value)| WireMetric {
+            kind,
+            name,
+            peer,
+            value,
+        })
+}
+
+fn ack_item() -> impl Strategy<Value = AckItem> {
+    (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(root, xor, failed)| AckItem {
+        root,
+        xor,
+        failed,
     })
 }
 
-fn wire_emission() -> impl Strategy<Value = WireEmission> {
-    (
-        0u32..16,
-        any::<bool>(),
-        prop_oneof![Just(None), (0u32..64).prop_map(Some)],
-        prop::collection::vec(wire_value(), 0..4),
-    )
-        .prop_map(|(stream, anchored, direct_task, values)| WireEmission {
-            stream,
-            anchored,
-            direct_task,
-            values,
-        })
+/// An endpoint string (the codec carries it opaquely; only the transport
+/// parses it).
+fn endpoint() -> impl Strategy<Value = String> {
+    "[a-z0-9:/.-]{0,40}"
 }
 
-fn wire_result() -> impl Strategy<Value = WireResult> {
-    (
-        any::<u64>(),
-        any::<bool>(),
-        any::<bool>(),
-        prop::collection::vec(wire_emission(), 0..3),
-    )
-        .prop_map(|(token, failed, deferred, emissions)| WireResult {
-            token,
-            failed,
-            deferred,
-            emissions,
-        })
+fn wire_peer() -> impl Strategy<Value = WirePeer> {
+    (0u32..8, 1u64..5, endpoint()).prop_map(|(slot, generation, endpoint)| WirePeer {
+        slot,
+        generation,
+        endpoint,
+    })
 }
 
 /// Every frame type of the wire protocol with arbitrary payloads.
 fn any_frame() -> BoxedStrategy<Frame> {
     prop_oneof![
-        (0u32..8, any::<u32>(), any::<u64>()).prop_map(|(worker, pid, clock_us)| Frame::Hello {
-            worker,
-            pid,
-            clock_us
-        }),
+        (0u32..8, any::<u32>(), any::<u64>(), endpoint()).prop_map(
+            |(worker, pid, clock_us, endpoint)| Frame::Hello {
+                worker,
+                pid,
+                clock_us,
+                endpoint,
+            }
+        ),
         (
-            0u32..8,
-            "[a-z]{1,10}",
-            "[a-z0-9:]{0,10}",
-            prop::collection::vec(0u32..64, 0..8),
-            0u8..3,
-            any::<u64>(),
-            (any::<u64>(), any::<u64>()),
-            (1u32..64, 1u32..32),
+            (0u32..8, 1u64..5, "[a-z]{1,10}", "[a-z0-9:]{0,10}"),
+            prop::collection::vec(prop_oneof![Just(u32::MAX), 0u32..8], 0..8),
+            prop::collection::vec(wire_peer(), 0..4),
+            (0u8..3, 0u32..16),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (1u32..32, 1u32..256, any::<u64>(), 0.0f64..=1.0),
         )
             .prop_map(
-                |(worker, topology, args, tasks, recovery, ckpt, (tick, push), (tc, sc))| {
+                |(
+                    (worker, generation, topology, args),
+                    task_slots,
+                    peers,
+                    (recovery, restores),
+                    (ckpt, tick, push),
+                    (stream_count, batch_size, credit_window, rate),
+                )| {
                     Frame::Assign {
                         worker,
+                        generation,
                         topology,
                         args,
-                        tasks,
+                        task_slots,
+                        peers,
                         recovery,
                         ckpt_interval_us: ckpt,
                         tick_interval_us: tick,
                         metrics_interval_us: push,
-                        task_count: tc,
-                        stream_count: sc,
+                        stream_count,
+                        batch_size,
+                        credit_window,
+                        trace_sample_bits: rate.to_bits(),
+                        restores,
                     }
                 },
             ),
         prop::collection::vec(wire_tuple(), 0..6).prop_map(|items| Frame::TupleBatch { items }),
-        prop::collection::vec(wire_result(), 0..4).prop_map(|items| Frame::ResultBatch { items }),
+        prop::collection::vec(ack_item(), 0..8).prop_map(|items| Frame::AckBatch { items }),
         (0u32..64, any::<u64>()).prop_map(|(task, amount)| Frame::CreditGrant { task, amount }),
         (
             0u32..64,
@@ -814,7 +826,8 @@ fn any_frame() -> BoxedStrategy<Frame> {
                 payload,
                 dedup,
             }),
-        prop::collection::vec(any::<u64>(), 0..8).prop_map(|tokens| Frame::AckFlush { tokens }),
+        (0u32..8, prop::collection::vec(0.0f64..1.0e6, 0..6))
+            .prop_map(|(edge, weights)| Frame::SetRatio { edge, weights }),
         (
             0u32..64,
             prop_oneof![
@@ -836,10 +849,26 @@ fn any_frame() -> BoxedStrategy<Frame> {
             }
         }),
         any::<u64>().prop_map(|seq| Frame::Flush { seq }),
-        any::<u64>().prop_map(|seq| Frame::Flushed { seq }),
+        (
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<i64>()),
+        )
+            .prop_map(
+                |((seq, in_flight, activity), (granted, consumed, revoked, outstanding))| {
+                    Frame::Flushed(FlushReport {
+                        seq,
+                        in_flight,
+                        activity,
+                        credits: dsdps::rt::CreditTotals {
+                            granted,
+                            consumed,
+                            revoked,
+                            outstanding,
+                        },
+                    })
+                }
+            ),
         Just(Frame::Shutdown),
-        (0u32..64, prop::collection::vec(wire_emission(), 0..4))
-            .prop_map(|(task, emissions)| Frame::TickEmissions { task, emissions }),
         (
             0u32..8,
             any::<u64>(),
@@ -933,6 +962,72 @@ proptest! {
         let body = &framed[framed.len() - d.remaining()..];
         prop_assert_eq!(len, body.len());
         prop_assert_eq!(decode_frame(body), Ok(frame));
+    }
+}
+
+/// One tuple tree as the mesh sees it: the XOR of its first-hop edges (what
+/// the coordinator registers) and one ack record per executed tuple — the
+/// tuple's own edge XOR the fresh edges of its anchored emissions.  Level 0
+/// is the spout's deliveries; every tuple of a level emits the next
+/// level's fan-out.
+fn xor_tree(fanouts: &[usize], edge_ids: &mut impl FnMut() -> u64) -> (u64, Vec<u64>) {
+    let mut frontier: Vec<u64> = (0..fanouts[0].max(1)).map(|_| edge_ids()).collect();
+    let registered = frontier.iter().fold(0, |acc, e| acc ^ e);
+    let mut records = Vec::new();
+    for &fanout in &fanouts[1..] {
+        let mut next = Vec::new();
+        for edge_in in frontier {
+            let children: Vec<u64> = (0..fanout).map(|_| edge_ids()).collect();
+            records.push(children.iter().fold(edge_in, |acc, e| acc ^ e));
+            next.extend(children);
+        }
+        frontier = next;
+    }
+    records.extend(frontier); // leaves emit nothing: the record is their own edge
+    (registered, records)
+}
+
+proptest! {
+    /// Workers send their ack records over independent connections, so the
+    /// coordinator applies them in whatever interleaving the reader threads
+    /// produce.  For every interleaving — here: any permutation, stronger
+    /// than any per-connection order — a tree is never complete before its
+    /// last record and always complete after it.
+    #[test]
+    fn xor_ack_records_complete_trees_exactly_at_the_last_record(
+        shapes in prop::collection::vec(prop::collection::vec(0usize..4, 1..5), 1..6),
+        seed in any::<u64>(),
+    ) {
+        use dsdps::acker::splitmix64;
+        let mut counter = seed;
+        let mut edge_ids = || {
+            counter = counter.wrapping_add(1);
+            splitmix64(counter) | 1 // nonzero
+        };
+        let ackers = ShardedAcker::new(4);
+        let mut left = Vec::new(); // records still to apply, per root
+        let mut all = Vec::new();
+        for (i, fanouts) in shapes.iter().enumerate() {
+            let root = i as u64 + 1;
+            let (registered, records) = xor_tree(fanouts, &mut edge_ids);
+            ackers.track(root, registered, TaskId(0), root, 0.0);
+            left.push(records.len());
+            all.extend(records.into_iter().map(|r| (root, r)));
+        }
+        // Fisher–Yates with the same deterministic generator.
+        for i in (1..all.len()).rev() {
+            all.swap(i, (edge_ids() % (i as u64 + 1)) as usize);
+        }
+        let mut done = 0;
+        for (root, record) in all {
+            ackers.on_ack(root, record, 1.0);
+            left[root as usize - 1] -= 1;
+            done += usize::from(left[root as usize - 1] == 0);
+            prop_assert_eq!(ackers.pending_count(), shapes.len() - done);
+        }
+        let outcomes = ackers.drain_outcomes_blocking();
+        prop_assert_eq!(outcomes.len(), shapes.len());
+        prop_assert!(outcomes.iter().all(|o| o.completion == Completion::Acked));
     }
 }
 
