@@ -312,7 +312,7 @@ fn bench_lstm(res: &mut MicroResults, target: Duration) {
             || {
                 layer.forward_into(&xs, &mut hs, &mut cache);
                 layer.zero_grads();
-                layer.backward_into(&xs, &hs, &cache, &dhs, &mut dxs);
+                layer.backward_into(&xs, &hs, &cache, &dhs, Some(&mut dxs));
                 dxs.last().unwrap().get(0, 0)
             },
         );

@@ -22,7 +22,7 @@ use drnn::model::{Drnn, DrnnConfig};
 use drnn::train::{train, TrainConfig};
 
 use crate::error::{Error, Result};
-use crate::features::{series_for_worker, FeatureSpec};
+use crate::features::{extract, series_for_worker, FeatureSpec};
 
 /// A model predicting per-worker performance from runtime history.
 pub trait PerformancePredictor: Send {
@@ -113,20 +113,16 @@ impl DrnnPredictor {
         self.report.as_ref()
     }
 
-    /// Builds normalized training samples pooled over `workers`.
+    /// Builds normalized training samples pooled over the per-worker
+    /// `(features, targets)` series.
     fn build_samples(
         &self,
-        history: &[&MetricsSnapshot],
-        workers: &[WorkerId],
+        series: &[(Vec<Vec<f64>>, Vec<f64>)],
         norm: &Normalizer,
     ) -> Vec<Sample> {
         let mut samples = Vec::new();
-        for &w in workers {
-            let (features, targets) = series_for_worker(&self.config.features, history, w);
-            if features.is_empty() {
-                continue;
-            }
-            let features = norm.transform(&features);
+        for (features, targets) in series {
+            let features = norm.transform(features);
             let targets: Vec<f64> = targets
                 .iter()
                 .map(|t| (t - self.target_mean) / self.target_std)
@@ -151,14 +147,14 @@ impl PerformancePredictor for DrnnPredictor {
                 got: history.len(),
             });
         }
+        // One extraction per worker feeds the scalers and the windows.
+        let series: Vec<_> = workers
+            .iter()
+            .map(|&w| series_for_worker(&self.config.features, history, w))
+            .collect();
         // Fit the feature normalizer and target scaler on the pooled data.
-        let mut all_features: Vec<Vec<f64>> = Vec::new();
-        let mut all_targets: Vec<f64> = Vec::new();
-        for &w in workers {
-            let (f, t) = series_for_worker(&self.config.features, history, w);
-            all_features.extend(f);
-            all_targets.extend(t);
-        }
+        let all_features: Vec<Vec<f64>> = series.iter().flat_map(|s| s.0.iter().cloned()).collect();
+        let all_targets: Vec<f64> = series.iter().flat_map(|s| s.1.iter().copied()).collect();
         if all_features.is_empty() {
             return Err(Error::NotEnoughHistory { needed, got: 0 });
         }
@@ -171,7 +167,7 @@ impl PerformancePredictor for DrnnPredictor {
             / all_targets.len() as f64;
         self.target_std = var.sqrt().max(1e-9);
 
-        let samples = self.build_samples(history, workers, &norm);
+        let samples = self.build_samples(&series, &norm);
         if samples.is_empty() {
             return Err(Error::NotEnoughHistory {
                 needed,
@@ -196,14 +192,23 @@ impl PerformancePredictor for DrnnPredictor {
     fn predict(&self, history: &[&MetricsSnapshot], worker: WorkerId) -> Option<f64> {
         let model = self.model.as_ref()?;
         let norm = self.feature_norm.as_ref()?;
-        let (features, _) = series_for_worker(&self.config.features, history, worker);
-        if features.len() < self.config.lookback {
+        // The window is the last `lookback` snapshots that know the worker:
+        // walk back from the end and stop there, whatever the history length.
+        let mut window: Vec<Vec<f64>> = history
+            .iter()
+            .rev()
+            .filter_map(|snap| extract(&self.config.features, snap, worker))
+            .take(self.config.lookback)
+            .collect();
+        if window.len() < self.config.lookback {
             return None;
         }
-        let tail = &features[features.len() - self.config.lookback..];
-        let tail = norm.transform(tail);
+        window.reverse();
+        window
+            .iter_mut()
+            .for_each(|row| norm.transform_in_place(row));
         let sample = Sample {
-            window: tail,
+            window,
             target: vec![0.0],
         };
         let (xs, _) = drnn::data::batch_to_matrices(&[&sample]);
@@ -523,6 +528,29 @@ pub(crate) mod tests {
         // Unknown worker: prediction must not panic (the gap-filled feature
         // series is empty, so it returns None).
         assert!(p.predict(&refs(&history), WorkerId(7)).is_none());
+    }
+
+    #[test]
+    fn drnn_predict_reads_only_the_last_lookback_snapshots() {
+        let history = synth_history(300);
+        let mut p = quick_drnn(1);
+        p.fit(&refs(&history[..250]), &[WorkerId(0), WorkerId(1)])
+            .unwrap();
+        let lookback = p.config().lookback;
+        for end in [lookback, 120, 300] {
+            let long = p.predict(&refs(&history[..end]), WorkerId(1)).unwrap();
+            let tail = p.predict(&refs(&history[end - lookback..end]), WorkerId(1));
+            assert_eq!(Some(long), tail, "history of {end}");
+        }
+        // Snapshots that do not know the worker are skipped, not counted.
+        let mut gappy = history[..100].to_vec();
+        gappy[95].workers.retain(|w| w.worker != WorkerId(1));
+        let full = p.predict(&refs(&gappy), WorkerId(1)).unwrap();
+        let tail = p.predict(&refs(&gappy[100 - lookback - 1..]), WorkerId(1));
+        assert_eq!(Some(full), tail);
+        assert!(p
+            .predict(&refs(&gappy[100 - lookback..]), WorkerId(1))
+            .is_none());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Activation functions and their derivatives.
 
+use crate::kernel;
 use crate::matrix::Matrix;
 
 /// Logistic sigmoid, numerically stable on both tails.
@@ -49,7 +50,8 @@ pub fn drelu(x: f64) -> f64 {
 // LSTM forward over seq 16 × batch 32 × hidden 64 makes ~160k such calls,
 // which puts the transcendentals on par with the GEMMs.  The kernels below
 // are branch-free (clamp + Cephes-style Padé after ln2 range reduction), so
-// the loops in `sigmoid_slice`/`tanh_slice` auto-vectorize.  Absolute error
+// the loops in `sigmoid_slice`/`tanh_slice` auto-vectorize (four lanes wide
+// under `kernel::wide` on AVX2 hosts, with the same bits).  Absolute error
 // is ~1e-16 — far below the 1e-4 tolerance of the finite-difference
 // gradient checks, and consistent across forward/backward since both sides
 // evaluate the same function.
@@ -86,18 +88,28 @@ fn exp_fast(x: f64) -> f64 {
 
 /// In-place sigmoid over a slice (vectorizing batch form of [`sigmoid`]).
 pub fn sigmoid_slice(xs: &mut [f64]) {
-    for x in xs {
-        let e = exp_fast(-*x);
-        *x = 1.0 / (1.0 + e);
-    }
+    kernel::wide(
+        #[inline(always)]
+        || {
+            for x in xs {
+                let e = exp_fast(-*x);
+                *x = 1.0 / (1.0 + e);
+            }
+        },
+    )
 }
 
 /// In-place tanh over a slice (vectorizing batch form of `f64::tanh`).
 pub fn tanh_slice(xs: &mut [f64]) {
-    for x in xs {
-        let e = exp_fast(2.0 * *x);
-        *x = (e - 1.0) / (e + 1.0);
-    }
+    kernel::wide(
+        #[inline(always)]
+        || {
+            for x in xs {
+                let e = exp_fast(2.0 * *x);
+                *x = (e - 1.0) / (e + 1.0);
+            }
+        },
+    )
 }
 
 /// Element-wise sigmoid of a matrix.

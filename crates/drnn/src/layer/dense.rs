@@ -29,6 +29,7 @@ pub struct DenseCache {
 #[derive(Debug, Clone, Default)]
 struct DenseScratch {
     dpre: Matrix,
+    wt: Matrix,
 }
 
 /// A dense layer `y = act(x·W + b)`.
@@ -134,11 +135,11 @@ impl DenseLayer {
         dx
     }
 
-    /// Backward pass into a caller-owned `dx` buffer; transpose-free GEMMs
-    /// and reusable scratch throughout.
+    /// Backward pass into a caller-owned `dx` buffer; reusable scratch
+    /// throughout.
     pub fn backward_into(&mut self, x: &Matrix, cache: &DenseCache, dy: &Matrix, dx: &mut Matrix) {
         self.ensure_grads();
-        let dpre = &mut self.scratch.dpre;
+        let DenseScratch { dpre, wt } = &mut self.scratch;
         dpre.copy_from(dy);
         if self.activation == DenseActivation::Relu {
             let pre = cache.pre.as_ref().expect("relu cache");
@@ -148,7 +149,8 @@ impl DenseLayer {
         }
         x.matmul_at_b_into(dpre, self.gw.as_mut().unwrap());
         dpre.col_sums_add_into(self.gb.as_mut().unwrap());
-        dpre.matmul_a_bt_into(&self.w, dx);
+        self.w.transpose_into(wt);
+        dpre.matmul_into(wt, dx);
     }
 }
 

@@ -13,9 +13,10 @@
 //!
 //! Like the LSTM, the hot path activates gates in place on the fused
 //! preactivation buffer, reuses every per-step buffer across batches, and
-//! backpropagates with the transpose-free GEMM variants — the only copies
-//! left are the cheap block moves that assemble the fused `[z|r|n]` /
-//! `[z|r]` gradient buffers for the fused weight GEMMs.
+//! backpropagates on weights transposed once per call (`d· = da·Wᵀ` is then
+//! a plain product) — the only copies left are the cheap block moves that
+//! assemble the fused `[z|r|n]` / `[z|r]` gradient buffers for the fused
+//! weight GEMMs.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -61,6 +62,9 @@ struct GruScratch {
     da_n: Matrix,
     da_zr: Matrix,
     drh: Matrix,
+    wxt: Matrix,
+    whzrt: Matrix,
+    whnt: Matrix,
 }
 
 /// A GRU layer.
@@ -266,19 +270,20 @@ impl GruLayer {
         dhs: &[Matrix],
     ) -> Vec<Matrix> {
         let mut dxs = Vec::new();
-        self.backward_into(xs, hs, cache, dhs, &mut dxs);
+        self.backward_into(xs, hs, cache, dhs, Some(&mut dxs));
         dxs
     }
 
-    /// BPTT into a caller-owned `dxs` buffer; scratch is reused across
-    /// calls.
+    /// BPTT with scratch reused across calls.  `∂L/∂x_t` goes into the
+    /// caller-owned `dxs` buffer; a caller with no use for it passes `None`
+    /// and its products are not computed.
     pub fn backward_into(
         &mut self,
         xs: &[Matrix],
         hs: &[Matrix],
         cache: &GruCache,
         dhs: &[Matrix],
-        dxs: &mut Vec<Matrix>,
+        mut dxs: Option<&mut Vec<Matrix>>,
     ) {
         assert_eq!(cache.len, dhs.len(), "cache/grad length mismatch");
         assert_eq!(cache.len, xs.len(), "cache/input length mismatch");
@@ -286,10 +291,16 @@ impl GruLayer {
         self.ensure_grads();
         let h_dim = self.hidden;
         let batch = cache.batch;
-        ensure_seq(dxs, cache.len);
 
         let s = &mut self.scratch;
         s.dh_next.resize_zeroed(batch, h_dim);
+        // d· = da · Wᵀ at every step: transpose the weights once.
+        self.whn.transpose_into(&mut s.whnt);
+        self.whzr.transpose_into(&mut s.whzrt);
+        if let Some(dxs) = dxs.as_deref_mut() {
+            ensure_seq(dxs, cache.len);
+            self.wx.transpose_into(&mut s.wxt);
+        }
 
         for t in (0..cache.len).rev() {
             let gates = &cache.gates[t];
@@ -322,7 +333,7 @@ impl GruLayer {
 
             if t > 0 {
                 // Candidate gate: drh = da_n·Whnᵀ; gWhn += rhᵀ·da_n.
-                s.da_n.matmul_a_bt_into(&self.whn, &mut s.drh);
+                s.da_n.matmul_into(&s.whnt, &mut s.drh);
                 cache.rh[t].matmul_at_b_into(&s.da_n, self.gwhn.as_mut().unwrap());
 
                 // rh = r ∘ h_prev: dr = drh ∘ h_prev, dh_prev += drh ∘ r.
@@ -343,7 +354,7 @@ impl GruLayer {
 
                 // h-side z/r parameters and state gradient.
                 hs[t - 1].matmul_at_b_into(&s.da_zr, self.gwhzr.as_mut().unwrap());
-                s.da_zr.matmul_a_bt_add_into(&self.whzr, &mut s.dh_next);
+                s.da_zr.matmul_add_into(&s.whzrt, &mut s.dh_next);
             } else {
                 // h_prev = 0: dr ≡ 0 and every h-side product vanishes.
                 for r in 0..batch {
@@ -354,7 +365,9 @@ impl GruLayer {
             // x-side parameters and input gradient from the fused block.
             xs[t].matmul_at_b_into(&s.da, self.gwx.as_mut().unwrap());
             s.da.col_sums_add_into(self.gb.as_mut().unwrap());
-            s.da.matmul_a_bt_into(&self.wx, &mut dxs[t]);
+            if let Some(dxs) = dxs.as_deref_mut() {
+                s.da.matmul_into(&s.wxt, &mut dxs[t]);
+            }
         }
     }
 }

@@ -17,9 +17,12 @@
 //! preactivation buffer (the cache stores activated gates, which is all
 //! backward needs), and every per-step buffer lives in the reusable
 //! [`LstmCache`] / layer scratch so steady-state training allocates
-//! nothing.  Backward uses the transpose-free GEMM variants
-//! (`matmul_at_b_into` for `gW += xᵀ·da`, `matmul_a_bt_into` for
-//! `dx = da·Wᵀ`), so no transpose is ever materialized.
+//! nothing.  Everything after a step's two GEMMs — bias, activations, `c_t`,
+//! `tanh(c_t)`, `h_t` — is one pass over each row.  Backward transposes `Wx`
+//! and `Wh` once per call into scratch (they are constant across the steps)
+//! so `dx = da·Wᵀ` is a plain product, uses `matmul_at_b_into` for
+//! `gW += xᵀ·da`, and skips `dx` altogether when the caller has no use for
+//! it (the bottom layer of a stack).
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -63,6 +66,50 @@ struct LstmScratch {
     dh_next: Matrix,
     dc_next: Matrix,
     da: Matrix,
+    wxt: Matrix,
+    wht: Matrix,
+}
+
+/// Everything a step does after its GEMMs, as one pass over a batch row
+/// while it is in L1: bias, then σ on `[i|f]`, tanh on `g`, σ on `o` in place
+/// on the pre-activation row `a` (the cache keeps activated gates), then
+/// `c = f ∘ c_prev + i ∘ g` (`c_prev = 0` at the first step),
+/// `tc = tanh(c)` and `h = o ∘ tc`.
+fn cell_row(
+    a: &mut [f64],
+    bias: &[f64],
+    c_prev: Option<&[f64]>,
+    c: &mut [f64],
+    tc: &mut [f64],
+    h: &mut [f64],
+) {
+    let h_dim = h.len();
+    for (v, b) in a.iter_mut().zip(bias) {
+        *v += b;
+    }
+    let (i_f, g_o) = a.split_at_mut(2 * h_dim);
+    let (g, o) = g_o.split_at_mut(h_dim);
+    sigmoid_slice(i_f);
+    tanh_slice(g);
+    sigmoid_slice(o);
+    let (i, f) = i_f.split_at(h_dim);
+    match c_prev {
+        Some(c_prev) => {
+            for ((((c, f), cp), i), g) in c.iter_mut().zip(f).zip(c_prev).zip(i).zip(&*g) {
+                *c = f * cp + i * g;
+            }
+        }
+        None => {
+            for ((c, i), g) in c.iter_mut().zip(i).zip(&*g) {
+                *c = i * g;
+            }
+        }
+    }
+    tc.copy_from_slice(c);
+    tanh_slice(tc);
+    for ((h, o), tc) in h.iter_mut().zip(&*o).zip(&*tc) {
+        *h = o * tc;
+    }
 }
 
 /// An LSTM layer.
@@ -173,62 +220,27 @@ impl LstmLayer {
             assert_eq!(x.cols(), self.input, "input width mismatch");
             assert_eq!(x.rows(), batch, "batch size changed mid-sequence");
 
-            // a = bias ⊕ x·Wx ⊕ h_prev·Wh, built in place.
+            // a = x·Wx ⊕ h_prev·Wh (the bias joins in the row pass below).
             let a = &mut cache.gates[t];
-            a.resize_uninit(batch, 4 * h_dim);
-            for r in 0..batch {
-                a.row_mut(r).copy_from_slice(self.b.row(0));
-            }
-            x.matmul_add_into(&self.wx, a);
+            x.matmul_into(&self.wx, a);
+            let (h_head, h_tail) = hs.split_at_mut(t);
             if t > 0 {
                 // h_0 is the zero matrix: its GEMM is skipped entirely.
-                let (prev, _) = hs.split_at(t);
-                prev[t - 1].matmul_add_into(&self.wh, a);
+                h_head[t - 1].matmul_add_into(&self.wh, a);
             }
 
-            // Activate the fused block in place: σ on [i|f], tanh on g,
-            // σ on o.
-            for r in 0..batch {
-                let row = a.row_mut(r);
-                let (ifg, o) = row.split_at_mut(3 * h_dim);
-                let (i_f, g) = ifg.split_at_mut(2 * h_dim);
-                sigmoid_slice(i_f);
-                tanh_slice(g);
-                sigmoid_slice(o);
-            }
-
-            // c_t = f ∘ c_prev + i ∘ g   (c_prev = 0 at t = 0)
             let (c_head, c_tail) = cache.c.split_at_mut(t);
+            let c_prev = c_head.last();
             let c_t = &mut c_tail[0];
             c_t.resize_uninit(batch, h_dim);
-            for r in 0..batch {
-                let arow = a.row(r);
-                let crow = c_t.row_mut(r);
-                if t > 0 {
-                    let cprev = c_head[t - 1].row(r);
-                    for j in 0..h_dim {
-                        crow[j] = arow[h_dim + j] * cprev[j] + arow[j] * arow[2 * h_dim + j];
-                    }
-                } else {
-                    for j in 0..h_dim {
-                        crow[j] = arow[j] * arow[2 * h_dim + j];
-                    }
-                }
-            }
-
-            // tanh(c_t), then h_t = o ∘ tanh(c_t).
             let tc = &mut cache.tanh_c[t];
-            tc.copy_from(c_t);
-            tanh_slice(tc.as_mut_slice());
-            let h_t = &mut hs[t];
+            tc.resize_uninit(batch, h_dim);
+            let h_t = &mut h_tail[0];
             h_t.resize_uninit(batch, h_dim);
             for r in 0..batch {
-                let arow = a.row(r);
-                let tcrow = tc.row(r);
-                let hrow = h_t.row_mut(r);
-                for j in 0..h_dim {
-                    hrow[j] = arow[3 * h_dim + j] * tcrow[j];
-                }
+                let c_prev = c_prev.map(|c| c.row(r));
+                let (c, tc, h) = (c_t.row_mut(r), tc.row_mut(r), h_t.row_mut(r));
+                cell_row(a.row_mut(r), self.b.row(0), c_prev, c, tc, h);
             }
         }
     }
@@ -246,19 +258,21 @@ impl LstmLayer {
         dhs: &[Matrix],
     ) -> Vec<Matrix> {
         let mut dxs = Vec::new();
-        self.backward_into(xs, hs, cache, dhs, &mut dxs);
+        self.backward_into(xs, hs, cache, dhs, Some(&mut dxs));
         dxs
     }
 
-    /// BPTT into a caller-owned `dxs` buffer; all gradient-flow scratch is
-    /// reused across calls.
+    /// BPTT with all gradient-flow scratch reused across calls.  `∂L/∂x_t`
+    /// goes into the caller-owned `dxs` buffer; a caller with no use for it
+    /// (nothing below this layer) passes `None` and its products are not
+    /// computed.
     pub fn backward_into(
         &mut self,
         xs: &[Matrix],
         hs: &[Matrix],
         cache: &LstmCache,
         dhs: &[Matrix],
-        dxs: &mut Vec<Matrix>,
+        mut dxs: Option<&mut Vec<Matrix>>,
     ) {
         assert_eq!(cache.len, dhs.len(), "cache/grad length mismatch");
         assert_eq!(cache.len, xs.len(), "cache/input length mismatch");
@@ -266,11 +280,16 @@ impl LstmLayer {
         self.ensure_grads();
         let h_dim = self.hidden;
         let batch = cache.batch;
-        ensure_seq(dxs, cache.len);
 
         let s = &mut self.scratch;
         s.dh_next.resize_zeroed(batch, h_dim);
         s.dc_next.resize_zeroed(batch, h_dim);
+        // d· = da · Wᵀ at every step: transpose the weights once.
+        self.wh.transpose_into(&mut s.wht);
+        if let Some(dxs) = dxs.as_deref_mut() {
+            ensure_seq(dxs, cache.len);
+            self.wx.transpose_into(&mut s.wxt);
+        }
 
         for t in (0..cache.len).rev() {
             let gates = &cache.gates[t];
@@ -322,14 +341,15 @@ impl LstmLayer {
 
             // Transpose-free parameter gradients: gW += inputᵀ · da.
             xs[t].matmul_at_b_into(&s.da, self.gwx.as_mut().unwrap());
-            if t > 0 {
-                hs[t - 1].matmul_at_b_into(&s.da, self.gwh.as_mut().unwrap());
-            }
             s.da.col_sums_add_into(self.gb.as_mut().unwrap());
-
-            // Transpose-free input/state gradients: d· = da · Wᵀ.
-            s.da.matmul_a_bt_into(&self.wx, &mut dxs[t]);
-            s.da.matmul_a_bt_into(&self.wh, &mut s.dh_next);
+            if let Some(dxs) = dxs.as_deref_mut() {
+                s.da.matmul_into(&s.wxt, &mut dxs[t]);
+            }
+            if t == 0 {
+                break; // h_0 = c_0 = 0: nothing flows further back.
+            }
+            hs[t - 1].matmul_at_b_into(&s.da, self.gwh.as_mut().unwrap());
+            s.da.matmul_into(&s.wht, &mut s.dh_next);
 
             // dc_next = dc ∘ f
             s.dc_next.resize_uninit(batch, h_dim);
@@ -409,20 +429,62 @@ mod tests {
         assert!(diff > 1e-4, "hidden state ignored history (diff {diff})");
     }
 
+    /// The forward pass one public matrix/slice operation at a time, in the
+    /// fused pass's operation order — the reference for [`cell_row`].
+    fn unfused_forward(layer: &LstmLayer, xs: &[Matrix]) -> Vec<Matrix> {
+        use crate::activation::{sigmoid_slice, tanh_slice};
+        let (batch, h) = (xs[0].rows(), layer.hidden);
+        let mut hs: Vec<Matrix> = Vec::new();
+        let mut c_prev: Option<Matrix> = None;
+        for x in xs {
+            let mut a = x.matmul(&layer.wx);
+            if let Some(h_prev) = hs.last() {
+                h_prev.matmul_add_into(&layer.wh, &mut a);
+            }
+            a.add_row_in_place(layer.b.row(0));
+            let mut c = Matrix::zeros(batch, h);
+            for r in 0..batch {
+                let row = a.row_mut(r);
+                sigmoid_slice(&mut row[..2 * h]);
+                tanh_slice(&mut row[2 * h..3 * h]);
+                sigmoid_slice(&mut row[3 * h..]);
+                for j in 0..h {
+                    let ig = row[j] * row[2 * h + j];
+                    let v = match &c_prev {
+                        Some(cp) => row[h + j] * cp.get(r, j) + ig,
+                        None => ig,
+                    };
+                    c.set(r, j, v);
+                }
+            }
+            let mut tc = c.clone();
+            tanh_slice(tc.as_mut_slice());
+            hs.push(a.cols_slice(3 * h, 4 * h).hadamard(&tc));
+            c_prev = Some(c);
+        }
+        hs
+    }
+
     #[test]
-    fn reused_buffers_match_fresh_forward() {
+    fn reused_buffers_match_fresh_and_unfused_forward() {
         // Same layer, shrinking then growing batch/sequence: reused cache
-        // buffers must give bit-identical results to a fresh forward.
-        let layer = make(3, 4, 7);
-        let mut hs = Vec::new();
-        let mut cache = LstmCache::default();
-        for (t, b) in [(4usize, 3usize), (2, 1), (5, 4)] {
-            let xs = seq(t, b, 3, 1.0);
-            layer.forward_into(&xs, &mut hs, &mut cache);
-            let (fresh, _) = layer.forward(&xs);
-            assert_eq!(hs.len(), fresh.len());
-            for (a, b) in hs.iter().zip(&fresh) {
-                assert_eq!(a, b);
+        // buffers must give bit-identical results to a fresh forward, and
+        // the fused row pass to the unfused reference.  Hidden 5 and 32
+        // leave and fill the vector lanes; batch 1 is the inference shape.
+        for hidden in [5, 32] {
+            let layer = make(3, hidden, 7);
+            let mut hs = Vec::new();
+            let mut cache = LstmCache::default();
+            for (t, b) in [(4usize, 3usize), (2, 1), (5, 4), (3, 33), (1, 2)] {
+                let xs = seq(t, b, 3, 1.0);
+                layer.forward_into(&xs, &mut hs, &mut cache);
+                let (fresh, _) = layer.forward(&xs);
+                assert_eq!(hs, fresh, "hidden {hidden} seq {t} batch {b}");
+                assert_eq!(
+                    hs,
+                    unfused_forward(&layer, &xs),
+                    "hidden {hidden} seq {t} batch {b}"
+                );
             }
         }
     }

@@ -131,18 +131,19 @@ impl Recurrent {
         dhs: &[Matrix],
     ) -> Vec<Matrix> {
         let mut dxs = Vec::new();
-        self.backward_into(xs, hs, cache, dhs, &mut dxs);
+        self.backward_into(xs, hs, cache, dhs, Some(&mut dxs));
         dxs
     }
 
-    /// BPTT backward pass into a caller-owned `dxs` buffer.
+    /// BPTT backward pass; `∂L/∂x_t` goes into the caller-owned `dxs`
+    /// buffer, or is not computed when the caller passes `None`.
     pub fn backward_into(
         &mut self,
         xs: &[Matrix],
         hs: &[Matrix],
         cache: &RecurrentCache,
         dhs: &[Matrix],
-        dxs: &mut Vec<Matrix>,
+        dxs: Option<&mut Vec<Matrix>>,
     ) {
         match (self, cache) {
             (Recurrent::Lstm(l), RecurrentCache::Lstm(c)) => l.backward_into(xs, hs, c, dhs, dxs),

@@ -4,7 +4,9 @@
 //! IPDPS 2019 paper's performance predictor, plus everything needed to
 //! train it, with no external ML dependencies:
 //!
-//! * [`matrix`] — dense `f64` linear algebra with rayon-parallel GEMM;
+//! * [`matrix`] — dense `f64` linear algebra; every product runs on one
+//!   register-tiled GEMM micro-kernel (AVX2+FMA when the CPU has it,
+//!   chosen at run time), rayon-parallel for large shapes;
 //! * [`layer`] — LSTM and GRU cells (fused-gate GEMM formulation) and a
 //!   dense head, all with exact BPTT gradients (finite-difference checked
 //!   in the test suite);
@@ -48,6 +50,7 @@
 pub mod activation;
 pub mod data;
 pub mod init;
+mod kernel;
 pub mod layer;
 pub mod loss;
 pub mod matrix;

@@ -1,15 +1,19 @@
 //! Dense row-major `f64` matrices with the operations a recurrent network
-//! needs: cache-blocked GEMM (rayon-parallel for large shapes) with fused
-//! accumulate-into variants, transpose-free `AᵀB` / `ABᵀ` products for BPTT,
-//! blocked transpose, broadcast row addition, element-wise maps and
-//! reductions.
+//! needs: the GEMM family (`A·B`, `Aᵀ·B`, `A·Bᵀ`, each overwriting or
+//! accumulating, rayon-parallel over row bands for large shapes), blocked
+//! transpose, broadcast row addition, element-wise maps and reductions.
 //!
-//! The GEMM family is written around caller-owned output buffers
-//! (`matmul_into` / `matmul_add_into`) so hot loops — LSTM/GRU steps, BPTT —
-//! run allocation-free; the allocating `matmul` is a thin wrapper.
+//! Every product runs on the one register-tiled micro-kernel in
+//! [`crate::kernel`]; this module only checks shapes, describes the operands
+//! to it and splits large outputs into bands.  The products are written
+//! around caller-owned output buffers (`matmul_into` / `matmul_add_into`) so
+//! hot loops — LSTM/GRU steps, BPTT — run allocation-free; the allocating
+//! `matmul` is a thin wrapper.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+use crate::kernel::Gemm;
 
 /// Row-major dense matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,130 +30,34 @@ impl Default for Matrix {
     }
 }
 
-/// GEMM goes parallel when the multiply-add count `m·n·k` reaches this
-/// threshold (per the HPC guides: parallelism must pay for its overhead;
-/// with the persistent pool a fork-join costs a few µs, so ~256k FLOPs is
-/// the break-even on this container).
-const PAR_FLOP_THRESHOLD: usize = 128 * 128 * 16;
-
-/// K-panel size for the blocked GEMM kernel: a `KC × n` panel of B
-/// (`KC * 8 * n` bytes) stays L1/L2-resident while `KC` rank-1 updates are
-/// applied to each output row.
-const KC: usize = 64;
-
-/// Column-panel size: output and B rows are processed `NC` columns at a
-/// time so one output row segment (8·NC bytes) stays register/L1 friendly
-/// even for wide matrices.
-const NC: usize = 512;
+/// A product goes parallel when its multiply-add count `m·k·n` reaches this
+/// threshold: ≈ 250 µs of serial kernel time, ≈ 16 of the ≈ 15 µs fork-joins
+/// measured on the 2-core reference host.  Below it banding loses or gains
+/// under 20 %; above it wins (DESIGN.md §9 has the measurements).
+const PAR_FLOP_THRESHOLD: usize = 1 << 22;
 
 /// Tile edge for the blocked transpose (32×32 f64 tiles = two 4 KiB pages,
 /// touching 32 cache lines per side — fits L1 comfortably).
 const TRANSPOSE_TILE: usize = 32;
 
-/// Serial blocked GEMM band: `out[r] += A[r] · B` for `r in 0..band_rows`,
-/// where `A` is `(band_rows×k)`, `B` is `(k×n)` and `out` holds `band_rows`
-/// rows of width `n`.
-///
-/// Register-blocked 2×4 micro-kernel inside k/j cache blocks: two output
-/// rows are updated together so each B-row load feeds two FMA chains, and
-/// k is unrolled ×4 to amortize the output-row load/store over four rank-1
-/// updates.  All inner loops are unit-stride zips (bounds checks elide,
-/// bodies auto-vectorize).
-fn gemm_band(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], band_rows: usize) {
-    for jb in (0..n).step_by(NC) {
-        let jw = NC.min(n - jb);
-        for kb in (0..k).step_by(KC) {
-            let kend = KC.min(k - kb) + kb;
-            let mut r = 0;
-            // Paired-row micro-kernel.
-            while r + 2 <= band_rows {
-                let a0_row = &a[r * k..(r + 1) * k];
-                let a1_row = &a[(r + 1) * k..(r + 2) * k];
-                let (head, tail) = out[r * n..].split_at_mut(n);
-                let out0 = &mut head[jb..jb + jw];
-                let out1 = &mut tail[jb..jb + jw];
-                let mut ki = kb;
-                while ki + 4 <= kend {
-                    let (p0, p1, p2, p3) =
-                        (a0_row[ki], a0_row[ki + 1], a0_row[ki + 2], a0_row[ki + 3]);
-                    let (q0, q1, q2, q3) =
-                        (a1_row[ki], a1_row[ki + 1], a1_row[ki + 2], a1_row[ki + 3]);
-                    let b0 = &b[ki * n + jb..ki * n + jb + jw];
-                    let b1 = &b[(ki + 1) * n + jb..(ki + 1) * n + jb + jw];
-                    let b2 = &b[(ki + 2) * n + jb..(ki + 2) * n + jb + jw];
-                    let b3 = &b[(ki + 3) * n + jb..(ki + 3) * n + jb + jw];
-                    for (((((o0, o1), &v0), &v1), &v2), &v3) in out0
-                        .iter_mut()
-                        .zip(out1.iter_mut())
-                        .zip(b0)
-                        .zip(b1)
-                        .zip(b2)
-                        .zip(b3)
-                    {
-                        *o0 += p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3;
-                        *o1 += q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3;
-                    }
-                    ki += 4;
-                }
-                while ki < kend {
-                    let (p, q) = (a0_row[ki], a1_row[ki]);
-                    let b_row = &b[ki * n + jb..ki * n + jb + jw];
-                    for ((o0, o1), &bv) in out0.iter_mut().zip(out1.iter_mut()).zip(b_row) {
-                        *o0 += p * bv;
-                        *o1 += q * bv;
-                    }
-                    ki += 1;
-                }
-                r += 2;
-            }
-            // Remainder row.
-            if r < band_rows {
-                let a_row = &a[r * k..(r + 1) * k];
-                let out_row = &mut out[r * n + jb..r * n + jb + jw];
-                let mut ki = kb;
-                while ki + 4 <= kend {
-                    let (p0, p1, p2, p3) = (a_row[ki], a_row[ki + 1], a_row[ki + 2], a_row[ki + 3]);
-                    let b0 = &b[ki * n + jb..ki * n + jb + jw];
-                    let b1 = &b[(ki + 1) * n + jb..(ki + 1) * n + jb + jw];
-                    let b2 = &b[(ki + 2) * n + jb..(ki + 2) * n + jb + jw];
-                    let b3 = &b[(ki + 3) * n + jb..(ki + 3) * n + jb + jw];
-                    for ((((o, &v0), &v1), &v2), &v3) in
-                        out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                    {
-                        *o += p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3;
-                    }
-                    ki += 4;
-                }
-                while ki < kend {
-                    let av = a_row[ki];
-                    let b_row = &b[ki * n + jb..ki * n + jb + jw];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                    ki += 1;
-                }
-            }
-        }
+/// `out (+)= A·B` on the micro-kernel, banded over output rows across the
+/// pool when the product is large enough to pay for a fork-join.  Bands are
+/// multiples of the kernel's 4-row tile, and every output element is the
+/// same sequential chain in any band, so the result does not depend on the
+/// thread count.
+fn product(g: Gemm<'_>, out: &mut [f64]) {
+    if g.m * g.k * g.n < PAR_FLOP_THRESHOLD {
+        return g.run(out);
     }
-}
-
-/// Dot product with four accumulators (keeps the FMA pipeline full and
-/// gives the vectorizer independent chains).
-#[inline]
-fn dot(x: &[f64], y: &[f64]) -> f64 {
-    let n4 = x.len() & !3;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    for (cx, cy) in x[..n4].chunks_exact(4).zip(y[..n4].chunks_exact(4)) {
-        s0 += cx[0] * cy[0];
-        s1 += cx[1] * cy[1];
-        s2 += cx[2] * cy[2];
-        s3 += cx[3] * cy[3];
-    }
-    let mut tail = 0.0;
-    for (a, b) in x[n4..].iter().zip(&y[n4..]) {
-        tail += a * b;
-    }
-    (s0 + s1) + (s2 + s3) + tail
+    let threads = rayon::current_num_threads();
+    let band = g.m.div_ceil(2 * threads).next_multiple_of(4);
+    out.par_chunks_mut(band * g.n)
+        .enumerate()
+        .for_each(|(bi, out)| {
+            let m = out.len() / g.n;
+            let a = &g.a[bi * band * g.ars..];
+            Gemm { m, a, ..g }.run(out)
+        });
 }
 
 impl Matrix {
@@ -262,54 +170,54 @@ impl Matrix {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// `out = self · rhs` into a caller-owned buffer (resized as needed).
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.resize_zeroed(self.rows, rhs.cols);
-        self.matmul_add_into(rhs, out);
-    }
-
-    /// `out += self · rhs` — the fused GEMM kernel.  Cache-blocked over k
-    /// and the output columns; parallel over output row bands when the
-    /// FLOP count justifies waking the pool.
-    pub fn matmul_add_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    /// `out (+)= op(self) · rhs`, where `op` transposes when `at` is set —
+    /// which costs nothing: the kernel reads its left operand through a
+    /// (row, column) stride pair, and `selfᵀ` is `self` with the two swapped.
+    fn mul(&self, at: bool, rhs: &Matrix, out: &mut Matrix, accumulate: bool) {
+        let (m, k, ars, acs) = match at {
+            false => (self.rows, self.cols, self.cols, 1),
+            true => (self.cols, self.rows, 1, self.cols),
+        };
+        let n = rhs.cols;
+        let op = if at { "ᵀ" } else { "" };
         assert_eq!(
-            self.cols,
+            k,
             rhs.rows,
-            "matmul shape mismatch: {:?} x {:?}",
+            "matmul shape mismatch: {:?}{op} x {:?}",
             self.shape(),
             rhs.shape()
         );
-        assert_eq!(
-            out.shape(),
-            (self.rows, rhs.cols),
-            "matmul output shape mismatch"
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        if m * k * n >= PAR_FLOP_THRESHOLD {
-            let threads = rayon::current_num_threads();
-            // ~2 bands per thread: enough slack for the chunk cursor to
-            // absorb scheduling jitter without fragmenting the cache blocks.
-            let band = m.div_ceil(2 * threads).max(1);
-            let a = &self.data;
-            let b = &rhs.data;
-            out.data
-                .par_chunks_mut(band * n)
-                .enumerate()
-                .for_each(|(bi, out_band)| {
-                    let row0 = bi * band;
-                    let rows = out_band.len() / n;
-                    gemm_band(&a[row0 * k..(row0 + rows) * k], k, b, n, out_band, rows);
-                });
-        } else {
-            gemm_band(&self.data, k, &rhs.data, n, &mut out.data, m);
-        }
+        assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
+        let (a, b) = (&self.data[..], &rhs.data[..]);
+        let g = Gemm {
+            m,
+            k,
+            n,
+            a,
+            ars,
+            acs,
+            b,
+            accumulate,
+        };
+        product(g, &mut out.data);
+    }
+
+    /// `out = self · rhs` into a caller-owned buffer (resized as needed).
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        out.resize_uninit(self.rows, rhs.cols);
+        self.mul(false, rhs, out, false);
+    }
+
+    /// `out += self · rhs` (`out` must already be `m × n`).
+    pub fn matmul_add_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.mul(false, rhs, out, true);
     }
 
     /// Matrix product `self · rhs` (allocating wrapper over
     /// [`matmul_into`](Self::matmul_into)).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_add_into(rhs, &mut out);
+        let mut out = Matrix::default();
+        self.matmul_into(rhs, &mut out);
         out
     }
 
@@ -317,55 +225,9 @@ impl Matrix {
     ///
     /// `self` is `m × n`, `rhs` is `m × p`, `out` is `n × p`.  This is the
     /// BPTT weight-gradient product (`gW += xᵀ·da`): accumulation semantics
-    /// fold the gradient add into the GEMM.  Per output row `r`, the inner
-    /// loop runs unit-stride over rhs rows with the batch dimension
-    /// unrolled ×4 to amortize output-row traffic.
+    /// fold the gradient add into the GEMM.
     pub fn matmul_at_b_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows,
-            rhs.rows,
-            "matmul_at_b shape mismatch: {:?}ᵀ x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        assert_eq!(
-            out.shape(),
-            (self.cols, rhs.cols),
-            "matmul_at_b output shape mismatch"
-        );
-        let (m, n, p) = (self.rows, self.cols, rhs.cols);
-        let a = &self.data;
-        let b = &rhs.data;
-        for r in 0..n {
-            let out_row = &mut out.data[r * p..(r + 1) * p];
-            let mut i = 0;
-            while i + 4 <= m {
-                let (a0, a1, a2, a3) = (
-                    a[i * n + r],
-                    a[(i + 1) * n + r],
-                    a[(i + 2) * n + r],
-                    a[(i + 3) * n + r],
-                );
-                let b0 = &b[i * p..(i + 1) * p];
-                let b1 = &b[(i + 1) * p..(i + 2) * p];
-                let b2 = &b[(i + 2) * p..(i + 3) * p];
-                let b3 = &b[(i + 3) * p..(i + 4) * p];
-                for ((((o, &v0), &v1), &v2), &v3) in
-                    out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
-                }
-                i += 4;
-            }
-            while i < m {
-                let av = a[i * n + r];
-                let b_row = &b[i * p..(i + 1) * p];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-                i += 1;
-            }
-        }
+        self.mul(true, rhs, out, true);
     }
 
     /// `selfᵀ · rhs` (allocating wrapper over
@@ -376,85 +238,37 @@ impl Matrix {
         out
     }
 
-    /// `out = self · rhsᵀ` without materializing the transpose.
+    /// `out = self · rhsᵀ`.  `self` is `m × k`, `rhs` is `n × k`, `out` is
+    /// `m × n`.
     ///
-    /// `self` is `m × k`, `rhs` is `n × k`, `out` is `m × n`.  This is the
-    /// BPTT input-gradient product (`dx = da·Wᵀ`): every output element is
-    /// a dot product of two *contiguous* rows, so the kernel is pure
-    /// unit-stride streams.
+    /// The kernel wants the right operand row-major, so this transposes
+    /// `rhs` into a temporary first.  A caller that multiplies by the same
+    /// `rhsᵀ` repeatedly (BPTT: `dx = da·Wᵀ` at every step) keeps
+    /// [`transpose_into`](Self::transpose_into)'s result and calls
+    /// [`matmul_into`](Self::matmul_into) instead.
     pub fn matmul_a_bt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.a_bt(rhs, out, false);
+        self.matmul_into(&rhs.transpose(), out);
     }
 
     /// `out += self · rhsᵀ` (accumulating form of
     /// [`matmul_a_bt_into`](Self::matmul_a_bt_into); `out` must already be
     /// `m × n`).
     pub fn matmul_a_bt_add_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            out.shape(),
-            (self.rows, rhs.rows),
-            "matmul_a_bt output shape mismatch"
-        );
-        self.a_bt(rhs, out, true);
-    }
-
-    fn a_bt(&self, rhs: &Matrix, out: &mut Matrix, accumulate: bool) {
-        assert_eq!(
-            self.cols,
-            rhs.cols,
-            "matmul_a_bt shape mismatch: {:?} x {:?}ᵀ",
-            self.shape(),
-            rhs.shape()
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        if !accumulate {
-            out.resize_uninit(m, n);
-        }
-        let a = &self.data;
-        let b = &rhs.data;
-        let kernel = |row0: usize, out_band: &mut [f64]| {
-            for (r, out_row) in out_band.chunks_exact_mut(n).enumerate() {
-                let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let d = dot(a_row, &b[j * k..(j + 1) * k]);
-                    if accumulate {
-                        *o += d;
-                    } else {
-                        *o = d;
-                    }
-                }
-            }
-        };
-        if m * k * n >= PAR_FLOP_THRESHOLD {
-            let threads = rayon::current_num_threads();
-            let band = m.div_ceil(2 * threads).max(1);
-            out.data
-                .par_chunks_mut(band * n)
-                .enumerate()
-                .for_each(|(bi, out_band)| kernel(bi * band, out_band));
-        } else {
-            kernel(0, &mut out.data);
-        }
+        self.matmul_add_into(&rhs.transpose(), out);
     }
 
     /// `self · rhsᵀ` (allocating wrapper over
     /// [`matmul_a_bt_into`](Self::matmul_a_bt_into)).
     pub fn matmul_a_bt(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_a_bt_into(rhs, &mut out);
-        out
+        self.matmul(&rhs.transpose())
     }
 
-    /// Transpose, tiled so both the read and write sides touch whole cache
-    /// lines within a tile (a naive row-major transpose strides the writes
-    /// by `rows`, missing on every element for large shapes).
-    ///
-    /// The BPTT hot paths no longer call this — they use
-    /// [`matmul_at_b_into`](Self::matmul_at_b_into) /
-    /// [`matmul_a_bt_into`](Self::matmul_a_bt_into) — so it only runs on
-    /// cold paths (tests, setup).
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+    /// Transpose into a caller-owned buffer, tiled so both the read and
+    /// write sides touch whole cache lines within a tile (a naive row-major
+    /// transpose strides the writes by `rows`, missing on every element for
+    /// large shapes).
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize_uninit(self.cols, self.rows);
         let t = TRANSPOSE_TILE;
         for rb in (0..self.rows).step_by(t) {
             let rend = (rb + t).min(self.rows);
@@ -467,6 +281,13 @@ impl Matrix {
                 }
             }
         }
+    }
+
+    /// Transpose (allocating wrapper over
+    /// [`transpose_into`](Self::transpose_into)).
+    pub fn transpose(&self) -> Matrix {
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
         out
     }
 
@@ -654,11 +475,59 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_large_enough_to_go_parallel() {
-        // 160x160: m·k·n = 4.1M >= threshold → exercises the pool path.
-        let a = pseudo(160, 160, 1);
-        let b = pseudo(160, 160, 2);
-        assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-10);
+    fn banded_product_matches_naive_and_the_serial_kernel_bitwise() {
+        // 512·64·128 multiply-adds sit on the threshold → the pool path.
+        let (m, k, n) = (512, 64, 128);
+        assert!(m * k * n >= PAR_FLOP_THRESHOLD);
+        let a = pseudo(m, k, 1);
+        let b = pseudo(k, n, 2);
+        let banded = a.matmul(&b);
+        assert_close(&banded, &naive_matmul(&a, &b), 1e-12);
+        let mut serial = Matrix::zeros(m, n);
+        Gemm {
+            m,
+            k,
+            n,
+            a: a.as_slice(),
+            ars: k,
+            acs: 1,
+            b: b.as_slice(),
+            accumulate: false,
+        }
+        .run(serial.as_mut_slice());
+        assert_eq!(banded, serial);
+    }
+
+    #[test]
+    fn all_three_forms_overwrite_and_accumulate_on_every_tail_shape() {
+        const DIMS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 11, 31, 32, 33, 128];
+        for m in DIMS {
+            for k in DIMS {
+                for n in DIMS {
+                    let a = pseudo(m, k, m + n);
+                    let b = pseudo(k, n, k);
+                    let (at, bt) = (a.transpose(), b.transpose());
+                    let want = naive_matmul(&a, &b);
+                    let tol = 1e-12;
+
+                    let mut out = Matrix::full(3, 3, 9.0); // wrong shape: resized
+                    a.matmul_into(&b, &mut out);
+                    assert_close(&out, &want, tol);
+                    a.matmul_a_bt_into(&bt, &mut out);
+                    assert_close(&out, &want, tol);
+
+                    let want = want.map(|v| v + 0.5);
+                    let half = || Matrix::full(m, n, 0.5);
+                    let (mut ab, mut abt, mut atb) = (half(), half(), half());
+                    a.matmul_add_into(&b, &mut ab);
+                    a.matmul_a_bt_add_into(&bt, &mut abt);
+                    at.matmul_at_b_into(&b, &mut atb);
+                    for acc in [ab, abt, atb] {
+                        assert_close(&acc, &want, tol);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -196,14 +196,12 @@ impl Drnn {
         }
 
         for l in (0..layers.len()).rev() {
-            let inputs = if l == 0 { xs } else { &cache.seqs[l - 1][..] };
-            layers[l].backward_into(
-                inputs,
-                &cache.seqs[l],
-                &cache.rec[l],
-                &scratch.dhs,
-                &mut scratch.dxs,
-            );
+            // Nothing sits below the bottom layer: its ∂L/∂x is not wanted.
+            let (inputs, dxs) = match l {
+                0 => (xs, None),
+                _ => (&cache.seqs[l - 1][..], Some(&mut scratch.dxs)),
+            };
+            layers[l].backward_into(inputs, &cache.seqs[l], &cache.rec[l], &scratch.dhs, dxs);
             std::mem::swap(&mut scratch.dhs, &mut scratch.dxs);
         }
     }
@@ -360,6 +358,48 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `Drnn::backward` never asks the bottom layer for `∂L/∂x`.  The
+    /// parameter gradients must be bitwise those of the allocating layer
+    /// wrappers, which still compute and return it.
+    #[test]
+    fn skipping_the_bottom_dx_leaves_every_parameter_gradient_bitwise_unchanged() {
+        for cell in [CellKind::Lstm, CellKind::Gru] {
+            let mut model = tiny(cell);
+            let xs = seq(6, 5, 3);
+            let (pred, cache) = model.forward_train(&xs);
+            let dpred = crate::loss::Loss::Mse.gradient(&pred, &Matrix::full(5, 2, 0.3));
+            let mut by_hand = model.clone();
+
+            model.zero_grads();
+            model.backward(&xs, &cache, &dpred);
+
+            by_hand.zero_grads();
+            let top = cache.seqs.last().unwrap();
+            let dh_last = by_hand
+                .head
+                .backward(top.last().unwrap(), &cache.head, &dpred);
+            let mut dhs: Vec<Matrix> = top.iter().map(|h| Matrix::zeros(5, h.cols())).collect();
+            *dhs.last_mut().unwrap() = dh_last;
+            for l in (0..by_hand.layers.len()).rev() {
+                let inputs = if l == 0 {
+                    &xs[..]
+                } else {
+                    &cache.seqs[l - 1][..]
+                };
+                dhs = by_hand.layers[l].backward(inputs, &cache.seqs[l], &cache.rec[l], &dhs);
+            }
+            assert_eq!(dhs.len(), 6, "the wrappers still return ∂L/∂x");
+            assert_eq!(dhs[0].shape(), (5, 3));
+
+            let grads = |m: &mut Drnn| {
+                let mut out = Vec::new();
+                m.for_each_param(&mut |_p, g| out.push(g.clone()));
+                out
+            };
+            assert_eq!(grads(&mut model), grads(&mut by_hand), "{cell:?}");
         }
     }
 
