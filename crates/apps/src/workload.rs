@@ -2,7 +2,7 @@
 //! Zipf-distributed URL catalog.
 //!
 //! These substitute for the production traces the paper's evaluation
-//! consumed (see `DESIGN.md` §2): the properties that matter to the
+//! consumed (see `DESIGN.md` §1): the properties that matter to the
 //! prediction task are content skew (Zipf) and non-stationary rates
 //! (diurnal + bursts + drift), all reproduced here deterministically from a
 //! seed.

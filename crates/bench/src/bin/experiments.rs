@@ -32,7 +32,7 @@ fn main() -> ExitCode {
 
     let reg = registry();
     if args.is_empty() || args[0] == "list" {
-        println!("available experiments (see DESIGN.md §4):");
+        println!("available experiments (see DESIGN.md §3):");
         for e in &reg {
             println!("  {:20} {}", e.id, e.description);
         }

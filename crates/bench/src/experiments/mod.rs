@@ -1,5 +1,5 @@
 //! The per-experiment regenerators, one public function per table/figure of
-//! the reconstructed evaluation (see `DESIGN.md` §4).
+//! the reconstructed evaluation (see `DESIGN.md` §3).
 
 pub mod grouping;
 pub mod policy;

@@ -1,7 +1,9 @@
 //! # bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the reconstructed evaluation (see
-//! `DESIGN.md` §4) and hosts the criterion microbenchmarks.
+//! `EXPERIMENTS.md`).  Performance numbers — throughput, latency, per-layer
+//! cost — are *not* produced here: the repository's one benchmark is the
+//! standalone `benchmark/` package (see `benchmark/README.md`).
 //!
 //! * [`harness`] — builds the two applications, runs monitored/controlled
 //!   simulations, walk-forward predictor evaluation;
@@ -17,10 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dist_bench;
 pub mod experiments;
 pub mod harness;
-pub mod micro;
-pub mod recovery;
-pub mod sim_scaling;
 pub mod table;

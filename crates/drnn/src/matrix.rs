@@ -33,7 +33,7 @@ impl Default for Matrix {
 /// A product goes parallel when its multiply-add count `m·k·n` reaches this
 /// threshold: ≈ 250 µs of serial kernel time, ≈ 16 of the ≈ 15 µs fork-joins
 /// measured on the 2-core reference host.  Below it banding loses or gains
-/// under 20 %; above it wins (DESIGN.md §9 has the measurements).
+/// under 20 %; above it wins (CHANGES.md PR 13 has the measurements).
 const PAR_FLOP_THRESHOLD: usize = 1 << 22;
 
 /// Tile edge for the blocked transpose (32×32 f64 tiles = two 4 KiB pages,

@@ -17,14 +17,10 @@
 //! themselves and **never panics** on truncated or corrupted input — every
 //! length is bounds-checked against the remaining payload.
 //!
-//! The [`json`] submodule encodes the same frames through the workspace
-//! serde_json shim.  It exists as the measured baseline for the codec
-//! microbenchmark (`BENCH_dist.json`) and as a debugging aid; the runtime
-//! always speaks binary.
-//!
-//! The [`value`] functions binary-encode a [`serde::JsonValue`] tree —
-//! the workspace serde model — and back.  The checkpoint store reuses them
-//! for compact state snapshots (see [`crate::rt::checkpoint`]).
+//! [`write_json_value`] / [`read_json_value`] binary-encode a
+//! [`serde::JsonValue`] tree — the workspace serde model — and back.  The
+//! checkpoint store reuses them for compact state snapshots (see
+//! [`crate::rt::checkpoint`]).
 
 use crate::rt::CreditTotals;
 use crate::topology::Topology;
@@ -493,7 +489,7 @@ const T_LAST_WORDS: u8 = 16;
 
 /// Every message of the wire protocol.
 ///
-/// Direction is noted per variant; see `DESIGN.md` §15 for the protocol
+/// Direction is noted per variant; see `DESIGN.md` §9 for the protocol
 /// walk-through.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -1125,9 +1121,8 @@ fn decode_frame_inner(d: &mut Dec<'_>) -> Result<Frame, CodecError> {
 
 // --- binary JsonValue trees (checkpoint snapshots) ----------------------
 
-/// First payload byte of a binary-encoded snapshot.  `0xC5` is a UTF-8
-/// continuation byte, so it can never begin a JSON text — decoders
-/// auto-detect the format from it.
+/// First payload byte of an encoded snapshot; a payload without it is
+/// rejected as corrupt.
 pub const SNAPSHOT_MAGIC: u8 = 0xC5;
 
 const J_NULL: u8 = 0;
@@ -1141,8 +1136,7 @@ const J_ARRAY: u8 = 7;
 const J_OBJECT: u8 = 8;
 
 /// Appends the binary encoding of a workspace-serde [`serde::JsonValue`]
-/// tree.  The checkpoint store uses this (prefixed with
-/// [`SNAPSHOT_MAGIC`]) instead of JSON text for compact snapshots.
+/// tree.  Checkpoint snapshots are this, prefixed with [`SNAPSHOT_MAGIC`].
 pub fn write_json_value(buf: &mut Vec<u8>, v: &serde::JsonValue) {
     use serde::JsonValue as J;
     match v {
@@ -1212,129 +1206,6 @@ pub fn read_json_value(d: &mut Dec<'_>) -> Result<serde::JsonValue, CodecError> 
             Ok(J::Object(fields))
         }
         _ => Err(CodecError::Malformed("unknown json-value tag")),
-    }
-}
-
-// --- JSON shim path (microbench baseline) -------------------------------
-
-/// The serde_json-shim encoding of the same frames, kept as the measured
-/// baseline for the codec microbenchmark: this is what every cross-process
-/// hop would pay if frames travelled as JSON text.
-pub mod json {
-    use super::*;
-    use serde::JsonValue as J;
-
-    fn value_to_json(v: &Value) -> J {
-        match v {
-            Value::Null => J::Null,
-            Value::Bool(b) => J::Bool(*b),
-            Value::I64(i) => J::I64(*i),
-            Value::F64(x) => J::F64(*x),
-            Value::Str(s) => J::Str(s.to_string()),
-            Value::Bytes(b) => J::Array(b.iter().map(|&x| J::U64(u64::from(x))).collect()),
-            Value::List(items) => J::Array(items.iter().map(value_to_json).collect()),
-        }
-    }
-
-    fn value_from_json(v: &J) -> Result<Value, String> {
-        Ok(match v {
-            J::Null => Value::Null,
-            J::Bool(b) => Value::Bool(*b),
-            J::I64(i) => Value::I64(*i),
-            J::U64(u) => Value::I64(*u as i64),
-            J::F64(x) => Value::F64(*x),
-            J::Str(s) => Value::from(s.as_str()),
-            J::Array(items) => Value::List(
-                items
-                    .iter()
-                    .map(value_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            J::Object(_) => return Err("unexpected object in tuple value".into()),
-        })
-    }
-
-    fn tuple_item_to_json(t: &WireTuple) -> J {
-        J::Object(vec![
-            ("token".into(), J::U64(t.token)),
-            ("dest".into(), J::U64(u64::from(t.dest_task))),
-            ("stream".into(), J::U64(u64::from(t.stream))),
-            ("dedup".into(), t.dedup.map_or(J::Null, J::U64)),
-            ("trace".into(), t.trace_root.map_or(J::Null, J::U64)),
-            (
-                "values".into(),
-                J::Array(t.values.iter().map(value_to_json).collect()),
-            ),
-        ])
-    }
-
-    fn obj_get<'a>(fields: &'a [(String, J)], key: &str) -> Result<&'a J, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field `{key}`"))
-    }
-
-    fn as_u64(v: &J) -> Result<u64, String> {
-        match v {
-            J::U64(u) => Ok(*u),
-            J::I64(i) if *i >= 0 => Ok(*i as u64),
-            _ => Err("expected unsigned integer".into()),
-        }
-    }
-
-    fn tuple_item_from_json(v: &J) -> Result<WireTuple, String> {
-        let J::Object(fields) = v else {
-            return Err("tuple item must be an object".into());
-        };
-        let values = match obj_get(fields, "values")? {
-            J::Array(items) => items
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("values must be an array".into()),
-        };
-        Ok(WireTuple {
-            token: as_u64(obj_get(fields, "token")?)?,
-            dest_task: as_u64(obj_get(fields, "dest")?)? as u32,
-            stream: as_u64(obj_get(fields, "stream")?)? as u32,
-            dedup: match obj_get(fields, "dedup")? {
-                J::Null => None,
-                other => Some(as_u64(other)?),
-            },
-            trace_root: match obj_get(fields, "trace")? {
-                J::Null => None,
-                other => Some(as_u64(other)?),
-            },
-            values,
-        })
-    }
-
-    /// Encodes a [`Frame::TupleBatch`] as JSON text through the shim.
-    /// Only the tuple path is implemented — it is the hot path the
-    /// microbenchmark compares; control frames are cold.
-    pub fn tuple_batch_to_string(items: &[WireTuple]) -> String {
-        let doc = J::Object(vec![
-            ("frame".into(), J::Str("tuple_batch".into())),
-            (
-                "items".into(),
-                J::Array(items.iter().map(tuple_item_to_json).collect()),
-            ),
-        ]);
-        serde_json::to_string(&doc).expect("json encoding cannot fail")
-    }
-
-    /// Decodes a [`json::tuple_batch_to_string`] document back.
-    pub fn tuple_batch_from_str(text: &str) -> Result<Vec<WireTuple>, String> {
-        let doc = serde_json::parse(text).map_err(|e| e.to_string())?;
-        let J::Object(fields) = doc else {
-            return Err("document must be an object".into());
-        };
-        match obj_get(&fields, "items")? {
-            J::Array(items) => items.iter().map(tuple_item_from_json).collect(),
-            _ => Err("items must be an array".into()),
-        }
     }
 }
 
@@ -1595,30 +1466,5 @@ mod tests {
         let mut d = Dec::new(&buf);
         assert_eq!(read_json_value(&mut d).unwrap(), tree);
         assert!(d.is_done());
-    }
-
-    #[test]
-    fn json_shim_path_round_trips_and_is_bigger() {
-        let items = vec![
-            WireTuple {
-                token: 1,
-                dest_task: 2,
-                stream: 0,
-                dedup: None,
-                trace_root: None,
-                values: vec![Value::from("url-17"), Value::from(17i64)],
-            };
-            16
-        ];
-        let text = json::tuple_batch_to_string(&items);
-        assert_eq!(json::tuple_batch_from_str(&text).unwrap(), items);
-        let mut bin = Vec::new();
-        encode_frame_body(&Frame::TupleBatch { items }, &mut bin);
-        assert!(
-            bin.len() * 2 < text.len(),
-            "binary {} vs json {} bytes",
-            bin.len(),
-            text.len()
-        );
     }
 }

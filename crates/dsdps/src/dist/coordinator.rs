@@ -47,7 +47,7 @@ use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
 use crate::telemetry::{
     chrome_trace_json_named, normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer,
-    Registry, Span, Tracer, HOT_PATH_TELEMETRY,
+    Registry, Span, Tracer,
 };
 use crate::topology::{ComponentId, ComponentKind, TaskId, Topology};
 
@@ -55,7 +55,7 @@ use crate::topology::{ComponentId, ComponentKind, TaskId, Topology};
 /// `RtConfig::credit_flow` is off.  Every data link needs *some* bound: a
 /// write into a finite socket buffer is sure to complete only because the
 /// receiver's reader thread never blocks, which holds only while the queue
-/// it fills is bounded — by the windows (DESIGN.md §15.4).  Topologies that
+/// it fills is bounded — by the windows (DESIGN.md §9).  Topologies that
 /// want a wider window enable `credit_flow`, which sizes windows as
 /// `credit_window × batch_size` and re-grants per processed batch.
 const DEFAULT_WINDOW_TUPLES: u64 = 1_024;
@@ -698,7 +698,7 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
         tick_interval_us: (shared.engine.tick_interval_s.max(0.0) * 1e6) as u64,
         metrics_interval_us: (shared.engine.metrics_interval_s.max(0.0) * 1e6) as u64,
         stream_count: shared.intern.len() as u32,
-        batch_size: shared.rt.batch_size.max(1) as u32,
+        batch_size: shared.rt.batch_size as u32,
         credit_window: shared.window,
         trace_sample_bits: shared.rt.trace_sample_rate.to_bits(),
         restores: restores.len() as u32,
@@ -799,7 +799,7 @@ fn supervisor_loop(shared: Arc<Shared>) {
                 shared.broadcast(&set_ratio_frame(edge, handle));
             }
         }
-        let sync_gauges = HOT_PATH_TELEMETRY && last_gauge_sync.elapsed() >= GAUGE_SYNC_INTERVAL;
+        let sync_gauges = last_gauge_sync.elapsed() >= GAUGE_SYNC_INTERVAL;
         if sync_gauges {
             last_gauge_sync = Instant::now();
             let pending = shared.ackers.pending_count();
@@ -1125,10 +1125,14 @@ pub fn submit(
     rt: RtConfig,
     cfg: DistConfig,
 ) -> Result<RunningDist> {
+    engine.validate()?;
+    rt.validate()?;
+    if cfg.workers == 0 {
+        return Err(Error::Config("dist workers must be at least 1".into()));
+    }
     if cfg.worker_cmd.is_empty() {
         return Err(Error::Config("worker_cmd must not be empty".into()));
     }
-    crate::rt::checkpoint::set_json_snapshot_fallback(rt.json_snapshots);
     let topology = registry.build(topology_name, args)?;
     let intern = InternTable::new(&topology);
     let n_tasks = topology.task_count();
@@ -1167,7 +1171,7 @@ pub fn submit(
 
     let ledger = CreditLedger::new(n_tasks);
     let window = if rt.credit_flow {
-        (rt.credit_window.max(1) * rt.batch_size.max(1)) as u64
+        (rt.credit_window * rt.batch_size) as u64
     } else {
         DEFAULT_WINDOW_TUPLES
     };
@@ -1185,11 +1189,7 @@ pub fn submit(
         TransportKind::Auto => Listener::tcp_loopback()?,
     };
 
-    let store = CheckpointStore::new(
-        n_tasks,
-        rt.checkpoint_spill_threshold,
-        rt.checkpoint_spill_dir.clone(),
-    );
+    let store = CheckpointStore::new(n_tasks);
     let journal = Journal::default();
     if rt.checkpoints {
         journal.append(JournalEvent::RecoveryMode {
@@ -1237,7 +1237,7 @@ pub fn submit(
         args: args.to_owned(),
         dynamic: spout_inputs[0].0.router.dynamic_handles().to_vec(),
         intern,
-        ackers: ShardedAcker::new(rt.acker_shards.max(1)),
+        ackers: ShardedAcker::new(rt.acker_shards),
         ledger,
         window,
         store,

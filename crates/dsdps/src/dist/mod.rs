@@ -20,7 +20,7 @@
 //! worker rebuilds the topology from its registered name, which is how
 //! both sides derive identical routing and stream-intern tables.  A
 //! killed worker is respawned, reconnected and restored from the latest
-//! checkpoint; see `DESIGN.md` §15 for the protocol walk-through.
+//! checkpoint; see `DESIGN.md` §9 for the protocol walk-through.
 //!
 //! ```no_run
 //! # use dsdps::dist::{self, TopologyRegistry, DistConfig};
@@ -80,8 +80,8 @@ pub enum TransportKind {
 /// fleet.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
-    /// Number of worker processes.  Bolt tasks are assigned round-robin
-    /// across them; spouts stay on the coordinator.
+    /// Number of worker processes (at least 1).  Bolt tasks are assigned
+    /// round-robin across them; spouts stay on the coordinator.
     pub workers: usize,
     /// Command line (argv) that starts one worker process.  The
     /// coordinator adds `DSDPS_DIST_ADDR` / `DSDPS_DIST_WORKER` to its
@@ -103,7 +103,7 @@ impl DistConfig {
     /// A fleet of `workers` processes started by `worker_cmd`.
     pub fn new(workers: usize, worker_cmd: Vec<String>) -> Self {
         DistConfig {
-            workers: workers.max(1),
+            workers,
             worker_cmd,
             transport: TransportKind::Auto,
             connect_timeout: Duration::from_secs(10),

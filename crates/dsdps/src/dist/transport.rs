@@ -21,15 +21,13 @@ use std::time::{Duration, Instant};
 
 use super::codec::{self, Frame, WireTuple, MAX_FRAME_LEN};
 use crate::error::{Error, Result};
-use crate::telemetry::HOT_PATH_TELEMETRY;
 
 /// Live per-connection transport counters, shared between the reader and
 /// writer halves of one socket and whatever aggregates them (the
 /// coordinator mirrors these into its metrics registry as
 /// `dsdps_dist_conn_*` samples; the worker exports them in its
 /// `MetricsPush`).  All fields are relaxed atomics — one store per frame,
-/// nothing per tuple — and the µs timers are skipped entirely when
-/// [`HOT_PATH_TELEMETRY`] is compiled out.
+/// nothing per tuple.
 #[derive(Debug)]
 pub struct ConnStats {
     /// Clock epoch for [`ConnStats::now_us`] / `last_rx_us`.
@@ -397,10 +395,7 @@ impl FrameReader {
         let header = avail.len() - d.remaining();
         let body_start = self.pos + header;
         let body_end = body_start + len as usize;
-        let t0 = match &self.stats {
-            Some(_) if HOT_PATH_TELEMETRY => Some(Instant::now()),
-            _ => None,
-        };
+        let t0 = self.stats.as_ref().map(|_| Instant::now());
         let frame = codec::decode_frame(&self.buf[body_start..body_end])
             .map_err(|e| Error::Runtime(format!("decode frame: {e}")))?;
         self.pos = body_end;
@@ -559,10 +554,7 @@ impl BatchWriter {
     }
 
     fn encode_clock(&self) -> Option<Instant> {
-        match &self.stats {
-            Some(_) if HOT_PATH_TELEMETRY => Some(Instant::now()),
-            _ => None,
-        }
+        self.stats.as_ref().map(|_| Instant::now())
     }
 
     fn note_encode(&self, t0: Option<Instant>) {

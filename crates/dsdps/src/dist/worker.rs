@@ -21,7 +21,7 @@
 //! additionally keeps a replay-dedup set of applied ids so a redelivered
 //! tuple is acknowledged without being applied twice.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -39,14 +39,11 @@ use crate::acker::splitmix64;
 use crate::component::{Bolt, BoltOutput, Emission, TopologyContext};
 use crate::error::{Error, Result};
 use crate::grouping::dynamic::SplitRatio;
+use crate::rt::checkpoint::DedupWindow;
 use crate::rt::{CreditLedger, RecoveryMode, SnapshotKind, StateSnapshot};
-use crate::telemetry::{Counter, Registry, SampleValue, Tracer, HOT_PATH_TELEMETRY};
+use crate::telemetry::{Counter, Registry, SampleValue, Tracer};
 use crate::topology::{ComponentKind, TaskId, Topology};
 use crate::tuple::Tuple;
-
-/// Replay-dedup sets are FIFO-capped at this many message ids (matches the
-/// threaded runtime's bound).
-const DEDUP_CAP: usize = 65_536;
 
 /// Builds a topology from a registered name plus an opaque argument
 /// string.  Coordinator and workers run the same builder, which is what
@@ -143,7 +140,7 @@ const COORDINATOR_LINK: u64 = 0;
 /// Body of every reader thread: decode frames off one connection and queue
 /// them for the executor.  Never blocks on anything but the socket — the
 /// channel is unbounded, bounded in practice by the senders' credit
-/// windows — which is what keeps every socket drained (DESIGN.md §15.4).
+/// windows — which is what keeps every socket drained (DESIGN.md §9).
 fn read_link(mut reader: FrameReader, link: u64, tx: &Sender<Input>) {
     loop {
         let input = match reader.read_frame() {
@@ -218,22 +215,8 @@ struct TaskState {
     /// Something was applied since the last checkpoint.
     dirty: bool,
     /// Applied replay-dedup ids (`ExactlyOnceEffect` only).
-    dedup_set: HashSet<u64>,
-    dedup_fifo: VecDeque<u64>,
+    dedup: DedupWindow,
     last_ckpt: Instant,
-}
-
-impl TaskState {
-    fn remember_applied(&mut self, id: u64) {
-        if self.dedup_set.insert(id) {
-            self.dedup_fifo.push_back(id);
-            if self.dedup_fifo.len() > DEDUP_CAP {
-                if let Some(old) = self.dedup_fifo.pop_front() {
-                    self.dedup_set.remove(&old);
-                }
-            }
-        }
-    }
 }
 
 /// A tuple delivery ready to execute, off the wire or routed locally.
@@ -324,7 +307,7 @@ impl Worker {
         // Exactly-once: a replay of an already-applied input is
         // acknowledged (withheld, like any stateful input) but not applied
         // again.
-        let replayed = ts.stateful && eoe && d.dedup.is_some_and(|id| ts.dedup_set.contains(&id));
+        let replayed = ts.stateful && eoe && d.dedup.is_some_and(|id| ts.dedup.contains(id));
         let mut failed = false;
         if !replayed {
             let traced = d
@@ -345,10 +328,8 @@ impl Worker {
                     self.batch_seq,
                 );
             }
-            if HOT_PATH_TELEMETRY {
-                self.metrics.executed.inc();
-                self.metrics.emitted.add(self.emissions.len() as u64);
-            }
+            self.metrics.executed.inc();
+            self.metrics.emitted.add(self.emissions.len() as u64);
         }
         let (component, stateful) = (ts.component, ts.stateful);
         let xor = d.edge ^ self.route_emissions(component, d.root, d.dedup.filter(|_| eoe));
@@ -361,7 +342,7 @@ impl Worker {
             // The ack waits for the checkpoint that makes the effect durable.
             ts.withheld.push(item);
             if let (true, Some(id)) = (eoe, d.dedup) {
-                ts.remember_applied(id);
+                ts.dedup.insert(id);
             }
         } else {
             self.acks.push(item);
@@ -454,9 +435,7 @@ impl Worker {
     /// locally, then returns the batch's credits to its sender.
     fn on_tuples(&mut self, link: u64, items: Vec<WireTuple>, at: Instant) -> Result<()> {
         self.batch_seq += 1;
-        if HOT_PATH_TELEMETRY {
-            self.metrics.batches.inc();
-        }
+        self.metrics.batches.inc();
         self.grants.clear();
         self.out.set_now(self.t0.elapsed().as_secs_f64());
         for item in items {
@@ -620,11 +599,9 @@ impl Worker {
         self.coord.send(&Frame::CheckpointDeposit {
             task: task as u32,
             payload: snapshot_to_payload(&snap),
-            dedup: ts.dedup_fifo.iter().copied().collect(),
+            dedup: ts.dedup.ids(),
         })?;
-        if HOT_PATH_TELEMETRY {
-            self.metrics.checkpoints.inc();
-        }
+        self.metrics.checkpoints.inc();
         self.acks.append(&mut ts.withheld);
         self.flush_acks()
     }
@@ -710,8 +687,7 @@ impl Worker {
                 let start = Instant::now();
                 let ts = self.tasks.get_mut(task as usize).and_then(Option::as_mut);
                 let ok = ts.is_some_and(|ts| {
-                    ts.dedup_set = dedup.iter().copied().collect();
-                    ts.dedup_fifo = dedup.into();
+                    ts.dedup = DedupWindow::from_ids(dedup);
                     match payload {
                         Some(p) => match (snapshot_from_payload(&p), ts.bolt.stateful()) {
                             (Ok(snap), Some(state)) => state.restore(&snap, &[]).is_ok(),
@@ -922,8 +898,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
             stateful,
             withheld: Vec::new(),
             dirty: false,
-            dedup_set: HashSet::new(),
-            dedup_fifo: VecDeque::new(),
+            dedup: DedupWindow::default(),
             last_ckpt: Instant::now(),
         });
     }
@@ -950,7 +925,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         recovery,
         ckpt_interval: Duration::from_micros(ckpt_interval_us.max(1)),
         tick_interval: micros(tick_interval_us),
-        push_interval: micros(metrics_interval_us).filter(|_| HOT_PATH_TELEMETRY),
+        push_interval: micros(metrics_interval_us),
         batch_size: batch_size.max(1) as usize,
         router: DistRouter::new(&topology, &intern),
         intern,

@@ -11,10 +11,11 @@
 //!   plus optional incremental **deltas**) and rebuild it from one.
 //! * [`CheckpointStore`] keeps the latest checkpoint per task — base
 //!   snapshot, ordered deltas, the exactly-once input log and replay-dedup
-//!   ids — in memory, spilling large snapshot payloads to disk above a
-//!   configurable threshold.  Entries are guarded by the depositing task's
+//!   ids — in memory.  Entries are guarded by the depositing task's
 //!   supervisor generation so a superseded-but-still-running thread can
 //!   never clobber its replacement's checkpoints.
+//! * [`DedupWindow`] is the FIFO-bounded set of applied ids a stateful
+//!   task keeps under exactly-once effect, on every backend.
 //! * [`RecoveryMode`] selects what a restart *means*: exactly-once effect
 //!   (aligned snapshots + input-log re-execution + replay dedup),
 //!   at-least-once (restore the latest snapshot, accept duplicates), or
@@ -24,16 +25,16 @@
 //! The task loops drive the store cooperatively: a checkpoint is taken on
 //! the task's own thread right after a batch's acks are applied, so the
 //! snapshot is always aligned with the acked frontier of the sharded
-//! acker.  See `DESIGN.md` §13 for the full architecture.
+//! acker.  See `DESIGN.md` §6.2 for the full architecture.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use crate::component::MessageId;
 use crate::dist::codec;
+use crate::hash::FxHashSet;
 use crate::tuple::Tuple;
 
 /// Whether a [`StateSnapshot`] captures the whole state or a delta since
@@ -47,34 +48,13 @@ pub enum SnapshotKind {
     Delta,
 }
 
-/// When set, [`StateSnapshot::encode`] writes JSON text instead of the
-/// compact binary encoding.  See [`set_json_snapshot_fallback`].
-static JSON_SNAPSHOT_FALLBACK: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Switches snapshot encoding between the compact binary value encoding
-/// of [`crate::dist::codec`] (the default) and the legacy JSON text
-/// encoding.  Decoding auto-detects either format by its first byte, so
-/// the flag only affects newly taken snapshots — flipping it mid-run is
-/// safe and previously spilled payloads stay readable.
-///
-/// The runtimes call this from [`RtConfig::json_snapshots`](super::RtConfig)
-/// at submit; it is exposed directly for tools that encode snapshots
-/// outside a running topology.
-pub fn set_json_snapshot_fallback(enabled: bool) {
-    JSON_SNAPSHOT_FALLBACK.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
 /// An encoded image of one component's state.
 ///
 /// The payload is an opaque byte string; [`StateSnapshot::encode`] and
 /// [`StateSnapshot::decode`] wrap the workspace serde conventions so
-/// components only deal in plain serializable values.  By default the
-/// payload uses the wire codec's compact binary value encoding, marked by
-/// a leading [`SNAPSHOT_MAGIC`](crate::dist::codec::SNAPSHOT_MAGIC) byte
-/// (`0xC5`, a UTF-8 continuation byte no JSON text can start with);
-/// [`set_json_snapshot_fallback`] reverts to JSON text.  `decode`
-/// auto-detects the format, so stores can hold a mix of both.
+/// components only deal in plain serializable values.  The payload is the
+/// wire codec's compact binary value encoding behind a leading
+/// [`SNAPSHOT_MAGIC`](crate::dist::codec::SNAPSHOT_MAGIC) byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateSnapshot {
     /// Full image or incremental delta.
@@ -86,34 +66,23 @@ pub struct StateSnapshot {
 impl StateSnapshot {
     /// Encodes a serializable value as a snapshot of the given kind.
     pub fn encode<T: Serialize>(kind: SnapshotKind, state: &T) -> StateSnapshot {
-        if JSON_SNAPSHOT_FALLBACK.load(std::sync::atomic::Ordering::Relaxed) {
-            let text = serde_json::to_string(state).expect("state encoding cannot fail");
-            return StateSnapshot {
-                kind,
-                bytes: text.into_bytes(),
-            };
-        }
         let mut bytes = vec![codec::SNAPSHOT_MAGIC];
         codec::write_json_value(&mut bytes, &state.serialize_value());
         StateSnapshot { kind, bytes }
     }
 
-    /// Decodes the snapshot payload back into a value, auto-detecting the
-    /// binary or JSON text encoding.
+    /// Decodes the snapshot payload back into a value.
     pub fn decode<T: Deserialize>(&self) -> Result<T, String> {
-        if self.bytes.first() == Some(&codec::SNAPSHOT_MAGIC) {
-            let mut d = codec::Dec::new(&self.bytes[1..]);
-            let value = codec::read_json_value(&mut d)
-                .map_err(|e| format!("snapshot decode failed: {e}"))?;
-            if !d.is_done() {
-                return Err("snapshot decode failed: trailing bytes".into());
-            }
-            return T::deserialize_value(&value)
-                .map_err(|e| format!("snapshot decode failed: {e}"));
+        let Some((&codec::SNAPSHOT_MAGIC, body)) = self.bytes.split_first() else {
+            return Err("snapshot decode failed: missing magic byte".into());
+        };
+        let mut d = codec::Dec::new(body);
+        let value =
+            codec::read_json_value(&mut d).map_err(|e| format!("snapshot decode failed: {e}"))?;
+        if !d.is_done() {
+            return Err("snapshot decode failed: trailing bytes".into());
         }
-        let text = std::str::from_utf8(&self.bytes)
-            .map_err(|e| format!("snapshot payload is not UTF-8: {e}"))?;
-        serde_json::from_str(text).map_err(|e| format!("snapshot decode failed: {e}"))
+        T::deserialize_value(&value).map_err(|e| format!("snapshot decode failed: {e}"))
     }
 
     /// Payload size in bytes.
@@ -160,8 +129,8 @@ pub enum RecoveryMode {
     /// tuples applied since the last checkpoint and a replay-dedup set:
     /// the restarted task re-executes the log against the restored
     /// snapshot and filters duplicate replays, so its observable effects
-    /// match a fault-free run (exact for a single stateful stage; see
-    /// `DESIGN.md` §13 for the multi-stage caveat).
+    /// match a fault-free run (on `rt`, exact for stateful bolts fed by a
+    /// spout; `dist` derives dedup ids hop by hop — `DESIGN.md` §6.2, §9).
     ExactlyOnceEffect,
     /// Restore the latest snapshot and let the normal timeout/replay path
     /// re-send in-flight tuples.  Tuples acked at the last checkpoint
@@ -199,44 +168,51 @@ pub(crate) struct LoggedInput {
     pub dedup: Option<MessageId>,
 }
 
-/// Where a stored snapshot payload lives.
-#[derive(Debug)]
-enum StoredPayload {
-    /// Payload held in memory.
-    Mem(Vec<u8>),
-    /// Payload spilled to a file (large snapshots).
-    File { path: PathBuf },
+/// Replay-dedup ids remembered per stateful task; FIFO-evicted above this
+/// bound so the window cannot grow without limit.
+const DEDUP_CAP: usize = 65_536;
+
+/// The ids a stateful task has already applied under exactly-once effect,
+/// so a replayed input is acknowledged but not applied twice.  A set
+/// bounded by evicting the oldest id; the ids travel with every checkpoint
+/// deposit ([`DedupWindow::ids`]) and come back on restore
+/// ([`DedupWindow::from_ids`]).
+#[derive(Debug, Default)]
+pub(crate) struct DedupWindow {
+    /// Insertion order; the set mirrors it for O(1) membership.
+    fifo: VecDeque<MessageId>,
+    set: FxHashSet<MessageId>,
 }
 
-impl StoredPayload {
-    fn read(&self) -> Option<Vec<u8>> {
-        match self {
-            StoredPayload::Mem(b) => Some(b.clone()),
-            StoredPayload::File { path } => std::fs::read(path).ok(),
+impl DedupWindow {
+    /// The window a checkpoint deposit's `dedup` ids describe.
+    pub(crate) fn from_ids(ids: Vec<MessageId>) -> Self {
+        DedupWindow {
+            set: ids.iter().copied().collect(),
+            fifo: ids.into(),
         }
     }
-}
 
-impl Drop for StoredPayload {
-    fn drop(&mut self) {
-        if let StoredPayload::File { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
+    /// The remembered ids, oldest first — what a checkpoint deposit carries.
+    pub(crate) fn ids(&self) -> Vec<MessageId> {
+        self.fifo.iter().copied().collect()
     }
-}
 
-#[derive(Debug)]
-struct StoredSnapshot {
-    kind: SnapshotKind,
-    payload: StoredPayload,
-}
+    /// True when `id` was already applied.
+    pub(crate) fn contains(&self, id: MessageId) -> bool {
+        self.set.contains(&id)
+    }
 
-impl StoredSnapshot {
-    fn to_snapshot(&self) -> Option<StateSnapshot> {
-        Some(StateSnapshot {
-            kind: self.kind,
-            bytes: self.payload.read()?,
-        })
+    /// Remembers an applied id, evicting the oldest above [`DEDUP_CAP`].
+    pub(crate) fn insert(&mut self, id: MessageId) {
+        if self.set.insert(id) {
+            self.fifo.push_back(id);
+            if self.fifo.len() > DEDUP_CAP {
+                if let Some(old) = self.fifo.pop_front() {
+                    self.set.remove(&old);
+                }
+            }
+        }
     }
 }
 
@@ -247,8 +223,8 @@ struct TaskEntry {
     generation: u64,
     /// Runtime clock when the newest snapshot (base or delta) was taken.
     taken_at_s: Option<f64>,
-    base: Option<StoredSnapshot>,
-    deltas: Vec<StoredSnapshot>,
+    base: Option<StateSnapshot>,
+    deltas: Vec<StateSnapshot>,
     /// Exactly-once input log since the last snapshot (or since task
     /// start when no snapshot exists yet).
     input_log: Vec<LoggedInput>,
@@ -283,49 +259,19 @@ pub(crate) struct Restored {
     pub taken_at_s: Option<f64>,
 }
 
-/// In-memory, spillable store of the latest checkpoint per task.
+/// In-memory store of the latest checkpoint per task.
 ///
 /// One entry per global task id; every access locks only that task's
 /// entry, so checkpointing tasks never contend with each other.
 pub(crate) struct CheckpointStore {
     entries: Vec<Mutex<Option<TaskEntry>>>,
-    spill_dir: Option<PathBuf>,
-    spill_threshold: usize,
-    seq: AtomicU64,
 }
 
 impl CheckpointStore {
-    /// A store for `n_tasks` tasks.  Snapshot payloads larger than
-    /// `spill_threshold` bytes are written to `spill_dir` when it is set.
-    pub(crate) fn new(n_tasks: usize, spill_threshold: usize, spill_dir: Option<PathBuf>) -> Self {
+    /// A store for `n_tasks` tasks.
+    pub(crate) fn new(n_tasks: usize) -> Self {
         CheckpointStore {
             entries: (0..n_tasks).map(|_| Mutex::new(None)).collect(),
-            spill_dir,
-            spill_threshold,
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    fn stored(&self, task: usize, generation: u64, snap: StateSnapshot) -> StoredSnapshot {
-        let kind = snap.kind;
-        if snap.bytes.len() > self.spill_threshold {
-            if let Some(dir) = &self.spill_dir {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                let path = dir.join(format!(
-                    "ckpt_p{}_t{task}_g{generation}_{seq}.snap",
-                    std::process::id()
-                ));
-                if std::fs::write(&path, &snap.bytes).is_ok() {
-                    return StoredSnapshot {
-                        kind,
-                        payload: StoredPayload::File { path },
-                    };
-                }
-            }
-        }
-        StoredSnapshot {
-            kind,
-            payload: StoredPayload::Mem(snap.bytes),
         }
     }
 
@@ -348,7 +294,7 @@ impl CheckpointStore {
         }
         entry.generation = generation;
         let bytes = snap.bytes.len() as u64;
-        entry.base = Some(self.stored(task, generation, snap));
+        entry.base = Some(snap);
         entry.deltas.clear();
         entry.input_log.clear();
         entry.dedup = dedup;
@@ -375,7 +321,7 @@ impl CheckpointStore {
             return None;
         }
         let bytes = snap.bytes.len() as u64;
-        entry.deltas.push(self.stored(task, generation, snap));
+        entry.deltas.push(snap);
         entry.input_log.clear();
         entry.dedup = dedup;
         entry.taken_at_s = Some(taken_at_s);
@@ -411,15 +357,9 @@ impl CheckpointStore {
         if entry.base.is_none() && entry.input_log.is_empty() {
             return None;
         }
-        let base = match &entry.base {
-            Some(s) => Some(s.to_snapshot()?),
-            None => None,
-        };
-        let deltas: Option<Vec<StateSnapshot>> =
-            entry.deltas.iter().map(|d| d.to_snapshot()).collect();
         Some(Restored {
-            base,
-            deltas: deltas?,
+            base: entry.base.clone(),
+            deltas: entry.deltas.clone(),
             input_log: entry.input_log.clone(),
             dedup: entry.dedup.clone(),
             taken_at_s: entry.taken_at_s,
@@ -446,40 +386,61 @@ mod tests {
         assert_eq!(back, state);
     }
 
-    /// The default encoding is the compact binary one (magic byte), the
-    /// fallback is JSON text, decode auto-detects both, and the binary
-    /// payload of a realistic counter-map state is smaller.
+    /// A payload that is truncated, carries trailing bytes, or does not
+    /// start with the magic byte is an error, never a panic.
     #[test]
-    fn binary_and_json_snapshots_interoperate() {
+    fn corrupt_snapshots_are_decode_errors() {
         type State = Vec<(String, u64)>;
         let state: State = (0..64).map(|i| (format!("key-{i}"), i * 37)).collect();
+        let snap = StateSnapshot::encode(SnapshotKind::Full, &state);
+        assert_eq!(snap.bytes[0], codec::SNAPSHOT_MAGIC);
 
-        let binary = StateSnapshot::encode(SnapshotKind::Full, &state);
-        assert_eq!(binary.bytes[0], codec::SNAPSHOT_MAGIC);
-        assert_eq!(binary.decode::<State>().unwrap(), state);
+        let mut truncated = snap.clone();
+        truncated.bytes.truncate(truncated.bytes.len() / 2);
+        assert!(truncated.decode::<State>().is_err());
+        let mut trailing = snap.clone();
+        trailing.bytes.push(0);
+        assert!(trailing.decode::<State>().is_err());
+        let text = StateSnapshot {
+            kind: SnapshotKind::Full,
+            bytes: b"[[\"key-0\",0]]".to_vec(),
+        };
+        assert!(text.decode::<State>().is_err(), "no magic byte");
+    }
 
-        set_json_snapshot_fallback(true);
-        let json = StateSnapshot::encode(SnapshotKind::Full, &state);
-        set_json_snapshot_fallback(false);
-        assert_ne!(json.bytes[0], codec::SNAPSHOT_MAGIC, "JSON text payload");
-        assert!(std::str::from_utf8(&json.bytes).is_ok());
-        assert_eq!(json.decode::<State>().unwrap(), state, "auto-detected");
+    #[test]
+    fn dedup_window_is_a_fifo_bounded_set() {
+        let mut w = DedupWindow::default();
+        assert!(!w.contains(7));
+        w.insert(7);
+        w.insert(8);
+        w.insert(7); // already present: order and size unchanged
+        assert!(w.contains(7) && w.contains(8));
+        assert_eq!(w.ids(), vec![7, 8]);
 
-        assert!(
-            binary.len() < json.len(),
-            "binary ({}) smaller than JSON ({})",
-            binary.len(),
-            json.len()
-        );
+        // What a checkpoint deposit carries rebuilds the same window.
+        let back = DedupWindow::from_ids(w.ids());
+        assert_eq!(back.ids(), vec![7, 8]);
+        assert!(back.contains(7) && back.contains(8) && !back.contains(9));
 
-        let mut corrupt = binary.clone();
-        corrupt.bytes.truncate(corrupt.bytes.len() / 2);
-        assert!(corrupt.decode::<State>().is_err(), "truncation is an error");
+        // Filling to the cap evicts nothing; one more evicts the oldest.
+        let mut w = DedupWindow::default();
+        for id in 0..DEDUP_CAP as u64 {
+            w.insert(id);
+        }
+        assert!(w.contains(0));
+        assert_eq!(w.ids().len(), DEDUP_CAP);
+        w.insert(0); // present: no eviction
+        assert_eq!(w.ids().len(), DEDUP_CAP);
+        w.insert(DEDUP_CAP as u64);
+        assert!(!w.contains(0) && w.contains(1) && w.contains(DEDUP_CAP as u64));
+        assert_eq!(w.ids().len(), DEDUP_CAP);
+        assert_eq!(w.ids()[0], 1);
     }
 
     #[test]
     fn deposit_load_full_plus_deltas() {
-        let store = CheckpointStore::new(2, usize::MAX, None);
+        let store = CheckpointStore::new(2);
         let base = vec![(1i64, 10i64)];
         let delta = vec![(2i64, 20i64)];
         assert!(store
@@ -499,7 +460,7 @@ mod tests {
 
     #[test]
     fn stale_generation_deposits_rejected() {
-        let store = CheckpointStore::new(1, usize::MAX, None);
+        let store = CheckpointStore::new(1);
         let v = vec![(1i64, 1i64)];
         assert!(store
             .deposit_full(0, 0, 1.0, snap_of(SnapshotKind::Full, &v), vec![])
@@ -532,7 +493,7 @@ mod tests {
 
     #[test]
     fn delta_without_base_rejected() {
-        let store = CheckpointStore::new(1, usize::MAX, None);
+        let store = CheckpointStore::new(1);
         let v = vec![(1i64, 1i64)];
         assert!(store
             .deposit_delta(0, 0, 1.0, snap_of(SnapshotKind::Delta, &v), vec![])
@@ -541,7 +502,7 @@ mod tests {
 
     #[test]
     fn input_log_truncated_by_checkpoint_and_survives_load() {
-        let store = CheckpointStore::new(1, usize::MAX, None);
+        let store = CheckpointStore::new(1);
         let input = |i: i64| LoggedInput {
             tuple: Tuple::of([Value::from(i)]),
             now_s: i as f64,
@@ -563,28 +524,6 @@ mod tests {
         let r = store.load(0, 2).unwrap();
         assert!(r.input_log.is_empty());
         assert_eq!(r.dedup, vec![1, 2]);
-    }
-
-    #[test]
-    fn large_snapshots_spill_to_disk_and_load_back() {
-        let dir = std::env::temp_dir().join(format!("dsdps_ckpt_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new(1, 64, Some(dir.clone()));
-        let big: Vec<(i64, i64)> = (0..256).map(|i| (i, i * 2)).collect();
-        assert!(store
-            .deposit_full(0, 0, 1.0, snap_of(SnapshotKind::Full, &big), vec![])
-            .is_some());
-        let spilled = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(spilled, 1, "payload above threshold must spill");
-        let r = store.load(0, 1).unwrap();
-        assert_eq!(r.base.unwrap().decode::<Vec<(i64, i64)>>().unwrap(), big);
-        // Overwriting the base removes the spilled file.
-        let small = vec![(1i64, 1i64)];
-        assert!(store
-            .deposit_full(0, 1, 2.0, snap_of(SnapshotKind::Full, &small), vec![])
-            .is_some());
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

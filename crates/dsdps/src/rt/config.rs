@@ -1,7 +1,6 @@
 //! Knobs specific to the threaded runtime.
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use super::checkpoint::RecoveryMode;
@@ -45,13 +44,10 @@ use crate::error::{Error, Result};
 /// [`adaptive_throttle`](Self::adaptive_throttle) runs an AIMD controller
 /// over the per-interval queue-wait p99 observed by the telemetry registry:
 /// above [`throttle_target_queue_wait`](Self::throttle_target_queue_wait)
-/// the global spout rate cap is multiplied by
-/// [`throttle_decrease_factor`](Self::throttle_decrease_factor); well below
-/// it, the cap grows by
-/// [`throttle_additive_increase`](Self::throttle_additive_increase) per
-/// interval.  Both features default **off**: the stock behavior is the
-/// bounded-channel blocking send plus the `EngineConfig::max_spout_pending`
-/// in-flight gate, unchanged.
+/// the global spout rate cap is halved; well below it, the cap grows by a
+/// fixed step per interval.  Both features default **off**: the stock
+/// behavior is the bounded-channel blocking send plus the
+/// `EngineConfig::max_spout_pending` in-flight gate, unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtConfig {
     /// Maximum tuples per output batch (per destination task).  Must be at
@@ -107,17 +103,6 @@ pub struct RtConfig {
     /// AIMD setpoint: a per-interval queue-wait p99 above this triggers a
     /// multiplicative decrease of the spout rate cap.
     pub throttle_target_queue_wait: Duration,
-    /// Floor of the adaptive rate cap, tuples/s.
-    pub throttle_min_rate: f64,
-    /// Ceiling of the adaptive rate cap, tuples/s (`INFINITY` = none; the
-    /// cap starts here, i.e. uncapped by default).
-    pub throttle_max_rate: f64,
-    /// Additive increase of the cap per interval when queue wait is
-    /// comfortably under target, tuples/s.
-    pub throttle_additive_increase: f64,
-    /// Multiplicative decrease factor applied when queue wait exceeds the
-    /// target; must be in `(0, 1)`.
-    pub throttle_decrease_factor: f64,
     /// Enable periodic checkpoints of stateful tasks (bolts whose
     /// [`Bolt::stateful`](crate::component::Bolt::stateful) returns a
     /// [`StatefulComponent`](super::checkpoint::StatefulComponent)).  Off
@@ -129,30 +114,9 @@ pub struct RtConfig {
     /// after the batch's acks are applied, so the snapshot is aligned with
     /// the acked frontier.
     pub checkpoint_interval: Duration,
-    /// Take a full snapshot every Nth checkpoint; the intervening ones are
-    /// incremental deltas when the component supports them.  `1` makes
-    /// every checkpoint full.  The first checkpoint of every task
-    /// incarnation is always full.
-    pub checkpoint_full_every: u32,
-    /// Snapshot payloads larger than this many bytes spill to
-    /// [`checkpoint_spill_dir`](Self::checkpoint_spill_dir) instead of
-    /// staying in memory (no effect when the dir is unset).
-    pub checkpoint_spill_threshold: usize,
-    /// Directory for spilled snapshot payloads (`None`, the default,
-    /// keeps everything in memory).
-    pub checkpoint_spill_dir: Option<PathBuf>,
-    /// Under [`RecoveryMode::ExactlyOnceEffect`], a checkpoint is forced
-    /// early once this many inputs accumulate in the task's input log,
-    /// bounding replay-log memory between interval ticks.
-    pub checkpoint_log_high_water: usize,
     /// What a restart of a stateful task guarantees; see [`RecoveryMode`].
     /// Only meaningful with [`checkpoints`](Self::checkpoints) on.
     pub recovery_mode: RecoveryMode,
-    /// Encode snapshots as legacy JSON text instead of the compact binary
-    /// value encoding (see
-    /// [`set_json_snapshot_fallback`](super::checkpoint::set_json_snapshot_fallback)).
-    /// Decoding auto-detects both formats either way.
-    pub json_snapshots: bool,
 }
 
 impl Default for RtConfig {
@@ -173,18 +137,9 @@ impl Default for RtConfig {
             shed_on_overload: false,
             adaptive_throttle: false,
             throttle_target_queue_wait: Duration::from_millis(5),
-            throttle_min_rate: 100.0,
-            throttle_max_rate: f64::INFINITY,
-            throttle_additive_increase: 500.0,
-            throttle_decrease_factor: 0.5,
             checkpoints: false,
             checkpoint_interval: Duration::from_millis(500),
-            checkpoint_full_every: 4,
-            checkpoint_spill_threshold: 1 << 20,
-            checkpoint_spill_dir: None,
-            checkpoint_log_high_water: 8192,
             recovery_mode: RecoveryMode::AtLeastOnce,
-            json_snapshots: false,
         }
     }
 }
@@ -273,22 +228,6 @@ impl RtConfig {
         self
     }
 
-    /// Returns the config with the given adaptive rate-cap floor and
-    /// ceiling (tuples/s; `f64::INFINITY` for no ceiling).
-    pub fn with_throttle_bounds(mut self, min_rate: f64, max_rate: f64) -> Self {
-        self.throttle_min_rate = min_rate;
-        self.throttle_max_rate = max_rate;
-        self
-    }
-
-    /// Returns the config with the given AIMD parameters: additive
-    /// increase (tuples/s per interval) and multiplicative decrease factor.
-    pub fn with_throttle_aimd(mut self, additive_increase: f64, decrease_factor: f64) -> Self {
-        self.throttle_additive_increase = additive_increase;
-        self.throttle_decrease_factor = decrease_factor;
-        self
-    }
-
     /// Returns the config with periodic checkpoints on at the given
     /// interval.
     pub fn with_checkpoints(mut self, interval: Duration) -> Self {
@@ -297,32 +236,10 @@ impl RtConfig {
         self
     }
 
-    /// Returns the config taking a full snapshot every `n`th checkpoint
-    /// (deltas in between, for components that support them).
-    pub fn with_checkpoint_full_every(mut self, n: u32) -> Self {
-        self.checkpoint_full_every = n;
-        self
-    }
-
-    /// Returns the config spilling snapshot payloads larger than
-    /// `threshold` bytes to `dir`.
-    pub fn with_checkpoint_spill(mut self, dir: PathBuf, threshold: usize) -> Self {
-        self.checkpoint_spill_dir = Some(dir);
-        self.checkpoint_spill_threshold = threshold;
-        self
-    }
-
     /// Returns the config with the given recovery guarantee for stateful
     /// task restarts.
     pub fn with_recovery_mode(mut self, mode: RecoveryMode) -> Self {
         self.recovery_mode = mode;
-        self
-    }
-
-    /// Returns the config using the legacy JSON text snapshot encoding
-    /// instead of the compact binary one (decoding auto-detects both).
-    pub fn with_json_snapshots(mut self, json: bool) -> Self {
-        self.json_snapshots = json;
         self
     }
 
@@ -382,40 +299,10 @@ impl RtConfig {
                     .into(),
             ));
         }
-        if !(self.throttle_min_rate.is_finite() && self.throttle_min_rate > 0.0) {
-            return Err(Error::Config(
-                "rt throttle_min_rate must be positive and finite".into(),
-            ));
-        }
-        if self.throttle_max_rate < self.throttle_min_rate {
-            return Err(Error::Config(
-                "rt throttle_max_rate must be at least throttle_min_rate".into(),
-            ));
-        }
-        if !(self.throttle_additive_increase.is_finite() && self.throttle_additive_increase > 0.0) {
-            return Err(Error::Config(
-                "rt throttle_additive_increase must be positive and finite".into(),
-            ));
-        }
-        if !(self.throttle_decrease_factor > 0.0 && self.throttle_decrease_factor < 1.0) {
-            return Err(Error::Config(
-                "rt throttle_decrease_factor must be in (0, 1)".into(),
-            ));
-        }
         if self.checkpoints {
             if self.checkpoint_interval.is_zero() {
                 return Err(Error::Config(
                     "rt checkpoint_interval must be positive when checkpoints are on".into(),
-                ));
-            }
-            if self.checkpoint_full_every == 0 {
-                return Err(Error::Config(
-                    "rt checkpoint_full_every must be at least 1".into(),
-                ));
-            }
-            if self.checkpoint_log_high_water == 0 {
-                return Err(Error::Config(
-                    "rt checkpoint_log_high_water must be at least 1".into(),
                 ));
             }
         } else if self.recovery_mode != RecoveryMode::AtLeastOnce {
@@ -553,10 +440,8 @@ mod tests {
 
         let on = RtConfig::default()
             .with_checkpoints(Duration::from_millis(100))
-            .with_checkpoint_full_every(3)
             .with_recovery_mode(RecoveryMode::ExactlyOnceEffect);
         assert!(on.checkpoints);
-        assert_eq!(on.checkpoint_full_every, 3);
         assert!(on.validate().is_ok());
 
         // Stronger guarantees without checkpoints make no sense.
@@ -569,17 +454,11 @@ mod tests {
             .validate()
             .is_err());
 
-        // Degenerate knobs are rejected when checkpoints are on.
+        // A zero interval is rejected when checkpoints are on.
         assert!(RtConfig::default()
             .with_checkpoints(Duration::ZERO)
             .validate()
             .is_err());
-        let mut zero_full = RtConfig::default().with_checkpoints(Duration::from_millis(100));
-        zero_full.checkpoint_full_every = 0;
-        assert!(zero_full.validate().is_err());
-        let mut zero_hw = RtConfig::default().with_checkpoints(Duration::from_millis(100));
-        zero_hw.checkpoint_log_high_water = 0;
-        assert!(zero_hw.validate().is_err());
     }
 
     #[test]

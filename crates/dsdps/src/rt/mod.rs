@@ -860,6 +860,14 @@ impl RegistryMirror {
     }
 }
 
+/// Floor of the adaptive spout rate cap, tuples/s.
+const THROTTLE_MIN_RATE: f64 = 100.0;
+/// Additive increase of the cap per metrics interval while queue wait sits
+/// comfortably under target, tuples/s.
+const THROTTLE_ADDITIVE_INCREASE: f64 = 500.0;
+/// Multiplicative decrease applied when queue wait exceeds the target.
+const THROTTLE_DECREASE_FACTOR: f64 = 0.5;
+
 fn submit_inner(
     topology: Topology,
     config: EngineConfig,
@@ -869,7 +877,6 @@ fn submit_inner(
 ) -> Result<RunningTopology> {
     config.validate()?;
     rt_config.validate()?;
-    checkpoint::set_json_snapshot_fallback(rt_config.json_snapshots);
     let placement: Placement = even_placement(&topology, &config)?;
     let n_tasks = topology.task_count();
     let journal = Arc::new(Journal::new());
@@ -939,22 +946,18 @@ fn submit_inner(
         tracer,
         journal: Arc::clone(&journal),
         credits: rt_config.credit_flow.then(|| CreditLedger::new(n_tasks)),
-        // The cap starts at the configured ceiling — INFINITY (uncapped) by
-        // default, so stock runs never see the token bucket.
-        rate_cap_bits: AtomicU64::new(rt_config.throttle_max_rate.to_bits()),
+        // Uncapped until the throttle or a caller sets one, so stock runs
+        // never see the token bucket.
+        rate_cap_bits: AtomicU64::new(f64::INFINITY.to_bits()),
         shed_batches_total: AtomicU64::new(0),
         shed_tuples_total: AtomicU64::new(0),
         queue_wait: (0..n_tasks)
             .map(|_| Mutex::new((LatencyHistogram::new(), LatencyHistogram::new())))
             .collect(),
         queue_wait_last_p99_bits: AtomicU64::new(0f64.to_bits()),
-        checkpoints: rt_config.checkpoints.then(|| {
-            checkpoint::CheckpointStore::new(
-                n_tasks,
-                rt_config.checkpoint_spill_threshold,
-                rt_config.checkpoint_spill_dir.clone(),
-            )
-        }),
+        checkpoints: rt_config
+            .checkpoints
+            .then(|| checkpoint::CheckpointStore::new(n_tasks)),
         approx_skipped_total: AtomicU64::new(0),
         checkpoint_last_us: AtomicU64::new(0),
         restore_last_us: AtomicU64::new(0),
@@ -1248,20 +1251,14 @@ fn submit_inner(
                         let base = if cap.is_finite() {
                             cap
                         } else {
-                            (topo_stats.spout_emitted as f64 / interval_s)
-                                .max(shared.rt.throttle_min_rate)
+                            (topo_stats.spout_emitted as f64 / interval_s).max(THROTTLE_MIN_RATE)
                         };
-                        let new_cap = (base * shared.rt.throttle_decrease_factor)
-                            .clamp(shared.rt.throttle_min_rate, shared.rt.throttle_max_rate);
+                        let new_cap = (base * THROTTLE_DECREASE_FACTOR).max(THROTTLE_MIN_RATE);
                         if new_cap != cap {
                             shared.set_rate_cap(new_cap, "aimd");
                         }
                     } else if cap.is_finite() && qw_p99_us < target_us / 2.0 {
-                        let new_cap = (cap + shared.rt.throttle_additive_increase)
-                            .min(shared.rt.throttle_max_rate);
-                        if new_cap != cap {
-                            shared.set_rate_cap(new_cap, "aimd");
-                        }
+                        shared.set_rate_cap(cap + THROTTLE_ADDITIVE_INCREASE, "aimd");
                     }
                 }
 

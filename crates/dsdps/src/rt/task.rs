@@ -8,7 +8,6 @@
 //! [`Shared::fault`] so both loops misbehave on cue; see
 //! [`fault`](super::fault) for the exact semantics.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,16 +16,13 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::acker::Completion;
-use crate::component::{
-    Bolt, BoltOutput, Emission, MessageId, Spout, SpoutOutput, TopologyContext,
-};
+use crate::component::{Bolt, BoltOutput, Emission, Spout, SpoutOutput, TopologyContext};
 use crate::config::EngineConfig;
-use crate::hash::FxHashSet;
 use crate::telemetry::{trace::trace_id, JournalEvent};
 use crate::topology::TaskId;
 
 use super::batch::{AckMsg, AckOp, AckOps, Batch};
-use super::checkpoint::{LoggedInput, RecoveryMode};
+use super::checkpoint::{DedupWindow, LoggedInput, RecoveryMode};
 use super::fault::SLOWDOWN_FLOOR_NANOS;
 use super::replay::FailDecision;
 use super::router::Router;
@@ -205,9 +201,15 @@ fn inject_service_slowdown(shared: &Shared, tid: usize, t0: Instant) {
     }
 }
 
-/// Spout message ids remembered for exactly-once replay dedup; FIFO-evicted
-/// above this bound so the set cannot grow without limit.
-const DEDUP_CAP: usize = 65_536;
+/// Take a full snapshot every Nth checkpoint; the intervening ones are
+/// incremental deltas when the component supports them.  The first
+/// checkpoint of every task incarnation is always full.
+const CHECKPOINT_FULL_EVERY: u64 = 4;
+
+/// Under exactly-once effect a checkpoint is forced early once this many
+/// inputs accumulate in the task's input log, bounding replay-log memory
+/// between interval ticks.
+const CHECKPOINT_LOG_HIGH_WATER: usize = 8192;
 
 /// Per-incarnation checkpoint bookkeeping of one stateful bolt thread.
 struct CkptState {
@@ -218,10 +220,8 @@ struct CkptState {
     /// Input-log length at the store (exactly-once), for the high-water
     /// trigger between interval ticks.
     log_len: usize,
-    /// Recently applied spout message ids in insertion order (exactly-once
-    /// dedup); the set mirrors the FIFO for O(1) membership.
-    dedup_fifo: VecDeque<MessageId>,
-    dedup_set: FxHashSet<MessageId>,
+    /// Recently applied spout message ids (exactly-once dedup).
+    dedup: DedupWindow,
     /// Acks withheld until the next snapshot deposit (at-least-once /
     /// approximate alignment: a tuple is only acked once its effect is
     /// durable, so a crash replays everything after the snapshot).
@@ -234,28 +234,8 @@ impl CkptState {
             count: 0,
             last: Instant::now(),
             log_len: 0,
-            dedup_fifo: VecDeque::new(),
-            dedup_set: FxHashSet::default(),
+            dedup: DedupWindow::default(),
             deferred_acks: Vec::new(),
-        }
-    }
-
-    /// True when `id` was already applied by this bolt (before or after the
-    /// most recent restart).
-    fn seen(&self, id: MessageId) -> bool {
-        self.dedup_set.contains(&id)
-    }
-
-    /// Remembers an applied spout message id, evicting the oldest above
-    /// [`DEDUP_CAP`].
-    fn remember(&mut self, id: MessageId) {
-        if self.dedup_set.insert(id) {
-            self.dedup_fifo.push_back(id);
-            if self.dedup_fifo.len() > DEDUP_CAP {
-                if let Some(old) = self.dedup_fifo.pop_front() {
-                    self.dedup_set.remove(&old);
-                }
-            }
         }
     }
 }
@@ -263,9 +243,9 @@ impl CkptState {
 /// Takes one checkpoint of a stateful bolt when the interval (or the
 /// exactly-once input-log high-water mark, or `force`) says it is due, then
 /// releases the acks deferred since the previous snapshot into `ops`.  The
-/// snapshot is full every [`RtConfig::checkpoint_full_every`](super::RtConfig)
-/// deposits (and always on the first of an incarnation, or when the
-/// component has no delta to offer); otherwise an incremental delta.
+/// snapshot is full every [`CHECKPOINT_FULL_EVERY`] deposits (and always on
+/// the first of an incarnation, or when the component has no delta to
+/// offer); otherwise an incremental delta.
 fn maybe_checkpoint(
     bolt: &mut dyn Bolt,
     shared: &Shared,
@@ -280,7 +260,7 @@ fn maybe_checkpoint(
     };
     let due = force
         || ck.last.elapsed() >= shared.rt.checkpoint_interval
-        || ck.log_len >= shared.rt.checkpoint_log_high_water;
+        || ck.log_len >= CHECKPOINT_LOG_HIGH_WATER;
     if !due {
         return;
     }
@@ -289,9 +269,7 @@ fn maybe_checkpoint(
     };
     let t0 = Instant::now();
     let taken_at_s = shared.now_s();
-    let want_full = ck
-        .count
-        .is_multiple_of(shared.rt.checkpoint_full_every as u64);
+    let want_full = ck.count.is_multiple_of(CHECKPOINT_FULL_EVERY);
     let (snap, is_full) = if want_full {
         (sc.snapshot(), true)
     } else {
@@ -301,7 +279,7 @@ fn maybe_checkpoint(
         }
     };
     let bytes = snap.len() as u64;
-    let dedup: Vec<MessageId> = ck.dedup_fifo.iter().copied().collect();
+    let dedup = ck.dedup.ids();
     let deposited = if is_full {
         store.deposit_full(tid, my_gen, taken_at_s, snap, dedup)
     } else {
@@ -388,16 +366,14 @@ fn restore_state(
     }
     match mode {
         RecoveryMode::ExactlyOnceEffect => {
-            for id in &r.dedup {
-                ck.remember(*id);
-            }
+            ck.dedup = DedupWindow::from_ids(r.dedup);
             for li in &r.input_log {
                 out.set_now(li.now_s);
                 bolt.execute(&li.tuple, out);
                 let _ = out.drain_into(emis);
                 emis.clear();
                 if let Some(id) = li.dedup {
-                    ck.remember(id);
+                    ck.dedup.insert(id);
                 }
             }
         }
@@ -846,7 +822,7 @@ pub(super) fn run_bolt(
                     // replayed tree completes.
                     if log_on {
                         if let Some(id) = delivered.dedup {
-                            if ck.seen(id) {
+                            if ck.dedup.contains(id) {
                                 if let Some((root, edge)) = delivered.anchor {
                                     ops.push(AckOp::Ack { root, edge, now_s });
                                 }
@@ -938,7 +914,7 @@ pub(super) fn run_bolt(
                             dedup: delivered.dedup,
                         });
                         if let Some(id) = delivered.dedup {
-                            ck.remember(id);
+                            ck.dedup.insert(id);
                         }
                     }
                     executed += 1;

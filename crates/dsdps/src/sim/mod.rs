@@ -1,7 +1,7 @@
 //! Discrete-event simulated runtime.
 //!
 //! This runtime substitutes for the physical Storm cluster of the paper's
-//! evaluation (see `DESIGN.md` §2): virtual time, a machine/worker/executor
+//! evaluation (see `DESIGN.md` §1): virtual time, a machine/worker/executor
 //! placement hierarchy, a co-location interference model, and deterministic
 //! fault injection.  It exposes the identical observation surface
 //! (multilevel [`crate::metrics::MetricsSnapshot`]s) and actuation surface

@@ -24,10 +24,7 @@
 //!   cross-referencable with trace ids.
 //!
 //! The disabled path (sample rate 0, no registry address) costs one branch
-//! per batch on the data plane and allocates nothing; the `strip-telemetry`
-//! cargo feature compiles even that out so the bench overhead gate can
-//! measure the instrumented-but-disabled runtime against a truly
-//! uninstrumented build.  See `DESIGN.md` §11.
+//! per batch on the data plane and allocates nothing.
 
 pub mod http;
 pub mod journal;
@@ -42,9 +39,6 @@ pub use trace::{
     write_chrome_trace, write_spans_jsonl, Span, SpanKind, TraceSummary, Tracer,
 };
 
-/// Compile-time master switch for hot-path instrumentation.
-///
-/// `true` in normal builds; the `strip-telemetry` feature turns it into
-/// `false`, letting the optimizer delete every tracing branch from the data
-/// plane.  The bench overhead gate compares the two builds.
-pub const HOT_PATH_TELEMETRY: bool = cfg!(not(feature = "strip-telemetry"));
+/// Hot-path instrumentation is always compiled in; there is one build
+/// configuration.  Kept because run stamps print it.
+pub const HOT_PATH_TELEMETRY: bool = true;

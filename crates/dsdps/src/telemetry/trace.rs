@@ -150,11 +150,11 @@ impl Tracer {
         Tracer::new(0.0, 0, Vec::new())
     }
 
-    /// True when any tree can be sampled (and hot-path telemetry is
-    /// compiled in).  Data-plane call sites branch on this once per batch.
+    /// True when any tree can be sampled.  Data-plane call sites branch on
+    /// this once per batch.
     #[inline]
     pub fn enabled(&self) -> bool {
-        super::HOT_PATH_TELEMETRY && self.threshold != 0
+        self.threshold != 0
     }
 
     /// Deterministic per-tree sampling decision.

@@ -358,6 +358,76 @@ fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
     done()
 }
 
+/// `dist::submit` validates its configs like the other backends do: each
+/// bad value is an `Error::Config` naming it, returned before any worker
+/// process is spawned (the worker command would leave a marker file).
+#[test]
+fn dist_submit_rejects_bad_configs_before_spawning() {
+    let marker = std::env::temp_dir().join(format!("dsdps_dist_spawned_{}", std::process::id()));
+    let _ = std::fs::remove_file(&marker);
+    let fleet = |workers: usize| DistConfig {
+        workers,
+        ..DistConfig::new(
+            2,
+            vec![
+                "/bin/sh".into(),
+                "-c".into(),
+                format!("echo spawned > {}", marker.display()),
+            ],
+        )
+        .with_connect_timeout(Duration::from_millis(500))
+    };
+    let (engine, rt_config) = (EngineConfig::default(), RtConfig::default());
+    let bad_engine = EngineConfig {
+        queue_capacity: 0,
+        ..engine.clone()
+    };
+    let cases = [
+        (
+            "batch_size",
+            &engine,
+            rt_config.clone().with_batch_size(0),
+            2,
+        ),
+        (
+            "acker_shards",
+            &engine,
+            rt_config.clone().with_acker_shards(0),
+            2,
+        ),
+        (
+            "trace_sample_rate",
+            &engine,
+            rt_config.clone().with_trace_sample_rate(2.0),
+            2,
+        ),
+        ("workers", &engine, rt_config.clone(), 0),
+        ("queue_capacity", &bad_engine, rt_config.clone(), 2),
+    ];
+    for (what, engine, rt_config, workers) in cases {
+        let submitted = dist::submit(
+            &registry(),
+            "calib",
+            "10",
+            engine.clone(),
+            rt_config,
+            fleet(workers),
+        );
+        match submitted {
+            Err(dsdps::error::Error::Config(msg)) => {
+                assert!(msg.contains(what), "{what}: unexpected message {msg:?}")
+            }
+            Err(other) => panic!("{what}: expected Error::Config, got {other:?}"),
+            Ok(running) => {
+                running.shutdown();
+                panic!("{what}: bad config accepted");
+            }
+        }
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(!marker.exists(), "a worker process was spawned");
+}
+
 /// The calibration acceptance test: the identical topology, run on the
 /// threaded backend and on worker processes, acks every tracked message
 /// with zero loss — `acked == tracked == n` on both.

@@ -681,7 +681,7 @@ fn sim_calibrates_to_threaded_runtime_under_fault_plan() {
     // must agree exactly on delivered counts and land within a generous
     // band of the threaded runtime's measured complete latency — the
     // agreement that makes controller policies transferable from simulated
-    // sweeps to the real engine (DESIGN.md §14).
+    // sweeps to the real engine (DESIGN.md §4).
     use streampc::dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput};
     use streampc::dsdps::rt::{self, RtConfig, RtFault, RtFaultPlan};
     use streampc::dsdps::sim::Fault;
