@@ -25,7 +25,7 @@ use dsdps::tuple::{Tuple, Value};
 use parking_lot::Mutex;
 use stream_apps::faults::FaultScenario;
 use stream_control::controller::{
-    rt_control_hook, ControlEvent, ControlMode, Controller, ControllerConfig,
+    control_hook, ControlEvent, ControlMode, Controller, ControllerConfig,
 };
 use stream_control::detector::DetectorConfig;
 
@@ -171,7 +171,7 @@ pub fn rt_reliability(ctx: &Ctx) -> ExpResult {
             },
         )?;
         let shared = Arc::new(Mutex::new(controller));
-        let hook = rt_control_hook(shared.clone());
+        let hook = control_hook(shared.clone());
         let running =
             rt::submit_faulty(topology, cfg.clone(), rt_config(), plan.clone(), Some(hook))?;
         // The controller appends its flag/recover/reroute decisions to the

@@ -519,20 +519,10 @@ impl Controller {
     }
 }
 
-/// Wraps a shared controller as a [`ControlHook`] for
-/// [`dsdps::sim::SimRuntime::add_control_hook`] (also usable with the
-/// threaded runtime's hook).
+/// Wraps a shared controller as the snapshot hook of either backend:
+/// [`dsdps::sim::SimRuntime::add_control_hook`] in virtual time,
+/// [`dsdps::rt::submit_faulty`] on the wall clock.
 pub fn control_hook(controller: Arc<Mutex<Controller>>) -> ControlHook {
-    Box::new(move |snapshot| {
-        controller.lock().on_snapshot(snapshot);
-    })
-}
-
-/// Wraps a shared controller as a threaded-runtime
-/// [`MetricsHook`](dsdps::rt::MetricsHook) — the wall-clock counterpart of
-/// [`control_hook`], for closing the loop over a real run via
-/// [`dsdps::rt::submit_with_hook`] or [`dsdps::rt::submit_faulty`].
-pub fn rt_control_hook(controller: Arc<Mutex<Controller>>) -> dsdps::rt::MetricsHook {
     Box::new(move |snapshot| {
         controller.lock().on_snapshot(snapshot);
     })

@@ -33,7 +33,7 @@ pub mod predictor;
 /// Commonly used items, re-exported.
 pub mod prelude {
     pub use crate::controller::{
-        control_hook, rt_control_hook, ControlEvent, ControlMode, Controller, ControllerConfig,
+        control_hook, ControlEvent, ControlMode, Controller, ControllerConfig,
     };
     pub use crate::detector::{Detector, DetectorConfig};
     pub use crate::error::{Error, Result};

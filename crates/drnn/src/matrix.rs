@@ -4,7 +4,7 @@
 //! transpose, broadcast row addition, element-wise maps and reductions.
 //!
 //! Every product runs on the one register-tiled micro-kernel in
-//! [`crate::kernel`]; this module only checks shapes, describes the operands
+//! the private `kernel` module; this module only checks shapes, describes the operands
 //! to it and splits large outputs into bands.  The products are written
 //! around caller-owned output buffers (`matmul_into` / `matmul_add_into`) so
 //! hot loops — LSTM/GRU steps, BPTT — run allocation-free; the allocating

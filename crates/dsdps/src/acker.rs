@@ -78,11 +78,37 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Fresh edge ids for one routing thread: a SplitMix64-scrambled counter,
+/// so ids drawn from differently seeded sources (other threads, other
+/// processes) behave like independent random 64-bit values — what the XOR
+/// zero-test needs — without shared state.
+#[derive(Debug, Default)]
+pub(crate) struct EdgeIds(u64);
+
+impl EdgeIds {
+    /// `seed` must differ between any two threads routing in the same run.
+    pub(crate) fn new(seed: u64) -> Self {
+        EdgeIds(splitmix64(seed))
+    }
+
+    /// A fresh nonzero edge id (zero is reserved: XORing it would be a
+    /// no-op and break accounting).
+    pub(crate) fn next(&mut self) -> u64 {
+        loop {
+            self.0 = self.0.wrapping_add(1);
+            let id = splitmix64(self.0);
+            if id != 0 {
+                return id;
+            }
+        }
+    }
+}
+
 /// The acker: pending tuple trees and their XOR accumulators.
 #[derive(Debug, Default)]
 pub struct Acker {
     pending: FxHashMap<RootId, Pending>,
-    next_edge: u64,
+    edges: EdgeIds,
     /// Completed-tree outcomes not yet drained by the runtime.
     outcomes: Vec<TreeOutcome>,
 }
@@ -95,14 +121,7 @@ impl Acker {
 
     /// Allocates a fresh edge id (scrambled counter).
     pub fn new_edge_id(&mut self) -> u64 {
-        self.next_edge += 1;
-        // Zero is reserved: XORing 0 would be a no-op and break accounting.
-        let id = splitmix64(self.next_edge);
-        if id == 0 {
-            self.new_edge_id()
-        } else {
-            id
-        }
+        self.edges.next()
     }
 
     /// Registers a new tree rooted at a spout emission whose root tuple got

@@ -319,17 +319,6 @@ impl InternTable {
         self.entries.is_empty()
     }
 
-    /// Index of `stream` as declared by `component`, if declared.  A
-    /// component declares a handful of streams, so this scans them — no
-    /// allocation or hashing on the per-emission path.
-    pub fn lookup(&self, component: usize, stream: &str) -> Option<u32> {
-        let (lo, hi) = (
-            *self.component_base.get(component)?,
-            *self.component_base.get(component + 1)?,
-        );
-        (lo..hi).find(|&i| self.entries[i as usize].0.as_str() == stream)
-    }
-
     /// The interned stream id and schema at `idx`.
     pub fn entry(&self, idx: u32) -> Option<(&crate::stream::StreamId, &Fields)> {
         self.entries.get(idx as usize).map(|(s, f)| (s, f))

@@ -11,7 +11,9 @@
 //! supervisor thread respawns dead workers, expires timed-out trees,
 //! flushes lingering batches and pushes dynamic-grouping ratio changes.
 //!
-//! Delivery accounting mirrors the threaded runtime exactly —
+//! Destination selection and the spouts' tree lifecycle (tracking, replay,
+//! `ack_enabled`, the delivery counters) are the crate's shared values, so
+//! delivery accounting is the threaded runtime's by construction —
 //! `tracked == acked + permanently_failed + in_flight` holds at shutdown
 //! ([`DistReport::conservation_holds`]) — with one extra failure source:
 //! the coordinator no longer knows which worker holds which edge of a
@@ -27,21 +29,22 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::codec::{FlushReport, Frame, InternTable, WirePeer, WireTuple};
-use super::router::{DistRouter, EdgeIds, Outbox};
+use super::router::{route_tables, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::{snapshot_from_payload, snapshot_to_payload, TopologyRegistry};
 use super::{
     recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine, TransportKind,
 };
-use crate::acker::{splitmix64, Completion, RootId, ShardedAcker, TreeOutcome};
+use crate::acker::{EdgeIds, RootId, ShardedAcker, TreeOutcome};
 use crate::component::{Emission, MessageId, SpoutOutput, TopologyContext};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
 use crate::grouping::dynamic::DynamicGroupingHandle;
+use crate::lifecycle::{deliver_outcomes, TreeCounters, TreeLifecycle};
 use crate::metrics::{LatencyHistogram, OnlineStats};
+use crate::route::RouteTable;
 use crate::rt::batch::{AckOp, AckOps};
 use crate::rt::checkpoint::CheckpointStore;
-use crate::rt::replay::{FailDecision, ReplayBuffer};
 use crate::rt::{CreditLedger, CreditTotals, RtConfig, StateSnapshot};
 use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
@@ -110,13 +113,8 @@ struct WorkerSlot {
 /// read the same cells.
 struct Counters {
     spout_emitted: Counter,
-    tracked: Counter,
-    acked: Counter,
-    failed: Counter,
-    timed_out: Counter,
-    permanently_failed: Counter,
-    replays_scheduled: Counter,
-    replays_emitted: Counter,
+    /// What the spouts' tree lifecycles count.
+    trees: TreeCounters,
     checkpoints_taken: Counter,
     restores: Counter,
     snapshot_bytes: Counter,
@@ -134,13 +132,16 @@ impl Counters {
         let c = |name: &str| reg.counter(&format!("dsdps_coord_{name}_total"), &[]);
         Counters {
             spout_emitted: c("spout_emitted"),
-            tracked: c("tracked"),
-            acked: c("acked"),
-            failed: c("failed"),
-            timed_out: c("timed_out"),
-            permanently_failed: c("permanently_failed"),
-            replays_scheduled: c("replays_scheduled"),
-            replays_emitted: c("replays_emitted"),
+            trees: TreeCounters {
+                tracked: c("tracked"),
+                acked: c("acked"),
+                failed: c("failed"),
+                timed_out: c("timed_out"),
+                permanently_failed: c("permanently_failed"),
+                replays_scheduled: c("replays_scheduled"),
+                replays_emitted: c("replays_emitted"),
+                approx_skipped: c("approx_skipped"),
+            },
             checkpoints_taken: c("checkpoints_taken"),
             restores: c("restores"),
             snapshot_bytes: c("snapshot_bytes"),
@@ -179,7 +180,7 @@ struct Shared {
     /// Tuples per destination task each sender may have outstanding.
     window: u64,
     store: CheckpointStore,
-    journal: Journal,
+    journal: Arc<Journal>,
     counters: Counters,
     /// Coordinator-side tracer: spout-emit + terminal spans, sampled by
     /// `RtConfig::trace_sample_rate`.  Workers get the rate in `Assign` and
@@ -211,11 +212,11 @@ struct Shared {
     /// Whether each component's bolt reports state (probed at submit).
     component_stateful: Vec<bool>,
     slots: Vec<WorkerSlot>,
-    /// Dynamic-grouping handles in router order (the `SetRatio` edge index).
+    /// Dynamic-grouping handles in route order (the `SetRatio` edge index).
     dynamic: Vec<DynamicGroupingHandle>,
     /// Outcome channel of each spout task (`None` for bolt tasks).
     feedback: Vec<Option<Sender<Vec<TreeOutcome>>>>,
-    /// Live replay-buffer length per spout task (drain check).
+    /// Unresolved messages per spout task (drain check).
     spout_inflight: Vec<AtomicUsize>,
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -248,24 +249,15 @@ impl Shared {
 
     /// Records terminal spans of sampled trees and hands each outcome to
     /// the spout thread that owns it.
-    fn deliver(&self, mut outcomes: Vec<TreeOutcome>) {
-        if self.tracer.enabled() {
-            // The trailing tracer slot is shared by every completing thread
-            // (readers, supervisor); it is locked per span.
-            let slot = self.topology.task_count();
-            for o in outcomes.iter().filter(|o| self.tracer.sampled(o.root)) {
-                self.tracer.record_outcome(slot, o);
-            }
-        }
-        while let Some(spout) = outcomes.first().map(|o| o.spout_task.0) {
-            let (mine, rest) = outcomes
-                .into_iter()
-                .partition(|o: &TreeOutcome| o.spout_task.0 == spout);
-            outcomes = rest;
+    fn deliver(&self, outcomes: Vec<TreeOutcome>) {
+        // The trailing tracer slot is shared by every completing thread
+        // (readers, supervisor); it is locked per span.
+        let slot = self.topology.task_count();
+        deliver_outcomes(&self.tracer, slot, outcomes, |spout, mine| {
             if let Some(tx) = self.feedback.get(spout).and_then(Option::as_ref) {
                 let _ = tx.send(mine);
             }
-        }
+        });
     }
 
     /// Closes the link of a dead connection, returns its credits and fails
@@ -785,9 +777,7 @@ fn supervisor_loop(shared: Arc<Shared>) {
         let now = shared.now_s();
         if last_expire.elapsed() >= Duration::from_millis(50) {
             last_expire = Instant::now();
-            shared
-                .ackers
-                .expire(now, shared.engine.message_timeout_s.max(0.001));
+            shared.ackers.expire(now, shared.engine.message_timeout_s);
         }
         // Trees completed outside a reader's apply (timeouts, failed
         // sends) sit in the shard buffers until someone takes them home.
@@ -890,47 +880,29 @@ fn supervisor_loop(shared: Arc<Shared>) {
 
 // --- spout thread -------------------------------------------------------
 
-struct SpoutThreadResult {
-    in_flight: usize,
-    /// Tree-completion latency (µs) of this spout's acked messages.
-    latency: (OnlineStats, LatencyHistogram),
-}
-
 /// Routing state owned by one spout thread.
 struct SpoutRoute {
     component: usize,
     task: usize,
-    router: DistRouter,
+    table: RouteTable,
     edge_ids: EdgeIds,
-    /// Scratch: the edge drawn per destination of the emission in hand.
+    /// Scratch: the destinations of the emission in hand, and the edge
+    /// drawn per destination.
+    dests: Vec<usize>,
     edges: Vec<u64>,
 }
 
 impl SpoutRoute {
     /// Routes one spout emission.  `tracked_as` carries the spout message
     /// id for tree tracking + replay dedup; `None` emits untracked.
-    /// Returns the number of deliveries and the new tree's root.
+    /// Returns the new tree's root.
     fn route(
         &mut self,
         shared: &Shared,
         emission: &Emission,
         tracked_as: Option<MessageId>,
-    ) -> (usize, Option<RootId>) {
-        let Some(stream) = shared
-            .intern
-            .lookup(self.component, emission.stream.as_str())
-        else {
-            return (0, None);
-        };
-        let dests = self.router.select(
-            self.component,
-            stream,
-            &emission.tuple,
-            emission.direct_task,
-        );
-        if dests.is_empty() {
-            return (0, None);
-        }
+    ) -> Option<RootId> {
+        let selected = self.table.select(emission, &mut self.dests);
         // The tree is registered with the XOR of all its first-hop edges
         // *before* any delivery leaves: an ack record that beat the
         // registration would hit an unknown root and be lost, and one that
@@ -939,14 +911,23 @@ impl SpoutRoute {
             let root = shared.next_root.fetch_add(1, Ordering::Relaxed) + 1;
             self.edges.clear();
             self.edges
-                .extend(dests.iter().map(|_| self.edge_ids.next()));
+                .extend(self.dests.iter().map(|_| self.edge_ids.next()));
             let xor = self.edges.iter().fold(0, |acc, e| acc ^ e);
+            let now = shared.now_s();
             shared
                 .ackers
-                .track(root, xor, TaskId(self.task), message_id, shared.now_s());
+                .track(root, xor, TaskId(self.task), message_id, now);
+            if self.dests.is_empty() {
+                // Reaches nothing: the tree completes with zero deliveries.
+                shared.ackers.on_ack(root, 0, now);
+            }
             root
         });
-        for (i, &dest) in dests.iter().enumerate() {
+        let Some(selected) = selected else {
+            return root;
+        };
+        let stream = shared.intern.base_of(self.component) + selected.decl as u32;
+        for (i, &dest) in self.dests.iter().enumerate() {
             shared.enqueue(WireTuple {
                 token: if root.is_some() { self.edges[i] } else { 0 },
                 dest_task: dest as u32,
@@ -956,7 +937,7 @@ impl SpoutRoute {
                 values: emission.tuple.values().to_vec(),
             });
         }
-        (dests.len(), root)
+        root
     }
 }
 
@@ -966,7 +947,7 @@ fn spout_loop(
     task_index: usize,
     spout_index: usize,
     feedback: Receiver<Vec<TreeOutcome>>,
-) -> SpoutThreadResult {
+) -> TreeLifecycle {
     let task = route.task;
     let component = shared.topology.component(ComponentId(route.component));
     let ComponentKind::Spout(factory) = &component.kind else {
@@ -978,91 +959,40 @@ fn spout_loop(
         task_index,
         parallelism: component.parallelism,
     });
-    let mut replay = ReplayBuffer::default();
-    let mut latency = (OnlineStats::new(), LatencyHistogram::new());
+    let mut trees = TreeLifecycle::new(
+        &shared.rt,
+        shared.counters.trees.clone(),
+        Arc::clone(&shared.journal),
+    );
     let mut out = SpoutOutput::new();
     let mut emissions = Vec::new();
     let mut idle_spins = 0u32;
     let mut exhausted = false;
-    let trace_on = shared.tracer.enabled();
+    let trace_emit = |root: Option<RootId>, now: f64, attempt: u32, id: MessageId| {
+        if let Some(root) = root.filter(|&r| shared.tracer.sampled(r)) {
+            let now_us = (now * 1e6) as u64;
+            shared
+                .tracer
+                .record_emit(task, root, task, now_us, attempt, id);
+        }
+    };
     loop {
         let now = shared.now_s();
         // 1. Feedback: completed trees → acks/fails/replay schedule.
         for outcome in feedback.try_iter().flatten() {
-            let id = outcome.message_id;
-            match outcome.completion {
-                Completion::Acked => {
-                    if replay.on_ack(id) {
-                        shared.counters.acked.inc();
-                        let us = outcome.complete_latency() * 1e6;
-                        latency.0.update(us);
-                        latency.1.record(us);
-                        spout.ack(id);
-                    }
-                }
-                Completion::Failed | Completion::TimedOut => {
-                    let counter = if outcome.completion == Completion::Failed {
-                        &shared.counters.failed
-                    } else {
-                        &shared.counters.timed_out
-                    };
-                    counter.inc();
-                    match replay.on_fail(
-                        id,
-                        shared.rt.max_replays,
-                        shared.rt.replay_backoff,
-                        Instant::now(),
-                    ) {
-                        FailDecision::Scheduled { attempt, delay } => {
-                            shared.counters.replays_scheduled.inc();
-                            shared.journal.append(JournalEvent::ReplayScheduled {
-                                time_s: now,
-                                message_id: id,
-                                attempt,
-                                delay_ms: delay.as_secs_f64() * 1e3,
-                            });
-                        }
-                        FailDecision::Exhausted { attempts } => {
-                            shared.counters.permanently_failed.inc();
-                            shared.journal.append(JournalEvent::ReplayExhausted {
-                                time_s: now,
-                                message_id: id,
-                                attempts,
-                            });
-                            spout.fail(id);
-                        }
-                        FailDecision::Untracked | FailDecision::Doomed => {}
-                    }
-                }
-            }
+            let heard = trees.on_outcome(&outcome, now);
+            heard.tell(&mut *spout, outcome.message_id);
         }
         // 2. Due replays: re-emit under a fresh tree (O(1) when nothing is
         // scheduled, which is every iteration of a healthy run).
-        for (id, emission, attempt) in replay.take_due(Instant::now()) {
-            let (delivered, root) = route.route(&shared, &emission, Some(id));
-            let root = root.unwrap_or(0);
-            shared.counters.replays_emitted.inc();
-            shared.journal.append(JournalEvent::ReplayEmitted {
-                time_s: now,
-                message_id: id,
-                attempt,
-                root,
-                trace_id: splitmix64(root),
-            });
-            if trace_on && shared.tracer.sampled(root) {
-                shared
-                    .tracer
-                    .record_emit(task, root, task, (now * 1e6) as u64, attempt, id);
-            }
-            if delivered == 0 && replay.on_ack(id) {
-                // Routed to nothing (subscriber set changed?): complete it.
-                shared.counters.acked.inc();
-                spout.ack(id);
-            }
+        for (id, emission, attempt) in trees.take_due(now) {
+            let root = route.route(&shared, &emission, Some(id));
+            trees.on_replayed(id, attempt, root.unwrap_or(0), now);
+            trace_emit(root, now, attempt, id);
         }
         // 3. Fresh emission, gated on max_spout_pending.
         let stopped = shared.stop.load(Ordering::Acquire) || exhausted;
-        if !stopped && replay.len() < shared.engine.max_spout_pending {
+        if !stopped && trees.pending() < shared.engine.max_spout_pending {
             out.set_now(now);
             if !spout.next_tuple(&mut out) {
                 exhausted = true;
@@ -1072,27 +1002,14 @@ fn spout_loop(
         let emitted_any = !emissions.is_empty();
         for emission in emissions.drain(..) {
             shared.counters.spout_emitted.inc();
-            let Some(id) = emission.message_id else {
-                route.route(&shared, &emission, None);
-                continue;
-            };
-            let emission = Arc::new(emission);
-            if replay.on_track(id, Arc::clone(&emission), now) {
-                shared.counters.tracked.inc();
-            }
-            let (delivered, root) = route.route(&shared, &emission, Some(id));
-            if let Some(root) = root.filter(|&r| trace_on && shared.tracer.sampled(r)) {
-                shared
-                    .tracer
-                    .record_emit(task, root, task, (now * 1e6) as u64, 0, id);
-            }
-            if delivered == 0 && replay.on_ack(id) {
-                // No subscriber: immediately complete.
-                shared.counters.acked.inc();
-                spout.ack(id);
+            let tracked_as = TreeLifecycle::tracked_id(&shared.engine, &emission);
+            let root = route.route(&shared, &emission, tracked_as);
+            if let Some(id) = tracked_as {
+                trace_emit(root, now, 0, id);
+                trees.on_track(id, emission, now);
             }
         }
-        shared.spout_inflight[spout_index].store(replay.len(), Ordering::Release);
+        shared.spout_inflight[spout_index].store(trees.pending(), Ordering::Release);
         if shared.terminate.load(Ordering::Acquire) {
             break;
         }
@@ -1104,10 +1021,7 @@ fn spout_loop(
         }
     }
     spout.close();
-    SpoutThreadResult {
-        in_flight: replay.len(),
-        latency,
-    }
+    trees
 }
 
 // --- submit / running handle --------------------------------------------
@@ -1190,7 +1104,7 @@ pub fn submit(
     };
 
     let store = CheckpointStore::new(n_tasks);
-    let journal = Journal::default();
+    let journal = Arc::new(Journal::default());
     if rt.checkpoints {
         journal.append(JournalEvent::RecoveryMode {
             time_s: 0.0,
@@ -1225,8 +1139,9 @@ pub fn submit(
         let route = SpoutRoute {
             component,
             task,
-            router: DistRouter::new(&topology, &intern),
+            table: RouteTable::new(&topology, topology.component(ComponentId(component)), 0),
             edge_ids: EdgeIds::new(u64::from(std::process::id()) << 32 | task as u64),
+            dests: Vec::new(),
             edges: Vec::new(),
         };
         spout_inputs.push((route, task_index, rx));
@@ -1235,7 +1150,7 @@ pub fn submit(
     let shared = Arc::new(Shared {
         topology_key: topology_name.to_owned(),
         args: args.to_owned(),
-        dynamic: spout_inputs[0].0.router.dynamic_handles().to_vec(),
+        dynamic: route_tables(&topology).1,
         intern,
         ackers: ShardedAcker::new(rt.acker_shards),
         ledger,
@@ -1335,7 +1250,7 @@ pub struct RunningDist {
     shared: Arc<Shared>,
     listener_handle: Option<JoinHandle<()>>,
     supervisor_handle: Option<JoinHandle<()>>,
-    spout_handles: Vec<JoinHandle<SpoutThreadResult>>,
+    spout_handles: Vec<JoinHandle<TreeLifecycle>>,
     metrics_server: Option<MetricsServer>,
 }
 
@@ -1404,12 +1319,12 @@ impl RunningDist {
 
     /// Messages fully acked so far.
     pub fn acked(&self) -> u64 {
-        self.shared.counters.acked.get()
+        self.shared.counters.trees.acked.get()
     }
 
     /// Distinct messages tracked so far.
     pub fn tracked(&self) -> u64 {
-        self.shared.counters.tracked.get()
+        self.shared.counters.trees.tracked.get()
     }
 
     /// Spout emissions so far (fresh, not counting replays).
@@ -1490,10 +1405,10 @@ impl RunningDist {
         let mut in_flight = 0u64;
         let mut latency = (OnlineStats::new(), LatencyHistogram::new());
         for handle in self.spout_handles.drain(..) {
-            if let Ok(result) = handle.join() {
-                in_flight += result.in_flight as u64;
-                latency.0.merge(&result.latency.0);
-                latency.1.merge(&result.latency.1);
+            if let Ok(trees) = handle.join() {
+                in_flight += trees.pending() as u64;
+                latency.0.merge(&trees.latency().0);
+                latency.1.merge(&trees.latency().1);
             }
         }
         // Stop the fleet.  Every link is closed before its worker is told
@@ -1585,13 +1500,13 @@ impl RunningDist {
         DistReport {
             uptime_s: shared.now_s(),
             spout_emitted: c.spout_emitted.get(),
-            tracked: c.tracked.get(),
-            acked: c.acked.get(),
-            failed: c.failed.get(),
-            timed_out: c.timed_out.get(),
-            permanently_failed: c.permanently_failed.get(),
-            replays_scheduled: c.replays_scheduled.get(),
-            replays_emitted: c.replays_emitted.get(),
+            tracked: c.trees.tracked.get(),
+            acked: c.trees.acked.get(),
+            failed: c.trees.failed.get(),
+            timed_out: c.trees.timed_out.get(),
+            permanently_failed: c.trees.permanently_failed.get(),
+            replays_scheduled: c.trees.replays_scheduled.get(),
+            replays_emitted: c.trees.replays_emitted.get(),
             in_flight,
             avg_complete_latency_ms: latency.0.mean() / 1e3,
             p99_complete_latency_ms: latency.1.quantile(0.99).unwrap_or(0.0) / 1e3,

@@ -4,12 +4,13 @@
 //! This is the third backend next to the simulator ([`crate::sim`]) and
 //! the threaded runtime ([`crate::rt`]).  The spout/bolt/grouping API and
 //! the [`RtConfig`](crate::rt::RtConfig) knobs are identical — the same
-//! topology runs unmodified on all three.  What changes is placement:
+//! topology runs unmodified on all three, through the same route table and
+//! the same spout tree lifecycle (DESIGN.md §4.1).  What changes is
+//! placement and transport:
 //!
 //! * the **coordinator** (this process) runs the spouts and is the control
-//!   plane: the sharded acker, the replay buffers, the checkpoint store and
-//!   the process supervisor.  The only tuples it routes are spout
-//!   emissions;
+//!   plane: the sharded acker, the checkpoint store and the process
+//!   supervisor.  The only tuples it routes are spout emissions;
 //! * **workers** are separate OS processes that execute bolts, route their
 //!   emissions to each other directly (over [`transport`]) and
 //!   send the coordinator one XOR ack record per executed tuple, all in

@@ -1,140 +1,33 @@
 //! What the coordinator and every worker share on the send side of the
-//! data plane: the router that picks destination tasks for an emission,
-//! and the per-link [`Outbox`] that puts deliveries on the wire under the
-//! sender's credit ledger.
+//! data plane: the per-component route tables and the per-link [`Outbox`]
+//! that puts deliveries on the wire under the sender's credit ledger.
 //!
 //! The coordinator routes spout emissions with these types; each worker
 //! routes its own bolt and tick emissions with the very same ones.
 
 use std::collections::VecDeque;
 
-use super::codec::{Frame, InternTable, WireTuple};
+use super::codec::{Frame, WireTuple};
 use super::transport::BatchWriter;
-use crate::acker::splitmix64;
 use crate::grouping::dynamic::DynamicGroupingHandle;
-use crate::grouping::{make_grouping, Grouping, GroupingSpec};
+use crate::route::RouteTable;
 use crate::rt::CreditLedger;
 use crate::topology::Topology;
-use crate::tuple::Tuple;
 
-/// Fresh edge ids for one routing thread: a SplitMix64-scrambled counter
-/// from a per-thread seed, so ids drawn in different processes behave like
-/// independent random 64-bit values (what the acker's XOR zero-test
-/// needs) without shared state.
-pub(crate) struct EdgeIds(u64);
-
-impl EdgeIds {
-    /// `seed` must differ between any two threads routing in the same run.
-    pub(crate) fn new(seed: u64) -> Self {
-        EdgeIds(splitmix64(seed))
-    }
-
-    /// A fresh nonzero edge id.
-    pub(crate) fn next(&mut self) -> u64 {
-        loop {
-            self.0 = self.0.wrapping_add(1);
-            let id = splitmix64(self.0);
-            if id != 0 {
-                return id;
-            }
-        }
-    }
-}
-
-/// One subscription of a downstream component to a producer's stream.
-struct Route {
-    stream: u32,
-    subscriber_base: usize,
-    parallelism: usize,
-    grouping: Box<dyn Grouping>,
-    is_direct: bool,
-}
-
-/// Destination selection for every producing component of a topology.
-/// Owned by one thread (a coordinator spout thread, a worker's executor),
-/// so groupings need no lock and the scratch buffers are reused.
-pub(crate) struct DistRouter {
-    /// Routes indexed by producing component id.
-    per_component: Vec<Vec<Route>>,
-    /// Handles of the dynamic-grouping edges, in route order — the index
-    /// is the `edge` of a `SetRatio` frame.
-    dynamic: Vec<DynamicGroupingHandle>,
-    dests: Vec<usize>,
-    locals: Vec<usize>,
-}
-
-impl DistRouter {
-    pub(crate) fn new(topology: &Topology, intern: &InternTable) -> Self {
-        let mut per_component = Vec::new();
-        let mut dynamic = Vec::new();
-        for component in topology.components() {
-            let mut routes = Vec::new();
-            for decl in &component.outputs {
-                let stream = intern
-                    .lookup(component.id.0, decl.id.as_str())
-                    .expect("declared stream is interned");
-                for (sub, spec) in topology.subscribers_of(component.id, &decl.id) {
-                    let handle = match spec {
-                        GroupingSpec::Dynamic(_) => {
-                            topology.dynamic_handle(&component.name, &decl.id, &sub.name)
-                        }
-                        _ => None,
-                    };
-                    dynamic.extend(handle.clone());
-                    routes.push(Route {
-                        stream,
-                        subscriber_base: sub.base_task.0,
-                        parallelism: sub.parallelism,
-                        grouping: make_grouping(spec, sub.parallelism, &decl.fields, 0, handle),
-                        is_direct: matches!(spec, GroupingSpec::Direct),
-                    });
-                }
-            }
-            per_component.push(routes);
-        }
-        DistRouter {
-            per_component,
-            dynamic,
-            dests: Vec::new(),
-            locals: Vec::new(),
-        }
-    }
-
-    /// The dynamic-grouping handles, indexed by `SetRatio` edge.
-    pub(crate) fn dynamic_handles(&self) -> &[DynamicGroupingHandle] {
-        &self.dynamic
-    }
-
-    /// Destination task ids for one emission of `component` on interned
-    /// stream `stream`.  The slice is valid until the next call.
-    pub(crate) fn select(
-        &mut self,
-        component: usize,
-        stream: u32,
-        tuple: &Tuple,
-        direct_task: Option<usize>,
-    ) -> &[usize] {
-        self.dests.clear();
-        for route in &mut self.per_component[component] {
-            if route.stream != stream {
-                continue;
-            }
-            match (direct_task, route.is_direct) {
-                (Some(local), true) if local < route.parallelism => {
-                    self.dests.push(route.subscriber_base + local);
-                }
-                (None, false) => {
-                    self.locals.clear();
-                    route.grouping.select(tuple, &mut self.locals);
-                    let base = route.subscriber_base;
-                    self.dests.extend(self.locals.iter().map(|l| base + l));
-                }
-                // Direct emissions only travel direct routes and vice versa.
-                _ => {}
-            }
-        }
-        &self.dests
-    }
+/// One [`RouteTable`] per producing component (indexed by component id),
+/// plus every dynamic-grouping handle in route order — the index is the
+/// `edge` of a `SetRatio` frame.  Coordinator and workers build this from
+/// the same topology, so they agree on both.
+pub(crate) fn route_tables(topology: &Topology) -> (Vec<RouteTable>, Vec<DynamicGroupingHandle>) {
+    let tables: Vec<RouteTable> = topology
+        .components()
+        .map(|component| RouteTable::new(topology, component, 0))
+        .collect();
+    let dynamic = tables
+        .iter()
+        .flat_map(|table| table.dynamic_handles().iter().cloned())
+        .collect();
+    (tables, dynamic)
 }
 
 /// Send side of one data link: the batching writer plus the deliveries

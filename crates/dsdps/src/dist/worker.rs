@@ -32,13 +32,14 @@ use super::codec::{
     AckItem, FlushReport, Frame, InternTable, WireMetric, WirePeer, WireSpan, WireTuple,
 };
 use super::coordinator::COORDINATOR_SLOT;
-use super::router::{DistRouter, EdgeIds, Outbox};
+use super::router::{route_tables, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::{recovery_from_byte, span_kind_to_byte, spawn_thread, DistConfig, LastWordsLine};
-use crate::acker::splitmix64;
+use crate::acker::{splitmix64, EdgeIds};
 use crate::component::{Bolt, BoltOutput, Emission, TopologyContext};
 use crate::error::{Error, Result};
-use crate::grouping::dynamic::SplitRatio;
+use crate::grouping::dynamic::{DynamicGroupingHandle, SplitRatio};
+use crate::route::RouteTable;
 use crate::rt::checkpoint::DedupWindow;
 use crate::rt::{CreditLedger, RecoveryMode, SnapshotKind, StateSnapshot};
 use crate::telemetry::{Counter, Registry, SampleValue, Tracer};
@@ -255,7 +256,11 @@ struct Worker {
     push_interval: Option<Duration>,
     batch_size: usize,
     intern: InternTable,
-    router: DistRouter,
+    /// Route table per producing component, the dynamic-grouping handles
+    /// by `SetRatio` edge, and the destinations of the emission in hand.
+    tables: Vec<RouteTable>,
+    dynamic: Vec<DynamicGroupingHandle>,
+    dests: Vec<usize>,
     edge_ids: EdgeIds,
     /// Owning slot per global task ([`COORDINATOR_SLOT`] for spout tasks).
     task_slot: Vec<u32>,
@@ -379,19 +384,17 @@ impl Worker {
         root: Option<u64>,
         dedup: Option<u64>,
     ) -> u64 {
-        // Undeclared stream: nothing can subscribe, drop it.
-        let Some(stream) = self.intern.lookup(component, emission.stream.as_str()) else {
+        // Reaches nothing (e.g. an undeclared stream): drop it.
+        let Some(selected) = self.tables[component].select(&emission, &mut self.dests) else {
             return 0;
         };
-        let dests = self
-            .router
-            .select(component, stream, &emission.tuple, emission.direct_task);
-        let (_, fields) = self.intern.entry(stream).expect("looked up above");
+        let stream = self.intern.base_of(component) + selected.decl as u32;
+        let fields = &selected.fields;
         let mut xor = 0;
         // The last destination takes the tuple itself, earlier ones a copy.
         let mut tuple = Some(emission.tuple);
-        for (i, &dest) in dests.iter().enumerate() {
-            let copy = if i + 1 == dests.len() {
+        for (i, &dest) in self.dests.iter().enumerate() {
+            let copy = if i + 1 == self.dests.len() {
                 tuple.take()
             } else {
                 tuple.clone()
@@ -669,10 +672,9 @@ impl Worker {
                 self.peers[slot].out.drain(&self.ledger);
             }
             (Frame::SetRatio { edge, weights }, None) => {
-                if let (Some(handle), Ok(ratio)) = (
-                    self.router.dynamic_handles().get(edge as usize),
-                    SplitRatio::new(weights),
-                ) {
+                if let (Some(handle), Ok(ratio)) =
+                    (self.dynamic.get(edge as usize), SplitRatio::new(weights))
+                {
                     let _ = handle.set_ratio(ratio);
                 }
             }
@@ -918,6 +920,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
     let next_link = Arc::new(AtomicU64::new(COORDINATOR_LINK + 1));
     let (accept_tx, links) = (tx.clone(), Arc::clone(&next_link));
     let micros = |us: u64| (us > 0).then(|| Duration::from_micros(us));
+    let (tables, dynamic) = route_tables(&topology);
     let mut w = Worker {
         idx,
         t0,
@@ -927,8 +930,10 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         tick_interval: micros(tick_interval_us),
         push_interval: micros(metrics_interval_us),
         batch_size: batch_size.max(1) as usize,
-        router: DistRouter::new(&topology, &intern),
         intern,
+        tables,
+        dynamic,
+        dests: Vec::new(),
         // Distinct per process incarnation: pid plus slot and generation.
         edge_ids: EdgeIds::new(
             u64::from(std::process::id()) << 32 | u64::from(idx) << 16 | (generation & 0xffff),

@@ -72,7 +72,9 @@ pub mod dist;
 pub mod error;
 pub mod grouping;
 pub mod hash;
+mod lifecycle;
 pub mod metrics;
+mod route;
 pub mod rt;
 pub mod scheduler;
 pub mod sim;

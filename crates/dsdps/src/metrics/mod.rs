@@ -21,7 +21,8 @@ pub mod window;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-use crate::scheduler::{MachineId, WorkerId};
+use crate::scheduler::{MachineId, Placement, WorkerId};
+use crate::telemetry::{Journal, JournalEvent};
 use crate::topology::TaskId;
 
 pub use window::{Ewma, LatencyHistogram, OnlineStats};
@@ -99,6 +100,57 @@ pub struct WorkerStats {
     pub num_tasks: usize,
 }
 
+/// What a backend measured for one task over an interval beyond its
+/// [`TaskStats`] row: the remaining inputs of [`fold_workers`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TaskFlow {
+    /// Sum of the task's execute latencies, µs.
+    pub(crate) latency_sum_us: f64,
+    /// Tuples delivered to the task by tasks of other workers.
+    pub(crate) tuples_in: u64,
+    /// Tuples the task delivered to tasks of other workers.
+    pub(crate) tuples_out: u64,
+}
+
+/// Rolls task rows up into one [`WorkerStats`] row per worker of
+/// `placement` — the same fold on every backend, so a worker-level feature
+/// means the same thing wherever the controller reads it.  Only
+/// cross-worker deliveries count as entering or leaving a worker.
+pub(crate) fn fold_workers(
+    tasks: &[TaskStats],
+    flows: &[TaskFlow],
+    placement: &Placement,
+) -> Vec<WorkerStats> {
+    let mut workers: Vec<WorkerStats> = (0..placement.num_workers())
+        .map(|w| WorkerStats {
+            worker: WorkerId(w),
+            machine: placement.machine_of(WorkerId(w)),
+            cpu_cores_used: 0.0,
+            memory_mb: 100.0,
+            executed: 0,
+            tuples_in: 0,
+            tuples_out: 0,
+            avg_execute_latency_us: 0.0,
+            num_tasks: 0,
+        })
+        .collect();
+    for (task, flow) in tasks.iter().zip(flows) {
+        let w = &mut workers[task.worker.0];
+        w.cpu_cores_used += task.capacity;
+        w.memory_mb += task.queue_len as f64 * 0.004;
+        w.executed += task.executed;
+        w.tuples_in += flow.tuples_in;
+        w.tuples_out += flow.tuples_out;
+        // Holds the latency sum until the division below.
+        w.avg_execute_latency_us += flow.latency_sum_us;
+        w.num_tasks += 1;
+    }
+    for w in workers.iter_mut().filter(|w| w.executed > 0) {
+        w.avg_execute_latency_us /= w.executed as f64;
+    }
+    workers
+}
+
 /// Per-machine statistics for one metrics interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineStats {
@@ -160,6 +212,11 @@ pub struct MetricsSnapshot {
     pub topology: TopologyStats,
 }
 
+/// Callback a backend invokes with every snapshot it produces — the
+/// control framework's entry point (re-exported as `sim::ControlHook` and
+/// `rt::MetricsHook`).
+pub type SnapshotHook = Box<dyn FnMut(&MetricsSnapshot) + Send>;
+
 impl MetricsSnapshot {
     /// Worker row by id.
     pub fn worker(&self, id: WorkerId) -> Option<&WorkerStats> {
@@ -190,6 +247,8 @@ impl MetricsSnapshot {
 pub struct MetricsHistory {
     snapshots: VecDeque<MetricsSnapshot>,
     capacity: usize,
+    /// The first eviction has been journaled.
+    truncated: bool,
 }
 
 impl MetricsHistory {
@@ -198,6 +257,7 @@ impl MetricsHistory {
         MetricsHistory {
             snapshots: VecDeque::new(),
             capacity,
+            truncated: false,
         }
     }
 
@@ -207,6 +267,19 @@ impl MetricsHistory {
         if self.capacity > 0 && self.snapshots.len() > self.capacity {
             self.snapshots.pop_front();
         }
+    }
+
+    /// [`push`](Self::push) as the backends do it: the first eviction is
+    /// journaled as `history_truncated`.
+    pub(crate) fn push_journaled(&mut self, snapshot: MetricsSnapshot, journal: &Journal) {
+        if self.capacity > 0 && self.snapshots.len() >= self.capacity && !self.truncated {
+            self.truncated = true;
+            journal.append(JournalEvent::HistoryTruncated {
+                time_s: snapshot.time_s,
+                retained: self.capacity,
+            });
+        }
+        self.push(snapshot);
     }
 
     /// Number of retained snapshots.

@@ -1,0 +1,251 @@
+//! Destination selection, shared by every backend.
+//!
+//! A [`RouteTable`] answers "which tasks get this emission" for one
+//! producer: built once from the [`Topology`], it holds one [`Grouping`] per
+//! subscription to each declared output stream.  It is a plain value — no
+//! thread, socket or clock inside — stepped with `&mut` by the routing
+//! thread of whichever backend owns it, so groupings need no lock.  What
+//! happens to the selected tasks (slab instance, channel batch, wire frame)
+//! stays with the backend.
+
+use crate::component::Emission;
+use crate::grouping::dynamic::DynamicGroupingHandle;
+use crate::grouping::{make_grouping, Grouping, GroupingSpec};
+use crate::stream::StreamId;
+use crate::topology::{Component, Topology};
+use crate::tuple::Fields;
+
+/// One subscription of a downstream component to one of the producer's
+/// declared streams.  `select` hands back a route the emission matched: the
+/// backend rekeys delivered tuples to `fields`, and `dist` derives the
+/// interned wire id of the stream from `decl` without a second lookup.
+pub(crate) struct Route {
+    stream: StreamId,
+    /// Index of the stream among the producer's declared outputs.
+    pub(crate) decl: usize,
+    /// Schema of the stream.
+    pub(crate) fields: Fields,
+    base_task: usize,
+    parallelism: usize,
+    grouping: Box<dyn Grouping>,
+    is_direct: bool,
+}
+
+/// Destination selection for the emissions of one producer.
+pub(crate) struct RouteTable {
+    /// In declaration order, then subscription order.
+    routes: Vec<Route>,
+    /// Handles of the dynamic-grouping subscriptions, in route order.
+    dynamic: Vec<DynamicGroupingHandle>,
+}
+
+impl RouteTable {
+    /// Builds the table for `component`.  `producer_offset` de-phases
+    /// round-robin shuffles: backends with one table per task pass the
+    /// task's index within the component.
+    pub(crate) fn new(topology: &Topology, component: &Component, producer_offset: usize) -> Self {
+        let mut routes = Vec::new();
+        let mut dynamic = Vec::new();
+        for (index, decl) in component.outputs.iter().enumerate() {
+            for (sub, spec) in topology.subscribers_of(component.id, &decl.id) {
+                let handle = match spec {
+                    GroupingSpec::Dynamic(_) => {
+                        topology.dynamic_handle(&component.name, &decl.id, &sub.name)
+                    }
+                    _ => None,
+                };
+                dynamic.extend(handle.clone());
+                routes.push(Route {
+                    stream: decl.id.clone(),
+                    decl: index,
+                    fields: decl.fields.clone(),
+                    base_task: sub.base_task.0,
+                    parallelism: sub.parallelism,
+                    grouping: make_grouping(
+                        spec,
+                        sub.parallelism,
+                        &decl.fields,
+                        producer_offset,
+                        handle,
+                    ),
+                    is_direct: matches!(spec, GroupingSpec::Direct),
+                });
+            }
+        }
+        RouteTable { routes, dynamic }
+    }
+
+    /// The dynamic-grouping handles of this producer, in route order.
+    pub(crate) fn dynamic_handles(&self) -> &[DynamicGroupingHandle] {
+        &self.dynamic
+    }
+
+    /// Replaces the contents of `dests` with the global ids of the tasks
+    /// `emission` reaches, in route order.  A direct emission travels only
+    /// direct subscriptions (to the named task index, when the subscriber
+    /// has one) and a grouped emission only grouped ones.  `None` when
+    /// nothing is reached: undeclared stream, no matching subscription, or
+    /// a direct index past the subscriber's parallelism.
+    pub(crate) fn select(&mut self, emission: &Emission, dests: &mut Vec<usize>) -> Option<&Route> {
+        dests.clear();
+        let mut matched = None;
+        for (r, route) in self.routes.iter_mut().enumerate() {
+            if route.stream != emission.stream {
+                continue;
+            }
+            matched = Some(r);
+            match (emission.direct_task, route.is_direct) {
+                (Some(index), true) if index < route.parallelism => {
+                    dests.push(route.base_task + index);
+                }
+                (None, false) => {
+                    let first = dests.len();
+                    route.grouping.select(&emission.tuple, dests);
+                    for dest in &mut dests[first..] {
+                        *dest += route.base_task;
+                    }
+                }
+                _ => {}
+            }
+        }
+        matched
+            .filter(|_| !dests.is_empty())
+            .map(|r| &self.routes[r])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::component::{Bolt, BoltOutput, Spout, SpoutOutput};
+    use crate::topology::TopologyBuilder;
+    use crate::tuple::{Tuple, Value};
+
+    struct NullSpout;
+    impl Spout for NullSpout {
+        fn next_tuple(&mut self, _out: &mut SpoutOutput) -> bool {
+            false
+        }
+    }
+
+    struct NullBolt;
+    impl Bolt for NullBolt {
+        fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {}
+    }
+
+    const STREAMS: [&str; 3] = ["default", "s1", "s2"];
+
+    /// `src` declares [`STREAMS`]; each `(kind, stream, parallelism)` adds a
+    /// bolt subscribed to one of them.  Kinds 0‥6 are the seven groupings;
+    /// those the builder only offers on the default stream subscribe there.
+    fn topology(subscribers: &[(usize, usize, usize)]) -> Topology {
+        let schema = || Fields::new(["k", "v"]);
+        let mut b = TopologyBuilder::new("routes");
+        b.set_spout("src", 3, || NullSpout)
+            .unwrap()
+            .output_fields(schema())
+            .output_stream("s1", schema())
+            .output_stream("s2", schema());
+        for (i, &(kind, stream, parallelism)) in subscribers.iter().enumerate() {
+            let stream = STREAMS[stream];
+            let mut bolt = b
+                .set_bolt(&format!("b{i}"), parallelism, || NullBolt)
+                .unwrap();
+            match kind {
+                0 => bolt.shuffle_grouping_stream("src", stream),
+                1 => bolt.fields_grouping_stream("src", stream, &["k"]),
+                2 => bolt.global_grouping("src"),
+                3 => bolt.all_grouping("src"),
+                4 => bolt.direct_grouping("src", stream),
+                5 => bolt.partial_key_grouping("src", &["k"]),
+                _ => bolt.dynamic_grouping_stream("src", stream),
+            }
+            .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The naive model: one `make_grouping` per subscription, consulted
+    /// subscription by subscription.
+    struct Naive {
+        stream: StreamId,
+        base_task: usize,
+        parallelism: usize,
+        is_direct: bool,
+        grouping: Box<dyn Grouping>,
+    }
+
+    fn naive(topology: &Topology, offset: usize) -> Vec<Naive> {
+        let src = topology.component_by_name("src").unwrap();
+        let mut model = Vec::new();
+        for decl in &src.outputs {
+            for (sub, spec) in topology.subscribers_of(src.id, &decl.id) {
+                let handle = topology.dynamic_handle("src", &decl.id, &sub.name);
+                model.push(Naive {
+                    stream: decl.id.clone(),
+                    base_task: sub.base_task.0,
+                    parallelism: sub.parallelism,
+                    is_direct: matches!(spec, GroupingSpec::Direct),
+                    grouping: make_grouping(spec, sub.parallelism, &decl.fields, offset, handle),
+                });
+            }
+        }
+        model
+    }
+
+    proptest! {
+        /// `select` reaches exactly the tasks the per-subscription model
+        /// reaches, in the same order, and names the matched declaration.
+        #[test]
+        fn select_equals_per_subscription_model(
+            subscribers in prop::collection::vec((0usize..7, 0usize..3, 1usize..5), 1..7),
+            emissions in prop::collection::vec((0usize..4, 0i64..12, 0usize..8), 1..80),
+            offset in 0usize..3,
+        ) {
+            let topology = topology(&subscribers);
+            let src = topology.component_by_name("src").unwrap();
+            let mut table = RouteTable::new(&topology, src, offset);
+            let mut model = naive(&topology, offset);
+            let mut dests = vec![usize::MAX];
+            for (stream, key, direct) in emissions {
+                // Stream 3 is undeclared; direct indices 5‥7 mean "grouped",
+                // 0‥4 straddle every subscriber's parallelism.
+                let stream = StreamId::new(STREAMS.get(stream).copied().unwrap_or("nope"));
+                let direct_task = (direct < 5).then_some(direct);
+                let tuple = Tuple::of([Value::from(key), Value::from(1i64)]);
+                let emission = Emission {
+                    stream,
+                    tuple: tuple.clone(),
+                    message_id: None,
+                    direct_task,
+                    anchored: true,
+                };
+                let mut expected = Vec::new();
+                for route in model.iter_mut().filter(|r| r.stream == emission.stream) {
+                    match (direct_task, route.is_direct) {
+                        (Some(index), true) if index < route.parallelism => {
+                            expected.push(route.base_task + index);
+                        }
+                        (None, false) => {
+                            let mut locals = Vec::new();
+                            route.grouping.select(&tuple, &mut locals);
+                            expected.extend(locals.iter().map(|l| route.base_task + l));
+                        }
+                        _ => {}
+                    }
+                }
+                let selected = table.select(&emission, &mut dests);
+                prop_assert_eq!(selected.is_some(), !expected.is_empty());
+                if let Some(selected) = selected {
+                    let decl = &src.outputs[selected.decl];
+                    prop_assert_eq!(&decl.id, &emission.stream);
+                    prop_assert!(selected.fields.ptr_eq(&decl.fields));
+                }
+                prop_assert_eq!(&dests, &expected);
+                prop_assert!(dests.iter().all(|&d| d >= 3 && d < topology.task_count()));
+            }
+        }
+    }
+}

@@ -1,4 +1,5 @@
-//! Tuple batching: per-destination output buffers and amortized acker ops.
+//! Tuple batching: what travels between tasks, and amortized acker ops (the
+//! per-destination output buffers are the [`Router`](super::router::Router)'s).
 //!
 //! Two invariants keep batching exactly as reliable as per-tuple delivery:
 //!
@@ -24,17 +25,10 @@
 //!
 //! [`ShardedAcker`]: crate::acker::ShardedAcker
 
-use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
-
-use crossbeam::channel::{SendTimeoutError, Sender};
-
 use crate::acker::{RootId, ShardedAcker, TreeOutcome};
 use crate::component::MessageId;
 use crate::topology::TaskId;
 use crate::tuple::Tuple;
-
-use super::Shared;
 
 /// A tuple instance delivered to a task, with its acker anchor.
 pub(super) struct Delivered {
@@ -59,13 +53,9 @@ pub(super) struct Batch {
     pub(super) items: Vec<Delivered>,
     /// Runtime clock (µs) when the producer handed this batch to the channel.
     pub(super) sent_at_us: u64,
-}
-
-/// Message to a spout thread about one of its tuple trees.  Travels in
-/// batches (`Vec<AckMsg>`) so completions amortize like data tuples.
-pub(super) enum AckMsg {
-    Ack(MessageId),
-    Fail(MessageId),
+    /// Whether the producer runs on another worker than the consumer (the
+    /// batch then counts toward both workers' `tuples_in`/`tuples_out`).
+    pub(super) remote: bool,
 }
 
 /// One deferred acker operation.  Timestamps are captured when the op is
@@ -177,199 +167,5 @@ impl AckOps {
     /// Takes the outcomes drained by [`apply`](Self::apply).
     pub(crate) fn take_outcomes(&mut self) -> Vec<TreeOutcome> {
         std::mem::take(&mut self.outcomes)
-    }
-}
-
-/// What triggered a batch flush (recorded in the task's flush counters).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum FlushReason {
-    /// The buffer reached `batch_size`.
-    Full,
-    /// The oldest buffered tuple hit the linger deadline.
-    Linger,
-    /// Task drain: idle spout, shutdown, or end of input.
-    Final,
-}
-
-struct Buf {
-    items: Vec<Delivered>,
-    /// When the oldest currently-buffered entry arrived.
-    since: Option<Instant>,
-}
-
-/// Per-destination output buffers for one task thread.  Owns the channel
-/// senders; every send goes through [`flush_dest`](Self::flush_dest) so the
-/// apply-before-send invariant holds in one place.
-pub(super) struct OutputBuffers {
-    batch_size: usize,
-    linger: Duration,
-    senders: Vec<Sender<Batch>>,
-    bufs: Vec<Buf>,
-    /// Count of non-empty buffers, for cheap idle checks.
-    nonempty: usize,
-    /// Global id of the owning task (for flush counters).
-    task: usize,
-}
-
-impl OutputBuffers {
-    pub(super) fn new(
-        batch_size: usize,
-        linger: Duration,
-        senders: Vec<Sender<Batch>>,
-        task: usize,
-    ) -> Self {
-        let n = senders.len();
-        Self {
-            batch_size: batch_size.max(1),
-            linger,
-            senders,
-            bufs: (0..n)
-                .map(|_| Buf {
-                    items: Vec::new(),
-                    since: None,
-                })
-                .collect(),
-            nonempty: 0,
-            task,
-        }
-    }
-
-    /// Buffers one tuple for `dest`, flushing inline if the buffer fills.
-    pub(super) fn push(&mut self, dest: usize, item: Delivered, shared: &Shared, ops: &mut AckOps) {
-        let buf = &mut self.bufs[dest];
-        if buf.items.is_empty() {
-            buf.since = Some(Instant::now());
-            self.nonempty += 1;
-        }
-        buf.items.push(item);
-        if buf.items.len() >= self.batch_size {
-            self.flush_dest(dest, shared, ops, FlushReason::Full);
-        }
-    }
-
-    /// Sends `dest`'s buffered batch downstream.  With credit flow on, one
-    /// credit must be acquired from `dest`'s pool first — an empty pool
-    /// blocks (heartbeating) or sheds the batch, per
-    /// [`RtConfig::shed_on_overload`](super::RtConfig::shed_on_overload).
-    /// The channel send itself still uses the blocking-with-shutdown-check
-    /// loop; bounded channel capacity counts batches.
-    pub(super) fn flush_dest(
-        &mut self,
-        dest: usize,
-        shared: &Shared,
-        ops: &mut AckOps,
-        reason: FlushReason,
-    ) {
-        let buf = &mut self.bufs[dest];
-        if buf.items.is_empty() {
-            return;
-        }
-        // Apply-before-send: the acker must know every edge in this batch
-        // (and the tracks/acks queued alongside) before downstream can react.
-        ops.apply(&shared.ackers);
-        let batch = std::mem::take(&mut buf.items);
-        buf.since = None;
-        self.nonempty -= 1;
-        let stats = &shared.task_stats[self.task];
-        stats.batches_flushed.fetch_add(1, Ordering::Relaxed);
-        if reason == FlushReason::Linger {
-            stats.linger_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        // Credit gate: one credit per batch toward `dest`.  `dest` is the
-        // consumer's global task id, which indexes both senders and pools.
-        if let Some(credits) = shared.credits.as_ref() {
-            if !credits.try_acquire(dest) {
-                if shared.rt.shed_on_overload {
-                    // Shed: fail every anchored tree in the batch so the
-                    // acker (and replay, when on) accounts for each tuple —
-                    // shedding loses work, never accounting.
-                    shared.shed_batches_total.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .shed_tuples_total
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    let now_s = shared.now_s();
-                    for item in &batch {
-                        if let Some((root, _)) = item.anchor {
-                            ops.push(AckOp::Fail { root, now_s });
-                        }
-                    }
-                    ops.apply(&shared.ackers);
-                    return;
-                }
-                // Block: poll for a credit with heartbeats so the supervisor
-                // does not supersede a merely-backpressured task.  On stop
-                // the batch is dropped, exactly like the send loop below.
-                loop {
-                    if shared.stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    shared.beat(self.task);
-                    std::thread::sleep(Duration::from_micros(200));
-                    if credits.try_acquire(dest) {
-                        break;
-                    }
-                }
-            }
-        }
-        let mut msg = Batch {
-            items: batch,
-            sent_at_us: shared.now_us(),
-        };
-        loop {
-            match self.senders[dest].send_timeout(msg, Duration::from_millis(50)) {
-                Ok(()) => break,
-                Err(SendTimeoutError::Timeout(back)) => {
-                    if shared.stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Blocked on backpressure is not hung: keep heartbeating
-                    // so the supervisor does not supersede this task.
-                    shared.beat(self.task);
-                    msg = back;
-                }
-                Err(SendTimeoutError::Disconnected(_)) => break,
-            }
-        }
-    }
-
-    /// Flushes every buffer whose oldest entry has lingered past the
-    /// deadline.
-    pub(super) fn flush_expired(&mut self, now: Instant, shared: &Shared, ops: &mut AckOps) {
-        if self.nonempty == 0 {
-            return;
-        }
-        for dest in 0..self.bufs.len() {
-            if let Some(since) = self.bufs[dest].since {
-                if now.duration_since(since) >= self.linger {
-                    self.flush_dest(dest, shared, ops, FlushReason::Linger);
-                }
-            }
-        }
-    }
-
-    /// Flushes everything (task drain / shutdown).
-    pub(super) fn flush_all(&mut self, shared: &Shared, ops: &mut AckOps) {
-        if self.nonempty == 0 {
-            return;
-        }
-        for dest in 0..self.bufs.len() {
-            self.flush_dest(dest, shared, ops, FlushReason::Final);
-        }
-    }
-
-    /// Earliest linger deadline across non-empty buffers, if any.
-    pub(super) fn next_deadline(&self) -> Option<Instant> {
-        if self.nonempty == 0 {
-            return None;
-        }
-        self.bufs
-            .iter()
-            .filter_map(|b| b.since)
-            .min()
-            .map(|since| since + self.linger)
-    }
-
-    pub(super) fn has_pending(&self) -> bool {
-        self.nonempty > 0
     }
 }

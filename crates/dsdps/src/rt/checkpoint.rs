@@ -9,13 +9,13 @@
 //!   [`Bolt::stateful`](crate::component::Bolt::stateful): encode the
 //!   current state into a [`StateSnapshot`] (periodic **full** snapshots
 //!   plus optional incremental **deltas**) and rebuild it from one.
-//! * [`CheckpointStore`] keeps the latest checkpoint per task — base
-//!   snapshot, ordered deltas, the exactly-once input log and replay-dedup
-//!   ids — in memory.  Entries are guarded by the depositing task's
+//! * `CheckpointStore` (crate-internal) keeps the latest checkpoint per
+//!   task — base snapshot, ordered deltas, the exactly-once input log and
+//!   replay-dedup ids — in memory.  Entries are guarded by the depositing task's
 //!   supervisor generation so a superseded-but-still-running thread can
 //!   never clobber its replacement's checkpoints.
-//! * [`DedupWindow`] is the FIFO-bounded set of applied ids a stateful
-//!   task keeps under exactly-once effect, on every backend.
+//! * `DedupWindow` (crate-internal) is the FIFO-bounded set of applied ids
+//!   a stateful task keeps under exactly-once effect, on every backend.
 //! * [`RecoveryMode`] selects what a restart *means*: exactly-once effect
 //!   (aligned snapshots + input-log re-execution + replay dedup),
 //!   at-least-once (restore the latest snapshot, accept duplicates), or

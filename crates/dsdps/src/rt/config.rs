@@ -265,11 +265,6 @@ impl RtConfig {
         window_batches * self.batch_size
     }
 
-    /// True when the spout loops should run the replay protocol.
-    pub(crate) fn replay_enabled(&self) -> bool {
-        self.max_replays > 0
-    }
-
     /// Validates the config.
     pub fn validate(&self) -> Result<()> {
         if self.batch_size == 0 {
@@ -325,7 +320,6 @@ mod tests {
         assert_eq!(cfg.batch_size, 1);
         assert!(cfg.supervise, "supervision is on by default");
         assert_eq!(cfg.max_replays, 0, "replay is opt-in");
-        assert!(!cfg.replay_enabled());
         assert!(cfg.validate().is_ok());
     }
 
@@ -466,7 +460,6 @@ mod tests {
         let cfg = RtConfig::default()
             .with_max_replays(3)
             .with_replay_backoff(Duration::from_millis(20));
-        assert!(cfg.replay_enabled());
         assert_eq!(cfg.max_replays, 3);
         assert!(cfg.validate().is_ok());
     }

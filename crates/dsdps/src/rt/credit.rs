@@ -11,9 +11,9 @@
 //! or **sheds** the batch (failing its anchored trees so the acker and
 //! replay machinery account for every tuple).
 //!
-//! The ledger lives in [`Shared`](super::Shared), not in any task thread,
-//! so credit state survives supervisor restarts exactly like the replay
-//! buffers.  Four monotone counters per pool make the accounting auditable:
+//! The ledger lives in the runtime's shared state, not in any task thread,
+//! so credit state survives supervisor restarts exactly like the spouts'
+//! tree lifecycles.  Four monotone counters per pool make the accounting auditable:
 //!
 //! ```text
 //! granted == consumed + revoked + outstanding
@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Aggregate snapshot of a [`CreditLedger`] (sums over every pool).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CreditTotals {
     /// Credits ever granted (initial windows, per-batch re-grants, window
     /// grows).

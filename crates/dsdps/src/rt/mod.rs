@@ -4,8 +4,14 @@
 //! channels (bounded capacity = natural backpressure).  The runtime exposes
 //! the same observation surface as the simulator — periodic multilevel
 //! [`MetricsSnapshot`]s — and the same actuation surface (the topology's
-//! dynamic-grouping handles keep working because routers share the same
+//! dynamic-grouping handles keep working because every backend's route
+//! table shares the same
 //! [`DynamicGroupingHandle`](crate::grouping::dynamic::DynamicGroupingHandle)s).
+//!
+//! Which task gets a tuple, what a completed tree means for its spout and
+//! how task rows roll up into worker rows are the crate's shared values;
+//! what lives here is what this runtime's loops own — threads, channels,
+//! batching, clocks, supervision, faults (DESIGN.md §4.1).
 //!
 //! Tuples travel in **batches**: each task buffers output per destination and
 //! flushes when a buffer reaches [`RtConfig::batch_size`] or its oldest entry
@@ -13,23 +19,21 @@
 //! full downstream queue still blocks the producer (flush-on-full with the
 //! usual shutdown-checked timeout).  With the default `batch_size = 1` every
 //! tuple flushes inline and the runtime behaves exactly as if batching did
-//! not exist.  See [`batch`](self::batch) for the invariants that keep
-//! batched acking equivalent to per-tuple acking.
+//! not exist; acker bookkeeping is applied before any batch leaves its
+//! thread, which keeps batched acking equivalent to per-tuple acking.
 //!
 //! Overload has an explicit admission story on top of the bounded channels:
-//! per-task **credit pools** ([`RtConfig::credit_flow`], see
-//! [`credit`](self::credit)) bound queued-plus-in-flight batches per edge
-//! and let senders shed instead of block, and an **adaptive spout
-//! throttle** ([`RtConfig::adaptive_throttle`]) runs AIMD on the observed
-//! batch queue-wait p99, journaling every cap change.  The
-//! [`BackpressureHandle`] exposes the same rate-cap knob to the controller
-//! so the planner can trade throughput against tail latency.
+//! per-task **credit pools** ([`RtConfig::credit_flow`], see [`credit`])
+//! bound queued-plus-in-flight batches per edge and let senders shed
+//! instead of block, and an **adaptive spout throttle**
+//! ([`RtConfig::adaptive_throttle`]) runs AIMD on the observed batch
+//! queue-wait p99, journaling every cap change.  The [`BackpressureHandle`]
+//! exposes the same rate-cap knob to the controller so the planner can
+//! trade throughput against tail latency.
 //!
 //! The runtime is also a first-class **fault target**.  Task threads run
 //! under panic isolation and (by default) supervision — a dead or hung task
-//! is restarted from its component factory on the same input channel (see
-//! [`supervisor`](self::supervisor)); spouts can transparently replay failed
-//! or timed-out trees ([`RtConfig::max_replays`]); and
+//! is restarted from its component factory on the same input channel — and
 //! [`submit_faulty`] injects scheduled [`RtFault`]s (worker slowdowns,
 //! external load, task panics/hangs/drops) mirroring the simulator's fault
 //! vocabulary on wall-clock time.  The final [`ThreadedReport`] accounts for
@@ -45,7 +49,6 @@ pub mod checkpoint;
 mod config;
 pub mod credit;
 mod fault;
-pub(crate) mod replay;
 mod router;
 mod supervisor;
 mod task;
@@ -55,7 +58,7 @@ pub use config::RtConfig;
 pub use credit::{CreditLedger, CreditTotals};
 pub use fault::{RtFault, RtFaultPlan};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,12 +66,13 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::acker::ShardedAcker;
+use crate::acker::{ShardedAcker, TreeOutcome};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
+use crate::lifecycle::{TreeCounters, TreeLifecycle};
 use crate::metrics::{
-    LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats, TaskStats,
-    TopologyStats, WorkerStats,
+    fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats,
+    TaskFlow, TaskStats, TopologyStats,
 };
 use crate::scheduler::{even_placement, MachineId, Placement, WorkerId};
 use crate::telemetry::{
@@ -76,11 +80,67 @@ use crate::telemetry::{
 };
 use crate::topology::{TaskId, Topology};
 
-use batch::{AckMsg, Batch};
+use batch::Batch;
 use fault::FaultInjector;
-use replay::ReplayBuffer;
 use supervisor::{Slot, Supervision, TaskSpec};
 use task::{deliver_outcomes, TaskAtomics};
+
+/// The run's counters and last-value gauges, as cells of the live
+/// [`Registry`]: the data plane writes them, the report and the Prometheus
+/// endpoint read them.
+pub(crate) struct Counters {
+    /// Fresh spout emissions (replays excluded).
+    pub(crate) spout_emitted: Counter,
+    /// What the spouts' tree lifecycles count.
+    pub(crate) trees: TreeCounters,
+    /// Tuples discarded by an injected drop fault.
+    pub(crate) dropped: Counter,
+    /// Batches shed on exhausted credit pools
+    /// ([`RtConfig::shed_on_overload`]), and the tuples inside them.
+    pub(crate) shed_batches: Counter,
+    pub(crate) shed_tuples: Counter,
+    /// Panics caught in task threads / supervisor restarts, over all tasks.
+    pub(crate) task_panics: Counter,
+    pub(crate) task_restarts: Counter,
+    /// Checkpoints deposited, their serialized bytes, and snapshot restores
+    /// by restarted tasks, over all tasks.
+    pub(crate) checkpoints_taken: Counter,
+    pub(crate) snapshot_bytes: Counter,
+    pub(crate) restores: Counter,
+    /// Duration of the most recent checkpoint / latency of the most recent
+    /// state restore, µs.
+    pub(crate) checkpoint_last_us: Gauge,
+    pub(crate) restore_last_us: Gauge,
+}
+
+impl Counters {
+    fn new(registry: &Registry) -> Self {
+        let c = |name: &str| registry.counter(&format!("dsdps_{name}_total"), &[]);
+        Counters {
+            spout_emitted: c("spout_emitted"),
+            trees: TreeCounters {
+                tracked: c("tracked"),
+                acked: c("acked"),
+                failed: c("failed"),
+                timed_out: c("timed_out"),
+                permanently_failed: c("perm_failed"),
+                replays_scheduled: c("replays_scheduled"),
+                replays_emitted: c("replayed"),
+                approx_skipped: c("approx_skipped"),
+            },
+            dropped: c("dropped"),
+            shed_batches: c("shed_batches"),
+            shed_tuples: c("shed_tuples"),
+            task_panics: c("task_panics"),
+            task_restarts: c("task_restarts"),
+            checkpoints_taken: registry.counter("dsdps_checkpoints_total", &[]),
+            snapshot_bytes: c("snapshot_bytes"),
+            restores: c("restores"),
+            checkpoint_last_us: registry.gauge("dsdps_checkpoint_last_duration_us", &[]),
+            restore_last_us: registry.gauge("dsdps_restore_last_latency_us", &[]),
+        }
+    }
+}
 
 /// Shared state between task threads, the supervisor and the metrics thread.
 pub(crate) struct Shared {
@@ -89,39 +149,28 @@ pub(crate) struct Shared {
     pub(crate) ackers: ShardedAcker,
     pub(crate) stop: AtomicBool,
     pub(crate) task_stats: Vec<TaskAtomics>,
-    /// In-flight tracked trees per spout task (indexed by global task id).
-    pub(crate) pending: Vec<AtomicUsize>,
-    pub(crate) acked_total: AtomicU64,
-    pub(crate) failed_total: AtomicU64,
-    pub(crate) timed_out_total: AtomicU64,
-    pub(crate) spout_emitted_total: AtomicU64,
-    /// Distinct tracked message ids (conservation numerator).
-    pub(crate) tracked_total: AtomicU64,
-    /// Messages whose replay budget is exhausted (or every failure, when
-    /// replay is off).
-    pub(crate) perm_failed_total: AtomicU64,
-    /// Runtime-level replays emitted.
-    pub(crate) replayed_total: AtomicU64,
-    /// Tuples discarded by an injected drop fault.
-    pub(crate) dropped_total: AtomicU64,
-    /// Complete-latency accumulators: one slot per task plus one trailing
-    /// slot for the metrics/timeout thread.  Each writer locks only its own
-    /// slot (uncontended); readers merge all slots on demand, so the old
-    /// single shared stats mutex is off the hot path entirely.
-    pub(crate) latency: Vec<Mutex<(OnlineStats, LatencyHistogram)>>,
+    /// Batched tuple input of each task; capacity counts batches.
+    inputs: Vec<Sender<Batch>>,
+    /// Feedback input of each spout task (`None` for bolt tasks): completed
+    /// trees, batched per drain so completions amortize like data tuples.
+    pub(crate) feedback: Vec<Option<Sender<Vec<TreeOutcome>>>>,
+    /// Which worker (and machine) hosts each task.
+    pub(crate) placement: Placement,
+    pub(crate) counters: Counters,
+    /// Tree lifecycle per task (only spout slots are used); here, not in
+    /// the spout thread, so it survives supervisor restarts.
+    pub(crate) spouts: Vec<Mutex<TreeLifecycle>>,
     pub(crate) start: Instant,
     pub(crate) next_root: AtomicU64,
     /// Scheduled faults, if any.
     pub(crate) fault: Option<FaultInjector>,
-    /// Per-task replay buffers (only spout slots are used).
-    pub(crate) replay: Vec<Mutex<ReplayBuffer>>,
-    /// True when the spout loops run the replay protocol.
-    pub(crate) replay_on: bool,
-    /// Runtime tuning (replay budget/backoff are read from here).
+    /// Engine and runtime tuning.
+    pub(crate) engine: EngineConfig,
     pub(crate) rt: RtConfig,
     /// Sampled tuple-tree tracer ([`RtConfig::trace_sample_rate`]); holds
-    /// the per-task span buffers.  Disabled tracers cost one branch per
-    /// batch on the data plane.
+    /// the per-task span buffers (one per task plus a trailing one for the
+    /// metrics/timeout thread).  Disabled tracers cost one branch per batch
+    /// on the data plane.
     pub(crate) tracer: Tracer,
     /// Control-plane event journal (restarts, replays, fault injections;
     /// the controller appends routing decisions through
@@ -134,11 +183,6 @@ pub(crate) struct Shared {
     /// (`INFINITY` = uncapped).  Written by the AIMD loop, the controller,
     /// or a [`BackpressureHandle`]; read by every spout's token bucket.
     pub(crate) rate_cap_bits: AtomicU64,
-    /// Batches shed on exhausted credit pools
-    /// ([`RtConfig::shed_on_overload`]).
-    pub(crate) shed_batches_total: AtomicU64,
-    /// Tuples inside those shed batches.
-    pub(crate) shed_tuples_total: AtomicU64,
     /// Per-task batch queue-wait accumulators: `(cumulative, interval)`
     /// histograms in µs.  The consumer records one sample per received
     /// batch; the metrics thread swaps out the interval histogram each tick
@@ -151,13 +195,6 @@ pub(crate) struct Shared {
     /// [`RtConfig::checkpoints`] is off.  Lives here (not in task threads)
     /// so snapshots survive supervisor restarts.
     pub(crate) checkpoints: Option<checkpoint::CheckpointStore>,
-    /// Spout tuples skipped (not replayed) by approximate-mode restores —
-    /// the reported result-error bound of that recovery guarantee.
-    pub(crate) approx_skipped_total: AtomicU64,
-    /// Duration of the most recent checkpoint, µs (telemetry gauge).
-    pub(crate) checkpoint_last_us: AtomicU64,
-    /// Latency of the most recent state restore, µs (telemetry gauge).
-    pub(crate) restore_last_us: AtomicU64,
 }
 
 impl Shared {
@@ -182,26 +219,24 @@ impl Shared {
         self.task_stats[task].generation.load(Ordering::SeqCst) != generation
     }
 
-    /// Allocates a fresh nonzero edge id without touching any shard lock.
-    pub(crate) fn new_edge_id(&self) -> u64 {
-        self.ackers.new_edge_id()
-    }
-
-    /// Index of the latency slot reserved for the metrics/timeout thread.
-    pub(crate) fn metrics_lat_slot(&self) -> usize {
-        self.latency.len() - 1
-    }
-
-    /// Merges every per-task latency slot into one summary (read path only).
+    /// Merges every spout's complete-latency summary (read path only).
     pub(crate) fn merged_latency(&self) -> (OnlineStats, LatencyHistogram) {
         let mut stats = OnlineStats::new();
         let mut hist = LatencyHistogram::new();
-        for slot in &self.latency {
-            let lat = slot.lock();
-            stats.merge(&lat.0);
-            hist.merge(&lat.1);
+        for trees in &self.spouts {
+            let trees = trees.lock();
+            stats.merge(&trees.latency().0);
+            hist.merge(&trees.latency().1);
         }
         (stats, hist)
+    }
+
+    /// Aggregate credit-ledger counters (all zero when credit flow is off).
+    pub(crate) fn credit_totals(&self) -> CreditTotals {
+        self.credits
+            .as_ref()
+            .map(|c| c.totals())
+            .unwrap_or_default()
     }
 
     /// Current spout rate cap, tuples/s (`INFINITY` = uncapped).
@@ -271,10 +306,7 @@ impl BackpressureHandle {
     /// Flow-control credits currently available across every pool (0 when
     /// credit flow is off).
     pub fn credits_outstanding(&self) -> i64 {
-        self.shared
-            .credits
-            .as_ref()
-            .map_or(0, |c| c.totals().outstanding)
+        self.shared.credit_totals().outstanding
     }
 
     /// Batch queue-wait p99 over the last completed metrics interval, µs.
@@ -290,7 +322,6 @@ pub struct RunningTopology {
     supervision: Arc<Supervision>,
     supervisor_thread: Option<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<MetricsHistory>>,
-    config: EngineConfig,
     registry: Arc<Registry>,
     metrics_server: Option<MetricsServer>,
 }
@@ -303,41 +334,33 @@ impl RunningTopology {
 
     /// Total tuple trees acked so far.
     pub fn acked(&self) -> u64 {
-        self.shared.acked_total.load(Ordering::Relaxed)
+        self.shared.counters.trees.acked.get()
     }
 
     /// Total spout tuples emitted so far.
     pub fn spout_emitted(&self) -> u64 {
-        self.shared.spout_emitted_total.load(Ordering::Relaxed)
+        self.shared.counters.spout_emitted.get()
     }
 
     /// Messages permanently failed so far (replay budget exhausted, or every
     /// failure when replay is off).
     pub fn permanently_failed(&self) -> u64 {
-        self.shared.perm_failed_total.load(Ordering::Relaxed)
+        self.shared.counters.trees.permanently_failed.get()
     }
 
     /// Runtime-level replays emitted so far.
     pub fn replays(&self) -> u64 {
-        self.shared.replayed_total.load(Ordering::Relaxed)
+        self.shared.counters.trees.replays_emitted.get()
     }
 
     /// Panics caught in task threads so far.
     pub fn task_panics(&self) -> u64 {
-        self.shared
-            .task_stats
-            .iter()
-            .map(|s| s.panics.load(Ordering::SeqCst))
-            .sum()
+        self.shared.counters.task_panics.get()
     }
 
     /// Supervisor restarts of task threads so far.
     pub fn task_restarts(&self) -> u64 {
-        self.shared
-            .task_stats
-            .iter()
-            .map(|s| s.restarts.load(Ordering::SeqCst))
-            .sum()
+        self.shared.counters.task_restarts.get()
     }
 
     /// The run's control-plane event journal.  The runtime appends restart,
@@ -391,6 +414,7 @@ impl RunningTopology {
                     // guard itself).  Record it rather than swallowing it.
                     let s = &self.shared.task_stats[slot.spec.tid];
                     s.panics.fetch_add(1, Ordering::SeqCst);
+                    self.shared.counters.task_panics.inc();
                     *s.last_panic.lock() = Some(supervisor::panic_message(payload.as_ref()));
                 }
             }
@@ -399,21 +423,22 @@ impl RunningTopology {
             // shutdown cannot block forever.
             slot.abandoned.clear();
         }
-        // Reconcile ack feedback still queued at stop into the replay
-        // buffers, so the final in-flight count does not keep trees that
-        // completed after their spout stopped reading feedback.
-        if self.shared.replay_on {
-            for slot in slots.iter() {
-                let Some(rx) = slot.spec.ack_input.as_ref() else {
-                    continue;
-                };
-                let tid = slot.spec.tid;
-                while let Ok(batch) = rx.try_recv() {
-                    for msg in batch {
-                        if let AckMsg::Ack(id) = msg {
-                            self.shared.replay[tid].lock().on_ack(id);
-                        }
-                    }
+    }
+
+    /// Resolves the feedback still queued at stop (the spouts no longer read
+    /// it) through the tree lifecycles, so the final counts include trees
+    /// that completed after their spout's last iteration.  Runs once every
+    /// thread that could deliver an outcome has been joined.
+    fn reconcile(&self) {
+        let now_s = self.shared.now_s();
+        for slot in self.supervision.slots.lock().iter() {
+            let Some(rx) = slot.spec.ack_input.as_ref() else {
+                continue;
+            };
+            let mut trees = self.shared.spouts[slot.spec.tid].lock();
+            while let Ok(batch) = rx.try_recv() {
+                for outcome in &batch {
+                    trees.on_outcome(outcome, now_s);
                 }
             }
         }
@@ -425,15 +450,9 @@ impl RunningTopology {
             stats.mean() / 1000.0,
             hist.quantile(0.99).unwrap_or(0.0) / 1000.0,
         );
-        let in_flight = if self.shared.replay_on {
-            self.shared
-                .replay
-                .iter()
-                .map(|b| b.lock().len() as u64)
-                .sum()
-        } else {
-            self.shared.ackers.pending_count() as u64
-        };
+        let in_flight = (self.shared.spouts.iter())
+            .map(|trees| trees.lock().pending() as u64)
+            .sum();
         let panic_messages = self
             .shared
             .task_stats
@@ -447,64 +466,39 @@ impl RunningTopology {
             })
             .collect();
         let (spans, spans_dropped) = self.shared.tracer.snapshot();
-        let credit_totals =
-            self.shared
-                .credits
-                .as_ref()
-                .map(|c| c.totals())
-                .unwrap_or(CreditTotals {
-                    granted: 0,
-                    consumed: 0,
-                    revoked: 0,
-                    outstanding: 0,
-                });
         let queue_wait_hist = self.shared.merged_queue_wait();
         let final_cap = self.shared.rate_cap();
+        let c = &self.shared.counters;
         ThreadedReport {
             uptime_s: self.shared.now_s(),
-            spout_emitted: self.shared.spout_emitted_total.load(Ordering::Relaxed),
-            acked: self.shared.acked_total.load(Ordering::Relaxed),
-            failed: self.shared.failed_total.load(Ordering::Relaxed),
-            timed_out: self.shared.timed_out_total.load(Ordering::Relaxed),
+            spout_emitted: c.spout_emitted.get(),
+            acked: c.trees.acked.get(),
+            failed: c.trees.failed.get(),
+            timed_out: c.trees.timed_out.get(),
             avg_complete_latency_ms: avg_ms,
             p99_complete_latency_ms: p99_ms,
             task_panics: self.task_panics(),
             task_restarts: self.task_restarts(),
             panic_messages,
-            tracked: self.shared.tracked_total.load(Ordering::Relaxed),
-            permanently_failed: self.shared.perm_failed_total.load(Ordering::Relaxed),
-            replays: self.shared.replayed_total.load(Ordering::Relaxed),
-            dropped: self.shared.dropped_total.load(Ordering::Relaxed),
+            tracked: c.trees.tracked.get(),
+            permanently_failed: c.trees.permanently_failed.get(),
+            replays: c.trees.replays_emitted.get(),
+            dropped: c.dropped.get(),
             in_flight,
             journal: self.shared.journal.events(),
             spans,
             spans_dropped,
-            credits: credit_totals,
-            shed_batches: self.shared.shed_batches_total.load(Ordering::Relaxed),
-            shed_tuples: self.shared.shed_tuples_total.load(Ordering::Relaxed),
+            credits: self.shared.credit_totals(),
+            shed_batches: c.shed_batches.get(),
+            shed_tuples: c.shed_tuples.get(),
             queue_wait_p50_us: queue_wait_hist.quantile(0.50).unwrap_or(0.0),
             queue_wait_p99_us: queue_wait_hist.quantile(0.99).unwrap_or(0.0),
             queue_wait_last_p99_us: self.shared.queue_wait_last_p99_us(),
             rate_cap: final_cap.is_finite().then_some(final_cap),
-            checkpoints_taken: self
-                .shared
-                .task_stats
-                .iter()
-                .map(|s| s.checkpoints_taken.load(Ordering::Relaxed))
-                .sum(),
-            restores: self
-                .shared
-                .task_stats
-                .iter()
-                .map(|s| s.restores.load(Ordering::Relaxed))
-                .sum(),
-            snapshot_bytes: self
-                .shared
-                .task_stats
-                .iter()
-                .map(|s| s.snapshot_bytes.load(Ordering::Relaxed))
-                .sum(),
-            approx_skipped: self.shared.approx_skipped_total.load(Ordering::Relaxed),
+            checkpoints_taken: c.checkpoints_taken.get(),
+            restores: c.restores.get(),
+            snapshot_bytes: c.snapshot_bytes.get(),
+            approx_skipped: c.trees.approx_skipped.get(),
         }
     }
 
@@ -517,6 +511,7 @@ impl RunningTopology {
             .take()
             .map(|t| t.join().unwrap_or_default())
             .unwrap_or_default();
+        self.reconcile();
         let report = self.report();
         (history, report)
     }
@@ -534,7 +529,6 @@ impl Drop for RunningTopology {
         if let Some(t) = self.metrics_thread.take() {
             let _ = t.join();
         }
-        let _ = &self.config;
     }
 }
 
@@ -650,7 +644,7 @@ impl ThreadedReport {
 
 /// Starts `topology` on OS threads with default (unbatched) runtime tuning.
 pub fn submit(topology: Topology, config: EngineConfig) -> Result<RunningTopology> {
-    submit_inner(topology, config, RtConfig::default(), None, None)
+    submit_with(topology, config, RtConfig::default())
 }
 
 /// [`submit`] with explicit runtime tuning (batch size / linger).
@@ -659,70 +653,23 @@ pub fn submit_with(
     config: EngineConfig,
     rt_config: RtConfig,
 ) -> Result<RunningTopology> {
-    submit_inner(topology, config, rt_config, None, None)
+    submit_faulty(topology, config, rt_config, RtFaultPlan::new(), None)
 }
 
-/// Control hook invoked on every metrics snapshot of the threaded runtime.
-pub type MetricsHook = Box<dyn FnMut(&MetricsSnapshot) + Send>;
+pub use crate::metrics::SnapshotHook as MetricsHook;
 
-/// [`submit`] with a control hook invoked on every metrics snapshot.
-pub fn submit_with_hook(
-    topology: Topology,
-    config: EngineConfig,
-    hook: Option<MetricsHook>,
-) -> Result<RunningTopology> {
-    submit_inner(topology, config, RtConfig::default(), None, hook)
-}
-
-/// Starts `topology` on OS threads with full control over runtime tuning and
-/// the metrics hook.
-pub fn submit_full(
-    topology: Topology,
-    config: EngineConfig,
-    rt_config: RtConfig,
-    hook: Option<MetricsHook>,
-) -> Result<RunningTopology> {
-    submit_inner(topology, config, rt_config, None, hook)
-}
-
-/// [`submit_full`] with a scheduled fault plan injected into the run.
-pub fn submit_faulty(
-    topology: Topology,
-    config: EngineConfig,
-    rt_config: RtConfig,
-    plan: RtFaultPlan,
-    hook: Option<MetricsHook>,
-) -> Result<RunningTopology> {
-    submit_inner(topology, config, rt_config, Some(plan), hook)
-}
-
-/// Bridges the runtime's internal atomics into the live metrics
-/// [`Registry`].  Every handle is registered once at submit; the metrics
-/// thread pushes fresh values each interval, so a Prometheus scrape reads
-/// registry cells only and never touches the data plane.
+/// The registry cells derived from a metrics snapshot (the data plane's own
+/// counters are [`Counters`], written where the work happens).  Every handle
+/// is registered once at submit; the metrics thread pushes fresh values each
+/// interval, so a Prometheus scrape reads registry cells only and never
+/// touches the data plane.
 struct RegistryMirror {
-    spout_emitted: Counter,
-    acked: Counter,
-    failed: Counter,
-    timed_out: Counter,
-    replayed: Counter,
-    dropped: Counter,
-    tracked: Counter,
-    perm_failed: Counter,
-    task_panics: Counter,
-    task_restarts: Counter,
     in_flight: Gauge,
     uptime: Gauge,
     throughput: Gauge,
     credits_outstanding: Gauge,
     throttle_rate_cap: Gauge,
-    shed_batches: Counter,
     queue_wait_p99: Gauge,
-    checkpoints_taken: Counter,
-    restores: Counter,
-    snapshot_bytes: Counter,
-    checkpoint_last_us: Gauge,
-    restore_last_us: Gauge,
     complete_latency: Summary,
     task_executed: Vec<Counter>,
     task_queue_len: Vec<Gauge>,
@@ -757,29 +704,13 @@ impl RegistryMirror {
                 .collect()
         };
         RegistryMirror {
-            spout_emitted: registry.counter("dsdps_spout_emitted_total", &[]),
-            acked: registry.counter("dsdps_acked_total", &[]),
-            failed: registry.counter("dsdps_failed_total", &[]),
-            timed_out: registry.counter("dsdps_timed_out_total", &[]),
-            replayed: registry.counter("dsdps_replayed_total", &[]),
-            dropped: registry.counter("dsdps_dropped_total", &[]),
-            tracked: registry.counter("dsdps_tracked_total", &[]),
-            perm_failed: registry.counter("dsdps_perm_failed_total", &[]),
-            task_panics: registry.counter("dsdps_task_panics_total", &[]),
-            task_restarts: registry.counter("dsdps_task_restarts_total", &[]),
             in_flight: registry.gauge("dsdps_in_flight", &[]),
             uptime: registry.gauge("dsdps_uptime_seconds", &[]),
             throughput: registry.gauge("dsdps_throughput_tuples_per_s", &[]),
             credits_outstanding: registry.gauge("dsdps_credits_outstanding", &[]),
             // 0 = uncapped (Prometheus text can't carry +Inf cleanly).
             throttle_rate_cap: registry.gauge("dsdps_throttle_rate_cap_tuples_per_s", &[]),
-            shed_batches: registry.counter("dsdps_shed_batches_total", &[]),
             queue_wait_p99: registry.gauge("dsdps_queue_wait_p99_us", &[]),
-            checkpoints_taken: registry.counter("dsdps_checkpoints_total", &[]),
-            restores: registry.counter("dsdps_restores_total", &[]),
-            snapshot_bytes: registry.counter("dsdps_snapshot_bytes_total", &[]),
-            checkpoint_last_us: registry.gauge("dsdps_checkpoint_last_duration_us", &[]),
-            restore_last_us: registry.gauge("dsdps_restore_last_latency_us", &[]),
             complete_latency: registry.summary("dsdps_complete_latency_us", &[]),
             task_executed: per_task("dsdps_task_executed_total"),
             task_queue_len: per_task_gauge("dsdps_task_queue_len"),
@@ -790,63 +721,18 @@ impl RegistryMirror {
     }
 
     fn update(&self, shared: &Shared, snap: &MetricsSnapshot, hist: &LatencyHistogram) {
-        let tracked = shared.tracked_total.load(Ordering::Relaxed);
-        let acked = shared.acked_total.load(Ordering::Relaxed);
-        let perm = shared.perm_failed_total.load(Ordering::Relaxed);
-        self.spout_emitted
-            .set(shared.spout_emitted_total.load(Ordering::Relaxed));
-        self.acked.set(acked);
-        self.failed.set(shared.failed_total.load(Ordering::Relaxed));
-        self.timed_out
-            .set(shared.timed_out_total.load(Ordering::Relaxed));
-        self.replayed
-            .set(shared.replayed_total.load(Ordering::Relaxed));
-        self.dropped
-            .set(shared.dropped_total.load(Ordering::Relaxed));
-        self.tracked.set(tracked);
-        self.perm_failed.set(perm);
-        let (panics, restarts) = shared.task_stats.iter().fold((0u64, 0u64), |(p, r), s| {
-            (
-                p + s.panics.load(Ordering::SeqCst),
-                r + s.restarts.load(Ordering::SeqCst),
-            )
-        });
-        self.task_panics.set(panics);
-        self.task_restarts.set(restarts);
+        let trees = &shared.counters.trees;
+        let resolved = trees.acked.get() + trees.permanently_failed.get();
         self.in_flight
-            .set(tracked.saturating_sub(acked + perm) as f64);
+            .set(trees.tracked.get().saturating_sub(resolved) as f64);
         self.uptime.set(snap.time_s);
         self.throughput.set(snap.topology.throughput);
-        self.credits_outstanding.set(
-            shared
-                .credits
-                .as_ref()
-                .map_or(0.0, |c| c.totals().outstanding as f64),
-        );
+        self.credits_outstanding
+            .set(shared.credit_totals().outstanding as f64);
         let cap = shared.rate_cap();
         self.throttle_rate_cap
             .set(if cap.is_finite() { cap } else { 0.0 });
-        self.shed_batches
-            .set(shared.shed_batches_total.load(Ordering::Relaxed));
         self.queue_wait_p99.set(shared.queue_wait_last_p99_us());
-        let (ckpts, restores, snap_bytes) =
-            shared
-                .task_stats
-                .iter()
-                .fold((0u64, 0u64, 0u64), |(c, r, b), s| {
-                    (
-                        c + s.checkpoints_taken.load(Ordering::Relaxed),
-                        r + s.restores.load(Ordering::Relaxed),
-                        b + s.snapshot_bytes.load(Ordering::Relaxed),
-                    )
-                });
-        self.checkpoints_taken.set(ckpts);
-        self.restores.set(restores);
-        self.snapshot_bytes.set(snap_bytes);
-        self.checkpoint_last_us
-            .set(shared.checkpoint_last_us.load(Ordering::Relaxed) as f64);
-        self.restore_last_us
-            .set(shared.restore_last_us.load(Ordering::Relaxed) as f64);
         self.complete_latency.replace(hist.clone());
         for (i, t) in snap.tasks.iter().enumerate() {
             self.task_executed[i].set(shared.task_stats[i].executed.load(Ordering::Relaxed));
@@ -868,11 +754,14 @@ const THROTTLE_ADDITIVE_INCREASE: f64 = 500.0;
 /// Multiplicative decrease applied when queue wait exceeds the target.
 const THROTTLE_DECREASE_FACTOR: f64 = 0.5;
 
-fn submit_inner(
+/// [`submit_with`] with a scheduled fault plan injected into the run (an
+/// empty plan injects nothing) and a control hook invoked on every metrics
+/// snapshot.
+pub fn submit_faulty(
     topology: Topology,
     config: EngineConfig,
     rt_config: RtConfig,
-    plan: Option<RtFaultPlan>,
+    plan: RtFaultPlan,
     mut hook: Option<MetricsHook>,
 ) -> Result<RunningTopology> {
     config.validate()?;
@@ -886,18 +775,17 @@ fn submit_inner(
             mode: rt_config.recovery_mode.as_str().to_string(),
         });
     }
-    let injector = match plan {
-        Some(plan) if !plan.is_empty() => {
-            plan.validate(n_tasks, placement.num_workers(), config.num_machines)?;
-            for fault in &plan.faults {
-                journal.append(JournalEvent::FaultPlanned {
-                    time_s: 0.0,
-                    description: format!("{fault:?}"),
-                });
-            }
-            Some(FaultInjector::new(plan, &placement, n_tasks))
+    let injector = if plan.is_empty() {
+        None
+    } else {
+        plan.validate(n_tasks, placement.num_workers(), config.num_machines)?;
+        for fault in &plan.faults {
+            journal.append(JournalEvent::FaultPlanned {
+                time_s: 0.0,
+                description: format!("{fault:?}"),
+            });
         }
-        _ => None,
+        Some(FaultInjector::new(plan, &placement, n_tasks))
     };
     let topology = Arc::new(topology);
 
@@ -919,29 +807,46 @@ fn submit_inner(
             .collect(),
     );
 
+    // Channels: batched tuple input per task, batched ack feedback per spout
+    // task.  Bounded capacity counts batches.  The receivers stay clonable
+    // so the supervisor can re-wire a restarted task to its existing queue.
+    let (inputs, receivers): (Vec<Sender<Batch>>, Vec<Receiver<Batch>>) = (0..n_tasks)
+        .map(|_| bounded::<Batch>(config.queue_capacity))
+        .unzip();
+    let mut ack_senders: Vec<Option<Sender<Vec<TreeOutcome>>>> = vec![None; n_tasks];
+    let mut ack_receivers: Vec<Option<Receiver<Vec<TreeOutcome>>>> =
+        (0..n_tasks).map(|_| None).collect();
+    for component in topology.components() {
+        if component.is_spout() {
+            for task in component.tasks() {
+                let (tx, rx) = unbounded();
+                ack_senders[task.0] = Some(tx);
+                ack_receivers[task.0] = Some(rx);
+            }
+        }
+    }
+
+    // Live metrics registry: the data plane's counters are its cells.
+    let registry = Arc::new(Registry::new());
+    let counters = Counters::new(&registry);
     let shared = Arc::new(Shared {
         ackers: ShardedAcker::new(rt_config.acker_shards),
         stop: AtomicBool::new(false),
         task_stats: (0..n_tasks).map(|_| TaskAtomics::default()).collect(),
-        pending: (0..n_tasks).map(|_| AtomicUsize::new(0)).collect(),
-        acked_total: AtomicU64::new(0),
-        failed_total: AtomicU64::new(0),
-        timed_out_total: AtomicU64::new(0),
-        spout_emitted_total: AtomicU64::new(0),
-        tracked_total: AtomicU64::new(0),
-        perm_failed_total: AtomicU64::new(0),
-        replayed_total: AtomicU64::new(0),
-        dropped_total: AtomicU64::new(0),
-        latency: (0..n_tasks + 1)
-            .map(|_| Mutex::new((OnlineStats::new(), LatencyHistogram::new())))
+        inputs,
+        feedback: ack_senders,
+        placement,
+        spouts: (0..n_tasks)
+            .map(|_| {
+                let trees = counters.trees.clone();
+                Mutex::new(TreeLifecycle::new(&rt_config, trees, Arc::clone(&journal)))
+            })
             .collect(),
+        counters,
         start: Instant::now(),
         next_root: AtomicU64::new(0),
         fault: injector,
-        replay: (0..n_tasks)
-            .map(|_| Mutex::new(ReplayBuffer::default()))
-            .collect(),
-        replay_on: rt_config.replay_enabled() && config.ack_enabled,
+        engine: config.clone(),
         rt: rt_config.clone(),
         tracer,
         journal: Arc::clone(&journal),
@@ -949,8 +854,6 @@ fn submit_inner(
         // Uncapped until the throttle or a caller sets one, so stock runs
         // never see the token bucket.
         rate_cap_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        shed_batches_total: AtomicU64::new(0),
-        shed_tuples_total: AtomicU64::new(0),
         queue_wait: (0..n_tasks)
             .map(|_| Mutex::new((LatencyHistogram::new(), LatencyHistogram::new())))
             .collect(),
@@ -958,9 +861,6 @@ fn submit_inner(
         checkpoints: rt_config
             .checkpoints
             .then(|| checkpoint::CheckpointStore::new(n_tasks)),
-        approx_skipped_total: AtomicU64::new(0),
-        checkpoint_last_us: AtomicU64::new(0),
-        restore_last_us: AtomicU64::new(0),
     });
 
     // Initial credit windows: every bolt task grants its producers a window
@@ -984,34 +884,9 @@ fn submit_inner(
         }
     }
 
-    // Channels: batched tuple input per task, batched ack feedback per spout
-    // task.  Bounded capacity counts batches.  The receivers stay clonable
-    // so the supervisor can re-wire a restarted task to its existing queue.
-    let mut senders = Vec::with_capacity(n_tasks);
-    let mut receivers: Vec<Receiver<Batch>> = Vec::with_capacity(n_tasks);
-    for _ in 0..n_tasks {
-        let (tx, rx) = bounded::<Batch>(config.queue_capacity);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let mut ack_senders: Vec<Option<Sender<Vec<AckMsg>>>> = vec![None; n_tasks];
-    let mut ack_receivers: Vec<Option<Receiver<Vec<AckMsg>>>> =
-        (0..n_tasks).map(|_| None).collect();
-    for component in topology.components() {
-        if component.is_spout() {
-            for task in component.tasks() {
-                let (tx, rx) = unbounded();
-                ack_senders[task.0] = Some(tx);
-                ack_receivers[task.0] = Some(rx);
-            }
-        }
-    }
-    let ack_senders = Arc::new(ack_senders);
-
-    // Live metrics registry + optional Prometheus endpoint.  Bound before
-    // any task thread spawns so a bind failure aborts the submit cleanly.
-    let registry = Arc::new(Registry::new());
-    let mirror = RegistryMirror::new(&registry, &task_names, placement.num_workers());
+    // Optional Prometheus endpoint.  Bound before any task thread spawns so
+    // a bind failure aborts the submit cleanly.
+    let mirror = RegistryMirror::new(&registry, &task_names, shared.placement.num_workers());
     let metrics_server = match rt_config.metrics_addr {
         Some(addr) => Some(
             MetricsServer::bind(addr, Arc::clone(&registry))
@@ -1038,10 +913,6 @@ fn submit_inner(
                         Some(receivers[tid].clone())
                     },
                     ack_input: ack_receivers[tid].clone(),
-                    senders: senders.clone(),
-                    ack_senders: ack_senders.clone(),
-                    cfg: config.clone(),
-                    rt_cfg: rt_config.clone(),
                 };
                 shared.task_stats[tid].alive.store(true, Ordering::SeqCst);
                 shared.beat(tid);
@@ -1059,9 +930,8 @@ fn submit_inner(
     let supervisor_thread = if rt_config.supervise {
         let shared = shared.clone();
         let sup = supervision.clone();
-        let rc = rt_config.clone();
         Some(std::thread::spawn(move || {
-            supervisor::run_supervisor(shared, sup, rc)
+            supervisor::run_supervisor(shared, sup)
         }))
     } else {
         None
@@ -1077,15 +947,13 @@ fn submit_inner(
         batches: u64,
         lingers: u64,
         received: u64,
+        sent_remote: u64,
     }
     let metrics_thread = {
         let shared = shared.clone();
-        let cfg = config.clone();
-        let ack_senders = ack_senders.clone();
-        let placement = placement.clone();
         Some(std::thread::spawn(move || {
+            let (cfg, placement) = (&shared.engine, &shared.placement);
             let mut history = MetricsHistory::new(cfg.metrics_history_cap);
-            let mut history_truncated = false;
             let mut prev: Vec<Prev> = vec![Prev::default(); shared.task_stats.len()];
             let mut prev_totals = (0u64, 0u64, 0u64, 0u64);
             let mut interval: u64 = 0;
@@ -1101,11 +969,12 @@ fn submit_inner(
                 if cfg.ack_enabled {
                     shared.ackers.expire(shared.now_s(), cfg.message_timeout_s);
                     let outcomes = shared.ackers.drain_outcomes_blocking();
-                    deliver_outcomes(&shared, &ack_senders, outcomes, shared.metrics_lat_slot());
+                    // The tracer's trailing slot belongs to this thread.
+                    deliver_outcomes(&shared, outcomes, shared.task_stats.len());
                 }
 
                 let interval_s = cfg.metrics_interval_s;
-                let mut recv_delta = vec![0u64; shared.task_stats.len()];
+                let mut flows = vec![TaskFlow::default(); shared.task_stats.len()];
                 let tasks: Vec<TaskStats> = shared
                     .task_stats
                     .iter()
@@ -1119,12 +988,17 @@ fn submit_inner(
                             batches: s.batches_flushed.load(Ordering::Relaxed),
                             lingers: s.linger_flushes.load(Ordering::Relaxed),
                             received: s.received.load(Ordering::Relaxed),
+                            sent_remote: s.sent_remote.load(Ordering::Relaxed),
                         };
                         let p = prev[i];
                         prev[i] = cur;
-                        recv_delta[i] = cur.received - p.received;
                         let d_exec = cur.executed - p.executed;
                         let d_busy = cur.busy - p.busy;
+                        flows[i] = TaskFlow {
+                            latency_sum_us: d_busy as f64 / 1000.0,
+                            tuples_in: cur.received - p.received,
+                            tuples_out: cur.sent_remote - p.sent_remote,
+                        };
                         TaskStats {
                             task: TaskId(i),
                             component: task_names[i].0.clone(),
@@ -1152,40 +1026,7 @@ fn submit_inner(
                     })
                     .collect();
 
-                let workers: Vec<WorkerStats> = (0..placement.num_workers())
-                    .map(|w| {
-                        let wid = WorkerId(w);
-                        let mine: Vec<(usize, &TaskStats)> = tasks
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, t)| t.worker == wid)
-                            .collect();
-                        let executed: u64 = mine.iter().map(|(_, t)| t.executed).sum();
-                        let lat = if executed > 0 {
-                            mine.iter()
-                                .map(|(_, t)| t.avg_execute_latency_us * t.executed as f64)
-                                .sum::<f64>()
-                                / executed as f64
-                        } else {
-                            0.0
-                        };
-                        WorkerStats {
-                            worker: wid,
-                            machine: placement.machine_of(wid),
-                            cpu_cores_used: mine.iter().map(|(_, t)| t.capacity).sum(),
-                            memory_mb: 100.0
-                                + mine
-                                    .iter()
-                                    .map(|(_, t)| t.queue_len as f64 * 0.004)
-                                    .sum::<f64>(),
-                            executed,
-                            tuples_in: mine.iter().map(|(i, _)| recv_delta[*i]).sum(),
-                            tuples_out: mine.iter().map(|(_, t)| t.emitted).sum(),
-                            avg_execute_latency_us: lat,
-                            num_tasks: mine.len(),
-                        }
-                    })
-                    .collect();
+                let workers = fold_workers(&tasks, &flows, placement);
 
                 let now_s = shared.now_s();
                 let ext_injector = shared.fault.as_ref().filter(|inj| inj.has_external_load());
@@ -1209,10 +1050,10 @@ fn submit_inner(
                     })
                     .collect();
 
-                let acked = shared.acked_total.load(Ordering::Relaxed);
-                let failed = shared.failed_total.load(Ordering::Relaxed);
-                let timed_out = shared.timed_out_total.load(Ordering::Relaxed);
-                let emitted = shared.spout_emitted_total.load(Ordering::Relaxed);
+                let acked = shared.counters.trees.acked.get();
+                let failed = shared.counters.trees.failed.get();
+                let timed_out = shared.counters.trees.timed_out.get();
+                let emitted = shared.counters.spout_emitted.get();
                 let (pa, pf2, pt, pe2) = prev_totals;
                 prev_totals = (acked, failed, timed_out, emitted);
                 let (lat_stats, lat_hist) = shared.merged_latency();
@@ -1275,15 +1116,7 @@ fn submit_inner(
                 if let Some(hook) = hook.as_mut() {
                     hook(&snapshot);
                 }
-                let cap = cfg.metrics_history_cap;
-                if cap > 0 && history.len() >= cap && !history_truncated {
-                    history_truncated = true;
-                    shared.journal.append(JournalEvent::HistoryTruncated {
-                        time_s: shared.now_s(),
-                        retained: cap,
-                    });
-                }
-                history.push(snapshot);
+                history.push_journaled(snapshot, &shared.journal);
                 interval += 1;
             }
             history
@@ -1295,7 +1128,6 @@ fn submit_inner(
         supervision,
         supervisor_thread,
         metrics_thread,
-        config,
         registry,
         metrics_server,
     })
@@ -1381,6 +1213,7 @@ mod tests {
         let topo = b.build().unwrap();
         let mut cfg = EngineConfig::default().with_cluster(2, 2, 4);
         cfg.metrics_interval_s = 0.2;
+        let placement = even_placement(&topo, &cfg).unwrap();
         let running = submit(topo, cfg).unwrap();
         // Wait for completion.
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -1399,13 +1232,18 @@ mod tests {
         assert!(report.conservation_holds(), "healthy run conserves tuples");
         assert!(report.avg_complete_latency_ms >= 0.0);
         assert!(!history.is_empty(), "metrics snapshots collected");
-        // Satellite check: worker tuple counters are wired, not hardcoded.
-        let total_in: u64 = history
-            .iter()
-            .flat_map(|s| s.workers.iter())
-            .map(|w| w.tuples_in)
-            .sum();
-        assert!(total_in > 0, "worker tuples_in must be reported");
+        // Worker tuple counters mean what `WorkerStats` documents (and the
+        // simulator reports): tuples entering / leaving the *worker*, i.e.
+        // the shuffle's share for `acc` tasks placed away from the spout.
+        let spout_worker = placement.worker_of(TaskId(0));
+        let remote_tasks = (1..=4).filter(|&t| placement.worker_of(TaskId(t)) != spout_worker);
+        let crossing = remote_tasks.count() as u64 * (n / 4);
+        let workers = || history.iter().flat_map(|s| s.workers.iter());
+        let total_in: u64 = workers().map(|w| w.tuples_in).sum();
+        let total_out: u64 = workers().map(|w| w.tuples_out).sum();
+        assert!(crossing > 0 && crossing < n, "the test needs both kinds");
+        assert_eq!(total_in, crossing, "tuples_in counts cross-worker only");
+        assert_eq!(total_out, crossing, "tuples_out counts cross-worker only");
     }
 
     #[test]

@@ -1,37 +1,50 @@
-//! Routing of emissions to downstream task buffers.
+//! Routing of emissions to downstream tasks: the shared route table picks
+//! the tasks, per-destination output buffers batch what they get.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
+use crossbeam::channel::SendTimeoutError;
 
 use crate::acker::RootId;
 use crate::component::{Emission, MessageId};
-use crate::grouping::{make_grouping, Grouping, GroupingSpec};
-use crate::stream::StreamId;
-use crate::topology::{Component, Topology};
-use crate::tuple::Fields;
+use crate::route::RouteTable;
+use crate::topology::{Component, TaskId, Topology};
 
-use super::batch::{AckOp, AckOps, Batch, Delivered, OutputBuffers};
-use super::config::RtConfig;
+use super::batch::{AckOp, AckOps, Batch, Delivered};
 use super::Shared;
 
-/// One outbound route owned by a task thread.
-struct OutRoute {
-    stream: StreamId,
-    fields: Fields,
-    subscriber_base: usize,
-    grouping: Box<dyn Grouping>,
-    is_direct: bool,
+/// What triggered a batch flush (recorded in the task's flush counters).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum FlushReason {
+    /// The buffer reached `batch_size`.
+    Full,
+    /// The oldest buffered tuple hit the linger deadline.
+    Linger,
+    /// Task drain: idle spout, shutdown, or end of input.
+    Final,
 }
 
-/// Routes emissions from one task into per-destination output buffers.
+#[derive(Default)]
+struct Buf {
+    items: Vec<Delivered>,
+    /// When the oldest currently-buffered entry arrived.
+    since: Option<Instant>,
+}
+
+/// Routes the emissions of one task thread into per-destination output
+/// buffers.  Every send goes through [`flush_dest`](Self::flush_dest) so
+/// the apply-before-send invariant holds in one place.
 pub(super) struct Router {
-    routes: Vec<OutRoute>,
-    out: OutputBuffers,
-    shared: Arc<Shared>,
-    select_buf: Vec<usize>,
+    table: RouteTable,
+    /// Scratch: destination tasks of the emission in hand.
+    dests: Vec<usize>,
+    batch_size: usize,
+    linger: Duration,
+    bufs: Vec<Buf>,
+    /// Count of non-empty buffers, for cheap idle checks.
+    nonempty: usize,
+    /// Global id of the owning task.
     task: usize,
     /// Cached `shared.tracer.enabled()`: one branch per emission decides
     /// whether to stamp send timestamps for queue-wait measurement.
@@ -51,43 +64,17 @@ impl Router {
         component: &Component,
         task_index: usize,
         tid: usize,
-        senders: Vec<Sender<Batch>>,
-        shared: Arc<Shared>,
-        rt_cfg: &RtConfig,
+        shared: &Shared,
     ) -> Self {
-        let mut routes = Vec::new();
-        for decl in &component.outputs {
-            for (sub, spec) in topology.subscribers_of(component.id, &decl.id) {
-                let handle = match spec {
-                    GroupingSpec::Dynamic(_) => {
-                        topology.dynamic_handle(&component.name, &decl.id, &sub.name)
-                    }
-                    _ => None,
-                };
-                routes.push(OutRoute {
-                    stream: decl.id.clone(),
-                    fields: decl.fields.clone(),
-                    subscriber_base: sub.base_task.0,
-                    grouping: make_grouping(
-                        spec,
-                        sub.parallelism,
-                        &decl.fields,
-                        task_index,
-                        handle,
-                    ),
-                    is_direct: matches!(spec, GroupingSpec::Direct),
-                });
-            }
-        }
-        let out = OutputBuffers::new(rt_cfg.batch_size, rt_cfg.linger, senders, tid);
-        let trace_on = shared.tracer.enabled();
         Self {
-            routes,
-            out,
-            shared,
-            select_buf: Vec::new(),
+            table: RouteTable::new(topology, component, task_index),
+            dests: Vec::new(),
+            batch_size: shared.rt.batch_size.max(1),
+            linger: shared.rt.linger,
+            bufs: (0..shared.inputs.len()).map(|_| Buf::default()).collect(),
+            nonempty: 0,
             task: tid,
-            trace_on,
+            trace_on: shared.tracer.enabled(),
             dedup_next: None,
         }
     }
@@ -100,100 +87,187 @@ impl Router {
         &mut self,
         emission: &Emission,
         root: Option<RootId>,
+        shared: &Shared,
         ops: &mut AckOps,
     ) -> usize {
-        let mut delivered = 0;
+        let mut dests = std::mem::take(&mut self.dests);
+        let Some(selected) = self.table.select(emission, &mut dests) else {
+            self.dests = dests;
+            return 0;
+        };
         // Stamped once per emission, only for traced trees; untraced tuples
         // carry 0 and the consumer skips queue-wait math entirely.
         let sent_at_us = match root {
-            Some(root) if self.trace_on && self.shared.tracer.sampled(root) => self.shared.now_us(),
+            Some(root) if self.trace_on && shared.tracer.sampled(root) => shared.now_us(),
             _ => 0,
         };
-        for r in 0..self.routes.len() {
-            {
-                let route = &self.routes[r];
-                if route.stream != emission.stream {
-                    continue;
-                }
-                match (emission.direct_task, route.is_direct) {
-                    (Some(_), false) | (None, true) => continue,
-                    _ => {}
-                }
-            }
-            self.select_buf.clear();
-            match emission.direct_task {
-                Some(idx) => self.select_buf.push(idx),
-                None => {
-                    let mut buf = std::mem::take(&mut self.select_buf);
-                    self.routes[r].grouping.select(&emission.tuple, &mut buf);
-                    self.select_buf = buf;
-                }
-            }
-            if self.select_buf.is_empty() {
-                continue;
-            }
-            // Rekey once per route, not once per destination: every
-            // destination of a route shares the stream's (interned) schema,
-            // and when the tuple already carries it — the common case, since
-            // schemas come from the same declaration `Arc` — no new tuple is
-            // built at all.
-            let rekeyed = {
-                let route = &self.routes[r];
-                if emission.tuple.fields().ptr_eq(&route.fields) {
-                    emission.tuple.clone()
-                } else {
-                    emission.tuple.rekeyed(route.fields.clone())
-                }
+        // Rekey once per emission, not once per destination: every
+        // destination shares the stream's (interned) schema, and when the
+        // tuple already carries it — the common case, since schemas come
+        // from the same declaration `Arc` — no new tuple is built at all.
+        let rekeyed = if emission.tuple.fields().ptr_eq(&selected.fields) {
+            emission.tuple.clone()
+        } else {
+            emission.tuple.rekeyed(selected.fields.clone())
+        };
+        for &dest in &dests {
+            let anchor = root.map(|root| {
+                let edge = shared.ackers.new_edge_id();
+                ops.push(AckOp::Emit { root, edge });
+                (root, edge)
+            });
+            let item = Delivered {
+                tuple: rekeyed.clone(),
+                anchor,
+                sent_at_us,
+                dedup: self.dedup_next,
             };
-            for i in 0..self.select_buf.len() {
-                let local = self.select_buf[i];
-                let dest = self.routes[r].subscriber_base + local;
-                let tuple = rekeyed.clone();
-                let anchor = root.map(|root| {
-                    let edge = self.shared.new_edge_id();
-                    ops.push(AckOp::Emit { root, edge });
-                    (root, edge)
-                });
-                self.out.push(
-                    dest,
-                    Delivered {
-                        tuple,
-                        anchor,
-                        sent_at_us,
-                        dedup: self.dedup_next,
-                    },
-                    &self.shared,
-                    ops,
-                );
-                delivered += 1;
-            }
+            self.push(dest, item, shared, ops);
         }
-        if delivered > 0 {
-            self.shared.task_stats[self.task]
-                .emitted
-                .fetch_add(delivered as u64, Ordering::Relaxed);
-        }
+        let delivered = dests.len();
+        self.dests = dests;
+        shared.task_stats[self.task]
+            .emitted
+            .fetch_add(delivered as u64, Ordering::Relaxed);
         delivered
     }
 
-    /// Flushes buffers whose linger deadline has passed.
-    pub(super) fn flush_expired(&mut self, now: Instant, ops: &mut AckOps) {
-        let shared = self.shared.clone();
-        self.out.flush_expired(now, &shared, ops);
+    /// Buffers one tuple for `dest`, flushing inline if the buffer fills.
+    fn push(&mut self, dest: usize, item: Delivered, shared: &Shared, ops: &mut AckOps) {
+        let buf = &mut self.bufs[dest];
+        if buf.items.is_empty() {
+            buf.since = Some(Instant::now());
+            self.nonempty += 1;
+        }
+        buf.items.push(item);
+        if buf.items.len() >= self.batch_size {
+            self.flush_dest(dest, shared, ops, FlushReason::Full);
+        }
     }
 
-    /// Flushes every non-empty buffer (drain / shutdown).
-    pub(super) fn flush_all(&mut self, ops: &mut AckOps) {
-        let shared = self.shared.clone();
-        self.out.flush_all(&shared, ops);
+    /// Sends `dest`'s buffered batch downstream.  With credit flow on, one
+    /// credit must be acquired from `dest`'s pool first — an empty pool
+    /// blocks (heartbeating) or sheds the batch, per
+    /// [`RtConfig::shed_on_overload`](super::RtConfig::shed_on_overload).
+    /// The channel send itself still uses the blocking-with-shutdown-check
+    /// loop; bounded channel capacity counts batches.
+    fn flush_dest(&mut self, dest: usize, shared: &Shared, ops: &mut AckOps, reason: FlushReason) {
+        let buf = &mut self.bufs[dest];
+        if buf.items.is_empty() {
+            return;
+        }
+        // Apply-before-send: the acker must know every edge in this batch
+        // (and the tracks/acks queued alongside) before downstream can react.
+        ops.apply(&shared.ackers);
+        let batch = std::mem::take(&mut buf.items);
+        buf.since = None;
+        self.nonempty -= 1;
+        let stats = &shared.task_stats[self.task];
+        stats.batches_flushed.fetch_add(1, Ordering::Relaxed);
+        if reason == FlushReason::Linger {
+            stats.linger_flushes.fetch_add(1, Ordering::Relaxed);
+        }
+        // Credit gate: one credit per batch toward `dest`.  `dest` is the
+        // consumer's global task id, which indexes both inputs and pools.
+        if let Some(credits) = shared.credits.as_ref() {
+            if !credits.try_acquire(dest) {
+                if shared.rt.shed_on_overload {
+                    // Shed: fail every anchored tree in the batch so the
+                    // acker (and replay, when on) accounts for each tuple —
+                    // shedding loses work, never accounting.
+                    shared.counters.shed_batches.inc();
+                    shared.counters.shed_tuples.add(batch.len() as u64);
+                    let now_s = shared.now_s();
+                    for item in &batch {
+                        if let Some((root, _)) = item.anchor {
+                            ops.push(AckOp::Fail { root, now_s });
+                        }
+                    }
+                    ops.apply(&shared.ackers);
+                    return;
+                }
+                // Block: poll for a credit with heartbeats so the supervisor
+                // does not supersede a merely-backpressured task.  On stop
+                // the batch is dropped, exactly like the send loop below.
+                loop {
+                    if shared.stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    shared.beat(self.task);
+                    std::thread::sleep(Duration::from_micros(200));
+                    if credits.try_acquire(dest) {
+                        break;
+                    }
+                }
+            }
+        }
+        let worker_of = |task| shared.placement.worker_of(TaskId(task));
+        let remote = worker_of(dest) != worker_of(self.task);
+        if remote {
+            stats
+                .sent_remote
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        }
+        let mut msg = Batch {
+            items: batch,
+            sent_at_us: shared.now_us(),
+            remote,
+        };
+        loop {
+            match shared.inputs[dest].send_timeout(msg, Duration::from_millis(50)) {
+                Ok(()) => break,
+                Err(SendTimeoutError::Timeout(back)) => {
+                    if shared.stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    // Blocked on backpressure is not hung: keep heartbeating
+                    // so the supervisor does not supersede this task.
+                    shared.beat(self.task);
+                    msg = back;
+                }
+                Err(SendTimeoutError::Disconnected(_)) => break,
+            }
+        }
     }
 
-    /// Earliest linger deadline across buffered output, if any.
+    /// Flushes every buffer whose oldest entry has lingered past the
+    /// deadline.
+    pub(super) fn flush_expired(&mut self, now: Instant, shared: &Shared, ops: &mut AckOps) {
+        if self.nonempty == 0 {
+            return;
+        }
+        for dest in 0..self.bufs.len() {
+            if let Some(since) = self.bufs[dest].since {
+                if now.duration_since(since) >= self.linger {
+                    self.flush_dest(dest, shared, ops, FlushReason::Linger);
+                }
+            }
+        }
+    }
+
+    /// Flushes everything (task drain / shutdown).
+    pub(super) fn flush_all(&mut self, shared: &Shared, ops: &mut AckOps) {
+        if self.nonempty == 0 {
+            return;
+        }
+        for dest in 0..self.bufs.len() {
+            self.flush_dest(dest, shared, ops, FlushReason::Final);
+        }
+    }
+
+    /// Earliest linger deadline across non-empty buffers, if any.
     pub(super) fn next_deadline(&self) -> Option<Instant> {
-        self.out.next_deadline()
+        if self.nonempty == 0 {
+            return None;
+        }
+        self.bufs
+            .iter()
+            .filter_map(|b| b.since)
+            .min()
+            .map(|since| since + self.linger)
     }
 
     pub(super) fn has_pending(&self) -> bool {
-        self.out.has_pending()
+        self.nonempty > 0
     }
 }

@@ -16,8 +16,8 @@
 //! down are processed by the replacement.  Hung threads cannot be killed;
 //! they are *superseded* — the slot's generation is bumped, and the old
 //! thread retires itself at its next generation check.  Trees lost in the
-//! crash time out at the acker and come back through the spout replay
-//! buffer, which is owned by [`Shared`], not the thread.
+//! crash time out at the acker and come back through the spout's tree
+//! lifecycle, which is owned by [`Shared`], not the thread.
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
 //! [`RtConfig::supervise`]: super::RtConfig::supervise
@@ -30,16 +30,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
+use crate::acker::TreeOutcome;
 use crate::component::TopologyContext;
-use crate::config::EngineConfig;
 use crate::telemetry::JournalEvent;
 use crate::topology::{ComponentId, ComponentKind, Topology};
 
-use super::batch::{AckMsg, Batch};
-use super::config::RtConfig;
+use super::batch::Batch;
 use super::router::Router;
 use super::task;
 use super::Shared;
@@ -53,11 +52,7 @@ pub(super) struct TaskSpec {
     /// Input receiver (bolts).  Cloned per spawn; clones share the queue.
     pub(super) input: Option<Receiver<Batch>>,
     /// Ack-feedback receiver (spouts).
-    pub(super) ack_input: Option<Receiver<Vec<AckMsg>>>,
-    pub(super) senders: Vec<Sender<Batch>>,
-    pub(super) ack_senders: Arc<Vec<Option<Sender<Vec<AckMsg>>>>>,
-    pub(super) cfg: EngineConfig,
-    pub(super) rt_cfg: RtConfig,
+    pub(super) ack_input: Option<Receiver<Vec<TreeOutcome>>>,
 }
 
 impl TaskSpec {
@@ -65,29 +60,14 @@ impl TaskSpec {
     /// The caller must have already published `generation` and `alive` in
     /// the task's atomics.
     pub(super) fn spawn(&self, shared: &Arc<Shared>, generation: u64) -> JoinHandle<()> {
-        let component = self
-            .topology
-            .components()
-            .find(|c| c.id == self.component_id)
-            .expect("task spec component")
-            .clone();
+        let component = self.topology.component(self.component_id);
         let ctx = TopologyContext {
             component: component.name.clone(),
             task_index: self.task_index,
             parallelism: component.parallelism,
         };
-        let router = Router::new(
-            &self.topology,
-            &component,
-            self.task_index,
-            self.tid,
-            self.senders.clone(),
-            shared.clone(),
-            &self.rt_cfg,
-        );
+        let router = Router::new(&self.topology, component, self.task_index, self.tid, shared);
         let shared = shared.clone();
-        let ack_senders = self.ack_senders.clone();
-        let cfg = self.cfg.clone();
         let tid = self.tid;
         match &component.kind {
             ComponentKind::Spout(factory) => {
@@ -95,17 +75,7 @@ impl TaskSpec {
                 let ack_rx = self.ack_input.clone().expect("spout ack receiver");
                 std::thread::spawn(move || {
                     guard(&shared, tid, generation, move |shared| {
-                        task::run_spout(
-                            spout,
-                            ctx,
-                            tid,
-                            generation,
-                            router,
-                            shared,
-                            ack_senders,
-                            ack_rx,
-                            cfg,
-                        )
+                        task::run_spout(spout, ctx, tid, generation, router, shared, ack_rx)
                     });
                 })
             }
@@ -114,17 +84,7 @@ impl TaskSpec {
                 let rx = self.input.clone().expect("bolt input receiver");
                 std::thread::spawn(move || {
                     guard(&shared, tid, generation, move |shared| {
-                        task::run_bolt(
-                            bolt,
-                            ctx,
-                            tid,
-                            generation,
-                            router,
-                            shared,
-                            ack_senders,
-                            rx,
-                            cfg,
-                        )
+                        task::run_bolt(bolt, ctx, tid, generation, router, shared, rx)
                     });
                 })
             }
@@ -146,6 +106,7 @@ fn guard(shared: &Arc<Shared>, tid: usize, generation: u64, body: impl FnOnce(Ar
         }
         Err(payload) => {
             s.panics.fetch_add(1, Ordering::SeqCst);
+            shared.counters.task_panics.inc();
             *s.last_panic.lock() = Some(panic_message(payload.as_ref()));
         }
     }
@@ -186,7 +147,8 @@ pub(crate) struct Supervision {
 
 /// Supervisor loop: polls task liveness and restarts dead/hung tasks until
 /// shutdown.
-pub(super) fn run_supervisor(shared: Arc<Shared>, sup: Arc<Supervision>, rt_cfg: RtConfig) {
+pub(super) fn run_supervisor(shared: Arc<Shared>, sup: Arc<Supervision>) {
+    let rt_cfg = &shared.rt;
     let poll = Duration::from_millis(10).min(rt_cfg.hang_timeout / 2);
     let hang_ns = rt_cfg.hang_timeout.as_nanos() as u64;
     while !shared.stop.load(Ordering::Relaxed) {
@@ -222,6 +184,7 @@ pub(super) fn run_supervisor(shared: Arc<Shared>, sup: Arc<Supervision>, rt_cfg:
             });
             s.generation.store(slot.generation, Ordering::SeqCst);
             s.restarts.fetch_add(1, Ordering::SeqCst);
+            shared.counters.task_restarts.inc();
             s.alive.store(true, Ordering::SeqCst);
             s.heartbeat_ns.store(now_ns, Ordering::Relaxed);
             match slot.handle.take() {

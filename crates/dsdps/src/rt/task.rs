@@ -12,19 +12,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 
-use crate::acker::Completion;
+use crate::acker::TreeOutcome;
 use crate::component::{Bolt, BoltOutput, Emission, Spout, SpoutOutput, TopologyContext};
-use crate::config::EngineConfig;
-use crate::telemetry::{trace::trace_id, JournalEvent};
+use crate::lifecycle::{self, TreeLifecycle};
+use crate::telemetry::JournalEvent;
 use crate::topology::TaskId;
 
-use super::batch::{AckMsg, AckOp, AckOps, Batch};
+use super::batch::{AckOp, AckOps, Batch};
 use super::checkpoint::{DedupWindow, LoggedInput, RecoveryMode};
 use super::fault::SLOWDOWN_FLOOR_NANOS;
-use super::replay::FailDecision;
 use super::router::Router;
 use super::Shared;
 
@@ -42,9 +41,10 @@ pub(crate) struct TaskAtomics {
     /// Of those, flushes triggered by the linger deadline rather than a full
     /// buffer.
     pub(super) linger_flushes: AtomicU64,
-    /// Tuples delivered into the task (bolts; spouts count ack feedback
-    /// elsewhere).
+    /// Tuples delivered into the task by tasks of other workers.
     pub(super) received: AtomicU64,
+    /// Tuples this task delivered to tasks of other workers.
+    pub(super) sent_remote: AtomicU64,
     /// Panics caught in this task slot (any generation).
     pub(super) panics: AtomicU64,
     /// Supervisor restarts of this task slot.
@@ -72,80 +72,23 @@ pub(crate) struct TaskAtomics {
 }
 
 /// Applies queued acker ops and delivers whatever outcomes they completed.
-/// `lat_slot` is the caller's private latency slot (its task id, or the
-/// metrics slot) — see [`Shared::latency`].
-pub(super) fn apply_and_deliver(
-    shared: &Shared,
-    ack_senders: &[Option<Sender<Vec<AckMsg>>>],
-    ops: &mut AckOps,
-    lat_slot: usize,
-) {
+/// `slot` is the caller's private tracer slot (its task id, or the metrics
+/// slot).
+pub(super) fn apply_and_deliver(shared: &Shared, ops: &mut AckOps, slot: usize) {
     ops.apply(&shared.ackers);
     if ops.has_outcomes() {
-        deliver_outcomes(shared, ack_senders, ops.take_outcomes(), lat_slot);
+        deliver_outcomes(shared, ops.take_outcomes(), slot);
     }
 }
 
-/// Updates totals/latency for completed trees and notifies spouts, one
-/// batched message per spout per drain.  Latency samples land in the
-/// caller's own `lat_slot` so concurrent callers never contend on a shared
-/// stats lock.
-pub(super) fn deliver_outcomes(
-    shared: &Shared,
-    ack_senders: &[Option<Sender<Vec<AckMsg>>>],
-    outcomes: Vec<crate::acker::TreeOutcome>,
-    lat_slot: usize,
-) {
-    if outcomes.is_empty() {
-        return;
-    }
-    let replaying = shared.replay_on;
-    let trace_on = shared.tracer.enabled();
-    // Lock the (uncontended) slot once for the whole batch, and only when a
-    // completion actually carries a latency sample.
-    let mut lat = None;
-    let mut per_spout: Vec<(usize, Vec<AckMsg>)> = Vec::new();
-    for o in outcomes {
-        let spout = o.spout_task.0;
-        shared.pending[spout].fetch_sub(1, Ordering::Relaxed);
-        let latency_us = o.complete_latency() * 1e6;
-        if trace_on && shared.tracer.sampled(o.root) {
-            shared.tracer.record_outcome(lat_slot, &o);
+/// Hands completed trees to the spouts that own them, one batched message
+/// per spout per drain; the spout's tree lifecycle does the accounting.
+pub(super) fn deliver_outcomes(shared: &Shared, outcomes: Vec<TreeOutcome>, slot: usize) {
+    lifecycle::deliver_outcomes(&shared.tracer, slot, outcomes, |spout, mine| {
+        if let Some(tx) = &shared.feedback[spout] {
+            let _ = tx.send(mine);
         }
-        let msg = match o.completion {
-            Completion::Acked => {
-                shared.acked_total.fetch_add(1, Ordering::Relaxed);
-                let lat = lat.get_or_insert_with(|| shared.latency[lat_slot].lock());
-                lat.0.update(latency_us);
-                lat.1.record(latency_us);
-                AckMsg::Ack(o.message_id)
-            }
-            Completion::Failed => {
-                shared.failed_total.fetch_add(1, Ordering::Relaxed);
-                if !replaying {
-                    shared.perm_failed_total.fetch_add(1, Ordering::Relaxed);
-                }
-                AckMsg::Fail(o.message_id)
-            }
-            Completion::TimedOut => {
-                shared.timed_out_total.fetch_add(1, Ordering::Relaxed);
-                if !replaying {
-                    shared.perm_failed_total.fetch_add(1, Ordering::Relaxed);
-                }
-                AckMsg::Fail(o.message_id)
-            }
-        };
-        match per_spout.iter_mut().find(|(s, _)| *s == spout) {
-            Some((_, msgs)) => msgs.push(msg),
-            None => per_spout.push((spout, vec![msg])),
-        }
-    }
-    drop(lat);
-    for (spout, msgs) in per_spout {
-        if let Some(tx) = &ack_senders[spout] {
-            let _ = tx.send(msgs);
-        }
-    }
+    });
 }
 
 /// Fires scheduled panic/hang faults for this task.  Returns `false` when
@@ -298,9 +241,9 @@ fn maybe_checkpoint(
     let s = &shared.task_stats[tid];
     s.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
     s.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
-    shared
-        .checkpoint_last_us
-        .store(duration_us, Ordering::Relaxed);
+    shared.counters.checkpoints_taken.inc();
+    shared.counters.snapshot_bytes.add(bytes);
+    shared.counters.checkpoint_last_us.set(duration_us as f64);
     shared.journal.append(JournalEvent::CheckpointTaken {
         time_s: taken_at_s,
         task: tid,
@@ -380,26 +323,18 @@ fn restore_state(
         RecoveryMode::AtLeastOnce => {}
         RecoveryMode::Approximate => {
             if let Some(cut) = r.taken_at_s {
-                let mut skipped = 0usize;
-                for buf in shared.replay.iter() {
-                    skipped += buf.lock().doom_tracked_before(cut);
-                }
-                if skipped > 0 {
-                    shared
-                        .approx_skipped_total
-                        .fetch_add(skipped as u64, Ordering::Relaxed);
-                    shared
-                        .perm_failed_total
-                        .fetch_add(skipped as u64, Ordering::Relaxed);
+                for trees in shared.spouts.iter() {
+                    trees.lock().doom_tracked_before(cut);
                 }
             }
         }
     }
     let latency_us = t0.elapsed().as_micros() as u64;
-    shared.restore_last_us.store(latency_us, Ordering::Relaxed);
+    shared.counters.restore_last_us.set(latency_us as f64);
     shared.task_stats[tid]
         .restores
         .fetch_add(1, Ordering::Relaxed);
+    shared.counters.restores.inc();
     shared.journal.append(JournalEvent::StateRestored {
         time_s: shared.now_s(),
         task: tid,
@@ -409,112 +344,7 @@ fn restore_state(
     });
 }
 
-/// Handles one batch of ack/fail feedback at a spout, consulting the replay
-/// buffer when replay is enabled.
-#[allow(clippy::borrowed_box)]
-fn spout_handle_feedback(
-    spout: &mut Box<dyn Spout>,
-    shared: &Shared,
-    tid: usize,
-    batch: Vec<AckMsg>,
-) {
-    for msg in batch {
-        match msg {
-            AckMsg::Ack(id) => {
-                if shared.replay_on {
-                    shared.replay[tid].lock().on_ack(id);
-                }
-                spout.ack(id);
-            }
-            AckMsg::Fail(id) => {
-                if !shared.replay_on {
-                    spout.fail(id);
-                    continue;
-                }
-                let decision = shared.replay[tid].lock().on_fail(
-                    id,
-                    shared.rt.max_replays,
-                    shared.rt.replay_backoff,
-                    Instant::now(),
-                );
-                match decision {
-                    FailDecision::Scheduled { attempt, delay } => {
-                        shared.journal.append(JournalEvent::ReplayScheduled {
-                            time_s: shared.now_s(),
-                            message_id: id,
-                            attempt,
-                            delay_ms: delay.as_secs_f64() * 1e3,
-                        });
-                    }
-                    FailDecision::Exhausted { attempts } => {
-                        shared.journal.append(JournalEvent::ReplayExhausted {
-                            time_s: shared.now_s(),
-                            message_id: id,
-                            attempts,
-                        });
-                        shared.perm_failed_total.fetch_add(1, Ordering::Relaxed);
-                        spout.fail(id);
-                    }
-                    FailDecision::Untracked => spout.fail(id),
-                    FailDecision::Doomed => {
-                        // Approximate recovery skipped this pre-snapshot
-                        // tree: permanently failed for conservation, but not
-                        // surfaced to user code — the skip is the reported
-                        // error bound.
-                        shared.perm_failed_total.fetch_add(1, Ordering::Relaxed);
-                        shared.approx_skipped_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Re-emits every replay whose backoff has elapsed, as fresh tuple trees.
-fn spout_emit_due_replays(shared: &Shared, tid: usize, router: &mut Router, ops: &mut AckOps) {
-    let due = shared.replay[tid].lock().take_due(Instant::now());
-    let now_s = shared.now_s();
-    let trace_on = shared.tracer.enabled();
-    let dedup_on =
-        shared.rt.checkpoints && shared.rt.recovery_mode == RecoveryMode::ExactlyOnceEffect;
-    for (message_id, emission, attempt) in due {
-        let root = shared.next_root.fetch_add(1, Ordering::Relaxed) + 1;
-        ops.push(AckOp::Track {
-            root,
-            spout_task: TaskId(tid),
-            message_id,
-            now_s,
-        });
-        shared.pending[tid].fetch_add(1, Ordering::Relaxed);
-        shared.replayed_total.fetch_add(1, Ordering::Relaxed);
-        shared.journal.append(JournalEvent::ReplayEmitted {
-            time_s: now_s,
-            message_id,
-            attempt,
-            root,
-            trace_id: trace_id(root),
-        });
-        if trace_on && shared.tracer.sampled(root) {
-            shared
-                .tracer
-                .record_emit(tid, root, tid, shared.now_us(), attempt, message_id);
-        }
-        if dedup_on {
-            router.dedup_next = Some(message_id);
-        }
-        let delivered = router.route(emission.as_ref(), Some(root), ops);
-        if delivered == 0 {
-            ops.push(AckOp::Ack {
-                root,
-                edge: 0,
-                now_s,
-            });
-        }
-    }
-}
-
 /// Body of a spout thread.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn run_spout(
     mut spout: Box<dyn Spout>,
     ctx: TopologyContext,
@@ -522,21 +352,26 @@ pub(super) fn run_spout(
     my_gen: u64,
     mut router: Router,
     shared: Arc<Shared>,
-    ack_senders: Arc<Vec<Option<Sender<Vec<AckMsg>>>>>,
-    ack_rx: Receiver<Vec<AckMsg>>,
-    cfg: EngineConfig,
+    ack_rx: Receiver<Vec<TreeOutcome>>,
 ) {
+    let cfg = &shared.engine;
     spout.open(&ctx);
     let mut out = SpoutOutput::new();
     let mut emis = Vec::new();
     let mut ops = AckOps::new(shared.ackers.num_shards());
-    let replay_on = shared.replay_on;
-    let trace_on = shared.tracer.enabled();
+    // The tree lifecycle lives in `Shared` (it survives spout restarts).
+    // It is locked around its own steps only — never across routing, user
+    // code (a hung `ack` must not wedge the threads sharing it) or a sleep
+    // — and per iteration, not per emission: verdicts collect in `heard`,
+    // tracked emissions in `fresh`, until the lock is released.
+    let trees = &shared.spouts[tid];
+    let mut fresh = Vec::new();
+    let mut heard = Vec::new();
     let dedup_on =
         shared.rt.checkpoints && shared.rt.recovery_mode == RecoveryMode::ExactlyOnceEffect;
     if my_gen > 0 && shared.rt.checkpoints {
         // Spouts are rebuilt from their factory on every restart — only the
-        // replay buffer (which lives in `Shared`) survives.  Report the
+        // tree lifecycle (which lives in `Shared`) survives.  Report the
         // instance-state loss so recovery audits see every restart path,
         // including hang supersession.
         shared.journal.append(JournalEvent::StateLost {
@@ -547,7 +382,7 @@ pub(super) fn run_spout(
         });
     }
     // Once the spout exhausts its input it stays alive (draining acks and
-    // replaying lost trees) until the replay buffer empties or shutdown.
+    // replaying lost trees) until every message is resolved or shutdown.
     let mut exhausted = false;
     // Token bucket enforcing the global spout rate cap (tuples/s).  The cap
     // is INFINITY unless the AIMD loop, the controller, or a
@@ -563,46 +398,56 @@ pub(super) fn run_spout(
         if !inject_control_faults(&shared, tid, my_gen) {
             return;
         }
-        // Deliver ack/fail feedback first.
-        while let Ok(batch) = ack_rx.try_recv() {
-            spout_handle_feedback(&mut spout, &shared, tid, batch);
+        let now_s = shared.now_s();
+        // Deliver ack/fail feedback first, then re-emit every replay whose
+        // backoff has elapsed as a fresh tuple tree.
+        let (due, pending) = {
+            let mut trees = trees.lock();
+            while let Ok(batch) = ack_rx.try_recv() {
+                let verdicts = batch
+                    .iter()
+                    .map(|o| (trees.on_outcome(o, now_s), o.message_id));
+                heard.extend(verdicts);
+            }
+            (trees.take_due(now_s), trees.pending())
+        };
+        for (notify, message_id) in heard.drain(..) {
+            notify.tell(&mut *spout, message_id);
         }
-        if replay_on {
-            spout_emit_due_replays(&shared, tid, &mut router, &mut ops);
+        for (message_id, emission, attempt) in due {
+            let root = track(&shared, tid, message_id, now_s, attempt, &mut ops);
+            trees.lock().on_replayed(message_id, attempt, root, now_s);
+            if dedup_on {
+                router.dedup_next = Some(message_id);
+            }
+            route_tracked(&mut router, &emission, root, &shared, &mut ops);
         }
         if exhausted {
-            // Stay alive until every tree this spout tracked has resolved:
-            // with replay on, until the replay buffer empties; without it,
-            // until the in-flight count drains (acks, fails and timeouts all
-            // land as feedback the spout must still deliver to user code).
-            let drained = if replay_on {
-                shared.replay[tid].lock().is_empty()
-            } else {
-                !cfg.ack_enabled || shared.pending[tid].load(Ordering::Relaxed) == 0
-            };
-            if drained {
+            // Stay alive until every tree this spout tracked has resolved
+            // (acks, fails and timeouts all land as feedback the spout must
+            // still deliver to user code).
+            if pending == 0 {
                 break;
             }
-            router.flush_expired(Instant::now(), &mut ops);
-            apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+            router.flush_expired(Instant::now(), &shared, &mut ops);
+            apply_and_deliver(&shared, &mut ops, tid);
             // Sleep until the next scheduled replay (bounded so timeouts and
             // shutdown are still noticed promptly).
-            let nap =
-                shared.replay[tid]
-                    .lock()
-                    .next_due()
-                    .map_or(Duration::from_micros(500), |due| {
-                        due.saturating_duration_since(Instant::now())
-                            .clamp(Duration::from_micros(100), Duration::from_millis(5))
-                    });
+            let nap = trees
+                .lock()
+                .next_due()
+                .map_or(Duration::from_micros(500), |due_s| {
+                    Duration::from_secs_f64((due_s - shared.now_s()).max(0.0))
+                        .clamp(Duration::from_micros(100), Duration::from_millis(5))
+                });
             std::thread::sleep(nap);
             continue;
         }
-        if cfg.ack_enabled && shared.pending[tid].load(Ordering::Relaxed) >= cfg.max_spout_pending {
+        if pending >= cfg.max_spout_pending {
             // Keep buffered output moving while throttled, or the in-flight
             // count can never drain.
-            router.flush_expired(Instant::now(), &mut ops);
-            apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+            router.flush_expired(Instant::now(), &shared, &mut ops);
+            apply_and_deliver(&shared, &mut ops, tid);
             std::thread::sleep(Duration::from_micros(200));
             continue;
         }
@@ -614,8 +459,8 @@ pub(super) fn run_spout(
             let burst = (cap * 0.02).max(8.0);
             tokens = (tokens + cap * dt).min(burst);
             if tokens < 1.0 {
-                router.flush_expired(Instant::now(), &mut ops);
-                apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+                router.flush_expired(Instant::now(), &shared, &mut ops);
+                apply_and_deliver(&shared, &mut ops, tid);
                 // Sleep roughly until the next token accrues.
                 let wait_s = ((1.0 - tokens) / cap).clamp(50e-6, 2e-3);
                 std::thread::sleep(Duration::from_secs_f64(wait_s));
@@ -627,7 +472,6 @@ pub(super) fn run_spout(
             tokens = 0.0;
             last_refill = Instant::now();
         }
-        let now_s = shared.now_s();
         out.set_now(now_s);
         let t0 = Instant::now();
         let keep = spout.next_tuple(&mut out);
@@ -639,88 +483,100 @@ pub(super) fn run_spout(
             }
             // Replays queued above may have left ops (and, once applied,
             // outcomes) behind even though next_tuple produced nothing.
-            router.flush_expired(Instant::now(), &mut ops);
-            apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+            router.flush_expired(Instant::now(), &shared, &mut ops);
+            apply_and_deliver(&shared, &mut ops, tid);
             std::thread::sleep(Duration::from_micros(500));
             continue;
         }
         let n = emis.len() as u64;
         for emission in emis.drain(..) {
-            let tracked = match emission.message_id {
-                Some(message_id) if cfg.ack_enabled => {
-                    let root = shared.next_root.fetch_add(1, Ordering::Relaxed) + 1;
-                    ops.push(AckOp::Track {
-                        root,
-                        spout_task: TaskId(tid),
-                        message_id,
-                        now_s,
-                    });
-                    shared.pending[tid].fetch_add(1, Ordering::Relaxed);
-                    if !replay_on {
-                        shared.tracked_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some((root, message_id))
-                }
-                _ => None,
-            };
-            let root = tracked.map(|(root, _)| root);
-            if let Some((root, message_id)) = tracked {
-                if trace_on && shared.tracer.sampled(root) {
-                    shared
-                        .tracer
-                        .record_emit(tid, root, tid, shared.now_us(), 0, message_id);
-                }
-            }
+            let tracked = TreeLifecycle::tracked_id(cfg, &emission);
             if dedup_on {
-                router.dedup_next = tracked.map(|(_, id)| id);
+                router.dedup_next = tracked;
             }
-            let delivered = router.route(&emission, root, &mut ops);
-            if delivered == 0 {
-                if let Some(root) = root {
-                    // Nothing subscribed: complete the tree immediately.
-                    ops.push(AckOp::Ack {
-                        root,
-                        edge: 0,
-                        now_s,
-                    });
+            match tracked {
+                Some(message_id) => {
+                    let root = track(&shared, tid, message_id, now_s, 0, &mut ops);
+                    route_tracked(&mut router, &emission, root, &shared, &mut ops);
+                    // Routing is done with the emission, so it moves into
+                    // the lifecycle (and its replay cache) instead of being
+                    // cloned.
+                    fresh.push((message_id, emission));
+                }
+                None => {
+                    router.route(&emission, None, &shared, &mut ops);
                 }
             }
-            if replay_on {
-                if let Some((_, message_id)) = tracked {
-                    // Routing is done with the emission, so it moves into the
-                    // replay cache instead of being cloned.  Feedback for
-                    // this id is handled by this same thread on a later
-                    // iteration, so caching after routing cannot race an ack.
-                    let fresh =
-                        shared.replay[tid]
-                            .lock()
-                            .on_track(message_id, Arc::new(emission), now_s);
-                    if fresh {
-                        shared.tracked_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        }
+        if !fresh.is_empty() {
+            let mut trees = trees.lock();
+            for (message_id, emission) in fresh.drain(..) {
+                trees.on_track(message_id, emission, now_s);
             }
         }
         inject_service_slowdown(&shared, tid, t0);
         tokens -= n as f64;
-        shared.spout_emitted_total.fetch_add(n, Ordering::Relaxed);
+        shared.counters.spout_emitted.add(n);
         let s = &shared.task_stats[tid];
         s.executed.fetch_add(n, Ordering::Relaxed);
         s.busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        router.flush_expired(Instant::now(), &mut ops);
-        apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+        router.flush_expired(Instant::now(), &shared, &mut ops);
+        apply_and_deliver(&shared, &mut ops, tid);
         if !keep {
             exhausted = true;
         }
     }
-    router.flush_all(&mut ops);
-    apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+    router.flush_all(&shared, &mut ops);
+    apply_and_deliver(&shared, &mut ops, tid);
     spout.close();
 }
 
+/// Registers a fresh tuple tree for `message_id` (attempt 0 = the original
+/// emission) and records its emit span when the tree is sampled.
+fn track(
+    shared: &Shared,
+    tid: usize,
+    message_id: u64,
+    now_s: f64,
+    attempt: u32,
+    ops: &mut AckOps,
+) -> u64 {
+    let root = shared.next_root.fetch_add(1, Ordering::Relaxed) + 1;
+    ops.push(AckOp::Track {
+        root,
+        spout_task: TaskId(tid),
+        message_id,
+        now_s,
+    });
+    if shared.tracer.sampled(root) {
+        shared
+            .tracer
+            .record_emit(tid, root, tid, shared.now_us(), attempt, message_id);
+    }
+    root
+}
+
+/// Routes the root emission of tracked tree `root`; a tree that reaches
+/// nothing completes immediately.
+fn route_tracked(
+    router: &mut Router,
+    emission: &Emission,
+    root: u64,
+    shared: &Shared,
+    ops: &mut AckOps,
+) {
+    if router.route(emission, Some(root), shared, ops) == 0 {
+        let now_s = shared.now_s();
+        ops.push(AckOp::Ack {
+            root,
+            edge: 0,
+            now_s,
+        });
+    }
+}
+
 /// Body of a bolt thread.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn run_bolt(
     mut bolt: Box<dyn Bolt>,
     ctx: TopologyContext,
@@ -728,10 +584,9 @@ pub(super) fn run_bolt(
     my_gen: u64,
     mut router: Router,
     shared: Arc<Shared>,
-    ack_senders: Arc<Vec<Option<Sender<Vec<AckMsg>>>>>,
     rx: Receiver<Batch>,
-    cfg: EngineConfig,
 ) {
+    let cfg = &shared.engine;
     bolt.prepare(&ctx);
     let mut out = BoltOutput::new();
     let mut emis = Vec::new();
@@ -792,10 +647,13 @@ pub(super) fn run_bolt(
             Ok(Batch {
                 items: batch,
                 sent_at_us: batch_sent_us,
+                remote,
             }) => {
                 let s = &shared.task_stats[tid];
                 s.queue_len.store(rx.len(), Ordering::Relaxed);
-                s.received.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                if remote {
+                    s.received.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                }
                 // Without an injector, heartbeat / clock / busy timing happen
                 // once per batch: the loop head already beat for this
                 // iteration, and batch size bounds how long a batch can run.
@@ -850,7 +708,7 @@ pub(super) fn run_bolt(
                         {
                             // Dropped on the floor: neither acked nor failed,
                             // so the tree times out and the spout replays it.
-                            shared.dropped_total.fetch_add(1, Ordering::Relaxed);
+                            shared.counters.dropped.inc();
                             continue;
                         }
                         out.set_now(now_s);
@@ -893,7 +751,7 @@ pub(super) fn run_bolt(
                     let root = delivered.anchor.map(|(r, _)| r);
                     for emission in &emis {
                         let anchor = if emission.anchored { root } else { None };
-                        router.route(emission, anchor, &mut ops);
+                        router.route(emission, anchor, &shared, &mut ops);
                     }
                     emis.clear();
                     if let Some((root, edge)) = delivered.anchor {
@@ -937,8 +795,8 @@ pub(super) fn run_bolt(
                 if failed_n > 0 {
                     s.failed.fetch_add(failed_n, Ordering::Relaxed);
                 }
-                router.flush_expired(Instant::now(), &mut ops);
-                apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+                router.flush_expired(Instant::now(), &shared, &mut ops);
+                apply_and_deliver(&shared, &mut ops, tid);
                 if ckpt_on {
                     // The input log is appended only after the batch's acks
                     // applied: a crash between batches finds log and acked
@@ -954,7 +812,7 @@ pub(super) fn run_bolt(
                     }
                     maybe_checkpoint(&mut *bolt, &shared, tid, my_gen, &mut ck, &mut ops, false);
                     if !ops.is_empty() {
-                        apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+                        apply_and_deliver(&shared, &mut ops, tid);
                     }
                 }
             }
@@ -963,15 +821,15 @@ pub(super) fn run_bolt(
                     break;
                 }
                 if router.has_pending() || !ops.is_empty() {
-                    router.flush_expired(Instant::now(), &mut ops);
-                    apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+                    router.flush_expired(Instant::now(), &shared, &mut ops);
+                    apply_and_deliver(&shared, &mut ops, tid);
                 }
                 if ckpt_on {
                     // Interval checkpoints keep firing while idle, so acks
                     // deferred by the last partial batch still drain.
                     maybe_checkpoint(&mut *bolt, &shared, tid, my_gen, &mut ck, &mut ops, false);
                     if !ops.is_empty() {
-                        apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+                        apply_and_deliver(&shared, &mut ops, tid);
                     }
                 }
             }
@@ -983,7 +841,7 @@ pub(super) fn run_bolt(
             bolt.tick(&mut out);
             let _ = out.drain_into(&mut emis);
             for emission in &emis {
-                router.route(emission, None, &mut ops);
+                router.route(emission, None, &shared, &mut ops);
             }
             emis.clear();
         }
@@ -994,7 +852,7 @@ pub(super) fn run_bolt(
         // spout-side reconciliation in `join_all` picks them up).
         maybe_checkpoint(&mut *bolt, &shared, tid, my_gen, &mut ck, &mut ops, true);
     }
-    router.flush_all(&mut ops);
-    apply_and_deliver(&shared, &ack_senders, &mut ops, tid);
+    router.flush_all(&shared, &mut ops);
+    apply_and_deliver(&shared, &mut ops, tid);
     bolt.cleanup();
 }

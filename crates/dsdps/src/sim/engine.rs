@@ -31,10 +31,11 @@
 //!   (Only a *voluntarily idle* spout — one that returned no tuple while
 //!   alive, e.g. a rate-paced source — is re-polled after a short delay,
 //!   because the [`Spout`] trait has no next-emission-time hint.)
-//! * **Shared data plane.**  Grouping ([`make_grouping`]), acking
-//!   ([`Acker`], single-shard) and latency statistics
-//!   ([`OnlineStats`]/[`LatencyHistogram`]) are the same components the
-//!   threaded runtime runs, driven from the same [`EngineConfig`] and
+//! * **Shared data plane.**  Destination selection (the crate's one
+//!   `RouteTable`), acking ([`Acker`], single-shard), the task→worker
+//!   roll-up and latency statistics
+//!   ([`OnlineStats`]/[`LatencyHistogram`]) are the same values the
+//!   threaded runtime steps, driven from the same [`EngineConfig`] and
 //!   [`RtConfig`] knobs, so sim and rt stay behaviorally comparable by
 //!   construction.
 //!
@@ -50,17 +51,17 @@ use crate::acker::{splitmix64, Acker, Completion, RootId, TreeOutcome};
 use crate::component::{Bolt, BoltOutput, Emission, Spout, SpoutOutput, TopologyContext};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
-use crate::grouping::{make_grouping, Grouping, GroupingSpec};
+use crate::lifecycle::TreeLifecycle;
 use crate::metrics::{
-    LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats, TaskStats,
-    TopologyStats, WorkerStats,
+    fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats,
+    TaskFlow, TaskStats, TopologyStats,
 };
+use crate::route::RouteTable;
 use crate::rt::RtConfig;
 use crate::scheduler::{even_placement, MachineId, Placement, WorkerId};
-use crate::stream::StreamId;
-use crate::telemetry::journal::{Journal, JournalEvent};
+use crate::telemetry::journal::Journal;
 use crate::topology::{ComponentKind, TaskId, Topology};
-use crate::tuple::{Fields, Tuple};
+use crate::tuple::Tuple;
 
 use super::event::EventQueue;
 use super::machine::{Fault, InterferenceModel, MachineState};
@@ -77,15 +78,6 @@ enum TaskKind {
     Bolt(Box<dyn Bolt>),
 }
 
-/// One outbound edge of a producer task.
-struct OutRoute {
-    stream: StreamId,
-    fields: Fields,
-    subscriber_base: usize,
-    grouping: Box<dyn Grouping>,
-    is_direct: bool,
-}
-
 #[derive(Debug, Default, Clone)]
 struct TaskCounters {
     executed: u64,
@@ -94,10 +86,7 @@ struct TaskCounters {
     failed: u64,
     latency_sum_us: f64,
     busy_s: f64,
-}
-
-#[derive(Debug, Default, Clone)]
-struct WorkerCounters {
+    /// Tuples received from / sent to tasks on other workers.
     tuples_in: u64,
     tuples_out: u64,
 }
@@ -175,7 +164,7 @@ struct TaskRuntime {
     in_service_s: f64,
     /// Tuples the scheduled `Finish` will advance.
     in_service_k: u32,
-    routes: Vec<OutRoute>,
+    routes: RouteTable,
     base_cost_us: f64,
     jitter: f64,
     ctr: TaskCounters,
@@ -217,9 +206,7 @@ pub struct RunReport {
     pub snapshots: usize,
 }
 
-/// Callback invoked at every metrics interval — the control framework's
-/// entry point.
-pub type ControlHook = Box<dyn FnMut(&MetricsSnapshot) + Send>;
+pub use crate::metrics::SnapshotHook as ControlHook;
 
 /// Discrete-event simulated runtime for a topology.
 pub struct SimRuntime {
@@ -233,7 +220,6 @@ pub struct SimRuntime {
     spout_tasks: Vec<u32>,
     machines: Vec<MachineState>,
     worker_slowdown: Vec<f64>,
-    worker_ctr: Vec<WorkerCounters>,
     events: EventQueue<Event>,
     now: f64,
     acker: Acker,
@@ -259,7 +245,6 @@ pub struct SimRuntime {
     interval_ctr: TopoCounters,
     total_ctr: TopoCounters,
     history: MetricsHistory,
-    history_truncated: bool,
     journal: Journal,
     hooks: Vec<ControlHook>,
     faults: Vec<Fault>,
@@ -267,9 +252,8 @@ pub struct SimRuntime {
     interval_index: u64,
     spout_out: SpoutOutput,
     bolt_out: BoltOutput,
-    select_buf: Vec<usize>,
-    /// Scratch `(local task, route index)` pairs for the routing fan-out.
-    deliver_buf: Vec<(u32, u32)>,
+    /// Scratch destination tasks of the emission being routed.
+    deliver_buf: Vec<usize>,
     emit_buf: Vec<Emission>,
     outcome_buf: Vec<TreeOutcome>,
 }
@@ -352,32 +336,6 @@ impl SimRuntime {
                     }
                 };
 
-                // One router per outbound (stream, subscriber) edge.
-                let mut routes = Vec::new();
-                for decl in &component.outputs {
-                    for (sub, spec) in topology.subscribers_of(component.id, &decl.id) {
-                        let handle = match spec {
-                            GroupingSpec::Dynamic(_) => {
-                                topology.dynamic_handle(&component.name, &decl.id, &sub.name)
-                            }
-                            _ => None,
-                        };
-                        routes.push(OutRoute {
-                            stream: decl.id.clone(),
-                            fields: decl.fields.clone(),
-                            subscriber_base: sub.base_task.0,
-                            grouping: make_grouping(
-                                spec,
-                                sub.parallelism,
-                                &decl.fields,
-                                task_index,
-                                handle,
-                            ),
-                            is_direct: matches!(spec, GroupingSpec::Direct),
-                        });
-                    }
-                }
-
                 task_worker.push(placement.worker_of(task));
                 task_machine.push(placement.machine_of_task(task));
                 tasks.push(TaskRuntime {
@@ -396,7 +354,7 @@ impl SimRuntime {
                     pending_roots: 0,
                     in_service_s: 0.0,
                     in_service_k: 0,
-                    routes,
+                    routes: RouteTable::new(&topology, component, task_index),
                     base_cost_us: component.cost.base_service_time_us,
                     jitter: component.cost.jitter,
                     ctr: TaskCounters::default(),
@@ -404,11 +362,9 @@ impl SimRuntime {
             }
         }
 
-        let num_workers = placement.num_workers();
         let mut engine = SimRuntime {
             rng_state: config.seed,
-            worker_slowdown: vec![1.0; num_workers],
-            worker_ctr: vec![WorkerCounters::default(); num_workers],
+            worker_slowdown: vec![1.0; placement.num_workers()],
             machines,
             tasks,
             task_worker,
@@ -431,7 +387,6 @@ impl SimRuntime {
             interval_ctr: TopoCounters::default(),
             total_ctr: TopoCounters::default(),
             history: MetricsHistory::new(config.metrics_history_cap),
-            history_truncated: false,
             journal: Journal::new(),
             hooks: Vec::new(),
             faults: Vec::new(),
@@ -439,7 +394,6 @@ impl SimRuntime {
             interval_index: 0,
             spout_out: SpoutOutput::new(),
             bolt_out: BoltOutput::new(),
-            select_buf: Vec::new(),
             deliver_buf: Vec::new(),
             emit_buf: Vec::new(),
             outcome_buf: Vec::new(),
@@ -699,13 +653,10 @@ impl SimRuntime {
         self.total_ctr.spout_emitted += n;
 
         for emission in staged.drain(..) {
-            let tracked = match emission.message_id {
-                Some(message_id) if self.config.ack_enabled => {
-                    self.next_root += 1;
-                    Some((self.next_root, message_id))
-                }
-                _ => None,
-            };
+            let tracked = TreeLifecycle::tracked_id(&self.config, &emission).map(|message_id| {
+                self.next_root += 1;
+                (self.next_root, message_id)
+            });
             // Child edges XOR into `tree_xor` during routing and the tree is
             // registered once with the settled accumulator, instead of one
             // acker update per child edge (Storm's batched ack-init).
@@ -800,10 +751,7 @@ impl SimRuntime {
             } else {
                 t.transit_local.pop_front().expect("checked front")
             };
-            if remote {
-                self.worker_ctr[self.task_worker[dest].0].tuples_in += 1;
-            }
-            let t = &mut self.tasks[dest];
+            t.ctr.tuples_in += u64::from(remote);
             t.queue.push_back(idx);
             let len = t.queue.len();
             if len == self.half_bound + 1 {
@@ -914,62 +862,28 @@ impl SimRuntime {
     /// values into the slab instead of bumping their refcount.
     fn route_one(&mut self, src: usize, emission: Emission, root: Option<RootId>) -> usize {
         let src_worker = self.task_worker[src];
-        // Pass 1: resolve every (local task, route) pair this emission
-        // reaches.  Split borrows: routes belong to the source task;
-        // deliveries go through per-destination transit buffers, touched
-        // only in pass 2 after the route borrows end.
-        self.deliver_buf.clear();
-        let n_routes = self.tasks[src].routes.len();
-        for r in 0..n_routes {
-            {
-                let route = &self.tasks[src].routes[r];
-                if route.stream != emission.stream {
-                    continue;
-                }
-                match (emission.direct_task, route.is_direct) {
-                    (Some(_), false) | (None, true) => continue,
-                    _ => {}
-                }
-            }
-            match emission.direct_task {
-                Some(idx) => self.deliver_buf.push((idx as u32, r as u32)),
-                None => {
-                    self.select_buf.clear();
-                    let mut buf = std::mem::take(&mut self.select_buf);
-                    self.tasks[src].routes[r]
-                        .grouping
-                        .select(&emission.tuple, &mut buf);
-                    self.select_buf = buf;
-                    for i in 0..self.select_buf.len() {
-                        self.deliver_buf.push((self.select_buf[i] as u32, r as u32));
-                    }
-                }
-            }
-        }
-        let delivered = self.deliver_buf.len();
-        if delivered == 0 {
+        // Pass 1: resolve every task this emission reaches.  Split borrows:
+        // the route table belongs to the source task; deliveries go through
+        // per-destination transit buffers, touched only in pass 2 after the
+        // table's borrow ends.
+        let selected = self.tasks[src]
+            .routes
+            .select(&emission, &mut self.deliver_buf);
+        let Some(fields) = selected.map(|s| s.fields.clone()) else {
             return 0;
-        }
+        };
+        let delivered = self.deliver_buf.len();
 
         // Pass 2: allocate instances and stage deliveries.
         let deliver = std::mem::take(&mut self.deliver_buf);
-        let mut last_tuple = Some(emission.tuple);
-        for (i, &(local, r)) in deliver.iter().enumerate() {
-            let (base, fields) = {
-                let route = &self.tasks[src].routes[r as usize];
-                (route.subscriber_base, route.fields.clone())
-            };
-            let dest = base + local as usize;
+        let mut last = Some((emission.tuple, fields));
+        for (i, &dest) in deliver.iter().enumerate() {
             let tuple = if i + 1 == delivered {
-                last_tuple
-                    .take()
-                    .expect("one move per emission")
-                    .into_rekeyed(fields)
+                let (tuple, fields) = last.take().expect("one move per emission");
+                tuple.into_rekeyed(fields)
             } else {
-                last_tuple
-                    .as_ref()
-                    .expect("moved only on last")
-                    .rekeyed(fields)
+                let (tuple, fields) = last.as_ref().expect("moved only on last");
+                tuple.rekeyed(fields.clone())
             };
             let (root_id, edge) = match root {
                 Some(root) => {
@@ -985,16 +899,13 @@ impl SimRuntime {
                 }
                 None => (0, 0),
             };
-            let dest_worker = self.task_worker[dest];
-            let remote = dest_worker != src_worker;
+            let remote = self.task_worker[dest] != src_worker;
             let transfer_us = if remote {
                 self.config.remote_transfer_us
             } else {
                 self.config.local_transfer_us
             };
-            if remote {
-                self.worker_ctr[src_worker.0].tuples_out += 1;
-            }
+            self.tasks[src].ctr.tuples_out += u64::from(remote);
             let idx = self.slab.alloc(tuple, root_id, edge);
             self.stage_delivery(dest, self.now + transfer_us * 1e-6, idx, remote);
         }
@@ -1110,15 +1021,7 @@ impl SimRuntime {
         for hook in &mut self.hooks {
             hook(&snapshot);
         }
-        let cap = self.config.metrics_history_cap;
-        if cap > 0 && self.history.len() >= cap && !self.history_truncated {
-            self.history_truncated = true;
-            self.journal.append(JournalEvent::HistoryTruncated {
-                time_s: self.now,
-                retained: cap,
-            });
-        }
-        self.history.push(snapshot);
+        self.history.push_journaled(snapshot, &self.journal);
         self.reset_interval();
         self.interval_index += 1;
         self.events.schedule(
@@ -1164,41 +1067,16 @@ impl SimRuntime {
             })
             .collect();
 
-        let workers: Vec<WorkerStats> = (0..self.worker_ctr.len())
-            .map(|w| {
-                let wid = WorkerId(w);
-                let mut executed = 0u64;
-                let mut lat_sum = 0.0;
-                let mut cores = 0.0;
-                let mut mem = 100.0;
-                let mut num_tasks = 0usize;
-                for (i, t) in self.tasks.iter().enumerate() {
-                    if self.task_worker[i] != wid {
-                        continue;
-                    }
-                    num_tasks += 1;
-                    executed += t.ctr.executed;
-                    lat_sum += t.ctr.latency_sum_us;
-                    cores += t.ctr.busy_s / interval_s;
-                    mem += t.queue.len() as f64 * 0.004;
-                }
-                WorkerStats {
-                    worker: wid,
-                    machine: self.placement.machine_of(wid),
-                    cpu_cores_used: cores,
-                    memory_mb: mem,
-                    executed,
-                    tuples_in: self.worker_ctr[w].tuples_in,
-                    tuples_out: self.worker_ctr[w].tuples_out,
-                    avg_execute_latency_us: if executed > 0 {
-                        lat_sum / executed as f64
-                    } else {
-                        0.0
-                    },
-                    num_tasks,
-                }
+        let flows: Vec<TaskFlow> = self
+            .tasks
+            .iter()
+            .map(|t| TaskFlow {
+                latency_sum_us: t.ctr.latency_sum_us,
+                tuples_in: t.ctr.tuples_in,
+                tuples_out: t.ctr.tuples_out,
             })
             .collect();
+        let workers = fold_workers(&tasks, &flows, &self.placement);
 
         let machines: Vec<MachineStats> = self
             .machines
@@ -1239,9 +1117,6 @@ impl SimRuntime {
         for t in &mut self.tasks {
             t.ctr = TaskCounters::default();
         }
-        for w in &mut self.worker_ctr {
-            *w = WorkerCounters::default();
-        }
         for m in &mut self.machines {
             m.busy_core_seconds = 0.0;
         }
@@ -1252,8 +1127,9 @@ impl SimRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamId;
     use crate::topology::{CostModel, TopologyBuilder};
-    use crate::tuple::Value;
+    use crate::tuple::{Fields, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

@@ -1,0 +1,324 @@
+//! One topology, three backends: `sim`, `rt` and `dist` step the same route
+//! table and the same spout tree lifecycle, so the same emissions must
+//! reach the same tasks and the same `EngineConfig` must mean the same
+//! thing on each.
+//!
+//! Worker processes are this same test binary re-executed with
+//! `--exact dist_worker_entry --ignored`, as in `dist.rs`.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput, TopologyContext};
+use dsdps::config::EngineConfig;
+use dsdps::dist::{self, DistConfig, TopologyRegistry};
+use dsdps::error::Result;
+use dsdps::metrics::MetricsSnapshot;
+use dsdps::rt::{self, RtConfig, SnapshotKind, StateSnapshot, StatefulComponent};
+use dsdps::sim::SimRuntime;
+use dsdps::stream::StreamId;
+use dsdps::topology::{Topology, TopologyBuilder};
+use dsdps::tuple::{Fields, Tuple, Value};
+
+const N: u64 = 400;
+const TASKS: usize = 9;
+
+/// `ack` + `fail` calls heard by the spouts of each test (spouts run in the
+/// test process on every backend, and the tests run concurrently).
+static HEARD_ROUTING: AtomicU64 = AtomicU64::new(0);
+static HEARD_ACK_DISABLED: AtomicU64 = AtomicU64::new(0);
+
+/// Emits `1..=N`, each tuple tracked under its own message id — and once
+/// more, under id `N + i`, on a stream nobody declared: a tracked tree with
+/// zero deliveries, which must complete on its own.
+struct Src {
+    next: u64,
+    heard: &'static AtomicU64,
+}
+
+impl Spout for Src {
+    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
+        if self.next == N {
+            return false;
+        }
+        self.next += 1;
+        let tuple = Tuple::of([Value::from(self.next as i64)]);
+        out.emit_with_id(tuple.clone(), self.next);
+        out.emit_to_with_id(StreamId::new("void"), tuple, N + self.next);
+        true
+    }
+
+    fn ack(&mut self, _id: u64) {
+        self.heard.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn fail(&mut self, _id: u64) {
+        self.heard.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Sends tuple `i` three ways: on the default stream, on the named stream
+/// `side`, and directly to task `i % 4` of the three-task `direct`
+/// subscriber — so every fourth direct emission names a task that does not
+/// exist and must reach nothing.
+struct Fan;
+
+impl Bolt for Fan {
+    fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
+        let i = tuple.get(0).unwrap().as_i64().unwrap() as usize;
+        out.emit(tuple.clone());
+        out.emit_to(StreamId::new("side"), tuple.clone());
+        out.emit_direct(i % 4, StreamId::new("direct"), tuple.clone());
+    }
+}
+
+/// Counts what it executes: into `counts[global task id]` (read by the
+/// in-process backends) and into its checkpointed state (read from
+/// [`dist::DistReport::final_snapshots`], the cross-process channel).
+struct Count {
+    counts: Arc<Vec<AtomicU64>>,
+    task: usize,
+    seen: u64,
+}
+
+impl Bolt for Count {
+    fn prepare(&mut self, ctx: &TopologyContext) {
+        self.task += ctx.task_index;
+    }
+
+    fn execute(&mut self, _tuple: &Tuple, _out: &mut BoltOutput) {
+        self.seen += 1;
+        self.counts[self.task].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn stateful(&mut self) -> Option<&mut dyn StatefulComponent> {
+        Some(self)
+    }
+}
+
+impl StatefulComponent for Count {
+    fn snapshot(&mut self) -> StateSnapshot {
+        StateSnapshot {
+            kind: SnapshotKind::Full,
+            bytes: self.seen.to_le_bytes().to_vec(),
+        }
+    }
+
+    fn restore(
+        &mut self,
+        base: &StateSnapshot,
+        _deltas: &[StateSnapshot],
+    ) -> std::result::Result<(), String> {
+        self.seen = decode(base);
+        Ok(())
+    }
+}
+
+fn decode(snap: &StateSnapshot) -> u64 {
+    u64::from_le_bytes(snap.bytes[..8].try_into().expect("8-byte counter"))
+}
+
+/// `src ×1 → fan ×1`, then `fan`'s three streams: default → `all ×2`
+/// (all grouping), `side` → `side ×2` (shuffle), `direct` → `direct ×3`
+/// (direct grouping).  Global task ids: src 0, fan 1, all 2‥3, side 4‥5,
+/// direct 6‥8.
+fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topology> {
+    let count = |base: usize| {
+        let counts = Arc::clone(counts);
+        move || Count {
+            counts: Arc::clone(&counts),
+            task: base,
+            seen: 0,
+        }
+    };
+    let mut b = TopologyBuilder::new("parity");
+    b.set_spout("src", 1, move || Src { next: 0, heard })?;
+    b.set_bolt("fan", 1, || Fan)?
+        .shuffle_grouping("src")?
+        .output_stream("side", Fields::none())
+        .output_stream("direct", Fields::none());
+    b.set_bolt("all", 2, count(2))?.all_grouping("fan")?;
+    b.set_bolt("side", 2, count(4))?
+        .shuffle_grouping_stream("fan", "side")?;
+    b.set_bolt("direct", 3, count(6))?
+        .direct_grouping("fan", "direct")?;
+    b.build()
+}
+
+fn fresh_counts() -> Arc<Vec<AtomicU64>> {
+    Arc::new((0..TASKS).map(|_| AtomicU64::new(0)).collect())
+}
+
+fn read(counts: &[AtomicU64]) -> Vec<u64> {
+    counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+}
+
+fn registry() -> TopologyRegistry {
+    let mut r = TopologyRegistry::new();
+    r.register("routing", |_args| build(&fresh_counts(), &HEARD_ROUTING));
+    r.register("ack-disabled", |_args| {
+        build(&fresh_counts(), &HEARD_ACK_DISABLED)
+    });
+    r
+}
+
+#[test]
+#[ignore = "worker-process entry point, spawned by the dist runs"]
+fn dist_worker_entry() {
+    if std::env::var("DSDPS_DIST_ADDR").is_err() {
+        return;
+    }
+    dist::maybe_worker_from_env(&registry());
+}
+
+fn self_worker_cmd() -> Vec<String> {
+    vec![
+        std::env::current_exe()
+            .expect("current_exe")
+            .to_string_lossy()
+            .into_owned(),
+        "--exact".into(),
+        "dist_worker_entry".into(),
+        "--ignored".into(),
+        "--nocapture".into(),
+    ]
+}
+
+fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline && !done() {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    done()
+}
+
+/// Per-task executed counts of a dist run, from the final checkpoints (a
+/// task that never executed never checkpointed).
+fn dist_counts(report: &dist::DistReport) -> Vec<u64> {
+    let snaps = report.final_snapshots.iter();
+    snaps.map(|s| s.as_ref().map_or(0, decode)).collect()
+}
+
+/// Cross-worker tuples in / out of each worker, summed over a whole run.
+fn worker_flows<'a>(history: impl Iterator<Item = &'a MetricsSnapshot>) -> Vec<(u64, u64)> {
+    let mut flows = Vec::new();
+    for snapshot in history {
+        flows.resize(snapshot.workers.len(), (0, 0));
+        for w in &snapshot.workers {
+            flows[w.worker.0].0 += w.tuples_in;
+            flows[w.worker.0].1 += w.tuples_out;
+        }
+    }
+    flows
+}
+
+/// Direct + a second named stream + all grouping deliver the same per-task
+/// counts on all three backends, an out-of-range `emit_direct` reaches
+/// nothing anywhere (and its tree still completes), and `sim` and `rt`
+/// agree on what enters and leaves each worker.
+#[test]
+fn three_backends_route_identically() {
+    let every_fourth = |k: u64| (1..=N).filter(|i| i % 4 == k).count() as u64;
+    // `src` and `fan` are not counting bolts.
+    let expected = vec![
+        0,
+        0,
+        N,
+        N,
+        N.div_ceil(2),
+        N / 2,
+        every_fourth(0),
+        every_fourth(1),
+        every_fourth(2),
+    ];
+    let mut engine = EngineConfig::default().with_cluster(2, 2, 4);
+    engine.metrics_interval_s = 0.2;
+
+    let counts = fresh_counts();
+    let topology = build(&counts, &HEARD_ROUTING).unwrap();
+    let mut sim = SimRuntime::new(topology, engine.clone()).unwrap();
+    let sim_report = sim.run_until(10.0);
+    assert_eq!(sim_report.acked, 2 * N, "{sim_report:?}");
+    assert_eq!(read(&counts), expected, "sim per-task counts");
+    let sim_flows = worker_flows(sim.history().iter());
+
+    let counts = fresh_counts();
+    let topology = build(&counts, &HEARD_ROUTING).unwrap();
+    let running = rt::submit_with(topology, engine.clone(), RtConfig::default()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
+        "rt acked {}/{N}+{N}",
+        running.acked()
+    );
+    // Two more metrics intervals, so the last deliveries are in a snapshot.
+    std::thread::sleep(Duration::from_millis(500));
+    let (history, rt_report) = running.shutdown();
+    assert_eq!(rt_report.task_panics, 0, "{:?}", rt_report.panic_messages);
+    assert!(rt_report.conservation_holds(), "{rt_report:?}");
+    assert_eq!(read(&counts), expected, "rt per-task counts");
+    let rt_flows = worker_flows(history.iter());
+    assert_eq!(rt_flows, sim_flows, "(tuples_in, tuples_out) per worker");
+    let (into, out_of): (Vec<u64>, Vec<u64>) = rt_flows.into_iter().unzip();
+    assert_eq!(into.iter().sum::<u64>(), out_of.iter().sum::<u64>());
+    assert!(
+        into.iter().sum::<u64>() > 0,
+        "some deliveries cross workers"
+    );
+
+    let running = dist::submit(
+        &registry(),
+        "routing",
+        "",
+        engine,
+        RtConfig::default().with_batch_size(8),
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
+        "dist acked {}/{N}+{N}",
+        running.acked()
+    );
+    let dist_report = running.shutdown();
+    assert!(dist_report.conservation_holds(), "{dist_report:?}");
+    assert!(dist_report.drained_clean);
+    assert_eq!(dist_counts(&dist_report), expected, "dist per-task counts");
+    // Every backend told user code about every message exactly once.
+    assert_eq!(HEARD_ROUTING.load(Ordering::Relaxed), 3 * 2 * N);
+}
+
+/// `EngineConfig::ack_enabled = false` means the same on `dist` as on `rt`:
+/// nothing is tracked or replayed, user code never hears `ack`/`fail`, and
+/// the run still delivers everything and drains clean.
+#[test]
+fn dist_honours_ack_disabled() {
+    let engine = EngineConfig {
+        ack_enabled: false,
+        ..EngineConfig::default()
+    };
+    let running = dist::submit(
+        &registry(),
+        "ack-disabled",
+        "",
+        engine,
+        RtConfig::default().with_max_replays(3),
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.spout_emitted() == 2 * N),
+        "emitted {}/{N}+{N}",
+        running.spout_emitted()
+    );
+    assert_eq!(running.pending_trees(), 0);
+    let report = running.shutdown();
+    assert!(report.drained_clean, "{report:?}");
+    assert_eq!(report.tracked, 0);
+    assert_eq!(report.acked + report.failed + report.timed_out, 0);
+    assert_eq!(report.replays_scheduled + report.replays_emitted, 0);
+    assert_eq!(report.in_flight, 0);
+    assert!(report.conservation_holds(), "{report:?}");
+    assert_eq!(dist_counts(&report)[2..4], [N, N], "everything arrived");
+    assert_eq!(HEARD_ACK_DISABLED.load(Ordering::Relaxed), 0);
+}

@@ -33,11 +33,6 @@ impl Bytes {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// Copies the contents into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
-    }
 }
 
 impl Default for Bytes {
@@ -69,12 +64,6 @@ impl From<Vec<u8>> for Bytes {
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
         Bytes(Arc::from(v))
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(v: &'static str) -> Self {
-        Bytes(Arc::from(v.as_bytes()))
     }
 }
 

@@ -229,31 +229,6 @@ pub mod channel {
             }
         }
 
-        /// Receives a message, blocking until one arrives or all senders
-        /// disconnect.
-        pub fn recv(&self) -> Result<T, RecvTimeoutError> {
-            let mut inner = self.0.lock();
-            loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    if inner.waiting_send > 0 {
-                        self.0.not_full.notify_one();
-                    }
-                    return Ok(v);
-                }
-                if inner.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                inner.waiting_recv += 1;
-                let mut g = self
-                    .0
-                    .not_empty
-                    .wait(inner)
-                    .unwrap_or_else(|e| e.into_inner());
-                g.waiting_recv -= 1;
-                inner = g;
-            }
-        }
-
         /// Receives a message if one is immediately available.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.0.lock();

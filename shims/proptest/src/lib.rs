@@ -421,7 +421,7 @@ tuple_strategy! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Element-count specification for [`vec`]: a fixed size or a range.
+    /// Element-count specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -461,7 +461,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

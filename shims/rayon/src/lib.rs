@@ -3,8 +3,7 @@
 //! * `slice.par_chunks_mut(n).for_each(..)` / `.enumerate().for_each(..)` —
 //!   the drnn GEMM row-band parallelism;
 //! * `(0..n).into_par_iter().for_each(..)` / `.map(..).collect::<Vec<_>>()` —
-//!   index-range fan-out for batch evaluation and per-model experiments;
-//! * `parallel_for(count, f)` — the primitive both are built on.
+//!   index-range fan-out for batch evaluation and per-model experiments.
 //!
 //! Unlike the previous incarnation (which spawned a `thread::scope` and a
 //! Mutex-per-item slot queue on every call), work now runs on a single
@@ -204,11 +203,6 @@ fn run(count: usize, task: &(dyn Fn(usize) + Sync)) {
     if job.panicked.load(Ordering::Relaxed) {
         panic!("a parallel task panicked");
     }
-}
-
-/// Public index fan-out primitive: `f(i)` for every `i in 0..count`.
-pub fn parallel_for<F: Fn(usize) + Sync>(count: usize, f: F) {
-    run(count, &f);
 }
 
 /// Raw pointer that may cross threads (each index touches disjoint data).

@@ -568,7 +568,7 @@ fn reactive_control_routes_around_slowed_worker_on_threaded_runtime() {
     )
     .unwrap();
     let shared = Arc::new(parking_lot::Mutex::new(controller));
-    let hook = streampc::control::controller::rt_control_hook(shared.clone());
+    let hook = control_hook(shared.clone());
 
     let running =
         rt::submit_faulty(topology, engine_cfg, RtConfig::default(), plan, Some(hook)).unwrap();
@@ -654,7 +654,14 @@ fn threaded_runtime_drives_controller_hook() {
 
     let mut engine_cfg = cluster(9);
     engine_cfg.metrics_interval_s = 0.25;
-    let running = streampc::dsdps::rt::submit_with_hook(topology, engine_cfg, Some(hook)).unwrap();
+    let running = streampc::dsdps::rt::submit_faulty(
+        topology,
+        engine_cfg,
+        streampc::dsdps::rt::RtConfig::default(),
+        streampc::dsdps::rt::RtFaultPlan::new(),
+        Some(hook),
+    )
+    .unwrap();
     std::thread::sleep(Duration::from_millis(1800));
     let (_, report) = running.shutdown();
     assert!(report.acked > 500);
