@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use dsdps::component::{Bolt, BoltOutput, MessageId, Spout, SpoutOutput};
 use dsdps::error::Result;
-use dsdps::rt::checkpoint::{SnapshotKind, StateSnapshot, StatefulComponent};
+use dsdps::rt::{SnapshotKind, StateSnapshot, StatefulComponent};
 use dsdps::topology::{CostModel, Topology, TopologyBuilder};
 use dsdps::tuple::{Fields, Tuple, Value};
 

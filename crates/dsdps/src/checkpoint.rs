@@ -11,30 +11,33 @@
 //!   plus optional incremental **deltas**) and rebuild it from one.
 //! * `CheckpointStore` (crate-internal) keeps the latest checkpoint per
 //!   task — base snapshot, ordered deltas, the exactly-once input log and
-//!   replay-dedup ids — in memory.  Entries are guarded by the depositing task's
-//!   supervisor generation so a superseded-but-still-running thread can
-//!   never clobber its replacement's checkpoints.
+//!   replay-dedup ids — in memory, and is the one place a deposit or a
+//!   restore is counted and journaled.  Entries are guarded by the
+//!   depositing task's generation so a superseded-but-still-running thread
+//!   (or a dead worker's late frame) can never clobber its replacement's
+//!   checkpoints.
 //! * `DedupWindow` (crate-internal) is the FIFO-bounded set of applied ids
 //!   a stateful task keeps under exactly-once effect, on every backend.
-//! * [`RecoveryMode`] selects what a restart *means*: exactly-once effect
-//!   (aligned snapshots + input-log re-execution + replay dedup),
+//! * [`RecoveryMode`] selects what a restart *means*: exactly-once effect,
 //!   at-least-once (restore the latest snapshot, accept duplicates), or
 //!   approximate (skip replay of pre-snapshot tuples and report the skip
 //!   count as the error bound).
 //!
-//! The task loops drive the store cooperatively: a checkpoint is taken on
-//! the task's own thread right after a batch's acks are applied, so the
-//! snapshot is always aligned with the acked frontier of the sharded
-//! acker.  See `DESIGN.md` §6.2 for the full architecture.
+//! *When* a snapshot is taken, what it releases and what a restore
+//! rebuilds is decided by the crate-internal `bolt_task` module's
+//! `CheckpointCycle`, stepped by `rt`'s task threads and `dist`'s workers;
+//! the store sits in the task's address space on `rt` and in the
+//! coordinator process on `dist`.  See `DESIGN.md` §6.2.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
 use crate::component::MessageId;
 use crate::dist::codec;
 use crate::hash::FxHashSet;
+use crate::telemetry::{Counter, Journal, JournalEvent};
 use crate::tuple::Tuple;
 
 /// Whether a [`StateSnapshot`] captures the whole state or a delta since
@@ -120,22 +123,24 @@ pub trait StatefulComponent {
     fn restore(&mut self, base: &StateSnapshot, deltas: &[StateSnapshot]) -> Result<(), String>;
 }
 
-/// The recovery guarantee a supervisor restart of a stateful task
-/// provides, selected via
-/// [`RtConfig::with_recovery_mode`](super::RtConfig::with_recovery_mode).
+/// The recovery guarantee a restart of a stateful task provides, selected
+/// via [`RtConfig::with_recovery_mode`](crate::rt::RtConfig::with_recovery_mode).
+/// What each mode makes a task *do* is one table, `DESIGN.md` §6.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryMode {
-    /// Snapshots aligned with the acked frontier, plus an input log of
-    /// tuples applied since the last checkpoint and a replay-dedup set:
-    /// the restarted task re-executes the log against the restored
-    /// snapshot and filters duplicate replays, so its observable effects
-    /// match a fault-free run (on `rt`, exact for stateful bolts fed by a
-    /// spout; `dist` derives dedup ids hop by hop — `DESIGN.md` §6.2, §9).
+    /// A replay-dedup set travels with every snapshot and replay-dedup ids
+    /// are derived hop by hop, so a replayed input is acknowledged but not
+    /// applied twice, any number of hops from the spout, and the task's
+    /// observable effects match a fault-free run.  Where the store shares
+    /// the task's address space (`rt`) acks stay immediate and the inputs
+    /// applied since the last snapshot are logged and re-executed on
+    /// restore; across a process boundary (`dist`) acks wait for the
+    /// snapshot that covers them.
     ExactlyOnceEffect,
-    /// Restore the latest snapshot and let the normal timeout/replay path
-    /// re-send in-flight tuples.  Tuples acked at the last checkpoint
-    /// boundary but re-sent by a rare ack/snapshot race may be applied
-    /// twice.
+    /// Acks wait for the snapshot that covers them; a restart restores the
+    /// latest snapshot and the normal timeout/replay path re-sends what it
+    /// lacks.  An input applied after the last snapshot is applied again
+    /// by its replay.
     #[default]
     AtLeastOnce,
     /// Restore the latest snapshot but *skip* replaying tuples tracked
@@ -170,7 +175,7 @@ pub(crate) struct LoggedInput {
 
 /// Replay-dedup ids remembered per stateful task; FIFO-evicted above this
 /// bound so the window cannot grow without limit.
-const DEDUP_CAP: usize = 65_536;
+const DEDUP_CAP: usize = 16_384;
 
 /// The ids a stateful task has already applied under exactly-once effect,
 /// so a replayed input is acknowledged but not applied twice.  A set
@@ -203,60 +208,53 @@ impl DedupWindow {
         self.set.contains(&id)
     }
 
-    /// Remembers an applied id, evicting the oldest above [`DEDUP_CAP`].
+    /// Remembers an applied id, evicting the oldest at [`DEDUP_CAP`] — before
+    /// the queue takes the new one, so it never allocates beyond the cap.
     pub(crate) fn insert(&mut self, id: MessageId) {
-        if self.set.insert(id) {
-            self.fifo.push_back(id);
-            if self.fifo.len() > DEDUP_CAP {
-                if let Some(old) = self.fifo.pop_front() {
-                    self.set.remove(&old);
-                }
+        if !self.set.insert(id) {
+            return;
+        }
+        if self.fifo.len() == DEDUP_CAP {
+            if let Some(old) = self.fifo.pop_front() {
+                self.set.remove(&old);
             }
         }
+        self.fifo.push_back(id);
     }
 }
 
-/// The per-task checkpoint record inside the store.
-struct TaskEntry {
-    /// Supervisor generation of the last writer; deposits from older
-    /// generations are rejected.
-    generation: u64,
-    /// Runtime clock when the newest snapshot (base or delta) was taken.
-    taken_at_s: Option<f64>,
-    base: Option<StateSnapshot>,
-    deltas: Vec<StateSnapshot>,
-    /// Exactly-once input log since the last snapshot (or since task
-    /// start when no snapshot exists yet).
-    input_log: Vec<LoggedInput>,
-    /// Replay-dedup ids captured with the last snapshot.
-    dedup: Vec<MessageId>,
-}
-
-impl TaskEntry {
-    fn fresh(generation: u64) -> Self {
-        TaskEntry {
-            generation,
-            taken_at_s: None,
-            base: None,
-            deltas: Vec::new(),
-            input_log: Vec::new(),
-            dedup: Vec::new(),
-        }
-    }
-}
-
-/// Everything [`CheckpointStore::load`] hands a restarting task.
+/// What the store keeps of a task, and hands its restarting successor
+/// ([`CheckpointStore::load`]).
+#[derive(Clone, Default)]
 pub(crate) struct Restored {
     /// Base full snapshot, when one was taken.
     pub base: Option<StateSnapshot>,
     /// Deltas deposited after the base, in order.
     pub deltas: Vec<StateSnapshot>,
-    /// Exactly-once input log to re-execute after restoring the snapshot.
+    /// Exactly-once input log since the newest snapshot (or since task
+    /// start when there is none yet), to re-execute after restoring it.
     pub input_log: Vec<LoggedInput>,
-    /// Replay-dedup ids captured with the snapshot.
+    /// Replay-dedup ids captured with the newest snapshot.
     pub dedup: Vec<MessageId>,
-    /// Runtime clock when the newest snapshot was taken.
+    /// Runtime clock when the newest snapshot (base or delta) was taken.
     pub taken_at_s: Option<f64>,
+}
+
+/// The per-task checkpoint record inside the store.
+#[derive(Default)]
+struct TaskEntry {
+    /// Generation of the last writer; writes from older ones are refused.
+    generation: u64,
+    kept: Restored,
+}
+
+/// The registry cells a store counts into (each backend registers them
+/// under its own family names).
+#[derive(Clone)]
+pub(crate) struct StoreCounters {
+    pub(crate) checkpoints_taken: Counter,
+    pub(crate) snapshot_bytes: Counter,
+    pub(crate) restores: Counter,
 }
 
 /// In-memory store of the latest checkpoint per task.
@@ -264,106 +262,139 @@ pub(crate) struct Restored {
 /// One entry per global task id; every access locks only that task's
 /// entry, so checkpointing tasks never contend with each other.
 pub(crate) struct CheckpointStore {
-    entries: Vec<Mutex<Option<TaskEntry>>>,
+    entries: Vec<Mutex<TaskEntry>>,
+    journal: Arc<Journal>,
+    counters: StoreCounters,
 }
 
 impl CheckpointStore {
     /// A store for `n_tasks` tasks.
-    pub(crate) fn new(n_tasks: usize) -> Self {
+    pub(crate) fn new(n_tasks: usize, journal: Arc<Journal>, counters: StoreCounters) -> Self {
         CheckpointStore {
-            entries: (0..n_tasks).map(|_| Mutex::new(None)).collect(),
+            entries: (0..n_tasks).map(|_| Mutex::default()).collect(),
+            journal,
+            counters,
         }
     }
 
-    /// Deposits a full snapshot, replacing the task's base, clearing its
-    /// deltas, truncating the input log and installing the new dedup set.
-    /// Returns the bytes written, or `None` when the deposit is stale
-    /// (from a superseded generation).
-    pub(crate) fn deposit_full(
+    /// Deposits `snap` as what its kind says it is — a full image replaces
+    /// the base and clears the deltas, a delta joins them — truncates the
+    /// input log, installs the new dedup set, and counts and journals the
+    /// checkpoint (`duration_us`: what taking it cost the task, where the
+    /// depositor could measure that).  Returns the bytes written, or `None`
+    /// when the deposit is refused: a superseded generation, or a delta
+    /// with no base of its own generation to sit on.
+    pub(crate) fn deposit(
         &self,
         task: usize,
         generation: u64,
         taken_at_s: f64,
         snap: StateSnapshot,
         dedup: Vec<MessageId>,
+        duration_us: u64,
     ) -> Option<u64> {
-        let mut slot = self.entries[task].lock().unwrap();
-        let entry = slot.get_or_insert_with(|| TaskEntry::fresh(generation));
-        if generation < entry.generation {
-            return None;
-        }
-        entry.generation = generation;
         let bytes = snap.bytes.len() as u64;
-        entry.base = Some(snap);
-        entry.deltas.clear();
-        entry.input_log.clear();
-        entry.dedup = dedup;
-        entry.taken_at_s = Some(taken_at_s);
+        let kind = {
+            let mut entry = self.entries[task].lock().unwrap();
+            let kind = match snap.kind {
+                SnapshotKind::Full if generation >= entry.generation => {
+                    entry.generation = generation;
+                    entry.kept.base = Some(snap);
+                    entry.kept.deltas.clear();
+                    "full"
+                }
+                SnapshotKind::Delta
+                    if generation == entry.generation && entry.kept.base.is_some() =>
+                {
+                    entry.kept.deltas.push(snap);
+                    "delta"
+                }
+                _ => return None,
+            };
+            entry.kept.input_log.clear();
+            entry.kept.dedup = dedup;
+            entry.kept.taken_at_s = Some(taken_at_s);
+            kind
+        };
+        self.counters.checkpoints_taken.inc();
+        self.counters.snapshot_bytes.add(bytes);
+        self.journal.append(JournalEvent::CheckpointTaken {
+            time_s: taken_at_s,
+            task,
+            generation,
+            kind: kind.to_string(),
+            bytes,
+            duration_us,
+        });
         Some(bytes)
     }
 
-    /// Deposits an incremental delta on top of the task's existing base,
-    /// truncating the input log and installing the new dedup set.
-    /// Returns the bytes written, or `None` when the deposit is stale,
-    /// there is no base yet, or the base belongs to another generation
-    /// (the caller must take a full snapshot instead).
-    pub(crate) fn deposit_delta(
-        &self,
-        task: usize,
-        generation: u64,
-        taken_at_s: f64,
-        snap: StateSnapshot,
-        dedup: Vec<MessageId>,
-    ) -> Option<u64> {
-        let mut slot = self.entries[task].lock().unwrap();
-        let entry = slot.as_mut()?;
-        if generation != entry.generation || entry.base.is_none() {
-            return None;
+    /// Appends one applied input to the task's exactly-once log, unless the
+    /// append is stale.
+    pub(crate) fn append_input(&self, task: usize, generation: u64, input: LoggedInput) {
+        let mut entry = self.entries[task].lock().unwrap();
+        if generation >= entry.generation {
+            entry.generation = generation;
+            entry.kept.input_log.push(input);
         }
-        let bytes = snap.bytes.len() as u64;
-        entry.deltas.push(snap);
-        entry.input_log.clear();
-        entry.dedup = dedup;
-        entry.taken_at_s = Some(taken_at_s);
-        Some(bytes)
-    }
-
-    /// Appends one applied input to the task's exactly-once log.  Returns
-    /// the log length, or `None` when the append is stale.
-    pub(crate) fn append_input(
-        &self,
-        task: usize,
-        generation: u64,
-        input: LoggedInput,
-    ) -> Option<usize> {
-        let mut slot = self.entries[task].lock().unwrap();
-        let entry = slot.get_or_insert_with(|| TaskEntry::fresh(generation));
-        if generation < entry.generation {
-            return None;
-        }
-        entry.generation = generation;
-        entry.input_log.push(input);
-        Some(entry.input_log.len())
     }
 
     /// Loads the task's latest checkpoint for a restarting incarnation,
-    /// claiming the entry for `claim_generation` so deposits from the
-    /// superseded generation are rejected from now on.  Returns `None`
-    /// when the task never checkpointed *and* never logged an input.
+    /// claiming the entry for `claim_generation` so writes from the
+    /// superseded generation are refused from now on.  Returns `None` when
+    /// the task never checkpointed *and* never logged an input.
     pub(crate) fn load(&self, task: usize, claim_generation: u64) -> Option<Restored> {
-        let mut slot = self.entries[task].lock().unwrap();
-        let entry = slot.as_mut()?;
+        let mut entry = self.entries[task].lock().unwrap();
         entry.generation = entry.generation.max(claim_generation);
-        if entry.base.is_none() && entry.input_log.is_empty() {
-            return None;
-        }
-        Some(Restored {
-            base: entry.base.clone(),
-            deltas: entry.deltas.clone(),
-            input_log: entry.input_log.clone(),
-            dedup: entry.dedup.clone(),
-            taken_at_s: entry.taken_at_s,
-        })
+        let kept = &entry.kept;
+        (kept.base.is_some() || !kept.input_log.is_empty()).then(|| kept.clone())
+    }
+
+    /// Counts and journals how the restart of `task` ended: restored in
+    /// `latency_us` from the snapshot the store holds, or — `None` —
+    /// running on factory-fresh state.  Call before the new incarnation's
+    /// first deposit: the snapshot's age is read off the entry.
+    pub(crate) fn restored(
+        &self,
+        task: usize,
+        generation: u64,
+        time_s: f64,
+        latency_us: Option<u64>,
+    ) {
+        let taken_at_s = self.entries[task].lock().unwrap().kept.taken_at_s;
+        let snapshot_age_s = taken_at_s.map(|t| (time_s - t).max(0.0));
+        self.journal.append(match latency_us {
+            Some(latency_us) => {
+                self.counters.restores.inc();
+                JournalEvent::StateRestored {
+                    time_s,
+                    task,
+                    generation,
+                    snapshot_age_s,
+                    latency_us,
+                }
+            }
+            None => JournalEvent::StateLost {
+                time_s,
+                task,
+                generation,
+                snapshot_age_s,
+            },
+        });
+    }
+}
+
+#[cfg(test)]
+impl CheckpointStore {
+    /// A store for `n_tasks` tasks on a journal and registry of its own.
+    pub(crate) fn detached(n_tasks: usize) -> Self {
+        let registry = crate::telemetry::Registry::new();
+        let counters = StoreCounters {
+            checkpoints_taken: registry.counter("checkpoints", &[]),
+            snapshot_bytes: registry.counter("snapshot_bytes", &[]),
+            restores: registry.counter("restores", &[]),
+        };
+        CheckpointStore::new(n_tasks, Arc::new(Journal::new()), counters)
     }
 }
 
@@ -440,14 +471,21 @@ mod tests {
 
     #[test]
     fn deposit_load_full_plus_deltas() {
-        let store = CheckpointStore::new(2);
+        let store = CheckpointStore::detached(2);
         let base = vec![(1i64, 10i64)];
         let delta = vec![(2i64, 20i64)];
         assert!(store
-            .deposit_full(0, 0, 1.0, snap_of(SnapshotKind::Full, &base), vec![7])
+            .deposit(0, 0, 1.0, snap_of(SnapshotKind::Full, &base), vec![7], 0)
             .is_some());
         assert!(store
-            .deposit_delta(0, 0, 1.5, snap_of(SnapshotKind::Delta, &delta), vec![7, 8])
+            .deposit(
+                0,
+                0,
+                1.5,
+                snap_of(SnapshotKind::Delta, &delta),
+                vec![7, 8],
+                0
+            )
             .is_some());
         let r = store.load(0, 1).expect("checkpoint present");
         assert_eq!(r.taken_at_s, Some(1.5));
@@ -458,59 +496,89 @@ mod tests {
         assert!(store.load(1, 1).is_none(), "other task untouched");
     }
 
+    /// `deposit` files a snapshot under the kind it carries, and only what
+    /// the store accepted is counted and journaled — under that same kind.
+    #[test]
+    fn deposits_and_restores_are_counted_and_journaled_once() {
+        let store = CheckpointStore::detached(1);
+        let v = vec![(1i64, 1i64)];
+        let delta = || snap_of(SnapshotKind::Delta, &v);
+        assert!(store.deposit(0, 0, 1.0, delta(), vec![], 0).is_none());
+        assert_eq!(store.counters.checkpoints_taken.get(), 0, "no base yet");
+        let full = snap_of(SnapshotKind::Full, &v);
+        let bytes = store.deposit(0, 0, 2.0, full.clone(), vec![], 7);
+        assert_eq!(bytes, Some(full.len() as u64));
+        assert!(store.deposit(0, 0, 3.0, delta(), vec![], 0).is_some());
+        let r = store.load(0, 0).unwrap();
+        assert_eq!((r.base, r.deltas), (Some(full.clone()), vec![delta()]));
+        store.restored(0, 1, 4.5, Some(9));
+        store.restored(0, 2, 5.0, None);
+        let kinds: Vec<String> = (store.journal.events().iter())
+            .map(|e| match e {
+                JournalEvent::CheckpointTaken { kind, .. } => kind.clone(),
+                JournalEvent::StateRestored { snapshot_age_s, .. } => {
+                    format!("restored, snapshot {}s old", snapshot_age_s.unwrap())
+                }
+                other => other.kind().to_string(),
+            })
+            .collect();
+        let expected = ["full", "delta", "restored, snapshot 1.5s old", "state_lost"];
+        assert_eq!(kinds, expected);
+        let c = &store.counters;
+        assert_eq!(c.checkpoints_taken.get(), 2);
+        assert_eq!(c.snapshot_bytes.get(), (full.len() + delta().len()) as u64);
+        assert_eq!(c.restores.get(), 1);
+    }
+
     #[test]
     fn stale_generation_deposits_rejected() {
-        let store = CheckpointStore::new(1);
+        let store = CheckpointStore::detached(1);
         let v = vec![(1i64, 1i64)];
         assert!(store
-            .deposit_full(0, 0, 1.0, snap_of(SnapshotKind::Full, &v), vec![])
+            .deposit(0, 0, 1.0, snap_of(SnapshotKind::Full, &v), vec![], 0)
             .is_some());
         // The replacement claims the entry at generation 1 …
         assert!(store.load(0, 1).is_some());
         // … so the superseded generation-0 thread can no longer write.
         assert!(store
-            .deposit_full(0, 0, 2.0, snap_of(SnapshotKind::Full, &v), vec![])
+            .deposit(0, 0, 2.0, snap_of(SnapshotKind::Full, &v), vec![], 0)
             .is_none());
         assert!(store
-            .deposit_delta(0, 0, 2.0, snap_of(SnapshotKind::Delta, &v), vec![])
+            .deposit(0, 0, 2.0, snap_of(SnapshotKind::Delta, &v), vec![], 0)
             .is_none());
-        assert!(store
-            .append_input(
-                0,
-                0,
-                LoggedInput {
-                    tuple: Tuple::of([Value::from(1i64)]),
-                    now_s: 2.0,
-                    dedup: None,
-                },
-            )
-            .is_none());
+        let late = LoggedInput {
+            tuple: Tuple::of([Value::from(1i64)]),
+            now_s: 2.0,
+            dedup: None,
+        };
+        store.append_input(0, 0, late);
+        assert!(store.load(0, 1).unwrap().input_log.is_empty());
         // Generation 1 itself writes fine.
         assert!(store
-            .deposit_full(0, 1, 3.0, snap_of(SnapshotKind::Full, &v), vec![])
+            .deposit(0, 1, 3.0, snap_of(SnapshotKind::Full, &v), vec![], 0)
             .is_some());
     }
 
     #[test]
     fn delta_without_base_rejected() {
-        let store = CheckpointStore::new(1);
+        let store = CheckpointStore::detached(1);
         let v = vec![(1i64, 1i64)];
         assert!(store
-            .deposit_delta(0, 0, 1.0, snap_of(SnapshotKind::Delta, &v), vec![])
+            .deposit(0, 0, 1.0, snap_of(SnapshotKind::Delta, &v), vec![], 0)
             .is_none());
     }
 
     #[test]
     fn input_log_truncated_by_checkpoint_and_survives_load() {
-        let store = CheckpointStore::new(1);
+        let store = CheckpointStore::detached(1);
         let input = |i: i64| LoggedInput {
             tuple: Tuple::of([Value::from(i)]),
             now_s: i as f64,
             dedup: Some(i as u64),
         };
         // Logged inputs are restorable even before any snapshot exists.
-        assert_eq!(store.append_input(0, 0, input(1)), Some(1));
-        assert_eq!(store.append_input(0, 0, input(2)), Some(2));
+        store.append_input(0, 0, input(1));
+        store.append_input(0, 0, input(2));
         let r = store.load(0, 1).expect("log alone is restorable");
         assert!(r.base.is_none());
         assert_eq!(r.input_log.len(), 2);
@@ -519,7 +587,7 @@ mod tests {
         // the load above claimed generation 1, so deposit as generation 1.
         let v = vec![(1i64, 1i64)];
         assert!(store
-            .deposit_full(0, 1, 3.0, snap_of(SnapshotKind::Full, &v), vec![1, 2])
+            .deposit(0, 1, 3.0, snap_of(SnapshotKind::Full, &v), vec![1, 2], 0)
             .is_some());
         let r = store.load(0, 2).unwrap();
         assert!(r.input_log.is_empty());

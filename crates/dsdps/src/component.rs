@@ -6,7 +6,7 @@
 //! records emissions into a [`SpoutOutput`] / [`BoltOutput`] buffer which the
 //! runtime drains and routes after the call returns.
 
-use crate::rt::checkpoint::StatefulComponent;
+use crate::checkpoint::StatefulComponent;
 use crate::stream::StreamId;
 use crate::tuple::Tuple;
 
@@ -284,7 +284,7 @@ pub trait Bolt: Send {
     /// Stateful bolts return `Some(self)`; the threaded runtime's
     /// checkpoint coordinator then snapshots them on the configured
     /// interval and restores the latest snapshot on a supervisor restart
-    /// (see [`crate::rt::checkpoint`]).  The default is stateless: a
+    /// (see [`crate::checkpoint`]).  The default is stateless: a
     /// restart rebuilds the bolt from its component factory.
     fn stateful(&mut self) -> Option<&mut dyn StatefulComponent> {
         None

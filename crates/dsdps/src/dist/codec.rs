@@ -20,8 +20,9 @@
 //! [`write_json_value`] / [`read_json_value`] binary-encode a
 //! [`serde::JsonValue`] tree — the workspace serde model — and back.  The
 //! checkpoint store reuses them for compact state snapshots (see
-//! [`crate::rt::checkpoint`]).
+//! [`crate::checkpoint`]).
 
+use crate::checkpoint::{SnapshotKind, StateSnapshot};
 use crate::rt::CreditTotals;
 use crate::topology::Topology;
 use crate::tuple::{Fields, Tuple, Value};
@@ -553,13 +554,14 @@ pub enum Frame {
         /// Credits granted.
         amount: u64,
     },
-    /// Worker → coordinator: a full state snapshot of one stateful task.
-    /// The ack records of the inputs it covers follow in an `AckBatch`.
+    /// Worker → coordinator: a state snapshot (full or delta) of one
+    /// stateful task.  The ack records of the inputs it covers follow in an
+    /// `AckBatch`.
     CheckpointDeposit {
         /// Global task id.
         task: u32,
-        /// Encoded snapshot payload ([`crate::rt::StateSnapshot`] bytes).
-        payload: Vec<u8>,
+        /// The snapshot.
+        snapshot: StateSnapshot,
         /// Replay-dedup message ids captured with the snapshot.
         dedup: Vec<u64>,
     },
@@ -576,8 +578,9 @@ pub enum Frame {
     RestoreState {
         /// Global task id.
         task: u32,
-        /// Snapshot payload, or `None` when only a dedup set survives.
-        payload: Option<Vec<u8>>,
+        /// The base full snapshot, then the deltas deposited after it in
+        /// order; empty when only a dedup set survives.
+        snapshots: Vec<StateSnapshot>,
         /// Replay-dedup ids captured with the snapshot.
         dedup: Vec<u64>,
     },
@@ -687,6 +690,25 @@ fn read_varints(d: &mut Dec<'_>) -> Result<Vec<u64>, CodecError> {
         vs.push(d.varint()?);
     }
     Ok(vs)
+}
+
+/// A snapshot on the wire: its kind, then its payload.
+fn write_snapshot(buf: &mut Vec<u8>, snap: &StateSnapshot) {
+    buf.push(match snap.kind {
+        SnapshotKind::Full => 0,
+        SnapshotKind::Delta => 1,
+    });
+    write_byte_str(buf, &snap.bytes);
+}
+
+fn read_snapshot(d: &mut Dec<'_>) -> Result<StateSnapshot, CodecError> {
+    let kind = match d.u8()? {
+        0 => SnapshotKind::Full,
+        1 => SnapshotKind::Delta,
+        _ => return Err(CodecError::Malformed("bad snapshot kind")),
+    };
+    let bytes = d.byte_str()?.to_vec();
+    Ok(StateSnapshot { kind, bytes })
 }
 
 fn read_bool(d: &mut Dec<'_>) -> Result<bool, CodecError> {
@@ -853,12 +875,12 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
         }
         Frame::CheckpointDeposit {
             task,
-            payload,
+            snapshot,
             dedup,
         } => {
             buf.push(T_CHECKPOINT);
             write_varint(buf, u64::from(*task));
-            write_byte_str(buf, payload);
+            write_snapshot(buf, snapshot);
             write_varints(buf, dedup);
         }
         Frame::SetRatio { edge, weights } => {
@@ -871,17 +893,14 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
         }
         Frame::RestoreState {
             task,
-            payload,
+            snapshots,
             dedup,
         } => {
             buf.push(T_RESTORE);
             write_varint(buf, u64::from(*task));
-            match payload {
-                None => buf.push(0),
-                Some(p) => {
-                    buf.push(1);
-                    write_byte_str(buf, p);
-                }
+            write_varint(buf, snapshots.len() as u64);
+            for snap in snapshots {
+                write_snapshot(buf, snap);
             }
             write_varints(buf, dedup);
         }
@@ -1033,7 +1052,7 @@ fn decode_frame_inner(d: &mut Dec<'_>) -> Result<Frame, CodecError> {
         }),
         T_CHECKPOINT => Ok(Frame::CheckpointDeposit {
             task: d.varint()? as u32,
-            payload: d.byte_str()?.to_vec(),
+            snapshot: read_snapshot(d)?,
             dedup: read_varints(d)?,
         }),
         T_SET_RATIO => {
@@ -1047,14 +1066,14 @@ fn decode_frame_inner(d: &mut Dec<'_>) -> Result<Frame, CodecError> {
         }
         T_RESTORE => {
             let task = d.varint()? as u32;
-            let payload = match d.u8()? {
-                0 => None,
-                1 => Some(d.byte_str()?.to_vec()),
-                _ => return Err(CodecError::Malformed("bad option tag")),
-            };
+            let n = d.count()?;
+            let mut snapshots = Vec::with_capacity(n);
+            for _ in 0..n {
+                snapshots.push(read_snapshot(d)?);
+            }
             Ok(Frame::RestoreState {
                 task,
-                payload,
+                snapshots,
                 dedup: read_varints(d)?,
             })
         }
@@ -1320,7 +1339,10 @@ mod tests {
             },
             Frame::CheckpointDeposit {
                 task: 3,
-                payload: vec![0xC5, 1, 2, 3],
+                snapshot: StateSnapshot {
+                    kind: SnapshotKind::Delta,
+                    bytes: vec![0xC5, 1, 2, 3],
+                },
                 dedup: vec![7, 8, 9],
             },
             Frame::SetRatio {
@@ -1329,7 +1351,16 @@ mod tests {
             },
             Frame::RestoreState {
                 task: 3,
-                payload: Some(vec![0xC5, 1]),
+                snapshots: vec![
+                    StateSnapshot {
+                        kind: SnapshotKind::Full,
+                        bytes: vec![0xC5, 1],
+                    },
+                    StateSnapshot {
+                        kind: SnapshotKind::Delta,
+                        bytes: vec![0xC5],
+                    },
+                ],
                 dedup: vec![7],
             },
             Frame::StateRestored {

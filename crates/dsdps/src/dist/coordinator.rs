@@ -19,7 +19,6 @@
 //! the coordinator no longer knows which worker holds which edge of a
 //! tree, so a dying connection fails every tree in flight into replay.
 
-use std::collections::HashMap;
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -31,11 +30,11 @@ use std::time::{Duration, Instant};
 use super::codec::{FlushReport, Frame, InternTable, WirePeer, WireTuple};
 use super::router::{route_tables, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
-use super::worker::{snapshot_from_payload, snapshot_to_payload, TopologyRegistry};
-use super::{
-    recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine, TransportKind,
-};
+use super::worker::TopologyRegistry;
+use super::{recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine};
 use crate::acker::{EdgeIds, RootId, ShardedAcker, TreeOutcome};
+use crate::bolt_task::Policy;
+use crate::checkpoint::{CheckpointStore, StoreCounters};
 use crate::component::{Emission, MessageId, SpoutOutput, TopologyContext};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
@@ -44,7 +43,6 @@ use crate::lifecycle::{deliver_outcomes, TreeCounters, TreeLifecycle};
 use crate::metrics::{LatencyHistogram, OnlineStats};
 use crate::route::RouteTable;
 use crate::rt::batch::{AckOp, AckOps};
-use crate::rt::checkpoint::CheckpointStore;
 use crate::rt::{CreditLedger, CreditTotals, RtConfig, StateSnapshot};
 use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
@@ -84,9 +82,6 @@ struct SlotState {
     endpoint: String,
     /// Latest `Flushed` report of the live connection.
     flushed: Option<FlushReport>,
-    /// Snapshot age (s) per task with a restore in flight, for journaling
-    /// the worker's `state_restored` reply.
-    restore_age: HashMap<u32, Option<f64>>,
     /// `coordinator_now_us − worker_clock_us`, estimated at the `Hello`
     /// handshake; re-bases every span this connection ships.
     clock_offset_us: i64,
@@ -115,9 +110,8 @@ struct Counters {
     spout_emitted: Counter,
     /// What the spouts' tree lifecycles count.
     trees: TreeCounters,
-    checkpoints_taken: Counter,
-    restores: Counter,
-    snapshot_bytes: Counter,
+    /// What the checkpoint store counts.
+    store: StoreCounters,
     worker_restarts: Counter,
     worker_disconnects: Counter,
     bytes_in: Counter,
@@ -142,9 +136,11 @@ impl Counters {
                 replays_emitted: c("replays_emitted"),
                 approx_skipped: c("approx_skipped"),
             },
-            checkpoints_taken: c("checkpoints_taken"),
-            restores: c("restores"),
-            snapshot_bytes: c("snapshot_bytes"),
+            store: StoreCounters {
+                checkpoints_taken: c("checkpoints_taken"),
+                snapshot_bytes: c("snapshot_bytes"),
+                restores: c("restores"),
+            },
             worker_restarts: c("worker_restarts"),
             worker_disconnects: c("worker_disconnects"),
             bytes_in: c("bytes_in"),
@@ -209,8 +205,6 @@ struct Shared {
     task_owner: Vec<Option<usize>>,
     /// Component id per global task.
     task_component: Vec<usize>,
-    /// Whether each component's bolt reports state (probed at submit).
-    component_stateful: Vec<bool>,
     slots: Vec<WorkerSlot>,
     /// Dynamic-grouping handles in route order (the `SetRatio` edge index).
     dynamic: Vec<DynamicGroupingHandle>,
@@ -218,6 +212,12 @@ struct Shared {
     feedback: Vec<Option<Sender<Vec<TreeOutcome>>>>,
     /// Unresolved messages per spout task (drain check).
     spout_inflight: Vec<AtomicUsize>,
+    /// What the recovery mode means where the store is a process away from
+    /// the tasks (`Assign` carries the mode; workers derive the same).
+    policy: Policy,
+    /// Per spout task: the latest approximate-restore cut it has yet to
+    /// doom its older trees for (`f64` bits; 0 = none).
+    doom_before: Vec<AtomicU64>,
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -274,7 +274,6 @@ impl Shared {
                 return;
             };
             self.counters.add_writer(&writer);
-            state.restore_age.clear();
             state.conn_stats = None;
             state.flushed = None;
             state.hb_lagged = false;
@@ -426,60 +425,22 @@ fn reader_loop(
             }
             Frame::CheckpointDeposit {
                 task,
-                payload,
+                snapshot,
                 dedup,
             } => {
-                if let Ok(snap) = snapshot_from_payload(&payload) {
-                    let kind = match snap.kind {
-                        crate::rt::SnapshotKind::Full => "full",
-                        crate::rt::SnapshotKind::Delta => "delta",
-                    };
-                    let now = shared.now_s();
-                    if let Some(bytes) =
-                        shared
-                            .store
-                            .deposit_full(task as usize, generation, now, snap, dedup)
-                    {
-                        shared.counters.checkpoints_taken.inc();
-                        shared.counters.snapshot_bytes.add(bytes);
-                        shared.journal.append(JournalEvent::CheckpointTaken {
-                            time_s: now,
-                            task: task as usize,
-                            generation,
-                            kind: kind.to_owned(),
-                            bytes,
-                            duration_us: 0,
-                        });
-                    }
-                }
+                // What taking it cost the worker does not travel (0).
+                let (task, now) = (task as usize, shared.now_s());
+                let store = &shared.store;
+                let _ = store.deposit(task, generation, now, snapshot, dedup, 0);
             }
             Frame::StateRestored {
                 task,
                 ok,
                 latency_us,
             } => {
-                let age = {
-                    let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                    state.restore_age.remove(&task).flatten()
-                };
-                let now = shared.now_s();
-                if ok {
-                    shared.counters.restores.inc();
-                    shared.journal.append(JournalEvent::StateRestored {
-                        time_s: now,
-                        task: task as usize,
-                        generation,
-                        snapshot_age_s: age,
-                        latency_us,
-                    });
-                } else {
-                    shared.journal.append(JournalEvent::StateLost {
-                        time_s: now,
-                        task: task as usize,
-                        generation,
-                        snapshot_age_s: age,
-                    });
-                }
+                let (task, now) = (task as usize, shared.now_s());
+                let store = &shared.store;
+                store.restored(task, generation, now, ok.then_some(latency_us));
             }
             Frame::Flushed(report) => {
                 shared.slots[slot_idx].state.lock().unwrap().flushed = Some(report);
@@ -651,30 +612,21 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
     // published below, after the last of them.
     let mut restores = Vec::new();
     for &task in &slot.tasks {
-        if !shared.component_stateful[shared.task_component[task as usize]] {
-            continue;
-        }
         let Some(restored) = shared.store.load(task as usize, generation) else {
             continue;
         };
-        match restored.base {
-            Some(base) => {
-                let age = restored.taken_at_s.map(|t| now - t);
-                state.restore_age.insert(task, age);
-                restores.push(Frame::RestoreState {
-                    task,
-                    payload: Some(snapshot_to_payload(&base)),
-                    dedup: restored.dedup,
-                });
+        // An approximate restore skips the replay of what was tracked
+        // before its snapshot; the spout threads own the trees.
+        if let Some(cut) = shared.policy.doom_cut(restored.taken_at_s) {
+            for doom in &shared.doom_before {
+                doom.fetch_max(cut.to_bits(), Ordering::AcqRel);
             }
-            None if generation > 1 => shared.journal.append(JournalEvent::StateLost {
-                time_s: now,
-                task: task as usize,
-                generation,
-                snapshot_age_s: None,
-            }),
-            None => {}
         }
+        restores.push(Frame::RestoreState {
+            task,
+            snapshots: restored.base.into_iter().chain(restored.deltas).collect(),
+            dedup: restored.dedup,
+        });
     }
     writer.send(&Frame::Assign {
         worker,
@@ -932,7 +884,7 @@ impl SpoutRoute {
                 token: if root.is_some() { self.edges[i] } else { 0 },
                 dest_task: dest as u32,
                 stream,
-                dedup: tracked_as,
+                dedup: tracked_as.filter(|_| shared.policy.dedup),
                 trace_root: root,
                 values: emission.tuple.values().to_vec(),
             });
@@ -978,10 +930,15 @@ fn spout_loop(
     };
     loop {
         let now = shared.now_s();
-        // 1. Feedback: completed trees → acks/fails/replay schedule.
+        // 1. Feedback: completed trees → acks/fails/replay schedule; then
+        // whatever an approximate restore doomed is dropped from it.
         for outcome in feedback.try_iter().flatten() {
             let heard = trees.on_outcome(&outcome, now);
             heard.tell(&mut *spout, outcome.message_id);
+        }
+        let cut = shared.doom_before[spout_index].swap(0, Ordering::AcqRel);
+        if cut != 0 {
+            trees.doom_tracked_before(f64::from_bits(cut));
         }
         // 2. Due replays: re-emit under a fresh tree (O(1) when nothing is
         // scheduled, which is every iteration of a healthy run).
@@ -1052,19 +1009,13 @@ pub fn submit(
     let n_tasks = topology.task_count();
 
     // Placement: spouts on the coordinator, bolt tasks round-robin over
-    // worker slots.  Probe one instance per bolt component for state.
+    // worker slots.
     let mut task_owner = vec![None; n_tasks];
     let mut task_component = vec![0usize; n_tasks];
-    let mut component_stateful = Vec::new();
     let mut slot_tasks: Vec<Vec<u32>> = vec![Vec::new(); cfg.workers];
     let mut next_slot = 0usize;
     let mut spout_tasks: Vec<(usize, usize, usize)> = Vec::new(); // (component, task, task_index)
     for component in topology.components() {
-        let stateful = match &component.kind {
-            ComponentKind::Bolt(factory) => factory().stateful().is_some(),
-            ComponentKind::Spout(_) => false,
-        };
-        component_stateful.push(stateful);
         for (task_index, task) in component.tasks().enumerate() {
             task_component[task.0] = component.id.0;
             match &component.kind {
@@ -1095,15 +1046,11 @@ pub fn submit(
         }
     }
 
-    let (listener, endpoint) = match cfg.transport {
-        TransportKind::Tcp => Listener::tcp_loopback()?,
-        #[cfg(unix)]
-        TransportKind::Auto | TransportKind::Unix => Listener::unix_temp()?,
-        #[cfg(not(unix))]
-        TransportKind::Auto => Listener::tcp_loopback()?,
-    };
+    #[cfg(unix)]
+    let (listener, endpoint) = Listener::unix_temp()?;
+    #[cfg(not(unix))]
+    let (listener, endpoint) = Listener::tcp_loopback()?;
 
-    let store = CheckpointStore::new(n_tasks);
     let journal = Arc::new(Journal::default());
     if rt.checkpoints {
         journal.append(JournalEvent::RecoveryMode {
@@ -1147,6 +1094,7 @@ pub fn submit(
         spout_inputs.push((route, task_index, rx));
     }
 
+    let counters = Counters::new(&metrics);
     let shared = Arc::new(Shared {
         topology_key: topology_name.to_owned(),
         args: args.to_owned(),
@@ -1155,9 +1103,9 @@ pub fn submit(
         ackers: ShardedAcker::new(rt.acker_shards),
         ledger,
         window,
-        store,
+        store: CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.store.clone()),
         journal,
-        counters: Counters::new(&metrics),
+        counters,
         tracer,
         worker_spans: Mutex::new(Vec::new()),
         worker_spans_dropped: AtomicU64::new(0),
@@ -1169,7 +1117,6 @@ pub fn submit(
         next_root: AtomicU64::new(0),
         task_owner,
         task_component,
-        component_stateful,
         slots: slot_tasks
             .into_iter()
             .map(|tasks| WorkerSlot {
@@ -1179,6 +1126,8 @@ pub fn submit(
             .collect(),
         feedback,
         spout_inflight: spout_tasks.iter().map(|_| AtomicUsize::new(0)).collect(),
+        policy: Policy::of(rt.recovery_mode, false),
+        doom_before: spout_tasks.iter().map(|_| AtomicU64::new(0)).collect(),
         reader_threads: Mutex::new(Vec::new()),
         topology,
         engine,
@@ -1511,9 +1460,10 @@ impl RunningDist {
             avg_complete_latency_ms: latency.0.mean() / 1e3,
             p99_complete_latency_ms: latency.1.quantile(0.99).unwrap_or(0.0) / 1e3,
             credits,
-            checkpoints_taken: c.checkpoints_taken.get(),
-            restores: c.restores.get(),
-            snapshot_bytes: c.snapshot_bytes.get(),
+            checkpoints_taken: c.store.checkpoints_taken.get(),
+            restores: c.store.restores.get(),
+            snapshot_bytes: c.store.snapshot_bytes.get(),
+            approx_skipped: c.trees.approx_skipped.get(),
             worker_pids: shared
                 .slots
                 .iter()
@@ -1571,6 +1521,9 @@ pub struct DistReport {
     pub restores: u64,
     /// Total checkpoint payload bytes deposited.
     pub snapshot_bytes: u64,
+    /// Messages an approximate-mode restore gave up replaying — the bound
+    /// on what the results lack (each is also `permanently_failed`).
+    pub approx_skipped: u64,
     /// Last known OS pid per worker slot.
     pub worker_pids: Vec<u32>,
     /// Worker processes respawned by the supervisor.
@@ -1596,8 +1549,9 @@ pub struct DistReport {
     /// The coordinator's OS pid (distinguishes its spans from worker
     /// spans in the merged trace).
     pub coordinator_pid: u32,
-    /// Latest checkpointed snapshot per task at shutdown (`None` for
-    /// stateless/spout tasks).
+    /// Latest *full* snapshot per task at shutdown (`None` for stateless,
+    /// spout and never-checkpointed tasks).  For a component that offers
+    /// deltas, those deposited after it are not folded in.
     pub final_snapshots: Vec<Option<StateSnapshot>>,
     /// Whether the shutdown drain reached a fully quiesced state within
     /// its budget.

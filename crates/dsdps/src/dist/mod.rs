@@ -1,5 +1,5 @@
-//! The distributed runtime: worker *processes* connected over TCP (Unix
-//! domain sockets where available).
+//! The distributed runtime: worker *processes* connected over Unix domain
+//! sockets (loopback TCP where the platform has none).
 //!
 //! This is the third backend next to the simulator ([`crate::sim`]) and
 //! the threaded runtime ([`crate::rt`]).  The spout/bolt/grouping API and
@@ -59,21 +59,8 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::rt::RecoveryMode;
+use crate::checkpoint::RecoveryMode;
 use crate::telemetry::SpanKind;
-
-/// Which socket family connects coordinator and workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// Unix domain sockets where the platform has them, TCP otherwise.
-    #[default]
-    Auto,
-    /// Loopback TCP.
-    Tcp,
-    /// Unix domain sockets (unix platforms only).
-    #[cfg(unix)]
-    Unix,
-}
 
 /// Deployment knobs of the distributed backend.  Everything about *what*
 /// runs (batching, credit windows, checkpoints, recovery guarantee) stays
@@ -89,8 +76,6 @@ pub struct DistConfig {
     /// environment; the binary must call
     /// [`maybe_worker_from_env`] with a registry containing the topology.
     pub worker_cmd: Vec<String>,
-    /// Socket family.
-    pub transport: TransportKind,
     /// How long spawn + connect + hello may take per worker.
     pub connect_timeout: Duration,
     /// Respawn budget per worker slot; beyond it the slot stays down and
@@ -106,17 +91,10 @@ impl DistConfig {
         DistConfig {
             workers,
             worker_cmd,
-            transport: TransportKind::Auto,
             connect_timeout: Duration::from_secs(10),
             max_worker_restarts: 3,
             drain_timeout: Duration::from_secs(10),
         }
-    }
-
-    /// Selects the socket family.
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
     }
 
     /// Sets the per-worker spawn/connect budget.

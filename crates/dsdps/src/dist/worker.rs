@@ -13,13 +13,13 @@
 //! `Flush`/`RestoreState`/`SetRatio`/`Shutdown`.  The coordinator sees
 //! only one XOR ack record per executed anchored tuple.
 //!
-//! Under `ExactlyOnceEffect` / `AtLeastOnce` recovery a stateful task's
-//! ack records are **withheld** until a `CheckpointDeposit` covering their
-//! inputs has been sent (frames are processed in order on both sides, so
-//! deposit-then-acks guarantees the coordinator never completes a tree
-//! whose effect could be lost with the worker).  `ExactlyOnceEffect`
-//! additionally keeps a replay-dedup set of applied ids so a redelivered
-//! tuple is acknowledged without being applied twice.
+//! Each hosted bolt is a `BoltTask`: the crate's one bolt step and
+//! checkpoint cycle, under the recovery policy of a platform whose store is
+//! a process away.  Every mode therefore **withholds** a stateful task's
+//! ack records until a `CheckpointDeposit` covering their inputs has been
+//! sent (frames are processed in order on both sides, so deposit-then-acks
+//! guarantees the coordinator never completes a tree whose effect could be
+//! lost with the worker).
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -35,13 +35,14 @@ use super::coordinator::COORDINATOR_SLOT;
 use super::router::{route_tables, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::{recovery_from_byte, span_kind_to_byte, spawn_thread, DistConfig, LastWordsLine};
-use crate::acker::{splitmix64, EdgeIds};
-use crate::component::{Bolt, BoltOutput, Emission, TopologyContext};
+use crate::acker::EdgeIds;
+use crate::bolt_task::{inherit, BoltTask, Policy, Step};
+use crate::checkpoint::Restored;
+use crate::component::{BoltOutput, Emission, TopologyContext};
 use crate::error::{Error, Result};
 use crate::grouping::dynamic::{DynamicGroupingHandle, SplitRatio};
 use crate::route::RouteTable;
-use crate::rt::checkpoint::DedupWindow;
-use crate::rt::{CreditLedger, RecoveryMode, SnapshotKind, StateSnapshot};
+use crate::rt::CreditLedger;
 use crate::telemetry::{Counter, Registry, SampleValue, Tracer};
 use crate::topology::{ComponentKind, TaskId, Topology};
 use crate::tuple::Tuple;
@@ -85,33 +86,6 @@ impl TopologyRegistry {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.builders.keys().map(String::as_str)
     }
-}
-
-/// Serializes a [`StateSnapshot`] into a `CheckpointDeposit` payload
-/// (1 kind byte + snapshot bytes).
-pub(crate) fn snapshot_to_payload(snap: &StateSnapshot) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(snap.bytes.len() + 1);
-    payload.push(match snap.kind {
-        SnapshotKind::Full => 0,
-        SnapshotKind::Delta => 1,
-    });
-    payload.extend_from_slice(&snap.bytes);
-    payload
-}
-
-/// Inverse of [`snapshot_to_payload`].
-pub(crate) fn snapshot_from_payload(payload: &[u8]) -> Result<StateSnapshot> {
-    let (&kind, bytes) = payload
-        .split_first()
-        .ok_or_else(|| Error::Runtime("empty snapshot payload".into()))?;
-    Ok(StateSnapshot {
-        kind: match kind {
-            0 => SnapshotKind::Full,
-            1 => SnapshotKind::Delta,
-            _ => return Err(Error::Runtime("bad snapshot kind".into())),
-        },
-        bytes: bytes.to_vec(),
-    })
 }
 
 /// What a reader thread hands the executor.  `link` identifies the
@@ -208,16 +182,7 @@ fn accept_loop(listener: Listener, next_link: Arc<AtomicU64>, tx: Sender<Input>)
 /// One bolt task hosted by this worker.
 struct TaskState {
     component: usize,
-    bolt: Box<dyn Bolt>,
-    stateful: bool,
-    /// Ack records withheld until a checkpoint covers their inputs
-    /// (stateful tasks under exactly-once / at-least-once recovery).
-    withheld: Vec<AckItem>,
-    /// Something was applied since the last checkpoint.
-    dirty: bool,
-    /// Applied replay-dedup ids (`ExactlyOnceEffect` only).
-    dedup: DedupWindow,
-    last_ckpt: Instant,
+    task: BoltTask<AckItem>,
 }
 
 /// A tuple delivery ready to execute, off the wire or routed locally.
@@ -250,8 +215,6 @@ struct Worker {
     t0: Instant,
     endpoint: String,
     // Knobs from `Assign`.
-    recovery: RecoveryMode,
-    ckpt_interval: Duration,
     tick_interval: Option<Duration>,
     push_interval: Option<Duration>,
     batch_size: usize,
@@ -292,36 +255,24 @@ struct Worker {
     last_pushed: HashMap<(String, Option<u32>), u64>,
 }
 
-/// The replay-dedup id of a tuple's `idx`-th emission, derived from the
-/// tuple's own: a replayed tree re-executes the same bolts on the same
-/// inputs, re-derives the same ids hop by hop, and a stateful bolt any
-/// number of hops downstream recognizes the replay.
-fn child_dedup(parent: u64, idx: usize) -> u64 {
-    splitmix64(parent ^ splitmix64(idx as u64 + 1))
-}
-
 impl Worker {
     /// Executes one delivery and routes what it emits.
     fn execute(&mut self, d: Delivery, recv_at: Instant) {
         self.executed += 1;
-        let eoe = self.recovery == RecoveryMode::ExactlyOnceEffect;
         let Some(ts) = self.tasks.get_mut(d.dest as usize).and_then(Option::as_mut) else {
             self.acks.extend(d.root.map(AckItem::failed));
             return;
         };
-        // Exactly-once: a replay of an already-applied input is
-        // acknowledged (withheld, like any stateful input) but not applied
-        // again.
-        let replayed = ts.stateful && eoe && d.dedup.is_some_and(|id| ts.dedup.contains(id));
-        let mut failed = false;
-        if !replayed {
-            let traced = d
-                .root
-                .filter(|&r| self.tracer.enabled() && self.tracer.sampled(r));
-            let started = traced.map(|_| Instant::now());
-            ts.bolt.execute(&d.tuple, &mut self.out);
-            failed = self.out.drain_into(&mut self.emissions);
-            ts.dirty = true;
+        let traced = d
+            .root
+            .filter(|&r| self.tracer.enabled() && self.tracer.sampled(r));
+        let started = traced.map(|_| Instant::now());
+        let step = ts
+            .task
+            .step(&d.tuple, d.dedup, &mut self.out, &mut self.emissions);
+        // A replay of an applied input is acknowledged like any other, but
+        // was not run again.
+        if step != Step::Replayed {
             if let (Some(root), Some(started)) = (traced, started) {
                 self.tracer.record_hop(
                     d.dest as usize,
@@ -336,22 +287,17 @@ impl Worker {
             self.metrics.executed.inc();
             self.metrics.emitted.add(self.emissions.len() as u64);
         }
-        let (component, stateful) = (ts.component, ts.stateful);
-        let xor = d.edge ^ self.route_emissions(component, d.root, d.dedup.filter(|_| eoe));
+        let failed = step == Step::Executed { failed: true };
+        let component = ts.component;
+        let xor = d.edge ^ self.route_emissions(component, d.root, d.dedup);
         let Some(root) = d.root else { return };
-        let item = AckItem { root, xor, failed };
         let ts = self.tasks[d.dest as usize]
             .as_mut()
             .expect("looked up above");
-        if !failed && stateful && self.recovery != RecoveryMode::Approximate {
-            // The ack waits for the checkpoint that makes the effect durable.
-            ts.withheld.push(item);
-            if let (true, Some(id)) = (eoe, d.dedup) {
-                ts.dedup.insert(id);
-            }
-        } else {
-            self.acks.push(item);
-        }
+        // A stateful task's ack waits for the checkpoint that makes the
+        // effect durable.
+        let record = AckItem { root, xor, failed };
+        self.acks.extend(ts.task.settle(record, failed));
     }
 
     /// Routes what the last `execute`/`tick` left in `self.emissions`.
@@ -361,14 +307,8 @@ impl Worker {
         let mut emissions = std::mem::take(&mut self.emissions);
         let mut xor = 0;
         for (i, emission) in emissions.drain(..).enumerate() {
-            let root = root.filter(|_| emission.anchored);
-            let dedup = dedup.filter(|_| root.is_some());
-            xor ^= self.route(
-                component,
-                emission,
-                root,
-                dedup.map(|id| child_dedup(id, i)),
-            );
+            let (root, dedup) = inherit(&emission, i, root, dedup);
+            xor ^= self.route(component, emission, root, dedup);
         }
         self.emissions = emissions;
         xor
@@ -577,40 +517,26 @@ impl Worker {
         }
     }
 
-    /// Checkpoints one stateful task: deposit the snapshot, then release
-    /// the ack records it covers.  In-order frame processing on the
-    /// coordinator is what aligns the two.
-    fn checkpoint(&mut self, task: usize, force: bool) -> Result<()> {
-        let Some(ts) = self.tasks[task].as_mut() else {
-            return Ok(());
-        };
-        // Nothing applied and nothing withheld since the last deposit: the
-        // store already holds this state.
-        if !ts.stateful || (!ts.dirty && ts.withheld.is_empty()) {
-            return Ok(());
-        }
-        if !force && ts.last_ckpt.elapsed() < self.ckpt_interval {
-            return Ok(());
-        }
-        ts.last_ckpt = Instant::now();
-        ts.dirty = false;
-        let snap = ts
-            .bolt
-            .stateful()
-            .expect("stateful flag implies stateful()")
-            .snapshot();
-        self.coord.send(&Frame::CheckpointDeposit {
-            task: task as u32,
-            payload: snapshot_to_payload(&snap),
-            dedup: ts.dedup.ids(),
-        })?;
-        self.metrics.checkpoints.inc();
-        self.acks.append(&mut ts.withheld);
-        self.flush_acks()
-    }
-
+    /// Checkpoints the stateful tasks whose cycle says one is due: send the
+    /// deposit, then release the ack records it covers.  In-order frame
+    /// processing on the coordinator is what aligns the two.
     fn checkpoint_all(&mut self, force: bool) -> Result<()> {
-        (0..self.tasks.len()).try_for_each(|task| self.checkpoint(task, force))
+        let now_s = self.t0.elapsed().as_secs_f64();
+        for task in 0..self.tasks.len() {
+            let ts = self.tasks[task].as_mut();
+            let Some(deposit) = ts.and_then(|ts| ts.task.take(now_s, force)) else {
+                continue;
+            };
+            self.coord.send(&Frame::CheckpointDeposit {
+                task: task as u32,
+                snapshot: deposit.snapshot,
+                dedup: deposit.dedup,
+            })?;
+            self.metrics.checkpoints.inc();
+            self.acks.extend(deposit.released);
+            self.flush_acks()?;
+        }
+        Ok(())
     }
 
     /// Bolt ticks: their emissions have no input tuple, so never anchored.
@@ -620,8 +546,7 @@ impl Worker {
                 continue;
             };
             self.out.set_now(self.t0.elapsed().as_secs_f64());
-            ts.bolt.tick(&mut self.out);
-            self.out.drain_into(&mut self.emissions);
+            ts.task.tick(&mut self.out, &mut self.emissions);
             let component = ts.component;
             self.route_emissions(component, None, None);
         }
@@ -681,25 +606,23 @@ impl Worker {
             (
                 Frame::RestoreState {
                     task,
-                    payload,
+                    snapshots,
                     dedup,
                 },
                 None,
             ) => {
                 let start = Instant::now();
+                let mut snapshots = snapshots.into_iter();
+                let from = Restored {
+                    base: snapshots.next(),
+                    deltas: snapshots.collect(),
+                    input_log: Vec::new(),
+                    dedup,
+                    taken_at_s: None,
+                };
                 let ts = self.tasks.get_mut(task as usize).and_then(Option::as_mut);
-                let ok = ts.is_some_and(|ts| {
-                    ts.dedup = DedupWindow::from_ids(dedup);
-                    match payload {
-                        Some(p) => match (snapshot_from_payload(&p), ts.bolt.stateful()) {
-                            (Ok(snap), Some(state)) => state.restore(&snap, &[]).is_ok(),
-                            _ => false,
-                        },
-                        // Nothing checkpointed yet: fresh state is the
-                        // correct restore target.
-                        None => true,
-                    }
-                });
+                let ok =
+                    ts.is_some_and(|ts| ts.task.restore(from, &mut self.out, &mut self.emissions));
                 self.coord.send(&Frame::StateRestored {
                     task,
                     ok,
@@ -850,8 +773,11 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
             "assignment for worker {assigned_to} delivered to worker {idx}"
         )));
     }
-    let recovery = recovery_from_byte(recovery)
+    // The checkpoint store is a process away: inputs are not logged.
+    let policy = recovery_from_byte(recovery)
+        .map(|mode| Policy::of(mode, false))
         .ok_or_else(|| Error::Runtime("unknown recovery mode".into()))?;
+    let ckpt_interval_s = ckpt_interval_us.max(1) as f64 / 1e6;
     let topology = registry.build(&topo_name, &args)?;
     let intern = InternTable::new(&topology);
     let n_tasks = topology.task_count();
@@ -887,21 +813,16 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
                 "spout task t{task} assigned to a worker"
             )));
         };
-        let mut bolt = factory();
-        bolt.prepare(&TopologyContext {
+        let ctx = TopologyContext {
             component: comp.name.clone(),
             task_index: task - comp.base_task.0,
             parallelism: comp.parallelism,
-        });
-        let stateful = bolt.stateful().is_some();
+        };
+        let checkpoints = Some((policy, ckpt_interval_s));
+        let now_s = t0.elapsed().as_secs_f64();
         tasks[task] = Some(TaskState {
             component: comp_id.0,
-            bolt,
-            stateful,
-            withheld: Vec::new(),
-            dirty: false,
-            dedup: DedupWindow::default(),
-            last_ckpt: Instant::now(),
+            task: BoltTask::new(factory(), &ctx, checkpoints, now_s),
         });
     }
 
@@ -925,8 +846,6 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         idx,
         t0,
         endpoint: my_endpoint.to_env(),
-        recovery,
-        ckpt_interval: Duration::from_micros(ckpt_interval_us.max(1)),
         tick_interval: micros(tick_interval_us),
         push_interval: micros(metrics_interval_us),
         batch_size: batch_size.max(1) as usize,
@@ -987,7 +906,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
     match served {
         Ok(Ok(())) => {
             for ts in w.tasks.iter_mut().flatten() {
-                ts.bolt.cleanup();
+                ts.task.cleanup();
             }
             Ok(())
         }

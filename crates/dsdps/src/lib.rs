@@ -66,6 +66,8 @@
 #![warn(missing_docs)]
 
 pub mod acker;
+mod bolt_task;
+pub mod checkpoint;
 pub mod component;
 pub mod config;
 pub mod dist;

@@ -38,9 +38,9 @@ pub(super) struct Delivered {
     /// the tuple's tree is being traced.  The consumer subtracts this from
     /// its batch-receive time to get the span's queue wait.
     pub(super) sent_at_us: u64,
-    /// Spout message id the consumer dedups on.  Only set for
-    /// spout-emitted tuples under the exactly-once-effect recovery mode;
-    /// `None` everywhere else (including all bolt-to-bolt hops).
+    /// Replay-dedup id a stateful consumer dedups on: the spout message id
+    /// on the first hop, derived hop by hop after it.  Only set when the
+    /// recovery policy dedups; `None` otherwise.
     pub(super) dedup: Option<MessageId>,
 }
 

@@ -3,7 +3,7 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use super::checkpoint::RecoveryMode;
+use crate::checkpoint::RecoveryMode;
 use crate::error::{Error, Result};
 
 /// Tuning parameters for the threaded runtime: tuple batching, task
@@ -105,7 +105,7 @@ pub struct RtConfig {
     pub throttle_target_queue_wait: Duration,
     /// Enable periodic checkpoints of stateful tasks (bolts whose
     /// [`Bolt::stateful`](crate::component::Bolt::stateful) returns a
-    /// [`StatefulComponent`](super::checkpoint::StatefulComponent)).  Off
+    /// [`StatefulComponent`](crate::checkpoint::StatefulComponent)).  Off
     /// by default — a supervisor restart then rebuilds components from
     /// their factories, losing accumulated state.
     pub checkpoints: bool,

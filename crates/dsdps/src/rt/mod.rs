@@ -45,7 +45,6 @@
 //! for real, and is exercised by the examples and integration tests.
 
 pub(crate) mod batch;
-pub mod checkpoint;
 mod config;
 pub mod credit;
 mod fault;
@@ -53,7 +52,7 @@ mod router;
 mod supervisor;
 mod task;
 
-pub use checkpoint::{RecoveryMode, SnapshotKind, StateSnapshot, StatefulComponent};
+pub use crate::checkpoint::{RecoveryMode, SnapshotKind, StateSnapshot, StatefulComponent};
 pub use config::RtConfig;
 pub use credit::{CreditLedger, CreditTotals};
 pub use fault::{RtFault, RtFaultPlan};
@@ -67,6 +66,8 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::acker::{ShardedAcker, TreeOutcome};
+use crate::bolt_task::Policy;
+use crate::checkpoint::{CheckpointStore, StoreCounters};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
 use crate::lifecycle::{TreeCounters, TreeLifecycle};
@@ -102,11 +103,8 @@ pub(crate) struct Counters {
     /// Panics caught in task threads / supervisor restarts, over all tasks.
     pub(crate) task_panics: Counter,
     pub(crate) task_restarts: Counter,
-    /// Checkpoints deposited, their serialized bytes, and snapshot restores
-    /// by restarted tasks, over all tasks.
-    pub(crate) checkpoints_taken: Counter,
-    pub(crate) snapshot_bytes: Counter,
-    pub(crate) restores: Counter,
+    /// What the checkpoint store counts, over all tasks.
+    pub(crate) store: StoreCounters,
     /// Duration of the most recent checkpoint / latency of the most recent
     /// state restore, µs.
     pub(crate) checkpoint_last_us: Gauge,
@@ -133,9 +131,11 @@ impl Counters {
             shed_tuples: c("shed_tuples"),
             task_panics: c("task_panics"),
             task_restarts: c("task_restarts"),
-            checkpoints_taken: registry.counter("dsdps_checkpoints_total", &[]),
-            snapshot_bytes: c("snapshot_bytes"),
-            restores: c("restores"),
+            store: StoreCounters {
+                checkpoints_taken: registry.counter("dsdps_checkpoints_total", &[]),
+                snapshot_bytes: c("snapshot_bytes"),
+                restores: c("restores"),
+            },
             checkpoint_last_us: registry.gauge("dsdps_checkpoint_last_duration_us", &[]),
             restore_last_us: registry.gauge("dsdps_restore_last_latency_us", &[]),
         }
@@ -194,10 +194,18 @@ pub(crate) struct Shared {
     /// Checkpoint store keyed by `(task, generation)`; `None` when
     /// [`RtConfig::checkpoints`] is off.  Lives here (not in task threads)
     /// so snapshots survive supervisor restarts.
-    pub(crate) checkpoints: Option<checkpoint::CheckpointStore>,
+    pub(crate) checkpoints: Option<CheckpointStore>,
 }
 
 impl Shared {
+    /// The recovery policy and snapshot interval (seconds) of this run's
+    /// stateful bolts, `None` with checkpoints off.  The store shares their
+    /// address space, so applied inputs can be logged.
+    pub(crate) fn recovery(&self) -> Option<(Policy, f64)> {
+        let interval_s = self.rt.checkpoint_interval.as_secs_f64();
+        (self.rt.checkpoints).then(|| (Policy::of(self.rt.recovery_mode, true), interval_s))
+    }
+
     pub(crate) fn now_s(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
@@ -495,9 +503,9 @@ impl RunningTopology {
             queue_wait_p99_us: queue_wait_hist.quantile(0.99).unwrap_or(0.0),
             queue_wait_last_p99_us: self.shared.queue_wait_last_p99_us(),
             rate_cap: final_cap.is_finite().then_some(final_cap),
-            checkpoints_taken: c.checkpoints_taken.get(),
-            restores: c.restores.get(),
-            snapshot_bytes: c.snapshot_bytes.get(),
+            checkpoints_taken: c.store.checkpoints_taken.get(),
+            restores: c.store.restores.get(),
+            snapshot_bytes: c.store.snapshot_bytes.get(),
             approx_skipped: c.trees.approx_skipped.get(),
         }
     }
@@ -829,6 +837,8 @@ pub fn submit_faulty(
     // Live metrics registry: the data plane's counters are its cells.
     let registry = Arc::new(Registry::new());
     let counters = Counters::new(&registry);
+    let checkpoints = (rt_config.checkpoints)
+        .then(|| CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.store.clone()));
     let shared = Arc::new(Shared {
         ackers: ShardedAcker::new(rt_config.acker_shards),
         stop: AtomicBool::new(false),
@@ -858,9 +868,7 @@ pub fn submit_faulty(
             .map(|_| Mutex::new((LatencyHistogram::new(), LatencyHistogram::new())))
             .collect(),
         queue_wait_last_p99_bits: AtomicU64::new(0f64.to_bits()),
-        checkpoints: rt_config
-            .checkpoints
-            .then(|| checkpoint::CheckpointStore::new(n_tasks)),
+        checkpoints,
     });
 
     // Initial credit windows: every bolt task grants its producers a window

@@ -49,11 +49,6 @@ pub(super) struct Router {
     /// Cached `shared.tracer.enabled()`: one branch per emission decides
     /// whether to stamp send timestamps for queue-wait measurement.
     trace_on: bool,
-    /// Spout message id stamped on the next routed emission's deliveries so
-    /// the receiving bolt can deduplicate replays (exactly-once-effect
-    /// recovery).  Set by the spout loop before each tracked `route` call;
-    /// bolts leave it `None`.
-    pub(super) dedup_next: Option<MessageId>,
 }
 
 impl Router {
@@ -75,18 +70,19 @@ impl Router {
             nonempty: 0,
             task: tid,
             trace_on: shared.tracer.enabled(),
-            dedup_next: None,
         }
     }
 
-    /// Routes one emission into the output buffers; returns the number of
-    /// tuple instances produced.  Buffers that reach `batch_size` flush
-    /// inline (with `batch_size == 1` this degenerates to one blocking send
-    /// per instance, exactly the unbatched behavior).
+    /// Routes one emission into the output buffers, anchored to `root` and
+    /// stamped with replay-dedup id `dedup` when it has them; returns the
+    /// number of tuple instances produced.  Buffers that reach `batch_size`
+    /// flush inline (with `batch_size == 1` this degenerates to one
+    /// blocking send per instance, exactly the unbatched behavior).
     pub(super) fn route(
         &mut self,
         emission: &Emission,
         root: Option<RootId>,
+        dedup: Option<MessageId>,
         shared: &Shared,
         ops: &mut AckOps,
     ) -> usize {
@@ -120,7 +116,7 @@ impl Router {
                 tuple: rekeyed.clone(),
                 anchor,
                 sent_at_us,
-                dedup: self.dedup_next,
+                dedup,
             };
             self.push(dest, item, shared, ops);
         }

@@ -16,13 +16,14 @@ use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 
 use crate::acker::TreeOutcome;
+use crate::bolt_task::{self, BoltTask, Step};
+use crate::checkpoint::CheckpointStore;
 use crate::component::{Bolt, BoltOutput, Emission, Spout, SpoutOutput, TopologyContext};
 use crate::lifecycle::{self, TreeLifecycle};
 use crate::telemetry::JournalEvent;
 use crate::topology::TaskId;
 
 use super::batch::{AckOp, AckOps, Batch};
-use super::checkpoint::{DedupWindow, LoggedInput, RecoveryMode};
 use super::fault::SLOWDOWN_FLOOR_NANOS;
 use super::router::Router;
 use super::Shared;
@@ -144,204 +145,79 @@ fn inject_service_slowdown(shared: &Shared, tid: usize, t0: Instant) {
     }
 }
 
-/// Take a full snapshot every Nth checkpoint; the intervening ones are
-/// incremental deltas when the component supports them.  The first
-/// checkpoint of every task incarnation is always full.
-const CHECKPOINT_FULL_EVERY: u64 = 4;
-
-/// Under exactly-once effect a checkpoint is forced early once this many
-/// inputs accumulate in the task's input log, bounding replay-log memory
-/// between interval ticks.
-const CHECKPOINT_LOG_HIGH_WATER: usize = 8192;
-
-/// Per-incarnation checkpoint bookkeeping of one stateful bolt thread.
-struct CkptState {
-    /// Checkpoints deposited this incarnation (0 ⇒ the next one is full).
-    count: u64,
-    /// When the previous checkpoint was taken (or the incarnation started).
-    last: Instant,
-    /// Input-log length at the store (exactly-once), for the high-water
-    /// trigger between interval ticks.
-    log_len: usize,
-    /// Recently applied spout message ids (exactly-once dedup).
-    dedup: DedupWindow,
-    /// Acks withheld until the next snapshot deposit (at-least-once /
-    /// approximate alignment: a tuple is only acked once its effect is
-    /// durable, so a crash replays everything after the snapshot).
-    deferred_acks: Vec<AckOp>,
-}
-
-impl CkptState {
-    fn new() -> Self {
-        CkptState {
-            count: 0,
-            last: Instant::now(),
-            log_len: 0,
-            dedup: DedupWindow::default(),
-            deferred_acks: Vec::new(),
-        }
-    }
-}
-
-/// Takes one checkpoint of a stateful bolt when the interval (or the
-/// exactly-once input-log high-water mark, or `force`) says it is due, then
-/// releases the acks deferred since the previous snapshot into `ops`.  The
-/// snapshot is full every [`CHECKPOINT_FULL_EVERY`] deposits (and always on
-/// the first of an incarnation, or when the component has no delta to
-/// offer); otherwise an incremental delta.
-fn maybe_checkpoint(
-    bolt: &mut dyn Bolt,
+/// Takes a checkpoint of `task` when its cycle says one is due: deposit the
+/// snapshot, then queue the ack records it covers into `ops`.
+fn checkpoint(
+    task: &mut BoltTask<AckOp>,
+    store: &CheckpointStore,
     shared: &Shared,
     tid: usize,
     my_gen: u64,
-    ck: &mut CkptState,
     ops: &mut AckOps,
     force: bool,
 ) {
-    let Some(store) = shared.checkpoints.as_ref() else {
-        return;
-    };
-    let due = force
-        || ck.last.elapsed() >= shared.rt.checkpoint_interval
-        || ck.log_len >= CHECKPOINT_LOG_HIGH_WATER;
-    if !due {
-        return;
-    }
-    let Some(sc) = bolt.stateful() else {
-        return;
-    };
-    let t0 = Instant::now();
     let taken_at_s = shared.now_s();
-    let want_full = ck.count.is_multiple_of(CHECKPOINT_FULL_EVERY);
-    let (snap, is_full) = if want_full {
-        (sc.snapshot(), true)
-    } else {
-        match sc.delta() {
-            Some(d) => (d, false),
-            None => (sc.snapshot(), true),
-        }
-    };
-    let bytes = snap.len() as u64;
-    let dedup = ck.dedup.ids();
-    let deposited = if is_full {
-        store.deposit_full(tid, my_gen, taken_at_s, snap, dedup)
-    } else {
-        store.deposit_delta(tid, my_gen, taken_at_s, snap, dedup)
-    };
-    ck.last = Instant::now();
-    if deposited.is_none() {
-        // Superseded mid-checkpoint: a newer generation owns the entry.  The
-        // deferred acks die with this thread; the unacked trees time out and
-        // replay against the successor, which is the deferral contract.
+    let Some(deposit) = task.take(taken_at_s, force) else {
         return;
-    }
-    ck.count += 1;
-    ck.log_len = 0;
-    let duration_us = t0.elapsed().as_micros() as u64;
+    };
+    let duration_us = ((shared.now_s() - taken_at_s) * 1e6) as u64;
+    let (snapshot, dedup) = (deposit.snapshot, deposit.dedup);
+    let stored = store.deposit(tid, my_gen, taken_at_s, snapshot, dedup, duration_us);
+    // Refused means superseded mid-checkpoint: a newer generation owns the
+    // entry.  The withheld acks die with this thread; the unacked trees time
+    // out and replay against the successor, which is the withholding
+    // contract.
+    let Some(bytes) = stored else {
+        return;
+    };
     let s = &shared.task_stats[tid];
     s.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
     s.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
-    shared.counters.checkpoints_taken.inc();
-    shared.counters.snapshot_bytes.add(bytes);
     shared.counters.checkpoint_last_us.set(duration_us as f64);
-    shared.journal.append(JournalEvent::CheckpointTaken {
-        time_s: taken_at_s,
-        task: tid,
-        generation: my_gen,
-        kind: if is_full { "full" } else { "delta" }.to_string(),
-        bytes,
-        duration_us,
-    });
-    for op in ck.deferred_acks.drain(..) {
+    for op in deposit.released {
         ops.push(op);
     }
 }
 
-/// Restores a restarted stateful bolt from the checkpoint store.
-///
-/// Journals `state_restored` on success and `state_lost` when no usable
-/// snapshot (or exactly-once input log) exists.  Exactly-once restores
-/// rebuild the replay-dedup set and re-execute the logged post-snapshot
-/// inputs with their emissions discarded (the originals already routed
-/// downstream before the crash); approximate restores instead doom every
-/// replay tracked before the snapshot and report the skips as the error
-/// bound.
-#[allow(clippy::too_many_arguments)]
-fn restore_state(
-    bolt: &mut dyn Bolt,
+/// Restores a restarted bolt from the checkpoint store and journals how it
+/// went: `state_restored`, or `state_lost` when the bolt keeps no state, the
+/// store has nothing for it, or the snapshot does not decode (as good as no
+/// snapshot: the task runs factory-fresh).
+fn restore(
+    task: &mut BoltTask<AckOp>,
     shared: &Shared,
     tid: usize,
     my_gen: u64,
-    mode: RecoveryMode,
-    ck: &mut CkptState,
     out: &mut BoltOutput,
     emis: &mut Vec<Emission>,
 ) {
-    let t0 = Instant::now();
-    let restored = shared
-        .checkpoints
-        .as_ref()
-        .and_then(|store| store.load(tid, my_gen));
-    let Some(r) = restored else {
-        shared.journal.append(JournalEvent::StateLost {
-            time_s: shared.now_s(),
-            task: tid,
-            generation: my_gen,
-            snapshot_age_s: None,
-        });
+    let (Some(store), Some((policy, _))) = (shared.checkpoints.as_ref(), shared.recovery()) else {
         return;
     };
-    if let Some(base) = r.base.as_ref() {
-        let ok = bolt
-            .stateful()
-            .is_some_and(|sc| sc.restore(base, &r.deltas).is_ok());
-        if !ok {
-            // A snapshot that fails to decode is as good as no snapshot:
-            // report the loss and run factory-fresh.
-            shared.journal.append(JournalEvent::StateLost {
-                time_s: shared.now_s(),
-                task: tid,
-                generation: my_gen,
-                snapshot_age_s: r.taken_at_s.map(|t| (shared.now_s() - t).max(0.0)),
-            });
-            return;
+    let t0 = Instant::now();
+    let loaded = if task.is_checkpointed() {
+        store.load(tid, my_gen)
+    } else {
+        None
+    };
+    let Some(from) = loaded else {
+        store.restored(tid, my_gen, shared.now_s(), None);
+        return;
+    };
+    if let Some(cut) = policy.doom_cut(from.taken_at_s) {
+        for trees in shared.spouts.iter() {
+            trees.lock().doom_tracked_before(cut);
         }
     }
-    match mode {
-        RecoveryMode::ExactlyOnceEffect => {
-            ck.dedup = DedupWindow::from_ids(r.dedup);
-            for li in &r.input_log {
-                out.set_now(li.now_s);
-                bolt.execute(&li.tuple, out);
-                let _ = out.drain_into(emis);
-                emis.clear();
-                if let Some(id) = li.dedup {
-                    ck.dedup.insert(id);
-                }
-            }
-        }
-        RecoveryMode::AtLeastOnce => {}
-        RecoveryMode::Approximate => {
-            if let Some(cut) = r.taken_at_s {
-                for trees in shared.spouts.iter() {
-                    trees.lock().doom_tracked_before(cut);
-                }
-            }
-        }
-    }
-    let latency_us = t0.elapsed().as_micros() as u64;
-    shared.counters.restore_last_us.set(latency_us as f64);
-    shared.task_stats[tid]
-        .restores
-        .fetch_add(1, Ordering::Relaxed);
-    shared.counters.restores.inc();
-    shared.journal.append(JournalEvent::StateRestored {
-        time_s: shared.now_s(),
-        task: tid,
-        generation: my_gen,
-        snapshot_age_s: r.taken_at_s.map(|t| (shared.now_s() - t).max(0.0)),
-        latency_us,
+    let latency_us = task.restore(from, out, emis).then(|| {
+        let latency_us = t0.elapsed().as_micros() as u64;
+        shared.counters.restore_last_us.set(latency_us as f64);
+        shared.task_stats[tid]
+            .restores
+            .fetch_add(1, Ordering::Relaxed);
+        latency_us
     });
+    store.restored(tid, my_gen, shared.now_s(), latency_us);
 }
 
 /// Body of a spout thread.
@@ -367,19 +243,15 @@ pub(super) fn run_spout(
     let trees = &shared.spouts[tid];
     let mut fresh = Vec::new();
     let mut heard = Vec::new();
-    let dedup_on =
-        shared.rt.checkpoints && shared.rt.recovery_mode == RecoveryMode::ExactlyOnceEffect;
-    if my_gen > 0 && shared.rt.checkpoints {
+    // Tracked emissions carry their message id as the replay-dedup id of
+    // the first hop when the recovery policy dedups.
+    let dedup_on = shared.recovery().is_some_and(|(policy, _)| policy.dedup);
+    if let (true, Some(store)) = (my_gen > 0, shared.checkpoints.as_ref()) {
         // Spouts are rebuilt from their factory on every restart — only the
         // tree lifecycle (which lives in `Shared`) survives.  Report the
         // instance-state loss so recovery audits see every restart path,
         // including hang supersession.
-        shared.journal.append(JournalEvent::StateLost {
-            time_s: shared.now_s(),
-            task: tid,
-            generation: my_gen,
-            snapshot_age_s: None,
-        });
+        store.restored(tid, my_gen, shared.now_s(), None);
     }
     // Once the spout exhausts its input it stays alive (draining acks and
     // replaying lost trees) until every message is resolved or shutdown.
@@ -417,10 +289,8 @@ pub(super) fn run_spout(
         for (message_id, emission, attempt) in due {
             let root = track(&shared, tid, message_id, now_s, attempt, &mut ops);
             trees.lock().on_replayed(message_id, attempt, root, now_s);
-            if dedup_on {
-                router.dedup_next = Some(message_id);
-            }
-            route_tracked(&mut router, &emission, root, &shared, &mut ops);
+            let dedup = Some(message_id).filter(|_| dedup_on);
+            route_tracked(&mut router, &emission, root, dedup, &shared, &mut ops);
         }
         if exhausted {
             // Stay alive until every tree this spout tracked has resolved
@@ -490,21 +360,18 @@ pub(super) fn run_spout(
         }
         let n = emis.len() as u64;
         for emission in emis.drain(..) {
-            let tracked = TreeLifecycle::tracked_id(cfg, &emission);
-            if dedup_on {
-                router.dedup_next = tracked;
-            }
-            match tracked {
+            match TreeLifecycle::tracked_id(cfg, &emission) {
                 Some(message_id) => {
                     let root = track(&shared, tid, message_id, now_s, 0, &mut ops);
-                    route_tracked(&mut router, &emission, root, &shared, &mut ops);
+                    let dedup = Some(message_id).filter(|_| dedup_on);
+                    route_tracked(&mut router, &emission, root, dedup, &shared, &mut ops);
                     // Routing is done with the emission, so it moves into
                     // the lifecycle (and its replay cache) instead of being
                     // cloned.
                     fresh.push((message_id, emission));
                 }
                 None => {
-                    router.route(&emission, None, &shared, &mut ops);
+                    router.route(&emission, None, None, &shared, &mut ops);
                 }
             }
         }
@@ -563,10 +430,11 @@ fn route_tracked(
     router: &mut Router,
     emission: &Emission,
     root: u64,
+    dedup: Option<u64>,
     shared: &Shared,
     ops: &mut AckOps,
 ) {
-    if router.route(emission, Some(root), shared, ops) == 0 {
+    if router.route(emission, Some(root), dedup, shared, ops) == 0 {
         let now_s = shared.now_s();
         ops.push(AckOp::Ack {
             root,
@@ -578,7 +446,7 @@ fn route_tracked(
 
 /// Body of a bolt thread.
 pub(super) fn run_bolt(
-    mut bolt: Box<dyn Bolt>,
+    bolt: Box<dyn Bolt>,
     ctx: TopologyContext,
     tid: usize,
     my_gen: u64,
@@ -587,36 +455,15 @@ pub(super) fn run_bolt(
     rx: Receiver<Batch>,
 ) {
     let cfg = &shared.engine;
-    bolt.prepare(&ctx);
+    // The task gets a checkpoint cycle only when this bolt is stateful *and*
+    // checkpointing is configured, so stock runs never touch the store.
+    let mut task = BoltTask::new(bolt, &ctx, shared.recovery(), shared.now_s());
+    let ckpt_on = task.is_checkpointed();
     let mut out = BoltOutput::new();
     let mut emis = Vec::new();
     let mut ops = AckOps::new(shared.ackers.num_shards());
-    // Checkpoint wiring: all of it is compiled-in but `ckpt_on` is false
-    // unless this bolt is stateful *and* checkpointing is configured, so
-    // stock runs never touch the store.
-    let is_stateful = bolt.stateful().is_some();
-    let ckpt_on = is_stateful && shared.checkpoints.is_some();
-    let mode = shared.rt.recovery_mode;
-    let log_on = ckpt_on && mode == RecoveryMode::ExactlyOnceEffect;
-    let defer_acks =
-        ckpt_on && matches!(mode, RecoveryMode::AtLeastOnce | RecoveryMode::Approximate);
-    let mut ck = CkptState::new();
-    let mut pending_log: Vec<LoggedInput> = Vec::new();
-    if my_gen > 0 && shared.rt.checkpoints {
-        if is_stateful {
-            restore_state(
-                &mut *bolt, &shared, tid, my_gen, mode, &mut ck, &mut out, &mut emis,
-            );
-        } else {
-            // Stateless bolts are rebuilt from the factory; journal the loss
-            // so every restart path is audited.
-            shared.journal.append(JournalEvent::StateLost {
-                time_s: shared.now_s(),
-                task: tid,
-                generation: my_gen,
-                snapshot_age_s: None,
-            });
-        }
+    if my_gen > 0 {
+        restore(&mut task, &shared, tid, my_gen, &mut out, &mut emis);
     }
     let tick = if cfg.tick_interval_s > 0.0 {
         Duration::from_secs_f64(cfg.tick_interval_s)
@@ -674,20 +521,6 @@ pub(super) fn run_bolt(
                 let mut failed_n = 0u64;
                 let mut slow_busy = 0u64;
                 for delivered in batch {
-                    // Exactly-once dedup: a spout message id already applied
-                    // (its effect recovered through the checkpoint input
-                    // log) is skipped, but its edge still acks so the
-                    // replayed tree completes.
-                    if log_on {
-                        if let Some(id) = delivered.dedup {
-                            if ck.dedup.contains(id) {
-                                if let Some((root, edge)) = delivered.anchor {
-                                    ops.push(AckOp::Ack { root, edge, now_s });
-                                }
-                                continue;
-                            }
-                        }
-                    }
                     // Sampled tuples take the per-tuple clock path (like
                     // faults) so their spans get real execute times.
                     let traced_root = if trace_on {
@@ -723,61 +556,55 @@ pub(super) fn run_bolt(
                     } else {
                         0
                     };
-                    bolt.execute(&delivered.tuple, &mut out);
-                    if let Some(t0) = t0 {
-                        inject_service_slowdown(&shared, tid, t0);
-                        if faults_on {
-                            slow_busy += t0.elapsed().as_nanos() as u64;
+                    let step = task.step(&delivered.tuple, delivered.dedup, &mut out, &mut emis);
+                    // A replay of an applied input was not run again, but its
+                    // edge still acks so the replayed tree completes.
+                    let failed = step == Step::Executed { failed: true };
+                    if step != Step::Replayed {
+                        if let Some(t0) = t0 {
+                            inject_service_slowdown(&shared, tid, t0);
+                            if faults_on {
+                                slow_busy += t0.elapsed().as_nanos() as u64;
+                            }
                         }
+                        if let Some(root) = traced_root {
+                            let queue_wait_us = if delivered.sent_at_us == 0 {
+                                0
+                            } else {
+                                batch_recv_us.saturating_sub(delivered.sent_at_us)
+                            };
+                            let exec_us = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+                            shared.tracer.record_hop(
+                                tid,
+                                root,
+                                tid,
+                                hop_start_us,
+                                queue_wait_us,
+                                exec_us,
+                                batch_seq,
+                            );
+                        }
+                        executed += 1;
+                        failed_n += failed as u64;
                     }
-                    if let Some(root) = traced_root {
-                        let queue_wait_us = if delivered.sent_at_us == 0 {
-                            0
-                        } else {
-                            batch_recv_us.saturating_sub(delivered.sent_at_us)
-                        };
-                        let exec_us = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-                        shared.tracer.record_hop(
-                            tid,
-                            root,
-                            tid,
-                            hop_start_us,
-                            queue_wait_us,
-                            exec_us,
-                            batch_seq,
-                        );
-                    }
-                    let failed = out.drain_into(&mut emis);
                     let root = delivered.anchor.map(|(r, _)| r);
-                    for emission in &emis {
-                        let anchor = if emission.anchored { root } else { None };
-                        router.route(emission, anchor, &shared, &mut ops);
+                    for (i, emission) in emis.iter().enumerate() {
+                        let (anchor, dedup) =
+                            bolt_task::inherit(emission, i, root, delivered.dedup);
+                        router.route(emission, anchor, dedup, &shared, &mut ops);
                     }
                     emis.clear();
                     if let Some((root, edge)) = delivered.anchor {
-                        if failed {
-                            ops.push(AckOp::Fail { root, now_s });
-                        } else if defer_acks {
-                            // Ack only once the effect is durable: held back
-                            // until the next snapshot deposit.
-                            ck.deferred_acks.push(AckOp::Ack { root, edge, now_s });
+                        let record = if failed {
+                            AckOp::Fail { root, now_s }
                         } else {
-                            ops.push(AckOp::Ack { root, edge, now_s });
+                            AckOp::Ack { root, edge, now_s }
+                        };
+                        // A stateful task's ack may have to wait until the
+                        // effect is durable: the next checkpoint releases it.
+                        if let Some(op) = task.settle(record, failed) {
+                            ops.push(op);
                         }
-                    }
-                    if log_on {
-                        pending_log.push(LoggedInput {
-                            tuple: delivered.tuple.clone(),
-                            now_s,
-                            dedup: delivered.dedup,
-                        });
-                        if let Some(id) = delivered.dedup {
-                            ck.dedup.insert(id);
-                        }
-                    }
-                    executed += 1;
-                    if failed {
-                        failed_n += 1;
                     }
                 }
                 // Batch processed: hand its credit back so the producer-side
@@ -797,24 +624,6 @@ pub(super) fn run_bolt(
                 }
                 router.flush_expired(Instant::now(), &shared, &mut ops);
                 apply_and_deliver(&shared, &mut ops, tid);
-                if ckpt_on {
-                    // The input log is appended only after the batch's acks
-                    // applied: a crash between batches finds log and acked
-                    // frontier aligned.
-                    if log_on && !pending_log.is_empty() {
-                        if let Some(store) = shared.checkpoints.as_ref() {
-                            for li in pending_log.drain(..) {
-                                if let Some(n) = store.append_input(tid, my_gen, li) {
-                                    ck.log_len = n;
-                                }
-                            }
-                        }
-                    }
-                    maybe_checkpoint(&mut *bolt, &shared, tid, my_gen, &mut ck, &mut ops, false);
-                    if !ops.is_empty() {
-                        apply_and_deliver(&shared, &mut ops, tid);
-                    }
-                }
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.stop.load(Ordering::Relaxed) {
@@ -824,35 +633,37 @@ pub(super) fn run_bolt(
                     router.flush_expired(Instant::now(), &shared, &mut ops);
                     apply_and_deliver(&shared, &mut ops, tid);
                 }
-                if ckpt_on {
-                    // Interval checkpoints keep firing while idle, so acks
-                    // deferred by the last partial batch still drain.
-                    maybe_checkpoint(&mut *bolt, &shared, tid, my_gen, &mut ck, &mut ops, false);
-                    if !ops.is_empty() {
-                        apply_and_deliver(&shared, &mut ops, tid);
-                    }
-                }
             }
             Err(RecvTimeoutError::Disconnected) => break,
+        }
+        if let Some(store) = shared.checkpoints.as_ref().filter(|_| ckpt_on) {
+            // The input log is appended only after the batch's acks applied:
+            // a crash between batches finds log and acked frontier aligned.
+            for input in task.drain_log() {
+                store.append_input(tid, my_gen, input);
+            }
+            // The interval is checked while idle too, so acks withheld by
+            // the last partial batch still drain.
+            checkpoint(&mut task, store, &shared, tid, my_gen, &mut ops, false);
+            apply_and_deliver(&shared, &mut ops, tid);
         }
         if ticks_enabled && last_tick.elapsed() >= tick {
             last_tick = Instant::now();
             out.set_now(shared.now_s());
-            bolt.tick(&mut out);
-            let _ = out.drain_into(&mut emis);
+            task.tick(&mut out, &mut emis);
             for emission in &emis {
-                router.route(emission, None, &shared, &mut ops);
+                router.route(emission, None, None, &shared, &mut ops);
             }
             emis.clear();
         }
     }
-    if ckpt_on {
+    if let Some(store) = shared.checkpoints.as_ref() {
         // Final snapshot on clean shutdown: captures state mutated since the
-        // last interval tick and releases any still-deferred acks (the
-        // spout-side reconciliation in `join_all` picks them up).
-        maybe_checkpoint(&mut *bolt, &shared, tid, my_gen, &mut ck, &mut ops, true);
+        // last one and releases any still-withheld acks (the spout-side
+        // reconciliation in `join_all` picks them up).
+        checkpoint(&mut task, store, &shared, tid, my_gen, &mut ops, true);
     }
     router.flush_all(&shared, &mut ops);
     apply_and_deliver(&shared, &mut ops, tid);
-    bolt.cleanup();
+    task.cleanup();
 }

@@ -10,8 +10,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::checkpoint::{SnapshotKind, StateSnapshot, StatefulComponent};
 use crate::component::{Bolt, BoltOutput, TopologyContext};
-use crate::rt::checkpoint::{SnapshotKind, StateSnapshot, StatefulComponent};
 use crate::tuple::Tuple;
 
 /// A window assigner: maps a timestamp to the window(s) it belongs to.
@@ -98,7 +98,7 @@ impl WindowAssigner {
 /// Per-window aggregation logic for [`WindowedBolt`].
 ///
 /// The accumulator must be cloneable and serializable so [`WindowedBolt`]
-/// can checkpoint open windows (see [`crate::rt::checkpoint`]).
+/// can checkpoint open windows (see [`crate::checkpoint`]).
 pub trait WindowAggregate: Send {
     /// Accumulator type kept per open window.
     type Acc: Default + Send + Clone + serde::Serialize + serde::Deserialize;

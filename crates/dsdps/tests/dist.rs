@@ -159,10 +159,13 @@ fn build_calib(args: &str) -> Result<Topology> {
     b.build()
 }
 
+/// `src (paced) → count ×1`, `args` = `"n:rate[:delay_us]"` (the counter's
+/// service time per tuple, default none).
 fn build_stateful(args: &str) -> Result<Topology> {
     let mut it = args.split(':');
     let n: u64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(500);
     let rate: f64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(1000.0);
+    let delay = Duration::from_micros(it.next().and_then(|s| s.parse().ok()).unwrap_or(0));
     let mut b = TopologyBuilder::new("dist-stateful");
     b.set_spout("src", 1, move || PacedSpout {
         left: n,
@@ -170,8 +173,11 @@ fn build_stateful(args: &str) -> Result<Topology> {
         rate,
         started: None,
     })?;
-    b.set_bolt("count", 1, StatefulCounter::default)?
-        .global_grouping("src")?;
+    b.set_bolt("count", 1, move || StatefulCounter {
+        delay,
+        ..StatefulCounter::default()
+    })?
+    .global_grouping("src")?;
     b.build()
 }
 
@@ -567,6 +573,72 @@ fn dist_killed_worker_restores_from_checkpoint() {
         (n, n * (n + 1) / 2),
         "no lost or duplicated effects"
     );
+}
+
+/// Approximate recovery means on `dist` what it means on `rt`: acks wait
+/// for the deposit that covers them, a restore dooms the trees tracked
+/// before its snapshot, and the skip count bounds what the result lacks.
+/// The counter is slow and the spout fast, so at any snapshot hundreds of
+/// trees are tracked but not yet applied — the kill must skip some.
+#[test]
+fn dist_approximate_restore_skips_and_counts_pre_snapshot_trees() {
+    let n = 1_500u64;
+    let engine = EngineConfig {
+        message_timeout_s: 5.0,
+        ..EngineConfig::default()
+    };
+    let rt_config = RtConfig::default()
+        .with_batch_size(8)
+        .with_max_replays(10)
+        .with_replay_backoff(Duration::from_millis(20))
+        .with_checkpoints(Duration::from_millis(50))
+        .with_recovery_mode(RecoveryMode::Approximate);
+    let running = dist::submit(
+        &registry(),
+        "stateful",
+        &format!("{n}:4000:1000"),
+        engine,
+        rt_config,
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+
+    assert!(
+        wait_until(Duration::from_secs(20), || running.acked() >= n / 5),
+        "stream never got going: acked {}",
+        running.acked()
+    );
+    assert!(running.pending_trees() > 100, "the counter lags behind");
+    running.kill_worker(0).expect("kill the counter's worker");
+    assert!(
+        wait_until(Duration::from_secs(30), || running.spout_emitted() == n),
+        "emitted {}/{n}",
+        running.spout_emitted()
+    );
+    // The drain waits for every tree still owed a verdict.
+    let report = running.shutdown();
+
+    assert!(report.drained_clean, "{report:?}");
+    assert!(report.worker_restarts >= 1, "{report:?}");
+    assert!(report.restores >= 1, "restored from checkpoint: {report:?}");
+    assert!(report.approx_skipped > 0, "nothing was skipped: {report:?}");
+    assert_eq!(
+        report.permanently_failed, report.approx_skipped,
+        "the only losses are the reported skips: {report:?}"
+    );
+    assert_eq!(
+        report.acked + report.permanently_failed,
+        n,
+        "every tree terminal: {report:?}"
+    );
+    assert!(report.conservation_holds(), "{report:?}");
+    let (count, _) = counter_state(&report, 1);
+    assert!(
+        count + report.approx_skipped >= n,
+        "result error within the reported bound: count {count} + skipped {} < {n}",
+        report.approx_skipped
+    );
+    assert!(count < n, "what was skipped is missing from the result");
 }
 
 /// The point of the mesh: bolt → bolt tuples travel worker → worker and

@@ -6,6 +6,7 @@
 //! Worker processes are this same test binary re-executed with
 //! `--exact dist_worker_entry --ignored`, as in `dist.rs`.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +16,7 @@ use dsdps::config::EngineConfig;
 use dsdps::dist::{self, DistConfig, TopologyRegistry};
 use dsdps::error::Result;
 use dsdps::metrics::MetricsSnapshot;
-use dsdps::rt::{self, RtConfig, SnapshotKind, StateSnapshot, StatefulComponent};
+use dsdps::rt::{self, RecoveryMode, RtConfig, SnapshotKind, StateSnapshot, StatefulComponent};
 use dsdps::sim::SimRuntime;
 use dsdps::stream::StreamId;
 use dsdps::topology::{Topology, TopologyBuilder};
@@ -28,6 +29,7 @@ const TASKS: usize = 9;
 /// test process on every backend, and the tests run concurrently).
 static HEARD_ROUTING: AtomicU64 = AtomicU64::new(0);
 static HEARD_ACK_DISABLED: AtomicU64 = AtomicU64::new(0);
+static HEARD_FLAKY: AtomicU64 = AtomicU64::new(0);
 
 /// Emits `1..=N`, each tuple tracked under its own message id — and once
 /// more, under id `N + i`, on a stream nobody declared: a tracked tree with
@@ -80,6 +82,10 @@ struct Count {
     counts: Arc<Vec<AtomicU64>>,
     task: usize,
     seen: u64,
+    /// Fails the first sighting of every id divisible by this — *after*
+    /// counting it (0 = never fails).
+    fail_every: u64,
+    failed_once: HashSet<u64>,
 }
 
 impl Bolt for Count {
@@ -87,9 +93,14 @@ impl Bolt for Count {
         self.task += ctx.task_index;
     }
 
-    fn execute(&mut self, _tuple: &Tuple, _out: &mut BoltOutput) {
+    fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
         self.seen += 1;
         self.counts[self.task].fetch_add(1, Ordering::Relaxed);
+        let id = tuple.get(0).unwrap().as_i64().unwrap() as u64;
+        if self.fail_every > 0 && id.is_multiple_of(self.fail_every) && self.failed_once.insert(id)
+        {
+            out.fail();
+        }
     }
 
     fn stateful(&mut self) -> Option<&mut dyn StatefulComponent> {
@@ -130,6 +141,8 @@ fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topo
             counts: Arc::clone(&counts),
             task: base,
             seen: 0,
+            fail_every: 0,
+            failed_once: HashSet::new(),
         }
     };
     let mut b = TopologyBuilder::new("parity");
@@ -143,6 +156,26 @@ fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topo
         .shuffle_grouping_stream("fan", "side")?;
     b.set_bolt("direct", 3, count(6))?
         .direct_grouping("fan", "direct")?;
+    b.build()
+}
+
+/// `src ×1 → flaky ×1`: a counter (global task 1) that counts every input
+/// and then fails the first sighting of every fifth id.
+fn build_flaky(counts: &Arc<Vec<AtomicU64>>) -> Result<Topology> {
+    let counts = Arc::clone(counts);
+    let mut b = TopologyBuilder::new("parity-flaky");
+    b.set_spout("src", 1, || Src {
+        next: 0,
+        heard: &HEARD_FLAKY,
+    })?;
+    b.set_bolt("flaky", 1, move || Count {
+        counts: Arc::clone(&counts),
+        task: 1,
+        seen: 0,
+        fail_every: 5,
+        failed_once: HashSet::new(),
+    })?
+    .shuffle_grouping("src")?;
     b.build()
 }
 
@@ -160,6 +193,7 @@ fn registry() -> TopologyRegistry {
     r.register("ack-disabled", |_args| {
         build(&fresh_counts(), &HEARD_ACK_DISABLED)
     });
+    r.register("flaky", |_args| build_flaky(&fresh_counts()));
     r
 }
 
@@ -321,4 +355,52 @@ fn dist_honours_ack_disabled() {
     assert!(report.conservation_holds(), "{report:?}");
     assert_eq!(dist_counts(&report)[2..4], [N, N], "everything arrived");
     assert_eq!(HEARD_ACK_DISABLED.load(Ordering::Relaxed), 0);
+}
+
+/// Exactly-once effect means the same on `rt` and `dist` for an input the
+/// bolt applies and *then* fails: the mutation happened, so the id counts as
+/// applied, and the replay the failure sets off is acknowledged without
+/// being applied a second time.  The final count is `N` on both.
+#[test]
+fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
+    let rt_config = RtConfig::default()
+        .with_checkpoints(Duration::from_millis(50))
+        .with_recovery_mode(RecoveryMode::ExactlyOnceEffect)
+        .with_max_replays(3)
+        .with_replay_backoff(Duration::from_millis(10));
+
+    let counts = fresh_counts();
+    let topology = build_flaky(&counts).unwrap();
+    let running = rt::submit_with(topology, EngineConfig::default(), rt_config.clone()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
+        "rt acked {}/{N}+{N}",
+        running.acked()
+    );
+    let (_, rt_report) = running.shutdown();
+    assert_eq!(rt_report.failed, N / 5, "{rt_report:?}");
+    assert_eq!(read(&counts)[1], N, "rt: each id applied exactly once");
+
+    let running = dist::submit(
+        &registry(),
+        "flaky",
+        "",
+        EngineConfig::default(),
+        rt_config,
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
+        "dist acked {}/{N}+{N}",
+        running.acked()
+    );
+    let dist_report = running.shutdown();
+    assert_eq!(dist_report.failed, N / 5, "{dist_report:?}");
+    assert_eq!(
+        dist_counts(&dist_report)[1],
+        N,
+        "dist: each id applied exactly once"
+    );
+    assert_eq!(HEARD_FLAKY.load(Ordering::Relaxed), 2 * 2 * N);
 }

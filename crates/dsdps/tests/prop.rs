@@ -12,7 +12,7 @@ use dsdps::component::{Bolt, BoltOutput};
 use dsdps::grouping::dynamic::{DynamicGrouping, DynamicGroupingHandle, SplitRatio};
 use dsdps::grouping::{FieldsGrouping, Grouping, ShuffleGrouping};
 use dsdps::metrics::{LatencyHistogram, OnlineStats};
-use dsdps::rt::{CreditLedger, StatefulComponent};
+use dsdps::rt::{CreditLedger, SnapshotKind, StateSnapshot, StatefulComponent};
 use dsdps::topology::TaskId;
 use dsdps::tuple::{Fields, Tuple, Value};
 use dsdps::window::{WindowAggregate, WindowAssigner, WindowedBolt};
@@ -752,6 +752,14 @@ fn ack_item() -> impl Strategy<Value = AckItem> {
     })
 }
 
+/// A snapshot as it travels in `CheckpointDeposit` / `RestoreState`: either
+/// kind, any payload (the codec carries it opaquely).
+fn wire_snapshot() -> impl Strategy<Value = StateSnapshot> {
+    let kind = prop_oneof![Just(SnapshotKind::Full), Just(SnapshotKind::Delta)];
+    (kind, prop::collection::vec(any::<u8>(), 0..64))
+        .prop_map(|(kind, bytes)| StateSnapshot { kind, bytes })
+}
+
 /// An endpoint string (the codec carries it opaquely; only the transport
 /// parses it).
 fn endpoint() -> impl Strategy<Value = String> {
@@ -818,27 +826,25 @@ fn any_frame() -> BoxedStrategy<Frame> {
         (0u32..64, any::<u64>()).prop_map(|(task, amount)| Frame::CreditGrant { task, amount }),
         (
             0u32..64,
-            prop::collection::vec(any::<u8>(), 0..64),
+            wire_snapshot(),
             prop::collection::vec(any::<u64>(), 0..8),
         )
-            .prop_map(|(task, payload, dedup)| Frame::CheckpointDeposit {
+            .prop_map(|(task, snapshot, dedup)| Frame::CheckpointDeposit {
                 task,
-                payload,
+                snapshot,
                 dedup,
             }),
         (0u32..8, prop::collection::vec(0.0f64..1.0e6, 0..6))
             .prop_map(|(edge, weights)| Frame::SetRatio { edge, weights }),
+        // Nothing, a base alone, or a base with deltas after it.
         (
             0u32..64,
-            prop_oneof![
-                Just(None),
-                prop::collection::vec(any::<u8>(), 0..32).prop_map(Some)
-            ],
+            prop::collection::vec(wire_snapshot(), 0..4),
             prop::collection::vec(any::<u64>(), 0..8),
         )
-            .prop_map(|(task, payload, dedup)| Frame::RestoreState {
+            .prop_map(|(task, snapshots, dedup)| Frame::RestoreState {
                 task,
-                payload,
+                snapshots,
                 dedup,
             }),
         (0u32..64, any::<bool>(), any::<u64>()).prop_map(|(task, ok, latency_us)| {
