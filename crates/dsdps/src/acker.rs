@@ -60,6 +60,33 @@ impl TreeOutcome {
     }
 }
 
+/// Storm's ack record: what one executed tuple did to its tree.  Records
+/// of one tree commute — each edge id is XORed in by the record of the
+/// tuple that emitted it and out by the record of the tuple that executed
+/// it — so they may reach the acker in any order once the tree is tracked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckRecord {
+    /// Root id of the tree.
+    pub root: RootId,
+    /// The executed delivery's edge id XOR the fresh edge id of every
+    /// anchored tuple it emitted; zero in the acker means complete.
+    pub xor: u64,
+    /// The bolt failed the tuple, or an anchored emission was bound for a
+    /// dead peer: the whole tree fails.
+    pub failed: bool,
+}
+
+impl AckRecord {
+    /// The record that fails `root`'s tree.
+    pub fn failed(root: RootId) -> Self {
+        AckRecord {
+            root,
+            xor: 0,
+            failed: true,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Pending {
     ack_val: u64,
@@ -174,6 +201,16 @@ impl Acker {
         }
     }
 
+    /// Applies one executed tuple's record.  A record for an unknown root
+    /// (never tracked, already failed or timed out) is ignored.
+    pub fn on_record(&mut self, record: AckRecord, now: f64) {
+        if record.failed {
+            self.on_fail(record.root, now);
+        } else {
+            self.on_ack(record.root, record.xor, now);
+        }
+    }
+
     fn finish(&mut self, root: RootId, completion: Completion, now: f64) {
         if let Some(p) = self.pending.remove(&root) {
             self.outcomes.push(TreeOutcome {
@@ -245,12 +282,15 @@ impl Acker {
 /// because a root always maps to the same shard; operations on *different*
 /// roots commute.
 ///
-/// Edge ids come from one shared lock-free counter so the scrambled
-/// sequence stays globally unique, exactly as with a single acker.
+/// The runtimes draw edge ids from per-thread `EdgeIds`;
+/// [`new_edge_id`](Self::new_edge_id) serves callers that drive the acker
+/// directly, from one shared lock-free counter.
 #[derive(Debug)]
 pub struct ShardedAcker {
     shards: Vec<Mutex<Acker>>,
     next_edge: AtomicU64,
+    /// Ack records applied through `AckOps` (a statistic).
+    records: AtomicU64,
 }
 
 impl ShardedAcker {
@@ -261,6 +301,7 @@ impl ShardedAcker {
                 .map(|_| Mutex::new(Acker::new()))
                 .collect(),
             next_edge: AtomicU64::new(0),
+            records: AtomicU64::new(0),
         }
     }
 
@@ -329,6 +370,13 @@ impl ShardedAcker {
         self.shards[self.shard_of(root)].lock().on_fail(root, now);
     }
 
+    /// Applies one executed tuple's record.  See [`Acker::on_record`].
+    pub fn on_record(&self, record: AckRecord, now: f64) {
+        self.shards[self.shard_of(record.root)]
+            .lock()
+            .on_record(record, now);
+    }
+
     /// Fails every pending tree in every shard.  See [`Acker::fail_all`].
     pub fn fail_all(&self, now: f64) -> Vec<RootId> {
         let mut roots = Vec::new();
@@ -374,6 +422,147 @@ impl ShardedAcker {
     /// Trees still in flight, summed over shards.
     pub fn pending_count(&self) -> usize {
         self.shards.iter().map(|s| s.lock().pending_count()).sum()
+    }
+
+    /// Ack records the runtime's task threads (or, on `dist`, the
+    /// coordinator's readers) have applied so far.
+    pub fn records_applied(&self) -> u64 {
+        self.records.load(Ordering::Relaxed)
+    }
+}
+
+/// One deferred acker operation.  Timestamps are captured when the op is
+/// queued, so deferring application does not skew latency accounting.
+enum AckOp {
+    /// Registers a tree with the XOR of its first-hop edge ids.
+    Track {
+        root: RootId,
+        xor: u64,
+        spout_task: TaskId,
+        message_id: MessageId,
+        now_s: f64,
+    },
+    Record {
+        record: AckRecord,
+        now_s: f64,
+    },
+}
+
+/// Deferred acker ops owned by one thread, partitioned by acker shard and
+/// applied one lock acquisition per dirty shard.
+///
+/// Ops on the same root land in the same partition in push order, so a
+/// spout's `Track` stays ahead of whatever it queues for the same tree;
+/// ops on different roots commute (independent XOR accumulators).
+/// Completed-tree outcomes are drained *while the shard lock is still
+/// held*, which is what lets other threads skip busy shards when they
+/// scavenge outcomes: the op-applier takes its own completions home.
+pub(crate) struct AckOps {
+    per_shard: Vec<Vec<AckOp>>,
+    len: usize,
+    /// Completed-tree outcomes drained while applying (delivered by the
+    /// owning thread).
+    outcomes: Vec<TreeOutcome>,
+}
+
+impl AckOps {
+    /// An op queue partitioned over `num_shards` acker stripes.
+    pub(crate) fn new(num_shards: usize) -> Self {
+        Self {
+            per_shard: (0..num_shards.max(1)).map(|_| Vec::new()).collect(),
+            len: 0,
+            outcomes: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, root: RootId, op: AckOp) {
+        let shard = (root % self.per_shard.len() as u64) as usize;
+        self.per_shard[shard].push(op);
+        self.len += 1;
+    }
+
+    /// Queues the registration of a tree whose first-hop edge ids XOR to
+    /// `xor`.  It must be applied before any of those deliveries can be
+    /// executed: a record that beat it would find no tree and be lost.
+    pub(crate) fn track(
+        &mut self,
+        root: RootId,
+        xor: u64,
+        spout_task: TaskId,
+        message_id: MessageId,
+        now_s: f64,
+    ) {
+        let op = AckOp::Track {
+            root,
+            xor,
+            spout_task,
+            message_id,
+            now_s,
+        };
+        self.push(root, op);
+    }
+
+    /// Queues one executed tuple's record.
+    pub(crate) fn record(&mut self, record: AckRecord, now_s: f64) {
+        self.push(record.root, AckOp::Record { record, now_s });
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Applies all queued ops, taking each dirty shard's lock exactly once
+    /// and applying that shard's ops in queue order.  Outcomes completed by
+    /// these ops are drained under the same lock acquisition and held in
+    /// this queue until [`take_outcomes`](Self::take_outcomes).
+    pub(crate) fn apply(&mut self, ackers: &ShardedAcker) {
+        if self.len == 0 {
+            return;
+        }
+        let mut records = 0;
+        for (idx, ops) in self.per_shard.iter_mut().enumerate() {
+            if ops.is_empty() {
+                continue;
+            }
+            let mut acker = ackers.shard(idx).lock();
+            for op in ops.drain(..) {
+                match op {
+                    AckOp::Track {
+                        root,
+                        xor,
+                        spout_task,
+                        message_id,
+                        now_s,
+                    } => {
+                        acker.track(root, xor, spout_task, message_id, now_s);
+                        if xor == 0 {
+                            // Reached nothing: complete with zero deliveries.
+                            acker.on_ack(root, 0, now_s);
+                        }
+                    }
+                    AckOp::Record { record, now_s } => {
+                        acker.on_record(record, now_s);
+                        records += 1;
+                    }
+                }
+            }
+            acker.drain_outcomes_into(&mut self.outcomes);
+        }
+        if records > 0 {
+            ackers.records.fetch_add(records, Ordering::Relaxed);
+        }
+        self.len = 0;
+    }
+
+    /// True when applied ops completed trees whose outcomes still await
+    /// delivery.
+    pub(crate) fn has_outcomes(&self) -> bool {
+        !self.outcomes.is_empty()
+    }
+
+    /// Takes the outcomes drained by [`apply`](Self::apply).
+    pub(crate) fn take_outcomes(&mut self) -> Vec<TreeOutcome> {
+        std::mem::take(&mut self.outcomes)
     }
 }
 
@@ -620,5 +809,44 @@ mod tests {
         assert_eq!(per_root.len(), 2);
         assert_eq!(per_root[&31], vec![Completion::Acked]);
         assert_eq!(per_root[&32], vec![Completion::Acked]);
+    }
+
+    /// `AckOps` applies a thread's ops shard by shard: a tree registered
+    /// with no edge outstanding completes at once, one with edges when its
+    /// records have come in, and the applier takes the outcomes home.
+    #[test]
+    fn ack_ops_register_apply_and_count() {
+        let ackers = ShardedAcker::new(4);
+        let mut ops = AckOps::new(ackers.num_shards());
+        ops.track(1, 0, TaskId(0), 10, 0.5);
+        ops.track(2, 0xa ^ 0xb, TaskId(0), 20, 0.5);
+        ops.track(3, 0xc, TaskId(0), 30, 0.5);
+        let record = |root, xor| AckRecord {
+            root,
+            xor,
+            failed: false,
+        };
+        // The child's record (edge `d`) overtakes its parent's (`a ^ d`).
+        ops.record(record(2, 0xd), 1.0);
+        ops.record(record(2, 0xb), 1.0);
+        assert!(!ops.is_empty());
+        ops.apply(&ackers);
+        assert!(ops.is_empty() && ops.has_outcomes());
+        let done = ops.take_outcomes();
+        assert_eq!(done.len(), 1, "only the tree that reached nothing");
+        assert_eq!(
+            (done[0].message_id, done[0].completion),
+            (10, Completion::Acked)
+        );
+        ops.record(record(2, 0xa ^ 0xd), 2.0);
+        ops.record(AckRecord::failed(3), 2.0);
+        ops.record(record(9, 0x1), 2.0);
+        ops.apply(&ackers);
+        let mut done = ops.take_outcomes();
+        done.sort_by_key(|o| o.message_id);
+        let done: Vec<_> = done.iter().map(|o| (o.message_id, o.completion)).collect();
+        assert_eq!(done, [(20, Completion::Acked), (30, Completion::Failed)]);
+        assert_eq!(ackers.pending_count(), 0);
+        assert_eq!(ackers.records_applied(), 5);
     }
 }

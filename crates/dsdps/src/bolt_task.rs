@@ -1,19 +1,21 @@
 //! One bolt step, one checkpoint cycle.
 //!
-//! A [`BoltTask`] is one bolt instance plus — only when the bolt is
-//! stateful and the run checkpoints — the [`CheckpointCycle`] that decides
-//! what a recovery guarantee means for that task: whether a replayed input
-//! is applied again, when the ack record of an applied input may leave,
-//! when a snapshot is due and of which kind, what a restore rebuilds.  It
-//! holds no clock, thread, socket or store: `rt`'s task thread and `dist`'s
-//! worker executor step it from their own loops and ship what it hands
-//! back — ack records of their own type `R` (an acker op on `rt`, a wire
-//! ack item on `dist`), snapshots, logged inputs.  What a [`RecoveryMode`]
-//! makes a task do is the one table in [`Policy::of`] (`DESIGN.md` §6.2).
+//! A [`BoltTask`] is one bolt instance, the [`FanOut`] its emissions leave
+//! through and — only when the bolt is stateful and the run checkpoints —
+//! the [`CheckpointCycle`] that decides what a recovery guarantee means for
+//! that task: whether a replayed input is applied again, when the ack record
+//! of an applied input may leave, when a snapshot is due and of which kind,
+//! what a restore rebuilds.  It holds no clock, thread, socket or store:
+//! `rt`'s task thread and `dist`'s worker executor step it from their own
+//! loops, take each delivery it produces into their sink, and ship what it
+//! hands back — the input's [`AckRecord`], snapshots, logged inputs.  What a
+//! [`RecoveryMode`] makes a task do is the one table in [`Policy::of`]
+//! (`DESIGN.md` §6.2).
 
-use crate::acker::{splitmix64, RootId};
+use crate::acker::{splitmix64, AckRecord, RootId};
 use crate::checkpoint::{DedupWindow, LoggedInput, RecoveryMode, Restored, StateSnapshot};
 use crate::component::{Bolt, BoltOutput, Emission, MessageId, TopologyContext};
+use crate::route::{Delivery, FanOut};
 use crate::tuple::Tuple;
 
 /// Every Nth snapshot of an incarnation is full, starting with the first;
@@ -76,13 +78,13 @@ impl Policy {
 /// tuple's own: a replayed tree re-executes the same bolts on the same
 /// inputs, re-derives the same ids hop by hop, and a stateful bolt any
 /// number of hops downstream recognizes the replay.
-pub(crate) fn child_dedup(parent: MessageId, idx: usize) -> MessageId {
+fn child_dedup(parent: MessageId, idx: usize) -> MessageId {
     splitmix64(parent ^ splitmix64(idx as u64 + 1))
 }
 
 /// What the `idx`-th emission of a step inherits from the step's input:
 /// the tree it extends (anchored emissions only) and, with it, its dedup id.
-pub(crate) fn inherit(
+fn inherit(
     emission: &Emission,
     idx: usize,
     root: Option<RootId>,
@@ -93,27 +95,32 @@ pub(crate) fn inherit(
     (root, dedup.map(|id| child_dedup(id, idx)))
 }
 
-/// How [`BoltTask::step`] disposed of an input.
+/// What [`BoltTask::step`] did with an input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// The bolt ran; `failed` is whether it failed the input.
-    Executed { failed: bool },
-    /// A replay of an input already applied: not run again, but its ack
-    /// record is still owed (through [`BoltTask::settle`]).
-    Replayed,
+pub(crate) struct Stepped {
+    /// The bolt ran; `false` for a replay of an input already applied,
+    /// which is acknowledged but not run again.
+    pub(crate) executed: bool,
+    /// The bolt failed the input.
+    pub(crate) failed: bool,
+    /// The input's ack record — its edge XOR the edges of the anchored
+    /// tuples it emitted — when it may leave now.  `None` for an unanchored
+    /// input, and for one whose record the cycle withholds until the next
+    /// [`take`](BoltTask::take) hands it back.
+    pub(crate) record: Option<AckRecord>,
 }
 
 /// One snapshot on its way to the store, and what it covers.
-pub(crate) struct Deposit<R> {
+pub(crate) struct Deposit {
     pub(crate) snapshot: StateSnapshot,
     /// The replay-dedup ids as of the snapshot.
     pub(crate) dedup: Vec<MessageId>,
     /// The ack records withheld for it: free to leave behind the snapshot.
-    pub(crate) released: Vec<R>,
+    pub(crate) released: Vec<AckRecord>,
 }
 
 /// The recovery bookkeeping of one incarnation of a stateful task.
-pub(crate) struct CheckpointCycle<R> {
+pub(crate) struct CheckpointCycle {
     policy: Policy,
     interval_s: f64,
     /// Snapshots taken this incarnation (0 ⇒ the next one is full).
@@ -123,12 +130,12 @@ pub(crate) struct CheckpointCycle<R> {
     /// Inputs applied and ticks run since then: what the store lacks.
     changes: usize,
     dedup: DedupWindow,
-    withheld: Vec<R>,
+    withheld: Vec<AckRecord>,
     /// Applied inputs not yet handed to the store's log.
     log: Vec<LoggedInput>,
 }
 
-impl<R> CheckpointCycle<R> {
+impl CheckpointCycle {
     /// Whether a snapshot is due: never while the store already holds this
     /// state and owes nobody an ack.
     fn due(&self, now_s: f64, force: bool) -> bool {
@@ -137,18 +144,24 @@ impl<R> CheckpointCycle<R> {
     }
 }
 
-/// One bolt task: the bolt and, when it is checkpointed, its cycle.
-pub(crate) struct BoltTask<R> {
+/// One bolt task: the bolt, where its emissions go and, when it is
+/// checkpointed, its cycle.
+pub(crate) struct BoltTask {
     bolt: Box<dyn Bolt>,
-    cycle: Option<CheckpointCycle<R>>,
+    cycle: Option<CheckpointCycle>,
+    fan: FanOut,
+    /// Reused across steps.
+    out: BoltOutput,
+    emissions: Vec<Emission>,
 }
 
-impl<R> BoltTask<R> {
+impl BoltTask {
     /// Prepares `bolt`; it gets a cycle when it reports state and the run
     /// checkpoints (`checkpoints`: the policy and the snapshot interval).
     pub(crate) fn new(
         mut bolt: Box<dyn Bolt>,
         ctx: &TopologyContext,
+        fan: FanOut,
         checkpoints: Option<(Policy, f64)>,
         now_s: f64,
     ) -> Self {
@@ -166,7 +179,13 @@ impl<R> BoltTask<R> {
                 withheld: Vec::new(),
                 log: Vec::new(),
             });
-        BoltTask { bolt, cycle }
+        BoltTask {
+            bolt,
+            cycle,
+            fan,
+            out: BoltOutput::new(),
+            emissions: Vec::new(),
+        }
     }
 
     /// Whether this task snapshots and restores its state.
@@ -174,37 +193,42 @@ impl<R> BoltTask<R> {
         self.cycle.is_some()
     }
 
-    /// Runs one input through the bolt, unless it is a replay of one
-    /// already applied.  Emissions land in `emissions`.
+    /// Runs one delivery — its tuple, its `(root, edge)` anchor and its
+    /// replay-dedup id — through the bolt, unless it is a replay of an input
+    /// already applied; hands `sink` every delivery its emissions fan out
+    /// to, and produces its ack record.
     pub(crate) fn step(
         &mut self,
         tuple: &Tuple,
+        anchor: Option<(RootId, u64)>,
         dedup: Option<MessageId>,
-        out: &mut BoltOutput,
-        emissions: &mut Vec<Emission>,
-    ) -> Step {
-        if let (Some(cycle), Some(id)) = (&self.cycle, dedup) {
-            if cycle.dedup.contains(id) {
-                return Step::Replayed;
-            }
+        now_s: f64,
+        sink: impl FnMut(usize, Delivery),
+    ) -> Stepped {
+        let replay = match (&self.cycle, dedup) {
+            (Some(cycle), Some(id)) => cycle.dedup.contains(id),
+            _ => false,
+        };
+        self.out.set_now(now_s);
+        let failed = !replay && self.apply(tuple, dedup, true);
+        let children = self.fan_out(anchor.map(|(root, _)| root), dedup, sink);
+        let record = anchor.and_then(|(root, edge)| {
+            let xor = edge ^ children;
+            self.settle(AckRecord { root, xor, failed })
+        });
+        Stepped {
+            executed: !replay,
+            failed,
+            record,
         }
-        let failed = self.apply(tuple, dedup, true, out, emissions);
-        Step::Executed { failed }
     }
 
     /// The one place a bolt executes.  An input counts as applied — id
     /// remembered, input logged — even if the bolt then failed it: the
     /// state mutation happened.
-    fn apply(
-        &mut self,
-        tuple: &Tuple,
-        dedup: Option<MessageId>,
-        log: bool,
-        out: &mut BoltOutput,
-        emissions: &mut Vec<Emission>,
-    ) -> bool {
-        self.bolt.execute(tuple, out);
-        let failed = out.drain_into(emissions);
+    fn apply(&mut self, tuple: &Tuple, dedup: Option<MessageId>, log: bool) -> bool {
+        self.bolt.execute(tuple, &mut self.out);
+        let failed = self.out.drain_into(&mut self.emissions);
         if let Some(cycle) = &mut self.cycle {
             cycle.changes += 1;
             if let Some(id) = dedup.filter(|_| cycle.policy.dedup) {
@@ -213,7 +237,7 @@ impl<R> BoltTask<R> {
             if log && cycle.policy.on_restore == OnRestore::ReexecuteLog {
                 cycle.log.push(LoggedInput {
                     tuple: tuple.clone(),
-                    now_s: out.now_s(),
+                    now_s: self.out.now_s(),
                     dedup,
                 });
             }
@@ -221,12 +245,29 @@ impl<R> BoltTask<R> {
         failed
     }
 
+    /// Fans out what the bolt left in `emissions`: the anchored ones extend
+    /// `root`'s tree under dedup ids derived from `dedup`.  Returns the XOR
+    /// of the edge ids drawn.
+    fn fan_out(
+        &mut self,
+        root: Option<RootId>,
+        dedup: Option<MessageId>,
+        mut sink: impl FnMut(usize, Delivery),
+    ) -> u64 {
+        let mut xor = 0;
+        for (i, emission) in self.emissions.drain(..).enumerate() {
+            let (root, dedup) = inherit(&emission, i, root, dedup);
+            xor ^= self.fan.route(emission, root, dedup, &mut sink);
+        }
+        xor
+    }
+
     /// When the ack record of the input just stepped may leave: `Some` =
     /// now, `None` = withheld until the next [`take`](Self::take) hands it
     /// back.  A failure never waits.
-    pub(crate) fn settle(&mut self, record: R, failed: bool) -> Option<R> {
+    fn settle(&mut self, record: AckRecord) -> Option<AckRecord> {
         match &mut self.cycle {
-            Some(cycle) if cycle.policy.withhold_acks && !failed => {
+            Some(cycle) if cycle.policy.withhold_acks && !record.failed => {
                 cycle.withheld.push(record);
                 None
             }
@@ -243,7 +284,7 @@ impl<R> BoltTask<R> {
     /// Takes a snapshot if one is due (`force`: whatever the interval).
     /// The first of an incarnation is full, so a delta always finds a base
     /// of its own generation in the store.
-    pub(crate) fn take(&mut self, now_s: f64, force: bool) -> Option<Deposit<R>> {
+    pub(crate) fn take(&mut self, now_s: f64, force: bool) -> Option<Deposit> {
         let cycle = self.cycle.as_mut().filter(|c| c.due(now_s, force))?;
         let state = self.bolt.stateful()?;
         let delta = if cycle.taken.is_multiple_of(FULL_EVERY) {
@@ -267,12 +308,7 @@ impl<R> BoltTask<R> {
     /// — emissions discarded (the originals were routed before the crash)
     /// and not logged again (the store keeps them until the next snapshot).
     /// `false` when the snapshot does not restore: the task runs fresh.
-    pub(crate) fn restore(
-        &mut self,
-        from: Restored,
-        out: &mut BoltOutput,
-        emissions: &mut Vec<Emission>,
-    ) -> bool {
+    pub(crate) fn restore(&mut self, from: Restored) -> bool {
         if let Some(base) = &from.base {
             let state = self.bolt.stateful();
             if state.is_none_or(|s| s.restore(base, &from.deltas).is_err()) {
@@ -283,21 +319,24 @@ impl<R> BoltTask<R> {
             cycle.dedup = DedupWindow::from_ids(from.dedup);
         }
         for input in &from.input_log {
-            out.set_now(input.now_s);
-            self.apply(&input.tuple, input.dedup, false, out, emissions);
-            emissions.clear();
+            self.out.set_now(input.now_s);
+            self.apply(&input.tuple, input.dedup, false);
+            self.emissions.clear();
         }
         true
     }
 
-    /// Ticks the bolt; a tick may change state (a window closing), so it
-    /// counts as a change the store lacks.
-    pub(crate) fn tick(&mut self, out: &mut BoltOutput, emissions: &mut Vec<Emission>) {
-        self.bolt.tick(out);
-        out.drain_into(emissions);
+    /// Ticks the bolt and fans out what it emits (no input tuple, so never
+    /// anchored); a tick may change state (a window closing), so it counts
+    /// as a change the store lacks.
+    pub(crate) fn tick(&mut self, now_s: f64, sink: impl FnMut(usize, Delivery)) {
+        self.out.set_now(now_s);
+        self.bolt.tick(&mut self.out);
+        self.out.drain_into(&mut self.emissions);
         if let Some(cycle) = &mut self.cycle {
             cycle.changes += 1;
         }
+        self.fan_out(None, None, sink);
     }
 
     /// Clean shutdown of the bolt.
@@ -366,12 +405,19 @@ mod tests {
     }
 
     /// What a snapshot of `task` would hold right now (without taking one).
-    fn tally_of(task: &mut BoltTask<u64>) -> BTreeMap<u64, u64> {
+    fn tally_of(task: &mut BoltTask) -> BTreeMap<u64, u64> {
         let snap = task.bolt.stateful().unwrap().snapshot();
         snap.decode::<Vec<(u64, u64)>>()
             .unwrap()
             .into_iter()
             .collect()
+    }
+
+    /// Steps input `id` — edge 7 of the tree rooted at `id` — through `task`.
+    fn step(task: &mut BoltTask, id: u64, fail: bool, now_s: f64) -> Stepped {
+        let tuple = Tuple::of([Value::from(id as i64), Value::from(fail as i64)]);
+        let sink = |_, _| unreachable!("nobody subscribes to the tally");
+        task.step(&tuple, Some((id, 7)), Some(id), now_s, sink)
     }
 
     #[derive(Debug, Clone)]
@@ -414,10 +460,8 @@ mod tests {
         policy: Policy,
         store: CheckpointStore,
         generation: u64,
-        task: BoltTask<u64>,
+        task: BoltTask,
         now_s: f64,
-        out: BoltOutput,
-        emissions: Vec<Emission>,
         /// Every id ever sent, with when the spout tracked it.
         sent: Vec<(u64, f64)>,
         /// Ids whose ack (not failure) record left the task.
@@ -436,22 +480,18 @@ mod tests {
                 generation: 0,
                 task: Self::incarnation(policy, 0.0),
                 now_s: 0.0,
-                out: BoltOutput::new(),
-                emissions: Vec::new(),
                 sent: Vec::new(),
                 acked: BTreeSet::new(),
                 skipped: BTreeSet::new(),
             }
         }
 
-        fn incarnation(policy: Policy, now_s: f64) -> BoltTask<u64> {
+        /// Nobody subscribes to the tally, so its fan-out reaches nothing.
+        fn incarnation(policy: Policy, now_s: f64) -> BoltTask {
             let ctx = TopologyContext::solo("tally");
-            BoltTask::new(
-                Box::new(Tally::default()),
-                &ctx,
-                Some((policy, INTERVAL_S)),
-                now_s,
-            )
+            let fan = FanOut::default();
+            let checkpoints = Some((policy, INTERVAL_S));
+            BoltTask::new(Box::new(Tally::default()), &ctx, fan, checkpoints, now_s)
         }
 
         fn owed(&self) -> Vec<u64> {
@@ -459,22 +499,16 @@ mod tests {
             self.sent.iter().map(|&(id, _)| id).filter(open).collect()
         }
 
-        /// One input, then what a driver does at the end of a batch: log
-        /// first, then let the record go.
+        /// One input (its tree's root is its id), then what a driver does
+        /// at the end of a batch: log first, then let the record go.
         fn deliver(&mut self, id: u64, fail: bool) {
-            let tuple = Tuple::of([Value::from(id as i64), Value::from(fail as i64)]);
-            self.out.set_now(self.now_s);
-            let step = self
-                .task
-                .step(&tuple, Some(id), &mut self.out, &mut self.emissions);
-            let failed = step == Step::Executed { failed: true };
-            assert_eq!(failed, fail && step != Step::Replayed);
-            let record = self.task.settle(id, failed);
+            let step = step(&mut self.task, id, fail, self.now_s);
+            assert_eq!(step.failed, fail && step.executed);
             for input in self.task.drain_log() {
                 self.store.append_input(0, self.generation, input);
             }
-            if let (Some(id), false) = (record, failed) {
-                self.acked.insert(id);
+            if let Some(record) = step.record.filter(|r| !r.failed) {
+                self.acked.insert(record.root);
             }
         }
 
@@ -495,7 +529,7 @@ mod tests {
                 0,
             );
             assert!(stored.is_some(), "a delta always finds its base");
-            self.acked.extend(deposit.released);
+            self.acked.extend(deposit.released.iter().map(|r| r.root));
         }
 
         /// The task dies with everything it held; its successor restores.
@@ -513,7 +547,7 @@ mod tests {
                     .filter(|(id, at)| *at < cut && owed.contains(id));
                 self.skipped.extend(doomed.map(|&(id, _)| id));
             }
-            assert!(self.task.restore(from, &mut self.out, &mut self.emissions));
+            assert!(self.task.restore(from));
         }
 
         /// The withhold invariant: were the task to die now, every
@@ -521,7 +555,7 @@ mod tests {
         fn check_acked_effects_are_durable(&mut self) {
             let mut heir = Self::incarnation(self.policy, self.now_s);
             if let Some(from) = self.store.load(0, self.generation) {
-                assert!(heir.restore(from, &mut self.out, &mut self.emissions));
+                assert!(heir.restore(from));
             }
             let durable = tally_of(&mut heir);
             for id in &self.acked {
@@ -556,9 +590,7 @@ mod tests {
                     }
                 }
                 Op::Take { force } => w.take(force),
-                Op::Tick => {
-                    w.task.tick(&mut w.out, &mut w.emissions);
-                }
+                Op::Tick => w.task.tick(w.now_s, |_, _| {}),
                 Op::Crash => w.crash(),
             }
             w.check_acked_effects_are_durable();
@@ -631,34 +663,119 @@ mod tests {
     #[test]
     fn nothing_is_due_while_nothing_changed() {
         let policy = Policy::of(RecoveryMode::ExactlyOnceEffect, false);
-        let mut task: BoltTask<u64> = World::incarnation(policy, 0.0);
-        let (mut out, mut emissions) = (BoltOutput::new(), Vec::new());
+        let mut task = World::incarnation(policy, 0.0);
         assert!(task.take(5.0, true).is_none(), "never applied anything");
-        let tuple = Tuple::of([Value::from(1i64), Value::from(0i64)]);
-        let step = task.step(&tuple, Some(1), &mut out, &mut emissions);
-        assert_eq!(step, Step::Executed { failed: false });
-        assert_eq!(task.settle(7, false), None, "withheld");
+        let first = step(&mut task, 1, false, 0.0);
+        assert!(first.executed && !first.failed);
+        assert_eq!(first.record, None, "withheld");
         assert!(task.take(0.5, false).is_none(), "interval not over");
         let deposit = task.take(1.0, false).expect("due");
-        assert_eq!((deposit.released, deposit.dedup), (vec![7], vec![1]));
+        // The tally emits nothing, so its record is its input's edge.
+        let record = AckRecord {
+            root: 1,
+            xor: 7,
+            failed: false,
+        };
+        assert_eq!((deposit.released, deposit.dedup), (vec![record], vec![1]));
         assert!(task.take(9.0, true).is_none(), "store is current");
-        let step = task.step(&tuple, Some(1), &mut out, &mut emissions);
-        assert_eq!(step, Step::Replayed);
-        assert_eq!(task.settle(8, false), None, "a replay's ack waits too");
+        let again = step(&mut task, 1, false, 9.0);
+        assert!(!again.executed, "a replay");
+        assert_eq!(again.record, None, "a replay's ack waits too");
         assert_eq!(
             task.take(9.0, false).expect("owes an ack").released,
-            vec![8]
+            vec![record]
         );
-        // A stateless task has no cycle at all: every record leaves at once.
+        // A failure never waits, and neither does a stateless task, which
+        // has no cycle at all.
+        assert!(step(&mut task, 2, true, 9.0)
+            .record
+            .is_some_and(|r| r.failed));
         struct Plain;
         impl Bolt for Plain {
             fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {}
         }
         let ctx = TopologyContext::solo("plain");
-        let mut plain: BoltTask<u64> =
-            BoltTask::new(Box::new(Plain), &ctx, Some((policy, 1.0)), 0.0);
+        let fan = FanOut::default();
+        let mut plain = BoltTask::new(Box::new(Plain), &ctx, fan, Some((policy, 1.0)), 0.0);
         assert!(!plain.is_checkpointed());
-        assert_eq!(plain.settle(7, false), Some(7));
+        assert_eq!(step(&mut plain, 1, false, 0.0).record, Some(record));
+    }
+
+    /// The record a step produces covers its input edge and every edge the
+    /// fan-out drew for an anchored delivery — nothing for an unanchored
+    /// one — so the acker's accumulator returns to zero exactly when every
+    /// delivery has been executed.
+    #[test]
+    fn a_steps_record_covers_its_input_and_every_anchored_child() {
+        use crate::component::{Spout, SpoutOutput};
+        use crate::topology::TopologyBuilder;
+
+        struct Src;
+        impl Spout for Src {
+            fn next_tuple(&mut self, _out: &mut SpoutOutput) -> bool {
+                false
+            }
+        }
+        /// Two anchored emissions and an unanchored one per input.
+        struct Fan;
+        impl Bolt for Fan {
+            fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
+                out.emit(tuple.clone());
+                out.emit_unanchored(tuple.clone());
+                out.emit(tuple.clone());
+            }
+        }
+        struct Sink;
+        impl Bolt for Sink {
+            fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {}
+        }
+        let mut b = TopologyBuilder::new("fan");
+        b.set_spout("src", 1, || Src).unwrap();
+        b.set_bolt("fan", 1, || Fan)
+            .unwrap()
+            .shuffle_grouping("src")
+            .unwrap();
+        b.set_bolt("all", 2, || Sink)
+            .unwrap()
+            .all_grouping("fan")
+            .unwrap();
+        b.set_bolt("one", 1, || Sink)
+            .unwrap()
+            .shuffle_grouping("fan")
+            .unwrap();
+        let topology = b.build().unwrap();
+        let fan = topology.component_by_name("fan").unwrap();
+        let ctx = TopologyContext::solo("fan");
+        let fan_out = FanOut::new(&topology, fan, 0, 11);
+        let mut task = BoltTask::new(Box::new(Fan), &ctx, fan_out, None, 0.0);
+
+        let tuple = Tuple::of([Value::from(1i64)]);
+        let (mut anchored, mut unanchored) = (Vec::new(), 0);
+        let step = task.step(&tuple, Some((9, 0xabc)), Some(5), 0.0, |_, d| {
+            match d.anchor {
+                Some((root, edge)) => {
+                    assert_eq!((root, d.dedup.is_some()), (9, true));
+                    anchored.push(edge);
+                }
+                None => {
+                    assert_eq!(d.dedup, None);
+                    unanchored += 1;
+                }
+            }
+        });
+        // Each emission reaches both `all` tasks and the `one` task.
+        assert_eq!((anchored.len(), unanchored), (6, 3));
+        let children = anchored.iter().fold(0, |acc, e| acc ^ e);
+        let record = step.record.expect("stateless: leaves at once");
+        assert_eq!((record.root, record.failed), (9, false));
+        assert_eq!(record.xor, 0xabc ^ children);
+        anchored.sort_unstable();
+        anchored.dedup();
+        assert_eq!(anchored.len(), 6, "edge ids are fresh");
+
+        // An unanchored input has no tree: no record, no edges drawn.
+        let step = task.step(&tuple, None, None, 0.0, |_, d| assert!(d.anchor.is_none()));
+        assert_eq!(step.record, None);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! checkpoint store reuses them for compact state snapshots (see
 //! [`crate::checkpoint`]).
 
+/// An [`AckBatch`](Frame::AckBatch) item is the crate's ack record.
+pub use crate::acker::AckRecord as AckItem;
 use crate::checkpoint::{SnapshotKind, StateSnapshot};
 use crate::rt::CreditTotals;
 use crate::topology::Topology;
@@ -403,30 +405,6 @@ pub struct WireMetric {
     pub peer: Option<u32>,
     /// Counter delta, or `f64::to_bits` of the gauge value.
     pub value: u64,
-}
-
-/// Storm's ack record: what one executed tuple did to its tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AckItem {
-    /// Root id of the tree.
-    pub root: u64,
-    /// The executed delivery's edge id XOR the fresh edge id of every
-    /// anchored tuple it emitted; zero in the acker means complete.
-    pub xor: u64,
-    /// The bolt failed the tuple, or an anchored emission was bound for a
-    /// dead peer: the whole tree fails.
-    pub failed: bool,
-}
-
-impl AckItem {
-    /// The record that fails `root`'s tree.
-    pub fn failed(root: u64) -> Self {
-        AckItem {
-            root,
-            xor: 0,
-            failed: true,
-        }
-    }
 }
 
 /// A worker's answer to [`Frame::Flush`]: its send-side accounting at the

@@ -28,11 +28,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::codec::{FlushReport, Frame, InternTable, WirePeer, WireTuple};
-use super::router::{route_tables, Outbox};
+use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::TopologyRegistry;
 use super::{recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine};
-use crate::acker::{EdgeIds, RootId, ShardedAcker, TreeOutcome};
+use crate::acker::{AckOps, RootId, ShardedAcker, TreeOutcome};
 use crate::bolt_task::Policy;
 use crate::checkpoint::{CheckpointStore, StoreCounters};
 use crate::component::{Emission, MessageId, SpoutOutput, TopologyContext};
@@ -41,8 +41,7 @@ use crate::error::{Error, Result};
 use crate::grouping::dynamic::DynamicGroupingHandle;
 use crate::lifecycle::{deliver_outcomes, TreeCounters, TreeLifecycle};
 use crate::metrics::{LatencyHistogram, OnlineStats};
-use crate::route::RouteTable;
-use crate::rt::batch::{AckOp, AckOps};
+use crate::route::FanOut;
 use crate::rt::{CreditLedger, CreditTotals, RtConfig, StateSnapshot};
 use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
@@ -404,16 +403,7 @@ fn reader_loop(
             Frame::AckBatch { items } => {
                 let now_s = shared.now_s();
                 for item in items {
-                    let root = item.root;
-                    ops.push(if item.failed {
-                        AckOp::Fail { root, now_s }
-                    } else {
-                        AckOp::Ack {
-                            root,
-                            edge: item.xor,
-                            now_s,
-                        }
-                    });
+                    ops.record(item, now_s);
                 }
                 ops.apply(&shared.ackers);
                 shared.deliver(ops.take_outcomes());
@@ -834,14 +824,14 @@ fn supervisor_loop(shared: Arc<Shared>) {
 
 /// Routing state owned by one spout thread.
 struct SpoutRoute {
-    component: usize,
     task: usize,
-    table: RouteTable,
-    edge_ids: EdgeIds,
-    /// Scratch: the destinations of the emission in hand, and the edge
-    /// drawn per destination.
-    dests: Vec<usize>,
-    edges: Vec<u64>,
+    /// Interned wire id of the first stream the spout's component declares.
+    stream_base: u32,
+    fan: FanOut,
+    /// The deliveries of the emission in hand: held until its tree is
+    /// registered.
+    held: Vec<WireTuple>,
+    ops: AckOps,
 }
 
 impl SpoutRoute {
@@ -854,41 +844,26 @@ impl SpoutRoute {
         emission: &Emission,
         tracked_as: Option<MessageId>,
     ) -> Option<RootId> {
-        let selected = self.table.select(emission, &mut self.dests);
+        let root = tracked_as.map(|_| shared.next_root.fetch_add(1, Ordering::Relaxed) + 1);
+        let dedup = tracked_as.filter(|_| shared.policy.dedup);
+        let (base, held) = (self.stream_base, &mut self.held);
+        let first_hop = self.fan.route(emission, root, dedup, |dest, delivery| {
+            held.push(wire_tuple(base, dest, delivery))
+        });
         // The tree is registered with the XOR of all its first-hop edges
         // *before* any delivery leaves: an ack record that beat the
-        // registration would hit an unknown root and be lost, and one that
-        // beat a later edge's registration could zero the tree early.
-        let root = tracked_as.map(|message_id| {
-            let root = shared.next_root.fetch_add(1, Ordering::Relaxed) + 1;
-            self.edges.clear();
-            self.edges
-                .extend(self.dests.iter().map(|_| self.edge_ids.next()));
-            let xor = self.edges.iter().fold(0, |acc, e| acc ^ e);
+        // registration would hit an unknown root and be lost.  One that
+        // reaches nothing is complete as registered.
+        if let (Some(root), Some(message_id)) = (root, tracked_as) {
             let now = shared.now_s();
-            shared
-                .ackers
-                .track(root, xor, TaskId(self.task), message_id, now);
-            if self.dests.is_empty() {
-                // Reaches nothing: the tree completes with zero deliveries.
-                shared.ackers.on_ack(root, 0, now);
+            let spout = TaskId(self.task);
+            self.ops.track(root, first_hop, spout, message_id, now);
+            self.ops.apply(&shared.ackers);
+            if self.ops.has_outcomes() {
+                shared.deliver(self.ops.take_outcomes());
             }
-            root
-        });
-        let Some(selected) = selected else {
-            return root;
-        };
-        let stream = shared.intern.base_of(self.component) + selected.decl as u32;
-        for (i, &dest) in self.dests.iter().enumerate() {
-            shared.enqueue(WireTuple {
-                token: if root.is_some() { self.edges[i] } else { 0 },
-                dest_task: dest as u32,
-                stream,
-                dedup: tracked_as.filter(|_| shared.policy.dedup),
-                trace_root: root,
-                values: emission.tuple.values().to_vec(),
-            });
         }
+        self.held.drain(..).for_each(|item| shared.enqueue(item));
         root
     }
 }
@@ -901,7 +876,7 @@ fn spout_loop(
     feedback: Receiver<Vec<TreeOutcome>>,
 ) -> TreeLifecycle {
     let task = route.task;
-    let component = shared.topology.component(ComponentId(route.component));
+    let component = (shared.topology).component(ComponentId(shared.task_component[task]));
     let ComponentKind::Spout(factory) = &component.kind else {
         unreachable!("spout thread for a bolt component");
     };
@@ -1046,10 +1021,7 @@ pub fn submit(
         }
     }
 
-    #[cfg(unix)]
     let (listener, endpoint) = Listener::unix_temp()?;
-    #[cfg(not(unix))]
-    let (listener, endpoint) = Listener::tcp_loopback()?;
 
     let journal = Arc::new(Journal::default());
     if rt.checkpoints {
@@ -1083,13 +1055,14 @@ pub fn submit(
     for &(component, task, task_index) in &spout_tasks {
         let (tx, rx) = mpsc::channel();
         feedback[task] = Some(tx);
+        let edge_seed = u64::from(std::process::id()) << 32 | task as u64;
+        let producer = topology.component(ComponentId(component));
         let route = SpoutRoute {
-            component,
             task,
-            table: RouteTable::new(&topology, topology.component(ComponentId(component)), 0),
-            edge_ids: EdgeIds::new(u64::from(std::process::id()) << 32 | task as u64),
-            dests: Vec::new(),
-            edges: Vec::new(),
+            stream_base: intern.base_of(component),
+            fan: FanOut::new(&topology, producer, 0, edge_seed),
+            held: Vec::new(),
+            ops: AckOps::new(rt.acker_shards),
         };
         spout_inputs.push((route, task_index, rx));
     }
@@ -1098,7 +1071,7 @@ pub fn submit(
     let shared = Arc::new(Shared {
         topology_key: topology_name.to_owned(),
         args: args.to_owned(),
-        dynamic: route_tables(&topology).1,
+        dynamic: dynamic_handles(&topology),
         intern,
         ackers: ShardedAcker::new(rt.acker_shards),
         ledger,
@@ -1284,6 +1257,13 @@ impl RunningDist {
     /// Tuple trees currently pending in the acker.
     pub fn pending_trees(&self) -> usize {
         self.shared.ackers.pending_count()
+    }
+
+    /// Ack records received from the workers so far (one per executed
+    /// anchored tuple, plus the failures of undeliverable ones); for tests.
+    #[doc(hidden)]
+    pub fn ack_records_applied(&self) -> u64 {
+        self.shared.ackers.records_applied()
     }
 
     /// One round of the shutdown drain: every connected worker checkpoints,

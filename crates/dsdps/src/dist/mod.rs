@@ -1,5 +1,5 @@
 //! The distributed runtime: worker *processes* connected over Unix domain
-//! sockets (loopback TCP where the platform has none).
+//! sockets.
 //!
 //! This is the third backend next to the simulator ([`crate::sim`]) and
 //! the threaded runtime ([`crate::rt`]).  The spout/bolt/grouping API and
@@ -45,6 +45,9 @@
 //! let report = running.shutdown();
 //! assert!(report.conservation_holds());
 //! ```
+
+#[cfg(not(unix))]
+compile_error!("dsdps::dist connects its processes over Unix domain sockets only");
 
 pub mod codec;
 pub mod coordinator;

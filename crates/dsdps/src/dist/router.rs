@@ -1,33 +1,39 @@
 //! What the coordinator and every worker share on the send side of the
-//! data plane: the per-component route tables and the per-link [`Outbox`]
-//! that puts deliveries on the wire under the sender's credit ledger.
-//!
-//! The coordinator routes spout emissions with these types; each worker
-//! routes its own bolt and tick emissions with the very same ones.
+//! data plane besides the crate's [`FanOut`](crate::route::FanOut): the
+//! `SetRatio` edge numbering and the per-link [`Outbox`] that puts
+//! deliveries on the wire under the sender's credit ledger.
 
 use std::collections::VecDeque;
 
 use super::codec::{Frame, WireTuple};
 use super::transport::BatchWriter;
 use crate::grouping::dynamic::DynamicGroupingHandle;
-use crate::route::RouteTable;
+use crate::route::{Delivery, RouteTable};
 use crate::rt::CreditLedger;
 use crate::topology::Topology;
 
-/// One [`RouteTable`] per producing component (indexed by component id),
-/// plus every dynamic-grouping handle in route order — the index is the
-/// `edge` of a `SetRatio` frame.  Coordinator and workers build this from
-/// the same topology, so they agree on both.
-pub(crate) fn route_tables(topology: &Topology) -> (Vec<RouteTable>, Vec<DynamicGroupingHandle>) {
-    let tables: Vec<RouteTable> = topology
-        .components()
-        .map(|component| RouteTable::new(topology, component, 0))
-        .collect();
-    let dynamic = tables
-        .iter()
-        .flat_map(|table| table.dynamic_handles().iter().cloned())
-        .collect();
-    (tables, dynamic)
+/// Every dynamic-grouping handle of the topology, by component then route
+/// order — the index is the `edge` of a `SetRatio` frame.  Coordinator and
+/// workers build this from the same topology, so they agree on it.
+pub(crate) fn dynamic_handles(topology: &Topology) -> Vec<DynamicGroupingHandle> {
+    let tables = (topology.components()).map(|component| RouteTable::new(topology, component, 0));
+    tables
+        .flat_map(|table| table.dynamic_handles().to_vec())
+        .collect()
+}
+
+/// The wire form of a delivery to task `dest`, on a stream of the producer
+/// whose first declared stream is interned as `stream_base`.
+pub(crate) fn wire_tuple(stream_base: u32, dest: usize, delivery: Delivery) -> WireTuple {
+    let (root, edge) = delivery.anchor.unzip();
+    WireTuple {
+        token: edge.unwrap_or(0),
+        dest_task: dest as u32,
+        stream: stream_base + delivery.decl as u32,
+        dedup: delivery.dedup,
+        trace_root: root,
+        values: delivery.tuple.into_values(),
+    }
 }
 
 /// Send side of one data link: the batching writer plus the deliveries

@@ -1,5 +1,4 @@
-//! Stream transport for the distributed runtime: TCP everywhere, Unix
-//! domain sockets where the platform has them.
+//! Stream transport for the distributed runtime: Unix domain sockets.
 //!
 //! The transport deals in [`Frame`]s.  Reading is incremental — a
 //! [`FrameReader`] accumulates bytes into one reusable buffer and yields a
@@ -12,9 +11,8 @@
 //! tuples first so cross-frame ordering is preserved.
 
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -107,78 +105,44 @@ impl ConnStats {
     }
 }
 
-/// Where a coordinator listens / a worker connects.
+/// Where a coordinator listens / a worker connects: a Unix domain socket
+/// path.
 ///
-/// Rendered as `tcp:<addr>` or `unix:<path>` in the `DSDPS_DIST_ADDR`
-/// environment variable handed to worker processes.
+/// Rendered as `unix:<path>` in the `DSDPS_DIST_ADDR` environment variable
+/// handed to worker processes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Endpoint {
-    /// A TCP socket address, e.g. `127.0.0.1:7410`.
-    Tcp(String),
-    /// A Unix domain socket path.
-    #[cfg(unix)]
-    Unix(std::path::PathBuf),
-}
+pub struct Endpoint(PathBuf);
 
 impl Endpoint {
     /// Renders the endpoint for `DSDPS_DIST_ADDR`.
     pub fn to_env(&self) -> String {
-        match self {
-            Endpoint::Tcp(addr) => format!("tcp:{addr}"),
-            #[cfg(unix)]
-            Endpoint::Unix(path) => format!("unix:{}", path.display()),
-        }
+        format!("unix:{}", self.0.display())
     }
 
     /// Parses a `DSDPS_DIST_ADDR` value.
     pub fn from_env(value: &str) -> Result<Endpoint> {
-        if let Some(addr) = value.strip_prefix("tcp:") {
-            return Ok(Endpoint::Tcp(addr.to_owned()));
+        match value.strip_prefix("unix:") {
+            Some(path) => Ok(Endpoint(path.into())),
+            None => Err(Error::Config(format!("unparseable endpoint `{value}`"))),
         }
-        #[cfg(unix)]
-        if let Some(path) = value.strip_prefix("unix:") {
-            return Ok(Endpoint::Unix(path.into()));
-        }
-        Err(Error::Config(format!("unparseable endpoint `{value}`")))
     }
 
-    /// Removes a Unix socket's file once its listener is done (or its
-    /// process dead); a no-op for TCP.
+    /// Removes the socket's file once its listener is done (or its process
+    /// dead).
     pub fn unlink(&self) {
-        #[cfg(unix)]
-        if let Endpoint::Unix(path) = self {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&self.0);
     }
 }
 
-/// A listening socket of either family.
-pub enum Listener {
-    /// TCP listener.
-    Tcp(TcpListener),
-    /// Unix-domain listener.
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
+/// A listening socket.
+pub struct Listener(UnixListener);
 
 impl Listener {
-    /// Binds a TCP listener on an OS-assigned loopback port.
-    pub fn tcp_loopback() -> Result<(Listener, Endpoint)> {
-        let l =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| Error::Runtime(format!("bind: {e}")))?;
-        let addr = l
-            .local_addr()
-            .map_err(|e| Error::Runtime(format!("local_addr: {e}")))?;
-        Ok((Listener::Tcp(l), Endpoint::Tcp(addr.to_string())))
-    }
-
-    /// Binds a Unix-domain listener on a fresh socket path under the
-    /// system temp directory.
-    #[cfg(unix)]
+    /// Binds a listener on a fresh socket path under the system temp
+    /// directory.
     pub fn unix_temp() -> Result<(Listener, Endpoint)> {
         // Process id + monotonic counter keeps concurrent coordinators in
         // one test binary from colliding.
-        use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
             "dsdps-dist-{}-{}.sock",
@@ -188,57 +152,26 @@ impl Listener {
         let _ = std::fs::remove_file(&path);
         let l = UnixListener::bind(&path)
             .map_err(|e| Error::Runtime(format!("bind {}: {e}", path.display())))?;
-        Ok((Listener::Unix(l), Endpoint::Unix(path)))
-    }
-
-    /// Binds a fresh listener of the same socket family as `other` (a
-    /// worker's data listener next to the coordinator's).
-    pub fn bind_like(other: &Endpoint) -> Result<(Listener, Endpoint)> {
-        match other {
-            Endpoint::Tcp(_) => Listener::tcp_loopback(),
-            #[cfg(unix)]
-            Endpoint::Unix(_) => Listener::unix_temp(),
-        }
+        Ok((Listener(l), Endpoint(path)))
     }
 
     /// Switches the listener between blocking and non-blocking accepts.
     pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(nb),
-        }
+        self.0.set_nonblocking(nb)
     }
 
     /// Accepts one connection; `Ok(None)` when non-blocking and idle.
     pub fn accept(&self) -> io::Result<Option<Conn>> {
-        match self {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    let _ = s.set_nodelay(true);
-                    Ok(Some(Conn::Tcp(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            #[cfg(unix)]
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Ok(Some(Conn::Unix(s))),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+        match self.0.accept() {
+            Ok((s, _)) => Ok(Some(Conn(s))),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
         }
     }
 }
 
-/// One established connection of either family.
-pub enum Conn {
-    /// TCP stream.
-    Tcp(TcpStream),
-    /// Unix-domain stream.
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
+/// One established connection.
+pub struct Conn(UnixStream);
 
 impl Conn {
     /// Connects to `endpoint`, retrying until `timeout` (the coordinator
@@ -246,16 +179,8 @@ impl Conn {
     pub fn connect(endpoint: &Endpoint, timeout: Duration) -> Result<Conn> {
         let deadline = Instant::now() + timeout;
         loop {
-            let attempt = match endpoint {
-                Endpoint::Tcp(addr) => TcpStream::connect(addr).map(|s| {
-                    let _ = s.set_nodelay(true);
-                    Conn::Tcp(s)
-                }),
-                #[cfg(unix)]
-                Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
-            };
-            match attempt {
-                Ok(conn) => return Ok(conn),
+            match UnixStream::connect(&endpoint.0) {
+                Ok(s) => return Ok(Conn(s)),
                 Err(e) if Instant::now() >= deadline => {
                     return Err(Error::Runtime(format!(
                         "connect to {}: {e}",
@@ -270,69 +195,37 @@ impl Conn {
     /// An independently usable handle to the same socket (reader and
     /// writer sides of one connection live on different threads).
     pub fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
+        self.0.try_clone().map(Conn)
     }
 
     /// Bounds how long a read blocks (`None` = forever).
     pub fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(t),
-        }
+        self.0.set_read_timeout(t)
     }
 
     /// Shuts down both directions, unblocking any reader.
     pub fn shutdown(&self) {
-        match self {
-            Conn::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Conn::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        let _ = self.0.shutdown(std::net::Shutdown::Both);
     }
 }
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
+        self.0.read(buf)
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
+        self.0.write(buf)
     }
 
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write_vectored(bufs),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write_vectored(bufs),
-        }
+        self.0.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
+        self.0.flush()
     }
 }
 
@@ -617,22 +510,20 @@ mod tests {
     use crate::tuple::Value;
 
     fn pair() -> (Conn, Conn) {
-        let (listener, ep) = Listener::tcp_loopback().unwrap();
+        let (listener, ep) = Listener::unix_temp().unwrap();
         let client = Conn::connect(&ep, Duration::from_secs(5)).unwrap();
         listener.set_nonblocking(false).unwrap();
         let server = listener.accept().unwrap().unwrap();
+        ep.unlink();
         (client, server)
     }
 
     #[test]
     fn endpoint_env_round_trips() {
-        let e = Endpoint::Tcp("127.0.0.1:9999".into());
-        assert_eq!(Endpoint::from_env(&e.to_env()).unwrap(), e);
-        #[cfg(unix)]
-        {
-            let u = Endpoint::Unix("/tmp/x.sock".into());
-            assert_eq!(Endpoint::from_env(&u.to_env()).unwrap(), u);
-        }
+        let u = Endpoint("/tmp/x.sock".into());
+        assert_eq!(u.to_env(), "unix:/tmp/x.sock");
+        assert_eq!(Endpoint::from_env(&u.to_env()).unwrap(), u);
+        assert!(Endpoint::from_env("tcp:127.0.0.1:9999").is_err());
         assert!(Endpoint::from_env("carrier-pigeon:coop7").is_err());
     }
 
@@ -641,9 +532,7 @@ mod tests {
         let (client, server) = pair();
         let mut w = BatchWriter::new(client, 4, Duration::from_millis(1));
         let mut r = FrameReader::new(server);
-        r.conn
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        r.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
         let hello = Frame::Hello {
             worker: 1,
@@ -681,9 +570,7 @@ mod tests {
         let (client, server) = pair();
         let mut w = BatchWriter::new(client, 64, Duration::from_millis(5));
         let mut r = FrameReader::new(server);
-        r.conn
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        r.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         w.push_tuple(WireTuple {
             token: 7,
             dest_task: 0,
@@ -707,9 +594,7 @@ mod tests {
         let (client, server) = pair();
         let mut w = BatchWriter::new(client, 1, Duration::ZERO);
         let mut r = FrameReader::new(server);
-        r.conn
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        r.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let ws = ConnStats::new();
         let rs = ConnStats::new();
         w.set_stats(Arc::clone(&ws));
@@ -733,9 +618,7 @@ mod tests {
     fn read_timeout_returns_none() {
         let (_client, server) = pair();
         let mut r = FrameReader::new(server);
-        r.conn
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .unwrap();
+        r.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
         assert!(r.read_frame().unwrap().is_none());
     }
 }

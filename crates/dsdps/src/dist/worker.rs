@@ -13,13 +13,14 @@
 //! `Flush`/`RestoreState`/`SetRatio`/`Shutdown`.  The coordinator sees
 //! only one XOR ack record per executed anchored tuple.
 //!
-//! Each hosted bolt is a `BoltTask`: the crate's one bolt step and
-//! checkpoint cycle, under the recovery policy of a platform whose store is
-//! a process away.  Every mode therefore **withholds** a stateful task's
-//! ack records until a `CheckpointDeposit` covering their inputs has been
-//! sent (frames are processed in order on both sides, so deposit-then-acks
-//! guarantees the coordinator never completes a tree whose effect could be
-//! lost with the worker).
+//! Each hosted bolt is a `BoltTask`: the crate's one bolt step (which
+//! fans its emissions out and produces that record) and checkpoint cycle,
+//! under the recovery policy of a platform whose store is a process away.
+//! Every mode therefore **withholds** a stateful task's ack records until a
+//! `CheckpointDeposit` covering their inputs has been sent (frames are
+//! processed in order on both sides, so deposit-then-acks guarantees the
+//! coordinator never completes a tree whose effect could be lost with the
+//! worker).
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -28,20 +29,18 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::codec::{
-    AckItem, FlushReport, Frame, InternTable, WireMetric, WirePeer, WireSpan, WireTuple,
-};
+use super::codec::{FlushReport, Frame, InternTable, WireMetric, WirePeer, WireSpan, WireTuple};
 use super::coordinator::COORDINATOR_SLOT;
-use super::router::{route_tables, Outbox};
+use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::{recovery_from_byte, span_kind_to_byte, spawn_thread, DistConfig, LastWordsLine};
-use crate::acker::EdgeIds;
-use crate::bolt_task::{inherit, BoltTask, Policy, Step};
+use crate::acker::{AckRecord, RootId};
+use crate::bolt_task::{BoltTask, Policy};
 use crate::checkpoint::Restored;
-use crate::component::{BoltOutput, Emission, TopologyContext};
+use crate::component::{MessageId, TopologyContext};
 use crate::error::{Error, Result};
 use crate::grouping::dynamic::{DynamicGroupingHandle, SplitRatio};
-use crate::route::RouteTable;
+use crate::route::{Delivery, FanOut};
 use crate::rt::CreditLedger;
 use crate::telemetry::{Counter, Registry, SampleValue, Tracer};
 use crate::topology::{ComponentKind, TaskId, Topology};
@@ -181,17 +180,9 @@ fn accept_loop(listener: Listener, next_link: Arc<AtomicU64>, tx: Sender<Input>)
 
 /// One bolt task hosted by this worker.
 struct TaskState {
-    component: usize,
-    task: BoltTask<AckItem>,
-}
-
-/// A tuple delivery ready to execute, off the wire or routed locally.
-struct Delivery {
-    edge: u64,
-    dest: u32,
-    root: Option<u64>,
-    dedup: Option<u64>,
-    tuple: Tuple,
+    /// Interned wire id of the first stream its component declares.
+    stream_base: u32,
+    task: BoltTask,
 }
 
 /// The link to one peer worker.
@@ -219,16 +210,14 @@ struct Worker {
     push_interval: Option<Duration>,
     batch_size: usize,
     intern: InternTable,
-    /// Route table per producing component, the dynamic-grouping handles
-    /// by `SetRatio` edge, and the destinations of the emission in hand.
-    tables: Vec<RouteTable>,
+    /// The dynamic-grouping handles by `SetRatio` edge.
     dynamic: Vec<DynamicGroupingHandle>,
-    dests: Vec<usize>,
-    edge_ids: EdgeIds,
     /// Owning slot per global task ([`COORDINATOR_SLOT`] for spout tasks).
     task_slot: Vec<u32>,
-    /// Hosted tasks by global task id (`None` for tasks hosted elsewhere).
-    tasks: Vec<Option<TaskState>>,
+    /// Hosted tasks by global task id (`None` for tasks hosted elsewhere;
+    /// boxed so a step can take its task out while the sink borrows the
+    /// worker).
+    tasks: Vec<Option<Box<TaskState>>>,
     /// Credits of this worker's links toward its peers.
     ledger: CreditLedger,
     coord: BatchWriter,
@@ -237,13 +226,12 @@ struct Worker {
     next_link: Arc<AtomicU64>,
     tx: Sender<Input>,
     /// Deliveries for tasks of this worker: no codec, no socket, no credit.
-    local: VecDeque<Delivery>,
+    local: VecDeque<(usize, Delivery)>,
     /// Ack records not yet sent to the coordinator.
-    acks: Vec<AckItem>,
-    /// Reused across executions.
-    out: BoltOutput,
-    emissions: Vec<Emission>,
+    acks: Vec<AckRecord>,
     grants: Vec<(u32, u64)>,
+    /// Span-clock seconds of the batch or tick in hand (the bolts' `now`).
+    now_s: f64,
     /// Tuples executed / handed to a peer link — the activity the shutdown
     /// drain's termination detection watches.
     executed: u64,
@@ -256,28 +244,39 @@ struct Worker {
 }
 
 impl Worker {
-    /// Executes one delivery and routes what it emits.
-    fn execute(&mut self, d: Delivery, recv_at: Instant) {
+    /// Executes one delivery for hosted task `dest`; what it emits goes
+    /// through [`deliver`](Self::deliver).
+    fn execute(
+        &mut self,
+        dest: usize,
+        tuple: &Tuple,
+        anchor: Option<(RootId, u64)>,
+        dedup: Option<MessageId>,
+        recv_at: Instant,
+    ) {
         self.executed += 1;
-        let Some(ts) = self.tasks.get_mut(d.dest as usize).and_then(Option::as_mut) else {
-            self.acks.extend(d.root.map(AckItem::failed));
+        let root = anchor.map(|(root, _)| root);
+        let Some(mut ts) = self.tasks.get_mut(dest).and_then(Option::take) else {
+            self.acks.extend(root.map(AckRecord::failed));
             return;
         };
-        let traced = d
-            .root
-            .filter(|&r| self.tracer.enabled() && self.tracer.sampled(r));
+        let traced = root.filter(|&r| self.tracer.enabled() && self.tracer.sampled(r));
         let started = traced.map(|_| Instant::now());
+        let base = ts.stream_base;
         let step = ts
             .task
-            .step(&d.tuple, d.dedup, &mut self.out, &mut self.emissions);
+            .step(tuple, anchor, dedup, self.now_s, |to, delivery| {
+                self.deliver(base, to, delivery)
+            });
+        self.tasks[dest] = Some(ts);
         // A replay of an applied input is acknowledged like any other, but
         // was not run again.
-        if step != Step::Replayed {
+        if step.executed {
             if let (Some(root), Some(started)) = (traced, started) {
                 self.tracer.record_hop(
-                    d.dest as usize,
+                    dest,
                     root,
-                    d.dest as usize,
+                    dest,
                     started.duration_since(self.t0).as_micros() as u64,
                     started.saturating_duration_since(recv_at).as_micros() as u64,
                     started.elapsed().as_micros() as u64,
@@ -285,91 +284,31 @@ impl Worker {
                 );
             }
             self.metrics.executed.inc();
-            self.metrics.emitted.add(self.emissions.len() as u64);
         }
-        let failed = step == Step::Executed { failed: true };
-        let component = ts.component;
-        let xor = d.edge ^ self.route_emissions(component, d.root, d.dedup);
-        let Some(root) = d.root else { return };
-        let ts = self.tasks[d.dest as usize]
-            .as_mut()
-            .expect("looked up above");
-        // A stateful task's ack waits for the checkpoint that makes the
+        // A stateful task's record waits for the checkpoint that makes the
         // effect durable.
-        let record = AckItem { root, xor, failed };
-        self.acks.extend(ts.task.settle(record, failed));
+        self.acks.extend(step.record);
     }
 
-    /// Routes what the last `execute`/`tick` left in `self.emissions`.
-    /// `root` anchors the anchored ones, whose dedup ids derive from
-    /// `dedup`.  Returns the XOR of all edge ids drawn.
-    fn route_emissions(&mut self, component: usize, root: Option<u64>, dedup: Option<u64>) -> u64 {
-        let mut emissions = std::mem::take(&mut self.emissions);
-        let mut xor = 0;
-        for (i, emission) in emissions.drain(..).enumerate() {
-            let (root, dedup) = inherit(&emission, i, root, dedup);
-            xor ^= self.route(component, emission, root, dedup);
+    /// Where a delivery of a hosted task goes (`stream_base`: the wire id
+    /// of its producer's first stream): one for a task of this worker is
+    /// queued locally, a remote one goes to its peer's outbox.
+    fn deliver(&mut self, stream_base: u32, dest: usize, delivery: Delivery) {
+        self.metrics.emitted.inc();
+        let slot = self.task_slot[dest];
+        if slot == self.idx {
+            self.local.push_back((dest, delivery));
+            return;
         }
-        self.emissions = emissions;
-        xor
-    }
-
-    /// Routes one emission of `component`: a destination on this worker is
-    /// queued locally, a remote one goes to its peer's outbox.  Returns the
-    /// XOR of the edge ids drawn for anchored instances.
-    fn route(
-        &mut self,
-        component: usize,
-        emission: Emission,
-        root: Option<u64>,
-        dedup: Option<u64>,
-    ) -> u64 {
-        // Reaches nothing (e.g. an undeclared stream): drop it.
-        let Some(selected) = self.tables[component].select(&emission, &mut self.dests) else {
-            return 0;
-        };
-        let stream = self.intern.base_of(component) + selected.decl as u32;
-        let fields = &selected.fields;
-        let mut xor = 0;
-        // The last destination takes the tuple itself, earlier ones a copy.
-        let mut tuple = Some(emission.tuple);
-        for (i, &dest) in self.dests.iter().enumerate() {
-            let copy = if i + 1 == self.dests.len() {
-                tuple.take()
-            } else {
-                tuple.clone()
-            };
-            let copy = copy.expect("taken at the last destination only");
-            let edge = root.map_or(0, |_| self.edge_ids.next());
-            xor ^= edge;
-            let slot = self.task_slot[dest];
-            if slot == self.idx {
-                self.local.push_back(Delivery {
-                    edge,
-                    dest: dest as u32,
-                    root,
-                    dedup,
-                    tuple: copy.into_rekeyed(fields.clone()),
-                });
-                continue;
-            }
-            self.sent += 1;
-            let item = WireTuple {
-                token: edge,
-                dest_task: dest as u32,
-                stream,
-                dedup,
-                trace_root: root,
-                values: copy.into_values(),
-            };
-            let delivered = (self.peers.get_mut(slot as usize))
-                .is_some_and(|peer| peer.out.enqueue(&self.ledger, item));
-            if let (false, Some(root)) = (delivered, root) {
-                // Bound for a dead peer: fail the tree rather than die with it.
-                self.acks.push(AckItem::failed(root));
-            }
+        self.sent += 1;
+        let item = wire_tuple(stream_base, dest, delivery);
+        let root = item.trace_root;
+        let delivered = (self.peers.get_mut(slot as usize))
+            .is_some_and(|peer| peer.out.enqueue(&self.ledger, item));
+        if let (false, Some(root)) = (delivered, root) {
+            // Bound for a dead peer: fail the tree rather than die with it.
+            self.acks.push(AckRecord::failed(root));
         }
-        xor
     }
 }
 
@@ -380,24 +319,16 @@ impl Worker {
         self.batch_seq += 1;
         self.metrics.batches.inc();
         self.grants.clear();
-        self.out.set_now(self.t0.elapsed().as_secs_f64());
+        self.now_s = self.t0.elapsed().as_secs_f64();
         for item in items {
             match self.grants.iter_mut().find(|(t, _)| *t == item.dest_task) {
                 Some((_, n)) => *n += 1,
                 None => self.grants.push((item.dest_task, 1)),
             }
+            let anchor = item.trace_root.map(|root| (root, item.token));
             match self.intern.tuple(item.stream, item.values) {
-                Ok(tuple) => self.execute(
-                    Delivery {
-                        edge: item.token,
-                        dest: item.dest_task,
-                        root: item.trace_root,
-                        dedup: item.dedup,
-                        tuple,
-                    },
-                    at,
-                ),
-                Err(_) => self.acks.extend(item.trace_root.map(AckItem::failed)),
+                Ok(tuple) => self.execute(item.dest_task as usize, &tuple, anchor, item.dedup, at),
+                Err(_) => self.acks.extend(item.trace_root.map(AckRecord::failed)),
             }
             self.run_local(at);
         }
@@ -418,8 +349,8 @@ impl Worker {
 
     /// Runs the local queue dry (executions may keep refilling it).
     fn run_local(&mut self, at: Instant) {
-        while let Some(d) = self.local.pop_front() {
-            self.execute(d, at);
+        while let Some((dest, d)) = self.local.pop_front() {
+            self.execute(dest, &d.tuple, d.anchor, d.dedup, at);
         }
     }
 
@@ -490,7 +421,7 @@ impl Worker {
         if let Some((writer, parked)) = peer.out.close(&self.ledger, tasks) {
             writer.shutdown();
             let roots = parked.iter().filter_map(|item| item.trace_root);
-            self.acks.extend(roots.map(AckItem::failed));
+            self.acks.extend(roots.map(AckRecord::failed));
         }
     }
 
@@ -539,16 +470,17 @@ impl Worker {
         Ok(())
     }
 
-    /// Bolt ticks: their emissions have no input tuple, so never anchored.
+    /// Bolt ticks, then whatever they set in motion locally.
     fn tick(&mut self) {
+        self.now_s = self.t0.elapsed().as_secs_f64();
         for task in 0..self.tasks.len() {
-            let Some(ts) = self.tasks[task].as_mut() else {
+            let Some(mut ts) = self.tasks[task].take() else {
                 continue;
             };
-            self.out.set_now(self.t0.elapsed().as_secs_f64());
-            ts.task.tick(&mut self.out, &mut self.emissions);
-            let component = ts.component;
-            self.route_emissions(component, None, None);
+            let base = ts.stream_base;
+            ts.task
+                .tick(self.now_s, |to, delivery| self.deliver(base, to, delivery));
+            self.tasks[task] = Some(ts);
         }
         self.run_local(Instant::now());
     }
@@ -621,8 +553,7 @@ impl Worker {
                     taken_at_s: None,
                 };
                 let ts = self.tasks.get_mut(task as usize).and_then(Option::as_mut);
-                let ok =
-                    ts.is_some_and(|ts| ts.task.restore(from, &mut self.out, &mut self.emissions));
+                let ok = ts.is_some_and(|ts| ts.task.restore(from));
                 self.coord.send(&Frame::StateRestored {
                     task,
                     ok,
@@ -712,15 +643,15 @@ pub fn maybe_worker_from_env(registry: &TopologyRegistry) -> bool {
     true
 }
 
-/// Binds this worker's data listener (same socket family as the
-/// coordinator's), connects to the coordinator at `endpoint` and serves
-/// bolt tasks until `Shutdown` (or the connection drops).
+/// Binds this worker's data listener, connects to the coordinator at
+/// `endpoint` and serves bolt tasks until `Shutdown` (or the connection
+/// drops).
 pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -> Result<()> {
     let t0 = Instant::now();
     // Listen *before* saying hello: once the coordinator knows the
     // endpoint, a peer may dial it at any moment.  (The coordinator also
     // removes the socket file once this process is gone.)
-    let (listener, my_endpoint) = Listener::bind_like(endpoint)?;
+    let (listener, my_endpoint) = Listener::unix_temp()?;
     let conn = Conn::connect(endpoint, DistConfig::new(1, vec![]).connect_timeout)?;
     let read_half = conn
         .try_clone()
@@ -790,7 +721,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         )));
     }
 
-    let mut tasks: Vec<Option<TaskState>> = (0..n_tasks).map(|_| None).collect();
+    let mut tasks: Vec<Option<Box<TaskState>>> = (0..n_tasks).map(|_| None).collect();
     let n_slots = (task_slots.iter().filter(|&&s| s != COORDINATOR_SLOT))
         .chain(peers.iter().map(|p| &p.slot))
         .fold(idx, |max, &s| max.max(s)) as usize
@@ -818,12 +749,16 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
             task_index: task - comp.base_task.0,
             parallelism: comp.parallelism,
         };
+        // Edge ids distinct per task and process incarnation.
+        let edge_seed =
+            u64::from(std::process::id()) << 32 | (generation & 0xffff) << 16 | task as u64;
+        let fan = FanOut::new(&topology, comp, ctx.task_index, edge_seed);
         let checkpoints = Some((policy, ckpt_interval_s));
         let now_s = t0.elapsed().as_secs_f64();
-        tasks[task] = Some(TaskState {
-            component: comp_id.0,
-            task: BoltTask::new(factory(), &ctx, checkpoints, now_s),
-        });
+        tasks[task] = Some(Box::new(TaskState {
+            stream_base: intern.base_of(comp_id.0),
+            task: BoltTask::new(factory(), &ctx, fan, checkpoints, now_s),
+        }));
     }
 
     // Local telemetry: hop spans are recorded for the trees the sample
@@ -841,7 +776,6 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
     let next_link = Arc::new(AtomicU64::new(COORDINATOR_LINK + 1));
     let (accept_tx, links) = (tx.clone(), Arc::clone(&next_link));
     let micros = |us: u64| (us > 0).then(|| Duration::from_micros(us));
-    let (tables, dynamic) = route_tables(&topology);
     let mut w = Worker {
         idx,
         t0,
@@ -850,13 +784,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         push_interval: micros(metrics_interval_us),
         batch_size: batch_size.max(1) as usize,
         intern,
-        tables,
-        dynamic,
-        dests: Vec::new(),
-        // Distinct per process incarnation: pid plus slot and generation.
-        edge_ids: EdgeIds::new(
-            u64::from(std::process::id()) << 32 | u64::from(idx) << 16 | (generation & 0xffff),
-        ),
+        dynamic: dynamic_handles(&topology),
         task_slot: task_slots,
         tasks,
         ledger,
@@ -867,9 +795,8 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         tx,
         local: VecDeque::new(),
         acks: Vec::new(),
-        out: BoltOutput::new(),
-        emissions: Vec::new(),
         grants: Vec::new(),
+        now_s: 0.0,
         executed: 0,
         sent: 0,
         batch_seq: 0,

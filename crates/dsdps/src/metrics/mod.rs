@@ -15,7 +15,6 @@
 //! [`MetricsHistory`] keeps a bounded run of snapshots so the predictor can
 //! assemble input sequences.
 
-pub mod export;
 pub mod window;
 
 use serde::{Deserialize, Serialize};
@@ -25,7 +24,7 @@ use crate::scheduler::{MachineId, Placement, WorkerId};
 use crate::telemetry::{Journal, JournalEvent};
 use crate::topology::TaskId;
 
-pub use window::{Ewma, LatencyHistogram, OnlineStats};
+pub use window::{LatencyHistogram, OnlineStats};
 
 /// Per-task statistics for one metrics interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -1,41 +1,7 @@
-//! Streaming statistics primitives: EWMA, Welford online moments, and a
+//! Streaming statistics primitives: Welford online moments and a
 //! log-bucketed latency histogram with quantile queries.
 
 use serde::{Deserialize, Serialize};
-
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    /// Larger alpha weights recent samples more.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds one sample.
-    pub fn update(&mut self, sample: f64) {
-        self.value = Some(match self.value {
-            None => sample,
-            Some(v) => v + self.alpha * (sample - v),
-        });
-    }
-
-    /// Current smoothed value, or `None` before the first sample.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Current value or a default.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-}
 
 /// Welford's online algorithm for count/mean/variance plus min/max.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -270,23 +236,6 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_first_sample_initializes() {
-        let mut e = Ewma::new(0.5);
-        assert!(e.value().is_none());
-        assert_eq!(e.value_or(9.0), 9.0);
-        e.update(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        e.update(20.0);
-        assert_eq!(e.value(), Some(15.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_zero_alpha() {
-        Ewma::new(0.0);
-    }
 
     #[test]
     fn online_stats_matches_closed_form() {

@@ -1,19 +1,23 @@
-//! Destination selection, shared by every backend.
+//! Destination selection and fan-out, shared by every backend.
 //!
 //! A [`RouteTable`] answers "which tasks get this emission" for one
 //! producer: built once from the [`Topology`], it holds one [`Grouping`] per
 //! subscription to each declared output stream.  It is a plain value — no
 //! thread, socket or clock inside — stepped with `&mut` by the routing
-//! thread of whichever backend owns it, so groupings need no lock.  What
-//! happens to the selected tasks (slab instance, channel batch, wire frame)
-//! stays with the backend.
+//! thread of whichever backend owns it, so groupings need no lock.  A
+//! [`FanOut`] turns the selected tasks into one [`Delivery`] each — copy,
+//! rekey, fresh edge id — for `rt` and `dist`; where a delivery goes
+//! (channel batch, local queue, wire frame) stays with the backend's sink.
 
-use crate::component::Emission;
+use std::borrow::Borrow;
+
+use crate::acker::{EdgeIds, RootId};
+use crate::component::{Emission, MessageId};
 use crate::grouping::dynamic::DynamicGroupingHandle;
 use crate::grouping::{make_grouping, Grouping, GroupingSpec};
 use crate::stream::StreamId;
 use crate::topology::{Component, Topology};
-use crate::tuple::Fields;
+use crate::tuple::{Fields, Tuple};
 
 /// One subscription of a downstream component to one of the producer's
 /// declared streams.  `select` hands back a route the emission matched: the
@@ -31,7 +35,9 @@ pub(crate) struct Route {
     is_direct: bool,
 }
 
-/// Destination selection for the emissions of one producer.
+/// Destination selection for the emissions of one producer (the default
+/// one has no subscriber).
+#[derive(Default)]
 pub(crate) struct RouteTable {
     /// In declaration order, then subscription order.
     routes: Vec<Route>,
@@ -111,6 +117,110 @@ impl RouteTable {
         matched
             .filter(|_| !dests.is_empty())
             .map(|r| &self.routes[r])
+    }
+}
+
+/// One tuple instance bound for one task.
+pub(crate) struct Delivery {
+    /// Rekeyed to the schema of the stream it travels on.
+    pub(crate) tuple: Tuple,
+    /// Index of that stream among its producer's declared outputs.
+    pub(crate) decl: usize,
+    /// The tree it extends and its own edge id in it (`None`: unanchored).
+    pub(crate) anchor: Option<(RootId, u64)>,
+    /// Replay-dedup id a stateful consumer dedups on: the spout message id
+    /// on the first hop, derived hop by hop after it.  Only set when the
+    /// recovery policy dedups.
+    pub(crate) dedup: Option<MessageId>,
+}
+
+/// An emission on its way through [`FanOut::route`]: owned, its tuple goes
+/// to the last delivery; borrowed (a spout's, kept for replay), each
+/// delivery gets a copy.
+pub(crate) trait Routed: Borrow<Emission> {
+    fn into_tuple(self) -> Tuple;
+}
+
+impl Routed for Emission {
+    fn into_tuple(self) -> Tuple {
+        self.tuple
+    }
+}
+
+impl Routed for &Emission {
+    fn into_tuple(self) -> Tuple {
+        self.tuple.clone()
+    }
+}
+
+/// One producer's route table plus what fanning an emission out needs
+/// besides: fresh edge ids and the destinations of the emission in hand.
+/// The default one has no subscriber.
+#[derive(Default)]
+pub(crate) struct FanOut {
+    table: RouteTable,
+    edge_ids: EdgeIds,
+    dests: Vec<usize>,
+}
+
+impl FanOut {
+    /// The fan-out of one producer of `component` (`producer_offset` as in
+    /// [`RouteTable::new`]).  `edge_seed` must differ between any two
+    /// producers of one run.
+    pub(crate) fn new(
+        topology: &Topology,
+        component: &Component,
+        producer_offset: usize,
+        edge_seed: u64,
+    ) -> Self {
+        FanOut {
+            table: RouteTable::new(topology, component, producer_offset),
+            edge_ids: EdgeIds::new(edge_seed),
+            dests: Vec::new(),
+        }
+    }
+
+    /// Hands `sink` one delivery per task `emission` reaches — extending
+    /// `root`'s tree under a fresh edge id each when there is one — and
+    /// returns the XOR of the edge ids drawn (0 when nothing was reached or
+    /// anchored).
+    pub(crate) fn route(
+        &mut self,
+        emission: impl Routed,
+        root: Option<RootId>,
+        dedup: Option<MessageId>,
+        mut sink: impl FnMut(usize, Delivery),
+    ) -> u64 {
+        let Some(route) = self.table.select(emission.borrow(), &mut self.dests) else {
+            return 0;
+        };
+        // Rekey once per emission, not once per destination; a tuple that
+        // already carries the stream's schema — the common case, since
+        // schemas come from the same declaration `Arc` — is left alone.
+        let tuple = emission.into_tuple();
+        let mut tuple = Some(if tuple.fields().ptr_eq(&route.fields) {
+            tuple
+        } else {
+            tuple.into_rekeyed(route.fields.clone())
+        });
+        let mut xor = 0;
+        for (i, &dest) in self.dests.iter().enumerate() {
+            let copy = if i + 1 == self.dests.len() {
+                tuple.take()
+            } else {
+                tuple.clone()
+            };
+            let anchor = root.map(|root| (root, self.edge_ids.next()));
+            xor ^= anchor.map_or(0, |(_, edge)| edge);
+            let delivery = Delivery {
+                tuple: copy.expect("taken at the last destination only"),
+                decl: route.decl,
+                anchor,
+                dedup,
+            };
+            sink(dest, delivery);
+        }
+        xor
     }
 }
 

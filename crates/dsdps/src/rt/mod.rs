@@ -19,8 +19,9 @@
 //! full downstream queue still blocks the producer (flush-on-full with the
 //! usual shutdown-checked timeout).  With the default `batch_size = 1` every
 //! tuple flushes inline and the runtime behaves exactly as if batching did
-//! not exist; acker bookkeeping is applied before any batch leaves its
-//! thread, which keeps batched acking equivalent to per-tuple acking.
+//! not exist; a thread's queued acker ops are applied before any batch
+//! leaves it, so a spout's `Track` always precedes its deliveries — the one
+//! order the XOR acker needs (a tree's records commute; DESIGN.md §5).
 //!
 //! Overload has an explicit admission story on top of the bounded channels:
 //! per-task **credit pools** ([`RtConfig::credit_flow`], see [`credit`])
@@ -44,7 +45,7 @@
 //! virtual time); this runtime exists so the same application code can run
 //! for real, and is exercised by the examples and integration tests.
 
-pub(crate) mod batch;
+mod batch;
 mod config;
 pub mod credit;
 mod fault;
@@ -369,6 +370,13 @@ impl RunningTopology {
     /// Supervisor restarts of task threads so far.
     pub fn task_restarts(&self) -> u64 {
         self.shared.counters.task_restarts.get()
+    }
+
+    /// Ack records the acker has been handed so far (one per executed
+    /// anchored tuple, plus one per tuple of a shed batch); for tests.
+    #[doc(hidden)]
+    pub fn ack_records_applied(&self) -> u64 {
+        self.shared.ackers.records_applied()
     }
 
     /// The run's control-plane event journal.  The runtime appends restart,

@@ -1,17 +1,17 @@
-//! Routing of emissions to downstream tasks: the shared route table picks
-//! the tasks, per-destination output buffers batch what they get.
+//! The per-destination output buffers of one task thread: the task's
+//! [`FanOut`](crate::route::FanOut) picks the tasks and makes the
+//! deliveries, these batch what each destination gets.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::SendTimeoutError;
 
-use crate::acker::RootId;
-use crate::component::{Emission, MessageId};
-use crate::route::RouteTable;
-use crate::topology::{Component, TaskId, Topology};
+use crate::acker::{AckOps, AckRecord};
+use crate::route::Delivery;
+use crate::topology::TaskId;
 
-use super::batch::{AckOp, AckOps, Batch, Delivered};
+use super::batch::{Batch, Delivered};
 use super::Shared;
 
 /// What triggered a batch flush (recorded in the task's flush counters).
@@ -32,13 +32,11 @@ struct Buf {
     since: Option<Instant>,
 }
 
-/// Routes the emissions of one task thread into per-destination output
-/// buffers.  Every send goes through [`flush_dest`](Self::flush_dest) so
-/// the apply-before-send invariant holds in one place.
+/// Buffers the deliveries of one task thread per destination.  Every send
+/// goes through [`flush_dest`](Self::flush_dest), which first applies the
+/// thread's queued acker ops — so a spout's `Track` is applied before its
+/// batch leaves, in one place.
 pub(super) struct Router {
-    table: RouteTable,
-    /// Scratch: destination tasks of the emission in hand.
-    dests: Vec<usize>,
     batch_size: usize,
     linger: Duration,
     bufs: Vec<Buf>,
@@ -46,24 +44,15 @@ pub(super) struct Router {
     nonempty: usize,
     /// Global id of the owning task.
     task: usize,
-    /// Cached `shared.tracer.enabled()`: one branch per emission decides
+    /// Cached `shared.tracer.enabled()`: one branch per delivery decides
     /// whether to stamp send timestamps for queue-wait measurement.
     trace_on: bool,
 }
 
 impl Router {
-    /// Builds the router for global task `tid` of `component` (whose local
-    /// index is `task_index`).
-    pub(super) fn new(
-        topology: &Topology,
-        component: &Component,
-        task_index: usize,
-        tid: usize,
-        shared: &Shared,
-    ) -> Self {
+    /// Builds the output buffers of global task `tid`.
+    pub(super) fn new(tid: usize, shared: &Shared) -> Self {
         Self {
-            table: RouteTable::new(topology, component, task_index),
-            dests: Vec::new(),
             batch_size: shared.rt.batch_size.max(1),
             linger: shared.rt.linger,
             bufs: (0..shared.inputs.len()).map(|_| Buf::default()).collect(),
@@ -73,69 +62,34 @@ impl Router {
         }
     }
 
-    /// Routes one emission into the output buffers, anchored to `root` and
-    /// stamped with replay-dedup id `dedup` when it has them; returns the
-    /// number of tuple instances produced.  Buffers that reach `batch_size`
-    /// flush inline (with `batch_size == 1` this degenerates to one
-    /// blocking send per instance, exactly the unbatched behavior).
-    pub(super) fn route(
+    /// Buffers one delivery for `dest`, flushing inline if the buffer fills
+    /// (with `batch_size == 1` this degenerates to one blocking send per
+    /// instance, exactly the unbatched behavior).  A spout queues the
+    /// `Track` of a delivery's tree before it pushes the delivery.
+    pub(super) fn push(
         &mut self,
-        emission: &Emission,
-        root: Option<RootId>,
-        dedup: Option<MessageId>,
+        dest: usize,
+        delivery: Delivery,
         shared: &Shared,
         ops: &mut AckOps,
-    ) -> usize {
-        let mut dests = std::mem::take(&mut self.dests);
-        let Some(selected) = self.table.select(emission, &mut dests) else {
-            self.dests = dests;
-            return 0;
-        };
-        // Stamped once per emission, only for traced trees; untraced tuples
-        // carry 0 and the consumer skips queue-wait math entirely.
-        let sent_at_us = match root {
-            Some(root) if self.trace_on && shared.tracer.sampled(root) => shared.now_us(),
+    ) {
+        // Stamped only for traced trees; untraced tuples carry 0 and the
+        // consumer skips queue-wait math entirely.
+        let sent_at_us = match delivery.anchor {
+            Some((root, _)) if self.trace_on && shared.tracer.sampled(root) => shared.now_us(),
             _ => 0,
         };
-        // Rekey once per emission, not once per destination: every
-        // destination shares the stream's (interned) schema, and when the
-        // tuple already carries it — the common case, since schemas come
-        // from the same declaration `Arc` — no new tuple is built at all.
-        let rekeyed = if emission.tuple.fields().ptr_eq(&selected.fields) {
-            emission.tuple.clone()
-        } else {
-            emission.tuple.rekeyed(selected.fields.clone())
-        };
-        for &dest in &dests {
-            let anchor = root.map(|root| {
-                let edge = shared.ackers.new_edge_id();
-                ops.push(AckOp::Emit { root, edge });
-                (root, edge)
-            });
-            let item = Delivered {
-                tuple: rekeyed.clone(),
-                anchor,
-                sent_at_us,
-                dedup,
-            };
-            self.push(dest, item, shared, ops);
-        }
-        let delivered = dests.len();
-        self.dests = dests;
-        shared.task_stats[self.task]
-            .emitted
-            .fetch_add(delivered as u64, Ordering::Relaxed);
-        delivered
-    }
-
-    /// Buffers one tuple for `dest`, flushing inline if the buffer fills.
-    fn push(&mut self, dest: usize, item: Delivered, shared: &Shared, ops: &mut AckOps) {
+        let emitted = &shared.task_stats[self.task].emitted;
+        emitted.fetch_add(1, Ordering::Relaxed);
         let buf = &mut self.bufs[dest];
         if buf.items.is_empty() {
             buf.since = Some(Instant::now());
             self.nonempty += 1;
         }
-        buf.items.push(item);
+        buf.items.push(Delivered {
+            delivery,
+            sent_at_us,
+        });
         if buf.items.len() >= self.batch_size {
             self.flush_dest(dest, shared, ops, FlushReason::Full);
         }
@@ -152,8 +106,8 @@ impl Router {
         if buf.items.is_empty() {
             return;
         }
-        // Apply-before-send: the acker must know every edge in this batch
-        // (and the tracks/acks queued alongside) before downstream can react.
+        // The acker must know every tree rooted in this batch before
+        // downstream can react.
         ops.apply(&shared.ackers);
         let batch = std::mem::take(&mut buf.items);
         buf.since = None;
@@ -175,8 +129,8 @@ impl Router {
                     shared.counters.shed_tuples.add(batch.len() as u64);
                     let now_s = shared.now_s();
                     for item in &batch {
-                        if let Some((root, _)) = item.anchor {
-                            ops.push(AckOp::Fail { root, now_s });
+                        if let Some((root, _)) = item.delivery.anchor {
+                            ops.record(AckRecord::failed(root), now_s);
                         }
                     }
                     ops.apply(&shared.ackers);

@@ -39,9 +39,9 @@ use crate::telemetry::JournalEvent;
 use crate::topology::{ComponentId, ComponentKind, Topology};
 
 use super::batch::Batch;
-use super::router::Router;
 use super::task;
 use super::Shared;
+use crate::route::FanOut;
 
 /// Everything needed to (re)spawn one task on a fresh thread.
 pub(super) struct TaskSpec {
@@ -66,7 +66,10 @@ impl TaskSpec {
             task_index: self.task_index,
             parallelism: component.parallelism,
         };
-        let router = Router::new(&self.topology, component, self.task_index, self.tid, shared);
+        // Edge ids differ per task and incarnation: a superseded thread may
+        // still be routing when its successor starts.
+        let edge_seed = (self.tid as u64) << 32 | generation;
+        let fan = FanOut::new(&self.topology, component, self.task_index, edge_seed);
         let shared = shared.clone();
         let tid = self.tid;
         match &component.kind {
@@ -75,7 +78,7 @@ impl TaskSpec {
                 let ack_rx = self.ack_input.clone().expect("spout ack receiver");
                 std::thread::spawn(move || {
                     guard(&shared, tid, generation, move |shared| {
-                        task::run_spout(spout, ctx, tid, generation, router, shared, ack_rx)
+                        task::run_spout(spout, ctx, tid, generation, fan, shared, ack_rx)
                     });
                 })
             }
@@ -84,7 +87,7 @@ impl TaskSpec {
                 let rx = self.input.clone().expect("bolt input receiver");
                 std::thread::spawn(move || {
                     guard(&shared, tid, generation, move |shared| {
-                        task::run_bolt(bolt, ctx, tid, generation, router, shared, rx)
+                        task::run_bolt(bolt, ctx, tid, generation, fan, shared, rx)
                     });
                 })
             }

@@ -15,15 +15,16 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 
-use crate::acker::TreeOutcome;
-use crate::bolt_task::{self, BoltTask, Step};
+use crate::acker::{AckOps, TreeOutcome};
+use crate::bolt_task::BoltTask;
 use crate::checkpoint::CheckpointStore;
-use crate::component::{Bolt, BoltOutput, Emission, Spout, SpoutOutput, TopologyContext};
+use crate::component::{Bolt, Emission, MessageId, Spout, SpoutOutput, TopologyContext};
 use crate::lifecycle::{self, TreeLifecycle};
+use crate::route::{Delivery, FanOut};
 use crate::telemetry::JournalEvent;
 use crate::topology::TaskId;
 
-use super::batch::{AckOp, AckOps, Batch};
+use super::batch::Batch;
 use super::fault::SLOWDOWN_FLOOR_NANOS;
 use super::router::Router;
 use super::Shared;
@@ -148,7 +149,7 @@ fn inject_service_slowdown(shared: &Shared, tid: usize, t0: Instant) {
 /// Takes a checkpoint of `task` when its cycle says one is due: deposit the
 /// snapshot, then queue the ack records it covers into `ops`.
 fn checkpoint(
-    task: &mut BoltTask<AckOp>,
+    task: &mut BoltTask,
     store: &CheckpointStore,
     shared: &Shared,
     tid: usize,
@@ -174,8 +175,9 @@ fn checkpoint(
     s.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
     s.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
     shared.counters.checkpoint_last_us.set(duration_us as f64);
-    for op in deposit.released {
-        ops.push(op);
+    let now_s = shared.now_s();
+    for record in deposit.released {
+        ops.record(record, now_s);
     }
 }
 
@@ -183,14 +185,7 @@ fn checkpoint(
 /// went: `state_restored`, or `state_lost` when the bolt keeps no state, the
 /// store has nothing for it, or the snapshot does not decode (as good as no
 /// snapshot: the task runs factory-fresh).
-fn restore(
-    task: &mut BoltTask<AckOp>,
-    shared: &Shared,
-    tid: usize,
-    my_gen: u64,
-    out: &mut BoltOutput,
-    emis: &mut Vec<Emission>,
-) {
+fn restore(task: &mut BoltTask, shared: &Shared, tid: usize, my_gen: u64) {
     let (Some(store), Some((policy, _))) = (shared.checkpoints.as_ref(), shared.recovery()) else {
         return;
     };
@@ -209,7 +204,7 @@ fn restore(
             trees.lock().doom_tracked_before(cut);
         }
     }
-    let latency_us = task.restore(from, out, emis).then(|| {
+    let latency_us = task.restore(from).then(|| {
         let latency_us = t0.elapsed().as_micros() as u64;
         shared.counters.restore_last_us.set(latency_us as f64);
         shared.task_stats[tid]
@@ -226,7 +221,7 @@ pub(super) fn run_spout(
     ctx: TopologyContext,
     tid: usize,
     my_gen: u64,
-    mut router: Router,
+    fan: FanOut,
     shared: Arc<Shared>,
     ack_rx: Receiver<Vec<TreeOutcome>>,
 ) {
@@ -235,6 +230,7 @@ pub(super) fn run_spout(
     let mut out = SpoutOutput::new();
     let mut emis = Vec::new();
     let mut ops = AckOps::new(shared.ackers.num_shards());
+    let mut router = Router::new(tid, &shared);
     // The tree lifecycle lives in `Shared` (it survives spout restarts).
     // It is locked around its own steps only — never across routing, user
     // code (a hung `ack` must not wedge the threads sharing it) or a sleep
@@ -243,9 +239,12 @@ pub(super) fn run_spout(
     let trees = &shared.spouts[tid];
     let mut fresh = Vec::new();
     let mut heard = Vec::new();
-    // Tracked emissions carry their message id as the replay-dedup id of
-    // the first hop when the recovery policy dedups.
-    let dedup_on = shared.recovery().is_some_and(|(policy, _)| policy.dedup);
+    let mut route = SpoutRoute {
+        fan,
+        held: Vec::new(),
+        tid,
+        dedup_on: shared.recovery().is_some_and(|(policy, _)| policy.dedup),
+    };
     if let (true, Some(store)) = (my_gen > 0, shared.checkpoints.as_ref()) {
         // Spouts are rebuilt from their factory on every restart — only the
         // tree lifecycle (which lives in `Shared`) survives.  Report the
@@ -287,10 +286,10 @@ pub(super) fn run_spout(
             notify.tell(&mut *spout, message_id);
         }
         for (message_id, emission, attempt) in due {
-            let root = track(&shared, tid, message_id, now_s, attempt, &mut ops);
+            let tracked_as = Some((message_id, attempt));
+            let root = route.emit(&emission, tracked_as, now_s, &shared, &mut router, &mut ops);
+            let root = root.expect("tracked emissions root a tree");
             trees.lock().on_replayed(message_id, attempt, root, now_s);
-            let dedup = Some(message_id).filter(|_| dedup_on);
-            route_tracked(&mut router, &emission, root, dedup, &shared, &mut ops);
         }
         if exhausted {
             // Stay alive until every tree this spout tracked has resolved
@@ -360,19 +359,10 @@ pub(super) fn run_spout(
         }
         let n = emis.len() as u64;
         for emission in emis.drain(..) {
-            match TreeLifecycle::tracked_id(cfg, &emission) {
-                Some(message_id) => {
-                    let root = track(&shared, tid, message_id, now_s, 0, &mut ops);
-                    let dedup = Some(message_id).filter(|_| dedup_on);
-                    route_tracked(&mut router, &emission, root, dedup, &shared, &mut ops);
-                    // Routing is done with the emission, so it moves into
-                    // the lifecycle (and its replay cache) instead of being
-                    // cloned.
-                    fresh.push((message_id, emission));
-                }
-                None => {
-                    router.route(&emission, None, None, &shared, &mut ops);
-                }
+            let tracked_as = TreeLifecycle::tracked_id(cfg, &emission).map(|id| (id, 0));
+            route.emit(&emission, tracked_as, now_s, &shared, &mut router, &mut ops);
+            if let Some((message_id, _)) = tracked_as {
+                fresh.push((message_id, emission));
             }
         }
         if !fresh.is_empty() {
@@ -399,48 +389,51 @@ pub(super) fn run_spout(
     spout.close();
 }
 
-/// Registers a fresh tuple tree for `message_id` (attempt 0 = the original
-/// emission) and records its emit span when the tree is sampled.
-fn track(
-    shared: &Shared,
+/// Routing state owned by one spout thread.
+struct SpoutRoute {
+    fan: FanOut,
+    /// The deliveries of the emission in hand: held until its tree's
+    /// `Track` is queued.
+    held: Vec<(usize, Delivery)>,
     tid: usize,
-    message_id: u64,
-    now_s: f64,
-    attempt: u32,
-    ops: &mut AckOps,
-) -> u64 {
-    let root = shared.next_root.fetch_add(1, Ordering::Relaxed) + 1;
-    ops.push(AckOp::Track {
-        root,
-        spout_task: TaskId(tid),
-        message_id,
-        now_s,
-    });
-    if shared.tracer.sampled(root) {
-        shared
-            .tracer
-            .record_emit(tid, root, tid, shared.now_us(), attempt, message_id);
-    }
-    root
+    /// Tracked emissions carry their message id as the replay-dedup id of
+    /// the first hop when the recovery policy dedups.
+    dedup_on: bool,
 }
 
-/// Routes the root emission of tracked tree `root`; a tree that reaches
-/// nothing completes immediately.
-fn route_tracked(
-    router: &mut Router,
-    emission: &Emission,
-    root: u64,
-    dedup: Option<u64>,
-    shared: &Shared,
-    ops: &mut AckOps,
-) {
-    if router.route(emission, Some(root), dedup, shared, ops) == 0 {
-        let now_s = shared.now_s();
-        ops.push(AckOp::Ack {
-            root,
-            edge: 0,
-            now_s,
-        });
+impl SpoutRoute {
+    /// Routes one spout emission into the output buffers.  A tracked one
+    /// (`tracked_as`: its message id and replay attempt, 0 = the original)
+    /// roots a fresh tree, registered with the XOR of its first-hop edge
+    /// ids — zero, i.e. complete, when it reaches nothing — by a `Track`
+    /// queued before any of its deliveries can leave.  Returns the tree's
+    /// root.
+    fn emit(
+        &mut self,
+        emission: &Emission,
+        tracked_as: Option<(MessageId, u32)>,
+        now_s: f64,
+        shared: &Shared,
+        router: &mut Router,
+        ops: &mut AckOps,
+    ) -> Option<u64> {
+        let root = tracked_as.map(|_| shared.next_root.fetch_add(1, Ordering::Relaxed) + 1);
+        let dedup = tracked_as.map(|(id, _)| id).filter(|_| self.dedup_on);
+        let held = &mut self.held;
+        let first_hop = (self.fan).route(emission, root, dedup, |dest, d| held.push((dest, d)));
+        if let (Some(root), Some((message_id, attempt))) = (root, tracked_as) {
+            let tid = self.tid;
+            ops.track(root, first_hop, TaskId(tid), message_id, now_s);
+            if shared.tracer.sampled(root) {
+                shared
+                    .tracer
+                    .record_emit(tid, root, tid, shared.now_us(), attempt, message_id);
+            }
+        }
+        for (dest, delivery) in self.held.drain(..) {
+            router.push(dest, delivery, shared, ops);
+        }
+        root
     }
 }
 
@@ -450,20 +443,19 @@ pub(super) fn run_bolt(
     ctx: TopologyContext,
     tid: usize,
     my_gen: u64,
-    mut router: Router,
+    fan: FanOut,
     shared: Arc<Shared>,
     rx: Receiver<Batch>,
 ) {
     let cfg = &shared.engine;
     // The task gets a checkpoint cycle only when this bolt is stateful *and*
     // checkpointing is configured, so stock runs never touch the store.
-    let mut task = BoltTask::new(bolt, &ctx, shared.recovery(), shared.now_s());
+    let mut task = BoltTask::new(bolt, &ctx, fan, shared.recovery(), shared.now_s());
     let ckpt_on = task.is_checkpointed();
-    let mut out = BoltOutput::new();
-    let mut emis = Vec::new();
     let mut ops = AckOps::new(shared.ackers.num_shards());
+    let mut router = Router::new(tid, &shared);
     if my_gen > 0 {
-        restore(&mut task, &shared, tid, my_gen, &mut out, &mut emis);
+        restore(&mut task, &shared, tid, my_gen);
     }
     let tick = if cfg.tick_interval_s > 0.0 {
         Duration::from_secs_f64(cfg.tick_interval_s)
@@ -509,7 +501,6 @@ pub(super) fn run_bolt(
                 // bookkeeping is kept on that path.
                 let faults_on = shared.fault.is_some();
                 let mut now_s = shared.now_s();
-                out.set_now(now_s);
                 let batch_t0 = Instant::now();
                 // One clock read per batch covers the batch queue-wait sample
                 // (the adaptive throttle's signal, so it stays on even with
@@ -521,10 +512,11 @@ pub(super) fn run_bolt(
                 let mut failed_n = 0u64;
                 let mut slow_busy = 0u64;
                 for delivered in batch {
+                    let input = delivered.delivery;
                     // Sampled tuples take the per-tuple clock path (like
                     // faults) so their spans get real execute times.
                     let traced_root = if trace_on {
-                        delivered
+                        input
                             .anchor
                             .map(|(r, _)| r)
                             .filter(|&r| shared.tracer.sampled(r))
@@ -544,7 +536,6 @@ pub(super) fn run_bolt(
                             shared.counters.dropped.inc();
                             continue;
                         }
-                        out.set_now(now_s);
                         Some(Instant::now())
                     } else if traced_root.is_some() {
                         Some(Instant::now())
@@ -556,11 +547,15 @@ pub(super) fn run_bolt(
                     } else {
                         0
                     };
-                    let step = task.step(&delivered.tuple, delivered.dedup, &mut out, &mut emis);
+                    // A delivery may leave before the step's record is even
+                    // queued: the records of a tree commute.
+                    let (anchor, dedup) = (input.anchor, input.dedup);
+                    let step = task.step(&input.tuple, anchor, dedup, now_s, |dest, delivery| {
+                        router.push(dest, delivery, &shared, &mut ops)
+                    });
                     // A replay of an applied input was not run again, but its
                     // edge still acks so the replayed tree completes.
-                    let failed = step == Step::Executed { failed: true };
-                    if step != Step::Replayed {
+                    if step.executed {
                         if let Some(t0) = t0 {
                             inject_service_slowdown(&shared, tid, t0);
                             if faults_on {
@@ -585,26 +580,12 @@ pub(super) fn run_bolt(
                             );
                         }
                         executed += 1;
-                        failed_n += failed as u64;
+                        failed_n += step.failed as u64;
                     }
-                    let root = delivered.anchor.map(|(r, _)| r);
-                    for (i, emission) in emis.iter().enumerate() {
-                        let (anchor, dedup) =
-                            bolt_task::inherit(emission, i, root, delivered.dedup);
-                        router.route(emission, anchor, dedup, &shared, &mut ops);
-                    }
-                    emis.clear();
-                    if let Some((root, edge)) = delivered.anchor {
-                        let record = if failed {
-                            AckOp::Fail { root, now_s }
-                        } else {
-                            AckOp::Ack { root, edge, now_s }
-                        };
-                        // A stateful task's ack may have to wait until the
-                        // effect is durable: the next checkpoint releases it.
-                        if let Some(op) = task.settle(record, failed) {
-                            ops.push(op);
-                        }
+                    // A stateful task's record may have to wait until the
+                    // effect is durable: the next checkpoint releases it.
+                    if let Some(record) = step.record {
+                        ops.record(record, now_s);
                     }
                 }
                 // Batch processed: hand its credit back so the producer-side
@@ -649,12 +630,9 @@ pub(super) fn run_bolt(
         }
         if ticks_enabled && last_tick.elapsed() >= tick {
             last_tick = Instant::now();
-            out.set_now(shared.now_s());
-            task.tick(&mut out, &mut emis);
-            for emission in &emis {
-                router.route(emission, None, None, &shared, &mut ops);
-            }
-            emis.clear();
+            task.tick(shared.now_s(), |dest, delivery| {
+                router.push(dest, delivery, &shared, &mut ops)
+            });
         }
     }
     if let Some(store) = shared.checkpoints.as_ref() {

@@ -264,15 +264,6 @@ impl SimRuntime {
         Self::with_rt_config(topology, config, RtConfig::default())
     }
 
-    /// Builds a runtime with an explicit placement and default runtime knobs.
-    pub fn with_placement(
-        topology: Topology,
-        config: EngineConfig,
-        placement: Placement,
-    ) -> Result<Self> {
-        Self::with_placement_and_rt(topology, config, RtConfig::default(), placement)
-    }
-
     /// Builds a runtime with the even scheduler, driving the simulator from
     /// the same [`RtConfig`] knobs the threaded runtime uses (batch size,
     /// credit window).

@@ -2,14 +2,18 @@
 //!
 //! The sharded acker must be observationally equivalent to the single
 //! global acker: the same interleaved op sequence — tracks, child emits,
-//! acks, fails, timeouts — must complete the same trees with the same
-//! outcomes regardless of the stripe count, and the conservation invariant
+//! acks, fails, records, timeouts — must complete the same trees with the
+//! same outcomes regardless of the stripe count, and the conservation
+//! invariant
 //!
 //! ```text
 //! tracked == acked + failed + timed_out + still_pending
 //! ```
 //!
-//! must hold at every shard count.
+//! must hold at every shard count.  The records of one tree — one per
+//! executed tuple, `input edge ^ every child edge` — must complete it
+//! whatever order they arrive in, which is what lets a bolt send its
+//! deliveries before its record is applied.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +21,7 @@ use std::thread;
 
 use proptest::prelude::*;
 
-use dsdps::acker::{Completion, RootId, ShardedAcker, TreeOutcome};
+use dsdps::acker::{AckRecord, Completion, RootId, ShardedAcker, TreeOutcome};
 use dsdps::topology::TaskId;
 
 /// What one tracked message does with its tuple tree.
@@ -35,10 +39,23 @@ enum Fate {
 /// verbatim to ackers with different stripe counts.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Track { root: RootId, message_id: u64 },
-    Emit { root: RootId, edge: u64 },
-    Ack { root: RootId, edge: u64 },
-    Fail { root: RootId },
+    Track {
+        root: RootId,
+        message_id: u64,
+    },
+    Emit {
+        root: RootId,
+        edge: u64,
+    },
+    Ack {
+        root: RootId,
+        edge: u64,
+    },
+    Fail {
+        root: RootId,
+    },
+    /// What one executed tuple did to its tree, as `rt` and `dist` send it.
+    Record(AckRecord),
 }
 
 /// Splitmix64 finalizer — the same scrambling `ShardedAcker::new_edge_id`
@@ -71,27 +88,41 @@ fn interleaved_script(fates: &[(Fate, usize)], seed: u64) -> (Vec<Op>, BTreeMap<
             root,
             edge: root_edge,
         });
+        // Every other message speaks the record protocol: its children are
+        // covered by the record of the tuple that emitted them.
+        let by_records = i % 2 == 1;
+        let ack = |edge: u64| match by_records {
+            true => Op::Record(AckRecord {
+                root,
+                xor: edge,
+                failed: false,
+            }),
+            false => Op::Ack { root, edge },
+        };
         let mut edges = vec![root_edge];
         for _ in 0..fanout {
             let e = scramble(next_edge);
             next_edge += 1;
-            ops.push(Op::Emit { root, edge: e });
+            if by_records {
+                edges[0] ^= e;
+            } else {
+                ops.push(Op::Emit { root, edge: e });
+            }
             edges.push(e);
         }
         match fate {
             Fate::Complete => {
                 // Scrambled ack order: reverse is enough to exercise
                 // out-of-order completion under XOR accounting.
-                for &e in edges.iter().rev() {
-                    ops.push(Op::Ack { root, edge: e });
-                }
+                ops.extend(edges.iter().rev().map(|&e| ack(e)));
             }
             Fate::Fail => {
                 // Ack all but one edge, then fail the tree.
-                for &e in edges.iter().skip(1) {
-                    ops.push(Op::Ack { root, edge: e });
-                }
-                ops.push(Op::Fail { root });
+                ops.extend(edges.iter().skip(1).map(|&e| ack(e)));
+                ops.push(match by_records {
+                    true => Op::Record(AckRecord::failed(root)),
+                    false => Op::Fail { root },
+                });
             }
             Fate::Hang => {}
         }
@@ -129,6 +160,7 @@ fn run_script(script: &[Op], shards: usize) -> (Vec<TreeOutcome>, usize) {
             Op::Emit { root, edge } => acker.on_emit(root, edge),
             Op::Ack { root, edge } => acker.on_ack(root, edge, now),
             Op::Fail { root } => acker.on_fail(root, now),
+            Op::Record(record) => acker.on_record(record, now),
         }
     }
     let mut outcomes = acker.drain_outcomes_blocking();
@@ -215,6 +247,138 @@ proptest! {
         prop_assert!(outcomes.iter().all(|o| o.completion == Completion::Acked));
         prop_assert_eq!(acker.pending_count(), 0);
         prop_assert!(acker.drain_outcomes_blocking().is_empty(), "double completion");
+    }
+}
+
+/// A random tuple tree as the runtimes account for it.
+struct Tree {
+    /// XOR of the first-hop edges: what the spout's `Track` registers.
+    first_hop: u64,
+    /// One record per executed tuple.
+    records: Vec<AckRecord>,
+    /// Every (record, child edge it covers) pair.
+    children: Vec<(usize, u64)>,
+}
+
+/// Grows a tree under `root`: `first` deliveries off the spout, then
+/// `fanouts` consumed in execution order (0‥4 children per tuple, none below
+/// depth 4).  The `fail_at`-th executed tuple, if there is one, fails it.
+fn grow_tree(root: RootId, first: usize, fanouts: &[usize], fail_at: usize) -> Tree {
+    let mut next_edge = root * 1_000_003;
+    let mut fresh = || {
+        next_edge += 1;
+        scramble(next_edge)
+    };
+    let mut tree = Tree {
+        first_hop: 0,
+        records: Vec::new(),
+        children: Vec::new(),
+    };
+    // (edge of the delivery, its depth).
+    let mut frontier: Vec<(u64, usize)> = Vec::new();
+    for _ in 0..first {
+        let edge = fresh();
+        tree.first_hop ^= edge;
+        frontier.push((edge, 1));
+    }
+    let mut fanout = fanouts.iter().cycle();
+    while let Some((edge, depth)) = frontier.pop() {
+        let mut xor = edge;
+        let fanout = if depth < 4 {
+            *fanout.next().unwrap()
+        } else {
+            0
+        };
+        for _ in 0..fanout {
+            let child = fresh();
+            xor ^= child;
+            tree.children.push((tree.records.len(), child));
+            frontier.push((child, depth + 1));
+        }
+        let failed = tree.records.len() == fail_at;
+        tree.records.push(AckRecord { root, xor, failed });
+    }
+    tree
+}
+
+/// A seeded Fisher-Yates shuffle.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed;
+    for i in (1..items.len()).rev() {
+        state = scramble(state);
+        items.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+}
+
+/// Tracks `root` with `first_hop`, applies `records` in order and returns
+/// which record (by position) completed the tree and how — checking on the
+/// way that it completes at most once — plus what is left pending.
+fn completion_point(
+    shards: usize,
+    root: RootId,
+    first_hop: u64,
+    records: &[AckRecord],
+) -> (Option<(usize, Completion)>, usize) {
+    let acker = ShardedAcker::new(shards);
+    acker.track(root, first_hop, TaskId(0), 7, 0.0);
+    let mut done = None;
+    for (i, &record) in records.iter().enumerate() {
+        assert_eq!(acker.pending_count(), usize::from(done.is_none()));
+        acker.on_record(record, 1.0 + i as f64);
+        for outcome in acker.drain_outcomes_blocking() {
+            assert_eq!(done, None, "completed twice");
+            done = Some((i, outcome.completion));
+        }
+    }
+    (done, acker.pending_count())
+}
+
+proptest! {
+    /// The record algebra: after its `Track`, the records of a tree in
+    /// *any* order complete it exactly once and never before the last one
+    /// (or, with a failing tuple, fail it at that tuple's record and ignore
+    /// the rest); records without a `Track` are ignored.  A record that
+    /// omits a child edge is caught: the tree completes early or never.
+    #[test]
+    fn records_complete_a_tree_in_any_order(
+        first in 1usize..5,
+        fanouts in prop::collection::vec(0usize..5, 1..40),
+        fail_at in prop_oneof![Just(usize::MAX), 0usize..6],
+        omit in any::<usize>(),
+        shards in 1usize..13,
+        seed in 0u64..5000,
+    ) {
+        let root = seed + 1;
+        let tree = grow_tree(root, first, &fanouts, fail_at);
+        // The mutation the property must catch: a record lacking one of the
+        // child edges it covers.
+        let mut broken = tree.records.clone();
+        if let Some(&(parent, child)) = tree.children.get(omit % tree.children.len().max(1)) {
+            broken[parent].xor ^= child;
+        }
+        for order in 0..4 {
+            let (mut records, mut broken) = (tree.records.clone(), broken.clone());
+            shuffle(&mut records, seed * 4 + order);
+            shuffle(&mut broken, seed * 4 + order);
+            // Unknown root: nothing to complete.
+            let untracked = ShardedAcker::new(shards);
+            for &record in &records {
+                untracked.on_record(record, 0.0);
+            }
+            prop_assert_eq!(untracked.pending_count(), 0);
+            prop_assert!(untracked.drain_outcomes_blocking().is_empty());
+
+            let expected = match records.iter().position(|r| r.failed) {
+                Some(at) => (at, Completion::Failed),
+                None => (records.len() - 1, Completion::Acked),
+            };
+            let (done, pending) = completion_point(shards, root, tree.first_hop, &records);
+            prop_assert_eq!((done, pending), (Some(expected), 0));
+            if expected.1 == Completion::Acked && broken != records {
+                let (done, pending) = completion_point(shards, root, tree.first_hop, &broken);
+                prop_assert_ne!((done, pending), (Some(expected), 0), "omission unnoticed");
+            }
+        }
     }
 }
 

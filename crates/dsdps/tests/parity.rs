@@ -30,6 +30,7 @@ const TASKS: usize = 9;
 static HEARD_ROUTING: AtomicU64 = AtomicU64::new(0);
 static HEARD_ACK_DISABLED: AtomicU64 = AtomicU64::new(0);
 static HEARD_FLAKY: AtomicU64 = AtomicU64::new(0);
+static HEARD_FORK: AtomicU64 = AtomicU64::new(0);
 
 /// Emits `1..=N`, each tuple tracked under its own message id — and once
 /// more, under id `N + i`, on a stream nobody declared: a tracked tree with
@@ -179,6 +180,35 @@ fn build_flaky(counts: &Arc<Vec<AtomicU64>>) -> Result<Topology> {
     b.build()
 }
 
+/// `src ×1 → {pass ×1, reject ×1}`: every tuple of `src`'s default stream
+/// goes to both bolts (global tasks 1 and 2); `pass` acks it, `reject` fails
+/// the first sighting of every fourth id.  With `src`'s second emission on
+/// the undeclared stream that is three kinds of tracked tree: one that fans
+/// out and completes, one that fans out and is failed by one branch, and
+/// one that reaches nothing.
+fn build_fork(counts: &Arc<Vec<AtomicU64>>) -> Result<Topology> {
+    let branch = |task: usize, fail_every: u64| {
+        let counts = Arc::clone(counts);
+        move || Count {
+            counts: Arc::clone(&counts),
+            task,
+            seen: 0,
+            fail_every,
+            failed_once: HashSet::new(),
+        }
+    };
+    let mut b = TopologyBuilder::new("parity-fork");
+    b.set_spout("src", 1, || Src {
+        next: 0,
+        heard: &HEARD_FORK,
+    })?;
+    b.set_bolt("pass", 1, branch(1, 0))?
+        .shuffle_grouping("src")?;
+    b.set_bolt("reject", 1, branch(2, 4))?
+        .shuffle_grouping("src")?;
+    b.build()
+}
+
 fn fresh_counts() -> Arc<Vec<AtomicU64>> {
     Arc::new((0..TASKS).map(|_| AtomicU64::new(0)).collect())
 }
@@ -194,6 +224,7 @@ fn registry() -> TopologyRegistry {
         build(&fresh_counts(), &HEARD_ACK_DISABLED)
     });
     r.register("flaky", |_args| build_flaky(&fresh_counts()));
+    r.register("fork", |_args| build_fork(&fresh_counts()));
     r
 }
 
@@ -403,4 +434,67 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
         "dist: each id applied exactly once"
     );
     assert_eq!(HEARD_FLAKY.load(Ordering::Relaxed), 2 * 2 * N);
+}
+
+/// A tree means the same on `rt` and `dist` whether it fans out to two bolts
+/// and completes, is failed by one of its branches, or reaches nothing: the
+/// same `(acked, failed, permanently_failed, in_flight)` — and on both the
+/// acker is handed exactly one record per executed tuple, none for the
+/// emissions in between.
+#[test]
+fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
+    // No replay: a failed tree is permanently failed, and nothing executes
+    // twice.  Each of the `N` forked trees executes once on either branch.
+    let (failed, executed) = (N / 4, 2 * N);
+    let expected = (2 * N - failed, failed, failed, 0);
+    let resolved = |acked: u64, perm_failed: u64| acked + perm_failed == 2 * N;
+
+    let counts = fresh_counts();
+    let topology = build_fork(&counts).unwrap();
+    let running = rt::submit_with(topology, EngineConfig::default(), RtConfig::default()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            resolved(running.acked(), running.permanently_failed())
+                && running.ack_records_applied() == executed
+        }),
+        "rt: acked {} failed {} records {}",
+        running.acked(),
+        running.permanently_failed(),
+        running.ack_records_applied()
+    );
+    let rt_records = running.ack_records_applied();
+    let (_, r) = running.shutdown();
+    assert_eq!(read(&counts)[1..3], [N, N], "rt: both branches saw all");
+    let rt_outcome = (r.acked, r.failed, r.permanently_failed, r.in_flight);
+    assert_eq!(rt_outcome, expected, "{r:?}");
+
+    let running = dist::submit(
+        &registry(),
+        "fork",
+        "",
+        EngineConfig::default(),
+        RtConfig::default().with_batch_size(8),
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            running.tracked() == 2 * N
+                && running.pending_trees() == 0
+                && running.ack_records_applied() == executed
+        }),
+        "dist: tracked {} pending {} records {}",
+        running.tracked(),
+        running.pending_trees(),
+        running.ack_records_applied()
+    );
+    let dist_records = running.ack_records_applied();
+    let r = running.shutdown();
+    assert!(r.drained_clean, "{r:?}");
+    assert_eq!(dist_counts(&r)[1..3], [N, N], "dist: both branches saw all");
+    let dist_outcome = (r.acked, r.failed, r.permanently_failed, r.in_flight);
+    assert_eq!(dist_outcome, expected, "{r:?}");
+    // The workers' forced shutdown checkpoints released nothing more.
+    assert_eq!((rt_records, dist_records), (executed, executed));
+    assert_eq!(HEARD_FORK.load(Ordering::Relaxed), 2 * 2 * N);
 }
