@@ -14,8 +14,8 @@ use parking_lot::Mutex;
 
 use dsdps::grouping::dynamic::{DynamicGroupingHandle, SplitRatio};
 use dsdps::metrics::MetricsSnapshot;
+use dsdps::metrics::SnapshotHook;
 use dsdps::scheduler::{Placement, WorkerId};
-use dsdps::sim::ControlHook;
 use dsdps::telemetry::{Journal, JournalEvent};
 use dsdps::topology::{TaskId, Topology};
 use serde::{Deserialize, Serialize};
@@ -522,7 +522,7 @@ impl Controller {
 /// Wraps a shared controller as the snapshot hook of either backend:
 /// [`dsdps::sim::SimRuntime::add_control_hook`] in virtual time,
 /// [`dsdps::rt::submit_faulty`] on the wall clock.
-pub fn control_hook(controller: Arc<Mutex<Controller>>) -> ControlHook {
+pub fn control_hook(controller: Arc<Mutex<Controller>>) -> SnapshotHook {
     Box::new(move |snapshot| {
         controller.lock().on_snapshot(snapshot);
     })

@@ -11,8 +11,9 @@
 //! supervisor thread respawns dead workers, expires timed-out trees,
 //! flushes lingering batches and pushes dynamic-grouping ratio changes.
 //!
-//! Destination selection and the spouts' tree lifecycle (tracking, replay,
-//! `ack_enabled`, the delivery counters) are the crate's shared values, so
+//! The spout threads step the crate's shared `spout_task::SpoutTask` (the
+//! one `next_tuple` site, pending gate, replay and `Track`-before-release of
+//! `rt` and `dist`) against a `TreeLifecycle` per spout kept in `Shared`, so
 //! delivery accounting is the threaded runtime's by construction —
 //! `tracked == acked + permanently_failed + in_flight` holds at shutdown
 //! ([`DistReport::conservation_holds`]) — with one extra failure source:
@@ -21,7 +22,7 @@
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -32,24 +33,24 @@ use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::TopologyRegistry;
 use super::{recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine};
-use crate::acker::{AckOps, RootId, ShardedAcker, TreeOutcome};
+use crate::acker::{AckOps, ShardedAcker, TreeOutcome};
 use crate::bolt_task::Policy;
 use crate::checkpoint::{CheckpointStore, StoreCounters};
-use crate::component::{Emission, MessageId, SpoutOutput, TopologyContext};
+use crate::component::TopologyContext;
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
 use crate::grouping::dynamic::DynamicGroupingHandle;
-use crate::lifecycle::{deliver_outcomes, TreeCounters, TreeLifecycle};
-use crate::metrics::{LatencyHistogram, OnlineStats};
+use crate::lifecycle::{self, deliver_outcomes, TreeCounters, TreeLifecycle};
 use crate::route::FanOut;
 use crate::rt::{CreditLedger, CreditTotals, RtConfig, StateSnapshot};
+use crate::spout_task::{Next, Released, SpoutTask};
 use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
 use crate::telemetry::{
     chrome_trace_json_named, normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer,
     Registry, Span, Tracer,
 };
-use crate::topology::{ComponentId, ComponentKind, TaskId, Topology};
+use crate::topology::{ComponentId, ComponentKind, Topology};
 
 /// Credit window (tuples per destination task, per sender) used when
 /// `RtConfig::credit_flow` is off.  Every data link needs *some* bound: a
@@ -63,6 +64,17 @@ const DEFAULT_WINDOW_TUPLES: u64 = 1_024;
 /// How often the supervisor refreshes the cluster-view gauges (outstanding
 /// windows, overflow depth, connection counters).  Off the tuple path.
 const GAUGE_SYNC_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Respawn budget per worker slot; beyond it the slot stays down and its
+/// in-flight trees fail into replay/`permanently_failed`.  Every respawn
+/// fails all trees in flight, so a worker that keeps dying is a fault to
+/// surface, not to absorb: three covers a kill plus a respawn that dies too.
+const MAX_WORKER_RESTARTS: u32 = 3;
+
+/// How long shutdown waits for the fleet to quiesce before it reports
+/// `drained_clean = false`: the default connect budget, since a drain may
+/// have to sit out one respawn, and well under the default message timeout.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// `Assign::task_slots` entry of a spout task (it lives on the coordinator).
 pub(crate) const COORDINATOR_SLOT: u32 = u32::MAX;
@@ -209,14 +221,12 @@ struct Shared {
     dynamic: Vec<DynamicGroupingHandle>,
     /// Outcome channel of each spout task (`None` for bolt tasks).
     feedback: Vec<Option<Sender<Vec<TreeOutcome>>>>,
-    /// Unresolved messages per spout task (drain check).
-    spout_inflight: Vec<AtomicUsize>,
+    /// Tree lifecycle per spout, in spout order: stepped by the spout's
+    /// thread, read by the drain check, a restore's doom and the report.
+    spouts: Vec<parking_lot::Mutex<TreeLifecycle>>,
     /// What the recovery mode means where the store is a process away from
     /// the tasks (`Assign` carries the mode; workers derive the same).
     policy: Policy,
-    /// Per spout task: the latest approximate-restore cut it has yet to
-    /// doom its older trees for (`f64` bits; 0 = none).
-    doom_before: Vec<AtomicU64>,
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -365,10 +375,7 @@ impl Shared {
     /// credited back (i.e. executed).
     fn idle(&self) -> bool {
         self.ackers.pending_count() == 0
-            && self
-                .spout_inflight
-                .iter()
-                .all(|c| c.load(Ordering::Acquire) == 0)
+            && lifecycle::unresolved(&self.spouts) == 0
             && self.slots.iter().all(|slot| {
                 slot.state.lock().unwrap().out.parked() == 0 && self.in_use(&slot.tasks) == 0
             })
@@ -606,10 +613,10 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
             continue;
         };
         // An approximate restore skips the replay of what was tracked
-        // before its snapshot; the spout threads own the trees.
+        // before its snapshot.
         if let Some(cut) = shared.policy.doom_cut(restored.taken_at_s) {
-            for doom in &shared.doom_before {
-                doom.fetch_max(cut.to_bits(), Ordering::AcqRel);
+            for trees in &shared.spouts {
+                trees.lock().doom_tracked_before(cut);
             }
         }
         restores.push(Frame::RestoreState {
@@ -804,7 +811,7 @@ fn supervisor_loop(shared: Arc<Shared>) {
             if state.child.is_none()
                 && !state.out.is_up()
                 && state.generation > 0
-                && state.respawns < shared.cfg.max_worker_restarts
+                && state.respawns < MAX_WORKER_RESTARTS
                 && !shared.terminate.load(Ordering::Acquire)
             {
                 state.respawns += 1;
@@ -822,130 +829,63 @@ fn supervisor_loop(shared: Arc<Shared>) {
 
 // --- spout thread -------------------------------------------------------
 
-/// Routing state owned by one spout thread.
-struct SpoutRoute {
-    task: usize,
-    /// Interned wire id of the first stream the spout's component declares.
-    stream_base: u32,
-    fan: FanOut,
-    /// The deliveries of the emission in hand: held until its tree is
-    /// registered.
-    held: Vec<WireTuple>,
-    ops: AckOps,
-}
-
-impl SpoutRoute {
-    /// Routes one spout emission.  `tracked_as` carries the spout message
-    /// id for tree tracking + replay dedup; `None` emits untracked.
-    /// Returns the new tree's root.
-    fn route(
-        &mut self,
-        shared: &Shared,
-        emission: &Emission,
-        tracked_as: Option<MessageId>,
-    ) -> Option<RootId> {
-        let root = tracked_as.map(|_| shared.next_root.fetch_add(1, Ordering::Relaxed) + 1);
-        let dedup = tracked_as.filter(|_| shared.policy.dedup);
-        let (base, held) = (self.stream_base, &mut self.held);
-        let first_hop = self.fan.route(emission, root, dedup, |dest, delivery| {
-            held.push(wire_tuple(base, dest, delivery))
-        });
-        // The tree is registered with the XOR of all its first-hop edges
-        // *before* any delivery leaves: an ack record that beat the
-        // registration would hit an unknown root and be lost.  One that
-        // reaches nothing is complete as registered.
-        if let (Some(root), Some(message_id)) = (root, tracked_as) {
-            let now = shared.now_s();
-            let spout = TaskId(self.task);
-            self.ops.track(root, first_hop, spout, message_id, now);
-            self.ops.apply(&shared.ackers);
-            if self.ops.has_outcomes() {
-                shared.deliver(self.ops.take_outcomes());
-            }
-        }
-        self.held.drain(..).for_each(|item| shared.enqueue(item));
-        root
-    }
-}
-
+/// Body of a spout thread: steps the shared [`SpoutTask`] and keeps what is
+/// the coordinator's — the stop and terminate flags, the wire form and the
+/// links, applying its acker ops and taking their outcomes home, the emit
+/// span and the sleeping.
 fn spout_loop(
     shared: Arc<Shared>,
-    mut route: SpoutRoute,
-    task_index: usize,
+    task: usize,
     spout_index: usize,
     feedback: Receiver<Vec<TreeOutcome>>,
-) -> TreeLifecycle {
-    let task = route.task;
+) {
     let component = (shared.topology).component(ComponentId(shared.task_component[task]));
     let ComponentKind::Spout(factory) = &component.kind else {
         unreachable!("spout thread for a bolt component");
     };
-    let mut spout = factory();
-    spout.open(&TopologyContext {
+    let ctx = TopologyContext {
         component: component.name.clone(),
-        task_index,
+        task_index: task - component.base_task.0,
         parallelism: component.parallelism,
-    });
-    let mut trees = TreeLifecycle::new(
-        &shared.rt,
-        shared.counters.trees.clone(),
-        Arc::clone(&shared.journal),
-    );
-    let mut out = SpoutOutput::new();
-    let mut emissions = Vec::new();
-    let mut idle_spins = 0u32;
-    let mut exhausted = false;
-    let trace_emit = |root: Option<RootId>, now: f64, attempt: u32, id: MessageId| {
-        if let Some(root) = root.filter(|&r| shared.tracer.sampled(r)) {
-            let now_us = (now * 1e6) as u64;
-            shared
-                .tracer
-                .record_emit(task, root, task, now_us, attempt, id);
-        }
     };
+    let edge_seed = u64::from(std::process::id()) << 32 | task as u64;
+    let fan = FanOut::new(&shared.topology, component, 0, edge_seed);
+    let (engine, dedup) = (&shared.engine, shared.policy.dedup);
+    let mut spout = SpoutTask::new(factory(), &ctx, fan, engine, dedup, shared.now_s());
+    // Interned wire id of the first stream the spout's component declares.
+    let stream_base = shared.intern.base_of(component.id.0);
+    let trees = &shared.spouts[spout_index];
+    let mut ops = AckOps::new(shared.ackers.num_shards());
+    let mut idle_spins = 0u32;
     loop {
+        if shared.stop.load(Ordering::Acquire) {
+            spout.finish();
+        }
         let now = shared.now_s();
-        // 1. Feedback: completed trees → acks/fails/replay schedule; then
-        // whatever an approximate restore doomed is dropped from it.
-        for outcome in feedback.try_iter().flatten() {
-            let heard = trees.on_outcome(&outcome, now);
-            heard.tell(&mut *spout, outcome.message_id);
-        }
-        let cut = shared.doom_before[spout_index].swap(0, Ordering::AcqRel);
-        if cut != 0 {
-            trees.doom_tracked_before(f64::from_bits(cut));
-        }
-        // 2. Due replays: re-emit under a fresh tree (O(1) when nothing is
-        // scheduled, which is every iteration of a healthy run).
-        for (id, emission, attempt) in trees.take_due(now) {
-            let root = route.route(&shared, &emission, Some(id));
-            trees.on_replayed(id, attempt, root.unwrap_or(0), now);
-            trace_emit(root, now, attempt, id);
-        }
-        // 3. Fresh emission, gated on max_spout_pending.
-        let stopped = shared.stop.load(Ordering::Acquire) || exhausted;
-        if !stopped && trees.pending() < shared.engine.max_spout_pending {
-            out.set_now(now);
-            if !spout.next_tuple(&mut out) {
-                exhausted = true;
+        let feedback = feedback.try_iter().flatten();
+        // No rate cap on this backend yet.
+        let cap = f64::INFINITY;
+        let stepped = spout.step(now, cap, &shared.next_root, trees, feedback, |released| {
+            match released {
+                Released::Track(t) => t.register(task, now, &mut ops, &shared.tracer),
+                Released::Delivery(dest, delivery) => {
+                    // The step's trees are registered *before* the first
+                    // delivery leaves: an ack record that beat the
+                    // registration would hit an unknown root and be lost.
+                    ops.apply(&shared.ackers);
+                    shared.enqueue(wire_tuple(stream_base, dest, delivery));
+                }
             }
-            out.drain_into(&mut emissions);
-        }
-        let emitted_any = !emissions.is_empty();
-        for emission in emissions.drain(..) {
-            shared.counters.spout_emitted.inc();
-            let tracked_as = TreeLifecycle::tracked_id(&shared.engine, &emission);
-            let root = route.route(&shared, &emission, tracked_as);
-            if let Some(id) = tracked_as {
-                trace_emit(root, now, 0, id);
-                trees.on_track(id, emission, now);
-            }
-        }
-        shared.spout_inflight[spout_index].store(trees.pending(), Ordering::Release);
+        });
+        // A tree that reached nothing had no delivery to be applied for, and
+        // is complete as registered.
+        ops.apply(&shared.ackers);
+        shared.deliver(ops.take_outcomes());
+        shared.counters.spout_emitted.add(stepped.emitted);
         if shared.terminate.load(Ordering::Acquire) {
             break;
         }
-        if emitted_any {
+        if stepped.next == Next::Ran {
             idle_spins = 0;
         } else {
             idle_spins = (idle_spins + 1).min(20);
@@ -953,7 +893,6 @@ fn spout_loop(
         }
     }
     spout.close();
-    trees
 }
 
 // --- submit / running handle --------------------------------------------
@@ -989,14 +928,12 @@ pub fn submit(
     let mut task_component = vec![0usize; n_tasks];
     let mut slot_tasks: Vec<Vec<u32>> = vec![Vec::new(); cfg.workers];
     let mut next_slot = 0usize;
-    let mut spout_tasks: Vec<(usize, usize, usize)> = Vec::new(); // (component, task, task_index)
+    let mut spout_tasks: Vec<usize> = Vec::new();
     for component in topology.components() {
-        for (task_index, task) in component.tasks().enumerate() {
+        for task in component.tasks() {
             task_component[task.0] = component.id.0;
             match &component.kind {
-                ComponentKind::Spout(_) => {
-                    spout_tasks.push((component.id.0, task.0, task_index));
-                }
+                ComponentKind::Spout(_) => spout_tasks.push(task.0),
                 ComponentKind::Bolt(_) => {
                     task_owner[task.0] = Some(next_slot);
                     slot_tasks[next_slot].push(task.0 as u32);
@@ -1050,24 +987,17 @@ pub fn submit(
         None => None,
     };
 
+    let counters = Counters::new(&metrics);
     let mut feedback = vec![None; n_tasks];
-    let mut spout_inputs = Vec::new();
-    for &(component, task, task_index) in &spout_tasks {
+    let (mut spout_inputs, mut spouts) = (Vec::new(), Vec::new());
+    for &task in &spout_tasks {
         let (tx, rx) = mpsc::channel();
         feedback[task] = Some(tx);
-        let edge_seed = u64::from(std::process::id()) << 32 | task as u64;
-        let producer = topology.component(ComponentId(component));
-        let route = SpoutRoute {
-            task,
-            stream_base: intern.base_of(component),
-            fan: FanOut::new(&topology, producer, 0, edge_seed),
-            held: Vec::new(),
-            ops: AckOps::new(rt.acker_shards),
-        };
-        spout_inputs.push((route, task_index, rx));
+        spout_inputs.push((task, rx));
+        let trees = TreeLifecycle::new(&rt, counters.trees.clone(), Arc::clone(&journal));
+        spouts.push(parking_lot::Mutex::new(trees));
     }
 
-    let counters = Counters::new(&metrics);
     let shared = Arc::new(Shared {
         topology_key: topology_name.to_owned(),
         args: args.to_owned(),
@@ -1098,9 +1028,8 @@ pub fn submit(
             })
             .collect(),
         feedback,
-        spout_inflight: spout_tasks.iter().map(|_| AtomicUsize::new(0)).collect(),
+        spouts,
         policy: Policy::of(rt.recovery_mode, false),
-        doom_before: spout_tasks.iter().map(|_| AtomicU64::new(0)).collect(),
         reader_threads: Mutex::new(Vec::new()),
         topology,
         engine,
@@ -1150,12 +1079,11 @@ pub fn submit(
     }
 
     let mut spout_handles = Vec::new();
-    for (spout_index, (route, task_index, rx)) in spout_inputs.into_iter().enumerate() {
+    for (spout_index, (task, rx)) in spout_inputs.into_iter().enumerate() {
         let shared2 = Arc::clone(&shared);
-        spout_handles.push(spawn_thread(
-            format!("dist-spout-{}", route.task),
-            move || spout_loop(shared2, route, task_index, spout_index, rx),
-        )?);
+        spout_handles.push(spawn_thread(format!("dist-spout-{task}"), move || {
+            spout_loop(shared2, task, spout_index, rx)
+        })?);
     }
 
     Ok(RunningDist {
@@ -1172,7 +1100,7 @@ pub struct RunningDist {
     shared: Arc<Shared>,
     listener_handle: Option<JoinHandle<()>>,
     supervisor_handle: Option<JoinHandle<()>>,
-    spout_handles: Vec<JoinHandle<TreeLifecycle>>,
+    spout_handles: Vec<JoinHandle<()>>,
     metrics_server: Option<MetricsServer>,
 }
 
@@ -1234,11 +1162,6 @@ impl RunningDist {
         }
     }
 
-    /// Seconds since submit.
-    pub fn uptime_s(&self) -> f64 {
-        self.shared.now_s()
-    }
-
     /// Messages fully acked so far.
     pub fn acked(&self) -> u64 {
         self.shared.counters.trees.acked.get()
@@ -1254,9 +1177,10 @@ impl RunningDist {
         self.shared.counters.spout_emitted.get()
     }
 
-    /// Tuple trees currently pending in the acker.
+    /// Messages the spouts have yet to resolve: a tree in flight or a replay
+    /// awaited.
     pub fn pending_trees(&self) -> usize {
-        self.shared.ackers.pending_count()
+        lifecycle::unresolved(&self.shared.spouts)
     }
 
     /// Ack records received from the workers so far (one per executed
@@ -1311,7 +1235,7 @@ impl RunningDist {
         // which no worker executed or sent anything.  A delivery alive at
         // the instant between the rounds would be in flight at its sender
         // in the first round, or have been sent (activity) since.
-        let deadline = Instant::now() + shared.cfg.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         let mut previous: Option<Vec<u64>> = None;
         let mut seq = 0;
         let drained_clean = loop {
@@ -1331,15 +1255,11 @@ impl RunningDist {
         shared.terminate.store(true, Ordering::Release);
         // Spouts exit first (they drain their feedback channels on the
         // way out).
-        let mut in_flight = 0u64;
-        let mut latency = (OnlineStats::new(), LatencyHistogram::new());
         for handle in self.spout_handles.drain(..) {
-            if let Ok(trees) = handle.join() {
-                in_flight += trees.pending() as u64;
-                latency.0.merge(&trees.latency().0);
-                latency.1.merge(&trees.latency().1);
-            }
+            let _ = handle.join();
         }
+        let in_flight = lifecycle::unresolved(&shared.spouts) as u64;
+        let latency = lifecycle::merged_latency(&shared.spouts);
         // Stop the fleet.  Every link is closed before its worker is told
         // to exit, so the readers' EOF is not mistaken for a worker death.
         let mut credits = shared.ledger.totals();

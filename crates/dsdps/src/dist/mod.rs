@@ -81,11 +81,6 @@ pub struct DistConfig {
     pub worker_cmd: Vec<String>,
     /// How long spawn + connect + hello may take per worker.
     pub connect_timeout: Duration,
-    /// Respawn budget per worker slot; beyond it the slot stays down and
-    /// its in-flight trees fail into replay/`permanently_failed`.
-    pub max_worker_restarts: u32,
-    /// How long shutdown waits for in-flight trees to drain to zero.
-    pub drain_timeout: Duration,
 }
 
 impl DistConfig {
@@ -95,26 +90,12 @@ impl DistConfig {
             workers,
             worker_cmd,
             connect_timeout: Duration::from_secs(10),
-            max_worker_restarts: 3,
-            drain_timeout: Duration::from_secs(10),
         }
     }
 
     /// Sets the per-worker spawn/connect budget.
     pub fn with_connect_timeout(mut self, t: Duration) -> Self {
         self.connect_timeout = t;
-        self
-    }
-
-    /// Sets the respawn budget per worker slot.
-    pub fn with_max_worker_restarts(mut self, n: u32) -> Self {
-        self.max_worker_restarts = n;
-        self
-    }
-
-    /// Sets the shutdown drain budget.
-    pub fn with_drain_timeout(mut self, t: Duration) -> Self {
-        self.drain_timeout = t;
         self
     }
 }

@@ -80,6 +80,7 @@ mod route;
 pub mod rt;
 pub mod scheduler;
 pub mod sim;
+mod spout_task;
 pub mod stream;
 pub mod telemetry;
 pub mod topology;

@@ -2,12 +2,13 @@
 //! distributed backend: track → outcome → replay → give up.
 //!
 //! A [`TreeLifecycle`] is a plain value — no thread, socket or clock inside
-//! — stepped by whichever loop owns the spout.  It decides what a completed
-//! tree means for the message that rooted it (`ack`, `fail`, or a silent
-//! replay), counts the unresolved messages the `max_spout_pending` throttle
-//! and the shutdown report read, and owns the run's delivery counters as
-//! registry cells.  After every step
-//! `tracked == acked + permanently_failed + pending`.
+//! — stepped by [`SpoutTask::step`](crate::spout_task::SpoutTask::step),
+//! which borrows it from a mutex in the backend's shared state (a restore's
+//! doom, the drain check and the report read it there).  It decides what a
+//! completed tree means for its message (`ack`, `fail`, or a silent replay),
+//! counts the unresolved messages the `max_spout_pending` throttle and the
+//! report read, and owns the run's delivery counters as registry cells.
+//! After every step `tracked == acked + permanently_failed + pending`.
 //!
 //! With [`RtConfig::max_replays`] > 0 a [`ReplayBuffer`] caches each tracked
 //! emission so a failed or timed-out tree is re-emitted — up to
@@ -17,6 +18,8 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use crate::acker::{Completion, TreeOutcome};
 use crate::component::{Emission, MessageId, Spout};
@@ -229,6 +232,23 @@ impl TreeLifecycle {
     }
 }
 
+/// Messages a run's spouts have yet to resolve: a tree in flight or a
+/// replay awaited.
+pub(crate) fn unresolved(spouts: &[Mutex<TreeLifecycle>]) -> usize {
+    spouts.iter().map(|trees| trees.lock().pending()).sum()
+}
+
+/// Complete latency (µs) of a run's acked trees, over all its spouts.
+pub(crate) fn merged_latency(spouts: &[Mutex<TreeLifecycle>]) -> (OnlineStats, LatencyHistogram) {
+    let mut merged = (OnlineStats::new(), LatencyHistogram::new());
+    for trees in spouts {
+        let trees = trees.lock();
+        merged.0.merge(&trees.latency().0);
+        merged.1.merge(&trees.latency().1);
+    }
+    merged
+}
+
 /// Hands completed trees to the spout tasks that own them — one `send`
 /// per spout — after recording the terminal span of every sampled tree in
 /// `tracer` slot `slot`.
@@ -439,26 +459,10 @@ impl ReplayBuffer {
 }
 
 #[cfg(test)]
-mod tests {
-    use proptest::prelude::*;
-
-    use super::*;
-    use crate::stream::StreamId;
-    use crate::telemetry::Registry;
-    use crate::topology::TaskId;
-    use crate::tuple::{Tuple, Value};
-
-    fn emission(id: MessageId) -> Arc<Emission> {
-        Arc::new(Emission {
-            stream: StreamId::default(),
-            tuple: Tuple::of([Value::from(id as i64)]),
-            message_id: Some(id),
-            direct_task: None,
-            anchored: true,
-        })
-    }
-
-    fn counters(registry: &Registry) -> TreeCounters {
+impl TreeCounters {
+    /// Counters of no registry, for tests that step a lifecycle by hand.
+    pub(crate) fn detached() -> Self {
+        let registry = crate::telemetry::Registry::new();
         let c = |name: &str| registry.counter(name, &[]);
         TreeCounters {
             tracked: c("tracked"),
@@ -470,6 +474,26 @@ mod tests {
             replays_emitted: c("replays_emitted"),
             approx_skipped: c("approx_skipped"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::stream::StreamId;
+    use crate::topology::TaskId;
+    use crate::tuple::{Tuple, Value};
+
+    fn emission(id: MessageId) -> Arc<Emission> {
+        Arc::new(Emission {
+            stream: StreamId::default(),
+            tuple: Tuple::of([Value::from(id as i64)]),
+            message_id: Some(id),
+            direct_task: None,
+            anchored: true,
+        })
     }
 
     /// User code as the property test sees it: what it was told, per id.
@@ -503,8 +527,7 @@ mod tests {
 
     impl Driver {
         fn new(max_replays: u32) -> Self {
-            let registry = Registry::new();
-            let counters = counters(&registry);
+            let counters = TreeCounters::detached();
             let rt = RtConfig::default()
                 .with_max_replays(max_replays)
                 .with_replay_backoff(Duration::from_millis(10));

@@ -212,8 +212,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Callback a backend invokes with every snapshot it produces — the
-/// control framework's entry point (re-exported as `sim::ControlHook` and
-/// `rt::MetricsHook`).
+/// control framework's entry point.
 pub type SnapshotHook = Box<dyn FnMut(&MetricsSnapshot) + Send>;
 
 impl MetricsSnapshot {

@@ -71,9 +71,9 @@ use crate::bolt_task::Policy;
 use crate::checkpoint::{CheckpointStore, StoreCounters};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
-use crate::lifecycle::{TreeCounters, TreeLifecycle};
+use crate::lifecycle::{self, TreeCounters, TreeLifecycle};
 use crate::metrics::{
-    fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats,
+    fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, SnapshotHook,
     TaskFlow, TaskStats, TopologyStats,
 };
 use crate::scheduler::{even_placement, MachineId, Placement, WorkerId};
@@ -228,18 +228,6 @@ impl Shared {
         self.task_stats[task].generation.load(Ordering::SeqCst) != generation
     }
 
-    /// Merges every spout's complete-latency summary (read path only).
-    pub(crate) fn merged_latency(&self) -> (OnlineStats, LatencyHistogram) {
-        let mut stats = OnlineStats::new();
-        let mut hist = LatencyHistogram::new();
-        for trees in &self.spouts {
-            let trees = trees.lock();
-            stats.merge(&trees.latency().0);
-            hist.merge(&trees.latency().1);
-        }
-        (stats, hist)
-    }
-
     /// Aggregate credit-ledger counters (all zero when credit flow is off).
     pub(crate) fn credit_totals(&self) -> CreditTotals {
         self.credits
@@ -331,16 +319,10 @@ pub struct RunningTopology {
     supervision: Arc<Supervision>,
     supervisor_thread: Option<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<MetricsHistory>>,
-    registry: Arc<Registry>,
     metrics_server: Option<MetricsServer>,
 }
 
 impl RunningTopology {
-    /// Seconds since the topology started.
-    pub fn uptime_s(&self) -> f64 {
-        self.shared.now_s()
-    }
-
     /// Total tuple trees acked so far.
     pub fn acked(&self) -> u64 {
         self.shared.counters.trees.acked.get()
@@ -355,11 +337,6 @@ impl RunningTopology {
     /// failure when replay is off).
     pub fn permanently_failed(&self) -> u64 {
         self.shared.counters.trees.permanently_failed.get()
-    }
-
-    /// Runtime-level replays emitted so far.
-    pub fn replays(&self) -> u64 {
-        self.shared.counters.trees.replays_emitted.get()
     }
 
     /// Panics caught in task threads so far.
@@ -386,22 +363,10 @@ impl RunningTopology {
         Arc::clone(&self.shared.journal)
     }
 
-    /// The run's live metrics registry (rendered by the Prometheus
-    /// endpoint, refreshed every metrics interval).
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
-    }
-
     /// Address the Prometheus endpoint is actually serving on, when
     /// [`RtConfig::metrics_addr`] was set (resolves port 0).
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
         self.metrics_server.as_ref().map(|s| s.local_addr())
-    }
-
-    /// Snapshot of the sampled trace so far: merged spans plus the count
-    /// rejected on ring-buffer overflow.
-    pub fn trace_snapshot(&self) -> (Vec<Span>, u64) {
-        self.shared.tracer.snapshot()
     }
 
     /// The run's backpressure/throttle actuation handle (rate caps, credit
@@ -461,14 +426,12 @@ impl RunningTopology {
     }
 
     fn report(&self) -> ThreadedReport {
-        let (stats, hist) = self.shared.merged_latency();
+        let (stats, hist) = lifecycle::merged_latency(&self.shared.spouts);
         let (avg_ms, p99_ms) = (
             stats.mean() / 1000.0,
             hist.quantile(0.99).unwrap_or(0.0) / 1000.0,
         );
-        let in_flight = (self.shared.spouts.iter())
-            .map(|trees| trees.lock().pending() as u64)
-            .sum();
+        let in_flight = lifecycle::unresolved(&self.shared.spouts) as u64;
         let panic_messages = self
             .shared
             .task_stats
@@ -672,6 +635,7 @@ pub fn submit_with(
     submit_faulty(topology, config, rt_config, RtFaultPlan::new(), None)
 }
 
+#[doc(hidden)]
 pub use crate::metrics::SnapshotHook as MetricsHook;
 
 /// The registry cells derived from a metrics snapshot (the data plane's own
@@ -778,7 +742,7 @@ pub fn submit_faulty(
     config: EngineConfig,
     rt_config: RtConfig,
     plan: RtFaultPlan,
-    mut hook: Option<MetricsHook>,
+    mut hook: Option<SnapshotHook>,
 ) -> Result<RunningTopology> {
     config.validate()?;
     rt_config.validate()?;
@@ -1072,7 +1036,7 @@ pub fn submit_faulty(
                 let emitted = shared.counters.spout_emitted.get();
                 let (pa, pf2, pt, pe2) = prev_totals;
                 prev_totals = (acked, failed, timed_out, emitted);
-                let (lat_stats, lat_hist) = shared.merged_latency();
+                let (lat_stats, lat_hist) = lifecycle::merged_latency(&shared.spouts);
                 let topo_stats = TopologyStats {
                     spout_emitted: emitted - pe2,
                     acked: acked - pa,
@@ -1144,7 +1108,6 @@ pub fn submit_faulty(
         supervision,
         supervisor_thread,
         metrics_thread,
-        registry,
         metrics_server,
     })
 }

@@ -1,4 +1,6 @@
-//! Spout and bolt thread loops.
+//! Spout and bolt thread loops: the thread around the crate's shared
+//! [`SpoutTask`] and [`BoltTask`] — clock reads, output buffers, the
+//! thread's acker ops, spans, per-task counters and sleeping.
 //!
 //! Every loop iteration stores a heartbeat and checks its generation
 //! against the task slot's current one: the supervisor bumps the generation
@@ -18,11 +20,11 @@ use parking_lot::Mutex;
 use crate::acker::{AckOps, TreeOutcome};
 use crate::bolt_task::BoltTask;
 use crate::checkpoint::CheckpointStore;
-use crate::component::{Bolt, Emission, MessageId, Spout, SpoutOutput, TopologyContext};
-use crate::lifecycle::{self, TreeLifecycle};
-use crate::route::{Delivery, FanOut};
+use crate::component::{Bolt, Spout, TopologyContext};
+use crate::lifecycle;
+use crate::route::FanOut;
+use crate::spout_task::{Next, Released, SpoutTask};
 use crate::telemetry::JournalEvent;
-use crate::topology::TaskId;
 
 use super::batch::Batch;
 use super::fault::SLOWDOWN_FLOOR_NANOS;
@@ -215,9 +217,11 @@ fn restore(task: &mut BoltTask, shared: &Shared, tid: usize, my_gen: u64) {
     store.restored(tid, my_gen, shared.now_s(), latency_us);
 }
 
-/// Body of a spout thread.
+/// Body of a spout thread: steps the shared [`SpoutTask`] and keeps what is
+/// this runtime's — heartbeat, supersession, faults, the output buffers, the
+/// thread's acker ops, the emit span, the task's counters and the sleeping.
 pub(super) fn run_spout(
-    mut spout: Box<dyn Spout>,
+    spout: Box<dyn Spout>,
     ctx: TopologyContext,
     tid: usize,
     my_gen: u64,
@@ -225,26 +229,10 @@ pub(super) fn run_spout(
     shared: Arc<Shared>,
     ack_rx: Receiver<Vec<TreeOutcome>>,
 ) {
-    let cfg = &shared.engine;
-    spout.open(&ctx);
-    let mut out = SpoutOutput::new();
-    let mut emis = Vec::new();
+    let dedup = shared.recovery().is_some_and(|(policy, _)| policy.dedup);
+    let mut task = SpoutTask::new(spout, &ctx, fan, &shared.engine, dedup, shared.now_s());
     let mut ops = AckOps::new(shared.ackers.num_shards());
     let mut router = Router::new(tid, &shared);
-    // The tree lifecycle lives in `Shared` (it survives spout restarts).
-    // It is locked around its own steps only — never across routing, user
-    // code (a hung `ack` must not wedge the threads sharing it) or a sleep
-    // — and per iteration, not per emission: verdicts collect in `heard`,
-    // tracked emissions in `fresh`, until the lock is released.
-    let trees = &shared.spouts[tid];
-    let mut fresh = Vec::new();
-    let mut heard = Vec::new();
-    let mut route = SpoutRoute {
-        fan,
-        held: Vec::new(),
-        tid,
-        dedup_on: shared.recovery().is_some_and(|(policy, _)| policy.dedup),
-    };
     if let (true, Some(store)) = (my_gen > 0, shared.checkpoints.as_ref()) {
         // Spouts are rebuilt from their factory on every restart — only the
         // tree lifecycle (which lives in `Shared`) survives.  Report the
@@ -252,15 +240,6 @@ pub(super) fn run_spout(
         // including hang supersession.
         store.restored(tid, my_gen, shared.now_s(), None);
     }
-    // Once the spout exhausts its input it stays alive (draining acks and
-    // replaying lost trees) until every message is resolved or shutdown.
-    let mut exhausted = false;
-    // Token bucket enforcing the global spout rate cap (tuples/s).  The cap
-    // is INFINITY unless the AIMD loop, the controller, or a
-    // `BackpressureHandle` set one; tokens may go negative (debt) so a
-    // multi-tuple `next_tuple` is charged in full.
-    let mut tokens: f64 = 0.0;
-    let mut last_refill = Instant::now();
     while !shared.stop.load(Ordering::Relaxed) {
         shared.beat(tid);
         if shared.superseded(tid, my_gen) {
@@ -270,171 +249,47 @@ pub(super) fn run_spout(
             return;
         }
         let now_s = shared.now_s();
-        // Deliver ack/fail feedback first, then re-emit every replay whose
-        // backoff has elapsed as a fresh tuple tree.
-        let (due, pending) = {
-            let mut trees = trees.lock();
-            while let Ok(batch) = ack_rx.try_recv() {
-                let verdicts = batch
-                    .iter()
-                    .map(|o| (trees.on_outcome(o, now_s), o.message_id));
-                heard.extend(verdicts);
-            }
-            (trees.take_due(now_s), trees.pending())
-        };
-        for (notify, message_id) in heard.drain(..) {
-            notify.tell(&mut *spout, message_id);
-        }
-        for (message_id, emission, attempt) in due {
-            let tracked_as = Some((message_id, attempt));
-            let root = route.emit(&emission, tracked_as, now_s, &shared, &mut router, &mut ops);
-            let root = root.expect("tracked emissions root a tree");
-            trees.lock().on_replayed(message_id, attempt, root, now_s);
-        }
-        if exhausted {
-            // Stay alive until every tree this spout tracked has resolved
-            // (acks, fails and timeouts all land as feedback the spout must
-            // still deliver to user code).
-            if pending == 0 {
-                break;
-            }
-            router.flush_expired(Instant::now(), &shared, &mut ops);
-            apply_and_deliver(&shared, &mut ops, tid);
-            // Sleep until the next scheduled replay (bounded so timeouts and
-            // shutdown are still noticed promptly).
-            let nap = trees
-                .lock()
-                .next_due()
-                .map_or(Duration::from_micros(500), |due_s| {
-                    Duration::from_secs_f64((due_s - shared.now_s()).max(0.0))
-                        .clamp(Duration::from_micros(100), Duration::from_millis(5))
-                });
-            std::thread::sleep(nap);
-            continue;
-        }
-        if pending >= cfg.max_spout_pending {
-            // Keep buffered output moving while throttled, or the in-flight
-            // count can never drain.
-            router.flush_expired(Instant::now(), &shared, &mut ops);
-            apply_and_deliver(&shared, &mut ops, tid);
-            std::thread::sleep(Duration::from_micros(200));
-            continue;
-        }
-        let cap = shared.rate_cap();
-        if cap.is_finite() {
-            let now = Instant::now();
-            let dt = now.duration_since(last_refill).as_secs_f64();
-            last_refill = now;
-            let burst = (cap * 0.02).max(8.0);
-            tokens = (tokens + cap * dt).min(burst);
-            if tokens < 1.0 {
-                router.flush_expired(Instant::now(), &shared, &mut ops);
-                apply_and_deliver(&shared, &mut ops, tid);
-                // Sleep roughly until the next token accrues.
-                let wait_s = ((1.0 - tokens) / cap).clamp(50e-6, 2e-3);
-                std::thread::sleep(Duration::from_secs_f64(wait_s));
-                continue;
-            }
-        } else {
-            // Uncapped: keep the bucket neutral so a later cap does not
-            // inherit stale debt or a huge refill window.
-            tokens = 0.0;
-            last_refill = Instant::now();
-        }
-        out.set_now(now_s);
         let t0 = Instant::now();
-        let keep = spout.next_tuple(&mut out);
-        out.drain_into(&mut emis);
-        if emis.is_empty() {
-            if !keep {
-                exhausted = true;
-                continue;
+        let feedback = std::iter::from_fn(|| ack_rx.try_recv().ok()).flatten();
+        let trees = &shared.spouts[tid];
+        let cap = shared.rate_cap();
+        let stepped = task.step(now_s, cap, &shared.next_root, trees, feedback, |released| {
+            match released {
+                // Queued, not applied: every send out of `router` applies the
+                // queued ops first.
+                Released::Track(t) => t.register(tid, now_s, &mut ops, &shared.tracer),
+                Released::Delivery(dest, d) => router.push(dest, d, &shared, &mut ops),
             }
-            // Replays queued above may have left ops (and, once applied,
-            // outcomes) behind even though next_tuple produced nothing.
-            router.flush_expired(Instant::now(), &shared, &mut ops);
-            apply_and_deliver(&shared, &mut ops, tid);
-            std::thread::sleep(Duration::from_micros(500));
-            continue;
+        });
+        if stepped.emitted > 0 {
+            inject_service_slowdown(&shared, tid, t0);
+            shared.counters.spout_emitted.add(stepped.emitted);
+            let s = &shared.task_stats[tid];
+            s.executed.fetch_add(stepped.emitted, Ordering::Relaxed);
+            s.busy_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        let n = emis.len() as u64;
-        for emission in emis.drain(..) {
-            let tracked_as = TreeLifecycle::tracked_id(cfg, &emission).map(|id| (id, 0));
-            route.emit(&emission, tracked_as, now_s, &shared, &mut router, &mut ops);
-            if let Some((message_id, _)) = tracked_as {
-                fresh.push((message_id, emission));
-            }
-        }
-        if !fresh.is_empty() {
-            let mut trees = trees.lock();
-            for (message_id, emission) in fresh.drain(..) {
-                trees.on_track(message_id, emission, now_s);
-            }
-        }
-        inject_service_slowdown(&shared, tid, t0);
-        tokens -= n as f64;
-        shared.counters.spout_emitted.add(n);
-        let s = &shared.task_stats[tid];
-        s.executed.fetch_add(n, Ordering::Relaxed);
-        s.busy_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        // Keep buffered output moving whatever the verdict: while the spout
+        // waits, the in-flight count drains only if its tuples leave.
         router.flush_expired(Instant::now(), &shared, &mut ops);
         apply_and_deliver(&shared, &mut ops, tid);
-        if !keep {
-            exhausted = true;
-        }
+        // A spout that exhausted its input stays alive (draining acks and
+        // replaying lost trees) until every message is resolved or shutdown.
+        let nap = match stepped.next {
+            Next::Ran => continue,
+            Next::Done => break,
+            Next::Gated => Duration::from_micros(200),
+            Next::Idle => Duration::from_micros(500),
+            // Bounded so timeouts, cap changes and shutdown are still
+            // noticed promptly.
+            Next::Wait(s) => Duration::from_secs_f64(s.max(0.0))
+                .clamp(Duration::from_micros(50), Duration::from_millis(5)),
+        };
+        std::thread::sleep(nap);
     }
     router.flush_all(&shared, &mut ops);
     apply_and_deliver(&shared, &mut ops, tid);
-    spout.close();
-}
-
-/// Routing state owned by one spout thread.
-struct SpoutRoute {
-    fan: FanOut,
-    /// The deliveries of the emission in hand: held until its tree's
-    /// `Track` is queued.
-    held: Vec<(usize, Delivery)>,
-    tid: usize,
-    /// Tracked emissions carry their message id as the replay-dedup id of
-    /// the first hop when the recovery policy dedups.
-    dedup_on: bool,
-}
-
-impl SpoutRoute {
-    /// Routes one spout emission into the output buffers.  A tracked one
-    /// (`tracked_as`: its message id and replay attempt, 0 = the original)
-    /// roots a fresh tree, registered with the XOR of its first-hop edge
-    /// ids — zero, i.e. complete, when it reaches nothing — by a `Track`
-    /// queued before any of its deliveries can leave.  Returns the tree's
-    /// root.
-    fn emit(
-        &mut self,
-        emission: &Emission,
-        tracked_as: Option<(MessageId, u32)>,
-        now_s: f64,
-        shared: &Shared,
-        router: &mut Router,
-        ops: &mut AckOps,
-    ) -> Option<u64> {
-        let root = tracked_as.map(|_| shared.next_root.fetch_add(1, Ordering::Relaxed) + 1);
-        let dedup = tracked_as.map(|(id, _)| id).filter(|_| self.dedup_on);
-        let held = &mut self.held;
-        let first_hop = (self.fan).route(emission, root, dedup, |dest, d| held.push((dest, d)));
-        if let (Some(root), Some((message_id, attempt))) = (root, tracked_as) {
-            let tid = self.tid;
-            ops.track(root, first_hop, TaskId(tid), message_id, now_s);
-            if shared.tracer.sampled(root) {
-                shared
-                    .tracer
-                    .record_emit(tid, root, tid, shared.now_us(), attempt, message_id);
-            }
-        }
-        for (dest, delivery) in self.held.drain(..) {
-            router.push(dest, delivery, shared, ops);
-        }
-        root
-    }
+    task.close();
 }
 
 /// Body of a bolt thread.

@@ -54,7 +54,7 @@ use crate::error::{Error, Result};
 use crate::lifecycle::TreeLifecycle;
 use crate::metrics::{
     fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats,
-    TaskFlow, TaskStats, TopologyStats,
+    SnapshotHook, TaskFlow, TaskStats, TopologyStats,
 };
 use crate::route::RouteTable;
 use crate::rt::RtConfig;
@@ -206,8 +206,6 @@ pub struct RunReport {
     pub snapshots: usize,
 }
 
-pub use crate::metrics::SnapshotHook as ControlHook;
-
 /// Discrete-event simulated runtime for a topology.
 pub struct SimRuntime {
     topology: Topology,
@@ -246,7 +244,7 @@ pub struct SimRuntime {
     total_ctr: TopoCounters,
     history: MetricsHistory,
     journal: Journal,
-    hooks: Vec<ControlHook>,
+    hooks: Vec<SnapshotHook>,
     faults: Vec<Fault>,
     events_processed: u64,
     interval_index: u64,
@@ -445,7 +443,7 @@ impl SimRuntime {
     }
 
     /// Registers a control hook called after every metrics snapshot.
-    pub fn add_control_hook(&mut self, hook: ControlHook) {
+    pub fn add_control_hook(&mut self, hook: SnapshotHook) {
         self.hooks.push(hook);
     }
 

@@ -11,5 +11,7 @@ pub mod engine;
 pub mod event;
 pub mod machine;
 
-pub use engine::{ControlHook, RunReport, SimRuntime};
+#[doc(hidden)]
+pub use crate::metrics::SnapshotHook as ControlHook;
+pub use engine::{RunReport, SimRuntime};
 pub use machine::{Fault, InterferenceModel, MachineState};

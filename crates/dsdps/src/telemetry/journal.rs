@@ -386,12 +386,6 @@ impl Journal {
     pub fn to_jsonl(&self) -> String {
         events_jsonl(&self.events())
     }
-
-    /// Writes the journal as JSONL to `path`.
-    pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_jsonl().as_bytes())
-    }
 }
 
 impl std::fmt::Debug for Journal {
@@ -410,9 +404,8 @@ pub fn events_jsonl(events: &[JournalEvent]) -> String {
     out
 }
 
-/// Writes a slice of events as JSONL to `path` (the free-function
-/// counterpart of [`Journal::write_jsonl`], for drained
-/// [`ThreadedReport::journal`](crate::rt::ThreadedReport) slices).
+/// Writes a slice of events as JSONL to `path` (e.g. a drained
+/// [`ThreadedReport::journal`](crate::rt::ThreadedReport)).
 pub fn write_events_jsonl(path: &Path, events: &[JournalEvent]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(events_jsonl(events).as_bytes())

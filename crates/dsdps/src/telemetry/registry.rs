@@ -16,8 +16,6 @@
 //! (version 0.0.4), served live by [`super::MetricsServer`] or dumped to a
 //! file for tests.
 
-use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -122,8 +120,12 @@ pub struct Registry {
 }
 
 impl Default for Registry {
+    /// Eight independently locked shards, the only count a caller ever used.
     fn default() -> Self {
-        Registry::with_shards(8)
+        Registry {
+            shards: (0..8).map(|_| Mutex::new(Vec::new())).collect(),
+            hasher: FxBuildHasher::default(),
+        }
     }
 }
 
@@ -131,14 +133,6 @@ impl Registry {
     /// A registry with the default shard count.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// A registry with `shards` independently locked shards (≥ 1).
-    pub fn with_shards(shards: usize) -> Self {
-        Registry {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            hasher: FxBuildHasher::default(),
-        }
     }
 
     fn shard_of(&self, family: &str, labels: &str) -> usize {
@@ -270,12 +264,6 @@ impl Registry {
             }
         }
         out
-    }
-
-    /// Writes [`Registry::render`] output to `path`.
-    pub fn write_to_file(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.render().as_bytes())
     }
 
     /// Structured export of every counter and gauge as

@@ -144,12 +144,6 @@ impl Tracer {
         }
     }
 
-    /// A disabled tracer with no buffers (used when the runtime has no
-    /// telemetry wiring at all, e.g. in unit tests).
-    pub fn disabled() -> Self {
-        Tracer::new(0.0, 0, Vec::new())
-    }
-
     /// True when any tree can be sampled.  Data-plane call sites branch on
     /// this once per batch.
     #[inline]

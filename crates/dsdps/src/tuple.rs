@@ -76,14 +76,6 @@ impl Value {
         }
     }
 
-    /// Returns the list if this is a `List`.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// True if this value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

@@ -31,6 +31,7 @@ static HEARD_ROUTING: AtomicU64 = AtomicU64::new(0);
 static HEARD_ACK_DISABLED: AtomicU64 = AtomicU64::new(0);
 static HEARD_FLAKY: AtomicU64 = AtomicU64::new(0);
 static HEARD_FORK: AtomicU64 = AtomicU64::new(0);
+static HEARD_FAIL_ONCE: AtomicU64 = AtomicU64::new(0);
 
 /// Emits `1..=N`, each tuple tracked under its own message id — and once
 /// more, under id `N + i`, on a stream nobody declared: a tracked tree with
@@ -161,19 +162,20 @@ fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topo
 }
 
 /// `src ×1 → flaky ×1`: a counter (global task 1) that counts every input
-/// and then fails the first sighting of every fifth id.
-fn build_flaky(counts: &Arc<Vec<AtomicU64>>) -> Result<Topology> {
+/// and then fails the first sighting of every `fail_every`-th id.
+fn build_flaky(
+    counts: &Arc<Vec<AtomicU64>>,
+    fail_every: u64,
+    heard: &'static AtomicU64,
+) -> Result<Topology> {
     let counts = Arc::clone(counts);
     let mut b = TopologyBuilder::new("parity-flaky");
-    b.set_spout("src", 1, || Src {
-        next: 0,
-        heard: &HEARD_FLAKY,
-    })?;
+    b.set_spout("src", 1, move || Src { next: 0, heard })?;
     b.set_bolt("flaky", 1, move || Count {
         counts: Arc::clone(&counts),
         task: 1,
         seen: 0,
-        fail_every: 5,
+        fail_every,
         failed_once: HashSet::new(),
     })?
     .shuffle_grouping("src")?;
@@ -223,7 +225,12 @@ fn registry() -> TopologyRegistry {
     r.register("ack-disabled", |_args| {
         build(&fresh_counts(), &HEARD_ACK_DISABLED)
     });
-    r.register("flaky", |_args| build_flaky(&fresh_counts()));
+    r.register("flaky", |_args| {
+        build_flaky(&fresh_counts(), 5, &HEARD_FLAKY)
+    });
+    r.register("fail-once", |_args| {
+        build_flaky(&fresh_counts(), 1, &HEARD_FAIL_ONCE)
+    });
     r.register("fork", |_args| build_fork(&fresh_counts()));
     r
 }
@@ -401,7 +408,7 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
         .with_replay_backoff(Duration::from_millis(10));
 
     let counts = fresh_counts();
-    let topology = build_flaky(&counts).unwrap();
+    let topology = build_flaky(&counts, 5, &HEARD_FLAKY).unwrap();
     let running = rt::submit_with(topology, EngineConfig::default(), rt_config.clone()).unwrap();
     assert!(
         wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
@@ -497,4 +504,66 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     // The workers' forced shutdown checkpoints released nothing more.
     assert_eq!((rt_records, dist_records), (executed, executed));
     assert_eq!(HEARD_FORK.load(Ordering::Relaxed), 2 * 2 * N);
+}
+
+/// A finite spout whose sink fails every message exactly once: the shared
+/// spout step replays each after its backoff under a fresh tree, which the
+/// sink then acks, so `rt` and `dist` resolve to the same `(acked, failed,
+/// replays emitted, permanently_failed, in_flight)` and tell user code the
+/// same — `2 N` calls each, all of them `ack`s since nothing failed for
+/// good — with the spout exhausted from its `N`-th poll on.
+#[test]
+fn a_spout_whose_every_message_fails_once_resolves_alike() {
+    let rt_config = RtConfig::default()
+        .with_max_replays(3)
+        .with_replay_backoff(Duration::from_millis(10));
+    // The `void` half of `Src`'s messages reaches nothing and acks at once.
+    let expected = (2 * N, N, N, 0, 0);
+
+    let counts = fresh_counts();
+    let topology = build_flaky(&counts, 1, &HEARD_FAIL_ONCE).unwrap();
+    let running = rt::submit_with(topology, EngineConfig::default(), rt_config.clone()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
+        "rt acked {}/{N}+{N}",
+        running.acked()
+    );
+    let (_, r) = running.shutdown();
+    let rt_outcome = (
+        r.acked,
+        r.failed,
+        r.replays,
+        r.permanently_failed,
+        r.in_flight,
+    );
+    assert_eq!(rt_outcome, expected, "{r:?}");
+    assert_eq!(read(&counts)[1], 2 * N, "rt: every message ran twice");
+    assert_eq!(HEARD_FAIL_ONCE.load(Ordering::Relaxed), 2 * N);
+
+    let running = dist::submit(
+        &registry(),
+        "fail-once",
+        "",
+        EngineConfig::default(),
+        rt_config.with_batch_size(8),
+        DistConfig::new(2, self_worker_cmd()),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
+        "dist acked {}/{N}+{N}",
+        running.acked()
+    );
+    assert_eq!(running.pending_trees(), 0);
+    let r = running.shutdown();
+    assert!(r.drained_clean, "{r:?}");
+    let dist_outcome = (
+        r.acked,
+        r.failed,
+        r.replays_emitted,
+        r.permanently_failed,
+        r.in_flight,
+    );
+    assert_eq!(dist_outcome, expected, "{r:?}");
+    assert_eq!(HEARD_FAIL_ONCE.load(Ordering::Relaxed), 2 * 2 * N);
 }
