@@ -187,9 +187,9 @@ pub fn rt_reliability(ctx: &Ctx) -> ExpResult {
                 &ctx.out_dir.join("rt-reliability-journal.jsonl"),
                 &report.journal,
             )?;
-            telemetry::write_chrome_trace(
-                &ctx.out_dir.join("rt-reliability-trace.json"),
-                &report.spans,
+            std::fs::write(
+                ctx.out_dir.join("rt-reliability-trace.json"),
+                report.chrome_trace_json(),
             )?;
             telemetry::write_spans_jsonl(
                 &ctx.out_dir.join("rt-reliability-spans.jsonl"),
@@ -211,7 +211,7 @@ pub fn rt_reliability(ctx: &Ctx) -> ExpResult {
             f2(report.p99_complete_latency_ms),
             report.task_panics.to_string(),
             report.task_restarts.to_string(),
-            report.replays.to_string(),
+            report.replays_emitted.to_string(),
             report.permanently_failed.to_string(),
             if report.conservation_holds() {
                 "yes"

@@ -248,8 +248,8 @@ struct TaskEntry {
     kept: Restored,
 }
 
-/// The registry cells a store counts into (each backend registers them
-/// under its own family names).
+/// The registry cells a store counts into (registered with the run's other
+/// report counters, `report::RunCounters`).
 #[derive(Clone)]
 pub(crate) struct StoreCounters {
     pub(crate) checkpoints_taken: Counter,
@@ -350,6 +350,13 @@ impl CheckpointStore {
         (kept.base.is_some() || !kept.input_log.is_empty()).then(|| kept.clone())
     }
 
+    /// The task's latest *full* snapshot, read without claiming the entry:
+    /// the generation stays, and only the base is cloned — no deltas, input
+    /// log or dedup ids.
+    pub(crate) fn latest_full(&self, task: usize) -> Option<StateSnapshot> {
+        self.entries[task].lock().unwrap().kept.base.clone()
+    }
+
     /// Counts and journals how the restart of `task` ended: restored in
     /// `latency_us` from the snapshot the store holds, or — `None` —
     /// running on factory-fresh state.  Call before the new incarnation's
@@ -388,13 +395,8 @@ impl CheckpointStore {
 impl CheckpointStore {
     /// A store for `n_tasks` tasks on a journal and registry of its own.
     pub(crate) fn detached(n_tasks: usize) -> Self {
-        let registry = crate::telemetry::Registry::new();
-        let counters = StoreCounters {
-            checkpoints_taken: registry.counter("checkpoints", &[]),
-            snapshot_bytes: registry.counter("snapshot_bytes", &[]),
-            restores: registry.counter("restores", &[]),
-        };
-        CheckpointStore::new(n_tasks, Arc::new(Journal::new()), counters)
+        let counters = crate::report::RunCounters::new(&crate::telemetry::Registry::new());
+        CheckpointStore::new(n_tasks, Arc::new(Journal::new()), counters.store)
     }
 }
 
@@ -557,6 +559,26 @@ mod tests {
         assert!(store
             .deposit(0, 1, 3.0, snap_of(SnapshotKind::Full, &v), vec![], 0)
             .is_some());
+    }
+
+    /// Reading a task's final state does not claim its entry — the writer's
+    /// generation still deposits afterwards, which a `load` would have
+    /// refused — and what it reads is the base, not a later delta.
+    #[test]
+    fn latest_full_reads_the_base_without_claiming_the_entry() {
+        let store = CheckpointStore::detached(2);
+        let (base, delta) = (vec![(1i64, 10i64)], vec![(2i64, 20i64)]);
+        assert_eq!(store.latest_full(0), None, "nothing deposited yet");
+        let full = snap_of(SnapshotKind::Full, &base);
+        assert!(store.deposit(0, 3, 1.0, full.clone(), vec![7], 0).is_some());
+        let d = || snap_of(SnapshotKind::Delta, &delta);
+        assert!(store.deposit(0, 3, 1.5, d(), vec![7, 8], 0).is_some());
+        assert_eq!(store.latest_full(0), Some(full));
+        assert!(
+            store.deposit(0, 3, 2.0, d(), vec![7, 8, 9], 0).is_some(),
+            "generation 3 still owns the entry"
+        );
+        assert_eq!(store.latest_full(1), None, "other task untouched");
     }
 
     #[test]

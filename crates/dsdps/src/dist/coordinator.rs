@@ -16,9 +16,11 @@
 //! `rt` and `dist`) against a `TreeLifecycle` per spout kept in `Shared`, so
 //! delivery accounting is the threaded runtime's by construction —
 //! `tracked == acked + permanently_failed + in_flight` holds at shutdown
-//! ([`DistReport::conservation_holds`]) — with one extra failure source:
-//! the coordinator no longer knows which worker holds which edge of a
-//! tree, so a dying connection fails every tree in flight into replay.
+//! ([`Report::conservation_holds`]) — with one extra failure source: the
+//! coordinator no longer knows which worker holds which edge of a tree, so
+//! a dying connection fails every tree in flight into replay.  The report is
+//! the threaded runtime's too: one [`Report`], built from the same registry
+//! cells on both, to which `shutdown` adds the fleet's own fields.
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
@@ -35,20 +37,20 @@ use super::worker::TopologyRegistry;
 use super::{recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine};
 use crate::acker::{AckOps, ShardedAcker, TreeOutcome};
 use crate::bolt_task::Policy;
-use crate::checkpoint::{CheckpointStore, StoreCounters};
+use crate::checkpoint::CheckpointStore;
 use crate::component::TopologyContext;
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
 use crate::grouping::dynamic::DynamicGroupingHandle;
-use crate::lifecycle::{self, deliver_outcomes, TreeCounters, TreeLifecycle};
+use crate::lifecycle::{self, deliver_outcomes, TreeLifecycle};
+use crate::report::{self, Report, RunCounters};
 use crate::route::FanOut;
-use crate::rt::{CreditLedger, CreditTotals, RtConfig, StateSnapshot};
+use crate::rt::{CreditLedger, RtConfig};
 use crate::spout_task::{Next, Released, SpoutTask};
 use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
 use crate::telemetry::{
-    chrome_trace_json_named, normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer,
-    Registry, Span, Tracer,
+    normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer, Registry, Span, Tracer,
 };
 use crate::topology::{ComponentId, ComponentKind, Topology};
 
@@ -114,15 +116,11 @@ struct WorkerSlot {
     tasks: Vec<u32>,
 }
 
-/// The run's counters, registered in the cluster registry (as
-/// `dsdps_coord_<name>_total`) so the report and the Prometheus endpoint
-/// read the same cells.
+/// The run's counters, cells of the cluster registry so the report and the
+/// Prometheus endpoint read the same values: the report counters every run
+/// registers, and this backend's own as `dsdps_coord_<name>_total`.
 struct Counters {
-    spout_emitted: Counter,
-    /// What the spouts' tree lifecycles count.
-    trees: TreeCounters,
-    /// What the checkpoint store counts.
-    store: StoreCounters,
+    run: RunCounters,
     worker_restarts: Counter,
     worker_disconnects: Counter,
     bytes_in: Counter,
@@ -136,22 +134,7 @@ impl Counters {
     fn new(reg: &Registry) -> Self {
         let c = |name: &str| reg.counter(&format!("dsdps_coord_{name}_total"), &[]);
         Counters {
-            spout_emitted: c("spout_emitted"),
-            trees: TreeCounters {
-                tracked: c("tracked"),
-                acked: c("acked"),
-                failed: c("failed"),
-                timed_out: c("timed_out"),
-                permanently_failed: c("permanently_failed"),
-                replays_scheduled: c("replays_scheduled"),
-                replays_emitted: c("replays_emitted"),
-                approx_skipped: c("approx_skipped"),
-            },
-            store: StoreCounters {
-                checkpoints_taken: c("checkpoints_taken"),
-                snapshot_bytes: c("snapshot_bytes"),
-                restores: c("restores"),
-            },
+            run: RunCounters::new(reg),
             worker_restarts: c("worker_restarts"),
             worker_disconnects: c("worker_disconnects"),
             bytes_in: c("bytes_in"),
@@ -881,7 +864,7 @@ fn spout_loop(
         // is complete as registered.
         ops.apply(&shared.ackers);
         shared.deliver(ops.take_outcomes());
-        shared.counters.spout_emitted.add(stepped.emitted);
+        shared.counters.run.spout_emitted.add(stepped.emitted);
         if shared.terminate.load(Ordering::Acquire) {
             break;
         }
@@ -994,7 +977,7 @@ pub fn submit(
         let (tx, rx) = mpsc::channel();
         feedback[task] = Some(tx);
         spout_inputs.push((task, rx));
-        let trees = TreeLifecycle::new(&rt, counters.trees.clone(), Arc::clone(&journal));
+        let trees = TreeLifecycle::new(&rt, counters.run.trees.clone(), Arc::clone(&journal));
         spouts.push(parking_lot::Mutex::new(trees));
     }
 
@@ -1006,7 +989,7 @@ pub fn submit(
         ackers: ShardedAcker::new(rt.acker_shards),
         ledger,
         window,
-        store: CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.store.clone()),
+        store: CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.run.store.clone()),
         journal,
         counters,
         tracer,
@@ -1164,17 +1147,17 @@ impl RunningDist {
 
     /// Messages fully acked so far.
     pub fn acked(&self) -> u64 {
-        self.shared.counters.trees.acked.get()
+        self.shared.counters.run.trees.acked.get()
     }
 
     /// Distinct messages tracked so far.
     pub fn tracked(&self) -> u64 {
-        self.shared.counters.trees.tracked.get()
+        self.shared.counters.run.trees.tracked.get()
     }
 
     /// Spout emissions so far (fresh, not counting replays).
     pub fn spout_emitted(&self) -> u64 {
-        self.shared.counters.spout_emitted.get()
+        self.shared.counters.run.spout_emitted.get()
     }
 
     /// Messages the spouts have yet to resolve: a tree in flight or a replay
@@ -1226,7 +1209,7 @@ impl RunningDist {
 
     /// Stops the spouts, drains in-flight work (forcing checkpoints so
     /// withheld ack records are released), tears the fleet down and reports.
-    pub fn shutdown(mut self) -> DistReport {
+    pub fn shutdown(mut self) -> Report {
         let shared = Arc::clone(&self.shared);
         shared.stop.store(true, Ordering::Release);
         // Drain.  Unanchored deliveries are invisible to the acker, so
@@ -1258,8 +1241,6 @@ impl RunningDist {
         for handle in self.spout_handles.drain(..) {
             let _ = handle.join();
         }
-        let in_flight = lifecycle::unresolved(&shared.spouts) as u64;
-        let latency = lifecycle::merged_latency(&shared.spouts);
         // Stop the fleet.  Every link is closed before its worker is told
         // to exit, so the readers' EOF is not mistaken for a worker death.
         let mut credits = shared.ledger.totals();
@@ -1323,183 +1304,38 @@ impl RunningDist {
         // One merged trace: the coordinator's spout-emit/terminal spans
         // (stamped with its own pid; worker spans arrived pre-stamped and
         // clock-normalized in the reader threads).
-        let (mut spans, own_dropped) = shared.tracer.snapshot();
+        let (mut spans, own_dropped) = shared.tracer.drain();
         for s in &mut spans {
             s.pid = shared.coord_pid;
         }
         spans.extend(shared.worker_spans.lock().unwrap().drain(..));
-        spans.sort_by(|a, b| {
-            (a.trace_id, a.start_us, a.kind.is_terminal()).cmp(&(
-                b.trace_id,
-                b.start_us,
-                b.kind.is_terminal(),
-            ))
-        });
         let spans_dropped = own_dropped + shared.worker_spans_dropped.load(Ordering::Relaxed);
 
         let c = &shared.counters;
-        let final_snapshots = (0..shared.topology.task_count())
-            .map(|task| {
-                shared
-                    .store
-                    .load(task, u64::MAX)
-                    .and_then(|restored| restored.base)
-            })
-            .collect();
-        DistReport {
-            uptime_s: shared.now_s(),
-            spout_emitted: c.spout_emitted.get(),
-            tracked: c.trees.tracked.get(),
-            acked: c.trees.acked.get(),
-            failed: c.trees.failed.get(),
-            timed_out: c.trees.timed_out.get(),
-            permanently_failed: c.trees.permanently_failed.get(),
-            replays_scheduled: c.trees.replays_scheduled.get(),
-            replays_emitted: c.trees.replays_emitted.get(),
-            in_flight,
-            avg_complete_latency_ms: latency.0.mean() / 1e3,
-            p99_complete_latency_ms: latency.1.quantile(0.99).unwrap_or(0.0) / 1e3,
-            credits,
-            checkpoints_taken: c.store.checkpoints_taken.get(),
-            restores: c.store.restores.get(),
-            snapshot_bytes: c.store.snapshot_bytes.get(),
-            approx_skipped: c.trees.approx_skipped.get(),
-            worker_pids: shared
-                .slots
-                .iter()
-                .map(|s| s.state.lock().unwrap().pid)
-                .collect(),
+        Report {
+            worker_pids: self.worker_pids(),
             worker_restarts: c.worker_restarts.get(),
             worker_disconnects: c.worker_disconnects.get(),
             bytes_sent: c.bytes_out.get(),
             bytes_received: c.bytes_in.get(),
             frames_sent: c.frames_out.get(),
             frames_received: c.frames_in.get(),
-            journal: shared.journal.events(),
-            spans,
-            spans_dropped,
             coordinator_pid: shared.coord_pid,
-            final_snapshots,
             drained_clean,
+            ..report::shared_fields(
+                &c.run,
+                &shared.spouts,
+                &shared.journal,
+                (spans, spans_dropped),
+                credits,
+                Some(&shared.store),
+                shared.topology.task_count(),
+                shared.now_s(),
+            )
         }
     }
 }
 
-/// Final accounting of a distributed run; the cross-process counterpart
-/// of the threaded runtime's `ThreadedReport`.
-#[derive(Debug)]
-pub struct DistReport {
-    /// Wall-clock seconds from submit to shutdown.
-    pub uptime_s: f64,
-    /// Tuple emissions out of spouts (fresh, not counting replays).
-    pub spout_emitted: u64,
-    /// Distinct tracked messages (fresh spout message ids).
-    pub tracked: u64,
-    /// Messages fully acked.
-    pub acked: u64,
-    /// Tree-failure events (per tree, not per message).
-    pub failed: u64,
-    /// Tree-timeout events (per tree, not per message).
-    pub timed_out: u64,
-    /// Messages that exhausted their replay budget.
-    pub permanently_failed: u64,
-    /// Replays scheduled (backoff timers armed).
-    pub replays_scheduled: u64,
-    /// Replays re-emitted under fresh trees.
-    pub replays_emitted: u64,
-    /// Messages still in replay buffers at shutdown.
-    pub in_flight: u64,
-    /// Mean tree-completion latency, milliseconds.
-    pub avg_complete_latency_ms: f64,
-    /// p99 tree-completion latency, milliseconds (histogram estimate).
-    pub p99_complete_latency_ms: f64,
-    /// Flow-control ledger totals.
-    pub credits: CreditTotals,
-    /// Checkpoints deposited by workers.
-    pub checkpoints_taken: u64,
-    /// Successful state restores after reconnects.
-    pub restores: u64,
-    /// Total checkpoint payload bytes deposited.
-    pub snapshot_bytes: u64,
-    /// Messages an approximate-mode restore gave up replaying — the bound
-    /// on what the results lack (each is also `permanently_failed`).
-    pub approx_skipped: u64,
-    /// Last known OS pid per worker slot.
-    pub worker_pids: Vec<u32>,
-    /// Worker processes respawned by the supervisor.
-    pub worker_restarts: u64,
-    /// Worker connections lost (kill, crash, or socket error).
-    pub worker_disconnects: u64,
-    /// Payload bytes written to workers.
-    pub bytes_sent: u64,
-    /// Payload bytes read from workers.
-    pub bytes_received: u64,
-    /// Frames written to workers.
-    pub frames_sent: u64,
-    /// Frames read from workers.
-    pub frames_received: u64,
-    /// Control-plane event journal.
-    pub journal: Vec<JournalEvent>,
-    /// Merged sampled trace: coordinator spout-emit/terminal spans plus
-    /// clock-normalized worker hop spans, ordered by `(trace_id,
-    /// start_us)` and stamped with real pids and connection generations.
-    pub spans: Vec<Span>,
-    /// Spans rejected on ring-buffer overflow (coordinator + workers).
-    pub spans_dropped: u64,
-    /// The coordinator's OS pid (distinguishes its spans from worker
-    /// spans in the merged trace).
-    pub coordinator_pid: u32,
-    /// Latest *full* snapshot per task at shutdown (`None` for stateless,
-    /// spout and never-checkpointed tasks).  For a component that offers
-    /// deltas, those deposited after it are not folded in.
-    pub final_snapshots: Vec<Option<StateSnapshot>>,
-    /// Whether the shutdown drain reached a fully quiesced state within
-    /// its budget.
-    pub drained_clean: bool,
-}
-
-impl DistReport {
-    /// The message-conservation identity:
-    /// `tracked == acked + permanently_failed + in_flight`.
-    pub fn conservation_holds(&self) -> bool {
-        self.tracked == self.acked + self.permanently_failed + self.in_flight
-    }
-
-    /// The credit-conservation identity over the ledger.
-    pub fn credit_conservation_holds(&self) -> bool {
-        self.credits.conservation_holds()
-    }
-
-    /// Journal events of one kind.
-    pub fn journal_of_kind(&self, kind: &str) -> Vec<&JournalEvent> {
-        self.journal.iter().filter(|e| e.kind() == kind).collect()
-    }
-
-    /// Distinct sampled trace ids in the merged span log.
-    pub fn trace_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.spans.iter().map(|s| s.trace_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Chrome `trace_event` JSON of the merged trace, with process-name
-    /// metadata records so the coordinator and each worker process land in
-    /// separate named tracks in `chrome://tracing` / Perfetto.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut names: Vec<(u64, String)> = Vec::new();
-        for s in &self.spans {
-            let pid = u64::from(s.pid);
-            if pid == 0 || names.iter().any(|(p, _)| *p == pid) {
-                continue;
-            }
-            let name = if s.pid == self.coordinator_pid {
-                "coordinator".to_owned()
-            } else {
-                format!("worker {} (gen {})", s.worker, s.generation)
-            };
-            names.push((pid, name));
-        }
-        chrome_trace_json_named(&self.spans, &names)
-    }
-}
+/// The report of a distributed run: the one [`Report`] both live backends
+/// return.
+pub type DistReport = Report;

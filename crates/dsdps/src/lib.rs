@@ -76,6 +76,7 @@ pub mod grouping;
 pub mod hash;
 mod lifecycle;
 pub mod metrics;
+pub mod report;
 mod route;
 pub mod rt;
 pub mod scheduler;

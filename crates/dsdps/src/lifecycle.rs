@@ -462,18 +462,7 @@ impl ReplayBuffer {
 impl TreeCounters {
     /// Counters of no registry, for tests that step a lifecycle by hand.
     pub(crate) fn detached() -> Self {
-        let registry = crate::telemetry::Registry::new();
-        let c = |name: &str| registry.counter(name, &[]);
-        TreeCounters {
-            tracked: c("tracked"),
-            acked: c("acked"),
-            failed: c("failed"),
-            timed_out: c("timed_out"),
-            permanently_failed: c("permanently_failed"),
-            replays_scheduled: c("replays_scheduled"),
-            replays_emitted: c("replays_emitted"),
-            approx_skipped: c("approx_skipped"),
-        }
+        crate::report::RunCounters::new(&crate::telemetry::Registry::new()).trees
     }
 }
 

@@ -37,9 +37,10 @@
 //! is restarted from its component factory on the same input channel — and
 //! [`submit_faulty`] injects scheduled [`RtFault`]s (worker slowdowns,
 //! external load, task panics/hangs/drops) mirroring the simulator's fault
-//! vocabulary on wall-clock time.  The final [`ThreadedReport`] accounts for
-//! every tracked tuple: `tracked == acked + permanently_failed + in_flight`
-//! ([`ThreadedReport::conservation_holds`]).
+//! vocabulary on wall-clock time.  The final [`Report`] — the one run report
+//! of `rt` and `dist`, built from the same registry cells on both — accounts
+//! for every tracked tuple: `tracked == acked + permanently_failed +
+//! in_flight` ([`Report::conservation_holds`]).
 //!
 //! The simulator is the substrate for the paper's experiments (deterministic
 //! virtual time); this runtime exists so the same application code can run
@@ -68,17 +69,18 @@ use parking_lot::Mutex;
 
 use crate::acker::{ShardedAcker, TreeOutcome};
 use crate::bolt_task::Policy;
-use crate::checkpoint::{CheckpointStore, StoreCounters};
+use crate::checkpoint::CheckpointStore;
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
-use crate::lifecycle::{self, TreeCounters, TreeLifecycle};
+use crate::lifecycle::{self, TreeLifecycle};
 use crate::metrics::{
     fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, SnapshotHook,
     TaskFlow, TaskStats, TopologyStats,
 };
+use crate::report::{self, Report, RunCounters};
 use crate::scheduler::{even_placement, MachineId, Placement, WorkerId};
 use crate::telemetry::{
-    Counter, Gauge, Journal, JournalEvent, MetricsServer, Registry, Span, Summary, Tracer,
+    Counter, Gauge, Journal, JournalEvent, MetricsServer, Registry, Summary, Tracer,
 };
 use crate::topology::{TaskId, Topology};
 
@@ -91,10 +93,9 @@ use task::{deliver_outcomes, TaskAtomics};
 /// [`Registry`]: the data plane writes them, the report and the Prometheus
 /// endpoint read them.
 pub(crate) struct Counters {
-    /// Fresh spout emissions (replays excluded).
-    pub(crate) spout_emitted: Counter,
-    /// What the spouts' tree lifecycles count.
-    pub(crate) trees: TreeCounters,
+    /// What the report reads of every run: spout emissions, tree
+    /// lifecycles, the checkpoint store.
+    pub(crate) run: RunCounters,
     /// Tuples discarded by an injected drop fault.
     pub(crate) dropped: Counter,
     /// Batches shed on exhausted credit pools
@@ -104,8 +105,6 @@ pub(crate) struct Counters {
     /// Panics caught in task threads / supervisor restarts, over all tasks.
     pub(crate) task_panics: Counter,
     pub(crate) task_restarts: Counter,
-    /// What the checkpoint store counts, over all tasks.
-    pub(crate) store: StoreCounters,
     /// Duration of the most recent checkpoint / latency of the most recent
     /// state restore, µs.
     pub(crate) checkpoint_last_us: Gauge,
@@ -116,27 +115,12 @@ impl Counters {
     fn new(registry: &Registry) -> Self {
         let c = |name: &str| registry.counter(&format!("dsdps_{name}_total"), &[]);
         Counters {
-            spout_emitted: c("spout_emitted"),
-            trees: TreeCounters {
-                tracked: c("tracked"),
-                acked: c("acked"),
-                failed: c("failed"),
-                timed_out: c("timed_out"),
-                permanently_failed: c("perm_failed"),
-                replays_scheduled: c("replays_scheduled"),
-                replays_emitted: c("replayed"),
-                approx_skipped: c("approx_skipped"),
-            },
+            run: RunCounters::new(registry),
             dropped: c("dropped"),
             shed_batches: c("shed_batches"),
             shed_tuples: c("shed_tuples"),
             task_panics: c("task_panics"),
             task_restarts: c("task_restarts"),
-            store: StoreCounters {
-                checkpoints_taken: registry.counter("dsdps_checkpoints_total", &[]),
-                snapshot_bytes: c("snapshot_bytes"),
-                restores: c("restores"),
-            },
             checkpoint_last_us: registry.gauge("dsdps_checkpoint_last_duration_us", &[]),
             restore_last_us: registry.gauge("dsdps_restore_last_latency_us", &[]),
         }
@@ -325,28 +309,13 @@ pub struct RunningTopology {
 impl RunningTopology {
     /// Total tuple trees acked so far.
     pub fn acked(&self) -> u64 {
-        self.shared.counters.trees.acked.get()
-    }
-
-    /// Total spout tuples emitted so far.
-    pub fn spout_emitted(&self) -> u64 {
-        self.shared.counters.spout_emitted.get()
+        self.shared.counters.run.trees.acked.get()
     }
 
     /// Messages permanently failed so far (replay budget exhausted, or every
     /// failure when replay is off).
     pub fn permanently_failed(&self) -> u64 {
-        self.shared.counters.trees.permanently_failed.get()
-    }
-
-    /// Panics caught in task threads so far.
-    pub fn task_panics(&self) -> u64 {
-        self.shared.counters.task_panics.get()
-    }
-
-    /// Supervisor restarts of task threads so far.
-    pub fn task_restarts(&self) -> u64 {
-        self.shared.counters.task_restarts.get()
+        self.shared.counters.run.trees.permanently_failed.get()
     }
 
     /// Ack records the acker has been handed so far (one per executed
@@ -425,15 +394,9 @@ impl RunningTopology {
         }
     }
 
-    fn report(&self) -> ThreadedReport {
-        let (stats, hist) = lifecycle::merged_latency(&self.shared.spouts);
-        let (avg_ms, p99_ms) = (
-            stats.mean() / 1000.0,
-            hist.quantile(0.99).unwrap_or(0.0) / 1000.0,
-        );
-        let in_flight = lifecycle::unresolved(&self.shared.spouts) as u64;
-        let panic_messages = self
-            .shared
+    fn report(&self) -> Report {
+        let shared = &self.shared;
+        let panic_messages = shared
             .task_stats
             .iter()
             .enumerate()
@@ -444,46 +407,36 @@ impl RunningTopology {
                     .map(|m| format!("task {i}: {m}"))
             })
             .collect();
-        let (spans, spans_dropped) = self.shared.tracer.snapshot();
-        let queue_wait_hist = self.shared.merged_queue_wait();
-        let final_cap = self.shared.rate_cap();
-        let c = &self.shared.counters;
-        ThreadedReport {
-            uptime_s: self.shared.now_s(),
-            spout_emitted: c.spout_emitted.get(),
-            acked: c.trees.acked.get(),
-            failed: c.trees.failed.get(),
-            timed_out: c.trees.timed_out.get(),
-            avg_complete_latency_ms: avg_ms,
-            p99_complete_latency_ms: p99_ms,
-            task_panics: self.task_panics(),
-            task_restarts: self.task_restarts(),
+        let queue_wait_hist = shared.merged_queue_wait();
+        let final_cap = shared.rate_cap();
+        let c = &shared.counters;
+        Report {
+            task_panics: c.task_panics.get(),
+            task_restarts: c.task_restarts.get(),
             panic_messages,
-            tracked: c.trees.tracked.get(),
-            permanently_failed: c.trees.permanently_failed.get(),
-            replays: c.trees.replays_emitted.get(),
             dropped: c.dropped.get(),
-            in_flight,
-            journal: self.shared.journal.events(),
-            spans,
-            spans_dropped,
-            credits: self.shared.credit_totals(),
             shed_batches: c.shed_batches.get(),
             shed_tuples: c.shed_tuples.get(),
             queue_wait_p50_us: queue_wait_hist.quantile(0.50).unwrap_or(0.0),
             queue_wait_p99_us: queue_wait_hist.quantile(0.99).unwrap_or(0.0),
-            queue_wait_last_p99_us: self.shared.queue_wait_last_p99_us(),
+            queue_wait_last_p99_us: shared.queue_wait_last_p99_us(),
             rate_cap: final_cap.is_finite().then_some(final_cap),
-            checkpoints_taken: c.store.checkpoints_taken.get(),
-            restores: c.store.restores.get(),
-            snapshot_bytes: c.store.snapshot_bytes.get(),
-            approx_skipped: c.trees.approx_skipped.get(),
+            ..report::shared_fields(
+                &c.run,
+                &shared.spouts,
+                &shared.journal,
+                shared.tracer.drain(),
+                shared.credit_totals(),
+                shared.checkpoints.as_ref(),
+                shared.task_stats.len(),
+                shared.now_s(),
+            )
         }
     }
 
     /// Stops all threads and returns the collected metrics history plus a
     /// final summary.
-    pub fn shutdown(mut self) -> (MetricsHistory, ThreadedReport) {
+    pub fn shutdown(mut self) -> (MetricsHistory, Report) {
         self.join_all();
         let history = self
             .metrics_thread
@@ -496,7 +449,7 @@ impl RunningTopology {
     }
 
     /// Convenience: run for `duration` then shut down.
-    pub fn run_for(self, duration: Duration) -> (MetricsHistory, ThreadedReport) {
+    pub fn run_for(self, duration: Duration) -> (MetricsHistory, Report) {
         std::thread::sleep(duration);
         self.shutdown()
     }
@@ -511,115 +464,9 @@ impl Drop for RunningTopology {
     }
 }
 
-/// Final summary of a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadedReport {
-    /// Wall-clock runtime in seconds.
-    pub uptime_s: f64,
-    /// Spout tuples emitted.
-    pub spout_emitted: u64,
-    /// Tuple trees acked.
-    pub acked: u64,
-    /// Tuple trees failed (includes trees later recovered by replay).
-    pub failed: u64,
-    /// Tuple trees timed out (includes trees later recovered by replay).
-    pub timed_out: u64,
-    /// Mean complete latency, ms.
-    pub avg_complete_latency_ms: f64,
-    /// p99 complete latency, ms.
-    pub p99_complete_latency_ms: f64,
-    /// Panics caught in task threads (user code or injected faults).
-    pub task_panics: u64,
-    /// Supervisor restarts of dead or hung tasks.
-    pub task_restarts: u64,
-    /// Last panic message per affected task, as `"task N: message"`.
-    pub panic_messages: Vec<String>,
-    /// Distinct message ids tracked by the acker.
-    pub tracked: u64,
-    /// Messages permanently failed: replay budget exhausted, or — with
-    /// replay off — every failed/timed-out tree.
-    pub permanently_failed: u64,
-    /// Runtime-level replays emitted by spouts.
-    pub replays: u64,
-    /// Tuples discarded by injected drop faults.
-    pub dropped: u64,
-    /// Messages still unresolved at shutdown (in flight or awaiting a
-    /// replay).
-    pub in_flight: u64,
-    /// Control-plane event journal of the run, in append order.  Restart /
-    /// replay / fault events come from the runtime; routing-ratio events
-    /// from an attached controller.  Assert on this instead of scraping
-    /// stdout.
-    pub journal: Vec<JournalEvent>,
-    /// Sampled trace of the run ([`RtConfig::trace_sample_rate`]), merged
-    /// across all task buffers and ordered by `(trace_id, start_us)`.
-    pub spans: Vec<Span>,
-    /// Spans rejected because a task's trace buffer overflowed.
-    pub spans_dropped: u64,
-    /// Aggregate credit-ledger counters ([`RtConfig::credit_flow`]); all
-    /// zero when credit flow was off.
-    pub credits: CreditTotals,
-    /// Batches shed on exhausted credit pools
-    /// ([`RtConfig::shed_on_overload`]).
-    pub shed_batches: u64,
-    /// Tuples inside those shed batches (each failed at the acker, so they
-    /// stay inside the tuple-conservation identity).
-    pub shed_tuples: u64,
-    /// Batch queue-wait median over the whole run, µs.  The overload bench
-    /// gate compares a throttled run's tail against an unthrottled run's
-    /// median, so both quantiles are part of the report.
-    pub queue_wait_p50_us: f64,
-    /// Batch queue-wait p99 over the whole run, µs (includes any
-    /// before-the-throttle-reacted transient).
-    pub queue_wait_p99_us: f64,
-    /// Batch queue-wait p99 over the last completed metrics interval, µs —
-    /// the steady-state figure to compare throttled vs unthrottled runs on.
-    pub queue_wait_last_p99_us: f64,
-    /// Spout rate cap at shutdown, tuples/s (`None` = uncapped).
-    pub rate_cap: Option<f64>,
-    /// Checkpoints taken across all stateful tasks
-    /// ([`RtConfig::checkpoints`]); 0 when checkpointing was off.
-    pub checkpoints_taken: u64,
-    /// Snapshot restores performed by restarted stateful tasks.
-    pub restores: u64,
-    /// Total serialized snapshot bytes deposited in the checkpoint store.
-    pub snapshot_bytes: u64,
-    /// Spout tuples skipped (not replayed) by approximate-mode restores —
-    /// the exact result-error bound that recovery guarantee reports.
-    pub approx_skipped: u64,
-}
-
-impl ThreadedReport {
-    /// The end-to-end conservation invariant: every tracked message is
-    /// acked, permanently failed, or still in flight — nothing is silently
-    /// lost.  (With a restarted *spout* re-emitting previously used message
-    /// ids the accounting becomes per-attempt and this check is only
-    /// meaningful per run of a spout instance.)
-    pub fn conservation_holds(&self) -> bool {
-        self.tracked == self.acked + self.permanently_failed + self.in_flight
-    }
-
-    /// The credit-plane conservation invariant, exact at shutdown:
-    /// `granted == consumed + revoked + outstanding` (with no window
-    /// shrinks this is the plain `granted == consumed + outstanding`).
-    /// Vacuously true when credit flow was off.
-    pub fn credit_conservation_holds(&self) -> bool {
-        self.credits.conservation_holds()
-    }
-
-    /// Journal events of the given [`JournalEvent::kind`] tag.
-    pub fn journal_of_kind(&self, kind: &str) -> Vec<&JournalEvent> {
-        self.journal.iter().filter(|e| e.kind() == kind).collect()
-    }
-
-    /// Distinct trace ids present in the sampled span log, sorted.
-    pub fn sampled_trace_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.spans.iter().map(|s| s.trace_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-}
+/// The report of a threaded run: the one [`Report`] both live backends
+/// return.
+pub type ThreadedReport = Report;
 
 /// Starts `topology` on OS threads with default (unbatched) runtime tuning.
 pub fn submit(topology: Topology, config: EngineConfig) -> Result<RunningTopology> {
@@ -701,7 +548,7 @@ impl RegistryMirror {
     }
 
     fn update(&self, shared: &Shared, snap: &MetricsSnapshot, hist: &LatencyHistogram) {
-        let trees = &shared.counters.trees;
+        let trees = &shared.counters.run.trees;
         let resolved = trees.acked.get() + trees.permanently_failed.get();
         self.in_flight
             .set(trees.tracked.get().saturating_sub(resolved) as f64);
@@ -810,7 +657,7 @@ pub fn submit_faulty(
     let registry = Arc::new(Registry::new());
     let counters = Counters::new(&registry);
     let checkpoints = (rt_config.checkpoints)
-        .then(|| CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.store.clone()));
+        .then(|| CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.run.store.clone()));
     let shared = Arc::new(Shared {
         ackers: ShardedAcker::new(rt_config.acker_shards),
         stop: AtomicBool::new(false),
@@ -820,7 +667,7 @@ pub fn submit_faulty(
         placement,
         spouts: (0..n_tasks)
             .map(|_| {
-                let trees = counters.trees.clone();
+                let trees = counters.run.trees.clone();
                 Mutex::new(TreeLifecycle::new(&rt_config, trees, Arc::clone(&journal)))
             })
             .collect(),
@@ -1030,10 +877,10 @@ pub fn submit_faulty(
                     })
                     .collect();
 
-                let acked = shared.counters.trees.acked.get();
-                let failed = shared.counters.trees.failed.get();
-                let timed_out = shared.counters.trees.timed_out.get();
-                let emitted = shared.counters.spout_emitted.get();
+                let acked = shared.counters.run.trees.acked.get();
+                let failed = shared.counters.run.trees.failed.get();
+                let timed_out = shared.counters.run.trees.timed_out.get();
+                let emitted = shared.counters.run.spout_emitted.get();
                 let (pa, pf2, pt, pe2) = prev_totals;
                 prev_totals = (acked, failed, timed_out, emitted);
                 let (lat_stats, lat_hist) = lifecycle::merged_latency(&shared.spouts);
@@ -1149,7 +996,7 @@ mod tests {
         }
     }
 
-    fn accumulator_run(n: u64, rt_cfg: RtConfig) -> (Arc<StdAtomicU64>, ThreadedReport) {
+    fn accumulator_run(n: u64, rt_cfg: RtConfig) -> (Arc<StdAtomicU64>, Report) {
         let sum = Arc::new(StdAtomicU64::new(0));
         let s2 = sum.clone();
         let mut b = TopologyBuilder::new("threaded");
@@ -1319,5 +1166,82 @@ mod tests {
             hits[0].load(Ordering::Relaxed) + hits[2].load(Ordering::Relaxed),
             6000
         );
+    }
+
+    fn scrape(addr: std::net::SocketAddr) -> String {
+        use std::io::{Read, Write};
+        let mut s = std::net::TcpStream::connect(addr).expect("connect metrics endpoint");
+        s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        out
+    }
+
+    /// The live endpoint serves every family README's Observability section
+    /// names for a single-process run, and the run's report counters under
+    /// `dsdps_<report field>_total` — the names `dist` serves them under.
+    #[test]
+    fn metrics_endpoint_serves_every_family_the_readme_names() {
+        let readme = include_str!("../../../../README.md");
+        let section = readme
+            .split("## Observability")
+            .nth(1)
+            .and_then(|s| s.split("**Distributed runs.**").next())
+            .expect("README has an Observability section");
+        let mut families: Vec<&str> = section
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| w.starts_with("dsdps_") && w.len() > "dsdps_".len())
+            .collect();
+        assert!(
+            families.len() >= 8,
+            "README names its families: {families:?}"
+        );
+        let fields = [
+            "spout_emitted",
+            "tracked",
+            "acked",
+            "failed",
+            "timed_out",
+            "permanently_failed",
+            "replays_scheduled",
+            "replays_emitted",
+            "approx_skipped",
+            "checkpoints_taken",
+            "snapshot_bytes",
+            "restores",
+        ];
+        let counters: Vec<String> = fields.iter().map(|f| format!("dsdps_{f}_total")).collect();
+        families.extend(counters.iter().map(String::as_str));
+
+        let n = 500;
+        let mut b = TopologyBuilder::new("scraped");
+        b.set_spout("s", 1, move || FiniteSpout {
+            left: n,
+            next_id: 0,
+        })
+        .unwrap();
+        let sum = Arc::new(StdAtomicU64::new(0));
+        b.set_bolt("acc", 2, move || Accumulator { sum: sum.clone() })
+            .unwrap()
+            .shuffle_grouping("s")
+            .unwrap();
+        let mut cfg = EngineConfig::default().with_cluster(2, 2, 4);
+        cfg.metrics_interval_s = 0.1;
+        let rt_cfg = RtConfig::default().with_metrics_addr("127.0.0.1:0".parse().unwrap());
+        let running = submit_with(b.build().unwrap(), cfg, rt_cfg).unwrap();
+        let addr = running.metrics_addr().expect("metrics endpoint bound");
+        // Until the mirror has run since the last tree was acked.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let settled = format!("dsdps_complete_latency_us_count {n}");
+        let mut text = scrape(addr);
+        while !text.contains(&settled) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+            text = scrape(addr);
+        }
+        let (_, report) = running.shutdown();
+        assert_eq!(report.acked, n, "{report:?}");
+        let missing: Vec<&&str> = families.iter().filter(|f| !text.contains(**f)).collect();
+        assert!(missing.is_empty(), "scrape lacks {missing:?}:\n{text}");
     }
 }

@@ -263,7 +263,7 @@ pub(super) fn run_spout(
         });
         if stepped.emitted > 0 {
             inject_service_slowdown(&shared, tid, t0);
-            shared.counters.spout_emitted.add(stepped.emitted);
+            shared.counters.run.spout_emitted.add(stepped.emitted);
             let s = &shared.task_stats[tid];
             s.executed.fetch_add(stepped.emitted, Ordering::Relaxed);
             s.busy_nanos

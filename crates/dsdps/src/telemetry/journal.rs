@@ -404,8 +404,8 @@ pub fn events_jsonl(events: &[JournalEvent]) -> String {
     out
 }
 
-/// Writes a slice of events as JSONL to `path` (e.g. a drained
-/// [`ThreadedReport::journal`](crate::rt::ThreadedReport)).
+/// Writes a slice of events as JSONL to `path` (e.g. a run's
+/// [`Report::journal`](crate::report::Report::journal)).
 pub fn write_events_jsonl(path: &Path, events: &[JournalEvent]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(events_jsonl(events).as_bytes())

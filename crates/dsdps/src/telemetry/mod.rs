@@ -36,7 +36,7 @@ pub use journal::{Journal, JournalEvent};
 pub use registry::{Counter, Gauge, Registry, SampleValue, Summary};
 pub use trace::{
     chrome_trace_json, chrome_trace_json_named, normalize_start_us, spans_jsonl, validate_spans,
-    write_chrome_trace, write_spans_jsonl, Span, SpanKind, TraceSummary, Tracer,
+    write_spans_jsonl, Span, SpanKind, TraceSummary, Tracer,
 };
 
 /// Hot-path instrumentation is always compiled in; there is one build

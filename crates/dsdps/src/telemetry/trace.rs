@@ -296,26 +296,13 @@ impl Tracer {
         );
     }
 
-    /// Merges all buffers into one span list ordered by `(trace_id,
-    /// start_us)`, plus the number of spans rejected on overflow.  Buffers
-    /// are left intact so this can run mid-flight and again at shutdown.
-    pub fn snapshot(&self) -> (Vec<Span>, u64) {
-        let mut spans = Vec::new();
-        let mut dropped = 0;
-        for slot in &self.slots {
-            let buf = slot.lock();
-            spans.extend(buf.spans.iter().cloned());
-            dropped += buf.dropped;
-        }
-        spans.sort_by_key(|a| (a.trace_id, a.start_us));
-        (spans, dropped)
-    }
-
-    /// Takes all buffered spans and resets the dropped counters, returning
-    /// `(spans, dropped_since_last_drain)`.  Unlike [`Tracer::snapshot`]
-    /// this empties the buffers — the distributed worker drains its local
-    /// tracer on every [`SpanBatch`](crate::dist::codec::Frame::SpanBatch)
-    /// push so spans ship incrementally instead of accumulating.
+    /// Takes all buffered spans, slot by slot in record order (the run
+    /// report sorts the merged log, once), and resets the dropped counters,
+    /// returning `(spans, dropped_since_last_drain)`.  The distributed worker
+    /// drains its local tracer on every
+    /// [`SpanBatch`](crate::dist::codec::Frame::SpanBatch) push so spans ship
+    /// incrementally instead of accumulating; the runtimes drain theirs once,
+    /// into the report.
     pub fn drain(&self) -> (Vec<Span>, u64) {
         let mut spans = Vec::new();
         let mut dropped = 0;
@@ -325,7 +312,6 @@ impl Tracer {
             dropped += buf.dropped;
             buf.dropped = 0;
         }
-        spans.sort_by_key(|a| (a.trace_id, a.start_us));
         (spans, dropped)
     }
 }
@@ -381,9 +367,10 @@ fn chrome_pid(s: &Span) -> u64 {
 /// Like [`chrome_trace_json`], but prefixes `process_name` metadata records
 /// (`"ph":"M"`) so each process renders as its own named track: one record
 /// per distinct pid appearing in `spans`, named from `process_names`
-/// (`(pid, name)` pairs) with a `"process <pid>"` fallback.  The
-/// distributed runtime passes the coordinator's and every worker
-/// generation's pid here so cross-process traces stay readable.
+/// (`(pid, name)` pairs) with a `"process <pid>"` fallback.
+/// [`Report::chrome_trace_json`](crate::report::Report::chrome_trace_json)
+/// names a `dist` run's coordinator and every worker generation here so
+/// cross-process traces stay readable.
 pub fn chrome_trace_json_named(spans: &[Span], process_names: &[(u64, String)]) -> String {
     let mut events: Vec<JsonValue> = Vec::new();
     if !process_names.is_empty() {
@@ -468,12 +455,6 @@ pub fn spans_jsonl(spans: &[Span]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Writes [`chrome_trace_json`] output to `path`.
-pub fn write_chrome_trace(path: &Path, spans: &[Span]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(chrome_trace_json(spans).as_bytes())
 }
 
 /// Writes [`spans_jsonl`] output to `path`.
@@ -596,7 +577,7 @@ mod tests {
         t.record_hop(1, 7, 1, 20, 5, 30, 2);
         t.record_terminal(2, 7, SpanKind::Ack, 0, 60, 50, 99);
         t.record_emit(0, 8, 0, 70, 1, 99);
-        let (spans, dropped) = t.snapshot();
+        let (spans, dropped) = t.drain();
         assert_eq!(spans.len(), 4);
         assert_eq!(dropped, 0);
         let summary = validate_spans(&spans).unwrap();
@@ -621,7 +602,7 @@ mod tests {
         t.record_emit(0, 7, 0, 10, 0, 1);
         t.record_hop(1, 7, 1, 20, 5, 30, 0);
         t.record_terminal(2, 7, SpanKind::Timeout, 0, 60, 50, 1);
-        let (spans, _) = t.snapshot();
+        let (spans, _) = t.drain();
         let doc = serde_json::parse(&chrome_trace_json(&spans)).unwrap();
         let events = doc
             .as_object()
@@ -646,7 +627,7 @@ mod tests {
         let t = tracer();
         t.record_emit(0, 7, 0, 10, 0, 1);
         t.record_hop(1, 7, 1, 20, 5, 30, 0);
-        let (mut spans, _) = t.snapshot();
+        let (mut spans, _) = t.drain();
         // Stamp the hop as coming from a separate worker process.
         for s in &mut spans {
             if s.kind == SpanKind::Hop {
@@ -683,7 +664,7 @@ mod tests {
     fn normalize_shifts_span_clocks() {
         let t = tracer();
         t.record_emit(0, 7, 0, 1_000, 0, 1);
-        let (mut spans, _) = t.snapshot();
+        let (mut spans, _) = t.drain();
         normalize_start_us(&mut spans, 500);
         assert_eq!(spans[0].start_us, 1_500);
         normalize_start_us(&mut spans, -700);
@@ -696,7 +677,7 @@ mod tests {
     fn inconsistent_span_sets_are_rejected() {
         let t = tracer();
         t.record_hop(1, 7, 1, 20, 5, 30, 0);
-        let (spans, _) = t.snapshot();
+        let (spans, _) = t.drain();
         assert!(validate_spans(&spans)
             .unwrap_err()
             .contains("no spout-emit"));
@@ -705,7 +686,7 @@ mod tests {
         t.record_emit(0, 7, 0, 10, 0, 1);
         t.record_terminal(2, 7, SpanKind::Ack, 0, 60, 50, 1);
         t.record_terminal(2, 7, SpanKind::Timeout, 0, 61, 51, 1);
-        let (spans, _) = t.snapshot();
+        let (spans, _) = t.drain();
         assert!(validate_spans(&spans)
             .unwrap_err()
             .contains("terminal events"));
@@ -717,7 +698,7 @@ mod tests {
         for i in 0..(SPAN_BUF_CAPACITY as u64 + 10) {
             t.record_emit(0, i + 1, 0, i, 0, i);
         }
-        let (spans, dropped) = t.snapshot();
+        let (spans, dropped) = t.drain();
         assert_eq!(spans.len(), SPAN_BUF_CAPACITY);
         assert_eq!(dropped, 10);
     }

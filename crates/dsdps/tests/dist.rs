@@ -88,7 +88,7 @@ impl Bolt for Sink {
 
 /// A checkpointable counting bolt: state is `(count, sum)` of applied
 /// tuples. The dist tests read its final state from the coordinator's
-/// checkpoint store ([`dsdps::dist::coordinator::DistReport::final_snapshots`]), which is
+/// checkpoint store ([`dsdps::report::Report::final_snapshots`]), which is
 /// the only cross-process observation channel.
 #[derive(Default)]
 struct StatefulCounter {
@@ -988,8 +988,8 @@ fn dist_observability_spans_metrics_and_journal_agree() {
     );
     let scrape = scrape_metrics(addr);
     for family in [
-        "dsdps_coord_tracked_total",
-        "dsdps_coord_acked_total",
+        "dsdps_tracked_total",
+        "dsdps_acked_total",
         "dsdps_coord_worker_restarts_total",
         "dsdps_dist_outstanding_window",
         "dsdps_dist_conn_frames_in_total",
@@ -1013,10 +1013,14 @@ fn dist_observability_spans_metrics_and_journal_agree() {
     assert_eq!(report.coordinator_pid, coord_pid);
 
     // -- Span log: one merged, clock-normalized, structurally consistent
-    // trace across processes.  Emits and terminals come from the
-    // coordinator, hops from worker processes, so consistency here proves
-    // wire propagation, push-back and clock normalization end to end.
+    // trace across processes, in the one order both backends' reports use.
+    // Emits and terminals come from the coordinator, hops from worker
+    // processes, so consistency here proves wire propagation, push-back and
+    // clock normalization end to end.
     assert_eq!(report.spans_dropped, 0, "trace rings must not overflow");
+    assert!(report
+        .spans
+        .is_sorted_by_key(|s| (s.trace_id, s.start_us, s.kind.is_terminal())));
     let summary = validate_spans(&report.spans).expect("merged span log is consistent");
     assert!(
         summary.hop_spans > 0,

@@ -16,6 +16,7 @@ use dsdps::config::EngineConfig;
 use dsdps::dist::{self, DistConfig, TopologyRegistry};
 use dsdps::error::Result;
 use dsdps::metrics::MetricsSnapshot;
+use dsdps::report::Report;
 use dsdps::rt::{self, RecoveryMode, RtConfig, SnapshotKind, StateSnapshot, StatefulComponent};
 use dsdps::sim::SimRuntime;
 use dsdps::stream::StreamId;
@@ -79,7 +80,7 @@ impl Bolt for Fan {
 
 /// Counts what it executes: into `counts[global task id]` (read by the
 /// in-process backends) and into its checkpointed state (read from
-/// [`dist::DistReport::final_snapshots`], the cross-process channel).
+/// [`Report::final_snapshots`], the cross-process channel).
 struct Count {
     counts: Arc<Vec<AtomicU64>>,
     task: usize,
@@ -265,11 +266,28 @@ fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
     done()
 }
 
-/// Per-task executed counts of a dist run, from the final checkpoints (a
-/// task that never executed never checkpointed).
-fn dist_counts(report: &dist::DistReport) -> Vec<u64> {
+/// Per-task executed counts of a checkpointed run, from the final
+/// checkpoints (a task that never executed never checkpointed).
+fn final_counts(report: &Report) -> Vec<u64> {
     let snaps = report.final_snapshots.iter();
     snaps.map(|s| s.as_ref().map_or(0, decode)).collect()
+}
+
+/// What a run resolved its messages to: `(tracked, acked, failed,
+/// timed_out, permanently_failed, replays_scheduled, replays_emitted,
+/// in_flight)` — the same fields, read under the same names, on every
+/// backend.
+fn outcome(r: &Report) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
+    (
+        r.tracked,
+        r.acked,
+        r.failed,
+        r.timed_out,
+        r.permanently_failed,
+        r.replays_scheduled,
+        r.replays_emitted,
+        r.in_flight,
+    )
 }
 
 /// Cross-worker tuples in / out of each worker, summed over a whole run.
@@ -355,7 +373,7 @@ fn three_backends_route_identically() {
     let dist_report = running.shutdown();
     assert!(dist_report.conservation_holds(), "{dist_report:?}");
     assert!(dist_report.drained_clean);
-    assert_eq!(dist_counts(&dist_report), expected, "dist per-task counts");
+    assert_eq!(final_counts(&dist_report), expected, "dist per-task counts");
     // Every backend told user code about every message exactly once.
     assert_eq!(HEARD_ROUTING.load(Ordering::Relaxed), 3 * 2 * N);
 }
@@ -391,14 +409,15 @@ fn dist_honours_ack_disabled() {
     assert_eq!(report.replays_scheduled + report.replays_emitted, 0);
     assert_eq!(report.in_flight, 0);
     assert!(report.conservation_holds(), "{report:?}");
-    assert_eq!(dist_counts(&report)[2..4], [N, N], "everything arrived");
+    assert_eq!(final_counts(&report)[2..4], [N, N], "everything arrived");
     assert_eq!(HEARD_ACK_DISABLED.load(Ordering::Relaxed), 0);
 }
 
 /// Exactly-once effect means the same on `rt` and `dist` for an input the
 /// bolt applies and *then* fails: the mutation happened, so the id counts as
 /// applied, and the replay the failure sets off is acknowledged without
-/// being applied a second time.  The final count is `N` on both.
+/// being applied a second time.  The final count is `N` on both, live and
+/// in the final checkpoint, and the two resolve every message alike.
 #[test]
 fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
     let rt_config = RtConfig::default()
@@ -406,6 +425,8 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
         .with_recovery_mode(RecoveryMode::ExactlyOnceEffect)
         .with_max_replays(3)
         .with_replay_backoff(Duration::from_millis(10));
+    // Every fifth message fails once and is replayed once.
+    let expected = (2 * N, 2 * N, N / 5, 0, 0, N / 5, N / 5, 0);
 
     let counts = fresh_counts();
     let topology = build_flaky(&counts, 5, &HEARD_FLAKY).unwrap();
@@ -416,8 +437,9 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
         running.acked()
     );
     let (_, rt_report) = running.shutdown();
-    assert_eq!(rt_report.failed, N / 5, "{rt_report:?}");
+    assert_eq!(outcome(&rt_report), expected, "{rt_report:?}");
     assert_eq!(read(&counts)[1], N, "rt: each id applied exactly once");
+    assert_eq!(final_counts(&rt_report)[1], N, "rt: and so checkpointed");
 
     let running = dist::submit(
         &registry(),
@@ -434,9 +456,10 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
         running.acked()
     );
     let dist_report = running.shutdown();
-    assert_eq!(dist_report.failed, N / 5, "{dist_report:?}");
+    let rt_outcome = outcome(&rt_report);
+    assert_eq!(outcome(&dist_report), rt_outcome, "{dist_report:?}");
     assert_eq!(
-        dist_counts(&dist_report)[1],
+        final_counts(&dist_report)[1],
         N,
         "dist: each id applied exactly once"
     );
@@ -445,7 +468,7 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
 
 /// A tree means the same on `rt` and `dist` whether it fans out to two bolts
 /// and completes, is failed by one of its branches, or reaches nothing: the
-/// same `(acked, failed, permanently_failed, in_flight)` — and on both the
+/// same [`outcome`] — and on both the
 /// acker is handed exactly one record per executed tuple, none for the
 /// emissions in between.
 #[test]
@@ -453,7 +476,7 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     // No replay: a failed tree is permanently failed, and nothing executes
     // twice.  Each of the `N` forked trees executes once on either branch.
     let (failed, executed) = (N / 4, 2 * N);
-    let expected = (2 * N - failed, failed, failed, 0);
+    let expected = (2 * N, 2 * N - failed, failed, 0, failed, 0, 0, 0);
     let resolved = |acked: u64, perm_failed: u64| acked + perm_failed == 2 * N;
 
     let counts = fresh_counts();
@@ -472,7 +495,7 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     let rt_records = running.ack_records_applied();
     let (_, r) = running.shutdown();
     assert_eq!(read(&counts)[1..3], [N, N], "rt: both branches saw all");
-    let rt_outcome = (r.acked, r.failed, r.permanently_failed, r.in_flight);
+    let rt_outcome = outcome(&r);
     assert_eq!(rt_outcome, expected, "{r:?}");
 
     let running = dist::submit(
@@ -498,9 +521,12 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     let dist_records = running.ack_records_applied();
     let r = running.shutdown();
     assert!(r.drained_clean, "{r:?}");
-    assert_eq!(dist_counts(&r)[1..3], [N, N], "dist: both branches saw all");
-    let dist_outcome = (r.acked, r.failed, r.permanently_failed, r.in_flight);
-    assert_eq!(dist_outcome, expected, "{r:?}");
+    assert_eq!(
+        final_counts(&r)[1..3],
+        [N, N],
+        "dist: both branches saw all"
+    );
+    assert_eq!(outcome(&r), rt_outcome, "{r:?}");
     // The workers' forced shutdown checkpoints released nothing more.
     assert_eq!((rt_records, dist_records), (executed, executed));
     assert_eq!(HEARD_FORK.load(Ordering::Relaxed), 2 * 2 * N);
@@ -508,17 +534,17 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
 
 /// A finite spout whose sink fails every message exactly once: the shared
 /// spout step replays each after its backoff under a fresh tree, which the
-/// sink then acks, so `rt` and `dist` resolve to the same `(acked, failed,
-/// replays emitted, permanently_failed, in_flight)` and tell user code the
-/// same — `2 N` calls each, all of them `ack`s since nothing failed for
-/// good — with the spout exhausted from its `N`-th poll on.
+/// sink then acks, so `rt` and `dist` resolve to the same [`outcome`] and
+/// tell user code the same — `2 N` calls each, all of them `ack`s since
+/// nothing failed for good — with the spout exhausted from its `N`-th poll
+/// on.
 #[test]
 fn a_spout_whose_every_message_fails_once_resolves_alike() {
     let rt_config = RtConfig::default()
         .with_max_replays(3)
         .with_replay_backoff(Duration::from_millis(10));
     // The `void` half of `Src`'s messages reaches nothing and acks at once.
-    let expected = (2 * N, N, N, 0, 0);
+    let expected = (2 * N, 2 * N, N, 0, 0, N, N, 0);
 
     let counts = fresh_counts();
     let topology = build_flaky(&counts, 1, &HEARD_FAIL_ONCE).unwrap();
@@ -529,13 +555,7 @@ fn a_spout_whose_every_message_fails_once_resolves_alike() {
         running.acked()
     );
     let (_, r) = running.shutdown();
-    let rt_outcome = (
-        r.acked,
-        r.failed,
-        r.replays,
-        r.permanently_failed,
-        r.in_flight,
-    );
+    let rt_outcome = outcome(&r);
     assert_eq!(rt_outcome, expected, "{r:?}");
     assert_eq!(read(&counts)[1], 2 * N, "rt: every message ran twice");
     assert_eq!(HEARD_FAIL_ONCE.load(Ordering::Relaxed), 2 * N);
@@ -557,13 +577,6 @@ fn a_spout_whose_every_message_fails_once_resolves_alike() {
     assert_eq!(running.pending_trees(), 0);
     let r = running.shutdown();
     assert!(r.drained_clean, "{r:?}");
-    let dist_outcome = (
-        r.acked,
-        r.failed,
-        r.replays_emitted,
-        r.permanently_failed,
-        r.in_flight,
-    );
-    assert_eq!(dist_outcome, expected, "{r:?}");
+    assert_eq!(outcome(&r), rt_outcome, "{r:?}");
     assert_eq!(HEARD_FAIL_ONCE.load(Ordering::Relaxed), 2 * 2 * N);
 }

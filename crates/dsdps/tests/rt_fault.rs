@@ -414,7 +414,7 @@ fn drop_recovery_at(shards: usize) {
         "shards {shards}: replay recovers dropped trees: {report:?}"
     );
     assert!(report.dropped > 0, "the drop window must have fired");
-    assert!(report.replays > 0, "recovery went through replay");
+    assert!(report.replays_emitted > 0, "recovery went through replay");
     assert_eq!(report.permanently_failed, 0);
     assert_eq!(report.tracked, N);
     assert!(report.conservation_holds(), "conservation: {report:?}");
@@ -482,8 +482,8 @@ fn hang_supersession_at(shards: usize) {
 /// The observability acceptance scenario: the panic + slowdown chaos run
 /// with every tree traced (sample rate 1.0).  The span log, the
 /// control-plane journal and the report counters must tell one consistent
-/// story — asserted on [`ThreadedReport`](dsdps::rt::ThreadedReport)
-/// fields, not scraped from stdout.
+/// story — asserted on [`Report`](dsdps::report::Report) fields, not
+/// scraped from stdout.
 #[test]
 fn chaos_run_telemetry_is_consistent() {
     use dsdps::telemetry::{chrome_trace_json, trace::trace_id, validate_spans, JournalEvent};
@@ -531,15 +531,19 @@ fn chaos_run_telemetry_is_consistent() {
     assert_eq!(report.acked, N, "replay recovers every tree: {report:?}");
     assert!(report.conservation_holds(), "conservation: {report:?}");
     assert!(
-        report.replays > 0,
+        report.replays_emitted > 0,
         "the drop window must have cost (and replayed) some trees: {report:?}"
     );
 
-    // -- Span log: structurally consistent and complete at sample rate 1.0.
+    // -- Span log: structurally consistent and complete at sample rate 1.0,
+    // in the one order both backends' reports use.
     assert_eq!(
         report.spans_dropped, 0,
         "trace rings must not overflow here"
     );
+    assert!(report
+        .spans
+        .is_sorted_by_key(|s| (s.trace_id, s.start_us, s.kind.is_terminal())));
     let summary = validate_spans(&report.spans).expect("span log is consistent");
     assert_eq!(
         summary.open_trees, 0,
@@ -547,11 +551,11 @@ fn chaos_run_telemetry_is_consistent() {
     );
     assert_eq!(
         summary.trees,
-        (N + report.replays) as usize,
+        (N + report.replays_emitted) as usize,
         "one tree per original root plus one per replay emission: {summary:?}"
     );
     assert_eq!(
-        summary.replayed_trees, report.replays as usize,
+        summary.replayed_trees, report.replays_emitted as usize,
         "replayed trees carry replay_attempt > 0 on their emit span"
     );
     assert!(summary.hop_spans > 0, "bolt hops were recorded");
@@ -575,12 +579,12 @@ fn chaos_run_telemetry_is_consistent() {
     );
     assert_eq!(
         report.journal_of_kind("replay_emitted").len() as u64,
-        report.replays
+        report.replays_emitted
     );
 
     // -- Cross-reference: every journaled replay emission points at a
     // sampled trace whose emit span records the same attempt.
-    let sampled = report.sampled_trace_ids();
+    let sampled = report.trace_ids();
     for e in report.journal_of_kind("replay_emitted") {
         let JournalEvent::ReplayEmitted {
             root,
@@ -599,8 +603,10 @@ fn chaos_run_telemetry_is_consistent() {
         assert!(*attempt > 0, "replay attempts are 1-based");
     }
 
-    // -- Chrome trace export: valid JSON with one event per span.
-    let chrome = chrome_trace_json(&report.spans);
+    // -- Chrome trace export: valid JSON with one event per span, and no
+    // process tracks to name in a single-process run.
+    let chrome = report.chrome_trace_json();
+    assert_eq!(chrome, chrome_trace_json(&report.spans));
     let parsed = serde_json::parse(&chrome).expect("chrome trace is valid JSON");
     let events = parsed
         .as_object()
@@ -1312,7 +1318,7 @@ fn slowdown_plus_flash_crowd_conserves_tuples_and_credits() {
         .expect("combined chaos run deadlocked");
 
     assert!(
-        report.replays > 0,
+        report.replays_emitted > 0,
         "the drop window forces replays: {report:?}"
     );
     assert_eq!(

@@ -1,19 +1,26 @@
 #!/bin/sh
-# Non-test lines of Rust source: every line of each *.rs file up to (not
-# including) its first `#[cfg(test)]`, summed per directory and in total.
+# Non-test lines and public items of Rust source, summed per directory and
+# in total.  Each *.rs file counts up to (not including) its first
+# `#[cfg(test)]`: every line, and the lines there that declare a
+# `pub fn|struct|enum|trait|type|const|static|mod|use` (`pub(crate)` and
+# `pub(super)` are not public and do not count).
 # Usage: scripts/nontest_loc.sh [DIR]   (default: crates/dsdps/src)
 set -eu
 dir="${1:-crates/dsdps/src}"
 find "$dir" -name '*.rs' | sort | while read -r f; do
-    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
-    printf '%s %s\n' "$n" "$f"
+    awk -v f="$f" '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        { n++ }
+        /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod|use)[[:space:]]/ { p++ }
+        END { printf "%d %d %s\n", n, p, f }' "$f"
 done | awk -v root="$dir" '
     {
-        d = $2; sub(/\/[^\/]*$/, "", d)
-        per_dir[d] += $1; total += $1
+        d = $3; sub(/\/[^\/]*$/, "", d)
+        lines[d] += $1; pubs[d] += $2; total += $1; total_pub += $2
     }
     END {
-        for (d in per_dir) printf "%7d  %s\n", per_dir[d], d | "sort -k2"
-        close("sort -k2")
-        printf "%7d  %s (total)\n", total, root
+        printf "%7s %5s  %s\n", "lines", "pub", "directory"
+        for (d in lines) printf "%7d %5d  %s\n", lines[d], pubs[d], d | "sort -k3"
+        close("sort -k3")
+        printf "%7d %5d  %s (total)\n", total, total_pub, root
     }'
