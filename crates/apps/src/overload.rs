@@ -6,7 +6,8 @@
 //!
 //! * [`build_flash_crowd`] — a one-shot arrival spike
 //!   ([`RatePattern::FlashCrowd`]) several times the work stage's capacity:
-//!   the queue-wait transient the adaptive spout throttle must bound;
+//!   the queue-wait transient a credit window (or a controller's spout rate
+//!   cap) must bound;
 //! * [`build_key_skew_storm`] — Zipf-skewed keys under fields grouping, so
 //!   one task absorbs a large share of the stream while its siblings idle:
 //!   per-edge credits must hold the hot task's queue without stalling the
@@ -247,7 +248,7 @@ fn spout_stage(
 
 /// **Flash crowd**: spout → shuffle → work sink.  The spike rate exceeds
 /// `workers / work_us` capacity; queues (and queue-wait) grow until the
-/// spike ends — or until credits and the adaptive throttle cap the spout.
+/// spike ends — or until credits or a spout rate cap hold the spout back.
 pub fn build_flash_crowd(cfg: &OverloadConfig) -> Result<(Topology, Arc<OverloadStats>)> {
     let stats = Arc::new(OverloadStats::default());
     let mut b = TopologyBuilder::new("flash-crowd");

@@ -8,7 +8,6 @@ use std::time::Instant;
 use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput};
 use dsdps::config::EngineConfig;
 use dsdps::grouping::dynamic::{DynamicGrouping, DynamicGroupingHandle, SplitRatio};
-use dsdps::grouping::partial_key::PartialKeyGrouping;
 use dsdps::grouping::{FieldsGrouping, Grouping, ShuffleGrouping};
 use dsdps::sim::SimRuntime;
 use dsdps::stream::StreamId;
@@ -243,8 +242,6 @@ pub fn fig_dg_overhead(ctx: &Ctx) -> ExpResult {
     let handle = DynamicGroupingHandle::new(SplitRatio::uniform(4));
     let mut dynamic = DynamicGrouping::new(handle);
     decision.row(&["dynamic".into(), f2(ns_per_decision(&mut dynamic, iters))]);
-    let mut pkg = PartialKeyGrouping::new(4, &["key".into()], &schema).expect("field exists");
-    decision.row(&["partial-key".into(), f2(ns_per_decision(&mut pkg, iters))]);
     decision.save_and_print(&ctx.out_dir, "fig-dg-overhead-decision")?;
     Ok(())
 }

@@ -6,13 +6,11 @@ use drnn::metrics::{mape, rmse};
 use drnn::train::{EarlyStopping, TrainConfig};
 use dsdps::metrics::MetricsSnapshot;
 use dsdps::scheduler::WorkerId;
-use forecast::ets::EtsKind;
 use forecast::svr::{Kernel, SvrParams};
 use rayon::prelude::*;
 use stream_control::features::FeatureSpec;
 use stream_control::predictor::{
-    ArimaPredictor, DrnnPredictor, DrnnPredictorConfig, EtsPredictor, PerformancePredictor,
-    SvrPredictor,
+    ArimaPredictor, DrnnPredictor, DrnnPredictorConfig, PerformancePredictor, SvrPredictor,
 };
 
 use crate::harness::{
@@ -88,7 +86,7 @@ fn collect(ctx: &Ctx, app: App, seed: u64) -> (Vec<MetricsSnapshot>, Vec<WorkerI
     (run.snapshots, run.stage_workers)
 }
 
-/// Fits DRNN/ARIMA/SVR on the training prefix.  The four models are
+/// Fits DRNN/ARIMA/SVR on the training prefix.  The three models are
 /// independent, so their fits run concurrently on the thread pool; the
 /// returned order is fixed regardless of completion order.
 fn fit_all(
@@ -107,12 +105,10 @@ fn fit_all(
                 horizon,
             ))),
             1 => Box::new(ArimaPredictor::new(horizon, 3, 1, 2)),
-            2 => Box::new(SvrPredictor::new(horizon, 12, svr_params())),
-            // Extension beyond the paper's baseline pair.
-            _ => Box::new(EtsPredictor::new(horizon, EtsKind::Holt)),
+            _ => Box::new(SvrPredictor::new(horizon, 12, svr_params())),
         }
     };
-    (0..4usize)
+    (0..3usize)
         .into_par_iter()
         .map(|i| {
             let mut m = make(i);

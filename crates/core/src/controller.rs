@@ -191,8 +191,6 @@ pub struct Controller {
     history: Vec<MetricsSnapshot>,
     events: Vec<ControlEvent>,
     calibrated: bool,
-    /// Last latency estimate per worker (prediction or observation).
-    last_estimates: HashMap<WorkerId, f64>,
     /// Attached control-plane journal, if any ([`Controller::attach_journal`]).
     journal: Option<Arc<Journal>>,
     /// Attached spout-rate actuator and its policy, if any
@@ -248,7 +246,6 @@ impl Controller {
             history: Vec::new(),
             events: Vec::new(),
             calibrated: false,
-            last_estimates: HashMap::new(),
             journal: None,
             rate_control: None,
         })
@@ -303,11 +300,6 @@ impl Controller {
     pub fn set_baseline(&mut self, worker: WorkerId, baseline_us: f64) {
         self.detector.set_baseline(worker, baseline_us);
         self.calibrated = true;
-    }
-
-    /// Latest latency estimate per worker (prediction in predictive mode).
-    pub fn latest_estimates(&self) -> &HashMap<WorkerId, f64> {
-        &self.last_estimates
     }
 
     fn calibrate_from_warmup(&mut self) {
@@ -515,7 +507,6 @@ impl Controller {
                 });
             }
         }
-        self.last_estimates = estimates;
     }
 }
 

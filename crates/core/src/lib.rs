@@ -40,7 +40,6 @@ pub mod prelude {
     pub use crate::features::FeatureSpec;
     pub use crate::planner::{plan_ratio, PlanPolicy};
     pub use crate::predictor::{
-        ArimaPredictor, DrnnPredictor, DrnnPredictorConfig, EtsPredictor, PerformancePredictor,
-        SvrPredictor,
+        ArimaPredictor, DrnnPredictor, DrnnPredictorConfig, PerformancePredictor, SvrPredictor,
     };
 }

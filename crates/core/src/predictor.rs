@@ -11,7 +11,6 @@ use std::collections::HashMap;
 use dsdps::metrics::MetricsSnapshot;
 use dsdps::scheduler::WorkerId;
 use forecast::arima::{auto_arima, Arima};
-use forecast::ets::{Ets, EtsKind};
 use forecast::forecaster::Forecaster;
 use forecast::svr::{SvrForecaster, SvrParams};
 use serde::{Deserialize, Serialize};
@@ -237,60 +236,6 @@ pub struct ArimaPredictor {
     models: HashMap<WorkerId, Arima>,
 }
 
-/// Exponential-smoothing predictor (extension beyond the paper's ARIMA/SVR
-/// pair): one Holt / Holt–Winters smoother per worker.
-pub struct EtsPredictor {
-    horizon: usize,
-    kind: EtsKind,
-    models: HashMap<WorkerId, Ets>,
-}
-
-impl EtsPredictor {
-    /// New exponential-smoothing baseline.
-    pub fn new(horizon: usize, kind: EtsKind) -> Self {
-        EtsPredictor {
-            horizon,
-            kind,
-            models: HashMap::new(),
-        }
-    }
-}
-
-impl PerformancePredictor for EtsPredictor {
-    fn fit(&mut self, history: &[&MetricsSnapshot], workers: &[WorkerId]) -> Result<()> {
-        self.models.clear();
-        for &w in workers {
-            let series = latency_series(history, w);
-            let mut model = Ets::new(self.kind)?;
-            model.fit(&series)?;
-            self.models.insert(w, model);
-        }
-        Ok(())
-    }
-
-    fn predict(&self, history: &[&MetricsSnapshot], worker: WorkerId) -> Option<f64> {
-        let model = self.models.get(&worker)?;
-        let series = latency_series(history, worker);
-        model
-            .forecast_from(&series, self.horizon)
-            .ok()
-            .and_then(|f| f.last().copied())
-            .map(|v| v.max(0.0))
-    }
-
-    fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    fn name(&self) -> String {
-        match self.kind {
-            EtsKind::Simple => "SES".into(),
-            EtsKind::Holt => "Holt".into(),
-            EtsKind::HoltWinters { period } => format!("Holt-Winters(m={period})"),
-        }
-    }
-}
-
 /// The baseline SVR predictor: one autoregressive ε-SVR per worker.
 pub struct SvrPredictor {
     horizon: usize,
@@ -399,7 +344,7 @@ impl PerformancePredictor for SvrPredictor {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use dsdps::metrics::{MachineStats, TopologyStats, WorkerStats};
     use dsdps::scheduler::MachineId;
@@ -407,7 +352,7 @@ pub(crate) mod tests {
     /// Synthetic history: two co-located workers; worker 0's latency is a
     /// lagged function of machine external load plus a seasonal term —
     /// learnable structure of the same shape the simulator produces.
-    pub(crate) fn synth_history(n: usize) -> Vec<MetricsSnapshot> {
+    fn synth_history(n: usize) -> Vec<MetricsSnapshot> {
         (0..n)
             .map(|t| {
                 let tt = t as f64;
@@ -452,7 +397,7 @@ pub(crate) mod tests {
             .collect()
     }
 
-    pub(crate) fn refs(h: &[MetricsSnapshot]) -> Vec<&MetricsSnapshot> {
+    fn refs(h: &[MetricsSnapshot]) -> Vec<&MetricsSnapshot> {
         h.iter().collect()
     }
 
@@ -599,37 +544,5 @@ pub(crate) mod tests {
         assert_eq!(h4.horizon(), 4);
         // Both predict something reasonable.
         assert!(h4.predict(&refs(&history[..260]), WorkerId(0)).is_some());
-    }
-}
-
-#[cfg(test)]
-mod ets_predictor_tests {
-    use super::tests::{refs, synth_history};
-    use super::*;
-
-    #[test]
-    fn ets_fit_predict_round_trip() {
-        let history = synth_history(300);
-        let workers = [WorkerId(0), WorkerId(1)];
-        for kind in [
-            EtsKind::Simple,
-            EtsKind::Holt,
-            EtsKind::HoltWinters { period: 80 },
-        ] {
-            let mut p = EtsPredictor::new(1, kind);
-            p.fit(&refs(&history[..250]), &workers).unwrap();
-            let pred = p.predict(&refs(&history[..260]), WorkerId(0)).unwrap();
-            assert!(pred > 50.0 && pred < 500.0, "{kind:?}: pred {pred}");
-            assert_eq!(p.horizon(), 1);
-        }
-        assert_eq!(EtsPredictor::new(1, EtsKind::Holt).name(), "Holt");
-    }
-
-    #[test]
-    fn ets_unknown_worker_is_none() {
-        let history = synth_history(300);
-        let mut p = EtsPredictor::new(1, EtsKind::Holt);
-        p.fit(&refs(&history[..250]), &[WorkerId(0)]).unwrap();
-        assert!(p.predict(&refs(&history), WorkerId(1)).is_none());
     }
 }

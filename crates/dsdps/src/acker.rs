@@ -270,6 +270,12 @@ impl Acker {
     }
 }
 
+/// Lock stripes of the acker `rt` and `dist` build (`root % ACKER_SHARDS`
+/// picks the stripe).  Acks of different trees only contend when their
+/// roots share a stripe, so this should be at least the number of
+/// concurrently acking threads.
+pub const ACKER_SHARDS: usize = 8;
+
 /// Lock-striped acker: `N` independent [`Acker`] shards, each behind its own
 /// mutex, keyed by `root % N`.
 ///

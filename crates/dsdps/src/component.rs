@@ -44,9 +44,6 @@ pub struct Emission {
     pub tuple: Tuple,
     /// Spout-assigned message id for reliability tracking (spouts only).
     pub message_id: Option<MessageId>,
-    /// If set, bypass the grouping and deliver to this task index of each
-    /// subscriber (direct grouping).
-    pub direct_task: Option<usize>,
     /// Whether the emission is anchored to the input tuple (bolts only).
     /// Unanchored tuples are not tracked by the acker.
     pub anchored: bool,
@@ -89,7 +86,6 @@ impl SpoutOutput {
             stream,
             tuple,
             message_id: None,
-            direct_task: None,
             anchored: false,
         });
     }
@@ -101,7 +97,6 @@ impl SpoutOutput {
             stream: StreamId::default(),
             tuple,
             message_id: Some(message_id),
-            direct_task: None,
             anchored: false,
         });
     }
@@ -112,7 +107,6 @@ impl SpoutOutput {
             stream,
             tuple,
             message_id: Some(message_id),
-            direct_task: None,
             anchored: false,
         });
     }
@@ -177,7 +171,6 @@ impl BoltOutput {
             stream,
             tuple,
             message_id: None,
-            direct_task: None,
             anchored: true,
         });
     }
@@ -189,20 +182,7 @@ impl BoltOutput {
             stream: StreamId::default(),
             tuple,
             message_id: None,
-            direct_task: None,
             anchored: false,
-        });
-    }
-
-    /// Emits directly to one task of every subscribing component that used
-    /// direct grouping on `stream`.
-    pub fn emit_direct(&mut self, task_index: usize, stream: StreamId, tuple: Tuple) {
-        self.emissions.push(Emission {
-            stream,
-            tuple,
-            message_id: None,
-            direct_task: Some(task_index),
-            anchored: true,
         });
     }
 
@@ -319,7 +299,6 @@ mod tests {
         let mut out = BoltOutput::new();
         out.emit(Tuple::of([Value::from(1i64)]));
         out.emit_unanchored(Tuple::of([Value::from(2i64)]));
-        out.emit_direct(3, StreamId::new("d"), Tuple::of([Value::from(3i64)]));
         assert!(!out.is_failed());
         out.fail();
         assert!(out.is_failed());
@@ -328,7 +307,6 @@ mod tests {
         assert!(!out.is_failed(), "drain resets failure flag");
         assert!(emissions[0].anchored);
         assert!(!emissions[1].anchored);
-        assert_eq!(emissions[2].direct_task, Some(3));
     }
 
     #[test]

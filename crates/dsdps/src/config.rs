@@ -38,7 +38,7 @@ pub struct EngineConfig {
     /// Length of one metrics interval (seconds); the control framework's
     /// sampling period.
     pub metrics_interval_s: f64,
-    /// Bolt tick interval in seconds (0 disables ticks).
+    /// Bolt tick interval in seconds (0 or less disables ticks).
     pub tick_interval_s: f64,
     /// One-way tuple transfer latency between tasks in the same worker (µs).
     pub local_transfer_us: f64,
@@ -97,11 +97,20 @@ impl EngineConfig {
         if self.machine_cores == 0 {
             return Err(Error::Config("machine_cores must be >= 1".into()));
         }
-        if self.message_timeout_s <= 0.0 {
-            return Err(Error::Config("message_timeout_s must be positive".into()));
+        // Written so that NaN fails each test: every value here becomes a
+        // `Duration` or a time on some backend's clock.
+        if !(self.message_timeout_s > 0.0 && self.message_timeout_s.is_finite()) {
+            return Err(Error::Config(
+                "message_timeout_s must be finite and positive".into(),
+            ));
         }
-        if self.metrics_interval_s <= 0.0 {
-            return Err(Error::Config("metrics_interval_s must be positive".into()));
+        if !(self.metrics_interval_s > 0.0 && self.metrics_interval_s.is_finite()) {
+            return Err(Error::Config(
+                "metrics_interval_s must be finite and positive".into(),
+            ));
+        }
+        if !self.tick_interval_s.is_finite() {
+            return Err(Error::Config("tick_interval_s must be finite".into()));
         }
         if self.max_spout_pending == 0 {
             return Err(Error::Config("max_spout_pending must be >= 1".into()));
@@ -109,8 +118,11 @@ impl EngineConfig {
         if self.queue_capacity == 0 {
             return Err(Error::Config("queue_capacity must be >= 1".into()));
         }
-        if self.local_transfer_us < 0.0 || self.remote_transfer_us < 0.0 {
-            return Err(Error::Config("transfer latencies must be >= 0".into()));
+        let latency_ok = |us: f64| us >= 0.0 && us.is_finite();
+        if !(latency_ok(self.local_transfer_us) && latency_ok(self.remote_transfer_us)) {
+            return Err(Error::Config(
+                "transfer latencies must be finite and >= 0".into(),
+            ));
         }
         Ok(())
     }
@@ -177,9 +189,28 @@ mod tests {
         let mut c = base.clone();
         c.queue_capacity = 0;
         assert!(c.validate().is_err());
-        let mut c = base;
+        let mut c = base.clone();
         c.remote_transfer_us = -5.0;
         assert!(c.validate().is_err());
+        // Non-finite values fail too, and a non-positive tick interval
+        // still means "no ticks".
+        let fields: [fn(&mut EngineConfig) -> &mut f64; 5] = [
+            |c| &mut c.message_timeout_s,
+            |c| &mut c.metrics_interval_s,
+            |c| &mut c.tick_interval_s,
+            |c| &mut c.local_transfer_us,
+            |c| &mut c.remote_transfer_us,
+        ];
+        for field in fields {
+            for v in [f64::NAN, f64::INFINITY] {
+                let mut c = base.clone();
+                *field(&mut c) = v;
+                assert!(c.validate().is_err(), "{c:?}");
+            }
+        }
+        let mut c = base;
+        c.tick_interval_s = -1.0;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::TopologyRegistry;
 use super::{recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine};
-use crate::acker::{AckOps, ShardedAcker, TreeOutcome};
+use crate::acker::{AckOps, ShardedAcker, TreeOutcome, ACKER_SHARDS};
 use crate::bolt_task::Policy;
 use crate::checkpoint::CheckpointStore;
 use crate::component::TopologyContext;
@@ -986,7 +986,7 @@ pub fn submit(
         args: args.to_owned(),
         dynamic: dynamic_handles(&topology),
         intern,
-        ackers: ShardedAcker::new(rt.acker_shards),
+        ackers: ShardedAcker::new(ACKER_SHARDS),
         ledger,
         window,
         store: CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.run.store.clone()),

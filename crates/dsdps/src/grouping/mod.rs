@@ -1,16 +1,15 @@
 //! Stream groupings: how a producer's tuples are distributed over the tasks
 //! of a subscribing component.
 //!
-//! The classic Storm groupings (shuffle, fields, global, all, direct) are
-//! implemented here; the paper's contribution, **dynamic grouping**, lives in
-//! [`dynamic`].
+//! The Storm groupings the paper's applications route with (shuffle, fields,
+//! global) are implemented here; the paper's contribution, **dynamic
+//! grouping**, the one its controller steers, lives in [`dynamic`].
 //!
 //! A [`GroupingSpec`] is the declarative form stored in the topology; the
 //! runtime instantiates a [`Grouping`] router per producer-task × edge via
 //! [`make_grouping`].
 
 pub mod dynamic;
-pub mod partial_key;
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -28,31 +27,9 @@ pub enum GroupingSpec {
     Fields(Vec<String>),
     /// All tuples to the subscriber's first task.
     Global,
-    /// Replicate every tuple to every subscriber task.
-    All,
-    /// Producer picks the target task explicitly per emission.
-    Direct,
-    /// Partial key grouping: each key hashes to two candidates, tuples go
-    /// to the less-loaded one (bounds skew without losing key locality).
-    PartialKey(Vec<String>),
     /// The paper's dynamic grouping: split by a live-updatable ratio vector.
     /// `None` starts uniform.
     Dynamic(Option<SplitRatio>),
-}
-
-impl GroupingSpec {
-    /// Short human-readable name (used in metrics and experiment output).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            GroupingSpec::Shuffle => "shuffle",
-            GroupingSpec::Fields(_) => "fields",
-            GroupingSpec::Global => "global",
-            GroupingSpec::All => "all",
-            GroupingSpec::Direct => "direct",
-            GroupingSpec::PartialKey(_) => "partial-key",
-            GroupingSpec::Dynamic(_) => "dynamic",
-        }
-    }
 }
 
 /// A runtime router deciding which subscriber task(s) receive each tuple.
@@ -153,57 +130,10 @@ pub struct GlobalGrouping {
     n_tasks: usize,
 }
 
-impl GlobalGrouping {
-    /// Creates a global router over `n_tasks` tasks.
-    pub fn new(n_tasks: usize) -> Self {
-        assert!(n_tasks > 0);
-        GlobalGrouping { n_tasks }
-    }
-}
-
 impl Grouping for GlobalGrouping {
     fn select(&mut self, _tuple: &Tuple, out: &mut Vec<usize>) {
         out.push(0);
     }
-
-    fn fan_out(&self) -> usize {
-        self.n_tasks
-    }
-}
-
-/// Replicate to every task.
-#[derive(Debug)]
-pub struct AllGrouping {
-    n_tasks: usize,
-}
-
-impl AllGrouping {
-    /// Creates a replicate-to-all router over `n_tasks` tasks.
-    pub fn new(n_tasks: usize) -> Self {
-        assert!(n_tasks > 0);
-        AllGrouping { n_tasks }
-    }
-}
-
-impl Grouping for AllGrouping {
-    fn select(&mut self, _tuple: &Tuple, out: &mut Vec<usize>) {
-        out.extend(0..self.n_tasks);
-    }
-
-    fn fan_out(&self) -> usize {
-        self.n_tasks
-    }
-}
-
-/// Direct grouping: the router never chooses; the emission's
-/// `direct_task` does.  `select` therefore returns nothing.
-#[derive(Debug)]
-pub struct DirectGrouping {
-    n_tasks: usize,
-}
-
-impl Grouping for DirectGrouping {
-    fn select(&mut self, _tuple: &Tuple, _out: &mut Vec<usize>) {}
 
     fn fan_out(&self) -> usize {
         self.n_tasks
@@ -232,12 +162,6 @@ pub fn make_grouping(
                 .expect("fields validated at topology build time"),
         ),
         GroupingSpec::Global => Box::new(GlobalGrouping { n_tasks }),
-        GroupingSpec::All => Box::new(AllGrouping { n_tasks }),
-        GroupingSpec::Direct => Box::new(DirectGrouping { n_tasks }),
-        GroupingSpec::PartialKey(fields) => Box::new(
-            partial_key::PartialKeyGrouping::new(n_tasks, fields, schema)
-                .expect("fields validated at topology build time"),
-        ),
         GroupingSpec::Dynamic(_) => {
             let handle = handle.expect("dynamic grouping requires the edge's shared handle");
             assert_eq!(handle.ratio().len(), n_tasks, "ratio arity mismatch");
@@ -339,28 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn all_replicates() {
-        let mut g = AllGrouping { n_tasks: 3 };
-        let picks = run(&mut g, &[tup("a")]);
-        assert_eq!(picks[0], vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn direct_selects_nothing() {
-        let mut g = DirectGrouping { n_tasks: 3 };
-        let picks = run(&mut g, &[tup("a")]);
-        assert!(picks[0].is_empty());
-    }
-
-    #[test]
     fn factory_builds_each_kind() {
         let schema = Fields::new(["url"]);
         let specs = [
             GroupingSpec::Shuffle,
             GroupingSpec::Fields(vec!["url".into()]),
             GroupingSpec::Global,
-            GroupingSpec::All,
-            GroupingSpec::Direct,
         ];
         for spec in &specs {
             let g = make_grouping(spec, 3, &schema, 0, None);
@@ -369,12 +277,5 @@ mod tests {
         let h = DynamicGroupingHandle::new(SplitRatio::uniform(3));
         let g = make_grouping(&GroupingSpec::Dynamic(None), 3, &schema, 0, Some(h));
         assert_eq!(g.fan_out(), 3);
-    }
-
-    #[test]
-    fn kind_names() {
-        assert_eq!(GroupingSpec::Shuffle.kind_name(), "shuffle");
-        assert_eq!(GroupingSpec::Dynamic(None).kind_name(), "dynamic");
-        assert_eq!(GroupingSpec::Fields(vec![]).kind_name(), "fields");
     }
 }

@@ -10,11 +10,10 @@
 //!   flowing on named streams between components.
 //! * **Topologies** — directed graphs of **spouts** (sources) and **bolts**
 //!   (operators), built with [`topology::TopologyBuilder`].
-//! * **Stream groupings** — shuffle, fields (hash), global, all, direct,
-//!   key-ratio and, crucially, the paper's **dynamic grouping**
-//!   ([`grouping::dynamic`]) which splits tuples across downstream tasks
-//!   according to a ratio vector that can be swapped atomically *while the
-//!   topology runs*.
+//! * **Stream groupings** — shuffle, fields (hash), global and, crucially,
+//!   the paper's **dynamic grouping** ([`grouping::dynamic`]) which splits
+//!   tuples across downstream tasks according to a ratio vector that can be
+//!   swapped atomically *while the topology runs*.
 //! * **Reliability** — Storm's tuple-tree XOR acker with message timeouts
 //!   and replay ([`acker`]).
 //! * **Multilevel runtime metrics** — task-, worker- and machine-level

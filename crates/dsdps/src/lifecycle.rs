@@ -480,7 +480,6 @@ mod tests {
             stream: StreamId::default(),
             tuple: Tuple::of([Value::from(id as i64)]),
             message_id: Some(id),
-            direct_task: None,
             anchored: true,
         })
     }

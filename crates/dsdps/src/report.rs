@@ -88,13 +88,7 @@ pub struct Report {
     pub panic_messages: Vec<String>,
     /// `rt` only: tuples discarded by injected drop faults.
     pub dropped: u64,
-    /// `rt` only: batches shed on exhausted credit pools
-    /// ([`RtConfig::shed_on_overload`](crate::rt::RtConfig::shed_on_overload)).
-    pub shed_batches: u64,
-    /// `rt` only: tuples inside those batches (each failed at the acker).
-    pub shed_tuples: u64,
-    /// `rt` only: batch queue-wait median over the run, µs — what the
-    /// overload gate compares a throttled run's tail against.
+    /// `rt` only: batch queue-wait median over the run, µs.
     pub queue_wait_p50_us: f64,
     /// `rt` only: batch queue-wait p99 over the run, µs.
     pub queue_wait_p99_us: f64,

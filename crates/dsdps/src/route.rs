@@ -30,9 +30,7 @@ pub(crate) struct Route {
     /// Schema of the stream.
     pub(crate) fields: Fields,
     base_task: usize,
-    parallelism: usize,
     grouping: Box<dyn Grouping>,
-    is_direct: bool,
 }
 
 /// Destination selection for the emissions of one producer (the default
@@ -66,7 +64,6 @@ impl RouteTable {
                     decl: index,
                     fields: decl.fields.clone(),
                     base_task: sub.base_task.0,
-                    parallelism: sub.parallelism,
                     grouping: make_grouping(
                         spec,
                         sub.parallelism,
@@ -74,7 +71,6 @@ impl RouteTable {
                         producer_offset,
                         handle,
                     ),
-                    is_direct: matches!(spec, GroupingSpec::Direct),
                 });
             }
         }
@@ -87,11 +83,9 @@ impl RouteTable {
     }
 
     /// Replaces the contents of `dests` with the global ids of the tasks
-    /// `emission` reaches, in route order.  A direct emission travels only
-    /// direct subscriptions (to the named task index, when the subscriber
-    /// has one) and a grouped emission only grouped ones.  `None` when
-    /// nothing is reached: undeclared stream, no matching subscription, or
-    /// a direct index past the subscriber's parallelism.
+    /// `emission` reaches, in route order: each subscription to its stream
+    /// adds what its grouping selects.  `None` when nothing is reached:
+    /// undeclared stream or no subscription to it.
     pub(crate) fn select(&mut self, emission: &Emission, dests: &mut Vec<usize>) -> Option<&Route> {
         dests.clear();
         let mut matched = None;
@@ -100,18 +94,10 @@ impl RouteTable {
                 continue;
             }
             matched = Some(r);
-            match (emission.direct_task, route.is_direct) {
-                (Some(index), true) if index < route.parallelism => {
-                    dests.push(route.base_task + index);
-                }
-                (None, false) => {
-                    let first = dests.len();
-                    route.grouping.select(&emission.tuple, dests);
-                    for dest in &mut dests[first..] {
-                        *dest += route.base_task;
-                    }
-                }
-                _ => {}
+            let first = dests.len();
+            route.grouping.select(&emission.tuple, dests);
+            for dest in &mut dests[first..] {
+                *dest += route.base_task;
             }
         }
         matched
@@ -248,8 +234,9 @@ mod tests {
     const STREAMS: [&str; 3] = ["default", "s1", "s2"];
 
     /// `src` declares [`STREAMS`]; each `(kind, stream, parallelism)` adds a
-    /// bolt subscribed to one of them.  Kinds 0‥6 are the seven groupings;
-    /// those the builder only offers on the default stream subscribe there.
+    /// bolt subscribed to one of them.  Kinds 0‥3 are the four groupings;
+    /// global, which the builder only offers on the default stream,
+    /// subscribes there.
     fn topology(subscribers: &[(usize, usize, usize)]) -> Topology {
         let schema = || Fields::new(["k", "v"]);
         let mut b = TopologyBuilder::new("routes");
@@ -267,9 +254,6 @@ mod tests {
                 0 => bolt.shuffle_grouping_stream("src", stream),
                 1 => bolt.fields_grouping_stream("src", stream, &["k"]),
                 2 => bolt.global_grouping("src"),
-                3 => bolt.all_grouping("src"),
-                4 => bolt.direct_grouping("src", stream),
-                5 => bolt.partial_key_grouping("src", &["k"]),
                 _ => bolt.dynamic_grouping_stream("src", stream),
             }
             .unwrap();
@@ -282,8 +266,6 @@ mod tests {
     struct Naive {
         stream: StreamId,
         base_task: usize,
-        parallelism: usize,
-        is_direct: bool,
         grouping: Box<dyn Grouping>,
     }
 
@@ -296,8 +278,6 @@ mod tests {
                 model.push(Naive {
                     stream: decl.id.clone(),
                     base_task: sub.base_task.0,
-                    parallelism: sub.parallelism,
-                    is_direct: matches!(spec, GroupingSpec::Direct),
                     grouping: make_grouping(spec, sub.parallelism, &decl.fields, offset, handle),
                 });
             }
@@ -310,8 +290,8 @@ mod tests {
         /// reaches, in the same order, and names the matched declaration.
         #[test]
         fn select_equals_per_subscription_model(
-            subscribers in prop::collection::vec((0usize..7, 0usize..3, 1usize..5), 1..7),
-            emissions in prop::collection::vec((0usize..4, 0i64..12, 0usize..8), 1..80),
+            subscribers in prop::collection::vec((0usize..4, 0usize..3, 1usize..5), 1..7),
+            emissions in prop::collection::vec((0usize..4, 0i64..12), 1..80),
             offset in 0usize..3,
         ) {
             let topology = topology(&subscribers);
@@ -319,32 +299,21 @@ mod tests {
             let mut table = RouteTable::new(&topology, src, offset);
             let mut model = naive(&topology, offset);
             let mut dests = vec![usize::MAX];
-            for (stream, key, direct) in emissions {
-                // Stream 3 is undeclared; direct indices 5‥7 mean "grouped",
-                // 0‥4 straddle every subscriber's parallelism.
+            for (stream, key) in emissions {
+                // Stream 3 is undeclared.
                 let stream = StreamId::new(STREAMS.get(stream).copied().unwrap_or("nope"));
-                let direct_task = (direct < 5).then_some(direct);
                 let tuple = Tuple::of([Value::from(key), Value::from(1i64)]);
                 let emission = Emission {
                     stream,
                     tuple: tuple.clone(),
                     message_id: None,
-                    direct_task,
                     anchored: true,
                 };
                 let mut expected = Vec::new();
                 for route in model.iter_mut().filter(|r| r.stream == emission.stream) {
-                    match (direct_task, route.is_direct) {
-                        (Some(index), true) if index < route.parallelism => {
-                            expected.push(route.base_task + index);
-                        }
-                        (None, false) => {
-                            let mut locals = Vec::new();
-                            route.grouping.select(&tuple, &mut locals);
-                            expected.extend(locals.iter().map(|l| route.base_task + l));
-                        }
-                        _ => {}
-                    }
+                    let mut locals = Vec::new();
+                    route.grouping.select(&tuple, &mut locals);
+                    expected.extend(locals.iter().map(|l| route.base_task + l));
                 }
                 let selected = table.select(&emission, &mut dests);
                 prop_assert_eq!(selected.is_some(), !expected.is_empty());

@@ -31,8 +31,8 @@ pub(super) struct Delivered {
 /// What travels on a task's input channel: one flushed batch of tuples plus
 /// a send timestamp.  Unlike the per-tuple [`Delivered::sent_at_us`] (traced
 /// trees only), the batch stamp is always set — one clock read per flush and
-/// one per receive give every batch a queue-wait sample, which is the
-/// always-on signal the adaptive spout throttle steers on.
+/// one per receive give every batch a queue-wait sample, the always-on
+/// signal behind the report's and the registry's queue-wait figures.
 pub(super) struct Batch {
     pub(super) items: Vec<Delivered>,
     /// Runtime clock (µs) when the producer handed this batch to the channel.

@@ -18,9 +18,8 @@ use crate::error::{Error, Result};
 /// flushes every tuple inline and reproduces the unbatched runtime behavior
 /// exactly.
 ///
-/// **Supervision.** With [`supervise`](Self::supervise) enabled (the
-/// default) a supervisor thread watches every task's heartbeat: a task whose
-/// thread died (panic) or stopped beating for
+/// **Supervision.** A supervisor thread watches every task's heartbeat: a
+/// task whose thread died (panic) or stopped beating for
 /// [`hang_timeout`](Self::hang_timeout) is superseded and restarted from its
 /// component factory — a fresh component instance wired to the *same* input
 /// channel, so queued tuples survive the crash.  Each task is restarted at
@@ -37,17 +36,10 @@ use crate::error::{Error, Result};
 /// bolt task grants a window of [`credit_window`](Self::credit_window) batch
 /// credits; a producer acquires one credit per batch before sending and the
 /// consumer re-grants after processing, so queued-plus-in-flight batches per
-/// task are bounded by the window.  An exhausted pool makes the sender block
-/// (default) or, with [`shed_on_overload`](Self::shed_on_overload), shed the
-/// batch — failing its anchored trees so replay/conservation accounting
-/// still sees every tuple.  Independently,
-/// [`adaptive_throttle`](Self::adaptive_throttle) runs an AIMD controller
-/// over the per-interval queue-wait p99 observed by the telemetry registry:
-/// above [`throttle_target_queue_wait`](Self::throttle_target_queue_wait)
-/// the global spout rate cap is halved; well below it, the cap grows by a
-/// fixed step per interval.  Both features default **off**: the stock
-/// behavior is the bounded-channel blocking send plus the
-/// `EngineConfig::max_spout_pending` in-flight gate, unchanged.
+/// task are bounded by the window.  An exhausted pool makes the sender
+/// block.  Credit flow defaults **off**: the stock behavior is the
+/// bounded-channel blocking send plus the `EngineConfig::max_spout_pending`
+/// in-flight gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtConfig {
     /// Maximum tuples per output batch (per destination task).  Must be at
@@ -56,11 +48,9 @@ pub struct RtConfig {
     /// Longest a buffered tuple may wait before its batch is flushed even if
     /// not full.  Irrelevant when `batch_size == 1`.
     pub linger: Duration,
-    /// Run the supervisor thread that restarts dead or hung tasks.
-    pub supervise: bool,
     /// A task whose heartbeat is older than this is considered hung and
-    /// superseded (when supervision is on).  Must exceed zero; keep it well
-    /// above the longest legitimate single `execute` call.
+    /// superseded.  Must exceed zero; keep it well above the longest
+    /// legitimate single `execute` call.
     pub hang_timeout: Duration,
     /// Upper bound on supervisor restarts per task (guards against a
     /// component that panics immediately on every start).
@@ -69,11 +59,6 @@ pub struct RtConfig {
     pub max_replays: u32,
     /// Base delay before the first replay of a message; doubles per attempt.
     pub replay_backoff: Duration,
-    /// Number of lock stripes in the acker (`root % acker_shards` picks the
-    /// stripe).  Acks of different tuple trees only contend when their roots
-    /// share a stripe, so this should be at least the number of concurrently
-    /// acking tasks; `1` reproduces the single-global-acker behavior.
-    pub acker_shards: usize,
     /// Fraction of tuple trees to trace end-to-end, in `[0, 1]`.  Sampling
     /// is a deterministic hash test on the tree's root id, so every thread
     /// agrees on the decision with no shared state.  `0` (the default)
@@ -93,16 +78,6 @@ pub struct RtConfig {
     /// submit to `EngineConfig::queue_capacity` so a credited send can
     /// never block on the channel itself.
     pub credit_window: usize,
-    /// With credit flow on, shed batches (failing their anchored tuple
-    /// trees) instead of blocking when a pool is exhausted.
-    pub shed_on_overload: bool,
-    /// Enable the adaptive AIMD spout throttle driven by observed
-    /// queue-wait (see the struct docs).  Off by default — the spout is
-    /// only gated by `EngineConfig::max_spout_pending`.
-    pub adaptive_throttle: bool,
-    /// AIMD setpoint: a per-interval queue-wait p99 above this triggers a
-    /// multiplicative decrease of the spout rate cap.
-    pub throttle_target_queue_wait: Duration,
     /// Enable periodic checkpoints of stateful tasks (bolts whose
     /// [`Bolt::stateful`](crate::component::Bolt::stateful) returns a
     /// [`StatefulComponent`](crate::checkpoint::StatefulComponent)).  Off
@@ -124,19 +99,14 @@ impl Default for RtConfig {
         Self {
             batch_size: 1,
             linger: Duration::from_millis(1),
-            supervise: true,
             hang_timeout: Duration::from_secs(3),
             max_restarts: 8,
             max_replays: 0,
             replay_backoff: Duration::from_millis(100),
-            acker_shards: 8,
             trace_sample_rate: 0.0,
             metrics_addr: None,
             credit_flow: false,
             credit_window: 128,
-            shed_on_overload: false,
-            adaptive_throttle: false,
-            throttle_target_queue_wait: Duration::from_millis(5),
             checkpoints: false,
             checkpoint_interval: Duration::from_millis(500),
             recovery_mode: RecoveryMode::AtLeastOnce,
@@ -154,12 +124,6 @@ impl RtConfig {
     /// Returns the config with the given linger deadline.
     pub fn with_linger(mut self, linger: Duration) -> Self {
         self.linger = linger;
-        self
-    }
-
-    /// Returns the config with supervision enabled or disabled.
-    pub fn with_supervision(mut self, supervise: bool) -> Self {
-        self.supervise = supervise;
         self
     }
 
@@ -187,12 +151,6 @@ impl RtConfig {
         self
     }
 
-    /// Returns the config with the given number of acker lock stripes.
-    pub fn with_acker_shards(mut self, acker_shards: usize) -> Self {
-        self.acker_shards = acker_shards;
-        self
-    }
-
     /// Returns the config with the given tuple-tree trace sampling rate.
     pub fn with_trace_sample_rate(mut self, trace_sample_rate: f64) -> Self {
         self.trace_sample_rate = trace_sample_rate;
@@ -210,21 +168,6 @@ impl RtConfig {
     pub fn with_credit_flow(mut self, credit_window: usize) -> Self {
         self.credit_flow = true;
         self.credit_window = credit_window;
-        self
-    }
-
-    /// Returns the config shedding (instead of blocking) on an exhausted
-    /// credit pool.
-    pub fn with_shed_on_overload(mut self, shed: bool) -> Self {
-        self.shed_on_overload = shed;
-        self
-    }
-
-    /// Returns the config with the adaptive spout throttle on and the
-    /// given queue-wait setpoint.
-    pub fn with_adaptive_throttle(mut self, target_queue_wait: Duration) -> Self {
-        self.adaptive_throttle = true;
-        self.throttle_target_queue_wait = target_queue_wait;
         self
     }
 
@@ -270,13 +213,8 @@ impl RtConfig {
         if self.batch_size == 0 {
             return Err(Error::Config("rt batch_size must be at least 1".into()));
         }
-        if self.supervise && self.hang_timeout.is_zero() {
-            return Err(Error::Config(
-                "rt hang_timeout must be positive when supervision is on".into(),
-            ));
-        }
-        if self.acker_shards == 0 {
-            return Err(Error::Config("rt acker_shards must be at least 1".into()));
+        if self.hang_timeout.is_zero() {
+            return Err(Error::Config("rt hang_timeout must be positive".into()));
         }
         if !self.trace_sample_rate.is_finite() || !(0.0..=1.0).contains(&self.trace_sample_rate) {
             return Err(Error::Config(
@@ -286,12 +224,6 @@ impl RtConfig {
         if self.credit_flow && self.credit_window == 0 {
             return Err(Error::Config(
                 "rt credit_window must be at least 1 when credit_flow is on".into(),
-            ));
-        }
-        if self.adaptive_throttle && self.throttle_target_queue_wait.is_zero() {
-            return Err(Error::Config(
-                "rt throttle_target_queue_wait must be positive when adaptive_throttle is on"
-                    .into(),
             ));
         }
         if self.checkpoints {
@@ -318,7 +250,6 @@ mod tests {
     fn default_is_unbatched() {
         let cfg = RtConfig::default();
         assert_eq!(cfg.batch_size, 1);
-        assert!(cfg.supervise, "supervision is on by default");
         assert_eq!(cfg.max_replays, 0, "replay is opt-in");
         assert!(cfg.validate().is_ok());
     }
@@ -330,10 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_hang_timeout_rejected_only_when_supervised() {
+    fn zero_hang_timeout_rejected() {
         let cfg = RtConfig::default().with_hang_timeout(Duration::ZERO);
-        assert!(cfg.clone().validate().is_err());
-        assert!(cfg.with_supervision(false).validate().is_ok());
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

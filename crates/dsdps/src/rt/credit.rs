@@ -7,9 +7,7 @@
 //! grants one credit back after it has processed a batch.  The number of
 //! batches queued or in flight toward a task is therefore bounded by the
 //! window — independent of the channel capacity — and a sender that finds
-//! the pool empty either **blocks** (polling with heartbeats, the default)
-//! or **sheds** the batch (failing its anchored trees so the acker and
-//! replay machinery account for every tuple).
+//! the pool empty **blocks** (polling with heartbeats).
 //!
 //! The ledger lives in the runtime's shared state, not in any task thread,
 //! so credit state survives supervisor restarts exactly like the spouts'
@@ -110,7 +108,7 @@ impl CreditLedger {
     }
 
     /// Tries to consume one credit from `task`'s pool.  Returns `false`
-    /// when the pool is empty (the caller blocks or sheds).
+    /// when the pool is empty (the caller blocks).
     pub fn try_acquire(&self, task: usize) -> bool {
         let pool = &self.pools[task];
         let mut avail = pool.available.load(Ordering::Acquire);

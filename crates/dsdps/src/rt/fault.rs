@@ -19,8 +19,7 @@
 //!   feature extraction sees the same machine-level signal as in the
 //!   simulator.
 //! * [`RtFault::TaskPanic`] fires **once** at `at_s`: the task thread panics
-//!   and, when supervision is enabled, is restarted from its component
-//!   factory.
+//!   and the supervisor restarts it from its component factory.
 //! * [`RtFault::TaskHang`] fires once: the task stops heartbeating until
 //!   `until_s` (or until the supervisor supersedes it, or shutdown).
 //! * [`RtFault::DropTuples`] silently discards tuples delivered to the task

@@ -25,15 +25,13 @@
 //!
 //! Overload has an explicit admission story on top of the bounded channels:
 //! per-task **credit pools** ([`RtConfig::credit_flow`], see [`credit`])
-//! bound queued-plus-in-flight batches per edge and let senders shed
-//! instead of block, and an **adaptive spout throttle**
-//! ([`RtConfig::adaptive_throttle`]) runs AIMD on the observed batch
-//! queue-wait p99, journaling every cap change.  The [`BackpressureHandle`]
-//! exposes the same rate-cap knob to the controller so the planner can
-//! trade throughput against tail latency.
+//! bound queued-plus-in-flight batches per edge, and a sender facing an
+//! exhausted pool blocks.  The [`BackpressureHandle`] exposes a spout rate
+//! cap to the controller so the planner can trade throughput against tail
+//! latency; every cap change is journaled.
 //!
 //! The runtime is also a first-class **fault target**.  Task threads run
-//! under panic isolation and (by default) supervision — a dead or hung task
+//! under panic isolation and supervision — a dead or hung task
 //! is restarted from its component factory on the same input channel — and
 //! [`submit_faulty`] injects scheduled [`RtFault`]s (worker slowdowns,
 //! external load, task panics/hangs/drops) mirroring the simulator's fault
@@ -67,7 +65,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::acker::{ShardedAcker, TreeOutcome};
+use crate::acker::{ShardedAcker, TreeOutcome, ACKER_SHARDS};
 use crate::bolt_task::Policy;
 use crate::checkpoint::CheckpointStore;
 use crate::config::EngineConfig;
@@ -98,10 +96,6 @@ pub(crate) struct Counters {
     pub(crate) run: RunCounters,
     /// Tuples discarded by an injected drop fault.
     pub(crate) dropped: Counter,
-    /// Batches shed on exhausted credit pools
-    /// ([`RtConfig::shed_on_overload`]), and the tuples inside them.
-    pub(crate) shed_batches: Counter,
-    pub(crate) shed_tuples: Counter,
     /// Panics caught in task threads / supervisor restarts, over all tasks.
     pub(crate) task_panics: Counter,
     pub(crate) task_restarts: Counter,
@@ -117,8 +111,6 @@ impl Counters {
         Counters {
             run: RunCounters::new(registry),
             dropped: c("dropped"),
-            shed_batches: c("shed_batches"),
-            shed_tuples: c("shed_tuples"),
             task_panics: c("task_panics"),
             task_restarts: c("task_restarts"),
             checkpoint_last_us: registry.gauge("dsdps_checkpoint_last_duration_us", &[]),
@@ -129,7 +121,7 @@ impl Counters {
 
 /// Shared state between task threads, the supervisor and the metrics thread.
 pub(crate) struct Shared {
-    /// The lock-striped acker ([`RtConfig::acker_shards`] stripes, keyed by
+    /// The lock-striped acker ([`ACKER_SHARDS`] stripes, keyed by
     /// `root % N`).
     pub(crate) ackers: ShardedAcker,
     pub(crate) stop: AtomicBool,
@@ -165,13 +157,13 @@ pub(crate) struct Shared {
     /// flow is off and channel capacity alone provides backpressure.
     pub(crate) credits: Option<CreditLedger>,
     /// Global spout rate cap in tuples/s, stored as `f64` bits
-    /// (`INFINITY` = uncapped).  Written by the AIMD loop, the controller,
-    /// or a [`BackpressureHandle`]; read by every spout's token bucket.
+    /// (`INFINITY` = uncapped).  Written by a [`BackpressureHandle`] (the
+    /// controller's rate actuator); read by every spout's token bucket.
     pub(crate) rate_cap_bits: AtomicU64,
     /// Per-task batch queue-wait accumulators: `(cumulative, interval)`
     /// histograms in µs.  The consumer records one sample per received
     /// batch; the metrics thread swaps out the interval histogram each tick
-    /// to compute the steady-state p99 the AIMD throttle steers on.
+    /// to compute the steady-state p99.
     pub(crate) queue_wait: Vec<Mutex<(LatencyHistogram, LatencyHistogram)>>,
     /// Queue-wait p99 (µs, `f64` bits) over the last *completed* metrics
     /// interval — the steady-state readout, free of startup transients.
@@ -225,16 +217,6 @@ impl Shared {
         f64::from_bits(self.rate_cap_bits.load(Ordering::Relaxed))
     }
 
-    /// Applies a new spout rate cap and journals the change.
-    pub(crate) fn set_rate_cap(&self, cap: f64, reason: &str) {
-        self.rate_cap_bits.store(cap.to_bits(), Ordering::Relaxed);
-        self.journal.append(JournalEvent::ThrottleChanged {
-            time_s: self.now_s(),
-            rate_cap: cap.is_finite().then_some(cap),
-            reason: reason.to_string(),
-        });
-    }
-
     /// Records one batch queue-wait sample for `task` (µs).  One uncontended
     /// lock per *batch* — the consumer writes, the metrics thread drains.
     pub(crate) fn record_queue_wait(&self, task: usize, wait_us: u64) {
@@ -280,8 +262,13 @@ impl BackpressureHandle {
     /// is journaled as a [`JournalEvent::ThrottleChanged`] with the given
     /// reason (`"controller"` for planner actuation, `"manual"` otherwise).
     pub fn set_rate_cap(&self, cap: Option<f64>, reason: &str) {
-        self.shared
-            .set_rate_cap(cap.unwrap_or(f64::INFINITY), reason);
+        let bits = cap.unwrap_or(f64::INFINITY).to_bits();
+        self.shared.rate_cap_bits.store(bits, Ordering::Relaxed);
+        self.shared.journal.append(JournalEvent::ThrottleChanged {
+            time_s: self.shared.now_s(),
+            rate_cap: cap.filter(|c| c.is_finite()),
+            reason: reason.to_string(),
+        });
     }
 
     /// Flow-control credits currently available across every pool (0 when
@@ -319,7 +306,7 @@ impl RunningTopology {
     }
 
     /// Ack records the acker has been handed so far (one per executed
-    /// anchored tuple, plus one per tuple of a shed batch); for tests.
+    /// anchored tuple); for tests.
     #[doc(hidden)]
     pub fn ack_records_applied(&self) -> u64 {
         self.shared.ackers.records_applied()
@@ -415,8 +402,6 @@ impl RunningTopology {
             task_restarts: c.task_restarts.get(),
             panic_messages,
             dropped: c.dropped.get(),
-            shed_batches: c.shed_batches.get(),
-            shed_tuples: c.shed_tuples.get(),
             queue_wait_p50_us: queue_wait_hist.quantile(0.50).unwrap_or(0.0),
             queue_wait_p99_us: queue_wait_hist.quantile(0.99).unwrap_or(0.0),
             queue_wait_last_p99_us: shared.queue_wait_last_p99_us(),
@@ -468,12 +453,8 @@ impl Drop for RunningTopology {
 /// return.
 pub type ThreadedReport = Report;
 
-/// Starts `topology` on OS threads with default (unbatched) runtime tuning.
-pub fn submit(topology: Topology, config: EngineConfig) -> Result<RunningTopology> {
-    submit_with(topology, config, RtConfig::default())
-}
-
-/// [`submit`] with explicit runtime tuning (batch size / linger).
+/// Starts `topology` on OS threads with the given runtime tuning
+/// (`RtConfig::default()` is unbatched).
 pub fn submit_with(
     topology: Topology,
     config: EngineConfig,
@@ -573,14 +554,6 @@ impl RegistryMirror {
     }
 }
 
-/// Floor of the adaptive spout rate cap, tuples/s.
-const THROTTLE_MIN_RATE: f64 = 100.0;
-/// Additive increase of the cap per metrics interval while queue wait sits
-/// comfortably under target, tuples/s.
-const THROTTLE_ADDITIVE_INCREASE: f64 = 500.0;
-/// Multiplicative decrease applied when queue wait exceeds the target.
-const THROTTLE_DECREASE_FACTOR: f64 = 0.5;
-
 /// [`submit_with`] with a scheduled fault plan injected into the run (an
 /// empty plan injects nothing) and a control hook invoked on every metrics
 /// snapshot.
@@ -659,7 +632,7 @@ pub fn submit_faulty(
     let checkpoints = (rt_config.checkpoints)
         .then(|| CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.run.store.clone()));
     let shared = Arc::new(Shared {
-        ackers: ShardedAcker::new(rt_config.acker_shards),
+        ackers: ShardedAcker::new(ACKER_SHARDS),
         stop: AtomicBool::new(false),
         task_stats: (0..n_tasks).map(|_| TaskAtomics::default()).collect(),
         inputs,
@@ -680,8 +653,8 @@ pub fn submit_faulty(
         tracer,
         journal: Arc::clone(&journal),
         credits: rt_config.credit_flow.then(|| CreditLedger::new(n_tasks)),
-        // Uncapped until the throttle or a caller sets one, so stock runs
-        // never see the token bucket.
+        // Uncapped until a caller sets one, so stock runs never see the
+        // token bucket.
         rate_cap_bits: AtomicU64::new(f64::INFINITY.to_bits()),
         queue_wait: (0..n_tasks)
             .map(|_| Mutex::new((LatencyHistogram::new(), LatencyHistogram::new())))
@@ -754,14 +727,12 @@ pub fn submit_faulty(
         }
     }
 
-    let supervisor_thread = if rt_config.supervise {
+    let supervisor_thread = {
         let shared = shared.clone();
         let sup = supervision.clone();
         Some(std::thread::spawn(move || {
             supervisor::run_supervisor(shared, sup)
         }))
-    } else {
-        None
     };
 
     // Metrics/timeout thread.
@@ -906,30 +877,6 @@ pub fn submit_faulty(
                     .queue_wait_last_p99_bits
                     .store(qw_p99_us.to_bits(), Ordering::Relaxed);
 
-                // AIMD throttle: multiplicative decrease when the interval's
-                // queue-wait p99 overshoots the target, additive increase
-                // when it sits comfortably below half of it.
-                if shared.rt.adaptive_throttle {
-                    let target_us = shared.rt.throttle_target_queue_wait.as_secs_f64() * 1e6;
-                    let cap = shared.rate_cap();
-                    if qw_p99_us > target_us {
-                        // First decrease from uncapped starts at the spout
-                        // rate actually observed this interval (INFINITY has
-                        // no meaningful multiple).
-                        let base = if cap.is_finite() {
-                            cap
-                        } else {
-                            (topo_stats.spout_emitted as f64 / interval_s).max(THROTTLE_MIN_RATE)
-                        };
-                        let new_cap = (base * THROTTLE_DECREASE_FACTOR).max(THROTTLE_MIN_RATE);
-                        if new_cap != cap {
-                            shared.set_rate_cap(new_cap, "aimd");
-                        }
-                    } else if cap.is_finite() && qw_p99_us < target_us / 2.0 {
-                        shared.set_rate_cap(cap + THROTTLE_ADDITIVE_INCREASE, "aimd");
-                    }
-                }
-
                 let snapshot = MetricsSnapshot {
                     interval,
                     time_s: shared.now_s(),
@@ -1040,7 +987,7 @@ mod tests {
         let mut cfg = EngineConfig::default().with_cluster(2, 2, 4);
         cfg.metrics_interval_s = 0.2;
         let placement = even_placement(&topo, &cfg).unwrap();
-        let running = submit(topo, cfg).unwrap();
+        let running = submit_with(topo, cfg, RtConfig::default()).unwrap();
         // Wait for completion.
         let deadline = Instant::now() + Duration::from_secs(20);
         while running.acked() < n && Instant::now() < deadline {
@@ -1150,7 +1097,8 @@ mod tests {
         handle
             .set_ratio(crate::grouping::dynamic::SplitRatio::new(vec![1.0, 0.0, 1.0]).unwrap())
             .unwrap();
-        let running = submit(topo, EngineConfig::default().with_cluster(1, 2, 4)).unwrap();
+        let cfg = EngineConfig::default().with_cluster(1, 2, 4);
+        let running = submit_with(topo, cfg, RtConfig::default()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(20);
         while running.acked() < 6000 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(20));

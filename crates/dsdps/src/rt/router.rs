@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::SendTimeoutError;
 
-use crate::acker::{AckOps, AckRecord};
+use crate::acker::AckOps;
 use crate::route::Delivery;
 use crate::topology::TaskId;
 
@@ -97,10 +97,9 @@ impl Router {
 
     /// Sends `dest`'s buffered batch downstream.  With credit flow on, one
     /// credit must be acquired from `dest`'s pool first — an empty pool
-    /// blocks (heartbeating) or sheds the batch, per
-    /// [`RtConfig::shed_on_overload`](super::RtConfig::shed_on_overload).
-    /// The channel send itself still uses the blocking-with-shutdown-check
-    /// loop; bounded channel capacity counts batches.
+    /// blocks (heartbeating).  The channel send itself still uses the
+    /// blocking-with-shutdown-check loop; bounded channel capacity counts
+    /// batches.
     fn flush_dest(&mut self, dest: usize, shared: &Shared, ops: &mut AckOps, reason: FlushReason) {
         let buf = &mut self.bufs[dest];
         if buf.items.is_empty() {
@@ -121,21 +120,6 @@ impl Router {
         // consumer's global task id, which indexes both inputs and pools.
         if let Some(credits) = shared.credits.as_ref() {
             if !credits.try_acquire(dest) {
-                if shared.rt.shed_on_overload {
-                    // Shed: fail every anchored tree in the batch so the
-                    // acker (and replay, when on) accounts for each tuple —
-                    // shedding loses work, never accounting.
-                    shared.counters.shed_batches.inc();
-                    shared.counters.shed_tuples.add(batch.len() as u64);
-                    let now_s = shared.now_s();
-                    for item in &batch {
-                        if let Some((root, _)) = item.delivery.anchor {
-                            ops.record(AckRecord::failed(root), now_s);
-                        }
-                    }
-                    ops.apply(&shared.ackers);
-                    return;
-                }
                 // Block: poll for a credit with heartbeats so the supervisor
                 // does not supersede a merely-backpressured task.  On stop
                 // the batch is dropped, exactly like the send loop below.

@@ -2,8 +2,8 @@
 //!
 //! Every task thread runs inside [`catch_unwind`]: a panic (from user code
 //! or an injected fault) is recorded in the task's counters instead of
-//! silently killing the thread.  When [`RtConfig::supervise`] is on, a
-//! supervisor thread polls each task slot and restarts tasks that
+//! silently killing the thread.  A supervisor thread polls each task slot
+//! and restarts tasks that
 //!
 //! * **died** — the thread exited without marking itself finished (i.e. it
 //!   panicked), or
@@ -20,7 +20,6 @@
 //! lifecycle, which is owned by [`Shared`], not the thread.
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
-//! [`RtConfig::supervise`]: super::RtConfig::supervise
 //! [`RtConfig::hang_timeout`]: super::RtConfig::hang_timeout
 //! [`Shared`]: super::Shared
 

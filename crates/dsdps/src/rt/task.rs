@@ -358,8 +358,8 @@ pub(super) fn run_bolt(
                 let mut now_s = shared.now_s();
                 let batch_t0 = Instant::now();
                 // One clock read per batch covers the batch queue-wait sample
-                // (the adaptive throttle's signal, so it stays on even with
-                // tracing off) and the queue-wait math of any traced tuples.
+                // (always on, even with tracing off) and the queue-wait math
+                // of any traced tuples.
                 let batch_recv_us = shared.now_us();
                 shared.record_queue_wait(tid, batch_recv_us.saturating_sub(batch_sent_us));
                 batch_seq += 1;

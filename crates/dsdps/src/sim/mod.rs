@@ -11,7 +11,5 @@ pub mod engine;
 pub mod event;
 pub mod machine;
 
-#[doc(hidden)]
-pub use crate::metrics::SnapshotHook as ControlHook;
 pub use engine::{RunReport, SimRuntime};
 pub use machine::{Fault, InterferenceModel, MachineState};

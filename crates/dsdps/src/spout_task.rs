@@ -385,9 +385,9 @@ mod tests {
     }
 
     impl World {
-        /// `src` (the scripted spout) feeds `sink` × 2 through an all
-        /// grouping, so a default-stream emission has two first-hop edges;
-        /// nobody subscribes to its `void` stream.
+        /// `src` (the scripted spout) feeds two sinks, so a default-stream
+        /// emission has two first-hop edges; nobody subscribes to its `void`
+        /// stream.
         fn new(spout: Scripted, max_spout_pending: usize, max_replays: u32) -> World {
             let seen = Arc::clone(&spout.seen);
             let mut b = TopologyBuilder::new("spout-task");
@@ -402,10 +402,12 @@ mod tests {
             .unwrap()
             .output_fields(Fields::new(["id"]))
             .output_stream("void", Fields::new(["id"]));
-            b.set_bolt("sink", 2, || NullBolt)
-                .unwrap()
-                .all_grouping("src")
-                .unwrap();
+            for sink in ["sink", "also"] {
+                b.set_bolt(sink, 1, || NullBolt)
+                    .unwrap()
+                    .shuffle_grouping("src")
+                    .unwrap();
+            }
             let topology = b.build().unwrap();
             let src = topology.component_by_name("src").unwrap();
             let fan = FanOut::new(&topology, src, 0, 7);

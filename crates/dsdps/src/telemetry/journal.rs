@@ -129,14 +129,14 @@ pub enum JournalEvent {
         /// Credits actually taken (never more than were available).
         amount: u64,
     },
-    /// The spout rate cap changed (adaptive AIMD step, controller
-    /// actuation, or a manual handle call).
+    /// The spout rate cap changed (controller actuation or a manual handle
+    /// call).
     ThrottleChanged {
         /// Runtime clock, seconds.
         time_s: f64,
         /// New cap in tuples/s across all spouts; `None` means uncapped.
         rate_cap: Option<f64>,
-        /// What changed it: `"aimd"`, `"controller"` or `"manual"`.
+        /// What changed it: `"controller"` or `"manual"`.
         reason: String,
     },
     /// The runtime was submitted with checkpoints enabled under the given
@@ -471,7 +471,7 @@ mod tests {
             JournalEvent::ThrottleChanged {
                 time_s: 2.75,
                 rate_cap: Some(1500.0),
-                reason: "aimd".into(),
+                reason: "controller".into(),
             },
             JournalEvent::RecoveryMode {
                 time_s: 2.8,

@@ -346,9 +346,7 @@ impl TopologyBuilder {
                         stream: sub.stream.as_str().to_owned(),
                     }
                 })?;
-                if let GroupingSpec::Fields(fields) | GroupingSpec::PartialKey(fields) =
-                    &sub.grouping
-                {
+                if let GroupingSpec::Fields(fields) = &sub.grouping {
                     for f in fields {
                         if !decl.fields.contains(f) {
                             return Err(Error::UnknownField {
@@ -535,28 +533,6 @@ impl BoltDeclarer<'_> {
     /// All tuples go to the subscriber's lowest task.
     pub fn global_grouping(&mut self, from: &str) -> Result<&mut Self> {
         self.subscribe(from, StreamId::default(), GroupingSpec::Global)
-    }
-
-    /// Every tuple is replicated to every subscriber task.
-    pub fn all_grouping(&mut self, from: &str) -> Result<&mut Self> {
-        self.subscribe(from, StreamId::default(), GroupingSpec::All)
-    }
-
-    /// The producer chooses the target task via
-    /// [`crate::component::BoltOutput::emit_direct`].
-    pub fn direct_grouping(&mut self, from: &str, stream: &str) -> Result<&mut Self> {
-        self.subscribe(from, StreamId::new(stream), GroupingSpec::Direct)
-    }
-
-    /// Partial key grouping on the given fields of the default stream:
-    /// each key's tuples split across two hash-chosen candidate tasks,
-    /// whichever is less loaded.
-    pub fn partial_key_grouping(&mut self, from: &str, fields: &[&str]) -> Result<&mut Self> {
-        self.subscribe(
-            from,
-            StreamId::default(),
-            GroupingSpec::PartialKey(fields.iter().map(|s| s.to_string()).collect()),
-        )
     }
 
     /// The paper's **dynamic grouping** with a uniform initial split ratio.

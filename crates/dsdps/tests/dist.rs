@@ -396,12 +396,6 @@ fn dist_submit_rejects_bad_configs_before_spawning() {
             2,
         ),
         (
-            "acker_shards",
-            &engine,
-            rt_config.clone().with_acker_shards(0),
-            2,
-        ),
-        (
             "trace_sample_rate",
             &engine,
             rt_config.clone().with_trace_sample_rate(2.0),

@@ -15,6 +15,8 @@ use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput, TopologyContext};
 use dsdps::config::EngineConfig;
 use dsdps::dist::{self, DistConfig, TopologyRegistry};
 use dsdps::error::Result;
+use dsdps::grouping::dynamic::SplitRatio;
+use dsdps::grouping::{FieldsGrouping, Grouping};
 use dsdps::metrics::MetricsSnapshot;
 use dsdps::report::Report;
 use dsdps::rt::{self, RecoveryMode, RtConfig, SnapshotKind, StateSnapshot, StatefulComponent};
@@ -24,7 +26,7 @@ use dsdps::topology::{Topology, TopologyBuilder};
 use dsdps::tuple::{Fields, Tuple, Value};
 
 const N: u64 = 400;
-const TASKS: usize = 9;
+const TASKS: usize = 10;
 
 /// `ack` + `fail` calls heard by the spouts of each test (spouts run in the
 /// test process on every backend, and the tests run concurrently).
@@ -63,18 +65,15 @@ impl Spout for Src {
     }
 }
 
-/// Sends tuple `i` three ways: on the default stream, on the named stream
-/// `side`, and directly to task `i % 4` of the three-task `direct`
-/// subscriber — so every fourth direct emission names a task that does not
-/// exist and must reach nothing.
+/// Sends each tuple three ways: on the default stream and on the named
+/// streams `side` and `keyed`.
 struct Fan;
 
 impl Bolt for Fan {
     fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
-        let i = tuple.get(0).unwrap().as_i64().unwrap() as usize;
         out.emit(tuple.clone());
         out.emit_to(StreamId::new("side"), tuple.clone());
-        out.emit_direct(i % 4, StreamId::new("direct"), tuple.clone());
+        out.emit_to(StreamId::new("keyed"), tuple.clone());
     }
 }
 
@@ -133,10 +132,10 @@ fn decode(snap: &StateSnapshot) -> u64 {
     u64::from_le_bytes(snap.bytes[..8].try_into().expect("8-byte counter"))
 }
 
-/// `src ×1 → fan ×1`, then `fan`'s three streams: default → `all ×2`
-/// (all grouping), `side` → `side ×2` (shuffle), `direct` → `direct ×3`
-/// (direct grouping).  Global task ids: src 0, fan 1, all 2‥3, side 4‥5,
-/// direct 6‥8.
+/// `src ×1 → fan ×1`, then every grouping on `fan`'s three streams:
+/// default → `global ×2` and `dynamic ×2` (ratio 1 : 3), `side` → `side ×2`
+/// (shuffle), `keyed` → `keyed ×2` (fields on `i`).  Global task ids: src 0,
+/// fan 1, global 2‥3, dynamic 4‥5, side 6‥7, keyed 8‥9.
 fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topology> {
     let count = |base: usize| {
         let counts = Arc::clone(counts);
@@ -153,12 +152,14 @@ fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topo
     b.set_bolt("fan", 1, || Fan)?
         .shuffle_grouping("src")?
         .output_stream("side", Fields::none())
-        .output_stream("direct", Fields::none());
-    b.set_bolt("all", 2, count(2))?.all_grouping("fan")?;
-    b.set_bolt("side", 2, count(4))?
+        .output_stream("keyed", Fields::new(["i"]));
+    b.set_bolt("global", 2, count(2))?.global_grouping("fan")?;
+    b.set_bolt("dynamic", 2, count(4))?
+        .dynamic_grouping_with("fan", SplitRatio::new(vec![1.0, 3.0])?)?;
+    b.set_bolt("side", 2, count(6))?
         .shuffle_grouping_stream("fan", "side")?;
-    b.set_bolt("direct", 3, count(6))?
-        .direct_grouping("fan", "direct")?;
+    b.set_bolt("keyed", 2, count(8))?
+        .fields_grouping_stream("fan", "keyed", &["i"])?;
     b.build()
 }
 
@@ -303,24 +304,37 @@ fn worker_flows<'a>(history: impl Iterator<Item = &'a MetricsSnapshot>) -> Vec<(
     flows
 }
 
-/// Direct + a second named stream + all grouping deliver the same per-task
-/// counts on all three backends, an out-of-range `emit_direct` reaches
-/// nothing anywhere (and its tree still completes), and `sim` and `rt`
-/// agree on what enters and leaves each worker.
+/// Global, dynamic, shuffle and fields grouping, on the default and two
+/// named streams, deliver the same per-task counts on all three backends, a
+/// tree that reaches nothing still completes, and `sim` and `rt` agree on
+/// what enters and leaves each worker.
 #[test]
 fn three_backends_route_identically() {
-    let every_fourth = |k: u64| (1..=N).filter(|i| i % 4 == k).count() as u64;
+    let keyed = {
+        let fields = Fields::new(["i"]);
+        let mut grouping = FieldsGrouping::new(2, &["i".into()], &fields).unwrap();
+        let mut split = [0u64; 2];
+        let mut out = Vec::new();
+        for i in 1..=N {
+            out.clear();
+            let tuple = Tuple::with_fields([Value::from(i as i64)], fields.clone());
+            grouping.select(&tuple, &mut out);
+            split[out[0]] += 1;
+        }
+        split
+    };
     // `src` and `fan` are not counting bolts.
     let expected = vec![
         0,
         0,
         N,
-        N,
+        0,
+        N / 4,
+        3 * N / 4,
         N.div_ceil(2),
         N / 2,
-        every_fourth(0),
-        every_fourth(1),
-        every_fourth(2),
+        keyed[0],
+        keyed[1],
     ];
     let mut engine = EngineConfig::default().with_cluster(2, 2, 4);
     engine.metrics_interval_s = 0.2;
@@ -409,7 +423,7 @@ fn dist_honours_ack_disabled() {
     assert_eq!(report.replays_scheduled + report.replays_emitted, 0);
     assert_eq!(report.in_flight, 0);
     assert!(report.conservation_holds(), "{report:?}");
-    assert_eq!(final_counts(&report)[2..4], [N, N], "everything arrived");
+    assert_eq!(final_counts(&report)[2..4], [N, 0], "everything arrived");
     assert_eq!(HEARD_ACK_DISABLED.load(Ordering::Relaxed), 0);
 }
 

@@ -110,17 +110,9 @@ fn wait_until(deadline_s: u64, mut done: impl FnMut() -> bool) {
 /// The acceptance scenario: a scheduled bolt panic plus a 10× slowdown of a
 /// worker mid-run.  The supervised runtime restarts the dead task, replays
 /// the trees lost in the crash, and still delivers every message exactly
-/// once by the conservation accounting.  Runs at stripe counts 1 (the
-/// single-global-acker degenerate case) and 8 to show chaos recovery does
-/// not depend on acker sharding.
+/// once by the conservation accounting.
 #[test]
 fn supervised_runtime_recovers_from_panic_and_slowdown() {
-    for shards in [1, 8] {
-        supervised_recovery_at(shards);
-    }
-}
-
-fn supervised_recovery_at(shards: usize) {
     const N: u64 = 2000;
     let sum = Arc::new(AtomicU64::new(0));
     let s2 = sum.clone();
@@ -148,7 +140,6 @@ fn supervised_recovery_at(shards: usize) {
             until_s: 2.5,
         });
     let rt_cfg = RtConfig::default()
-        .with_acker_shards(shards)
         .with_max_replays(5)
         .with_replay_backoff(Duration::from_millis(50))
         .with_hang_timeout(Duration::from_secs(2));
@@ -159,7 +150,7 @@ fn supervised_recovery_at(shards: usize) {
 
     assert_eq!(
         report.acked, N,
-        "shards {shards}: replay must recover every tree: {report:?}"
+        "replay must recover every tree: {report:?}"
     );
     assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2, "payload sums");
     assert_eq!(report.task_panics, 1, "the injected panic was caught");
@@ -179,76 +170,6 @@ fn supervised_recovery_at(shards: usize) {
     assert_eq!(report.permanently_failed, 0);
     assert_eq!(report.in_flight, 0);
     assert!(report.conservation_holds(), "conservation: {report:?}");
-}
-
-/// Panics on the `n`-th tuple it executes (a user-code crash, as opposed to
-/// an injected one).
-struct PanickyBolt {
-    executed: u64,
-    panic_at: u64,
-}
-
-impl Bolt for PanickyBolt {
-    fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {
-        self.executed += 1;
-        if self.executed == self.panic_at {
-            panic!("boom on tuple {}", self.executed);
-        }
-    }
-}
-
-/// The control experiment for the tentpole: the SAME crash without
-/// supervision or replay demonstrably loses tuple trees (they time out and
-/// are permanently failed), while the panic is still caught and reported
-/// instead of being swallowed by `JoinHandle::join`.
-#[test]
-fn unsupervised_runtime_loses_trees_on_panic() {
-    const N: u64 = 300;
-    let mut b = TopologyBuilder::new("unsupervised");
-    b.set_spout("s", 1, || FiniteSpout {
-        left: N,
-        next_id: 0,
-    })
-    .unwrap();
-    // Parallelism 1: every tuple must pass the panicking task.
-    b.set_bolt("frail", 1, || PanickyBolt {
-        executed: 0,
-        panic_at: 50,
-    })
-    .unwrap()
-    .shuffle_grouping("s")
-    .unwrap();
-    let topo = b.build().unwrap();
-
-    let mut cfg = cluster();
-    cfg.message_timeout_s = 1.5;
-    let rt_cfg = RtConfig::default().with_supervision(false);
-    let running = rt::submit_with(topo, cfg, rt_cfg).unwrap();
-
-    // Every tree must reach a terminal state: a few acked, the rest timed
-    // out after the bolt died.
-    wait_until(25, || running.acked() + running.permanently_failed() >= N);
-    let (_, report) = running.shutdown();
-
-    assert_eq!(report.task_panics, 1, "user panic caught, not swallowed");
-    assert_eq!(report.task_restarts, 0, "no supervisor, no restarts");
-    assert!(
-        report.panic_messages.iter().any(|m| m.contains("boom")),
-        "panic text surfaces in the report: {:?}",
-        report.panic_messages
-    );
-    assert!(
-        report.acked < N,
-        "without supervision trees are lost: {report:?}"
-    );
-    assert!(report.timed_out > 0, "lost trees time out: {report:?}");
-    assert_eq!(report.tracked, N);
-    assert_eq!(
-        report.acked + report.permanently_failed + report.in_flight,
-        N,
-        "every tree accounted: {report:?}"
-    );
-    assert!(report.conservation_holds());
 }
 
 /// Records every terminal callback per message id, to prove none fires
@@ -369,17 +290,8 @@ fn every_root_reaches_exactly_one_outcome() {
 
 /// An injected drop window silently discards deliveries; the trees time out
 /// and the spout's replay buffer re-emits them until everything is acked.
-/// Runs at stripe counts 1 and 8 — timeout expiry sweeps every stripe, so
-/// the replay path must behave identically however pending trees are
-/// partitioned.
 #[test]
 fn drop_fault_is_recovered_by_replay() {
-    for shards in [1, 8] {
-        drop_recovery_at(shards);
-    }
-}
-
-fn drop_recovery_at(shards: usize) {
     const N: u64 = 500;
     let sum = Arc::new(AtomicU64::new(0));
     let s2 = sum.clone();
@@ -401,7 +313,6 @@ fn drop_recovery_at(shards: usize) {
         until_s: 1.2,
     });
     let rt_cfg = RtConfig::default()
-        .with_acker_shards(shards)
         .with_max_replays(8)
         .with_replay_backoff(Duration::from_millis(100));
     let running = rt::submit_faulty(topo, cfg, rt_cfg, plan, None).unwrap();
@@ -409,10 +320,7 @@ fn drop_recovery_at(shards: usize) {
     wait_until(30, || running.acked() >= N);
     let (_, report) = running.shutdown();
 
-    assert_eq!(
-        report.acked, N,
-        "shards {shards}: replay recovers dropped trees: {report:?}"
-    );
+    assert_eq!(report.acked, N, "replay recovers dropped trees: {report:?}");
     assert!(report.dropped > 0, "the drop window must have fired");
     assert!(report.replays_emitted > 0, "recovery went through replay");
     assert_eq!(report.permanently_failed, 0);
@@ -424,17 +332,10 @@ fn drop_recovery_at(shards: usize) {
 }
 
 /// A hung task (no heartbeats) is superseded by the supervisor and the
-/// stream keeps flowing through the replacement.  Runs at stripe counts 1
-/// and 8: supersession replays trees whose acks are stranded in the hung
-/// generation, whichever stripes they hash to.
+/// stream keeps flowing through the replacement: supersession replays trees
+/// whose acks are stranded in the hung generation.
 #[test]
 fn hung_task_is_superseded() {
-    for shards in [1, 8] {
-        hang_supersession_at(shards);
-    }
-}
-
-fn hang_supersession_at(shards: usize) {
     const N: u64 = 800;
     let sum = Arc::new(AtomicU64::new(0));
     let s2 = sum.clone();
@@ -458,7 +359,6 @@ fn hang_supersession_at(shards: usize) {
         until_s: 60.0,
     });
     let rt_cfg = RtConfig::default()
-        .with_acker_shards(shards)
         .with_hang_timeout(Duration::from_millis(500))
         .with_max_replays(5)
         .with_replay_backoff(Duration::from_millis(50));
@@ -467,10 +367,7 @@ fn hang_supersession_at(shards: usize) {
     wait_until(30, || running.acked() >= N);
     let (_, report) = running.shutdown();
 
-    assert_eq!(
-        report.acked, N,
-        "shards {shards}: stream recovered after hang: {report:?}"
-    );
+    assert_eq!(report.acked, N, "stream recovered after hang: {report:?}");
     assert!(
         report.task_restarts >= 1,
         "hung task must be superseded: {report:?}"

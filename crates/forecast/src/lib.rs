@@ -28,7 +28,6 @@
 
 pub mod arima;
 pub mod error;
-pub mod ets;
 pub mod forecaster;
 pub mod stats;
 pub mod svr;
@@ -37,7 +36,6 @@ pub mod svr;
 pub mod prelude {
     pub use crate::arima::{auto_arima, Arima, ArimaOrder};
     pub use crate::error::{Error, Result};
-    pub use crate::ets::{Ets, EtsKind};
     pub use crate::forecaster::{rolling_forecast, Forecaster, NaiveForecaster};
     pub use crate::svr::{Kernel, Svr, SvrForecaster, SvrParams};
 }

@@ -3,11 +3,12 @@
 # in total.  Each *.rs file counts up to (not including) its first
 # `#[cfg(test)]`: every line, and the lines there that declare a
 # `pub fn|struct|enum|trait|type|const|static|mod|use` (`pub(crate)` and
-# `pub(super)` are not public and do not count).
+# `pub(super)` are not public and do not count).  Files under a `tests/`
+# directory are integration tests and are skipped.
 # Usage: scripts/nontest_loc.sh [DIR]   (default: crates/dsdps/src)
 set -eu
 dir="${1:-crates/dsdps/src}"
-find "$dir" -name '*.rs' | sort | while read -r f; do
+find "$dir" -name '*.rs' -not -path '*/tests/*' | sort | while read -r f; do
     awk -v f="$f" '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
         { n++ }

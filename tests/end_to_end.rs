@@ -255,7 +255,8 @@ fn threaded_runtime_runs_url_count_for_real() {
     let mut engine_cfg = cluster(6);
     engine_cfg.metrics_interval_s = 0.25;
     engine_cfg.tick_interval_s = 0.25;
-    let running = streampc::dsdps::rt::submit(topology, engine_cfg).unwrap();
+    let rt_cfg = streampc::dsdps::rt::RtConfig::default();
+    let running = streampc::dsdps::rt::submit_with(topology, engine_cfg, rt_cfg).unwrap();
     std::thread::sleep(Duration::from_millis(1500));
     let (history, report) = running.run_for(Duration::from_millis(500));
     assert!(
