@@ -34,7 +34,7 @@ use super::codec::{FlushReport, Frame, InternTable, WirePeer, WireTuple};
 use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::TopologyRegistry;
-use super::{recovery_to_byte, span_kind_from_byte, spawn_thread, DistConfig, LastWordsLine};
+use super::{recovery_to_byte, span_kind_from_byte, DistConfig, LastWordsLine};
 use crate::acker::{AckOps, ShardedAcker, TreeOutcome, ACKER_SHARDS};
 use crate::bolt_task::Policy;
 use crate::checkpoint::CheckpointStore;
@@ -46,6 +46,7 @@ use crate::lifecycle::{self, deliver_outcomes, TreeLifecycle};
 use crate::report::{self, Report, RunCounters};
 use crate::route::FanOut;
 use crate::rt::{CreditLedger, RtConfig};
+use crate::spawn_thread;
 use crate::spout_task::{Next, Released, SpoutTask};
 use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};

@@ -110,17 +110,6 @@ pub fn self_worker_cmd() -> Vec<String> {
         .into_owned()]
 }
 
-/// Spawns a named thread of the runtime; the OS refusing is a runtime error.
-pub(crate) fn spawn_thread<T: Send + 'static>(
-    name: String,
-    body: impl FnOnce() -> T + Send + 'static,
-) -> crate::error::Result<std::thread::JoinHandle<T>> {
-    std::thread::Builder::new()
-        .name(name.clone())
-        .spawn(body)
-        .map_err(|e| crate::error::Error::Runtime(format!("spawn {name}: {e}")))
-}
-
 /// Wire discriminant of a [`RecoveryMode`] (the `recovery` byte of the
 /// `Assign` frame).
 pub(crate) fn recovery_to_byte(mode: RecoveryMode) -> u8 {

@@ -33,7 +33,7 @@ use super::codec::{FlushReport, Frame, InternTable, WireMetric, WirePeer, WireSp
 use super::coordinator::COORDINATOR_SLOT;
 use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
-use super::{recovery_from_byte, span_kind_to_byte, spawn_thread, DistConfig, LastWordsLine};
+use super::{recovery_from_byte, span_kind_to_byte, DistConfig, LastWordsLine};
 use crate::acker::{AckRecord, RootId};
 use crate::bolt_task::{BoltTask, Policy};
 use crate::checkpoint::Restored;
@@ -42,6 +42,7 @@ use crate::error::{Error, Result};
 use crate::grouping::dynamic::{DynamicGroupingHandle, SplitRatio};
 use crate::route::{Delivery, FanOut};
 use crate::rt::CreditLedger;
+use crate::spawn_thread;
 use crate::telemetry::{Counter, Registry, SampleValue, Tracer};
 use crate::topology::{ComponentKind, TaskId, Topology};
 use crate::tuple::Tuple;

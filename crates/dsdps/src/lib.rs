@@ -87,6 +87,18 @@ pub mod topology;
 pub mod tuple;
 pub mod window;
 
+/// Spawns a named thread of a runtime; the OS refusing is a runtime error.
+/// Linux shows the first 15 bytes of `name` in `/proc/<pid>/task/*/comm`.
+pub(crate) fn spawn_thread<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> error::Result<std::thread::JoinHandle<T>> {
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(body)
+        .map_err(|e| error::Error::Runtime(format!("spawn {name}: {e}")))
+}
+
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::component::{Bolt, BoltOutput, Spout, SpoutOutput, TopologyContext};

@@ -182,7 +182,8 @@ impl FanOut {
         };
         // Rekey once per emission, not once per destination; a tuple that
         // already carries the stream's schema — the common case, since
-        // schemas come from the same declaration `Arc` — is left alone.
+        // schemas come from the same declaration `Arc` or are both the
+        // empty schema — is left alone.
         let tuple = emission.into_tuple();
         let mut tuple = Some(if tuple.fields().ptr_eq(&route.fields) {
             tuple
@@ -283,6 +284,40 @@ mod tests {
             }
         }
         model
+    }
+
+    /// A stream declared without a schema — the builder's default or an
+    /// explicit `Fields::new([])` — delivers the emitted tuple with the
+    /// empty schema it was built with: nothing is rekeyed.
+    #[test]
+    fn schema_less_streams_are_not_rekeyed() {
+        let mut b = TopologyBuilder::new("bare");
+        b.set_spout("src", 1, || NullSpout)
+            .unwrap()
+            .output_stream("bare", Fields::new(Vec::<String>::new()));
+        for (i, stream) in ["default", "default", "bare", "bare"].iter().enumerate() {
+            b.set_bolt(&format!("b{i}"), 2, || NullBolt)
+                .unwrap()
+                .shuffle_grouping_stream("src", stream)
+                .unwrap();
+        }
+        let topology = b.build().unwrap();
+        let src = topology.component_by_name("src").unwrap();
+        let mut fan_out = FanOut::new(&topology, src, 0, 1);
+        for stream in ["default", "bare"] {
+            let emission = Emission {
+                stream: StreamId::new(stream),
+                tuple: Tuple::of([Value::from(1i64)]),
+                message_id: None,
+                anchored: false,
+            };
+            let mut delivered = 0;
+            fan_out.route(emission, None, None, |_, delivery| {
+                assert!(delivery.tuple.fields().ptr_eq(&Fields::none()));
+                delivered += 1;
+            });
+            assert_eq!(delivered, 2, "stream {stream}");
+        }
     }
 
     proptest! {

@@ -77,6 +77,7 @@ use crate::metrics::{
 };
 use crate::report::{self, Report, RunCounters};
 use crate::scheduler::{even_placement, MachineId, Placement, WorkerId};
+use crate::spawn_thread;
 use crate::telemetry::{
     Counter, Gauge, Journal, JournalEvent, MetricsServer, Registry, Summary, Tracer,
 };
@@ -730,9 +731,12 @@ pub fn submit_faulty(
     let supervisor_thread = {
         let shared = shared.clone();
         let sup = supervision.clone();
-        Some(std::thread::spawn(move || {
-            supervisor::run_supervisor(shared, sup)
-        }))
+        Some(
+            spawn_thread("rt-supervisor".into(), move || {
+                supervisor::run_supervisor(shared, sup)
+            })
+            .expect("spawn supervisor thread"),
+        )
     };
 
     // Metrics/timeout thread.
@@ -749,7 +753,7 @@ pub fn submit_faulty(
     }
     let metrics_thread = {
         let shared = shared.clone();
-        Some(std::thread::spawn(move || {
+        let handle = spawn_thread("rt-metrics".into(), move || {
             let (cfg, placement) = (&shared.engine, &shared.placement);
             let mut history = MetricsHistory::new(cfg.metrics_history_cap);
             let mut prev: Vec<Prev> = vec![Prev::default(); shared.task_stats.len()];
@@ -894,7 +898,8 @@ pub fn submit_faulty(
                 interval += 1;
             }
             history
-        }))
+        });
+        Some(handle.expect("spawn metrics thread"))
     };
 
     Ok(RunningTopology {

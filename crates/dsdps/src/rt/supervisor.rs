@@ -41,6 +41,7 @@ use super::batch::Batch;
 use super::task;
 use super::Shared;
 use crate::route::FanOut;
+use crate::spawn_thread;
 
 /// Everything needed to (re)spawn one task on a fresh thread.
 pub(super) struct TaskSpec {
@@ -71,11 +72,12 @@ impl TaskSpec {
         let fan = FanOut::new(&self.topology, component, self.task_index, edge_seed);
         let shared = shared.clone();
         let tid = self.tid;
-        match &component.kind {
+        let name = format!("rt-{}-{}", component.name, self.task_index);
+        let spawned = match &component.kind {
             ComponentKind::Spout(factory) => {
                 let spout = factory();
                 let ack_rx = self.ack_input.clone().expect("spout ack receiver");
-                std::thread::spawn(move || {
+                spawn_thread(name, move || {
                     guard(&shared, tid, generation, move |shared| {
                         task::run_spout(spout, ctx, tid, generation, fan, shared, ack_rx)
                     });
@@ -84,13 +86,14 @@ impl TaskSpec {
             ComponentKind::Bolt(factory) => {
                 let bolt = factory();
                 let rx = self.input.clone().expect("bolt input receiver");
-                std::thread::spawn(move || {
+                spawn_thread(name, move || {
                     guard(&shared, tid, generation, move |shared| {
                         task::run_bolt(bolt, ctx, tid, generation, fan, shared, rx)
                     });
                 })
             }
-        }
+        };
+        spawned.expect("spawn task thread")
     }
 }
 

@@ -1,8 +1,14 @@
 //! Stream identifiers and per-stream declarations.
+//!
+//! The default stream is `StreamId(None)`: cloning or dropping it touches
+//! no shared memory, so the id every `emit` stamps costs no atomic
+//! read-modify-write on a cache line all threads share.  Named streams are
+//! one shared `Arc<str>` per declaration.
 
-use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::tuple::Fields;
 
@@ -11,55 +17,70 @@ pub const DEFAULT_STREAM: &str = "default";
 
 /// Identifier of a named output stream of a component.
 ///
-/// Cheap to clone and compare; the default stream is [`StreamId::default`].
-// Hash stays derived (content-based): the manual `PartialEq` only adds a
-// pointer fast path and agrees with content equality, so the Eq/Hash
-// contract holds.
-#[allow(clippy::derived_hash_with_manual_eq)]
-#[derive(Debug, Clone, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct StreamId(Arc<str>);
+/// Cheap to clone and compare; the default stream is [`StreamId::default`]
+/// (equal to `StreamId::new("default")`).  Equality, hashing and order are
+/// those of [`as_str`](Self::as_str).
+#[derive(Clone, Default)]
+pub struct StreamId(Option<Arc<str>>);
 
 impl PartialEq for StreamId {
     fn eq(&self, other: &Self) -> bool {
-        // Ids cloned from one declaration (the interned default stream, a
-        // router's wiring-time copies) share the allocation, so the hot-path
-        // compare is two pointer words, no string walk.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            // Ids cloned from one declaration (a router's wiring-time
+            // copies) share the allocation: two pointer words, no string walk.
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for StreamId {}
+
+impl Hash for StreamId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialOrd for StreamId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for StreamId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
     }
 }
 
 impl StreamId {
-    /// Creates a stream id from a name.
+    /// Creates a stream id from a name; `"default"` is the default stream.
     pub fn new(name: &str) -> Self {
-        StreamId(Arc::from(name))
+        StreamId((name != DEFAULT_STREAM).then(|| Arc::from(name)))
     }
 
     /// The stream's name.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_deref().unwrap_or(DEFAULT_STREAM)
     }
 
     /// True if this is the implicit default stream.
     pub fn is_default(&self) -> bool {
-        &*self.0 == DEFAULT_STREAM
+        self.0.is_none()
     }
 }
 
-impl Default for StreamId {
-    /// The implicit default stream.  Returns clones of one interned
-    /// allocation, so every `default()` call is a refcount bump (not a fresh
-    /// `Arc<str>`) and default-stream ids compare by pointer.
-    fn default() -> Self {
-        static DEFAULT: OnceLock<StreamId> = OnceLock::new();
-        DEFAULT
-            .get_or_init(|| StreamId::new(DEFAULT_STREAM))
-            .clone()
+impl fmt::Debug for StreamId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("StreamId").field(&self.as_str()).finish()
     }
 }
 
 impl fmt::Display for StreamId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -100,11 +121,40 @@ impl StreamDecl {
 mod tests {
     use super::*;
 
+    fn hash_of(id: &StreamId) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        id.hash(&mut h);
+        h.finish()
+    }
+
     #[test]
     fn default_stream_identity() {
         assert!(StreamId::default().is_default());
+        assert!(StreamId::new(DEFAULT_STREAM).is_default());
         assert!(!StreamId::new("metrics").is_default());
         assert_eq!(StreamId::default(), StreamId::new(DEFAULT_STREAM));
+        assert_eq!(
+            hash_of(&StreamId::default()),
+            hash_of(&StreamId::new(DEFAULT_STREAM))
+        );
+        assert_ne!(StreamId::default(), StreamId::new("metrics"));
+        assert_eq!(StreamId::default().as_str(), DEFAULT_STREAM);
+        assert_eq!(format!("{}", StreamId::default()), DEFAULT_STREAM);
+        assert_eq!(
+            format!("{:?}", StreamId::default()),
+            "StreamId(\"default\")"
+        );
+    }
+
+    #[test]
+    fn stream_ids_sort_like_their_names() {
+        let names = ["z", "default", "a"];
+        let mut ids: Vec<StreamId> = names.iter().map(|n| StreamId::new(n)).collect();
+        ids.sort();
+        let mut sorted = names;
+        sorted.sort();
+        assert_eq!(ids.iter().map(StreamId::as_str).collect::<Vec<_>>(), sorted);
     }
 
     #[test]
@@ -114,7 +164,9 @@ mod tests {
         set.insert(StreamId::new("a"));
         set.insert(StreamId::new("a"));
         set.insert(StreamId::new("b"));
-        assert_eq!(set.len(), 2);
+        set.insert(StreamId::default());
+        set.insert(StreamId::new(DEFAULT_STREAM));
+        assert_eq!(set.len(), 3);
         assert!(StreamId::new("a") < StreamId::new("b"));
     }
 

@@ -3,11 +3,15 @@
 //! A [`Tuple`] is an ordered list of dynamically typed [`Value`]s together
 //! with the schema ([`Fields`]) of the stream it was emitted on.  This
 //! mirrors Storm's `backtype.storm.tuple.Tuple`.
+//!
+//! The empty schema, which [`Tuple::of`] attaches to every tuple, is
+//! `Fields { names: None }`: cloning or dropping it touches no shared
+//! memory.  A declared schema is one shared `Arc` per declaration.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -213,10 +217,11 @@ impl From<Vec<Value>> for Value {
 /// The ordered field names (schema) of a stream.
 ///
 /// `Fields` is cheap to clone (`Arc` internally) because every tuple on a
-/// stream shares the stream's schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// stream shares the stream's schema; the empty schema holds no `Arc`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fields {
-    names: Arc<[String]>,
+    /// `None` is the empty schema: `Some` never holds an empty slice.
+    names: Option<Arc<[String]>>,
 }
 
 impl Fields {
@@ -226,38 +231,38 @@ impl Fields {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        let names: Arc<[String]> = names.into_iter().map(Into::into).collect();
         Fields {
-            names: names.into_iter().map(Into::into).collect(),
+            names: (!names.is_empty()).then_some(names),
         }
     }
 
-    /// An empty schema (for tuples addressed positionally only).  Returns
-    /// clones of one interned allocation: `Tuple::of` attaches this per
-    /// tuple on the runtime's hot path, so it must be a refcount bump, not
-    /// a fresh `Arc` — and interning makes all empty schemas pointer-equal,
-    /// which lets the router skip rekeying schema-less streams entirely.
-    pub fn none() -> Self {
-        static EMPTY: OnceLock<Fields> = OnceLock::new();
-        EMPTY
-            .get_or_init(|| Fields {
-                names: Arc::from([]),
-            })
-            .clone()
+    /// An empty schema (for tuples addressed positionally only).
+    /// `Tuple::of` attaches this per tuple on the runtime's hot path, so it
+    /// holds no `Arc`: no refcount to bump, and all empty schemas are
+    /// [`ptr_eq`](Self::ptr_eq), which lets the router skip rekeying
+    /// schema-less streams entirely.
+    pub const fn none() -> Self {
+        Fields { names: None }
+    }
+
+    fn names(&self) -> &[String] {
+        self.names.as_deref().unwrap_or_default()
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.names().len()
     }
 
     /// True when the schema has no fields.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.names.is_none()
     }
 
     /// Index of `field`, if present.
     pub fn index_of(&self, field: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == field)
+        self.names().iter().position(|n| n == field)
     }
 
     /// True if the schema contains `field`.
@@ -267,15 +272,19 @@ impl Fields {
 
     /// Iterates field names in schema order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.names().iter().map(String::as_str)
     }
 
-    /// True when both schemas share one allocation.  O(1), so the runtime
-    /// can skip re-attaching a schema a tuple already carries; `false` for
-    /// equal-content schemas from different declarations is fine (callers
-    /// fall back to the by-value path).
+    /// True when both schemas share one allocation or both are empty.
+    /// O(1), so the runtime can skip re-attaching a schema a tuple already
+    /// carries; `false` for equal-content schemas from different
+    /// declarations is fine (callers fall back to the by-value path).
     pub fn ptr_eq(&self, other: &Fields) -> bool {
-        Arc::ptr_eq(&self.names, &other.names)
+        match (&self.names, &other.names) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -391,7 +400,7 @@ impl fmt::Display for Tuple {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            match self.fields.names.get(i) {
+            match self.fields.names().get(i) {
                 Some(name) => write!(f, "{name}={v}")?,
                 None => write!(f, "{v}")?,
             }
@@ -461,6 +470,19 @@ mod tests {
         assert!(f.contains("user"));
         assert!(!f.contains("missing"));
         assert_eq!(f.iter().collect::<Vec<_>>(), vec!["url", "ts", "user"]);
+    }
+
+    #[test]
+    fn empty_schemas_are_one_value() {
+        let empty = Fields::new(Vec::<String>::new());
+        assert!(empty.ptr_eq(&Fields::none()));
+        assert_eq!(empty, Fields::none());
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        assert!(!Fields::new(["a"]).ptr_eq(&Fields::none()));
+        assert!(!Fields::new(["a"]).ptr_eq(&Fields::new(["a"])));
+        let declared = Fields::new(["a"]);
+        assert!(declared.ptr_eq(&declared.clone()));
     }
 
     #[test]

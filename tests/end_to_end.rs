@@ -4,7 +4,7 @@
 //! threaded runtime running the same topologies.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use streampc::apps::continuous_queries::{build_continuous_queries, CqConfig};
@@ -21,6 +21,15 @@ use streampc::dsdps::metrics::MetricsSnapshot;
 use streampc::dsdps::scheduler::even_placement;
 use streampc::dsdps::sim::SimRuntime;
 use streampc::forecast::svr::SvrParams;
+
+/// Held by every test that runs the threaded runtime on the wall clock, so
+/// they run one at a time: two of them burn CPU on purpose, and beside them
+/// a healthy run's latencies can look degraded to the reactive detector.
+/// The simulator tests stay parallel.
+fn wall_clock_exclusive() -> MutexGuard<'static, ()> {
+    static WALL_CLOCK: Mutex<()> = Mutex::new(());
+    WALL_CLOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn cluster(seed: u64) -> EngineConfig {
     EngineConfig::default()
@@ -245,6 +254,7 @@ fn baseline_predictors_fit_on_real_engine_metrics() {
 
 #[test]
 fn threaded_runtime_runs_url_count_for_real() {
+    let _wall_clock = wall_clock_exclusive();
     let cfg = UrlCountConfig {
         pattern: RatePattern::Constant { rate: 1500.0 },
         n_urls: 500,
@@ -381,6 +391,7 @@ fn controller_restores_ratio_after_fault_ends() {
 
 #[test]
 fn sim_and_rt_agree_on_url_counts_at_any_batch_size() {
+    let _wall_clock = wall_clock_exclusive();
     // Parity check: the same deterministic URL-count topology (spout ->
     // parse x2 shuffle -> count x3 fields-grouped) produces identical
     // per-URL totals on the simulator, the threaded runtime at batch_size 1
@@ -491,6 +502,7 @@ fn sim_and_rt_agree_on_url_counts_at_any_batch_size() {
 
 #[test]
 fn reactive_control_routes_around_slowed_worker_on_threaded_runtime() {
+    let _wall_clock = wall_clock_exclusive();
     // Closed loop on the real runtime: a CPU-bound dynamically-grouped stage
     // runs on OS threads while an injected fault slows one worker's tasks
     // 10x mid-run.  The reactive controller, fed by the runtime's metrics
@@ -630,6 +642,7 @@ fn reactive_control_routes_around_slowed_worker_on_threaded_runtime() {
 
 #[test]
 fn threaded_runtime_drives_controller_hook() {
+    let _wall_clock = wall_clock_exclusive();
     // The controller runs against the threaded runtime's metrics hook too:
     // healthy run, so it observes without flagging anything.
     let cfg = CqConfig {
@@ -683,6 +696,7 @@ fn threaded_runtime_drives_controller_hook() {
 
 #[test]
 fn sim_calibrates_to_threaded_runtime_under_fault_plan() {
+    let _wall_clock = wall_clock_exclusive();
     // Calibration: one `EngineConfig` + one `RtConfig` drive both runtimes
     // over the same finite workload and the same worker-slowdown fault plan
     // (each runtime's fault vocabulary, same parameters).  The simulator
