@@ -461,7 +461,6 @@ mod tests {
     use super::*;
     use dsdps::config::EngineConfig;
     use dsdps::sim::SimRuntime;
-    use dsdps::stream::StreamId;
 
     fn small_cfg() -> CqConfig {
         CqConfig {
@@ -583,9 +582,7 @@ mod tests {
     #[test]
     fn topology_runs_and_produces_results() {
         let (topo, stats) = build_continuous_queries(&small_cfg()).unwrap();
-        assert!(topo
-            .dynamic_handle("sensor-spout", &StreamId::default(), "query")
-            .is_some());
+        assert!(topo.dynamic_handle("sensor-spout", "query").is_some());
         let mut engine = SimRuntime::new(topo, EngineConfig::default()).unwrap();
         let report = engine.run_until(12.0);
         assert!(stats.emitted.load(Ordering::Relaxed) > 3000);

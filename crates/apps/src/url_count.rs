@@ -433,7 +433,6 @@ mod tests {
     use super::*;
     use dsdps::config::EngineConfig;
     use dsdps::sim::SimRuntime;
-    use dsdps::stream::StreamId;
 
     fn small_cfg() -> UrlCountConfig {
         UrlCountConfig {
@@ -451,9 +450,7 @@ mod tests {
         let (topo, _) = build_url_count(&small_cfg()).unwrap();
         assert_eq!(topo.components().count(), 4);
         assert_eq!(topo.task_count(), 1 + 2 + 3 + 1);
-        assert!(topo
-            .dynamic_handle("parse", &StreamId::default(), "count")
-            .is_some());
+        assert!(topo.dynamic_handle("parse", "count").is_some());
     }
 
     #[test]
@@ -463,9 +460,7 @@ mod tests {
             ..small_cfg()
         };
         let (topo, _) = build_url_count(&cfg).unwrap();
-        assert!(topo
-            .dynamic_handle("parse", &StreamId::default(), "count")
-            .is_none());
+        assert!(topo.dynamic_handle("parse", "count").is_none());
     }
 
     #[test]

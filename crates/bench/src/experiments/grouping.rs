@@ -10,7 +10,6 @@ use dsdps::config::EngineConfig;
 use dsdps::grouping::dynamic::{DynamicGrouping, DynamicGroupingHandle, SplitRatio};
 use dsdps::grouping::{FieldsGrouping, Grouping, ShuffleGrouping};
 use dsdps::sim::SimRuntime;
-use dsdps::stream::StreamId;
 use dsdps::topology::{CostModel, Topology, TopologyBuilder};
 use dsdps::tuple::{Fields, Tuple, Value};
 
@@ -115,7 +114,7 @@ pub fn fig_dg_track(ctx: &Ctx) -> ExpResult {
     let phase_s = if ctx.quick { 5.0 } else { 10.0 };
     let (topology, _hits) = micro_topology(EdgeGrouping::Dynamic, 2000.0, fan_out);
     let handle: DynamicGroupingHandle = topology
-        .dynamic_handle("src", &StreamId::default(), "sink")
+        .dynamic_handle("src", "sink")
         .expect("dynamic edge");
     let mut engine = SimRuntime::new(topology, EngineConfig::default().with_cluster(2, 2, 4))?;
 

@@ -212,7 +212,7 @@ impl Controller {
         let mut edges = Vec::new();
         let mut task_worker = HashMap::new();
         let mut workers: Vec<WorkerId> = Vec::new();
-        for ((producer, stream, subscriber), handle) in topology.dynamic_handles() {
+        for ((producer, subscriber), handle) in topology.dynamic_handles() {
             let sub = topology
                 .component_by_name(subscriber)
                 .ok_or_else(|| Error::Config(format!("unknown subscriber {subscriber}")))?;
@@ -225,7 +225,7 @@ impl Controller {
                 }
             }
             edges.push(ControlledEdge {
-                label: format!("{producer}/{stream}->{subscriber}"),
+                label: format!("{producer}->{subscriber}"),
                 handle: handle.clone(),
                 tasks,
             });
@@ -609,9 +609,7 @@ mod tests {
             .dynamic_grouping("s")
             .unwrap();
         let topo = b.build().unwrap();
-        let handle = topo
-            .dynamic_handle("s", &dsdps::stream::StreamId::default(), "sink")
-            .unwrap();
+        let handle = topo.dynamic_handle("s", "sink").unwrap();
         // 4 workers on 2 machines; sink tasks are tasks 1..5.
         let placement =
             dsdps::scheduler::even_placement(&topo, &EngineConfig::default().with_cluster(2, 2, 4))
@@ -680,6 +678,8 @@ mod tests {
     #[test]
     fn reactive_mode_zeroes_tasks_of_misbehaving_worker() {
         let (mut c, handle) = build(ControlMode::Reactive);
+        let journal = Arc::new(Journal::new());
+        c.attach_journal(Arc::clone(&journal));
         // Warmup with healthy latencies → baselines ≈ 100.
         for i in 0..5 {
             c.on_snapshot(&snapshot(i, &[100.0, 100.0, 100.0, 100.0]));
@@ -699,6 +699,17 @@ mod tests {
         // scheduler, task 1+k is on worker (1+k) % 4; worker 2 hosts task 1.
         let zeroed = ratio.zeroed_tasks();
         assert_eq!(zeroed.len(), 1, "exactly one task bypassed: {ratio:?}");
+        // The journal names the edge `producer->subscriber`.
+        let edges: Vec<_> = (journal.events().into_iter())
+            .filter_map(|e| match e {
+                JournalEvent::RatioApplied { edge, .. } => Some(edge),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !edges.is_empty() && edges.iter().all(|e| e == "s->sink"),
+            "{edges:?}"
+        );
     }
 
     #[test]
@@ -945,12 +956,8 @@ mod multi_edge_tests {
             .dynamic_grouping("stage_a")
             .unwrap();
         let topo = b.build().unwrap();
-        let handle_a = topo
-            .dynamic_handle("s", &dsdps::stream::StreamId::default(), "stage_a")
-            .unwrap();
-        let handle_b = topo
-            .dynamic_handle("stage_a", &dsdps::stream::StreamId::default(), "stage_b")
-            .unwrap();
+        let handle_a = topo.dynamic_handle("s", "stage_a").unwrap();
+        let handle_b = topo.dynamic_handle("stage_a", "stage_b").unwrap();
         // 6 tasks over 6 workers: stage_a on w1..w3, stage_b on w4..w5.
         let placement =
             dsdps::scheduler::even_placement(&topo, &EngineConfig::default().with_cluster(3, 2, 4))

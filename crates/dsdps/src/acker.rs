@@ -14,6 +14,7 @@
 //! statistically indistinguishable from random for this purpose.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -275,6 +276,10 @@ impl Acker {
 /// roots share a stripe, so this should be at least the number of
 /// concurrently acking threads.
 pub const ACKER_SHARDS: usize = 8;
+
+/// How often `rt` and `dist` sweep their ackers for trees past the message
+/// timeout: a tree times out at most this long after its deadline.
+pub(crate) const EXPIRE_SWEEP: Duration = Duration::from_millis(50);
 
 /// Lock-striped acker: `N` independent [`Acker`] shards, each behind its own
 /// mutex, keyed by `root % N`.

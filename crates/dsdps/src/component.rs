@@ -4,10 +4,10 @@
 //! simulator ([`crate::sim`]) and the threaded runtime ([`crate::rt`]):
 //! instead of pushing tuples into runtime-specific channels, a component
 //! records emissions into a [`SpoutOutput`] / [`BoltOutput`] buffer which the
-//! runtime drains and routes after the call returns.
+//! runtime drains and routes after the call returns.  A component has one
+//! output stream: every emission is offered to each of its subscribers.
 
 use crate::checkpoint::StatefulComponent;
-use crate::stream::StreamId;
 use crate::tuple::Tuple;
 
 /// Identifier a spout attaches to a tuple so it can be acked or replayed.
@@ -38,8 +38,6 @@ impl TopologyContext {
 /// A single emission recorded by a component.
 #[derive(Debug, Clone)]
 pub struct Emission {
-    /// Stream the tuple was emitted on.
-    pub stream: StreamId,
     /// The tuple itself.
     pub tuple: Tuple,
     /// Spout-assigned message id for reliability tracking (spouts only).
@@ -75,36 +73,19 @@ impl SpoutOutput {
         self.now_s = now_s;
     }
 
-    /// Emits a tuple on the default stream without reliability tracking.
+    /// Emits a tuple without reliability tracking.
     pub fn emit(&mut self, tuple: Tuple) {
-        self.emit_to(StreamId::default(), tuple);
-    }
-
-    /// Emits a tuple on a named stream without reliability tracking.
-    pub fn emit_to(&mut self, stream: StreamId, tuple: Tuple) {
         self.emissions.push(Emission {
-            stream,
             tuple,
             message_id: None,
             anchored: false,
         });
     }
 
-    /// Emits a tuple on the default stream with a message id.  The runtime
-    /// tracks the tuple tree and calls [`Spout::ack`] / [`Spout::fail`].
+    /// Emits a tuple with a message id.  The runtime tracks the tuple tree
+    /// and calls [`Spout::ack`] / [`Spout::fail`].
     pub fn emit_with_id(&mut self, tuple: Tuple, message_id: MessageId) {
         self.emissions.push(Emission {
-            stream: StreamId::default(),
-            tuple,
-            message_id: Some(message_id),
-            anchored: false,
-        });
-    }
-
-    /// Emits on a named stream with a message id.
-    pub fn emit_to_with_id(&mut self, stream: StreamId, tuple: Tuple, message_id: MessageId) {
-        self.emissions.push(Emission {
-            stream,
             tuple,
             message_id: Some(message_id),
             anchored: false,
@@ -159,27 +140,20 @@ impl BoltOutput {
         self.now_s = now_s;
     }
 
-    /// Emits a tuple on the default stream, anchored to the input tuple
-    /// (the acker extends the tuple tree — Storm "basic bolt" semantics).
+    /// Emits a tuple anchored to the input tuple (the acker extends the
+    /// tuple tree — Storm "basic bolt" semantics).
     pub fn emit(&mut self, tuple: Tuple) {
-        self.emit_to(StreamId::default(), tuple);
-    }
-
-    /// Emits on a named stream, anchored to the input tuple.
-    pub fn emit_to(&mut self, stream: StreamId, tuple: Tuple) {
         self.emissions.push(Emission {
-            stream,
             tuple,
             message_id: None,
             anchored: true,
         });
     }
 
-    /// Emits on the default stream without anchoring: failure of the emitted
-    /// tuple will not replay the spout tuple.
+    /// Emits without anchoring: failure of the emitted tuple will not replay
+    /// the spout tuple.
     pub fn emit_unanchored(&mut self, tuple: Tuple) {
         self.emissions.push(Emission {
-            stream: StreamId::default(),
             tuple,
             message_id: None,
             anchored: false,
@@ -282,16 +256,12 @@ mod tests {
         assert!(out.is_empty());
         out.emit(Tuple::of([Value::from(1i64)]));
         out.emit_with_id(Tuple::of([Value::from(2i64)]), 42);
-        out.emit_to(StreamId::new("side"), Tuple::of([Value::from(3i64)]));
-        out.emit_to_with_id(StreamId::new("side"), Tuple::of([Value::from(4i64)]), 43);
-        assert_eq!(out.len(), 4);
+        assert_eq!(out.len(), 2);
         let drained = out.drain();
         assert!(out.is_empty());
         assert_eq!(drained[0].message_id, None);
         assert_eq!(drained[1].message_id, Some(42));
-        assert!(drained[1].stream.is_default());
-        assert_eq!(drained[2].stream.as_str(), "side");
-        assert_eq!(drained[3].message_id, Some(43));
+        assert!(drained.iter().all(|e| !e.anchored));
     }
 
     #[test]

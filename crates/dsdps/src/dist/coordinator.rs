@@ -30,12 +30,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use super::codec::{FlushReport, Frame, InternTable, WirePeer, WireTuple};
+use super::codec::{FlushReport, Frame, WirePeer, WireTuple};
 use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::TopologyRegistry;
 use super::{recovery_to_byte, span_kind_from_byte, DistConfig, LastWordsLine};
-use crate::acker::{AckOps, ShardedAcker, TreeOutcome, ACKER_SHARDS};
+use crate::acker::{AckOps, ShardedAcker, TreeOutcome, ACKER_SHARDS, EXPIRE_SWEEP};
 use crate::bolt_task::Policy;
 use crate::checkpoint::CheckpointStore;
 use crate::component::TopologyContext;
@@ -48,7 +48,6 @@ use crate::route::FanOut;
 use crate::rt::{CreditLedger, RtConfig};
 use crate::spawn_thread;
 use crate::spout_task::{Next, Released, SpoutTask};
-use crate::stream::StreamId;
 use crate::telemetry::journal::{Journal, JournalEvent};
 use crate::telemetry::{
     normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer, Registry, Span, Tracer,
@@ -159,7 +158,6 @@ struct Shared {
     /// rebuild from; not necessarily the topology's display name).
     topology_key: String,
     args: String,
-    intern: InternTable,
     engine: EngineConfig,
     rt: RtConfig,
     cfg: DistConfig,
@@ -622,7 +620,7 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
         ckpt_interval_us: shared.rt.checkpoint_interval.as_micros() as u64,
         tick_interval_us: (shared.engine.tick_interval_s.max(0.0) * 1e6) as u64,
         metrics_interval_us: (shared.engine.metrics_interval_s.max(0.0) * 1e6) as u64,
-        stream_count: shared.intern.len() as u32,
+        stream_count: shared.topology.components().count() as u32,
         batch_size: shared.rt.batch_size as u32,
         credit_window: shared.window,
         trace_sample_bits: shared.rt.trace_sample_rate.to_bits(),
@@ -708,7 +706,7 @@ fn supervisor_loop(shared: Arc<Shared>) {
     while !shared.terminate.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(5));
         let now = shared.now_s();
-        if last_expire.elapsed() >= Duration::from_millis(50) {
+        if last_expire.elapsed() >= EXPIRE_SWEEP {
             last_expire = Instant::now();
             shared.ackers.expire(now, shared.engine.message_timeout_s);
         }
@@ -836,8 +834,7 @@ fn spout_loop(
     let fan = FanOut::new(&shared.topology, component, 0, edge_seed);
     let (engine, dedup) = (&shared.engine, shared.policy.dedup);
     let mut spout = SpoutTask::new(factory(), &ctx, fan, engine, dedup, shared.now_s());
-    // Interned wire id of the first stream the spout's component declares.
-    let stream_base = shared.intern.base_of(component.id.0);
+    let producer = component.id.0 as u32;
     let trees = &shared.spouts[spout_index];
     let mut ops = AckOps::new(shared.ackers.num_shards());
     let mut idle_spins = 0u32;
@@ -857,7 +854,7 @@ fn spout_loop(
                     // delivery leaves: an ack record that beat the
                     // registration would hit an unknown root and be lost.
                     ops.apply(&shared.ackers);
-                    shared.enqueue(wire_tuple(stream_base, dest, delivery));
+                    shared.enqueue(wire_tuple(producer, dest, delivery));
                 }
             }
         });
@@ -903,7 +900,6 @@ pub fn submit(
         return Err(Error::Config("worker_cmd must not be empty".into()));
     }
     let topology = registry.build(topology_name, args)?;
-    let intern = InternTable::new(&topology);
     let n_tasks = topology.task_count();
 
     // Placement: spouts on the coordinator, bolt tasks round-robin over
@@ -986,7 +982,6 @@ pub fn submit(
         topology_key: topology_name.to_owned(),
         args: args.to_owned(),
         dynamic: dynamic_handles(&topology),
-        intern,
         ackers: ShardedAcker::new(ACKER_SHARDS),
         ledger,
         window,
@@ -1112,18 +1107,15 @@ impl RunningDist {
         self.metrics_server.as_ref().map(|s| s.local_addr())
     }
 
-    /// The handle of the dynamic grouping on `producer`'s `stream` toward
-    /// `subscriber`.  Ratios set through it reach the workers that route
+    /// The handle of the dynamic grouping on the edge `producer ->
+    /// subscriber`.  Ratios set through it reach the workers that route
     /// the edge within a supervisor tick.
     pub fn dynamic_handle(
         &self,
         producer: &str,
-        stream: &StreamId,
         subscriber: &str,
     ) -> Option<DynamicGroupingHandle> {
-        self.shared
-            .topology
-            .dynamic_handle(producer, stream, subscriber)
+        self.shared.topology.dynamic_handle(producer, subscriber)
     }
 
     /// Kills worker `idx`'s OS process (SIGKILL), as a fault-injection

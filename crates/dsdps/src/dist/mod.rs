@@ -19,7 +19,7 @@
 //! Workers are spawned from a command line ([`DistConfig::worker_cmd`])
 //! that must start a binary hosting the same [`TopologyRegistry`] — the
 //! worker rebuilds the topology from its registered name, which is how
-//! both sides derive identical routing and stream-intern tables.  A
+//! both sides derive identical routing and schema tables.  A
 //! killed worker is respawned, reconnected and restored from the latest
 //! checkpoint; see `DESIGN.md` §9 for the protocol walk-through.
 //!

@@ -8,28 +8,32 @@ use std::collections::VecDeque;
 use super::codec::{Frame, WireTuple};
 use super::transport::BatchWriter;
 use crate::grouping::dynamic::DynamicGroupingHandle;
-use crate::route::{Delivery, RouteTable};
+use crate::route::Delivery;
 use crate::rt::CreditLedger;
 use crate::topology::Topology;
 
-/// Every dynamic-grouping handle of the topology, by component then route
-/// order — the index is the `edge` of a `SetRatio` frame.  Coordinator and
-/// workers build this from the same topology, so they agree on it.
+/// Every dynamic-grouping handle of the topology, by producer then
+/// subscription order — the index is the `edge` of a `SetRatio` frame.
+/// Coordinator and workers build this from the same topology, so they agree
+/// on it.
 pub(crate) fn dynamic_handles(topology: &Topology) -> Vec<DynamicGroupingHandle> {
-    let tables = (topology.components()).map(|component| RouteTable::new(topology, component, 0));
-    tables
-        .flat_map(|table| table.dynamic_handles().to_vec())
+    let edges = topology.components().flat_map(|producer| {
+        let subscribers = topology.subscribers_of(producer.id).into_iter();
+        subscribers.map(move |(sub, _)| (producer, sub))
+    });
+    edges
+        .filter_map(|(producer, sub)| topology.dynamic_handle(&producer.name, &sub.name))
         .collect()
 }
 
-/// The wire form of a delivery to task `dest`, on a stream of the producer
-/// whose first declared stream is interned as `stream_base`.
-pub(crate) fn wire_tuple(stream_base: u32, dest: usize, delivery: Delivery) -> WireTuple {
+/// The wire form of a delivery to task `dest` from a task of component
+/// `producer`.
+pub(crate) fn wire_tuple(producer: u32, dest: usize, delivery: Delivery) -> WireTuple {
     let (root, edge) = delivery.anchor.unzip();
     WireTuple {
         token: edge.unwrap_or(0),
         dest_task: dest as u32,
-        stream: stream_base + delivery.decl as u32,
+        stream: producer,
         dedup: delivery.dedup,
         trace_root: root,
         values: delivery.tuple.into_values(),

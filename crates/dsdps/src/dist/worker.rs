@@ -29,7 +29,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::codec::{FlushReport, Frame, InternTable, WireMetric, WirePeer, WireSpan, WireTuple};
+use super::codec::{FlushReport, Frame, WireMetric, WirePeer, WireSpan, WireTuple};
 use super::coordinator::COORDINATOR_SLOT;
 use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
@@ -45,11 +45,11 @@ use crate::rt::CreditLedger;
 use crate::spawn_thread;
 use crate::telemetry::{Counter, Registry, SampleValue, Tracer};
 use crate::topology::{ComponentKind, TaskId, Topology};
-use crate::tuple::Tuple;
+use crate::tuple::{Fields, Tuple};
 
 /// Builds a topology from a registered name plus an opaque argument
 /// string.  Coordinator and workers run the same builder, which is what
-/// makes their routing and stream-intern tables identical.
+/// makes their routing and schema tables identical.
 pub type TopologyBuilderFn = Arc<dyn Fn(&str) -> Result<Topology> + Send + Sync>;
 
 /// Name → topology builder map shared by the coordinator and the worker
@@ -181,8 +181,8 @@ fn accept_loop(listener: Listener, next_link: Arc<AtomicU64>, tx: Sender<Input>)
 
 /// One bolt task hosted by this worker.
 struct TaskState {
-    /// Interned wire id of the first stream its component declares.
-    stream_base: u32,
+    /// Its component id: the wire `stream` of what it emits.
+    producer: u32,
     task: BoltTask,
 }
 
@@ -210,7 +210,8 @@ struct Worker {
     tick_interval: Option<Duration>,
     push_interval: Option<Duration>,
     batch_size: usize,
-    intern: InternTable,
+    /// Output schema by component id: a wire tuple's `stream`.
+    schemas: Vec<Fields>,
     /// The dynamic-grouping handles by `SetRatio` edge.
     dynamic: Vec<DynamicGroupingHandle>,
     /// Owning slot per global task ([`COORDINATOR_SLOT`] for spout tasks).
@@ -263,11 +264,11 @@ impl Worker {
         };
         let traced = root.filter(|&r| self.tracer.enabled() && self.tracer.sampled(r));
         let started = traced.map(|_| Instant::now());
-        let base = ts.stream_base;
+        let producer = ts.producer;
         let step = ts
             .task
             .step(tuple, anchor, dedup, self.now_s, |to, delivery| {
-                self.deliver(base, to, delivery)
+                self.deliver(producer, to, delivery)
             });
         self.tasks[dest] = Some(ts);
         // A replay of an applied input is acknowledged like any other, but
@@ -291,10 +292,10 @@ impl Worker {
         self.acks.extend(step.record);
     }
 
-    /// Where a delivery of a hosted task goes (`stream_base`: the wire id
-    /// of its producer's first stream): one for a task of this worker is
-    /// queued locally, a remote one goes to its peer's outbox.
-    fn deliver(&mut self, stream_base: u32, dest: usize, delivery: Delivery) {
+    /// Where a delivery of a hosted task of component `producer` goes: one
+    /// for a task of this worker is queued locally, a remote one goes to
+    /// its peer's outbox.
+    fn deliver(&mut self, producer: u32, dest: usize, delivery: Delivery) {
         self.metrics.emitted.inc();
         let slot = self.task_slot[dest];
         if slot == self.idx {
@@ -302,7 +303,7 @@ impl Worker {
             return;
         }
         self.sent += 1;
-        let item = wire_tuple(stream_base, dest, delivery);
+        let item = wire_tuple(producer, dest, delivery);
         let root = item.trace_root;
         let delivered = (self.peers.get_mut(slot as usize))
             .is_some_and(|peer| peer.out.enqueue(&self.ledger, item));
@@ -327,9 +328,12 @@ impl Worker {
                 None => self.grants.push((item.dest_task, 1)),
             }
             let anchor = item.trace_root.map(|root| (root, item.token));
-            match self.intern.tuple(item.stream, item.values) {
-                Ok(tuple) => self.execute(item.dest_task as usize, &tuple, anchor, item.dedup, at),
-                Err(_) => self.acks.extend(item.trace_root.map(AckRecord::failed)),
+            match self.schemas.get(item.stream as usize) {
+                Some(fields) => {
+                    let tuple = Tuple::with_fields(item.values, fields.clone());
+                    self.execute(item.dest_task as usize, &tuple, anchor, item.dedup, at);
+                }
+                None => self.acks.extend(item.trace_root.map(AckRecord::failed)),
             }
             self.run_local(at);
         }
@@ -478,9 +482,10 @@ impl Worker {
             let Some(mut ts) = self.tasks[task].take() else {
                 continue;
             };
-            let base = ts.stream_base;
-            ts.task
-                .tick(self.now_s, |to, delivery| self.deliver(base, to, delivery));
+            let producer = ts.producer;
+            ts.task.tick(self.now_s, |to, delivery| {
+                self.deliver(producer, to, delivery)
+            });
             self.tasks[task] = Some(ts);
         }
         self.run_local(Instant::now());
@@ -711,13 +716,13 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         .ok_or_else(|| Error::Runtime("unknown recovery mode".into()))?;
     let ckpt_interval_s = ckpt_interval_us.max(1) as f64 / 1e6;
     let topology = registry.build(&topo_name, &args)?;
-    let intern = InternTable::new(&topology);
+    let schemas: Vec<Fields> = topology.components().map(|c| c.fields.clone()).collect();
     let n_tasks = topology.task_count();
-    if n_tasks != task_slots.len() || intern.len() != stream_count as usize {
+    if n_tasks != task_slots.len() || schemas.len() != stream_count as usize {
         return Err(Error::Runtime(format!(
             "topology fingerprint mismatch for `{topo_name}`: worker built \
              {n_tasks} tasks / {} streams, coordinator has {} / {stream_count}",
-            intern.len(),
+            schemas.len(),
             task_slots.len()
         )));
     }
@@ -757,7 +762,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         let checkpoints = Some((policy, ckpt_interval_s));
         let now_s = t0.elapsed().as_secs_f64();
         tasks[task] = Some(Box::new(TaskState {
-            stream_base: intern.base_of(comp_id.0),
+            producer: comp_id.0 as u32,
             task: BoltTask::new(factory(), &ctx, fan, checkpoints, now_s),
         }));
     }
@@ -784,7 +789,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
         tick_interval: micros(tick_interval_us),
         push_interval: micros(metrics_interval_us),
         batch_size: batch_size.max(1) as usize,
-        intern,
+        schemas,
         dynamic: dynamic_handles(&topology),
         task_slot: task_slots,
         tasks,

@@ -12,19 +12,10 @@ pub enum Error {
     DuplicateComponent(String),
     /// A grouping referenced a component that does not exist.
     UnknownComponent(String),
-    /// A grouping referenced a stream the upstream component does not declare.
-    UnknownStream {
-        /// Upstream component name.
-        component: String,
-        /// Stream id that was not declared.
-        stream: String,
-    },
-    /// A fields grouping referenced a field absent from the stream schema.
+    /// A fields grouping referenced a field absent from the producer's schema.
     UnknownField {
         /// Upstream component name.
         component: String,
-        /// Stream id.
-        stream: String,
         /// Field name that was not found.
         field: String,
     },
@@ -51,20 +42,12 @@ impl fmt::Display for Error {
                 write!(f, "component `{name}` declared more than once")
             }
             Error::UnknownComponent(name) => write!(f, "unknown component `{name}`"),
-            Error::UnknownStream { component, stream } => {
+            Error::UnknownField { component, field } => {
                 write!(
                     f,
-                    "component `{component}` does not declare stream `{stream}`"
+                    "output of component `{component}` has no field `{field}`"
                 )
             }
-            Error::UnknownField {
-                component,
-                stream,
-                field,
-            } => write!(
-                f,
-                "stream `{stream}` of component `{component}` has no field `{field}`"
-            ),
             Error::InvalidParallelism(name) => {
                 write!(f, "component `{name}` must have parallelism >= 1")
             }
@@ -90,17 +73,11 @@ mod tests {
     fn display_messages_mention_offender() {
         let e = Error::DuplicateComponent("split".into());
         assert!(e.to_string().contains("split"));
-        let e = Error::UnknownStream {
-            component: "spout".into(),
-            stream: "urls".into(),
-        };
-        assert!(e.to_string().contains("spout"));
-        assert!(e.to_string().contains("urls"));
         let e = Error::UnknownField {
-            component: "c".into(),
-            stream: "s".into(),
+            component: "spout".into(),
             field: "url".into(),
         };
+        assert!(e.to_string().contains("spout"));
         assert!(e.to_string().contains("url"));
     }
 

@@ -7,7 +7,7 @@
 //! execution model:
 //!
 //! * **Tuples and streams** — dynamically typed tuples ([`tuple::Tuple`])
-//!   flowing on named streams between components.
+//!   flowing between components, one output stream per component.
 //! * **Topologies** — directed graphs of **spouts** (sources) and **bolts**
 //!   (operators), built with [`topology::TopologyBuilder`].
 //! * **Stream groupings** — shuffle, fields (hash), global and, crucially,
@@ -81,7 +81,6 @@ pub mod rt;
 pub mod scheduler;
 pub mod sim;
 mod spout_task;
-pub mod stream;
 pub mod telemetry;
 pub mod topology;
 pub mod tuple;
@@ -106,7 +105,6 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::grouping::dynamic::{DynamicGroupingHandle, SplitRatio};
     pub use crate::grouping::Grouping;
-    pub use crate::stream::StreamId;
     pub use crate::topology::{ComponentId, TaskId, Topology, TopologyBuilder};
     pub use crate::tuple::{Fields, Tuple, Value};
 }

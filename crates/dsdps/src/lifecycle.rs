@@ -471,13 +471,11 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::stream::StreamId;
     use crate::topology::TaskId;
     use crate::tuple::{Tuple, Value};
 
     fn emission(id: MessageId) -> Arc<Emission> {
         Arc::new(Emission {
-            stream: StreamId::default(),
             tuple: Tuple::of([Value::from(id as i64)]),
             message_id: Some(id),
             anchored: true,

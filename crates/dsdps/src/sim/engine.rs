@@ -857,8 +857,8 @@ impl SimRuntime {
         // table's borrow ends.
         let selected = self.tasks[src]
             .routes
-            .select(&emission, &mut self.deliver_buf);
-        let Some(fields) = selected.map(|s| s.fields.clone()) else {
+            .select(&emission.tuple, &mut self.deliver_buf);
+        let Some(fields) = selected.cloned() else {
             return 0;
         };
         let delivered = self.deliver_buf.len();
@@ -1116,7 +1116,6 @@ impl SimRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::StreamId;
     use crate::topology::{CostModel, TopologyBuilder};
     use crate::tuple::{Fields, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1454,9 +1453,7 @@ mod tests {
                 jitter: 0.0,
             });
         let topo = b.build().unwrap();
-        let handle = topo
-            .dynamic_handle("s", &StreamId::default(), "sink")
-            .unwrap();
+        let handle = topo.dynamic_handle("s", "sink").unwrap();
         let mut e = SimRuntime::new(topo, small_config()).unwrap();
         e.run_until(3.0);
         let before: Vec<u64> = e.history().latest().unwrap().tasks[1..]

@@ -1,11 +1,12 @@
-//! Topology construction: spouts, bolts, streams, subscriptions.
+//! Topology construction: spouts, bolts, subscriptions.
 //!
 //! Mirrors Storm's `TopologyBuilder` API: declare components with a
-//! parallelism hint, declare their output streams, and subscribe bolts to
-//! upstream streams with a grouping.  [`TopologyBuilder::build`] validates
-//! the graph (components exist, streams exist, fields-grouping fields are in
-//! the stream schema, every bolt has an input, at least one spout) and
-//! assigns global task ids.
+//! parallelism hint and the schema of their one output stream, and
+//! subscribe bolts to upstream components with a grouping.  An edge is a
+//! `(producer, subscriber)` pair.  [`TopologyBuilder::build`] validates the
+//! graph (components exist, fields-grouping fields are in the producer's
+//! schema, every bolt has an input and subscribes to a producer at most
+//! once, at least one spout) and assigns global task ids.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,7 +16,6 @@ use crate::component::{Bolt, Spout};
 use crate::error::{Error, Result};
 use crate::grouping::dynamic::{DynamicGroupingHandle, SplitRatio};
 use crate::grouping::GroupingSpec;
-use crate::stream::{StreamDecl, StreamId};
 use crate::tuple::Fields;
 
 /// Index of a component within its topology.
@@ -87,13 +87,11 @@ impl Default for CostModel {
     }
 }
 
-/// A subscription of a bolt to an upstream stream.
+/// A subscription of a bolt to an upstream component's output.
 #[derive(Debug, Clone)]
 pub struct Subscription {
     /// The upstream component.
     pub from: ComponentId,
-    /// The stream of that component.
-    pub stream: StreamId,
     /// How tuples are distributed over the subscriber's tasks.
     pub grouping: GroupingSpec,
 }
@@ -109,8 +107,8 @@ pub struct Component {
     pub kind: ComponentKind,
     /// Number of tasks.
     pub parallelism: usize,
-    /// Declared output streams.
-    pub outputs: Vec<StreamDecl>,
+    /// Schema of the component's output stream.
+    pub fields: Fields,
     /// Inbound subscriptions (bolts only).
     pub subscriptions: Vec<Subscription>,
     /// First global task id; tasks are `base_task.0 .. base_task.0 + parallelism`.
@@ -129,14 +127,6 @@ impl Component {
     pub fn is_spout(&self) -> bool {
         matches!(self.kind, ComponentKind::Spout(_))
     }
-
-    /// Schema of the given output stream, if declared.
-    pub fn stream_fields(&self, stream: &StreamId) -> Option<&Fields> {
-        self.outputs
-            .iter()
-            .find(|d| &d.id == stream)
-            .map(|d| &d.fields)
-    }
 }
 
 /// A validated, immutable topology ready to hand to a runtime.
@@ -147,8 +137,8 @@ pub struct Topology {
     by_name: HashMap<String, ComponentId>,
     task_count: usize,
     /// Handles for every dynamic grouping in the topology, keyed by
-    /// `(producer name, stream, subscriber name)`.
-    dynamic_handles: HashMap<(String, StreamId, String), DynamicGroupingHandle>,
+    /// `(producer name, subscriber name)`.
+    dynamic_handles: HashMap<(String, String), DynamicGroupingHandle>,
 }
 
 impl Topology {
@@ -194,8 +184,8 @@ impl Topology {
         panic!("task {task} out of range");
     }
 
-    /// The dynamic grouping handle for the edge
-    /// `producer --stream--> subscriber`, if that edge uses dynamic grouping.
+    /// The dynamic grouping handle for the edge `producer -> subscriber`,
+    /// if that edge uses dynamic grouping.
     ///
     /// This is the actuation surface of the paper's control framework: the
     /// controller holds the handle and calls
@@ -203,33 +193,28 @@ impl Topology {
     pub fn dynamic_handle(
         &self,
         producer: &str,
-        stream: &StreamId,
         subscriber: &str,
     ) -> Option<DynamicGroupingHandle> {
         self.dynamic_handles
-            .get(&(producer.to_owned(), stream.clone(), subscriber.to_owned()))
+            .get(&(producer.to_owned(), subscriber.to_owned()))
             .cloned()
     }
 
-    /// All dynamic grouping handles: `((producer, stream, subscriber), handle)`.
+    /// All dynamic grouping handles: `((producer, subscriber), handle)`.
     pub fn dynamic_handles(
         &self,
-    ) -> impl Iterator<Item = (&(String, StreamId, String), &DynamicGroupingHandle)> {
+    ) -> impl Iterator<Item = (&(String, String), &DynamicGroupingHandle)> {
         self.dynamic_handles.iter()
     }
 
-    /// Components subscribing to `producer`'s `stream`, with their grouping.
-    pub fn subscribers_of(
-        &self,
-        producer: ComponentId,
-        stream: &StreamId,
-    ) -> Vec<(&Component, &GroupingSpec)> {
+    /// Components subscribing to `producer`, with their grouping.
+    pub fn subscribers_of(&self, producer: ComponentId) -> Vec<(&Component, &GroupingSpec)> {
         self.components
             .iter()
             .flat_map(|c| {
                 c.subscriptions
                     .iter()
-                    .filter(|s| s.from == producer && &s.stream == stream)
+                    .filter(|s| s.from == producer)
                     .map(move |s| (c, &s.grouping))
             })
             .collect()
@@ -271,7 +256,7 @@ impl TopologyBuilder {
             name: name.to_owned(),
             kind,
             parallelism,
-            outputs: vec![StreamDecl::default_stream(Fields::none())],
+            fields: Fields::none(),
             subscriptions: Vec::new(),
             base_task: TaskId(0), // assigned in build()
             cost: CostModel::default(),
@@ -320,11 +305,7 @@ impl TopologyBuilder {
             return Err(Error::InvalidTopology("topology has no spout".into()));
         }
 
-        // Validate subscriptions against declared streams and schemas.
-        let catalog: Vec<(String, Vec<StreamDecl>, bool)> = components
-            .iter()
-            .map(|c| (c.name.clone(), c.outputs.clone(), c.is_spout()))
-            .collect();
+        // Validate subscriptions against the producers' schemas.
         for c in &components {
             if c.is_spout() {
                 if !c.subscriptions.is_empty() {
@@ -338,23 +319,22 @@ impl TopologyBuilder {
                     c.name
                 )));
             }
-            for sub in &c.subscriptions {
-                let (from_name, outputs, _) = &catalog[sub.from.0];
-                let decl = outputs.iter().find(|d| d.id == sub.stream).ok_or_else(|| {
-                    Error::UnknownStream {
-                        component: from_name.clone(),
-                        stream: sub.stream.as_str().to_owned(),
-                    }
-                })?;
+            for (i, sub) in c.subscriptions.iter().enumerate() {
+                let from = &components[sub.from.0];
+                // One grouping per edge: a second one would share the edge's
+                // dynamic handle and be invisible to the controller.
+                if c.subscriptions[..i].iter().any(|s| s.from == sub.from) {
+                    return Err(Error::InvalidTopology(format!(
+                        "bolt `{}` subscribes to `{}` more than once",
+                        c.name, from.name
+                    )));
+                }
                 if let GroupingSpec::Fields(fields) = &sub.grouping {
-                    for f in fields {
-                        if !decl.fields.contains(f) {
-                            return Err(Error::UnknownField {
-                                component: from_name.clone(),
-                                stream: sub.stream.as_str().to_owned(),
-                                field: f.clone(),
-                            });
-                        }
+                    if let Some(f) = fields.iter().find(|f| !from.fields.contains(f)) {
+                        return Err(Error::UnknownField {
+                            component: from.name.clone(),
+                            field: f.clone(),
+                        });
                     }
                 }
                 if let GroupingSpec::Dynamic(Some(r)) = &sub.grouping {
@@ -388,7 +368,7 @@ impl TopologyBuilder {
                     };
                     let producer = components[sub.from.0].name.clone();
                     let handle = DynamicGroupingHandle::new(ratio);
-                    dynamic_handles.insert((producer, sub.stream.clone(), c.name.clone()), handle);
+                    dynamic_handles.insert((producer, c.name.clone()), handle);
                 }
             }
         }
@@ -416,17 +396,9 @@ impl fmt::Debug for SpoutDeclarer<'_> {
 }
 
 impl SpoutDeclarer<'_> {
-    /// Declares the schema of the default output stream.
+    /// Declares the schema of the output stream.
     pub fn output_fields(&mut self, fields: Fields) -> &mut Self {
-        self.builder.components[self.id.0].outputs[0].fields = fields;
-        self
-    }
-
-    /// Declares an additional named output stream.
-    pub fn output_stream(&mut self, stream: &str, fields: Fields) -> &mut Self {
-        self.builder.components[self.id.0]
-            .outputs
-            .push(StreamDecl::named(stream, fields));
+        self.builder.components[self.id.0].fields = fields;
         self
     }
 
@@ -455,17 +427,9 @@ impl fmt::Debug for BoltDeclarer<'_> {
 }
 
 impl BoltDeclarer<'_> {
-    /// Declares the schema of the default output stream.
+    /// Declares the schema of the output stream.
     pub fn output_fields(&mut self, fields: Fields) -> &mut Self {
-        self.builder.components[self.id.0].outputs[0].fields = fields;
-        self
-    }
-
-    /// Declares an additional named output stream.
-    pub fn output_stream(&mut self, stream: &str, fields: Fields) -> &mut Self {
-        self.builder.components[self.id.0]
-            .outputs
-            .push(StreamDecl::named(stream, fields));
+        self.builder.components[self.id.0].fields = fields;
         self
     }
 
@@ -475,12 +439,7 @@ impl BoltDeclarer<'_> {
         self
     }
 
-    fn subscribe(
-        &mut self,
-        from: &str,
-        stream: StreamId,
-        grouping: GroupingSpec,
-    ) -> Result<&mut Self> {
+    fn subscribe(&mut self, from: &str, grouping: GroupingSpec) -> Result<&mut Self> {
         let from_id = self
             .builder
             .by_name
@@ -491,7 +450,6 @@ impl BoltDeclarer<'_> {
             .subscriptions
             .push(Subscription {
                 from: from_id,
-                stream,
                 grouping,
             });
         Ok(self)
@@ -499,40 +457,18 @@ impl BoltDeclarer<'_> {
 
     /// Random uniform distribution over subscriber tasks.
     pub fn shuffle_grouping(&mut self, from: &str) -> Result<&mut Self> {
-        self.subscribe(from, StreamId::default(), GroupingSpec::Shuffle)
+        self.subscribe(from, GroupingSpec::Shuffle)
     }
 
-    /// Shuffle grouping on a named stream.
-    pub fn shuffle_grouping_stream(&mut self, from: &str, stream: &str) -> Result<&mut Self> {
-        self.subscribe(from, StreamId::new(stream), GroupingSpec::Shuffle)
-    }
-
-    /// Hash partitioning on the given fields of the default stream.
+    /// Hash partitioning on the given fields of the producer's output.
     pub fn fields_grouping(&mut self, from: &str, fields: &[&str]) -> Result<&mut Self> {
-        self.subscribe(
-            from,
-            StreamId::default(),
-            GroupingSpec::Fields(fields.iter().map(|s| s.to_string()).collect()),
-        )
-    }
-
-    /// Fields grouping on a named stream.
-    pub fn fields_grouping_stream(
-        &mut self,
-        from: &str,
-        stream: &str,
-        fields: &[&str],
-    ) -> Result<&mut Self> {
-        self.subscribe(
-            from,
-            StreamId::new(stream),
-            GroupingSpec::Fields(fields.iter().map(|s| s.to_string()).collect()),
-        )
+        let fields = fields.iter().map(|s| s.to_string()).collect();
+        self.subscribe(from, GroupingSpec::Fields(fields))
     }
 
     /// All tuples go to the subscriber's lowest task.
     pub fn global_grouping(&mut self, from: &str) -> Result<&mut Self> {
-        self.subscribe(from, StreamId::default(), GroupingSpec::Global)
+        self.subscribe(from, GroupingSpec::Global)
     }
 
     /// The paper's **dynamic grouping** with a uniform initial split ratio.
@@ -540,22 +476,13 @@ impl BoltDeclarer<'_> {
     /// After `build()`, fetch the live handle with
     /// [`Topology::dynamic_handle`] to change the ratio on the fly.
     pub fn dynamic_grouping(&mut self, from: &str) -> Result<&mut Self> {
-        self.subscribe(from, StreamId::default(), GroupingSpec::Dynamic(None))
+        self.subscribe(from, GroupingSpec::Dynamic(None))
     }
 
     /// Dynamic grouping with an explicit initial split ratio (one weight per
     /// subscriber task).
     pub fn dynamic_grouping_with(&mut self, from: &str, initial: SplitRatio) -> Result<&mut Self> {
-        self.subscribe(
-            from,
-            StreamId::default(),
-            GroupingSpec::Dynamic(Some(initial)),
-        )
-    }
-
-    /// Dynamic grouping on a named stream.
-    pub fn dynamic_grouping_stream(&mut self, from: &str, stream: &str) -> Result<&mut Self> {
-        self.subscribe(from, StreamId::new(stream), GroupingSpec::Dynamic(None))
+        self.subscribe(from, GroupingSpec::Dynamic(Some(initial)))
     }
 
     /// The component id assigned to this bolt.
@@ -639,17 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unknown_stream() {
-        let mut b = two_stage();
-        b.set_bolt("b", 1, || NullBolt)
-            .unwrap()
-            .shuffle_grouping_stream("spout", "ghost")
-            .unwrap();
-        let err = b.build().unwrap_err();
-        assert!(matches!(err, Error::UnknownStream { .. }));
-    }
-
-    #[test]
     fn rejects_unknown_field() {
         let mut b = two_stage();
         b.set_bolt("b", 1, || NullBolt)
@@ -658,6 +574,18 @@ mod tests {
             .unwrap();
         let err = b.build().unwrap_err();
         assert!(matches!(err, Error::UnknownField { .. }));
+    }
+
+    #[test]
+    fn rejects_second_subscription_to_one_producer() {
+        let mut b = two_stage();
+        b.set_bolt("b", 2, || NullBolt)
+            .unwrap()
+            .dynamic_grouping("spout")
+            .unwrap()
+            .dynamic_grouping_with("spout", SplitRatio::new(vec![1.0, 0.0]).unwrap())
+            .unwrap();
+        assert!(matches!(b.build(), Err(Error::InvalidTopology(_))));
     }
 
     #[test]
@@ -691,14 +619,10 @@ mod tests {
             .dynamic_grouping("spout")
             .unwrap();
         let t = b.build().unwrap();
-        let h = t
-            .dynamic_handle("spout", &StreamId::default(), "b")
-            .expect("handle exists");
+        let h = t.dynamic_handle("spout", "b").expect("handle exists");
         assert_eq!(h.ratio().len(), 4);
         assert_eq!(t.dynamic_handles().count(), 1);
-        assert!(t
-            .dynamic_handle("spout", &StreamId::default(), "zzz")
-            .is_none());
+        assert!(t.dynamic_handle("spout", "zzz").is_none());
     }
 
     #[test]
@@ -714,30 +638,10 @@ mod tests {
             .unwrap();
         let t = b.build().unwrap();
         let spout_id = t.component_id("spout").unwrap();
-        let subs = t.subscribers_of(spout_id, &StreamId::default());
+        let subs = t.subscribers_of(spout_id);
         assert_eq!(subs.len(), 2);
         let names: Vec<_> = subs.iter().map(|(c, _)| c.name.as_str()).collect();
         assert!(names.contains(&"b1") && names.contains(&"b2"));
-    }
-
-    #[test]
-    fn multi_stream_declaration() {
-        let mut b = TopologyBuilder::new("t");
-        b.set_spout("s", 1, || NullSpout)
-            .unwrap()
-            .output_fields(Fields::new(["a"]))
-            .output_stream("late", Fields::new(["a", "lateness"]));
-        b.set_bolt("b", 1, || NullBolt)
-            .unwrap()
-            .shuffle_grouping_stream("s", "late")
-            .unwrap();
-        let t = b.build().unwrap();
-        let s = t.component_by_name("s").unwrap();
-        assert_eq!(s.outputs.len(), 2);
-        assert!(s
-            .stream_fields(&StreamId::new("late"))
-            .unwrap()
-            .contains("lateness"));
     }
 
     #[test]

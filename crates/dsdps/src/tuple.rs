@@ -218,7 +218,7 @@ impl From<Vec<Value>> for Value {
 ///
 /// `Fields` is cheap to clone (`Arc` internally) because every tuple on a
 /// stream shares the stream's schema; the empty schema holds no `Arc`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fields {
     /// `None` is the empty schema: `Some` never holds an empty slice.
     names: Option<Arc<[String]>>,
@@ -323,8 +323,8 @@ impl Tuple {
         Tuple { values, fields }
     }
 
-    /// Re-attaches a schema (used by the runtime when routing a tuple onto a
-    /// declared stream).
+    /// Re-attaches a schema (used by the runtime when routing a tuple: it
+    /// travels with its producer's declared schema).
     pub fn rekeyed(&self, fields: Fields) -> Self {
         Tuple {
             values: Arc::clone(&self.values),

@@ -834,7 +834,6 @@ fn dist_respawned_worker_restores_before_peer_tuples() {
 #[test]
 fn dist_set_ratio_steers_a_worker_routed_edge() {
     use dsdps::grouping::dynamic::SplitRatio;
-    use dsdps::stream::StreamId;
 
     let n = 1_600u64;
     let running = dist::submit(
@@ -849,7 +848,7 @@ fn dist_set_ratio_steers_a_worker_routed_edge() {
     )
     .unwrap();
     let handle = running
-        .dynamic_handle("relay", &StreamId::default(), "count")
+        .dynamic_handle("relay", "count")
         .expect("the relay → count edge is dynamic");
 
     // Uniform split for the first stretch, then everything to task 0.

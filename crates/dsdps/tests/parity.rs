@@ -21,12 +21,12 @@ use dsdps::metrics::MetricsSnapshot;
 use dsdps::report::Report;
 use dsdps::rt::{self, RecoveryMode, RtConfig, SnapshotKind, StateSnapshot, StatefulComponent};
 use dsdps::sim::SimRuntime;
-use dsdps::stream::StreamId;
 use dsdps::topology::{Topology, TopologyBuilder};
 use dsdps::tuple::{Fields, Tuple, Value};
 
 const N: u64 = 400;
-const TASKS: usize = 10;
+/// Global tasks of the largest topology, [`build`]'s.
+const TASKS: usize = 11;
 
 /// `ack` + `fail` calls heard by the spouts of each test (spouts run in the
 /// test process on every backend, and the tests run concurrently).
@@ -36,12 +36,28 @@ static HEARD_FLAKY: AtomicU64 = AtomicU64::new(0);
 static HEARD_FORK: AtomicU64 = AtomicU64::new(0);
 static HEARD_FAIL_ONCE: AtomicU64 = AtomicU64::new(0);
 
-/// Emits `1..=N`, each tuple tracked under its own message id — and once
-/// more, under id `N + i`, on a stream nobody declared: a tracked tree with
-/// zero deliveries, which must complete on its own.
+/// Emits `1..=N`, each tuple tracked under message id `ids + i`.  Every
+/// topology here has two: `src` (`ids` 0) and `void` (`ids` N), to which
+/// nobody subscribes, so each of its trees has zero deliveries and must
+/// complete on its own.
 struct Src {
     next: u64,
+    ids: u64,
     heard: &'static AtomicU64,
+}
+
+impl Src {
+    /// Declares `src` and `void`, both counted into `heard`.
+    fn declare(b: &mut TopologyBuilder, heard: &'static AtomicU64) -> Result<()> {
+        for (name, ids) in [("src", 0), ("void", N)] {
+            b.set_spout(name, 1, move || Src {
+                next: 0,
+                ids,
+                heard,
+            })?;
+        }
+        Ok(())
+    }
 }
 
 impl Spout for Src {
@@ -51,8 +67,7 @@ impl Spout for Src {
         }
         self.next += 1;
         let tuple = Tuple::of([Value::from(self.next as i64)]);
-        out.emit_with_id(tuple.clone(), self.next);
-        out.emit_to_with_id(StreamId::new("void"), tuple, N + self.next);
+        out.emit_with_id(tuple, self.ids + self.next);
         true
     }
 
@@ -65,15 +80,12 @@ impl Spout for Src {
     }
 }
 
-/// Sends each tuple three ways: on the default stream and on the named
-/// streams `side` and `keyed`.
+/// Passes each tuple on to its four subscribers.
 struct Fan;
 
 impl Bolt for Fan {
     fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
         out.emit(tuple.clone());
-        out.emit_to(StreamId::new("side"), tuple.clone());
-        out.emit_to(StreamId::new("keyed"), tuple.clone());
     }
 }
 
@@ -132,10 +144,10 @@ fn decode(snap: &StateSnapshot) -> u64 {
     u64::from_le_bytes(snap.bytes[..8].try_into().expect("8-byte counter"))
 }
 
-/// `src ×1 → fan ×1`, then every grouping on `fan`'s three streams:
-/// default → `global ×2` and `dynamic ×2` (ratio 1 : 3), `side` → `side ×2`
-/// (shuffle), `keyed` → `keyed ×2` (fields on `i`).  Global task ids: src 0,
-/// fan 1, global 2‥3, dynamic 4‥5, side 6‥7, keyed 8‥9.
+/// `src ×1 → fan ×1`, then every grouping on `fan`'s stream `[i]`:
+/// `global ×2`, `dynamic ×2` (ratio 1 : 3), `side ×2` (shuffle) and
+/// `keyed ×2` (fields on `i`).  Global task ids: src 0, void 1, fan 2,
+/// global 3‥4, dynamic 5‥6, side 7‥8, keyed 9‥10.
 fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topology> {
     let count = |base: usize| {
         let counts = Arc::clone(counts);
@@ -148,22 +160,20 @@ fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topo
         }
     };
     let mut b = TopologyBuilder::new("parity");
-    b.set_spout("src", 1, move || Src { next: 0, heard })?;
+    Src::declare(&mut b, heard)?;
     b.set_bolt("fan", 1, || Fan)?
         .shuffle_grouping("src")?
-        .output_stream("side", Fields::none())
-        .output_stream("keyed", Fields::new(["i"]));
-    b.set_bolt("global", 2, count(2))?.global_grouping("fan")?;
-    b.set_bolt("dynamic", 2, count(4))?
+        .output_fields(Fields::new(["i"]));
+    b.set_bolt("global", 2, count(3))?.global_grouping("fan")?;
+    b.set_bolt("dynamic", 2, count(5))?
         .dynamic_grouping_with("fan", SplitRatio::new(vec![1.0, 3.0])?)?;
-    b.set_bolt("side", 2, count(6))?
-        .shuffle_grouping_stream("fan", "side")?;
-    b.set_bolt("keyed", 2, count(8))?
-        .fields_grouping_stream("fan", "keyed", &["i"])?;
+    b.set_bolt("side", 2, count(7))?.shuffle_grouping("fan")?;
+    b.set_bolt("keyed", 2, count(9))?
+        .fields_grouping("fan", &["i"])?;
     b.build()
 }
 
-/// `src ×1 → flaky ×1`: a counter (global task 1) that counts every input
+/// `src ×1 → flaky ×1`: a counter (global task 2) that counts every input
 /// and then fails the first sighting of every `fail_every`-th id.
 fn build_flaky(
     counts: &Arc<Vec<AtomicU64>>,
@@ -172,10 +182,10 @@ fn build_flaky(
 ) -> Result<Topology> {
     let counts = Arc::clone(counts);
     let mut b = TopologyBuilder::new("parity-flaky");
-    b.set_spout("src", 1, move || Src { next: 0, heard })?;
+    Src::declare(&mut b, heard)?;
     b.set_bolt("flaky", 1, move || Count {
         counts: Arc::clone(&counts),
-        task: 1,
+        task: 2,
         seen: 0,
         fail_every,
         failed_once: HashSet::new(),
@@ -184,12 +194,11 @@ fn build_flaky(
     b.build()
 }
 
-/// `src ×1 → {pass ×1, reject ×1}`: every tuple of `src`'s default stream
-/// goes to both bolts (global tasks 1 and 2); `pass` acks it, `reject` fails
-/// the first sighting of every fourth id.  With `src`'s second emission on
-/// the undeclared stream that is three kinds of tracked tree: one that fans
-/// out and completes, one that fans out and is failed by one branch, and
-/// one that reaches nothing.
+/// `src ×1 → {pass ×1, reject ×1}`: every tuple of `src` goes to both
+/// bolts (global tasks 2 and 3); `pass` acks it, `reject` fails the first
+/// sighting of every fourth id.  With `void`'s trees that is three kinds of
+/// tracked tree: one that fans out and completes, one that fans out and is
+/// failed by one branch, and one that reaches nothing.
 fn build_fork(counts: &Arc<Vec<AtomicU64>>) -> Result<Topology> {
     let branch = |task: usize, fail_every: u64| {
         let counts = Arc::clone(counts);
@@ -202,13 +211,10 @@ fn build_fork(counts: &Arc<Vec<AtomicU64>>) -> Result<Topology> {
         }
     };
     let mut b = TopologyBuilder::new("parity-fork");
-    b.set_spout("src", 1, || Src {
-        next: 0,
-        heard: &HEARD_FORK,
-    })?;
-    b.set_bolt("pass", 1, branch(1, 0))?
+    Src::declare(&mut b, &HEARD_FORK)?;
+    b.set_bolt("pass", 1, branch(2, 0))?
         .shuffle_grouping("src")?;
-    b.set_bolt("reject", 1, branch(2, 4))?
+    b.set_bolt("reject", 1, branch(3, 4))?
         .shuffle_grouping("src")?;
     b.build()
 }
@@ -304,10 +310,10 @@ fn worker_flows<'a>(history: impl Iterator<Item = &'a MetricsSnapshot>) -> Vec<(
     flows
 }
 
-/// Global, dynamic, shuffle and fields grouping, on the default and two
-/// named streams, deliver the same per-task counts on all three backends, a
-/// tree that reaches nothing still completes, and `sim` and `rt` agree on
-/// what enters and leaves each worker.
+/// Global, dynamic, shuffle and fields grouping, as four subscribers of one
+/// stream, deliver the same per-task counts on all three backends, a tree
+/// that reaches nothing still completes, and `sim` and `rt` agree on what
+/// enters and leaves each worker.
 #[test]
 fn three_backends_route_identically() {
     let keyed = {
@@ -323,8 +329,9 @@ fn three_backends_route_identically() {
         }
         split
     };
-    // `src` and `fan` are not counting bolts.
+    // `src`, `void` and `fan` are not counting bolts.
     let expected = vec![
+        0,
         0,
         0,
         N,
@@ -423,7 +430,7 @@ fn dist_honours_ack_disabled() {
     assert_eq!(report.replays_scheduled + report.replays_emitted, 0);
     assert_eq!(report.in_flight, 0);
     assert!(report.conservation_holds(), "{report:?}");
-    assert_eq!(final_counts(&report)[2..4], [N, 0], "everything arrived");
+    assert_eq!(final_counts(&report)[3..5], [N, 0], "everything arrived");
     assert_eq!(HEARD_ACK_DISABLED.load(Ordering::Relaxed), 0);
 }
 
@@ -452,8 +459,8 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
     );
     let (_, rt_report) = running.shutdown();
     assert_eq!(outcome(&rt_report), expected, "{rt_report:?}");
-    assert_eq!(read(&counts)[1], N, "rt: each id applied exactly once");
-    assert_eq!(final_counts(&rt_report)[1], N, "rt: and so checkpointed");
+    assert_eq!(read(&counts)[2], N, "rt: each id applied exactly once");
+    assert_eq!(final_counts(&rt_report)[2], N, "rt: and so checkpointed");
 
     let running = dist::submit(
         &registry(),
@@ -473,7 +480,7 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
     let rt_outcome = outcome(&rt_report);
     assert_eq!(outcome(&dist_report), rt_outcome, "{dist_report:?}");
     assert_eq!(
-        final_counts(&dist_report)[1],
+        final_counts(&dist_report)[2],
         N,
         "dist: each id applied exactly once"
     );
@@ -508,7 +515,7 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     );
     let rt_records = running.ack_records_applied();
     let (_, r) = running.shutdown();
-    assert_eq!(read(&counts)[1..3], [N, N], "rt: both branches saw all");
+    assert_eq!(read(&counts)[2..4], [N, N], "rt: both branches saw all");
     let rt_outcome = outcome(&r);
     assert_eq!(rt_outcome, expected, "{r:?}");
 
@@ -536,7 +543,7 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     let r = running.shutdown();
     assert!(r.drained_clean, "{r:?}");
     assert_eq!(
-        final_counts(&r)[1..3],
+        final_counts(&r)[2..4],
         [N, N],
         "dist: both branches saw all"
     );
@@ -557,7 +564,7 @@ fn a_spout_whose_every_message_fails_once_resolves_alike() {
     let rt_config = RtConfig::default()
         .with_max_replays(3)
         .with_replay_backoff(Duration::from_millis(10));
-    // The `void` half of `Src`'s messages reaches nothing and acks at once.
+    // The `void` half of the messages reaches nothing and acks at once.
     let expected = (2 * N, 2 * N, N, 0, 0, N, N, 0);
 
     let counts = fresh_counts();
@@ -571,7 +578,7 @@ fn a_spout_whose_every_message_fails_once_resolves_alike() {
     let (_, r) = running.shutdown();
     let rt_outcome = outcome(&r);
     assert_eq!(rt_outcome, expected, "{r:?}");
-    assert_eq!(read(&counts)[1], 2 * N, "rt: every message ran twice");
+    assert_eq!(read(&counts)[2], 2 * N, "rt: every message ran twice");
     assert_eq!(HEARD_FAIL_ONCE.load(Ordering::Relaxed), 2 * N);
 
     let running = dist::submit(

@@ -331,6 +331,49 @@ fn drop_fault_is_recovered_by_replay() {
     assert!(sum.load(Ordering::Relaxed) >= N * (N + 1) / 2);
 }
 
+/// Trees time out one acker sweep after their deadline, not at the next
+/// metrics interval: with a 5 s interval, a 0.2 s timeout and every
+/// delivery dropped, trees fail for good well inside 1.5 s.
+#[test]
+fn trees_expire_between_metrics_intervals() {
+    let mut b = TopologyBuilder::new("sweep");
+    b.set_spout("s", 1, || FiniteSpout {
+        left: 50,
+        next_id: 0,
+    })
+    .unwrap();
+    b.set_bolt("sink", 1, || Accumulator {
+        sum: Arc::default(),
+    })
+    .unwrap()
+    .shuffle_grouping("s")
+    .unwrap();
+    let topo = b.build().unwrap();
+
+    let mut cfg = cluster();
+    cfg.metrics_interval_s = 5.0;
+    cfg.message_timeout_s = 0.2;
+    let plan = RtFaultPlan::new().with(RtFault::DropTuples {
+        task: 1,
+        from_s: 0.0,
+        until_s: 60.0,
+    });
+    let rt_cfg = RtConfig::default().with_max_replays(0);
+    let started = Instant::now();
+    let running = rt::submit_faulty(topo, cfg, rt_cfg, plan, None).unwrap();
+    while running.permanently_failed() == 0 && started.elapsed() < Duration::from_millis(1500) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let expired_in = started.elapsed();
+    assert!(
+        running.permanently_failed() > 0,
+        "no tree expired within {expired_in:?}"
+    );
+    let (_, report) = running.shutdown();
+    assert!(report.dropped > 0, "the drop window must have fired");
+    assert!(report.conservation_holds(), "conservation: {report:?}");
+}
+
 /// A hung task (no heartbeats) is superseded by the supervisor and the
 /// stream keeps flowing through the replacement: supersession replays trees
 /// whose acks are stranded in the hung generation.

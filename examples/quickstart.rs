@@ -9,7 +9,6 @@ use streampc::dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput};
 use streampc::dsdps::config::EngineConfig;
 use streampc::dsdps::grouping::dynamic::SplitRatio;
 use streampc::dsdps::sim::SimRuntime;
-use streampc::dsdps::stream::StreamId;
 use streampc::dsdps::topology::{CostModel, TopologyBuilder};
 use streampc::dsdps::tuple::{Fields, Tuple, Value};
 
@@ -100,7 +99,7 @@ fn main() {
 
     // Grab the live handle of the dynamic edge before starting.
     let handle = topology
-        .dynamic_handle("split", &StreamId::default(), "count")
+        .dynamic_handle("split", "count")
         .expect("dynamic edge declared above");
 
     // 2. Run on the simulated cluster: 2 machines x 2 workers x 4 cores.

@@ -319,13 +319,7 @@ fn facade_reexports_are_usable() {
 fn controller_restores_ratio_after_fault_ends() {
     let (topology, _) = build_url_count(&wuc_config()).unwrap();
     let placement = even_placement(&topology, &cluster(8)).unwrap();
-    let handle = topology
-        .dynamic_handle(
-            "parse",
-            &streampc::dsdps::stream::StreamId::default(),
-            "count",
-        )
-        .unwrap();
+    let handle = topology.dynamic_handle("parse", "count").unwrap();
     let fault_worker = {
         let ws: Vec<_> = topology
             .component_by_name("count")
@@ -510,7 +504,6 @@ fn reactive_control_routes_around_slowed_worker_on_threaded_runtime() {
     // from its task.
     use streampc::dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput};
     use streampc::dsdps::rt::{self, RtConfig, RtFault, RtFaultPlan};
-    use streampc::dsdps::stream::StreamId;
     use streampc::dsdps::topology::{TaskId, TopologyBuilder};
     use streampc::dsdps::tuple::{Tuple, Value};
 
@@ -563,7 +556,7 @@ fn reactive_control_routes_around_slowed_worker_on_threaded_runtime() {
 
     let topology = build();
     let handle = topology
-        .dynamic_handle("src", &StreamId::default(), "work")
+        .dynamic_handle("src", "work")
         .expect("dynamic edge");
     let controller = Controller::for_topology(
         &topology,
