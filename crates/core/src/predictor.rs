@@ -16,7 +16,6 @@ use forecast::svr::{SvrForecaster, SvrParams};
 use serde::{Deserialize, Serialize};
 
 use drnn::data::{make_windows, Normalizer, Sample};
-use drnn::layer::CellKind;
 use drnn::model::{Drnn, DrnnConfig};
 use drnn::train::{train, TrainConfig};
 
@@ -49,10 +48,8 @@ pub struct DrnnPredictorConfig {
     pub lookback: usize,
     /// Prediction horizon (intervals ahead).
     pub horizon: usize,
-    /// Hidden widths of the recurrent stack.
+    /// Hidden widths of the stacked LSTM layers.
     pub hidden: Vec<usize>,
-    /// Recurrent cell kind.
-    pub cell: CellKind,
     /// Training hyper-parameters.
     pub train: TrainConfig,
     /// Weight-init seed.
@@ -66,7 +63,6 @@ impl Default for DrnnPredictorConfig {
             lookback: 16,
             horizon: 1,
             hidden: vec![32, 32],
-            cell: CellKind::Lstm,
             train: TrainConfig {
                 epochs: 60,
                 batch_size: 32,
@@ -178,7 +174,6 @@ impl PerformancePredictor for DrnnPredictor {
             input: self.config.features.dim(),
             hidden: self.config.hidden.clone(),
             output: 1,
-            cell: self.config.cell,
             seed: self.config.seed,
         });
         let report = train(&mut model, &samples, &self.config.train);
@@ -220,11 +215,7 @@ impl PerformancePredictor for DrnnPredictor {
     }
 
     fn name(&self) -> String {
-        let cell = match self.config.cell {
-            CellKind::Lstm => "LSTM",
-            CellKind::Gru => "GRU",
-        };
-        format!("DRNN-{cell}")
+        "DRNN-LSTM".into()
     }
 }
 

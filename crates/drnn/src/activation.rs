@@ -1,7 +1,6 @@
 //! Activation functions and their derivatives.
 
 use crate::kernel;
-use crate::matrix::Matrix;
 
 /// Logistic sigmoid, numerically stable on both tails.
 #[inline]
@@ -25,22 +24,6 @@ pub fn dsigmoid_from_output(s: f64) -> f64 {
 #[inline]
 pub fn dtanh_from_output(t: f64) -> f64 {
     1.0 - t * t
-}
-
-/// Rectified linear unit.
-#[inline]
-pub fn relu(x: f64) -> f64 {
-    x.max(0.0)
-}
-
-/// Derivative of ReLU (0 at the kink, matching the usual convention).
-#[inline]
-pub fn drelu(x: f64) -> f64 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -112,21 +95,6 @@ pub fn tanh_slice(xs: &mut [f64]) {
     )
 }
 
-/// Element-wise sigmoid of a matrix.
-pub fn sigmoid_m(m: &Matrix) -> Matrix {
-    m.map(sigmoid)
-}
-
-/// Element-wise tanh of a matrix.
-pub fn tanh_m(m: &Matrix) -> Matrix {
-    m.map(f64::tanh)
-}
-
-/// Element-wise ReLU of a matrix.
-pub fn relu_m(m: &Matrix) -> Matrix {
-    m.map(relu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,15 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_derivative() {
-        assert_eq!(relu(-1.0), 0.0);
-        assert_eq!(relu(2.5), 2.5);
-        assert_eq!(drelu(-1.0), 0.0);
-        assert_eq!(drelu(1.0), 1.0);
-        assert_eq!(drelu(0.0), 0.0);
-    }
-
-    #[test]
     fn fast_batch_activations_match_libm() {
         let xs: Vec<f64> = (-4000..4000).map(|i| i as f64 / 100.0).collect();
         let mut sig = xs.clone();
@@ -203,15 +162,5 @@ mod tests {
             tanh_slice(&mut t);
             assert!(t[0].is_finite() && t[0].abs() <= 1.0, "tanh({x})");
         }
-    }
-
-    #[test]
-    fn matrix_variants() {
-        let m = Matrix::from_rows(&[vec![-1.0, 0.0, 1.0]]);
-        assert_eq!(relu_m(&m).as_slice(), &[0.0, 0.0, 1.0]);
-        let s = sigmoid_m(&m);
-        assert!((s.get(0, 1) - 0.5).abs() < 1e-12);
-        let t = tanh_m(&m);
-        assert!((t.get(0, 2) - 1.0f64.tanh()).abs() < 1e-12);
     }
 }

@@ -12,12 +12,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     random_uniform(rows, cols, -a, a, rng)
 }
 
-/// He/Kaiming uniform: `U(-a, a)` with `a = sqrt(6 / fan_in)`, for ReLU.
-pub fn he_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    let a = (6.0 / rows as f64).sqrt();
-    random_uniform(rows, cols, -a, a, rng)
-}
-
 /// Uniform random matrix in `[lo, hi)`.
 pub fn random_uniform(rows: usize, cols: usize, lo: f64, hi: f64, rng: &mut StdRng) -> Matrix {
     let data = (0..rows * cols).map(|_| rng.gen_range(lo..hi)).collect();
@@ -40,16 +34,6 @@ mod tests {
         assert!(mean.abs() < 0.02, "mean {mean}");
         let var = w.as_slice().iter().map(|x| (x - mean).powi(2)).sum::<f64>() / 4096.0;
         assert!((var - a * a / 3.0).abs() < 0.002, "var {var}");
-    }
-
-    #[test]
-    fn he_wider_than_xavier_for_same_shape() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let x = xavier_uniform(32, 96, &mut rng);
-        let h = he_uniform(32, 96, &mut rng);
-        let max_x = x.as_slice().iter().cloned().fold(0.0, f64::max);
-        let max_h = h.as_slice().iter().cloned().fold(0.0, f64::max);
-        assert!(max_h > max_x);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Finite-difference gradient checks for the recurrent layers.
 //!
-//! BPTT through one LSTM layer and one GRU layer is compared against
-//! central-difference numeric gradients on every parameter matrix; the two
-//! must agree to a relative error below 1e-4.  The loss is a fixed linear
-//! functional of the hidden states (a deterministic weighted sum) so every
-//! hidden unit contributes a distinct gradient signal.
+//! BPTT through one LSTM layer is compared against central-difference
+//! numeric gradients on every parameter matrix; the two must agree to a
+//! relative error below 1e-4.  The loss is a fixed linear functional of
+//! the hidden states (a deterministic weighted sum) so every hidden unit
+//! contributes a distinct gradient signal.
 
-use drnn::layer::gru::GruLayer;
 use drnn::layer::lstm::LstmLayer;
 use drnn::matrix::Matrix;
 use rand::rngs::StdRng;
@@ -119,28 +118,5 @@ fn lstm_bptt_matches_finite_differences() {
         &|l, f| l.for_each_param(f),
         &move |l| weighted_loss(&l.forward(&xs2).0),
         "lstm",
-    );
-}
-
-#[test]
-fn gru_bptt_matches_finite_differences() {
-    let mut rng = StdRng::seed_from_u64(43);
-    let mut layer = GruLayer::new(3, 4, &mut rng);
-    let xs = seq(5, 2, 3, 9);
-
-    let (hs, cache) = layer.forward(&xs);
-    let dhs: Vec<Matrix> = hs
-        .iter()
-        .map(|h| loss_weights(h.rows(), h.cols()))
-        .collect();
-    layer.zero_grads();
-    layer.backward(&xs, &hs, &cache, &dhs);
-
-    let xs2 = xs.clone();
-    check_params(
-        &mut layer,
-        &|l, f| l.for_each_param(f),
-        &move |l| weighted_loss(&l.forward(&xs2).0),
-        "gru",
     );
 }
