@@ -33,6 +33,9 @@ pub(super) struct Delivered {
 /// trees only), the batch stamp is always set — one clock read per flush and
 /// one per receive give every batch a queue-wait sample, the always-on
 /// signal behind the report's and the registry's queue-wait figures.
+///
+/// An empty batch is shutdown's end-of-input marker: a flush never sends
+/// one, so it cannot be mistaken for data.
 pub(super) struct Batch {
     pub(super) items: Vec<Delivered>,
     /// Runtime clock (µs) when the producer handed this batch to the channel.

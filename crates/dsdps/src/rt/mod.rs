@@ -49,6 +49,7 @@ mod config;
 pub mod credit;
 mod fault;
 mod router;
+mod stop;
 mod supervisor;
 mod task;
 
@@ -57,12 +58,12 @@ pub use config::RtConfig;
 pub use credit::{CreditLedger, CreditTotals};
 pub use fault::{RtFault, RtFaultPlan};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::acker::{ShardedAcker, TreeOutcome, ACKER_SHARDS, EXPIRE_SWEEP};
@@ -85,6 +86,7 @@ use crate::topology::{TaskId, Topology};
 
 use batch::Batch;
 use fault::FaultInjector;
+use stop::Stop;
 use supervisor::{Slot, Supervision, TaskSpec};
 use task::{deliver_outcomes, TaskAtomics};
 
@@ -125,7 +127,8 @@ pub(crate) struct Shared {
     /// The lock-striped acker ([`ACKER_SHARDS`] stripes, keyed by
     /// `root % N`).
     pub(crate) ackers: ShardedAcker,
-    pub(crate) stop: AtomicBool,
+    /// Set once, by shutdown; every timed wait of the run parks on it.
+    pub(crate) stop: Stop,
     pub(crate) task_stats: Vec<TaskAtomics>,
     /// Batched tuple input of each task; capacity counts batches.
     inputs: Vec<Sender<Batch>>,
@@ -334,10 +337,11 @@ impl RunningTopology {
         }
     }
 
-    /// Signals stop, joins every thread, and collects any panics that
-    /// escaped the per-thread guard.
+    /// Signals stop, joins every thread in drain order (see
+    /// [`shutdown`](Self::shutdown)), and collects any panics that escaped
+    /// the per-thread guard.
     fn join_all(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.set();
         if let Some(server) = self.metrics_server.take() {
             server.shutdown();
         }
@@ -345,7 +349,16 @@ impl RunningTopology {
             let _ = t.join();
         }
         let mut slots = self.supervision.slots.lock();
-        for slot in slots.iter_mut() {
+        let (spouts, bolts): (Vec<_>, Vec<_>) =
+            slots.iter_mut().partition(|slot| slot.spec.input.is_none());
+        for slot in spouts.into_iter().chain(bolts) {
+            if let (Some(h), Some(_)) = (&slot.handle, &slot.spec.input) {
+                let tid = slot.spec.tid;
+                self.shared.task_stats[tid]
+                    .inputs_closed
+                    .store(true, Ordering::SeqCst);
+                send_end_of_input(&self.shared.inputs[tid], h);
+            }
             if let Some(h) = slot.handle.take() {
                 if let Err(payload) = h.join() {
                     // A panic escaped the catch_unwind guard (e.g. in the
@@ -422,6 +435,16 @@ impl RunningTopology {
 
     /// Stops all threads and returns the collected metrics history plus a
     /// final summary.
+    ///
+    /// Setting the run's stop signal wakes every waiting thread at once.
+    /// Spouts are joined first, then bolts in declaration order, which is a
+    /// topological order: a bolt subscribes only to components declared
+    /// before it.  Before its join each bolt task is sent an end-of-input
+    /// marker, queued behind everything its already-exited producers
+    /// flushed, so the task exits as soon as it has consumed their output.
+    /// A bolt never exits while a producer may still send to it; one whose
+    /// marker went astray (a superseded thread took it) exits on its next
+    /// quiet receive timeout.
     pub fn shutdown(mut self) -> (MetricsHistory, Report) {
         self.join_all();
         let history = self
@@ -447,6 +470,25 @@ impl Drop for RunningTopology {
         if let Some(t) = self.metrics_thread.take() {
             let _ = t.join();
         }
+    }
+}
+
+/// Queues the end-of-input marker on a bolt task's input.  A full queue
+/// drains while the task runs; once the task has finished the marker is
+/// given up.
+fn send_end_of_input(input: &Sender<Batch>, task: &JoinHandle<()>) {
+    let mut marker = Batch {
+        items: Vec::new(),
+        sent_at_us: 0,
+        remote: false,
+    };
+    while let Err(SendTimeoutError::Timeout(back)) =
+        input.send_timeout(marker, Duration::from_millis(1))
+    {
+        if task.is_finished() {
+            return;
+        }
+        marker = back;
     }
 }
 
@@ -634,7 +676,7 @@ pub fn submit_faulty(
         .then(|| CheckpointStore::new(n_tasks, Arc::clone(&journal), counters.run.store.clone()));
     let shared = Arc::new(Shared {
         ackers: ShardedAcker::new(ACKER_SHARDS),
-        stop: AtomicBool::new(false),
+        stop: Stop::default(),
         task_stats: (0..n_tasks).map(|_| TaskAtomics::default()).collect(),
         inputs,
         feedback: ack_senders,
@@ -760,8 +802,7 @@ pub fn submit_faulty(
             let mut prev_totals = (0u64, 0u64, 0u64, 0u64);
             let mut interval: u64 = 0;
             let tick = Duration::from_secs_f64(cfg.metrics_interval_s);
-            while !shared.stop.load(Ordering::Relaxed) {
-                std::thread::sleep(tick.min(EXPIRE_SWEEP));
+            while !shared.stop.wait(tick.min(EXPIRE_SWEEP)) {
                 let due = shared.now_s() >= (interval + 1) as f64 * cfg.metrics_interval_s;
                 // Message timeouts, on every wake.  Expiry walks every
                 // shard.  Between intervals the drain skips busy shards (a
@@ -1124,6 +1165,149 @@ mod tests {
             hits[0].load(Ordering::Relaxed) + hits[2].load(Ordering::Relaxed),
             6000
         );
+    }
+
+    /// Forwards every tuple, after a pause.
+    struct Relay(Duration);
+
+    impl Bolt for Relay {
+        fn execute(&mut self, t: &Tuple, out: &mut BoltOutput) {
+            std::thread::sleep(self.0);
+            out.emit(t.clone());
+        }
+    }
+
+    /// `s → relays… → sink`, one task each, so task ids follow declaration
+    /// order; a relay pauses as long as given, the sink sums what it sees.
+    fn chain(n: u64, relays: &[(&'static str, Duration)]) -> (Topology, Arc<StdAtomicU64>) {
+        let sum = Arc::new(StdAtomicU64::new(0));
+        let s2 = sum.clone();
+        let mut b = TopologyBuilder::new("chain");
+        b.set_spout("s", 1, move || FiniteSpout {
+            left: n,
+            next_id: 0,
+        })
+        .unwrap();
+        let mut from = "s";
+        for &(name, pause) in relays {
+            b.set_bolt(name, 1, move || Relay(pause))
+                .unwrap()
+                .shuffle_grouping(from)
+                .unwrap();
+            from = name;
+        }
+        b.set_bolt("sink", 1, move || Accumulator { sum: s2.clone() })
+            .unwrap()
+            .shuffle_grouping(from)
+            .unwrap();
+        (b.build().unwrap(), sum)
+    }
+
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// At stop every tuple still sits in the spout's output buffer (the
+    /// batch never fills and the linger never expires), so it reaches the
+    /// sink only if each stage drains what its producer flushed on exit —
+    /// even when `a` takes 100 ms over it, five of `b`'s receive timeouts.
+    #[test]
+    fn shutdown_drains_buffered_output_through_every_stage() {
+        let n = 100;
+        let pause = Duration::from_millis(1);
+        let (topo, sum) = chain(n, &[("a", pause), ("b", Duration::ZERO)]);
+        let rt_cfg = RtConfig::default()
+            .with_batch_size(4096)
+            .with_linger(Duration::from_secs(10));
+        let cfg = EngineConfig::default().with_cluster(2, 2, 4);
+        let running = submit_with(topo, cfg, rt_cfg).unwrap();
+        wait_until(|| running.shared.counters.run.spout_emitted.get() == n);
+        let (_, report) = running.shutdown();
+        assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2, "sink saw all");
+        assert_eq!(report.spout_emitted, n);
+        assert_eq!(report.acked, report.spout_emitted, "{report:?}");
+        assert_eq!(report.in_flight, 0);
+        assert!(report.conservation_holds() && report.credit_conservation_holds());
+    }
+
+    /// Every thread wakes on stop: no bolt waits out its receive timeout,
+    /// no spout its nap, no supervisor or metrics thread its poll.
+    #[test]
+    fn shutdown_of_an_idle_topology_does_not_wait_out_a_poll() {
+        struct Quiet;
+        impl Spout for Quiet {
+            fn next_tuple(&mut self, _out: &mut SpoutOutput) -> bool {
+                true
+            }
+        }
+        let mut took: Vec<Duration> = (0..5)
+            .map(|_| {
+                let mut b = TopologyBuilder::new("idle");
+                b.set_spout("s", 1, || Quiet).unwrap();
+                b.set_bolt("a", 2, || Relay(Duration::ZERO))
+                    .unwrap()
+                    .shuffle_grouping("s")
+                    .unwrap();
+                b.set_bolt("sink", 1, || Relay(Duration::ZERO))
+                    .unwrap()
+                    .shuffle_grouping("a")
+                    .unwrap();
+                let cfg = EngineConfig::default().with_cluster(2, 2, 4);
+                let running = submit_with(b.build().unwrap(), cfg, RtConfig::default()).unwrap();
+                // Let every thread reach its wait.
+                std::thread::sleep(Duration::from_millis(30));
+                let t0 = Instant::now();
+                running.shutdown();
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(
+            took[2] < Duration::from_millis(5),
+            "shutdowns took {took:?}"
+        );
+    }
+
+    /// The end-of-input marker is not a batch: under credit flow it takes
+    /// no credit and grants none back, and it records no queue-wait sample.
+    #[test]
+    fn end_of_input_marker_takes_no_credit_and_no_queue_wait_sample() {
+        let (n, batch, window) = (203u64, 8u64, 2u64);
+        let (topo, sum) = chain(n, &[("a", Duration::ZERO)]);
+        let rt_cfg = RtConfig::default()
+            .with_batch_size(batch as usize)
+            .with_linger(Duration::from_secs(10))
+            .with_credit_flow(window as usize);
+        let cfg = EngineConfig::default().with_cluster(2, 2, 4);
+        let running = submit_with(topo, cfg, rt_cfg).unwrap();
+        let shared = Arc::clone(&running.shared);
+        // Full batches flow while running; the last `n % batch` tuples wait
+        // in the spout's buffer, with every credit back, for shutdown.
+        wait_until(|| {
+            shared.counters.run.spout_emitted.get() == n && running.acked() == n - n % batch
+        });
+        let (_, report) = running.shutdown();
+        assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2, "sink saw all");
+        assert_eq!(report.acked, n, "{report:?}");
+        assert!(report.credit_conservation_holds(), "{:?}", report.credits);
+        // Task ids: s = 0, a = 1, sink = 2.
+        let flushed = |t: usize| shared.task_stats[t].batches_flushed.load(Ordering::Relaxed);
+        let samples = |t: usize| shared.queue_wait[t].lock().0.count();
+        assert_eq!(flushed(0), n.div_ceil(batch), "the tail left at shutdown");
+        assert_eq!(samples(1), flushed(0), "a: one sample per data batch");
+        assert_eq!(samples(2), flushed(1), "sink: one sample per data batch");
+        let windows = 2 * window;
+        let received = samples(1) + samples(2);
+        assert_eq!(
+            report.credits.granted,
+            windows + received,
+            "one grant a batch"
+        );
+        assert_eq!(report.credits.consumed, received);
+        assert_eq!(report.credits.outstanding, windows as i64);
     }
 
     fn scrape(addr: std::net::SocketAddr) -> String {

@@ -124,11 +124,10 @@ impl Router {
                 // does not supersede a merely-backpressured task.  On stop
                 // the batch is dropped, exactly like the send loop below.
                 loop {
-                    if shared.stop.load(Ordering::Relaxed) {
+                    shared.beat(self.task);
+                    if shared.stop.wait(Duration::from_micros(200)) {
                         return;
                     }
-                    shared.beat(self.task);
-                    std::thread::sleep(Duration::from_micros(200));
                     if credits.try_acquire(dest) {
                         break;
                     }
@@ -151,7 +150,7 @@ impl Router {
             match shared.inputs[dest].send_timeout(msg, Duration::from_millis(50)) {
                 Ok(()) => break,
                 Err(SendTimeoutError::Timeout(back)) => {
-                    if shared.stop.load(Ordering::Relaxed) {
+                    if shared.stop.is_set() {
                         break;
                     }
                     // Blocked on backpressure is not hung: keep heartbeating

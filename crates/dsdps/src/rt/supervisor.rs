@@ -156,12 +156,11 @@ pub(super) fn run_supervisor(shared: Arc<Shared>, sup: Arc<Supervision>) {
     let rt_cfg = &shared.rt;
     let poll = Duration::from_millis(10).min(rt_cfg.hang_timeout / 2);
     let hang_ns = rt_cfg.hang_timeout.as_nanos() as u64;
-    while !shared.stop.load(Ordering::Relaxed) {
-        std::thread::sleep(poll);
+    while !shared.stop.wait(poll) {
         let mut slots = sup.slots.lock();
         let now_ns = shared.start.elapsed().as_nanos() as u64;
         for slot in slots.iter_mut() {
-            if shared.stop.load(Ordering::Relaxed) {
+            if shared.stop.is_set() {
                 break;
             }
             let tid = slot.spec.tid;

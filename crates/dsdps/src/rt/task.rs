@@ -65,6 +65,9 @@ pub(crate) struct TaskAtomics {
     /// Task body returned normally (spout exhausted / shutdown) — not a
     /// crash, so the supervisor must not restart it.
     pub(super) finished: AtomicBool,
+    /// Every producer of this task has exited (set by shutdown's drain):
+    /// what is in the input queue now is all the task will get.
+    pub(super) inputs_closed: AtomicBool,
     /// Message of the most recent caught panic.
     pub(super) last_panic: Mutex<Option<String>>,
     /// Checkpoints deposited by this task slot (any generation).
@@ -120,11 +123,8 @@ fn inject_control_faults(shared: &Shared, tid: usize, my_gen: u64) -> bool {
         });
         // Hang: no heartbeats, no progress — until the window closes, the
         // supervisor supersedes this thread, or shutdown.
-        while !shared.stop.load(Ordering::Relaxed)
-            && !shared.superseded(tid, my_gen)
-            && shared.now_s() < until_s
-        {
-            std::thread::sleep(Duration::from_millis(2));
+        while !shared.stop.is_set() && !shared.superseded(tid, my_gen) && shared.now_s() < until_s {
+            shared.stop.wait(Duration::from_millis(2));
         }
         return !shared.superseded(tid, my_gen);
     }
@@ -143,7 +143,7 @@ fn inject_service_slowdown(shared: &Shared, tid: usize, t0: Instant) {
     }
     let base = t0.elapsed().max(Duration::from_nanos(SLOWDOWN_FLOOR_NANOS));
     let spin_until = Instant::now() + base.mul_f64(factor - 1.0);
-    while Instant::now() < spin_until && !shared.stop.load(Ordering::Relaxed) {
+    while Instant::now() < spin_until && !shared.stop.is_set() {
         std::hint::spin_loop();
     }
 }
@@ -240,7 +240,7 @@ pub(super) fn run_spout(
         // including hang supersession.
         store.restored(tid, my_gen, shared.now_s(), None);
     }
-    while !shared.stop.load(Ordering::Relaxed) {
+    while !shared.stop.is_set() {
         shared.beat(tid);
         if shared.superseded(tid, my_gen) {
             return;
@@ -280,12 +280,12 @@ pub(super) fn run_spout(
             Next::Done => break,
             Next::Gated => Duration::from_micros(200),
             Next::Idle => Duration::from_micros(500),
-            // Bounded so timeouts, cap changes and shutdown are still
-            // noticed promptly.
+            // Bounded so timeouts and cap changes are still noticed
+            // promptly; shutdown ends the nap at once.
             Next::Wait(s) => Duration::from_secs_f64(s.max(0.0))
                 .clamp(Duration::from_micros(50), Duration::from_millis(5)),
         };
-        std::thread::sleep(nap);
+        shared.stop.wait(nap);
     }
     router.flush_all(&shared, &mut ops);
     apply_and_deliver(&shared, &mut ops, tid);
@@ -338,6 +338,10 @@ pub(super) fn run_bolt(
             None => base_timeout,
         };
         match rx.recv_timeout(timeout) {
+            // Shutdown's end-of-input marker, queued behind the last batch
+            // of this task's producers.  Not data: no credit, no queue-wait
+            // sample.
+            Ok(marker) if marker.items.is_empty() => break,
             Ok(Batch {
                 items: batch,
                 sent_at_us: batch_sent_us,
@@ -462,7 +466,9 @@ pub(super) fn run_bolt(
                 apply_and_deliver(&shared, &mut ops, tid);
             }
             Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Relaxed) {
+                // Input closed and drained, yet no marker: a superseded
+                // thread took it.
+                if shared.task_stats[tid].inputs_closed.load(Ordering::Relaxed) {
                     break;
                 }
                 if router.has_pending() || !ops.is_empty() {

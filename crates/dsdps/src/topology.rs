@@ -5,8 +5,10 @@
 //! subscribe bolts to upstream components with a grouping.  An edge is a
 //! `(producer, subscriber)` pair.  [`TopologyBuilder::build`] validates the
 //! graph (components exist, fields-grouping fields are in the producer's
-//! schema, every bolt has an input and subscribes to a producer at most
-//! once, at least one spout) and assigns global task ids.
+//! schema, every bolt has an input, subscribes to a producer at most once
+//! and not to itself, at least one spout) and assigns global task ids.
+//! A bolt can only subscribe to components declared before it, so
+//! declaration order is a topological order of the graph.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -320,6 +322,14 @@ impl TopologyBuilder {
                 )));
             }
             for (i, sub) in c.subscriptions.iter().enumerate() {
+                // The one edge that would break declaration order as a
+                // topological order.
+                if sub.from == c.id {
+                    return Err(Error::InvalidTopology(format!(
+                        "bolt `{}` subscribes to itself",
+                        c.name
+                    )));
+                }
                 let from = &components[sub.from.0];
                 // One grouping per edge: a second one would share the edge's
                 // dynamic handle and be invisible to the controller.
@@ -584,6 +594,18 @@ mod tests {
             .dynamic_grouping("spout")
             .unwrap()
             .dynamic_grouping_with("spout", SplitRatio::new(vec![1.0, 0.0]).unwrap())
+            .unwrap();
+        assert!(matches!(b.build(), Err(Error::InvalidTopology(_))));
+    }
+
+    #[test]
+    fn rejects_self_subscription() {
+        let mut b = two_stage();
+        b.set_bolt("b", 1, || NullBolt)
+            .unwrap()
+            .shuffle_grouping("spout")
+            .unwrap()
+            .shuffle_grouping("b")
             .unwrap();
         assert!(matches!(b.build(), Err(Error::InvalidTopology(_))));
     }
