@@ -6,15 +6,14 @@
 //!
 //! * [`build_flash_crowd`] — a one-shot arrival spike
 //!   ([`RatePattern::FlashCrowd`]) several times the work stage's capacity:
-//!   the queue-wait transient a credit window (or a controller's spout rate
-//!   cap) must bound;
+//!   the queue-wait transient a small queue capacity (or a controller's
+//!   spout rate cap) must bound;
 //! * [`build_key_skew_storm`] — Zipf-skewed keys under fields grouping, so
 //!   one task absorbs a large share of the stream while its siblings idle:
-//!   per-edge credits must hold the hot task's queue without stalling the
-//!   cold ones;
+//!   the hot task's full queue must hold without stalling the cold ones;
 //! * [`build_slow_sink_cascade`] — spout → relay → slow sink, where only
 //!   the *last* stage is under-provisioned: backpressure must propagate
-//!   hop by hop (sink credits exhaust first, then the relay's) instead of
+//!   hop by hop (the sink's queue fills first, then the relay's) instead of
 //!   letting the relay's output queue grow without bound.
 //!
 //! The same topologies run on both runtimes.  The simulator charges service
@@ -248,7 +247,8 @@ fn spout_stage(
 
 /// **Flash crowd**: spout → shuffle → work sink.  The spike rate exceeds
 /// `workers / work_us` capacity; queues (and queue-wait) grow until the
-/// spike ends — or until credits or a spout rate cap hold the spout back.
+/// spike ends — or until full queues or a spout rate cap hold the spout
+/// back.
 pub fn build_flash_crowd(cfg: &OverloadConfig) -> Result<(Topology, Arc<OverloadStats>)> {
     let stats = Arc::new(OverloadStats::default());
     let mut b = TopologyBuilder::new("flash-crowd");
@@ -269,7 +269,7 @@ pub fn build_flash_crowd(cfg: &OverloadConfig) -> Result<(Topology, Arc<Overload
 
 /// **Key-skew storm**: spout → fields(key) → count sink.  With Zipf skew
 /// the hottest key's task saturates while its siblings stay idle; only the
-/// hot edge's credits should exhaust.
+/// hot edge's queue should fill.
 pub fn build_key_skew_storm(cfg: &OverloadConfig) -> Result<(Topology, Arc<OverloadStats>)> {
     let stats = Arc::new(OverloadStats::default());
     let mut b = TopologyBuilder::new("key-skew-storm");
@@ -290,8 +290,8 @@ pub fn build_key_skew_storm(cfg: &OverloadConfig) -> Result<(Topology, Arc<Overl
 
 /// **Slow-sink cascade**: spout → shuffle → relay → global → slow sink.
 /// The relay keeps up; the single sink does not.  Backpressure must travel
-/// two hops: sink credits exhaust first, the relay blocks on them, the
-/// relay's own credits exhaust, and finally the spout throttles.
+/// two hops: the sink's queue fills first, the relay blocks on it, the
+/// relay's own queue fills, and finally the spout throttles.
 pub fn build_slow_sink_cascade(cfg: &OverloadConfig) -> Result<(Topology, Arc<OverloadStats>)> {
     let stats = Arc::new(OverloadStats::default());
     let mut b = TopologyBuilder::new("slow-sink-cascade");

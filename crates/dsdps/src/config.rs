@@ -28,10 +28,8 @@ pub struct EngineConfig {
     /// queued at a single task: the two compose.  A spout can never have
     /// more than `max_spout_pending` trees unacked in total, while no
     /// single task's input queue can hold more than `queue_capacity`
-    /// batches (further reduced by the credit window when
-    /// `RtConfig::credit_flow` is on — see
-    /// `RtConfig::effective_queue_bound` for the combined per-task figure
-    /// in tuples).  Overload experiments that want the *queue-level*
+    /// batches (`RtConfig::effective_queue_bound` gives the per-task
+    /// figure in tuples).  Overload experiments that want the *queue-level*
     /// backpressure machinery to engage must raise this gate, or the
     /// in-flight cap throttles the spout first.
     pub max_spout_pending: usize,

@@ -54,15 +54,6 @@ use crate::telemetry::{
 };
 use crate::topology::{ComponentId, ComponentKind, Topology};
 
-/// Credit window (tuples per destination task, per sender) used when
-/// `RtConfig::credit_flow` is off.  Every data link needs *some* bound: a
-/// write into a finite socket buffer is sure to complete only because the
-/// receiver's reader thread never blocks, which holds only while the queue
-/// it fills is bounded — by the windows (DESIGN.md §9).  Topologies that
-/// want a wider window enable `credit_flow`, which sizes windows as
-/// `credit_window × batch_size` and re-grants per processed batch.
-const DEFAULT_WINDOW_TUPLES: u64 = 1_024;
-
 /// How often the supervisor refreshes the cluster-view gauges (outstanding
 /// windows, overflow depth, connection counters).  Off the tuple path.
 const GAUGE_SYNC_INTERVAL: Duration = Duration::from_millis(250);
@@ -927,11 +918,11 @@ pub fn submit(
     }
 
     let ledger = CreditLedger::new(n_tasks);
-    let window = if rt.credit_flow {
-        (rt.credit_window * rt.batch_size) as u64
-    } else {
-        DEFAULT_WINDOW_TUPLES
-    };
+    // Every data link needs a bound: a write into a finite socket buffer is
+    // sure to complete only because the receiver's reader thread never
+    // blocks, which holds only while the queue it fills is bounded — by
+    // these windows (DESIGN.md §9).
+    let window = (rt.credit_window * rt.batch_size) as u64;
     for (task, owner) in task_owner.iter().enumerate() {
         if owner.is_some() {
             ledger.set_window(task, window);
@@ -1315,12 +1306,12 @@ impl RunningDist {
             frames_received: c.frames_in.get(),
             coordinator_pid: shared.coord_pid,
             drained_clean,
+            credits,
             ..report::shared_fields(
                 &c.run,
                 &shared.spouts,
                 &shared.journal,
                 (spans, spans_dropped),
-                credits,
                 Some(&shared.store),
                 shared.topology.task_count(),
                 shared.now_s(),

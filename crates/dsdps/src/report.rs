@@ -48,10 +48,6 @@ pub struct Report {
     pub avg_complete_latency_ms: f64,
     /// p99 complete latency of acked trees, ms (histogram estimate).
     pub p99_complete_latency_ms: f64,
-    /// Credit-ledger totals: on `rt` every task's pool (all zero without
-    /// [`RtConfig::credit_flow`](crate::rt::RtConfig::credit_flow)), on
-    /// `dist` the coordinator's ledger plus each worker's last drain report.
-    pub credits: CreditTotals,
     /// Checkpoints deposited in the store, over all stateful tasks.
     pub checkpoints_taken: u64,
     /// State restores of restarted stateful tasks.
@@ -98,6 +94,9 @@ pub struct Report {
     /// `rt` only: spout rate cap at shutdown, tuples/s (`None` = uncapped).
     pub rate_cap: Option<f64>,
 
+    /// `dist` only: credit-ledger totals, the coordinator's ledger plus each
+    /// worker's last drain report.
+    pub credits: CreditTotals,
     /// `dist` only: last known OS pid per worker slot.
     pub worker_pids: Vec<u32>,
     /// `dist` only: worker processes respawned by the supervisor.
@@ -128,7 +127,7 @@ impl Report {
     }
 
     /// The credit-conservation identity, exact at shutdown: `granted ==
-    /// consumed + revoked + outstanding`.
+    /// consumed + revoked + outstanding` (trivially true on `rt`).
     pub fn credit_conservation_holds(&self) -> bool {
         self.credits.conservation_holds()
     }
@@ -208,13 +207,11 @@ impl RunCounters {
 /// its own with `..shared_fields(…)`.  `spans` is the merged span log (sorted
 /// here, once) and the count its buffers rejected; `store` is `None` on an
 /// `rt` run without checkpoints.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn shared_fields(
     counters: &RunCounters,
     spouts: &[Mutex<TreeLifecycle>],
     journal: &Journal,
     (mut spans, spans_dropped): (Vec<Span>, u64),
-    credits: CreditTotals,
     store: Option<&CheckpointStore>,
     n_tasks: usize,
     uptime_s: f64,
@@ -237,7 +234,6 @@ pub(crate) fn shared_fields(
         in_flight: lifecycle::unresolved(spouts) as u64,
         avg_complete_latency_ms: latency.mean() / 1e3,
         p99_complete_latency_ms: latency_hist.quantile(0.99).unwrap_or(0.0) / 1e3,
-        credits,
         checkpoints_taken: stored.checkpoints_taken.get(),
         restores: stored.restores.get(),
         snapshot_bytes: stored.snapshot_bytes.get(),

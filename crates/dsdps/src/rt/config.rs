@@ -32,14 +32,13 @@ use crate::error::{Error, Result};
 /// preserves the classic fire-and-forget semantics where user code sees
 /// every failure.
 ///
-/// **Backpressure.** With [`credit_flow`](Self::credit_flow) enabled, every
-/// bolt task grants a window of [`credit_window`](Self::credit_window) batch
-/// credits; a producer acquires one credit per batch before sending and the
-/// consumer re-grants after processing, so queued-plus-in-flight batches per
-/// task are bounded by the window.  An exhausted pool makes the sender
-/// block.  Credit flow defaults **off**: the stock behavior is the
-/// bounded-channel blocking send plus the `EngineConfig::max_spout_pending`
-/// in-flight gate.
+/// **Backpressure.** On `rt` a task's bounded input channel
+/// (`EngineConfig::queue_capacity` batches) is the one per-edge bound: a
+/// producer facing a full queue blocks, heartbeating, next to the
+/// `EngineConfig::max_spout_pending` in-flight gate.  `dist` bounds each
+/// data link with a credit window of
+/// [`credit_window`](Self::credit_window) `×`
+/// [`batch_size`](Self::batch_size) tuples per destination task and sender.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtConfig {
     /// Maximum tuples per output batch (per destination task).  Must be at
@@ -71,12 +70,9 @@ pub struct RtConfig {
     /// nothing).  Port 0 picks a free port; the bound address is available
     /// from `RunningTopology::metrics_addr()`.
     pub metrics_addr: Option<SocketAddr>,
-    /// Enable credit-based per-edge flow control (see the struct docs).
-    /// Off by default — channel capacity alone provides backpressure.
-    pub credit_flow: bool,
-    /// Initial credit window per consumer task, in batches.  Clamped at
-    /// submit to `EngineConfig::queue_capacity` so a credited send can
-    /// never block on the channel itself.
+    /// `dist` only: credit window per destination task and sender, in
+    /// batches; a link may have `credit_window × batch_size` tuples sent
+    /// but not yet executed.  `rt` ignores it.
     pub credit_window: usize,
     /// Enable periodic checkpoints of stateful tasks (bolts whose
     /// [`Bolt::stateful`](crate::component::Bolt::stateful) returns a
@@ -105,8 +101,7 @@ impl Default for RtConfig {
             replay_backoff: Duration::from_millis(100),
             trace_sample_rate: 0.0,
             metrics_addr: None,
-            credit_flow: false,
-            credit_window: 128,
+            credit_window: 1024,
             checkpoints: false,
             checkpoint_interval: Duration::from_millis(500),
             recovery_mode: RecoveryMode::AtLeastOnce,
@@ -163,10 +158,9 @@ impl RtConfig {
         self
     }
 
-    /// Returns the config with credit-based flow control on and the given
-    /// per-task window (in batches).
+    /// Returns the config with the given `dist` credit window (in
+    /// batches; see [`credit_window`](Self::credit_window)).
     pub fn with_credit_flow(mut self, credit_window: usize) -> Self {
-        self.credit_flow = true;
         self.credit_window = credit_window;
         self
     }
@@ -187,25 +181,13 @@ impl RtConfig {
     }
 
     /// The effective per-task input-queue bound, in **tuples**, once this
-    /// config composes with an [`EngineConfig`](crate::config::EngineConfig).
-    ///
-    /// Two independent knobs bound a task's queue in *batches*:
-    /// `EngineConfig::queue_capacity` (the channel's depth) and — when
-    /// [`credit_flow`](Self::credit_flow) is on —
-    /// [`credit_window`](Self::credit_window), clamped at submit to the
-    /// channel capacity (and to at least 1) so a credited send never blocks
-    /// on the channel itself.  The tighter of the two times
-    /// [`batch_size`](Self::batch_size) is the worst-case tuple backlog a
-    /// task can hold.  Note this composes with, and is independent of,
+    /// config composes with an [`EngineConfig`](crate::config::EngineConfig):
+    /// `EngineConfig::queue_capacity` (the channel's depth, in batches)
+    /// times [`batch_size`](Self::batch_size).  It is independent of
     /// `EngineConfig::max_spout_pending`, which caps in-flight tuple
     /// *trees* per spout across the whole topology.
     pub fn effective_queue_bound(&self, engine: &crate::config::EngineConfig) -> usize {
-        let window_batches = if self.credit_flow {
-            self.credit_window.min(engine.queue_capacity).max(1)
-        } else {
-            engine.queue_capacity
-        };
-        window_batches * self.batch_size
+        engine.queue_capacity * self.batch_size
     }
 
     /// Validates the config.
@@ -221,10 +203,8 @@ impl RtConfig {
                 "rt trace_sample_rate must be within [0, 1]".into(),
             ));
         }
-        if self.credit_flow && self.credit_window == 0 {
-            return Err(Error::Config(
-                "rt credit_window must be at least 1 when credit_flow is on".into(),
-            ));
+        if self.credit_window == 0 {
+            return Err(Error::Config("rt credit_window must be at least 1".into()));
         }
         if self.checkpoints {
             if self.checkpoint_interval.is_zero() {
@@ -294,65 +274,47 @@ mod tests {
         );
     }
 
-    /// Pins how `max_spout_pending`, `queue_capacity`, `credit_window` and
-    /// `batch_size` compose into the per-task queue bound (satellite of the
-    /// backpressure work: the two config layers were previously easy to
-    /// conflate — one counts trees, the other batches).
+    /// Pins how `max_spout_pending`, `queue_capacity` and `batch_size`
+    /// compose into the per-task queue bound: one counts trees, the other
+    /// two batches and tuples per batch.  `dist`'s credit window is no part
+    /// of `rt`'s bound.
     #[test]
     fn effective_queue_bound_composes_engine_and_rt_knobs() {
         let engine = crate::config::EngineConfig::default();
         assert_eq!(engine.queue_capacity, 2048, "default channel depth");
         assert_eq!(engine.max_spout_pending, 512, "default in-flight gate");
 
-        // No credit flow: the channel alone bounds the queue.
+        // The channel alone bounds the queue.
         assert_eq!(RtConfig::default().effective_queue_bound(&engine), 2048);
-
-        // Credit flow with a window under the channel depth: the window wins.
-        assert_eq!(
-            RtConfig::default()
-                .with_credit_flow(128)
-                .effective_queue_bound(&engine),
-            128
-        );
-
-        // A window larger than the channel is clamped to it.
-        assert_eq!(
-            RtConfig::default()
-                .with_credit_flow(5000)
-                .effective_queue_bound(&engine),
-            2048
-        );
-
-        // A zero-ish window is floored at one batch (validate() rejects 0,
-        // but the clamp is defensive either way).
         assert_eq!(
             RtConfig::default()
                 .with_credit_flow(1)
                 .effective_queue_bound(&engine),
-            1
+            2048,
+            "the dist window does not bound an rt queue"
         );
 
-        // Batching multiplies the bound: both knobs count batches, the
+        // Batching multiplies the bound: the channel counts batches, the
         // bound is in tuples.
         assert_eq!(
             RtConfig::default()
                 .with_batch_size(8)
-                .with_credit_flow(128)
                 .effective_queue_bound(&engine),
-            1024
+            16_384
         );
 
         // The spout-pending gate is independent: a small queue bound does
         // not move it, and vice versa.
         let mut tight = engine.clone();
         tight.queue_capacity = 64;
-        assert_eq!(
-            RtConfig::default()
-                .with_credit_flow(128)
-                .effective_queue_bound(&tight),
-            64
-        );
+        assert_eq!(RtConfig::default().effective_queue_bound(&tight), 64);
         assert_eq!(tight.max_spout_pending, 512);
+    }
+
+    #[test]
+    fn zero_credit_window_rejected() {
+        assert!(RtConfig::default().with_credit_flow(0).validate().is_err());
+        assert_eq!(RtConfig::default().credit_window, 1024);
     }
 
     #[test]

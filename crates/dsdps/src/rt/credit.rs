@@ -1,17 +1,15 @@
-//! Credit-based per-edge flow control.
+//! Credit-based per-edge flow control of `dist`'s data links.
 //!
-//! Every bolt task owns a **credit pool**.  At submit time the runtime
-//! grants each pool an initial window of batch credits (one credit = the
-//! right to put one batch on that task's input queue).  A producer must
-//! acquire a credit *before* it sends a batch downstream; the consumer
-//! grants one credit back after it has processed a batch.  The number of
-//! batches queued or in flight toward a task is therefore bounded by the
-//! window — independent of the channel capacity — and a sender that finds
-//! the pool empty **blocks** (polling with heartbeats).
+//! Each sender process (the coordinator, every worker) keeps one ledger
+//! with a **credit pool** per remote bolt task.  At submit every pool gets
+//! its window, `RtConfig::credit_window × batch_size` credits (one credit
+//! = the right to put one tuple on the link toward that task).  A sender
+//! acquires a credit per tuple before it writes the tuple and parks the
+//! tuple while the pool is empty; the receiver grants the credits of a
+//! batch back once it has executed the batch.  Tuples sent but not yet
+//! executed per task and sender are therefore bounded by the window.
 //!
-//! The ledger lives in the runtime's shared state, not in any task thread,
-//! so credit state survives supervisor restarts exactly like the spouts'
-//! tree lifecycles.  Four monotone counters per pool make the accounting auditable:
+//! Four monotone counters per pool make the accounting auditable:
 //!
 //! ```text
 //! granted == consumed + revoked + outstanding
@@ -35,7 +33,7 @@ pub struct CreditTotals {
     /// Credits ever granted (initial windows, per-batch re-grants, window
     /// grows).
     pub granted: u64,
-    /// Credits consumed by successful batch sends.
+    /// Credits consumed by tuple sends.
     pub consumed: u64,
     /// Credits taken back by window shrinks.
     pub revoked: u64,
@@ -79,7 +77,7 @@ pub struct CreditLedger {
 
 impl CreditLedger {
     /// A ledger with one (empty) pool per task.  Pools start with zero
-    /// credits; the runtime grants each consumer task its initial window.
+    /// credits; the sender sets each remote task's window.
     pub fn new(n_tasks: usize) -> Self {
         CreditLedger {
             pools: (0..n_tasks).map(|_| CreditPool::default()).collect(),
@@ -96,7 +94,7 @@ impl CreditLedger {
         self.pools.is_empty()
     }
 
-    /// Grants `n` credits to `task`'s pool (initial window, per-batch
+    /// Grants `n` credits to `task`'s pool (initial window, a receiver's
     /// re-grant, or window grow).
     pub fn grant(&self, task: usize, n: u64) {
         if n == 0 {
@@ -108,7 +106,7 @@ impl CreditLedger {
     }
 
     /// Tries to consume one credit from `task`'s pool.  Returns `false`
-    /// when the pool is empty (the caller blocks).
+    /// when the pool is empty (the caller parks the tuple).
     pub fn try_acquire(&self, task: usize) -> bool {
         let pool = &self.pools[task];
         let mut avail = pool.available.load(Ordering::Acquire);
@@ -124,37 +122,6 @@ impl CreditLedger {
             ) {
                 Ok(_) => {
                     pool.consumed.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                Err(cur) => avail = cur,
-            }
-        }
-    }
-
-    /// Atomically consumes `n` credits from `task`'s pool — all or
-    /// nothing.  `try_acquire_n(task, 1)` is [`try_acquire`](Self::try_acquire);
-    /// batched senders (the distributed transport reserving a whole frame
-    /// of tuples at once) use larger `n` so a frame is never half-credited.
-    /// `n == 0` trivially succeeds.
-    pub fn try_acquire_n(&self, task: usize, n: u64) -> bool {
-        if n == 0 {
-            return true;
-        }
-        let n = n as i64;
-        let pool = &self.pools[task];
-        let mut avail = pool.available.load(Ordering::Acquire);
-        loop {
-            if avail < n {
-                return false;
-            }
-            match pool.available.compare_exchange_weak(
-                avail,
-                avail - n,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    pool.consumed.fetch_add(n as u64, Ordering::Relaxed);
                     return true;
                 }
                 Err(cur) => avail = cur,
@@ -194,7 +161,7 @@ impl CreditLedger {
     /// Establishes `task`'s window, granting or revoking the difference
     /// from the previous target.  Returns `(granted, revoked)` deltas.  A
     /// shrink revokes at most the currently available balance: credits out
-    /// with in-flight batches are returned by the consumer's re-grants and
+    /// with in-flight tuples are returned by the receiver's re-grants and
     /// simply re-fill a smaller pool.
     pub fn set_window(&self, task: usize, window: u64) -> (u64, u64) {
         let pool = &self.pools[task];
@@ -277,22 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn acquire_n_is_all_or_nothing() {
-        let ledger = CreditLedger::new(1);
-        ledger.grant(0, 10);
-        assert!(ledger.try_acquire_n(0, 0), "zero is free");
-        assert!(ledger.try_acquire_n(0, 7));
-        assert_eq!(ledger.outstanding(0), 3);
-        assert!(!ledger.try_acquire_n(0, 4), "4 > 3 refuses whole batch");
-        assert_eq!(ledger.outstanding(0), 3, "failed acquire takes nothing");
-        assert!(ledger.try_acquire_n(0, 3));
-        assert_eq!(ledger.outstanding(0), 0);
-        let t = ledger.totals();
-        assert_eq!(t.consumed, 10);
-        assert!(t.conservation_holds());
-    }
-
-    #[test]
     fn acquire_fails_on_empty_pool_and_never_goes_negative() {
         let ledger = CreditLedger::new(1);
         assert!(!ledger.try_acquire(0), "empty pool must refuse");
@@ -331,7 +282,9 @@ mod tests {
     fn refill_restores_the_window_and_conserves() {
         let ledger = CreditLedger::new(1);
         ledger.set_window(0, 4);
-        assert!(ledger.try_acquire_n(0, 3));
+        for _ in 0..3 {
+            assert!(ledger.try_acquire(0));
+        }
         assert_eq!(ledger.in_use(0), 3);
         ledger.refill(0);
         assert_eq!((ledger.in_use(0), ledger.outstanding(0)), (0, 4));

@@ -23,12 +23,12 @@
 //! leaves it, so a spout's `Track` always precedes its deliveries — the one
 //! order the XOR acker needs (a tree's records commute; DESIGN.md §5).
 //!
-//! Overload has an explicit admission story on top of the bounded channels:
-//! per-task **credit pools** ([`RtConfig::credit_flow`], see [`credit`])
-//! bound queued-plus-in-flight batches per edge, and a sender facing an
-//! exhausted pool blocks.  The [`BackpressureHandle`] exposes a spout rate
-//! cap to the controller so the planner can trade throughput against tail
-//! latency; every cap change is journaled.
+//! Overload meets the bounded channels: a task's queue holds at most
+//! `EngineConfig::queue_capacity` batches, and a producer facing a full
+//! queue blocks, heartbeating.  The [`BackpressureHandle`] exposes a spout
+//! rate cap to the controller so the planner can trade throughput against
+//! tail latency; every cap change is journaled.  The [`credit`] ledger
+//! lives here but is `dist`'s: it bounds the data links between processes.
 //!
 //! The runtime is also a first-class **fault target**.  Task threads run
 //! under panic isolation and supervision — a dead or hung task
@@ -157,9 +157,6 @@ pub(crate) struct Shared {
     /// the controller appends routing decisions through
     /// [`RunningTopology::journal`]).
     pub(crate) journal: Arc<Journal>,
-    /// Per-task credit pools ([`RtConfig::credit_flow`]); `None` when credit
-    /// flow is off and channel capacity alone provides backpressure.
-    pub(crate) credits: Option<CreditLedger>,
     /// Global spout rate cap in tuples/s, stored as `f64` bits
     /// (`INFINITY` = uncapped).  Written by a [`BackpressureHandle`] (the
     /// controller's rate actuator); read by every spout's token bucket.
@@ -206,14 +203,6 @@ impl Shared {
     /// True when the thread of `generation` no longer owns the task slot.
     pub(crate) fn superseded(&self, task: usize, generation: u64) -> bool {
         self.task_stats[task].generation.load(Ordering::SeqCst) != generation
-    }
-
-    /// Aggregate credit-ledger counters (all zero when credit flow is off).
-    pub(crate) fn credit_totals(&self) -> CreditTotals {
-        self.credits
-            .as_ref()
-            .map(|c| c.totals())
-            .unwrap_or_default()
     }
 
     /// Current spout rate cap, tuples/s (`INFINITY` = uncapped).
@@ -275,12 +264,6 @@ impl BackpressureHandle {
         });
     }
 
-    /// Flow-control credits currently available across every pool (0 when
-    /// credit flow is off).
-    pub fn credits_outstanding(&self) -> i64 {
-        self.shared.credit_totals().outstanding
-    }
-
     /// Batch queue-wait p99 over the last completed metrics interval, µs.
     pub fn queue_wait_last_p99_us(&self) -> f64 {
         self.shared.queue_wait_last_p99_us()
@@ -329,8 +312,8 @@ impl RunningTopology {
         self.metrics_server.as_ref().map(|s| s.local_addr())
     }
 
-    /// The run's backpressure/throttle actuation handle (rate caps, credit
-    /// balances, steady-state queue wait).
+    /// The run's backpressure/throttle actuation handle (rate caps,
+    /// steady-state queue wait).
     pub fn backpressure(&self) -> BackpressureHandle {
         BackpressureHandle {
             shared: Arc::clone(&self.shared),
@@ -425,7 +408,6 @@ impl RunningTopology {
                 &shared.spouts,
                 &shared.journal,
                 shared.tracer.drain(),
-                shared.credit_totals(),
                 shared.checkpoints.as_ref(),
                 shared.task_stats.len(),
                 shared.now_s(),
@@ -518,7 +500,6 @@ struct RegistryMirror {
     in_flight: Gauge,
     uptime: Gauge,
     throughput: Gauge,
-    credits_outstanding: Gauge,
     throttle_rate_cap: Gauge,
     queue_wait_p99: Gauge,
     complete_latency: Summary,
@@ -558,7 +539,6 @@ impl RegistryMirror {
             in_flight: registry.gauge("dsdps_in_flight", &[]),
             uptime: registry.gauge("dsdps_uptime_seconds", &[]),
             throughput: registry.gauge("dsdps_throughput_tuples_per_s", &[]),
-            credits_outstanding: registry.gauge("dsdps_credits_outstanding", &[]),
             // 0 = uncapped (Prometheus text can't carry +Inf cleanly).
             throttle_rate_cap: registry.gauge("dsdps_throttle_rate_cap_tuples_per_s", &[]),
             queue_wait_p99: registry.gauge("dsdps_queue_wait_p99_us", &[]),
@@ -578,8 +558,6 @@ impl RegistryMirror {
             .set(trees.tracked.get().saturating_sub(resolved) as f64);
         self.uptime.set(snap.time_s);
         self.throughput.set(snap.topology.throughput);
-        self.credits_outstanding
-            .set(shared.credit_totals().outstanding as f64);
         let cap = shared.rate_cap();
         self.throttle_rate_cap
             .set(if cap.is_finite() { cap } else { 0.0 });
@@ -695,7 +673,6 @@ pub fn submit_faulty(
         rt: rt_config.clone(),
         tracer,
         journal: Arc::clone(&journal),
-        credits: rt_config.credit_flow.then(|| CreditLedger::new(n_tasks)),
         // Uncapped until a caller sets one, so stock runs never see the
         // token bucket.
         rate_cap_bits: AtomicU64::new(f64::INFINITY.to_bits()),
@@ -705,27 +682,6 @@ pub fn submit_faulty(
         queue_wait_last_p99_bits: AtomicU64::new(0f64.to_bits()),
         checkpoints,
     });
-
-    // Initial credit windows: every bolt task grants its producers a window
-    // of batch credits, clamped to the channel capacity so a credited send
-    // never blocks on the channel itself.  Window-level grants are control
-    // plane and journaled; per-batch re-grants are not.
-    if let Some(credits) = shared.credits.as_ref() {
-        let window = rt_config.credit_window.min(config.queue_capacity).max(1) as u64;
-        for component in topology.components() {
-            if component.is_spout() {
-                continue;
-            }
-            for task in component.tasks() {
-                credits.set_window(task.0, window);
-                journal.append(JournalEvent::CreditGranted {
-                    time_s: 0.0,
-                    task: task.0,
-                    amount: window,
-                });
-            }
-        }
-    }
 
     // Optional Prometheus endpoint.  Bound before any task thread spawns so
     // a bind failure aborts the submit cleanly.
@@ -1230,7 +1186,28 @@ mod tests {
         assert_eq!(report.spout_emitted, n);
         assert_eq!(report.acked, report.spout_emitted, "{report:?}");
         assert_eq!(report.in_flight, 0);
-        assert!(report.conservation_holds() && report.credit_conservation_holds());
+        assert!(report.conservation_holds());
+    }
+
+    /// A producer blocked on a full queue at stop keeps sending while its
+    /// consumer runs: shutdown joins the consumer only after the producer,
+    /// so giving the batch up would lose it without a trace.
+    #[test]
+    fn a_full_queue_at_stop_loses_no_batch() {
+        let (topo, sum) = chain(20, &[("a", Duration::from_millis(80))]);
+        let mut cfg = EngineConfig::default().with_cluster(2, 2, 4);
+        cfg.queue_capacity = 1;
+        let running = submit_with(topo, cfg, RtConfig::default()).unwrap();
+        // `a` holds tuple 1, its queue tuple 2 or 3: the spout is blocked
+        // sending the next one for the better part of 80 ms.
+        wait_until(|| running.shared.counters.run.spout_emitted.get() >= 3);
+        std::thread::sleep(Duration::from_millis(10));
+        let (_, report) = running.shutdown();
+        let emitted = report.spout_emitted;
+        assert!(emitted >= 4, "the spout was blocked at stop: {report:?}");
+        assert_eq!(report.acked, emitted, "{report:?}");
+        assert_eq!((report.in_flight, report.dropped), (0, 0));
+        assert_eq!(sum.load(Ordering::Relaxed), emitted * (emitted + 1) / 2);
     }
 
     /// Every thread wakes on stop: no bolt waits out its receive timeout,
@@ -1271,43 +1248,32 @@ mod tests {
         );
     }
 
-    /// The end-of-input marker is not a batch: under credit flow it takes
-    /// no credit and grants none back, and it records no queue-wait sample.
+    /// The end-of-input marker is not a batch: it records no queue-wait
+    /// sample.
     #[test]
-    fn end_of_input_marker_takes_no_credit_and_no_queue_wait_sample() {
-        let (n, batch, window) = (203u64, 8u64, 2u64);
+    fn end_of_input_marker_records_no_queue_wait_sample() {
+        let (n, batch) = (203u64, 8u64);
         let (topo, sum) = chain(n, &[("a", Duration::ZERO)]);
         let rt_cfg = RtConfig::default()
             .with_batch_size(batch as usize)
-            .with_linger(Duration::from_secs(10))
-            .with_credit_flow(window as usize);
+            .with_linger(Duration::from_secs(10));
         let cfg = EngineConfig::default().with_cluster(2, 2, 4);
         let running = submit_with(topo, cfg, rt_cfg).unwrap();
         let shared = Arc::clone(&running.shared);
         // Full batches flow while running; the last `n % batch` tuples wait
-        // in the spout's buffer, with every credit back, for shutdown.
+        // in the spout's buffer for shutdown.
         wait_until(|| {
             shared.counters.run.spout_emitted.get() == n && running.acked() == n - n % batch
         });
         let (_, report) = running.shutdown();
         assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2, "sink saw all");
         assert_eq!(report.acked, n, "{report:?}");
-        assert!(report.credit_conservation_holds(), "{:?}", report.credits);
         // Task ids: s = 0, a = 1, sink = 2.
         let flushed = |t: usize| shared.task_stats[t].batches_flushed.load(Ordering::Relaxed);
         let samples = |t: usize| shared.queue_wait[t].lock().0.count();
         assert_eq!(flushed(0), n.div_ceil(batch), "the tail left at shutdown");
         assert_eq!(samples(1), flushed(0), "a: one sample per data batch");
         assert_eq!(samples(2), flushed(1), "sink: one sample per data batch");
-        let windows = 2 * window;
-        let received = samples(1) + samples(2);
-        assert_eq!(
-            report.credits.granted,
-            windows + received,
-            "one grant a batch"
-        );
-        assert_eq!(report.credits.consumed, received);
-        assert_eq!(report.credits.outstanding, windows as i64);
     }
 
     fn scrape(addr: std::net::SocketAddr) -> String {

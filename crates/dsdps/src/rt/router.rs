@@ -95,11 +95,11 @@ impl Router {
         }
     }
 
-    /// Sends `dest`'s buffered batch downstream.  With credit flow on, one
-    /// credit must be acquired from `dest`'s pool first — an empty pool
-    /// blocks (heartbeating).  The channel send itself still uses the
-    /// blocking-with-shutdown-check loop; bounded channel capacity counts
-    /// batches.
+    /// Sends `dest`'s buffered batch downstream, blocking (heartbeating)
+    /// while `dest`'s bounded queue is full; its capacity counts batches.
+    /// The batch is given up only once `dest`'s thread has exited: after
+    /// stop, a live consumer still drains its queue, since shutdown joins
+    /// it only after this producer.
     fn flush_dest(&mut self, dest: usize, shared: &Shared, ops: &mut AckOps, reason: FlushReason) {
         let buf = &mut self.bufs[dest];
         if buf.items.is_empty() {
@@ -115,24 +115,6 @@ impl Router {
         stats.batches_flushed.fetch_add(1, Ordering::Relaxed);
         if reason == FlushReason::Linger {
             stats.linger_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        // Credit gate: one credit per batch toward `dest`.  `dest` is the
-        // consumer's global task id, which indexes both inputs and pools.
-        if let Some(credits) = shared.credits.as_ref() {
-            if !credits.try_acquire(dest) {
-                // Block: poll for a credit with heartbeats so the supervisor
-                // does not supersede a merely-backpressured task.  On stop
-                // the batch is dropped, exactly like the send loop below.
-                loop {
-                    shared.beat(self.task);
-                    if shared.stop.wait(Duration::from_micros(200)) {
-                        return;
-                    }
-                    if credits.try_acquire(dest) {
-                        break;
-                    }
-                }
-            }
         }
         let worker_of = |task| shared.placement.worker_of(TaskId(task));
         let remote = worker_of(dest) != worker_of(self.task);
@@ -150,7 +132,8 @@ impl Router {
             match shared.inputs[dest].send_timeout(msg, Duration::from_millis(50)) {
                 Ok(()) => break,
                 Err(SendTimeoutError::Timeout(back)) => {
-                    if shared.stop.is_set() {
+                    if shared.stop.is_set() && !shared.task_stats[dest].alive.load(Ordering::SeqCst)
+                    {
                         break;
                     }
                     // Blocked on backpressure is not hung: keep heartbeating

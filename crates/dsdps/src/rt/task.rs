@@ -339,8 +339,7 @@ pub(super) fn run_bolt(
         };
         match rx.recv_timeout(timeout) {
             // Shutdown's end-of-input marker, queued behind the last batch
-            // of this task's producers.  Not data: no credit, no queue-wait
-            // sample.
+            // of this task's producers.  Not data: no queue-wait sample.
             Ok(marker) if marker.items.is_empty() => break,
             Ok(Batch {
                 items: batch,
@@ -446,11 +445,6 @@ pub(super) fn run_bolt(
                     if let Some(record) = step.record {
                         ops.record(record, now_s);
                     }
-                }
-                // Batch processed: hand its credit back so the producer-side
-                // window keeps sliding.
-                if let Some(credits) = shared.credits.as_ref() {
-                    credits.grant(tid, 1);
                 }
                 let busy = if faults_on {
                     slow_busy

@@ -264,7 +264,7 @@ impl SimRuntime {
 
     /// Builds a runtime with the even scheduler, driving the simulator from
     /// the same [`RtConfig`] knobs the threaded runtime uses (batch size,
-    /// credit window).
+    /// which with the engine's queue capacity bounds a task's queue).
     pub fn with_rt_config(
         topology: Topology,
         config: EngineConfig,
@@ -416,7 +416,7 @@ impl SimRuntime {
         &self.config
     }
 
-    /// The runtime knobs the simulator mirrors (batch size, credit window).
+    /// The runtime knobs the simulator mirrors (batch size).
     pub fn rt_config(&self) -> &RtConfig {
         &self.rt_config
     }

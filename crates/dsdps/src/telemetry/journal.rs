@@ -108,27 +108,6 @@ pub enum JournalEvent {
         /// Fault kind, `"panic"` or `"hang"`.
         kind: String,
     },
-    /// Flow-control credits were granted to a task's pool (initial window
-    /// at submit, or a window grow).  Per-batch re-grants are data plane
-    /// and are *not* journaled — only window-level decisions are.
-    CreditGranted {
-        /// Runtime clock, seconds.
-        time_s: f64,
-        /// Consumer task whose pool was credited.
-        task: usize,
-        /// Credits granted.
-        amount: u64,
-    },
-    /// Flow-control credits were revoked from a task's pool (window
-    /// shrink).
-    CreditRevoked {
-        /// Runtime clock, seconds.
-        time_s: f64,
-        /// Consumer task whose pool was debited.
-        task: usize,
-        /// Credits actually taken (never more than were available).
-        amount: u64,
-    },
     /// The spout rate cap changed (controller actuation or a manual handle
     /// call).
     ThrottleChanged {
@@ -303,8 +282,6 @@ impl JournalEvent {
             | JournalEvent::ReplayExhausted { time_s, .. }
             | JournalEvent::FaultPlanned { time_s, .. }
             | JournalEvent::FaultInjected { time_s, .. }
-            | JournalEvent::CreditGranted { time_s, .. }
-            | JournalEvent::CreditRevoked { time_s, .. }
             | JournalEvent::ThrottleChanged { time_s, .. }
             | JournalEvent::RecoveryMode { time_s, .. }
             | JournalEvent::CheckpointTaken { time_s, .. }
@@ -332,8 +309,6 @@ impl JournalEvent {
             JournalEvent::ReplayExhausted { .. } => "replay_exhausted",
             JournalEvent::FaultPlanned { .. } => "fault_planned",
             JournalEvent::FaultInjected { .. } => "fault_injected",
-            JournalEvent::CreditGranted { .. } => "credit_granted",
-            JournalEvent::CreditRevoked { .. } => "credit_revoked",
             JournalEvent::ThrottleChanged { .. } => "throttle_changed",
             JournalEvent::RecoveryMode { .. } => "recovery_mode",
             JournalEvent::CheckpointTaken { .. } => "checkpoint_taken",
@@ -458,16 +433,6 @@ mod tests {
                 root: 99,
                 trace_id: crate::acker::splitmix64(99),
             },
-            JournalEvent::CreditGranted {
-                time_s: 2.5,
-                task: 3,
-                amount: 64,
-            },
-            JournalEvent::CreditRevoked {
-                time_s: 2.6,
-                task: 3,
-                amount: 16,
-            },
             JournalEvent::ThrottleChanged {
                 time_s: 2.75,
                 rate_cap: Some(1500.0),
@@ -539,7 +504,7 @@ mod tests {
         for e in sample_events() {
             journal.append(e);
         }
-        assert_eq!(journal.len(), 18);
+        assert_eq!(journal.len(), 16);
         let back = parse_jsonl(&journal.to_jsonl()).unwrap();
         assert_eq!(back, journal.events());
     }

@@ -505,6 +505,42 @@ fn dist_conservation_credit_and_journal_invariants() {
     assert!(report.bytes_sent > 0 && report.bytes_received > 0);
 }
 
+/// Every window of a run is `credit_window × batch_size` tuples.  After a
+/// drained shutdown every credit is back, so the fleet's balance is one
+/// window per pool: on two workers, `calib`'s four bolt tasks each have a
+/// pool at the coordinator and at the worker that does not host them.
+#[test]
+fn dist_windows_are_credit_window_times_batch_size() {
+    let n = 1_000u64;
+    for (rt_config, window) in [
+        (RtConfig::default().with_batch_size(16), 16_384),
+        (
+            RtConfig::default().with_batch_size(32).with_credit_flow(8),
+            256,
+        ),
+    ] {
+        let running = dist::submit(
+            &registry(),
+            "calib",
+            &n.to_string(),
+            EngineConfig::default(),
+            rt_config,
+            DistConfig::new(2, self_worker_cmd()),
+        )
+        .unwrap();
+        assert!(
+            wait_until(Duration::from_secs(30), || running.acked() == n),
+            "acked {}/{n}",
+            running.acked()
+        );
+        let report = running.shutdown();
+        assert!(report.drained_clean, "{report:?}");
+        let c = report.credits;
+        assert_eq!((c.outstanding, c.revoked), (8 * window, 0), "{c:?}");
+        assert!(report.credit_conservation_holds(), "{c:?}");
+    }
+}
+
 /// The recovery acceptance test: a worker process is SIGKILLed mid-run
 /// under exactly-once-effect. The supervisor respawns it, the replacement
 /// restores from its latest checkpoint (`state_restored`), lost trees
