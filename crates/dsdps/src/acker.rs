@@ -136,7 +136,6 @@ impl EdgeIds {
 #[derive(Debug, Default)]
 pub struct Acker {
     pending: FxHashMap<RootId, Pending>,
-    edges: EdgeIds,
     /// Completed-tree outcomes not yet drained by the runtime.
     outcomes: Vec<TreeOutcome>,
 }
@@ -145,11 +144,6 @@ impl Acker {
     /// Creates an empty acker.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Allocates a fresh edge id (scrambled counter).
-    pub fn new_edge_id(&mut self) -> u64 {
-        self.edges.next()
     }
 
     /// Registers a new tree rooted at a spout emission whose root tuple got
@@ -293,7 +287,7 @@ pub(crate) const EXPIRE_SWEEP: Duration = Duration::from_millis(50);
 /// because a root always maps to the same shard; operations on *different*
 /// roots commute.
 ///
-/// The runtimes draw edge ids from per-thread `EdgeIds`;
+/// The backends draw edge ids from each producer's own `EdgeIds`;
 /// [`new_edge_id`](Self::new_edge_id) serves callers that drive the acker
 /// directly, from one shared lock-free counter.
 #[derive(Debug)]
@@ -591,12 +585,13 @@ mod tests {
     fn linear_chain_completes_when_all_acked() {
         // spout -> b1 -> b2 (b2 emits nothing)
         let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let root = 1;
-        let e_root = a.new_edge_id();
+        let e_root = ids.next();
         a.track(root, e_root, TaskId(0), 7, 0.0);
 
         // b1 receives root tuple, emits one child, acks input.
-        let e_child = a.new_edge_id();
+        let e_child = ids.next();
         a.on_emit(root, e_child);
         a.on_ack(root, e_root, 1.0);
         assert_eq!(a.pending_count(), 1, "child still outstanding");
@@ -613,12 +608,13 @@ mod tests {
     #[test]
     fn fan_out_tree_completes_only_after_every_branch() {
         let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let root = 9;
-        let e_root = a.new_edge_id();
+        let e_root = ids.next();
         a.track(root, e_root, TaskId(2), 1, 0.0);
 
         // One bolt emits 3 children then acks its input.
-        let children: Vec<u64> = (0..3).map(|_| a.new_edge_id()).collect();
+        let children: Vec<u64> = (0..3).map(|_| ids.next()).collect();
         for &c in &children {
             a.on_emit(root, c);
         }
@@ -635,7 +631,8 @@ mod tests {
     #[test]
     fn explicit_fail_completes_tree_as_failed() {
         let mut a = Acker::new();
-        let e = a.new_edge_id();
+        let mut ids = EdgeIds::default();
+        let e = ids.next();
         a.track(5, e, TaskId(0), 42, 0.0);
         a.on_fail(5, 3.0);
         let o = outcome_of(&mut a);
@@ -649,8 +646,9 @@ mod tests {
     #[test]
     fn timeout_expires_only_old_trees() {
         let mut a = Acker::new();
-        let e1 = a.new_edge_id();
-        let e2 = a.new_edge_id();
+        let mut ids = EdgeIds::default();
+        let e1 = ids.next();
+        let e2 = ids.next();
         a.track(1, e1, TaskId(0), 1, 0.0);
         a.track(2, e2, TaskId(0), 2, 8.0);
         a.expire(10.0, 5.0);
@@ -665,20 +663,20 @@ mod tests {
     fn edge_ids_do_not_xor_to_zero_spuriously() {
         // The failure mode of naive counter ids: 1 ^ 2 ^ 3 == 0.  Verify the
         // scrambled sequence has no small-prefix zero XOR.
-        let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let mut acc = 0u64;
         for _ in 0..10_000 {
-            acc ^= a.new_edge_id();
+            acc ^= ids.next();
             assert_ne!(acc, 0);
         }
     }
 
     #[test]
     fn edge_ids_unique_over_long_runs() {
-        let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100_000 {
-            assert!(seen.insert(a.new_edge_id()));
+            assert!(seen.insert(ids.next()));
         }
     }
 
@@ -697,9 +695,10 @@ mod tests {
         // spout tuple goes to two bolts (all-grouping style): the runtime
         // assigns each delivered instance its own edge id by re-emitting.
         let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let root = 3;
-        let e_a = a.new_edge_id();
-        let e_b = a.new_edge_id();
+        let e_a = ids.next();
+        let e_b = ids.next();
         a.track(root, e_a, TaskId(0), 0, 0.0);
         a.on_emit(root, e_b); // second delivery instance
         a.on_ack(root, e_a, 1.0);
@@ -724,10 +723,11 @@ mod tests {
     fn full_tree_ack_spout_sees_exactly_one_ack() {
         // Three-level tree: root -> 2 children -> 2 grandchildren each.
         let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let root = 11;
-        let e_root = a.new_edge_id();
+        let e_root = ids.next();
         a.track(root, e_root, TaskId(0), 77, 0.0);
-        let children: Vec<u64> = (0..2).map(|_| a.new_edge_id()).collect();
+        let children: Vec<u64> = (0..2).map(|_| ids.next()).collect();
         for &c in &children {
             a.on_emit(root, c);
         }
@@ -735,7 +735,7 @@ mod tests {
         let mut grandchildren = Vec::new();
         for &c in &children {
             for _ in 0..2 {
-                let g = a.new_edge_id();
+                let g = ids.next();
                 a.on_emit(root, g);
                 grandchildren.push(g);
             }
@@ -755,10 +755,11 @@ mod tests {
     #[test]
     fn explicit_fail_spout_sees_exactly_one_fail() {
         let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let root = 21;
-        let e_root = a.new_edge_id();
+        let e_root = ids.next();
         a.track(root, e_root, TaskId(1), 5, 0.0);
-        let child = a.new_edge_id();
+        let child = ids.next();
         a.on_emit(root, child);
         a.on_fail(root, 0.5);
         // Everything after the fail is noise: acks of in-flight tuples of
@@ -774,14 +775,15 @@ mod tests {
     #[test]
     fn timeout_then_replay_one_outcome_per_root() {
         let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         // Root 1 times out; the spout replays the message under a fresh
         // root id (root 2), which then completes.
-        let e1 = a.new_edge_id();
+        let e1 = ids.next();
         a.track(1, e1, TaskId(0), 99, 0.0);
         a.expire(10.0, 5.0);
         // Straggler ack for the expired tree arrives after the timeout.
         a.on_ack(1, e1, 10.5);
-        let e2 = a.new_edge_id();
+        let e2 = ids.next();
         a.track(2, e2, TaskId(0), 99, 11.0);
         a.on_ack(2, e2, 11.5);
         let per_root = outcomes_per_root(&mut a);
@@ -799,13 +801,14 @@ mod tests {
         // (e.g. all-grouping), interleaved acks.  Each root completes
         // exactly once, independently.
         let mut a = Acker::new();
+        let mut ids = EdgeIds::default();
         let mut edges: Vec<Vec<u64>> = Vec::new();
         for root in [31u64, 32] {
-            let e_root = a.new_edge_id();
+            let e_root = ids.next();
             a.track(root, e_root, TaskId(0), root, 0.0);
             let mut es = vec![e_root];
             for _ in 0..3 {
-                let e = a.new_edge_id();
+                let e = ids.next();
                 a.on_emit(root, e);
                 es.push(e);
             }

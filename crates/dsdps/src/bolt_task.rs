@@ -6,9 +6,10 @@
 //! that task: whether a replayed input is applied again, when the ack record
 //! of an applied input may leave, when a snapshot is due and of which kind,
 //! what a restore rebuilds.  It holds no clock, thread, socket or store:
-//! `rt`'s task thread and `dist`'s worker executor step it from their own
-//! loops, take each delivery it produces into their sink, and ship what it
-//! hands back — the input's [`AckRecord`], snapshots, logged inputs.  What a
+//! `sim`'s event handlers, `rt`'s task thread and `dist`'s worker executor
+//! step it from their own loops, take each delivery it produces into their
+//! sink, and ship what it hands back — the input's [`AckRecord`], snapshots,
+//! logged inputs.  What a
 //! [`RecoveryMode`] makes a task do is the one table in [`Policy::of`]
 //! (`DESIGN.md` §6.2).
 

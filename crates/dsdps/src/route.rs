@@ -1,13 +1,13 @@
 //! Destination selection and fan-out, shared by every backend.
 //!
-//! A [`RouteTable`] answers "which tasks get this emission" for one
-//! producer: built once from the [`Topology`], it holds the producer's
-//! output schema and one [`Grouping`] per subscriber.  It is a plain
-//! value — no thread, socket or clock inside — stepped with `&mut` by the
-//! routing thread of whichever backend owns it, so groupings need no lock.  A
-//! [`FanOut`] turns the selected tasks into one [`Delivery`] each — copy,
-//! rekey, fresh edge id — for `rt` and `dist`; where a delivery goes
-//! (channel batch, local queue, wire frame) stays with the backend's sink.
+//! A [`FanOut`] answers "which tasks get this emission" for one producer
+//! and turns the answer into one [`Delivery`] each — copy, rekey, fresh
+//! edge id.  Built once from the [`Topology`], it holds the producer's
+//! output schema and one [`Grouping`] per subscriber.  It is a plain value —
+//! no thread, socket or clock inside — stepped with `&mut` by the routing
+//! thread of whichever backend owns it, so groupings need no lock; where a
+//! delivery goes (slab instance, channel batch, local queue, wire frame)
+//! stays with the backend's sink.
 
 use std::borrow::Borrow;
 
@@ -22,53 +22,6 @@ use crate::tuple::{Fields, Tuple};
 struct Route {
     base_task: usize,
     grouping: Box<dyn Grouping>,
-}
-
-/// Destination selection for the emissions of one producer (the default
-/// one has no subscriber).
-#[derive(Default)]
-pub(crate) struct RouteTable {
-    /// Schema of the producer's output; deliveries are rekeyed to it.
-    fields: Fields,
-    /// In subscription order.
-    routes: Vec<Route>,
-}
-
-impl RouteTable {
-    /// Builds the table for `component`.  `producer_offset` de-phases
-    /// round-robin shuffles: backends with one table per task pass the
-    /// task's index within the component.
-    pub(crate) fn new(topology: &Topology, component: &Component, producer_offset: usize) -> Self {
-        let fields = component.fields.clone();
-        let mut routes = Vec::new();
-        for (sub, spec) in topology.subscribers_of(component.id) {
-            let handle = match spec {
-                GroupingSpec::Dynamic(_) => topology.dynamic_handle(&component.name, &sub.name),
-                _ => None,
-            };
-            routes.push(Route {
-                base_task: sub.base_task.0,
-                grouping: make_grouping(spec, sub.parallelism, &fields, producer_offset, handle),
-            });
-        }
-        RouteTable { fields, routes }
-    }
-
-    /// Replaces the contents of `dests` with the global ids of the tasks
-    /// `tuple` reaches, in route order: each subscriber adds what its
-    /// grouping selects.  Returns the schema to rekey deliveries to, or
-    /// `None` when nothing is reached.
-    pub(crate) fn select(&mut self, tuple: &Tuple, dests: &mut Vec<usize>) -> Option<&Fields> {
-        dests.clear();
-        for route in &mut self.routes {
-            let first = dests.len();
-            route.grouping.select(tuple, dests);
-            for dest in &mut dests[first..] {
-                *dest += route.base_task;
-            }
-        }
-        (!dests.is_empty()).then_some(&self.fields)
-    }
 }
 
 /// One tuple instance bound for one task.
@@ -102,30 +55,61 @@ impl Routed for &Emission {
     }
 }
 
-/// One producer's route table plus what fanning an emission out needs
-/// besides: fresh edge ids and the destinations of the emission in hand.
-/// The default one has no subscriber.
+/// Destination selection and fan-out for the emissions of one producer:
+/// its schema, its subscribers, its own edge ids and the destinations of
+/// the emission in hand.  The default one has no subscriber.
 #[derive(Default)]
 pub(crate) struct FanOut {
-    table: RouteTable,
+    /// Schema of the producer's output; deliveries are rekeyed to it.
+    fields: Fields,
+    /// In subscription order.
+    routes: Vec<Route>,
     edge_ids: EdgeIds,
     dests: Vec<usize>,
 }
 
 impl FanOut {
-    /// The fan-out of one producer of `component` (`producer_offset` as in
-    /// [`RouteTable::new`]).  `edge_seed` must differ between any two
-    /// producers of one run.
+    /// The fan-out of one producer of `component`.  `producer_offset`
+    /// de-phases round-robin shuffles: backends with one fan-out per task
+    /// pass the task's index within the component.  `edge_seed` must
+    /// differ between any two producers of one run.
     pub(crate) fn new(
         topology: &Topology,
         component: &Component,
         producer_offset: usize,
         edge_seed: u64,
     ) -> Self {
+        let fields = component.fields.clone();
+        let mut routes = Vec::new();
+        for (sub, spec) in topology.subscribers_of(component.id) {
+            let handle = match spec {
+                GroupingSpec::Dynamic(_) => topology.dynamic_handle(&component.name, &sub.name),
+                _ => None,
+            };
+            routes.push(Route {
+                base_task: sub.base_task.0,
+                grouping: make_grouping(spec, sub.parallelism, &fields, producer_offset, handle),
+            });
+        }
         FanOut {
-            table: RouteTable::new(topology, component, producer_offset),
+            fields,
+            routes,
             edge_ids: EdgeIds::new(edge_seed),
             dests: Vec::new(),
+        }
+    }
+
+    /// Replaces the contents of `dests` with the global ids of the tasks
+    /// `tuple` reaches, in route order: each subscriber adds what its
+    /// grouping selects.
+    fn select(&mut self, tuple: &Tuple) {
+        self.dests.clear();
+        for route in &mut self.routes {
+            let first = self.dests.len();
+            route.grouping.select(tuple, &mut self.dests);
+            for dest in &mut self.dests[first..] {
+                *dest += route.base_task;
+            }
         }
     }
 
@@ -140,18 +124,19 @@ impl FanOut {
         dedup: Option<MessageId>,
         mut sink: impl FnMut(usize, Delivery),
     ) -> u64 {
-        let Some(fields) = self.table.select(&emission.borrow().tuple, &mut self.dests) else {
+        self.select(&emission.borrow().tuple);
+        if self.dests.is_empty() {
             return 0;
-        };
+        }
         // Rekey once per emission, not once per destination; a tuple that
         // already carries the producer's schema — the common case, since
         // schemas come from the same declaration `Arc` or are both the
         // empty schema — is left alone.
         let tuple = emission.into_tuple();
-        let mut tuple = Some(if tuple.fields().ptr_eq(fields) {
+        let mut tuple = Some(if tuple.fields().ptr_eq(&self.fields) {
             tuple
         } else {
-            tuple.into_rekeyed(fields.clone())
+            tuple.into_rekeyed(self.fields.clone())
         });
         let mut xor = 0;
         for (i, &dest) in self.dests.iter().enumerate() {
@@ -274,8 +259,8 @@ mod tests {
     }
 
     proptest! {
-        /// `select` reaches exactly the tasks the per-subscription model
-        /// reaches, in the same order, and names the producer's schema.
+        /// `route` reaches exactly the tasks the per-subscription model
+        /// reaches, in the same order, with the producer's schema.
         #[test]
         fn select_equals_per_subscription_model(
             subscribers in prop::collection::vec((0usize..4, 1usize..5), 1..7),
@@ -284,9 +269,8 @@ mod tests {
         ) {
             let topology = topology(&subscribers);
             let src = topology.component_by_name("src").unwrap();
-            let mut table = RouteTable::new(&topology, src, offset);
+            let mut fan_out = FanOut::new(&topology, src, offset, 1);
             let mut model = naive(&topology, offset);
-            let mut dests = vec![usize::MAX];
             for key in keys {
                 let tuple = Tuple::of([Value::from(key), Value::from(1i64)]);
                 let mut expected = Vec::new();
@@ -295,11 +279,18 @@ mod tests {
                     route.grouping.select(&tuple, &mut locals);
                     expected.extend(locals.iter().map(|l| route.base_task + l));
                 }
-                let selected = table.select(&tuple, &mut dests);
-                prop_assert_eq!(selected.is_some(), !expected.is_empty());
-                if let Some(fields) = selected {
-                    prop_assert!(fields.ptr_eq(&src.fields));
-                }
+                let emission = Emission {
+                    tuple,
+                    message_id: None,
+                    anchored: false,
+                };
+                let mut dests = Vec::new();
+                let mut rekeyed = true;
+                fan_out.route(emission, None, None, |dest, delivery| {
+                    rekeyed &= delivery.tuple.fields().ptr_eq(&src.fields);
+                    dests.push(dest);
+                });
+                prop_assert!(rekeyed);
                 prop_assert_eq!(&dests, &expected);
                 prop_assert!(dests.iter().all(|&d| d >= 3 && d < topology.task_count()));
             }

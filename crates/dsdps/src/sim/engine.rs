@@ -31,13 +31,15 @@
 //!   (Only a *voluntarily idle* spout — one that returned no tuple while
 //!   alive, e.g. a rate-paced source — is re-polled after a short delay,
 //!   because the [`Spout`] trait has no next-emission-time hint.)
-//! * **Shared data plane.**  Destination selection (the crate's one
-//!   `RouteTable`), acking ([`Acker`], single-shard), the task→worker
-//!   roll-up and latency statistics
-//!   ([`OnlineStats`]/[`LatencyHistogram`]) are the same values the
-//!   threaded runtime steps, driven from the same [`EngineConfig`] and
-//!   [`RtConfig`] knobs, so sim and rt stay behaviorally comparable by
-//!   construction.
+//! * **Shared data plane.**  Bolt execution (the crate's one `BoltTask`
+//!   step), destination selection and fan-out (one `FanOut` per task), the
+//!   ack record each executed tuple hands the acker ([`Acker`],
+//!   single-shard), the task→worker roll-up and latency statistics
+//!   ([`OnlineStats`]/[`LatencyHistogram`]) are the same values `rt` and
+//!   `dist` step, driven from the same [`EngineConfig`] and [`RtConfig`]
+//!   knobs, so the backends stay behaviorally comparable by construction.
+//!   The spout's wake machine and its `next_tuple` loop are the simulator's
+//!   own.
 //!
 //! The engine exposes the two surfaces the paper's control framework needs:
 //! a [`crate::metrics::MetricsSnapshot`] stream via the
@@ -48,7 +50,8 @@
 use std::collections::VecDeque;
 
 use crate::acker::{splitmix64, Acker, Completion, RootId, TreeOutcome};
-use crate::component::{Bolt, BoltOutput, Emission, Spout, SpoutOutput, TopologyContext};
+use crate::bolt_task::BoltTask;
+use crate::component::{Emission, Spout, SpoutOutput, TopologyContext};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
 use crate::lifecycle::TreeLifecycle;
@@ -56,7 +59,7 @@ use crate::metrics::{
     fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats,
     SnapshotHook, TaskFlow, TaskStats, TopologyStats,
 };
-use crate::route::RouteTable;
+use crate::route::{Delivery, FanOut};
 use crate::rt::RtConfig;
 use crate::scheduler::{even_placement, MachineId, Placement, WorkerId};
 use crate::telemetry::journal::Journal;
@@ -73,9 +76,13 @@ use super::machine::{Fault, InterferenceModel, MachineState};
 /// they park and are woken by tree completions or backpressure clears.
 const IDLE_REPOLL_S: f64 = 0.001;
 
+// Bolts outnumber spouts: boxing the bolt task would add a pointer chase to
+// every step to save a few hundred bytes per spout.
+#[allow(clippy::large_enum_variant)]
 enum TaskKind {
-    Spout(Box<dyn Spout>),
-    Bolt(Box<dyn Bolt>),
+    /// The spout and the fan-out its emissions leave through.
+    Spout(Box<dyn Spout>, FanOut),
+    Bolt(BoltTask),
 }
 
 #[derive(Debug, Default, Clone)]
@@ -101,12 +108,11 @@ struct TopoCounters {
     complete_hist_us: LatencyHistogram,
 }
 
-/// One in-flight tuple instance.  `root == 0` marks an untracked instance;
-/// real roots start at 1 (see `next_root`).
+/// One in-flight tuple instance.
 struct Instance {
     tuple: Tuple,
-    root: RootId,
-    edge: u64,
+    /// The tree it extends and its edge id in it (`None`: untracked).
+    anchor: Option<(RootId, u64)>,
 }
 
 /// Indexed storage for in-flight tuple instances.  Freed slots keep their
@@ -119,15 +125,16 @@ struct Slab {
 }
 
 impl Slab {
-    fn alloc(&mut self, tuple: Tuple, root: RootId, edge: u64) -> u32 {
+    fn alloc(&mut self, delivery: Delivery) -> u32 {
+        let instance = Instance {
+            tuple: delivery.tuple,
+            anchor: delivery.anchor,
+        };
         if let Some(i) = self.free.pop() {
-            let slot = &mut self.slots[i as usize];
-            slot.tuple = tuple;
-            slot.root = root;
-            slot.edge = edge;
+            self.slots[i as usize] = instance;
             i
         } else {
-            self.slots.push(Instance { tuple, root, edge });
+            self.slots.push(instance);
             (self.slots.len() - 1) as u32
         }
     }
@@ -164,7 +171,6 @@ struct TaskRuntime {
     in_service_s: f64,
     /// Tuples the scheduled `Finish` will advance.
     in_service_k: u32,
-    routes: RouteTable,
     base_cost_us: f64,
     jitter: f64,
     ctr: TaskCounters,
@@ -222,12 +228,6 @@ pub struct SimRuntime {
     now: f64,
     acker: Acker,
     next_root: RootId,
-    /// Highest root id already registered with the acker.  A root above this
-    /// is a tree whose spout fan-out is still routing; its child edges XOR
-    /// into [`tree_xor`](Self::tree_xor) and the tree is tracked once.
-    tracked_below: RootId,
-    /// XOR accumulator of child edges for the tree currently being routed.
-    tree_xor: u64,
     /// Counter state for the splitmix64 jitter stream.
     rng_state: u64,
     slab: Slab,
@@ -249,10 +249,9 @@ pub struct SimRuntime {
     events_processed: u64,
     interval_index: u64,
     spout_out: SpoutOutput,
-    bolt_out: BoltOutput,
-    /// Scratch destination tasks of the emission being routed.
-    deliver_buf: Vec<usize>,
-    emit_buf: Vec<Emission>,
+    /// What the step in hand fanned out to, `(dest, delivery)`, staged
+    /// once the step's borrow of its task ends.
+    delivered: Vec<(usize, Delivery)>,
     outcome_buf: Vec<TreeOutcome>,
 }
 
@@ -311,17 +310,17 @@ impl SimRuntime {
                     task_index,
                     parallelism: component.parallelism,
                 };
+                // The global task id seeds the task's edge ids.
+                let fan = FanOut::new(&topology, component, task_index, task.0 as u64);
                 let kind = match &component.kind {
                     ComponentKind::Spout(f) => {
                         let mut s = f();
                         s.open(&ctx);
                         spout_tasks.push(tasks.len() as u32);
-                        TaskKind::Spout(s)
+                        TaskKind::Spout(s, fan)
                     }
                     ComponentKind::Bolt(f) => {
-                        let mut b = f();
-                        b.prepare(&ctx);
-                        TaskKind::Bolt(b)
+                        TaskKind::Bolt(BoltTask::new(f(), &ctx, fan, None, 0.0))
                     }
                 };
 
@@ -343,7 +342,6 @@ impl SimRuntime {
                     pending_roots: 0,
                     in_service_s: 0.0,
                     in_service_k: 0,
-                    routes: RouteTable::new(&topology, component, task_index),
                     base_cost_us: component.cost.base_service_time_us,
                     jitter: component.cost.jitter,
                     ctr: TaskCounters::default(),
@@ -365,8 +363,6 @@ impl SimRuntime {
             now: 0.0,
             acker: Acker::new(),
             next_root: 0,
-            tracked_below: 0,
-            tree_xor: 0,
             slab: Slab::default(),
             batch,
             bound,
@@ -382,9 +378,7 @@ impl SimRuntime {
             events_processed: 0,
             interval_index: 0,
             spout_out: SpoutOutput::new(),
-            bolt_out: BoltOutput::new(),
-            deliver_buf: Vec::new(),
-            emit_buf: Vec::new(),
+            delivered: Vec::new(),
             outcome_buf: Vec::new(),
             config,
             rt_config,
@@ -592,7 +586,7 @@ impl SimRuntime {
         staged.clear();
         loop {
             let keep_going = match &mut self.tasks[task].kind {
-                TaskKind::Spout(s) => s.next_tuple(&mut self.spout_out),
+                TaskKind::Spout(s, _) => s.next_tuple(&mut self.spout_out),
                 TaskKind::Bolt(_) => unreachable!("wake on bolt task"),
             };
             let before = staged.len();
@@ -646,22 +640,24 @@ impl SimRuntime {
                 self.next_root += 1;
                 (self.next_root, message_id)
             });
-            // Child edges XOR into `tree_xor` during routing and the tree is
-            // registered once with the settled accumulator, instead of one
-            // acker update per child edge (Storm's batched ack-init).
-            self.tree_xor = 0;
-            let delivered = self.route_one(task, emission, tracked.map(|(root, _)| root));
+            let TaskKind::Spout(_, fan) = &mut self.tasks[task].kind else {
+                unreachable!("spout finish on a bolt task");
+            };
+            let out = &mut self.delivered;
+            let root = tracked.map(|(root, _)| root);
+            let xor = fan.route(emission, root, None, |dest, d| out.push((dest, d)));
             if let Some((root, message_id)) = tracked {
+                // Registered once with the XOR of its first-hop edges; one
+                // that reached nothing completes at once.
                 self.acker
-                    .track(root, self.tree_xor, TaskId(task), message_id, self.now);
-                self.tracked_below = root;
+                    .track(root, xor, TaskId(task), message_id, self.now);
                 self.tasks[task].pending_roots += 1;
-                if delivered == 0 {
-                    // Tree with no subscribers completes immediately.
+                if xor == 0 {
                     self.acker.on_ack(root, 0, self.now);
                 }
             }
         }
+        self.stage_delivered(task);
         self.tasks[task].staged = staged;
         self.drain_outcomes();
         self.tasks[task].busy = false;
@@ -793,45 +789,30 @@ impl SimRuntime {
         self.machine_busy_end(task, service);
         let per_tuple = service / k as f64;
 
-        self.bolt_out.set_now(self.now);
         for j in 0..k {
             let idx = self.tasks[task].in_flight[j];
-            let (root, edge) = {
-                let inst = &self.slab.slots[idx as usize];
-                match &mut self.tasks[task].kind {
-                    TaskKind::Bolt(b) => b.execute(&inst.tuple, &mut self.bolt_out),
-                    TaskKind::Spout(_) => unreachable!("finish on spout task"),
-                }
-                (inst.root, inst.edge)
+            let TaskKind::Bolt(bolt) = &mut self.tasks[task].kind else {
+                unreachable!("finish on spout task");
             };
-            let failed = self.bolt_out.drain_into(&mut self.emit_buf);
+            let inst = &self.slab.slots[idx as usize];
+            let out = &mut self.delivered;
+            let step = bolt.step(&inst.tuple, inst.anchor, None, self.now, |dest, d| {
+                out.push((dest, d))
+            });
 
-            {
-                let c = &mut self.tasks[task].ctr;
-                c.executed += 1;
-                c.busy_s += per_tuple;
-                c.latency_sum_us += per_tuple * 1e6;
-                if failed {
-                    c.failed += 1;
-                } else {
-                    c.acked += 1;
-                }
+            let c = &mut self.tasks[task].ctr;
+            c.executed += 1;
+            c.busy_s += per_tuple;
+            c.latency_sum_us += per_tuple * 1e6;
+            if step.failed {
+                c.failed += 1;
+            } else {
+                c.acked += 1;
             }
 
-            let anchor_root = if root != 0 { Some(root) } else { None };
-            let mut emits = std::mem::take(&mut self.emit_buf);
-            for emission in emits.drain(..) {
-                let anchor = if emission.anchored { anchor_root } else { None };
-                self.route_one(task, emission, anchor);
-            }
-            self.emit_buf = emits;
-
-            if root != 0 {
-                if failed {
-                    self.acker.on_fail(root, self.now);
-                } else {
-                    self.acker.on_ack(root, edge, self.now);
-                }
+            self.stage_delivered(task);
+            if let Some(record) = step.record {
+                self.acker.on_record(record, self.now);
             }
             self.slab.free.push(idx);
         }
@@ -844,50 +825,13 @@ impl SimRuntime {
         }
     }
 
-    /// Routes one emission from `src` to all matching subscriber tasks.
-    /// Returns the number of delivered instances.
-    ///
-    /// Consumes the emission: the last delivery moves the tuple's shared
-    /// values into the slab instead of bumping their refcount.
-    fn route_one(&mut self, src: usize, emission: Emission, root: Option<RootId>) -> usize {
+    /// Turns what `src`'s step fanned out to into slab instances and stages
+    /// each into its destination's transit buffer.
+    fn stage_delivered(&mut self, src: usize) {
         let src_worker = self.task_worker[src];
-        // Pass 1: resolve every task this emission reaches.  Split borrows:
-        // the route table belongs to the source task; deliveries go through
-        // per-destination transit buffers, touched only in pass 2 after the
-        // table's borrow ends.
-        let selected = self.tasks[src]
-            .routes
-            .select(&emission.tuple, &mut self.deliver_buf);
-        let Some(fields) = selected.cloned() else {
-            return 0;
-        };
-        let delivered = self.deliver_buf.len();
-
-        // Pass 2: allocate instances and stage deliveries.
-        let deliver = std::mem::take(&mut self.deliver_buf);
-        let mut last = Some((emission.tuple, fields));
-        for (i, &dest) in deliver.iter().enumerate() {
-            let tuple = if i + 1 == delivered {
-                let (tuple, fields) = last.take().expect("one move per emission");
-                tuple.into_rekeyed(fields)
-            } else {
-                let (tuple, fields) = last.as_ref().expect("moved only on last");
-                tuple.rekeyed(fields.clone())
-            };
-            let (root_id, edge) = match root {
-                Some(root) => {
-                    let edge = self.acker.new_edge_id();
-                    if root > self.tracked_below {
-                        // Tree not registered yet (spout fan-out in
-                        // progress): accumulate instead of an acker update.
-                        self.tree_xor ^= edge;
-                    } else {
-                        self.acker.on_emit(root, edge);
-                    }
-                    (root, edge)
-                }
-                None => (0, 0),
-            };
+        let mut delivered = std::mem::take(&mut self.delivered);
+        self.tasks[src].ctr.emitted += delivered.len() as u64;
+        for (dest, delivery) in delivered.drain(..) {
             let remote = self.task_worker[dest] != src_worker;
             let transfer_us = if remote {
                 self.config.remote_transfer_us
@@ -895,12 +839,10 @@ impl SimRuntime {
                 self.config.local_transfer_us
             };
             self.tasks[src].ctr.tuples_out += u64::from(remote);
-            let idx = self.slab.alloc(tuple, root_id, edge);
+            let idx = self.slab.alloc(delivery);
             self.stage_delivery(dest, self.now + transfer_us * 1e-6, idx, remote);
         }
-        self.deliver_buf = deliver;
-        self.tasks[src].ctr.emitted += delivered as u64;
-        delivered
+        self.delivered = delivered;
     }
 
     fn drain_outcomes(&mut self) {
@@ -919,7 +861,7 @@ impl SimRuntime {
                     self.total_ctr.complete_us.update(latency_us);
                     self.total_ctr.complete_hist_us.record(latency_us);
                     self.tasks[spout].ctr.acked += 1;
-                    if let TaskKind::Spout(s) = &mut self.tasks[spout].kind {
+                    if let TaskKind::Spout(s, _) = &mut self.tasks[spout].kind {
                         s.ack(outcome.message_id);
                     }
                 }
@@ -932,7 +874,7 @@ impl SimRuntime {
                         self.total_ctr.timed_out += 1;
                     }
                     self.tasks[spout].ctr.failed += 1;
-                    if let TaskKind::Spout(s) = &mut self.tasks[spout].kind {
+                    if let TaskKind::Spout(s, _) = &mut self.tasks[spout].kind {
                         s.fail(outcome.message_id);
                     }
                 }
@@ -966,20 +908,12 @@ impl SimRuntime {
 
     fn on_bolt_tick(&mut self) {
         for task in 0..self.tasks.len() {
-            if !matches!(self.tasks[task].kind, TaskKind::Bolt(_)) {
+            let TaskKind::Bolt(bolt) = &mut self.tasks[task].kind else {
                 continue;
-            }
-            self.bolt_out.set_now(self.now);
-            if let TaskKind::Bolt(b) = &mut self.tasks[task].kind {
-                b.tick(&mut self.bolt_out);
-            }
-            self.bolt_out.drain_into(&mut self.emit_buf);
-            let mut emits = std::mem::take(&mut self.emit_buf);
-            for emission in emits.drain(..) {
-                // Tick output has no input tuple to anchor to.
-                self.route_one(task, emission, None);
-            }
-            self.emit_buf = emits;
+            };
+            let out = &mut self.delivered;
+            bolt.tick(self.now, |dest, d| out.push((dest, d)));
+            self.stage_delivered(task);
         }
         self.events
             .schedule(self.now + self.config.tick_interval_s, Event::BoltTick);
@@ -1116,6 +1050,7 @@ impl SimRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::{Bolt, BoltOutput};
     use crate::topology::{CostModel, TopologyBuilder};
     use crate::tuple::{Fields, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1698,6 +1633,7 @@ mod tests {
 #[cfg(test)]
 mod timeout_tests {
     use super::*;
+    use crate::component::{Bolt, BoltOutput};
     use crate::topology::{CostModel, TopologyBuilder};
     use crate::tuple::Value;
     use std::sync::atomic::{AtomicU64, Ordering};

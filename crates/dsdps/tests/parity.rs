@@ -487,11 +487,12 @@ fn a_failed_input_that_mutated_state_is_not_reapplied_on_replay() {
     assert_eq!(HEARD_FLAKY.load(Ordering::Relaxed), 2 * 2 * N);
 }
 
-/// A tree means the same on `rt` and `dist` whether it fans out to two bolts
-/// and completes, is failed by one of its branches, or reaches nothing: the
-/// same [`outcome`] — and on both the
-/// acker is handed exactly one record per executed tuple, none for the
-/// emissions in between.
+/// A tree means the same on `sim`, `rt` and `dist` whether it fans out to
+/// two bolts and completes, is failed by one of its branches, or reaches
+/// nothing: the same [`outcome`] on the live backends, the same acked /
+/// failed split on `sim` — and on `rt` and `dist` the acker is handed
+/// exactly one record per executed tuple, none for the emissions in
+/// between.
 #[test]
 fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     // No replay: a failed tree is permanently failed, and nothing executes
@@ -499,6 +500,21 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     let (failed, executed) = (N / 4, 2 * N);
     let expected = (2 * N, 2 * N - failed, failed, 0, failed, 0, 0, 0);
     let resolved = |acked: u64, perm_failed: u64| acked + perm_failed == 2 * N;
+
+    // `sim` has no replay either: a failed tree is failed for good.  Run
+    // past the message timeout, so a tree some executed tuple's record
+    // never reached shows up as timed out.
+    let counts = fresh_counts();
+    let topology = build_fork(&counts).unwrap();
+    let engine = EngineConfig::default();
+    let horizon = 2.0 * engine.message_timeout_s;
+    let mut sim = SimRuntime::new(topology, engine).unwrap();
+    let r = sim.run_until(horizon);
+    assert_eq!(
+        (r.acked, r.failed, r.timed_out),
+        (2 * N - failed, failed, 0)
+    );
+    assert_eq!(read(&counts)[2..4], [N, N], "sim: both branches saw all");
 
     let counts = fresh_counts();
     let topology = build_fork(&counts).unwrap();
@@ -550,7 +566,7 @@ fn a_forked_tree_resolves_alike_from_one_record_per_executed_tuple() {
     assert_eq!(outcome(&r), rt_outcome, "{r:?}");
     // The workers' forced shutdown checkpoints released nothing more.
     assert_eq!((rt_records, dist_records), (executed, executed));
-    assert_eq!(HEARD_FORK.load(Ordering::Relaxed), 2 * 2 * N);
+    assert_eq!(HEARD_FORK.load(Ordering::Relaxed), 3 * 2 * N);
 }
 
 /// A finite spout whose sink fails every message exactly once: the shared

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use dsdps::acker::{Acker, Completion, ShardedAcker};
+use dsdps::acker::{splitmix64, Acker, Completion, ShardedAcker};
 use dsdps::component::{Bolt, BoltOutput};
 use dsdps::grouping::dynamic::{DynamicGrouping, DynamicGroupingHandle, SplitRatio};
 use dsdps::grouping::{FieldsGrouping, Grouping, ShuffleGrouping};
@@ -155,8 +155,14 @@ proptest! {
     #[test]
     fn acker_completes_random_trees(fanouts in prop::collection::vec(0usize..5, 1..6), seed in 0u64..1000) {
         let mut acker = Acker::new();
+        // Edge ids: a SplitMix64-scrambled counter, as the backends draw them.
+        let mut counter = 0u64;
+        let mut new_edge_id = || {
+            counter += 1;
+            splitmix64(counter)
+        };
         let root = 1u64;
-        let e_root = acker.new_edge_id();
+        let e_root = new_edge_id();
         acker.track(root, e_root, TaskId(0), 9, 0.0);
 
         // Level 1: children of the root tuple; level 2: children of those.
@@ -166,7 +172,7 @@ proptest! {
             let _ = i;
             let mut next = Vec::new();
             for _ in 0..fan {
-                let e = acker.new_edge_id();
+                let e = new_edge_id();
                 acker.on_emit(root, e);
                 next.push(e);
             }
