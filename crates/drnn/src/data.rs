@@ -1,12 +1,10 @@
 //! Dataset utilities: feature normalization, sliding-window construction
 //! for sequence-to-one forecasting, chronological splits and mini-batching.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 
 /// Per-feature z-score normalizer fitted on training data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Normalizer {
     mean: Vec<f64>,
     std: Vec<f64>,
@@ -71,17 +69,6 @@ impl Normalizer {
                 r
             })
             .collect()
-    }
-
-    /// Inverse transform of feature `idx` (to report predictions in
-    /// original units).
-    pub fn inverse_feature(&self, idx: usize, v: f64) -> f64 {
-        v * self.std[idx] + self.mean[idx]
-    }
-
-    /// Forward transform of a single feature value.
-    pub fn transform_feature(&self, idx: usize, v: f64) -> f64 {
-        (v - self.mean[idx]) / self.std[idx]
     }
 }
 
@@ -189,14 +176,6 @@ mod tests {
             assert!(mean.abs() < 1e-12);
             assert!((var - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn normalizer_inverse_round_trip() {
-        let n = Normalizer::fit(&rows());
-        let v = 3.7;
-        let fwd = n.transform_feature(0, v);
-        assert!((n.inverse_feature(0, fwd) - v).abs() < 1e-12);
     }
 
     #[test]

@@ -2,24 +2,20 @@
 //! top of the recurrent stack.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 
 /// A linear dense layer `y = x·W + b`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DenseLayer {
     input: usize,
     output: usize,
     w: Matrix,
     b: Matrix,
-    #[serde(skip)]
     gw: Option<Matrix>,
-    #[serde(skip)]
     gb: Option<Matrix>,
     /// Reusable `Wᵀ` for the backward `dx = dy·Wᵀ`.
-    #[serde(skip, default)]
     wt: Matrix,
 }
 
@@ -40,11 +36,6 @@ impl DenseLayer {
     /// Input width.
     pub fn input_size(&self) -> usize {
         self.input
-    }
-
-    /// Output width.
-    pub fn output_size(&self) -> usize {
-        self.output
     }
 
     /// Number of scalar parameters.
@@ -169,16 +160,5 @@ mod tests {
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - dx.as_slice()[k]).abs() < 1e-6, "dx[{k}]");
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let layer = DenseLayer::new(4, 2, &mut rng);
-        let json = serde_json::to_string(&layer).unwrap();
-        let back: DenseLayer = serde_json::from_str(&json).unwrap();
-        let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]);
-        assert_eq!(layer.forward(&x), back.forward(&x));
-        assert_eq!(back.param_count(), 10);
     }
 }

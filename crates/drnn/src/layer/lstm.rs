@@ -25,7 +25,6 @@
 //! it (the bottom layer of a stack).
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::{dsigmoid_from_output, dtanh_from_output, sigmoid_slice, tanh_slice};
 use crate::init::xavier_uniform;
@@ -64,7 +63,7 @@ impl LstmCache {
 }
 
 /// Reusable backward scratch (gradient flow buffers).  Lives in the layer
-/// under `#[serde(skip)]` so repeated BPTT passes are allocation-free.
+/// so repeated BPTT passes are allocation-free.
 #[derive(Debug, Clone, Default)]
 struct LstmScratch {
     dh: Matrix,
@@ -119,20 +118,16 @@ fn cell_row(
 }
 
 /// An LSTM layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LstmLayer {
     input: usize,
     hidden: usize,
     wx: Matrix,
     wh: Matrix,
     b: Matrix,
-    #[serde(skip)]
     gwx: Option<Matrix>,
-    #[serde(skip)]
     gwh: Option<Matrix>,
-    #[serde(skip)]
     gb: Option<Matrix>,
-    #[serde(skip, default)]
     scratch: LstmScratch,
 }
 
@@ -596,18 +591,6 @@ mod tests {
         let mut n = 0.0;
         layer.for_each_param(&mut |_p, g| n += g.frobenius_norm());
         assert_eq!(n, 0.0);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_weights() {
-        let layer = make(3, 4, 2);
-        let json = serde_json::to_string(&layer).unwrap();
-        let back: LstmLayer = serde_json::from_str(&json).unwrap();
-        let xs = seq(3, 2, 3, 1.0);
-        let (h1, _) = layer.forward(&xs);
-        let (h2, _) = back.forward(&xs);
-        assert_eq!(h1.last(), h2.last());
-        assert_eq!(back.param_count(), layer.param_count());
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   dense head, both with exact BPTT gradients (finite-difference checked
 //!   in the test suite);
 //! * [`model`] — the stacked sequence-to-one regressor [`model::Drnn`];
-//! * [`loss`] — MSE / MAE / Huber regression losses;
+//! * [`loss`] — the mean-squared-error training loss and its gradient;
 //! * [`optim`] — Adam with global-norm clipping;
 //! * [`train`] — mini-batch training with validation and early stopping;
 //! * [`data`] — z-score normalization and sliding-window dataset assembly;
-//! * [`metrics`] — MAPE / SMAPE / RMSE / MAE / R².
+//! * [`metrics`] — MAPE and RMSE.
 //!
 //! ## Quick example
 //!
@@ -62,9 +62,9 @@ pub mod train;
 /// Commonly used items, re-exported.
 pub mod prelude {
     pub use crate::data::{batch_to_matrices, make_windows, split_train_test, Normalizer, Sample};
-    pub use crate::loss::Loss;
+    pub use crate::loss::{mse, mse_gradient};
     pub use crate::matrix::Matrix;
-    pub use crate::metrics::{mae, mape, r2, rmse, smape};
+    pub use crate::metrics::{mape, rmse};
     pub use crate::model::{Drnn, DrnnConfig};
     pub use crate::optim::OptimizerKind;
     pub use crate::train::{evaluate, train, EarlyStopping, TrainConfig, TrainReport};

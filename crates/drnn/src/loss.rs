@@ -1,83 +1,30 @@
-//! Regression losses and their gradients.
+//! The training loss: mean squared error and its gradient.
 
 use crate::matrix::Matrix;
 
-/// Which loss a trainer minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum Loss {
-    /// Mean squared error.
-    Mse,
-    /// Mean absolute error.
-    Mae,
-    /// Huber loss with the given transition point `delta`.
-    Huber(f64),
+/// Mean squared error `Σ(p−t)²/n` over all elements.
+pub fn mse(pred: &Matrix, target: &Matrix) -> f64 {
+    assert_eq!(pred.shape(), target.shape());
+    let n = pred.as_slice().len() as f64;
+    pred.as_slice()
+        .iter()
+        .zip(target.as_slice())
+        .map(|(p, t)| (p - t).powi(2))
+        .sum::<f64>()
+        / n
 }
 
-impl Loss {
-    /// Loss value averaged over all elements.
-    pub fn value(&self, pred: &Matrix, target: &Matrix) -> f64 {
-        assert_eq!(pred.shape(), target.shape());
-        let n = pred.as_slice().len() as f64;
-        match self {
-            Loss::Mse => {
-                pred.as_slice()
-                    .iter()
-                    .zip(target.as_slice())
-                    .map(|(p, t)| (p - t).powi(2))
-                    .sum::<f64>()
-                    / n
-            }
-            Loss::Mae => {
-                pred.as_slice()
-                    .iter()
-                    .zip(target.as_slice())
-                    .map(|(p, t)| (p - t).abs())
-                    .sum::<f64>()
-                    / n
-            }
-            Loss::Huber(delta) => {
-                pred.as_slice()
-                    .iter()
-                    .zip(target.as_slice())
-                    .map(|(p, t)| {
-                        let e = (p - t).abs();
-                        if e <= *delta {
-                            0.5 * e * e
-                        } else {
-                            delta * (e - 0.5 * delta)
-                        }
-                    })
-                    .sum::<f64>()
-                    / n
-            }
-        }
-    }
-
-    /// Gradient `∂L/∂pred`, same shape as `pred`.
-    pub fn gradient(&self, pred: &Matrix, target: &Matrix) -> Matrix {
-        assert_eq!(pred.shape(), target.shape());
-        let n = pred.as_slice().len() as f64;
-        let data: Vec<f64> = pred
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(p, t)| {
-                let e = p - t;
-                match self {
-                    Loss::Mse => 2.0 * e / n,
-                    Loss::Mae => e.signum() / n,
-                    Loss::Huber(delta) => {
-                        if e.abs() <= *delta {
-                            e / n
-                        } else {
-                            delta * e.signum() / n
-                        }
-                    }
-                }
-            })
-            .collect();
-        Matrix::from_vec(pred.rows(), pred.cols(), data)
-    }
+/// Gradient `∂mse/∂pred = 2·(p−t)/n`, same shape as `pred`.
+pub fn mse_gradient(pred: &Matrix, target: &Matrix) -> Matrix {
+    assert_eq!(pred.shape(), target.shape());
+    let n = pred.as_slice().len() as f64;
+    let data: Vec<f64> = pred
+        .as_slice()
+        .iter()
+        .zip(target.as_slice())
+        .map(|(p, t)| 2.0 * (p - t) / n)
+        .collect();
+    Matrix::from_vec(pred.rows(), pred.cols(), data)
 }
 
 #[cfg(test)]
@@ -95,57 +42,28 @@ mod tests {
     fn mse_value_and_zero_at_match() {
         let (p, t) = pt();
         // errors: -0.5, 0, 1, -2 → squares 0.25,0,1,4 → mean 1.3125
-        assert!((Loss::Mse.value(&p, &t) - 1.3125).abs() < 1e-12);
-        assert_eq!(Loss::Mse.value(&p, &p), 0.0);
-    }
-
-    #[test]
-    fn mae_value() {
-        let (p, t) = pt();
-        assert!((Loss::Mae.value(&p, &t) - 0.875).abs() < 1e-12);
-    }
-
-    #[test]
-    fn huber_between_mae_and_mse_behaviour() {
-        let (p, t) = pt();
-        let h = Loss::Huber(1.0);
-        // small errors quadratic, large errors linear
-        let v = h.value(&p, &t);
-        assert!(v > 0.0 && v < Loss::Mse.value(&p, &t));
+        assert!((mse(&p, &t) - 1.3125).abs() < 1e-12);
+        assert_eq!(mse(&p, &p), 0.0);
     }
 
     #[test]
     fn gradients_match_finite_differences() {
         let (mut p, t) = pt();
-        for loss in [Loss::Mse, Loss::Huber(0.7), Loss::Mae] {
-            let g = loss.gradient(&p, &t);
-            let eps = 1e-7;
-            for k in 0..4 {
-                let orig = p.as_slice()[k];
-                // Skip MAE/Huber kink points.
-                if matches!(loss, Loss::Mae) && (orig - t.as_slice()[k]).abs() < 1e-6 {
-                    continue;
-                }
-                p.as_mut_slice()[k] = orig + eps;
-                let lp = loss.value(&p, &t);
-                p.as_mut_slice()[k] = orig - eps;
-                let lm = loss.value(&p, &t);
-                p.as_mut_slice()[k] = orig;
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (numeric - g.as_slice()[k]).abs() < 1e-6,
-                    "{loss:?} grad[{k}]: {numeric} vs {}",
-                    g.as_slice()[k]
-                );
-            }
+        let g = mse_gradient(&p, &t);
+        let eps = 1e-7;
+        for k in 0..4 {
+            let orig = p.as_slice()[k];
+            p.as_mut_slice()[k] = orig + eps;
+            let lp = mse(&p, &t);
+            p.as_mut_slice()[k] = orig - eps;
+            let lm = mse(&p, &t);
+            p.as_mut_slice()[k] = orig;
+            let numeric = (lp - lm) / (2.0 * eps);
+            assert!(
+                (numeric - g.as_slice()[k]).abs() < 1e-6,
+                "grad[{k}]: {numeric} vs {}",
+                g.as_slice()[k]
+            );
         }
-    }
-
-    #[test]
-    fn huber_gradient_saturates() {
-        let p = Matrix::from_rows(&[vec![100.0]]);
-        let t = Matrix::from_rows(&[vec![0.0]]);
-        let g = Loss::Huber(1.0).gradient(&p, &t);
-        assert_eq!(g.get(0, 0), 1.0, "gradient clamps at delta");
     }
 }

@@ -1,5 +1,5 @@
 //! Dense row-major `f64` matrices with the operations a recurrent network
-//! needs: the GEMM family (`A·B`, `Aᵀ·B`, `A·Bᵀ`, each overwriting or
+//! needs: the GEMM family (`A·B` overwriting or accumulating, `Aᵀ·B`
 //! accumulating, rayon-parallel over row bands for large shapes), blocked
 //! transpose, broadcast row addition, element-wise maps and reductions.
 //!
@@ -11,12 +11,11 @@
 //! `matmul` is a thin wrapper.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::kernel::Gemm;
 
 /// Row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -83,18 +82,6 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Matrix { rows, cols, data }
-    }
-
-    /// Builds from nested rows (tests/readability; not a hot path).
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
-        Matrix {
-            rows: r,
-            cols: c,
-            data: rows.iter().flatten().copied().collect(),
-        }
     }
 
     /// Number of rows.
@@ -230,39 +217,6 @@ impl Matrix {
         self.mul(true, rhs, out, true);
     }
 
-    /// `selfᵀ · rhs` (allocating wrapper over
-    /// [`matmul_at_b_into`](Self::matmul_at_b_into)).
-    pub fn matmul_at_b(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_at_b_into(rhs, &mut out);
-        out
-    }
-
-    /// `out = self · rhsᵀ`.  `self` is `m × k`, `rhs` is `n × k`, `out` is
-    /// `m × n`.
-    ///
-    /// The kernel wants the right operand row-major, so this transposes
-    /// `rhs` into a temporary first.  A caller that multiplies by the same
-    /// `rhsᵀ` repeatedly (BPTT: `dx = da·Wᵀ` at every step) keeps
-    /// [`transpose_into`](Self::transpose_into)'s result and calls
-    /// [`matmul_into`](Self::matmul_into) instead.
-    pub fn matmul_a_bt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into(&rhs.transpose(), out);
-    }
-
-    /// `out += self · rhsᵀ` (accumulating form of
-    /// [`matmul_a_bt_into`](Self::matmul_a_bt_into); `out` must already be
-    /// `m × n`).
-    pub fn matmul_a_bt_add_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_add_into(&rhs.transpose(), out);
-    }
-
-    /// `self · rhsᵀ` (allocating wrapper over
-    /// [`matmul_a_bt_into`](Self::matmul_a_bt_into)).
-    pub fn matmul_a_bt(&self, rhs: &Matrix) -> Matrix {
-        self.matmul(&rhs.transpose())
-    }
-
     /// Transpose into a caller-owned buffer, tiled so both the read and
     /// write sides touch whole cache lines within a tile (a naive row-major
     /// transpose strides the writes by `rows`, missing on every element for
@@ -310,49 +264,12 @@ impl Matrix {
         }
     }
 
-    /// `self += alpha * other` (axpy).
-    pub fn axpy_in_place(&mut self, alpha: f64, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape());
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape());
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a * b)
-                .collect(),
-        }
-    }
-
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// Scales every element by `s` in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
         }
     }
 
@@ -380,6 +297,42 @@ impl Matrix {
         }
     }
 
+    /// Zeroes every element (gradient reset).
+    pub fn zero_in_place(&mut self) {
+        self.data.iter_mut().for_each(|x| *x = 0.0);
+    }
+}
+
+/// Constructors and reductions only the tests use.
+#[cfg(test)]
+impl Matrix {
+    /// Builds from nested rows.
+    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+        let r = rows.len();
+        let c = rows.first().map_or(0, Vec::len);
+        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
+        Matrix {
+            rows: r,
+            cols: c,
+            data: rows.iter().flatten().copied().collect(),
+        }
+    }
+
+    /// Element-wise (Hadamard) product.
+    pub fn hadamard(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.shape(), other.shape());
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self
+                .data
+                .iter()
+                .zip(&other.data)
+                .map(|(a, b)| a * b)
+                .collect(),
+        }
+    }
+
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -395,39 +348,6 @@ impl Matrix {
                 .copy_from_slice(&self.data[r * self.cols + from..r * self.cols + to]);
         }
         out
-    }
-
-    /// Writes `block` into columns `[from, from + block.cols)`.
-    pub fn set_cols(&mut self, from: usize, block: &Matrix) {
-        assert_eq!(self.rows, block.rows);
-        assert!(from + block.cols <= self.cols);
-        for r in 0..self.rows {
-            self.data[r * self.cols + from..r * self.cols + from + block.cols]
-                .copy_from_slice(block.row(r));
-        }
-    }
-
-    /// Stacks matrices with identical column counts vertically.
-    pub fn vstack(blocks: &[&Matrix]) -> Matrix {
-        assert!(!blocks.is_empty());
-        let cols = blocks[0].cols;
-        assert!(blocks.iter().all(|b| b.cols == cols));
-        let rows = blocks.iter().map(|b| b.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for b in blocks {
-            data.extend_from_slice(&b.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
-    /// Zeroes every element (gradient reset).
-    pub fn zero_in_place(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 }
 
@@ -506,23 +426,20 @@ mod tests {
                 for n in DIMS {
                     let a = pseudo(m, k, m + n);
                     let b = pseudo(k, n, k);
-                    let (at, bt) = (a.transpose(), b.transpose());
+                    let at = a.transpose();
                     let want = naive_matmul(&a, &b);
                     let tol = 1e-12;
 
                     let mut out = Matrix::full(3, 3, 9.0); // wrong shape: resized
                     a.matmul_into(&b, &mut out);
                     assert_close(&out, &want, tol);
-                    a.matmul_a_bt_into(&bt, &mut out);
-                    assert_close(&out, &want, tol);
 
                     let want = want.map(|v| v + 0.5);
                     let half = || Matrix::full(m, n, 0.5);
-                    let (mut ab, mut abt, mut atb) = (half(), half(), half());
+                    let (mut ab, mut atb) = (half(), half());
                     a.matmul_add_into(&b, &mut ab);
-                    a.matmul_a_bt_add_into(&bt, &mut abt);
                     at.matmul_at_b_into(&b, &mut atb);
-                    for acc in [ab, abt, atb] {
+                    for acc in [ab, atb] {
                         assert_close(&acc, &want, tol);
                     }
                 }
@@ -561,23 +478,12 @@ mod tests {
             let a = pseudo(m, n, 5);
             let b = pseudo(m, p, 6);
             let expect = naive_matmul(&a.transpose(), &b);
-            assert_close(&a.matmul_at_b(&b), &expect, 1e-10);
             // Accumulation semantics.
             let mut out = Matrix::full(n, p, 0.5);
             a.matmul_at_b_into(&b, &mut out);
             for (x, y) in out.as_slice().iter().zip(expect.as_slice()) {
                 assert!((x - (y + 0.5)).abs() < 1e-10);
             }
-        }
-    }
-
-    #[test]
-    fn matmul_a_bt_matches_explicit_transpose() {
-        for (m, k, n) in [(2, 3, 4), (32, 256, 64), (7, 5, 9), (64, 130, 64)] {
-            let a = pseudo(m, k, 7);
-            let b = pseudo(n, k, 8);
-            let expect = naive_matmul(&a, &b.transpose());
-            assert_close(&a.matmul_a_bt(&b), &expect, 1e-10);
         }
     }
 
@@ -632,8 +538,6 @@ mod tests {
         assert_eq!(h.get(1, 1), 48.0);
         a.add_in_place(&b);
         assert_eq!(a.get(0, 0), 13.0);
-        a.axpy_in_place(-1.0, &b);
-        assert_eq!(a.get(0, 0), 11.0);
     }
 
     #[test]
@@ -643,10 +547,6 @@ mod tests {
         assert_eq!(a.sum(), 7.0);
         let sq = a.map(|x| x * x);
         assert_eq!(sq.as_slice(), &[9.0, 16.0]);
-        a.scale_in_place(2.0);
-        assert_eq!(a.as_slice(), &[6.0, 8.0]);
-        a.map_in_place(|x| x - 6.0);
-        assert_eq!(a.as_slice(), &[0.0, 2.0]);
         a.zero_in_place();
         assert_eq!(a.sum(), 0.0);
     }
@@ -660,41 +560,11 @@ mod tests {
         assert_eq!(acc.as_slice(), &[7.0, 9.0, 11.0, 13.0]);
         let mid = a.cols_slice(1, 3);
         assert_eq!(mid, Matrix::from_rows(&[vec![2.0, 3.0], vec![6.0, 7.0]]));
-        let mut b = Matrix::zeros(2, 4);
-        b.set_cols(2, &mid);
-        assert_eq!(b.get(1, 2), 6.0);
-        assert_eq!(b.get(0, 3), 3.0);
-        assert_eq!(b.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn vstack_blocks() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let s = Matrix::vstack(&[&a, &b]);
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut a = Matrix::zeros(2, 2);
-        assert!(!a.has_non_finite());
-        a.set(1, 0, f64::NAN);
-        assert!(a.has_non_finite());
     }
 
     #[test]
     #[should_panic(expected = "ragged rows")]
     fn from_rows_rejects_ragged() {
         Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = Matrix::from_rows(&[vec![1.5, -2.5]]);
-        let s = serde_json::to_string(&a).unwrap();
-        let b: Matrix = serde_json::from_str(&s).unwrap();
-        assert_eq!(a, b);
     }
 }

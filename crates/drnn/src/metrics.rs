@@ -1,5 +1,5 @@
 //! Forecast-accuracy metrics used throughout the evaluation: MAPE (the
-//! paper's headline metric), SMAPE, RMSE, MAE and R².
+//! paper's headline metric) and RMSE.
 
 /// Mean absolute percentage error, in percent.  Pairs whose actual value is
 /// (near) zero are skipped, matching standard practice.
@@ -10,25 +10,6 @@ pub fn mape(actual: &[f64], predicted: &[f64]) -> f64 {
     for (a, p) in actual.iter().zip(predicted) {
         if a.abs() > 1e-9 {
             sum += ((a - p) / a).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        100.0 * sum / n as f64
-    }
-}
-
-/// Symmetric MAPE, in percent (bounded by 200).
-pub fn smape(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(actual.len(), predicted.len());
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (a, p) in actual.iter().zip(predicted) {
-        let denom = (a.abs() + p.abs()) / 2.0;
-        if denom > 1e-9 {
-            sum += (a - p).abs() / denom;
             n += 1;
         }
     }
@@ -54,45 +35,6 @@ pub fn rmse(actual: &[f64], predicted: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Mean absolute error.
-pub fn mae(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(actual.len(), predicted.len());
-    if actual.is_empty() {
-        return 0.0;
-    }
-    actual
-        .iter()
-        .zip(predicted)
-        .map(|(a, p)| (a - p).abs())
-        .sum::<f64>()
-        / actual.len() as f64
-}
-
-/// Coefficient of determination.  1 is perfect; 0 means no better than
-/// predicting the mean; negative is worse than the mean.
-pub fn r2(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(actual.len(), predicted.len());
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let mean: f64 = actual.iter().sum::<f64>() / actual.len() as f64;
-    let ss_tot: f64 = actual.iter().map(|a| (a - mean) * (a - mean)).sum();
-    let ss_res: f64 = actual
-        .iter()
-        .zip(predicted)
-        .map(|(a, p)| (a - p) * (a - p))
-        .sum();
-    if ss_tot < 1e-12 {
-        if ss_res < 1e-12 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,10 +43,7 @@ mod tests {
     fn perfect_prediction_scores() {
         let a = [1.0, 2.0, 3.0];
         assert_eq!(mape(&a, &a), 0.0);
-        assert_eq!(smape(&a, &a), 0.0);
         assert_eq!(rmse(&a, &a), 0.0);
-        assert_eq!(mae(&a, &a), 0.0);
-        assert_eq!(r2(&a, &a), 1.0);
     }
 
     #[test]
@@ -128,43 +67,14 @@ mod tests {
     }
 
     #[test]
-    fn smape_is_symmetric_and_bounded() {
-        let a = [100.0];
-        let p = [0.0001];
-        assert!(smape(&a, &p) < 200.0 + 1e-9);
-        assert!((smape(&[10.0], &[20.0]) - smape(&[20.0], &[10.0])).abs() < 1e-12);
-    }
-
-    #[test]
     fn rmse_and_mae_known_values() {
         let a = [0.0, 0.0];
         let p = [3.0, 4.0];
         assert!((rmse(&a, &p) - (12.5f64).sqrt()).abs() < 1e-12);
-        assert!((mae(&a, &p) - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmse_penalizes_outliers_more_than_mae() {
-        let a = [0.0, 0.0, 0.0, 0.0];
-        let spread = [1.0, 1.0, 1.0, 1.0];
-        let outlier = [0.0, 0.0, 0.0, 4.0];
-        assert_eq!(mae(&a, &spread), mae(&a, &outlier));
-        assert!(rmse(&a, &outlier) > rmse(&a, &spread));
-    }
-
-    #[test]
-    fn r2_of_mean_prediction_is_zero() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let p = [2.5, 2.5, 2.5, 2.5];
-        assert!(r2(&a, &p).abs() < 1e-12);
-        let worse = [10.0, 10.0, 10.0, 10.0];
-        assert!(r2(&a, &worse) < 0.0);
     }
 
     #[test]
     fn empty_inputs_are_zero() {
         assert_eq!(rmse(&[], &[]), 0.0);
-        assert_eq!(mae(&[], &[]), 0.0);
-        assert_eq!(r2(&[], &[]), 0.0);
     }
 }

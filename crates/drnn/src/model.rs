@@ -9,13 +9,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::layer::{DenseLayer, LstmCache, LstmLayer};
 use crate::matrix::Matrix;
 
 /// Architecture and initialization parameters of a [`Drnn`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrnnConfig {
     /// Feature width of each input step.
     pub input: usize,
@@ -63,12 +62,11 @@ struct DrnnScratch {
 }
 
 /// A deep recurrent neural network for sequence-to-one regression.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Drnn {
     config: DrnnConfig,
     layers: Vec<LstmLayer>,
     head: DenseLayer,
-    #[serde(skip, default)]
     scratch: DrnnScratch,
 }
 
@@ -213,22 +211,12 @@ impl Drnn {
         }
         self.head.for_each_param(f);
     }
-
-    /// Serializes the model (architecture + weights) to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serialization cannot fail")
-    }
-
-    /// Restores a model from [`to_json`](Self::to_json) output.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::Loss;
+    use crate::loss::{mse, mse_gradient};
 
     fn seq(t: usize, b: usize, i: usize) -> Vec<Matrix> {
         (0..t)
@@ -308,9 +296,9 @@ mod tests {
         let mut model = tiny();
         let xs = seq(4, 2, 3);
         let target = Matrix::full(2, 2, 0.3);
-        let loss = |m: &Drnn| Loss::Mse.value(&m.predict(&xs), &target);
+        let loss = |m: &Drnn| mse(&m.predict(&xs), &target);
         let (pred, cache) = model.forward_train(&xs);
-        let dpred = Loss::Mse.gradient(&pred, &target);
+        let dpred = mse_gradient(&pred, &target);
         model.zero_grads();
         model.backward(&xs, &cache, &dpred);
 
@@ -352,7 +340,7 @@ mod tests {
         let mut model = tiny();
         let xs = seq(6, 5, 3);
         let (pred, cache) = model.forward_train(&xs);
-        let dpred = Loss::Mse.gradient(&pred, &Matrix::full(5, 2, 0.3));
+        let dpred = mse_gradient(&pred, &Matrix::full(5, 2, 0.3));
         let mut by_hand = model.clone();
 
         model.zero_grads();
@@ -383,16 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_predictions() {
-        let model = tiny();
-        let json = model.to_json();
-        let back = Drnn::from_json(&json).unwrap();
-        let xs = seq(3, 1, 3);
-        assert_eq!(model.predict(&xs), back.predict(&xs));
-        assert_eq!(back.config(), model.config());
-    }
-
-    #[test]
     #[should_panic(expected = "need at least one recurrent layer")]
     fn rejects_empty_stack() {
         Drnn::new(DrnnConfig {
@@ -408,7 +386,7 @@ mod tests {
 mod multi_output_tests {
     use super::*;
     use crate::data::Sample;
-    use crate::loss::Loss;
+    use crate::loss::mse;
     use crate::train::{train, TrainConfig};
 
     #[test]
@@ -444,6 +422,6 @@ mod multi_output_tests {
         let (xs, y) = crate::data::batch_to_matrices(&refs);
         let pred = model.predict(&xs);
         assert_eq!(pred.shape(), (1, 2));
-        assert!(Loss::Mse.value(&pred, &y) < 0.05);
+        assert!(mse(&pred, &y) < 0.05);
     }
 }

@@ -1,4 +1,5 @@
-//! Mini-batch BPTT training loop with validation and early stopping.
+//! Mini-batch BPTT training on mean squared error, with validation and
+//! early stopping.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -7,7 +8,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::data::{batch_to_matrices_into, Sample};
-use crate::loss::Loss;
+use crate::loss::{mse, mse_gradient};
 use crate::matrix::Matrix;
 use crate::model::{Drnn, DrnnCache};
 use crate::optim::{Optimizer, OptimizerKind};
@@ -33,8 +34,6 @@ pub struct TrainConfig {
     pub optimizer: OptimizerKind,
     /// Global-norm gradient clip (None disables; RNNs usually need ~1–5).
     pub clip_norm: Option<f64>,
-    /// Loss function.
-    pub loss: Loss,
     /// Shuffle training samples each epoch.
     pub shuffle: bool,
     /// RNG seed for shuffling.
@@ -54,7 +53,6 @@ impl Default for TrainConfig {
             batch_size: 32,
             optimizer: OptimizerKind::adam(1e-3),
             clip_norm: Some(5.0),
-            loss: Loss::Mse,
             shuffle: true,
             seed: 42,
             validation_fraction: 0.1,
@@ -67,7 +65,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch record of a training run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainReport {
     /// Mean training loss per epoch.
     pub train_loss: Vec<f64>,
@@ -86,13 +84,14 @@ impl TrainReport {
     }
 }
 
-/// Evaluates mean loss of `model` on `samples` without training.
+/// Evaluates the mean squared error of `model` on `samples` without
+/// training.
 ///
 /// Batches are spread across the worker pool in contiguous bands (one band
 /// per thread); each band reuses one set of batch/forward buffers for all
 /// of its chunks, so evaluation allocates O(threads) scratch rather than
 /// O(batches).
-pub fn evaluate(model: &Drnn, samples: &[Sample], loss: Loss, batch_size: usize) -> f64 {
+pub fn evaluate(model: &Drnn, samples: &[Sample], batch_size: usize) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -116,7 +115,7 @@ pub fn evaluate(model: &Drnn, samples: &[Sample], loss: Loss, batch_size: usize)
                 refs.extend(chunk.iter());
                 batch_to_matrices_into(&refs, &mut xs, &mut y);
                 model.predict_into(&xs, &mut cache, &mut pred);
-                slot[0] += loss.value(&pred, &y) * chunk.len() as f64;
+                slot[0] += mse(&pred, &y) * chunk.len() as f64;
             }
         });
     partial.iter().sum::<f64>() / samples.len() as f64
@@ -166,8 +165,8 @@ pub fn train(model: &mut Drnn, samples: &[Sample], cfg: &TrainConfig) -> TrainRe
             refs.extend(batch_idx.iter().map(|&i| &train_set[i]));
             batch_to_matrices_into(&refs, &mut xs, &mut y);
             model.forward_train_into(&xs, &mut cache, &mut pred);
-            let batch_loss = cfg.loss.value(&pred, &y);
-            let dpred = cfg.loss.gradient(&pred, &y);
+            let batch_loss = mse(&pred, &y);
+            let dpred = mse_gradient(&pred, &y);
             model.zero_grads();
             model.backward(&xs, &cache, &dpred);
             optimizer.step(&mut |f| model.for_each_param(f));
@@ -181,7 +180,7 @@ pub fn train(model: &mut Drnn, samples: &[Sample], cfg: &TrainConfig) -> TrainRe
         let monitor = if val_set.is_empty() {
             train_loss
         } else {
-            let vl = evaluate(model, val_set, cfg.loss, cfg.batch_size);
+            let vl = evaluate(model, val_set, cfg.batch_size);
             report.val_loss.push(vl);
             vl
         };
@@ -309,7 +308,7 @@ mod tests {
     #[test]
     fn evaluate_on_empty_is_zero() {
         let model = small_model();
-        assert_eq!(evaluate(&model, &[], Loss::Mse, 8), 0.0);
+        assert_eq!(evaluate(&model, &[], 8), 0.0);
     }
 
     #[test]
@@ -325,7 +324,7 @@ mod tests {
             ..TrainConfig::default()
         };
         train(&mut model, &train_set, &cfg);
-        let mse = evaluate(&model, &test_set, Loss::Mse, 32);
+        let mse = evaluate(&model, &test_set, 32);
         // Series variance is ~0.22; a learned model should be far below.
         assert!(mse < 0.02, "out-of-sample MSE {mse} too high");
     }

@@ -1,11 +1,10 @@
 //! Property-based tests for the neural-network library: linear-algebra
-//! identities, normalization round trips, window alignment and loss
-//! gradients.
+//! identities, normalization, window alignment and the loss gradient.
 
 use proptest::prelude::*;
 
 use drnn::data::{make_windows, Normalizer};
-use drnn::loss::Loss;
+use drnn::loss::{mse, mse_gradient};
 use drnn::matrix::Matrix;
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -92,18 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn normalizer_round_trip(rows in prop::collection::vec(prop::collection::vec(-1e4f64..1e4, 3), 2..50)) {
-        let n = Normalizer::fit(&rows);
-        for row in &rows {
-            for (idx, &v) in row.iter().enumerate() {
-                let fwd = n.transform_feature(idx, v);
-                let back = n.inverse_feature(idx, fwd);
-                prop_assert!((back - v).abs() < 1e-6 * (1.0 + v.abs()));
-            }
-        }
-    }
-
-    #[test]
     fn normalized_data_has_zero_mean(rows in prop::collection::vec(prop::collection::vec(-1e3f64..1e3, 2), 3..60)) {
         let n = Normalizer::fit(&rows);
         let t = n.transform(&rows);
@@ -142,28 +129,26 @@ proptest! {
     ) {
         let mut p = Matrix::from_vec(2, 2, data);
         let t = Matrix::from_vec(2, 2, target);
-        let g = Loss::Mse.gradient(&p, &t);
+        let g = mse_gradient(&p, &t);
         let eps = 1e-6;
         for k in 0..4 {
             let orig = p.as_slice()[k];
             p.as_mut_slice()[k] = orig + eps;
-            let lp = Loss::Mse.value(&p, &t);
+            let lp = mse(&p, &t);
             p.as_mut_slice()[k] = orig - eps;
-            let lm = Loss::Mse.value(&p, &t);
+            let lm = mse(&p, &t);
             p.as_mut_slice()[k] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             prop_assert!((numeric - g.as_slice()[k]).abs() < 1e-6);
         }
     }
 
-    /// Losses are non-negative and zero iff prediction == target.
+    /// The loss is positive, and zero when prediction == target.
     #[test]
     fn losses_nonnegative(data in prop::collection::vec(-100.0f64..100.0, 6)) {
         let p = Matrix::from_vec(2, 3, data.clone());
         let t = Matrix::from_vec(2, 3, data.iter().map(|x| x + 1.0).collect());
-        for loss in [Loss::Mse, Loss::Mae, Loss::Huber(1.0)] {
-            prop_assert!(loss.value(&p, &t) > 0.0);
-            prop_assert_eq!(loss.value(&p, &p), 0.0);
-        }
+        prop_assert!(mse(&p, &t) > 0.0);
+        prop_assert_eq!(mse(&p, &p), 0.0);
     }
 }

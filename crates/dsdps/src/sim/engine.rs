@@ -929,8 +929,23 @@ impl SimRuntime {
                     m.external_load_cores = (m.external_load_cores - cores).max(0.0);
                 }
             }
-            Fault::WorkerSlowdown { worker, factor, .. } => {
-                self.worker_slowdown[worker] = if starting { factor } else { 1.0 };
+            // Overlapping slowdowns on one worker compose by product, as on
+            // `rt`: recompute from every window open at `now`.
+            Fault::WorkerSlowdown { worker, .. } => {
+                let now = self.now;
+                self.worker_slowdown[worker] = self
+                    .faults
+                    .iter()
+                    .filter_map(|f| match *f {
+                        Fault::WorkerSlowdown {
+                            worker: w,
+                            factor,
+                            from_s,
+                            until_s,
+                        } if w == worker && from_s <= now && now < until_s => Some(factor),
+                        _ => None,
+                    })
+                    .product();
             }
         }
     }
@@ -1230,6 +1245,28 @@ mod tests {
             degraded > baseline * 3.0,
             "slowdown should inflate latency: {baseline} -> {degraded}"
         );
+    }
+
+    #[test]
+    fn overlapping_slowdowns_compose_by_product() {
+        let topo = linear_topology(500.0, 100.0, 1, Arc::new(AtomicU64::new(0)));
+        let mut e = SimRuntime::new(topo, small_config()).unwrap();
+        let w = e.placement().worker_of(TaskId(1)).0;
+        for (factor, from_s, until_s) in [(2.0, 0.0, 10.0), (3.0, 5.0, 8.0)] {
+            e.inject_fault(Fault::WorkerSlowdown {
+                worker: w,
+                factor,
+                from_s,
+                until_s,
+            })
+            .unwrap();
+        }
+        e.run_until(6.0);
+        assert_eq!(e.worker_slowdown[w], 6.0, "both windows open");
+        e.run_until(9.0);
+        assert_eq!(e.worker_slowdown[w], 2.0, "the ×3 window closed");
+        e.run_until(11.0);
+        assert_eq!(e.worker_slowdown[w], 1.0, "both windows closed");
     }
 
     #[test]

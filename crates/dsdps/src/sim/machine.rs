@@ -112,6 +112,7 @@ pub enum Fault {
     },
     /// Multiplies the service time of every task in a worker by `factor`
     /// between `from_s` and `until_s` (a degraded/misbehaving worker).
+    /// Overlapping slowdowns of one worker multiply.
     WorkerSlowdown {
         /// Target worker index.
         worker: usize,

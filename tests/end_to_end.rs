@@ -309,7 +309,7 @@ fn simulator_is_deterministic_across_full_apps() {
 fn facade_reexports_are_usable() {
     assert!(!streampc::VERSION.is_empty());
     let _cfg = streampc::dsdps::config::EngineConfig::default();
-    let _loss = streampc::drnn::loss::Loss::Mse;
+    let _loss = streampc::drnn::loss::mse;
     let _order = streampc::forecast::arima::ArimaOrder::new(1, 0, 0);
     let _spec = streampc::control::features::FeatureSpec::full();
     let _pattern = streampc::apps::workload::RatePattern::Constant { rate: 1.0 };
