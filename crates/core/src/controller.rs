@@ -100,33 +100,33 @@ pub struct ControllerConfig {
     pub detector: DetectorConfig,
     /// Split-ratio policy.
     pub policy: PlanPolicy,
-    /// Intervals of history retained for prediction.
-    pub history_capacity: usize,
     /// Intervals observed before the controller may actuate; baselines are
-    /// calibrated from this window if not set explicitly.
+    /// calibrated from this window if not set explicitly.  At most
+    /// `HISTORY_CAPACITY` (256), the history the controller retains.
     pub warmup_intervals: usize,
-    /// Minimum L∞ ratio change worth applying (suppresses churn).
-    pub min_ratio_delta: f64,
     /// Traffic share each bypassed task keeps receiving as a health probe,
-    /// so its worker stays observable and recovery can be detected.
+    /// so its worker stays observable and recovery can be detected.  In
+    /// `[0, 0.5)`.
     pub probe_weight: f64,
-    /// Auto-calibrated baselines are clamped from below to this fraction of
-    /// the cross-worker median baseline.  A worker whose metric mixes cheap
-    /// work (e.g. it co-hosts a spout) would otherwise get a tiny baseline
-    /// and flag on trivial absolute latencies.
-    pub baseline_floor_fraction: f64,
 }
+
+/// Intervals of history retained for prediction.
+const HISTORY_CAPACITY: usize = 256;
+/// Minimum L∞ ratio change worth applying (suppresses churn).
+const MIN_RATIO_DELTA: f64 = 0.02;
+/// Auto-calibrated baselines are clamped from below to this fraction of the
+/// cross-worker median baseline.  A worker whose metric mixes cheap work
+/// (e.g. it co-hosts a spout) would otherwise get a tiny baseline and flag
+/// on trivial absolute latencies.
+const BASELINE_FLOOR_FRACTION: f64 = 0.5;
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             detector: DetectorConfig::default(),
             policy: PlanPolicy::default(),
-            history_capacity: 256,
             warmup_intervals: 20,
-            min_ratio_delta: 0.02,
             probe_weight: 0.02,
-            baseline_floor_fraction: 0.5,
         }
     }
 }
@@ -209,6 +209,15 @@ impl Controller {
         config: ControllerConfig,
         mode: ControlMode,
     ) -> Result<Self> {
+        // Either value would leave a controller that runs and never acts:
+        // its history never reaches warm-up, or every plan fails.
+        if config.warmup_intervals > HISTORY_CAPACITY {
+            let msg = format!("warmup_intervals must be <= {HISTORY_CAPACITY}");
+            return Err(Error::Config(msg));
+        }
+        if !(0.0..0.5).contains(&config.probe_weight) {
+            return Err(Error::Config("probe_weight must be in [0, 0.5)".into()));
+        }
         let mut edges = Vec::new();
         let mut task_worker = HashMap::new();
         let mut workers: Vec<WorkerId> = Vec::new();
@@ -339,7 +348,7 @@ impl Controller {
         if !baselines.is_empty() {
             let mut meds: Vec<f64> = baselines.iter().map(|(_, b)| *b).collect();
             meds.sort_by(f64::total_cmp);
-            let floor = meds[meds.len() / 2] * self.config.baseline_floor_fraction;
+            let floor = meds[meds.len() / 2] * BASELINE_FLOOR_FRACTION;
             for (w, b) in baselines {
                 self.detector.set_baseline(w, b.max(floor));
             }
@@ -350,8 +359,8 @@ impl Controller {
     /// Feeds one metrics snapshot; runs a control epoch when warmed up.
     pub fn on_snapshot(&mut self, snapshot: &MetricsSnapshot) {
         self.history.push(snapshot.clone());
-        if self.history.len() > self.config.history_capacity {
-            let overflow = self.history.len() - self.config.history_capacity;
+        if self.history.len() > HISTORY_CAPACITY {
+            let overflow = self.history.len() - HISTORY_CAPACITY;
             self.history.drain(..overflow);
         }
         if self.history.len() < self.config.warmup_intervals {
@@ -466,7 +475,7 @@ impl Controller {
                 continue;
             };
             let current = edge.handle.ratio();
-            if current.max_abs_diff(&ratio) >= self.config.min_ratio_delta
+            if current.max_abs_diff(&ratio) >= MIN_RATIO_DELTA
                 && edge.handle.set_ratio(ratio.clone()).is_ok()
             {
                 if let Some(journal) = &self.journal {
@@ -587,6 +596,19 @@ mod tests {
 
     /// Builds a 1-spout → 4-task dynamic topology and its controller.
     fn build(mode: ControlMode) -> (Controller, DynamicGroupingHandle) {
+        let cfg = ControllerConfig {
+            warmup_intervals: 3,
+            // Full bypass in these tests: zeroed-task assertions are exact.
+            probe_weight: 0.0,
+            ..ControllerConfig::default()
+        };
+        build_with(cfg, mode).unwrap()
+    }
+
+    fn build_with(
+        cfg: ControllerConfig,
+        mode: ControlMode,
+    ) -> Result<(Controller, DynamicGroupingHandle)> {
         use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput};
         use dsdps::config::EngineConfig;
         use dsdps::topology::TopologyBuilder;
@@ -614,14 +636,8 @@ mod tests {
         let placement =
             dsdps::scheduler::even_placement(&topo, &EngineConfig::default().with_cluster(2, 2, 4))
                 .unwrap();
-        let cfg = ControllerConfig {
-            warmup_intervals: 3,
-            // Full bypass in these tests: zeroed-task assertions are exact.
-            probe_weight: 0.0,
-            ..ControllerConfig::default()
-        };
-        let c = Controller::for_topology(&topo, &placement, cfg, mode).unwrap();
-        (c, handle)
+        let c = Controller::for_topology(&topo, &placement, cfg, mode)?;
+        Ok((c, handle))
     }
 
     #[test]
@@ -629,6 +645,39 @@ mod tests {
         let (c, _) = build(ControlMode::Monitor);
         assert_eq!(c.controlled_workers().len(), 4);
         assert_eq!(c.mode_name(), "monitor");
+    }
+
+    #[test]
+    fn rejects_configs_that_would_never_act() {
+        let base = ControllerConfig::default();
+        let bad = [
+            ControllerConfig {
+                warmup_intervals: HISTORY_CAPACITY + 1,
+                ..base.clone()
+            },
+            ControllerConfig {
+                probe_weight: 0.5,
+                ..base.clone()
+            },
+            ControllerConfig {
+                probe_weight: -0.01,
+                ..base.clone()
+            },
+            ControllerConfig {
+                probe_weight: f64::NAN,
+                ..base.clone()
+            },
+        ];
+        for cfg in bad {
+            let err = build_with(cfg.clone(), ControlMode::Reactive).err();
+            assert!(matches!(err, Some(Error::Config(_))), "{cfg:?}");
+        }
+        let edge = ControllerConfig {
+            warmup_intervals: HISTORY_CAPACITY,
+            probe_weight: 0.0,
+            ..base
+        };
+        assert!(build_with(edge, ControlMode::Reactive).is_ok());
     }
 
     #[test]
@@ -799,10 +848,7 @@ mod tests {
         for i in 0..600 {
             c.on_snapshot(&snapshot(i, &[100.0; 4]));
         }
-        assert_eq!(
-            c.history().len(),
-            ControllerConfig::default().history_capacity
-        );
+        assert_eq!(c.history().len(), HISTORY_CAPACITY);
     }
 
     /// Stub rate actuator: a shared cell standing in for the runtime's

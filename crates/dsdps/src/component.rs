@@ -166,11 +166,6 @@ impl BoltOutput {
         self.failed = true;
     }
 
-    /// True if the bolt failed the input tuple.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Number of buffered emissions.
     pub fn len(&self) -> usize {
         self.emissions.len()
@@ -269,12 +264,10 @@ mod tests {
         let mut out = BoltOutput::new();
         out.emit(Tuple::of([Value::from(1i64)]));
         out.emit_unanchored(Tuple::of([Value::from(2i64)]));
-        assert!(!out.is_failed());
         out.fail();
-        assert!(out.is_failed());
         let (emissions, failed) = out.drain();
         assert!(failed);
-        assert!(!out.is_failed(), "drain resets failure flag");
+        assert!(!out.drain().1, "drain resets failure flag");
         assert!(emissions[0].anchored);
         assert!(!emissions[1].anchored);
     }

@@ -7,7 +7,7 @@ use crate::error::{Error, Result};
 /// Cluster and engine parameters.
 ///
 /// Defaults match the reconstructed experimental setup in `DESIGN.md`:
-/// 4 machines × 2 workers, 4 cores each, acking on, 30 s message timeout.
+/// 4 machines × 2 workers, 4 cores each, 30 s message timeout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Number of simulated machines in the cluster.
@@ -16,8 +16,6 @@ pub struct EngineConfig {
     pub workers_per_machine: usize,
     /// CPU cores per machine (capacity of the interference model).
     pub machine_cores: usize,
-    /// Whether the acker tracks tuple trees (reliability on/off).
-    pub ack_enabled: bool,
     /// Seconds before an unacked tuple tree times out and is replayed.
     pub message_timeout_s: f64,
     /// Maximum spout tuple trees in flight per spout task before the spout
@@ -38,19 +36,9 @@ pub struct EngineConfig {
     pub metrics_interval_s: f64,
     /// Bolt tick interval in seconds (0 or less disables ticks).
     pub tick_interval_s: f64,
-    /// One-way tuple transfer latency between tasks in the same worker (µs).
-    pub local_transfer_us: f64,
-    /// One-way transfer latency between workers/machines (µs).
-    pub remote_transfer_us: f64,
     /// Per-task input queue capacity; beyond this, backpressure throttles
     /// upstream spouts.
     pub queue_capacity: usize,
-    /// Metrics snapshots retained in the in-memory history window (`0` =
-    /// unbounded).  Both runtimes honour it: the simulator's
-    /// [`run_until`](crate::sim::SimRuntime::run_until) history and the
-    /// threaded runtime's metrics thread evict the oldest snapshot past this
-    /// cap and journal a `history_truncated` event the first time it trips.
-    pub metrics_history_cap: usize,
     /// Master RNG seed for workloads, jitter and placement tie-breaks.
     pub seed: u64,
 }
@@ -61,18 +49,11 @@ impl Default for EngineConfig {
             num_machines: 4,
             workers_per_machine: 2,
             machine_cores: 4,
-            ack_enabled: true,
             message_timeout_s: 30.0,
             max_spout_pending: 512,
             metrics_interval_s: 1.0,
             tick_interval_s: 1.0,
-            local_transfer_us: 20.0,
-            remote_transfer_us: 300.0,
             queue_capacity: 2048,
-            // Generous enough for every long-horizon experiment in the repo
-            // (tens of minutes at 1 s intervals) while still bounding
-            // multi-hour scenario sweeps.
-            metrics_history_cap: 4096,
             seed: 42,
         }
     }
@@ -116,25 +97,12 @@ impl EngineConfig {
         if self.queue_capacity == 0 {
             return Err(Error::Config("queue_capacity must be >= 1".into()));
         }
-        let latency_ok = |us: f64| us >= 0.0 && us.is_finite();
-        if !(latency_ok(self.local_transfer_us) && latency_ok(self.remote_transfer_us)) {
-            return Err(Error::Config(
-                "transfer latencies must be finite and >= 0".into(),
-            ));
-        }
         Ok(())
     }
 
     /// Builder-style setter for the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style setter for the metrics-history retention window
-    /// (`0` = unbounded).
-    pub fn with_metrics_history_cap(mut self, cap: usize) -> Self {
-        self.metrics_history_cap = cap;
         self
     }
 
@@ -187,17 +155,12 @@ mod tests {
         let mut c = base.clone();
         c.queue_capacity = 0;
         assert!(c.validate().is_err());
-        let mut c = base.clone();
-        c.remote_transfer_us = -5.0;
-        assert!(c.validate().is_err());
         // Non-finite values fail too, and a non-positive tick interval
         // still means "no ticks".
-        let fields: [fn(&mut EngineConfig) -> &mut f64; 5] = [
+        let fields: [fn(&mut EngineConfig) -> &mut f64; 3] = [
             |c| &mut c.message_timeout_s,
             |c| &mut c.metrics_interval_s,
             |c| &mut c.tick_interval_s,
-            |c| &mut c.local_transfer_us,
-            |c| &mut c.remote_transfer_us,
         ];
         for field in fields {
             for v in [f64::NAN, f64::INFINITY] {
@@ -213,14 +176,10 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = EngineConfig::default()
-            .with_seed(7)
-            .with_cluster(2, 3, 8)
-            .with_metrics_history_cap(64);
+        let c = EngineConfig::default().with_seed(7).with_cluster(2, 3, 8);
         assert_eq!(c.seed, 7);
         assert_eq!(c.num_workers(), 6);
         assert_eq!(c.machine_cores, 8);
-        assert_eq!(c.metrics_history_cap, 64);
     }
 
     #[test]

@@ -689,22 +689,6 @@ fn read_metric(d: &mut Dec<'_>) -> Result<WireMetric, CodecError> {
     })
 }
 
-/// Appends the complete length-prefixed encoding of `frame` to `buf`.
-///
-/// The body is encoded into the tail of `buf` first and the varint length
-/// spliced in front, so one reusable buffer serves the whole connection.
-pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
-    let start = buf.len();
-    encode_frame_body(frame, buf);
-    let body_len = buf.len() - start;
-    let mut prefix = [0u8; 10];
-    let mut tmp = Vec::new();
-    write_varint(&mut tmp, body_len as u64);
-    prefix[..tmp.len()].copy_from_slice(&tmp);
-    // Splice the prefix in front of the body.
-    buf.splice(start..start, prefix[..tmp.len()].iter().copied());
-}
-
 /// Appends the frame body (tag + payload) **without** the length prefix —
 /// the transport writer prefixes it when it owns the framing.
 pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
@@ -1343,17 +1327,6 @@ mod tests {
             let back = decode_frame(&buf).unwrap_or_else(|e| panic!("{}: {e}", frame.kind()));
             assert_eq!(back, frame);
         }
-    }
-
-    #[test]
-    fn length_prefixed_encoding_is_parseable() {
-        let frame = Frame::CreditGrant { task: 1, amount: 2 };
-        let mut buf = Vec::new();
-        encode_frame(&frame, &mut buf);
-        let mut d = Dec::new(&buf);
-        let len = d.varint().unwrap() as usize;
-        assert_eq!(len, d.remaining());
-        assert_eq!(decode_frame(d.bytes(len).unwrap()).unwrap(), frame);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use super::codec::{FlushReport, Frame, WirePeer, WireTuple};
 use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
 use super::worker::TopologyRegistry;
-use super::{recovery_to_byte, span_kind_from_byte, DistConfig, LastWordsLine};
+use super::{recovery_to_byte, span_kind_from_byte, DistConfig, LastWordsLine, CONNECT_TIMEOUT};
 use crate::acker::{AckOps, ShardedAcker, TreeOutcome, ACKER_SHARDS, EXPIRE_SWEEP};
 use crate::bolt_task::Policy;
 use crate::checkpoint::CheckpointStore;
@@ -872,8 +872,8 @@ fn spout_loop(
 /// Submits `topology_name` (resolved through `registry`, exactly as each
 /// worker will resolve it) to a fleet of worker processes.
 ///
-/// Blocks until every worker has connected and been assigned, or
-/// [`DistConfig::connect_timeout`] expires.
+/// Blocks until every worker has connected and been assigned, or 10 s
+/// have passed.
 pub fn submit(
     registry: &TopologyRegistry,
     topology_name: &str,
@@ -1018,7 +1018,7 @@ pub fn submit(
         shared.spawn_worker(slot_idx)?;
     }
     // Wait for every worker to finish its handshake.
-    let deadline = Instant::now() + shared.cfg.connect_timeout;
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     loop {
         let connected = shared
             .slots
@@ -1042,7 +1042,7 @@ pub fn submit(
             return Err(Error::Runtime(format!(
                 "only {connected}/{} workers connected within {:?}",
                 shared.slots.len(),
-                shared.cfg.connect_timeout
+                CONNECT_TIMEOUT
             )));
         }
         std::thread::sleep(Duration::from_millis(1));

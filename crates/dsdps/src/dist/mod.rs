@@ -79,9 +79,11 @@ pub struct DistConfig {
     /// environment; the binary must call
     /// [`maybe_worker_from_env`] with a registry containing the topology.
     pub worker_cmd: Vec<String>,
-    /// How long spawn + connect + hello may take per worker.
-    pub connect_timeout: Duration,
 }
+
+/// How long spawning, connecting and the hello may take: the coordinator's
+/// wait for the whole fleet, and a worker's dial of the coordinator.
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 impl DistConfig {
     /// A fleet of `workers` processes started by `worker_cmd`.
@@ -89,14 +91,7 @@ impl DistConfig {
         DistConfig {
             workers,
             worker_cmd,
-            connect_timeout: Duration::from_secs(10),
         }
-    }
-
-    /// Sets the per-worker spawn/connect budget.
-    pub fn with_connect_timeout(mut self, t: Duration) -> Self {
-        self.connect_timeout = t;
-        self
     }
 }
 

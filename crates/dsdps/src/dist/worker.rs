@@ -33,7 +33,7 @@ use super::codec::{FlushReport, Frame, WireMetric, WirePeer, WireSpan, WireTuple
 use super::coordinator::COORDINATOR_SLOT;
 use super::router::{dynamic_handles, wire_tuple, Outbox};
 use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
-use super::{recovery_from_byte, span_kind_to_byte, DistConfig, LastWordsLine};
+use super::{recovery_from_byte, span_kind_to_byte, LastWordsLine, CONNECT_TIMEOUT};
 use crate::acker::{AckRecord, RootId};
 use crate::bolt_task::{BoltTask, Policy};
 use crate::checkpoint::Restored;
@@ -658,7 +658,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, idx: u32) -
     // endpoint, a peer may dial it at any moment.  (The coordinator also
     // removes the socket file once this process is gone.)
     let (listener, my_endpoint) = Listener::unix_temp()?;
-    let conn = Conn::connect(endpoint, DistConfig::new(1, vec![]).connect_timeout)?;
+    let conn = Conn::connect(endpoint, CONNECT_TIMEOUT)?;
     let read_half = conn
         .try_clone()
         .map_err(|e| Error::Runtime(format!("clone socket: {e}")))?;

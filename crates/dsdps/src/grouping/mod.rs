@@ -15,7 +15,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use crate::tuple::{Fields, Tuple};
-use dynamic::{DynamicGrouping, DynamicGroupingHandle, SplitRatio};
+use dynamic::{DynamicGrouping, DynamicGroupingHandle};
 
 /// Declarative grouping choice attached to a subscription.
 #[derive(Debug, Clone)]
@@ -27,9 +27,9 @@ pub enum GroupingSpec {
     Fields(Vec<String>),
     /// All tuples to the subscriber's first task.
     Global,
-    /// The paper's dynamic grouping: split by a live-updatable ratio vector.
-    /// `None` starts uniform.
-    Dynamic(Option<SplitRatio>),
+    /// The paper's dynamic grouping: split by a live-updatable ratio vector,
+    /// uniform until the edge's [`DynamicGroupingHandle`] sets another.
+    Dynamic,
 }
 
 /// A runtime router deciding which subscriber task(s) receive each tuple.
@@ -162,7 +162,7 @@ pub fn make_grouping(
                 .expect("fields validated at topology build time"),
         ),
         GroupingSpec::Global => Box::new(GlobalGrouping { n_tasks }),
-        GroupingSpec::Dynamic(_) => {
+        GroupingSpec::Dynamic => {
             let handle = handle.expect("dynamic grouping requires the edge's shared handle");
             assert_eq!(handle.ratio().len(), n_tasks, "ratio arity mismatch");
             Box::new(DynamicGrouping::new(handle))
@@ -274,8 +274,8 @@ mod tests {
             let g = make_grouping(spec, 3, &schema, 0, None);
             assert_eq!(g.fan_out(), 3);
         }
-        let h = DynamicGroupingHandle::new(SplitRatio::uniform(3));
-        let g = make_grouping(&GroupingSpec::Dynamic(None), 3, &schema, 0, Some(h));
+        let h = DynamicGroupingHandle::new(dynamic::SplitRatio::uniform(3));
+        let g = make_grouping(&GroupingSpec::Dynamic, 3, &schema, 0, Some(h));
         assert_eq!(g.fan_out(), 3);
     }
 }

@@ -23,7 +23,6 @@ use parking_lot::Mutex;
 
 use crate::acker::{Completion, TreeOutcome};
 use crate::component::{Emission, MessageId, Spout};
-use crate::config::EngineConfig;
 use crate::hash::FxHashMap;
 use crate::metrics::{LatencyHistogram, OnlineStats};
 use crate::rt::RtConfig;
@@ -100,13 +99,6 @@ impl TreeLifecycle {
             journal,
             latency: (OnlineStats::new(), LatencyHistogram::new()),
         }
-    }
-
-    /// The message id under which `emission` roots a tracked tree: its own,
-    /// unless [`EngineConfig::ack_enabled`] is off.  Decided before routing,
-    /// without the spout's lifecycle in hand.
-    pub(crate) fn tracked_id(engine: &EngineConfig, emission: &Emission) -> Option<MessageId> {
-        emission.message_id.filter(|_| engine.ack_enabled)
     }
 
     /// A fresh emission went out as a tracked tree.  Called after routing,

@@ -244,25 +244,20 @@ impl MetricsSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHistory {
     snapshots: VecDeque<MetricsSnapshot>,
-    capacity: usize,
     /// The first eviction has been journaled.
     truncated: bool,
 }
 
 impl MetricsHistory {
-    /// History bounded to `capacity` snapshots (0 = unbounded).
-    pub fn new(capacity: usize) -> Self {
-        MetricsHistory {
-            snapshots: VecDeque::new(),
-            capacity,
-            truncated: false,
-        }
-    }
+    /// Snapshots retained.  Generous enough for every long-horizon
+    /// experiment in the repo (tens of minutes at 1 s intervals) while still
+    /// bounding multi-hour scenario sweeps.
+    pub const CAPACITY: usize = 4096;
 
     /// Appends a snapshot, evicting the oldest when over capacity.
     pub fn push(&mut self, snapshot: MetricsSnapshot) {
         self.snapshots.push_back(snapshot);
-        if self.capacity > 0 && self.snapshots.len() > self.capacity {
+        if self.snapshots.len() > Self::CAPACITY {
             self.snapshots.pop_front();
         }
     }
@@ -270,11 +265,11 @@ impl MetricsHistory {
     /// [`push`](Self::push) as the backends do it: the first eviction is
     /// journaled as `history_truncated`.
     pub(crate) fn push_journaled(&mut self, snapshot: MetricsSnapshot, journal: &Journal) {
-        if self.capacity > 0 && self.snapshots.len() >= self.capacity && !self.truncated {
+        if self.snapshots.len() >= Self::CAPACITY && !self.truncated {
             self.truncated = true;
             journal.append(JournalEvent::HistoryTruncated {
                 time_s: snapshot.time_s,
-                retained: self.capacity,
+                retained: Self::CAPACITY,
             });
         }
         self.push(snapshot);
@@ -293,19 +288,6 @@ impl MetricsHistory {
     /// Most recent snapshot.
     pub fn latest(&self) -> Option<&MetricsSnapshot> {
         self.snapshots.back()
-    }
-
-    /// The last `n` snapshots, oldest first.  `None` if fewer are retained.
-    pub fn last_n(&self, n: usize) -> Option<Vec<&MetricsSnapshot>> {
-        if self.snapshots.len() < n {
-            return None;
-        }
-        Some(
-            self.snapshots
-                .iter()
-                .skip(self.snapshots.len() - n)
-                .collect(),
-        )
     }
 
     /// Iterates snapshots oldest-first.
@@ -393,30 +375,16 @@ mod tests {
 
     #[test]
     fn history_bounded_eviction() {
-        let mut h = MetricsHistory::new(3);
-        for i in 0..5 {
-            h.push(snap(i));
-        }
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.latest().unwrap().interval, 4);
-        let intervals: Vec<u64> = h.iter().map(|s| s.interval).collect();
-        assert_eq!(intervals, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn history_last_n() {
-        let mut h = MetricsHistory::new(0);
+        let mut h = MetricsHistory::default();
         assert!(h.is_empty());
-        for i in 0..10 {
+        let n = MetricsHistory::CAPACITY as u64;
+        for i in 0..n + 2 {
             h.push(snap(i));
         }
-        assert_eq!(h.len(), 10, "capacity 0 = unbounded");
-        let last3 = h.last_n(3).unwrap();
-        assert_eq!(
-            last3.iter().map(|s| s.interval).collect::<Vec<_>>(),
-            vec![7, 8, 9]
-        );
-        assert!(h.last_n(11).is_none());
+        assert_eq!(h.len(), MetricsHistory::CAPACITY);
+        assert_eq!(h.latest().unwrap().interval, n + 1);
+        let intervals: Vec<u64> = h.iter().map(|s| s.interval).collect();
+        assert_eq!(intervals, (2..n + 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -3,12 +3,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Welford's online algorithm for count/mean/variance plus min/max.
+/// Welford's online algorithm for count/mean plus min/max.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -19,7 +18,6 @@ impl OnlineStats {
         OnlineStats {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -28,9 +26,7 @@ impl OnlineStats {
     /// Feeds one sample.
     pub fn update(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -47,20 +43,6 @@ impl OnlineStats {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance (0 for n < 2).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest sample (`None` when empty).
@@ -84,10 +66,7 @@ impl OnlineStats {
         }
         let n1 = self.n as f64;
         let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.mean += (other.mean - self.mean) * n2 / (n1 + n2);
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -246,8 +225,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
@@ -270,7 +247,6 @@ mod tests {
         left.merge(&right);
         assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl FanOut {
         let mut routes = Vec::new();
         for (sub, spec) in topology.subscribers_of(component.id) {
             let handle = match spec {
-                GroupingSpec::Dynamic(_) => topology.dynamic_handle(&component.name, &sub.name),
+                GroupingSpec::Dynamic => topology.dynamic_handle(&component.name, &sub.name),
                 _ => None,
             };
             routes.push(Route {

@@ -25,8 +25,8 @@ use crate::error::{Error, Result};
 /// channel, so queued tuples survive the crash.  Each task is restarted at
 /// most [`max_restarts`](Self::max_restarts) times.
 ///
-/// **Replay.** With [`max_replays`](Self::max_replays) > 0 and acking
-/// enabled, the spout loop caches each tracked emission and re-emits trees
+/// **Replay.** With [`max_replays`](Self::max_replays) > 0, the spout loop
+/// caches each tracked emission and re-emits trees
 /// that fail or time out, waiting `replay_backoff × 2^attempt` between
 /// attempts before declaring a message permanently failed.  The default of 0
 /// preserves the classic fire-and-forget semantics where user code sees

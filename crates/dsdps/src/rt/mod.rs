@@ -753,7 +753,7 @@ pub fn submit_faulty(
         let shared = shared.clone();
         let handle = spawn_thread("rt-metrics".into(), move || {
             let (cfg, placement) = (&shared.engine, &shared.placement);
-            let mut history = MetricsHistory::new(cfg.metrics_history_cap);
+            let mut history = MetricsHistory::default();
             let mut prev: Vec<Prev> = vec![Prev::default(); shared.task_stats.len()];
             let mut prev_totals = (0u64, 0u64, 0u64, 0u64);
             let mut interval: u64 = 0;
@@ -766,16 +766,14 @@ pub fn submit_faulty(
                 // holder takes its completions home.  The interval's blocking
                 // drain also scavenges completions from shards whose last
                 // op-applier has already exited.
-                if cfg.ack_enabled {
-                    shared.ackers.expire(shared.now_s(), cfg.message_timeout_s);
-                    let outcomes = if due {
-                        shared.ackers.drain_outcomes_blocking()
-                    } else {
-                        shared.ackers.drain_outcomes()
-                    };
-                    // The tracer's trailing slot belongs to this thread.
-                    deliver_outcomes(&shared, outcomes, shared.task_stats.len());
-                }
+                shared.ackers.expire(shared.now_s(), cfg.message_timeout_s);
+                let outcomes = if due {
+                    shared.ackers.drain_outcomes_blocking()
+                } else {
+                    shared.ackers.drain_outcomes()
+                };
+                // The tracer's trailing slot belongs to this thread.
+                deliver_outcomes(&shared, outcomes, shared.task_stats.len());
                 if !due {
                     continue;
                 }

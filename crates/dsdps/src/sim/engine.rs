@@ -54,7 +54,6 @@ use crate::bolt_task::BoltTask;
 use crate::component::{Emission, Spout, SpoutOutput, TopologyContext};
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
-use crate::lifecycle::TreeLifecycle;
 use crate::metrics::{
     fold_workers, LatencyHistogram, MachineStats, MetricsHistory, MetricsSnapshot, OnlineStats,
     SnapshotHook, TaskFlow, TaskStats, TopologyStats,
@@ -75,6 +74,11 @@ use super::machine::{Fault, InterferenceModel, MachineState};
 /// source is re-asked on this cadence.  Throttled spouts do **not** use it —
 /// they park and are woken by tree completions or backpressure clears.
 const IDLE_REPOLL_S: f64 = 0.001;
+
+/// One-way tuple transfer latency between tasks in the same worker (µs).
+const LOCAL_TRANSFER_US: f64 = 20.0;
+/// One-way tuple transfer latency between workers (µs).
+const REMOTE_TRANSFER_US: f64 = 300.0;
 
 // Bolts outnumber spouts: boxing the bolt task would add a pointer chase to
 // every step to save a few hundred bytes per spout.
@@ -371,7 +375,7 @@ impl SimRuntime {
             backpressure: false,
             interval_ctr: TopoCounters::default(),
             total_ctr: TopoCounters::default(),
-            history: MetricsHistory::new(config.metrics_history_cap),
+            history: MetricsHistory::default(),
             journal: Journal::new(),
             hooks: Vec::new(),
             faults: Vec::new(),
@@ -421,7 +425,7 @@ impl SimRuntime {
     }
 
     /// Metrics history collected so far, bounded by
-    /// [`EngineConfig::metrics_history_cap`].
+    /// [`MetricsHistory::CAPACITY`].
     pub fn history(&self) -> &MetricsHistory {
         &self.history
     }
@@ -570,9 +574,8 @@ impl SimRuntime {
         if self.tasks[task].exhausted || self.tasks[task].busy {
             return;
         }
-        let throttled = (self.config.ack_enabled
-            && self.tasks[task].pending_roots >= self.config.max_spout_pending)
-            || self.backpressure;
+        let throttled =
+            self.tasks[task].pending_roots >= self.config.max_spout_pending || self.backpressure;
         if throttled {
             // Park: a tree completion (ack/fail/timeout) or a backpressure
             // clear schedules the next wake.
@@ -636,7 +639,7 @@ impl SimRuntime {
         self.total_ctr.spout_emitted += n;
 
         for emission in staged.drain(..) {
-            let tracked = TreeLifecycle::tracked_id(&self.config, &emission).map(|message_id| {
+            let tracked = emission.message_id.map(|message_id| {
                 self.next_root += 1;
                 (self.next_root, message_id)
             });
@@ -834,9 +837,9 @@ impl SimRuntime {
         for (dest, delivery) in delivered.drain(..) {
             let remote = self.task_worker[dest] != src_worker;
             let transfer_us = if remote {
-                self.config.remote_transfer_us
+                REMOTE_TRANSFER_US
             } else {
-                self.config.local_transfer_us
+                LOCAL_TRANSFER_US
             };
             self.tasks[src].ctr.tuples_out += u64::from(remote);
             let idx = self.slab.alloc(delivery);
@@ -951,10 +954,8 @@ impl SimRuntime {
     }
 
     fn on_metrics_tick(&mut self) {
-        if self.config.ack_enabled {
-            self.acker.expire(self.now, self.config.message_timeout_s);
-            self.drain_outcomes();
-        }
+        self.acker.expire(self.now, self.config.message_timeout_s);
+        self.drain_outcomes();
         let snapshot = self.build_snapshot();
         for hook in &mut self.hooks {
             hook(&snapshot);
@@ -1595,16 +1596,17 @@ mod tests {
         );
     }
 
-    /// `metrics_history_cap` bounds the in-memory snapshot window and the
-    /// first eviction is journaled as `history_truncated`.
+    /// `MetricsHistory::CAPACITY` bounds the in-memory snapshot window and
+    /// the first eviction is journaled as `history_truncated`.
     #[test]
     fn history_is_bounded_and_journaled() {
         let seen = Arc::new(AtomicU64::new(0));
         let topo = linear_topology(500.0, 50.0, 2, seen);
-        let cfg = small_config().with_metrics_history_cap(3);
+        let mut cfg = small_config();
+        cfg.metrics_interval_s = 0.001;
         let mut e = SimRuntime::new(topo, cfg).unwrap();
-        e.run_until(8.0);
-        assert_eq!(e.history().len(), 3);
+        e.run_until(4.5);
+        assert_eq!(e.history().len(), MetricsHistory::CAPACITY);
         let truncations: Vec<_> = e
             .journal()
             .events()

@@ -220,9 +220,9 @@ impl SpoutTask {
         let emissions = std::mem::take(&mut self.emissions);
         let mut tracked = false;
         for emission in &emissions {
-            let tracked_as = TreeLifecycle::tracked_id(&self.engine, emission);
+            let tracked_as = emission.message_id.map(|id| (id, 0));
             tracked |= tracked_as.is_some();
-            self.fan_out(emission, tracked_as.map(|id| (id, 0)), roots, &mut sink);
+            self.fan_out(emission, tracked_as, roots, &mut sink);
         }
         self.emissions = emissions;
         self.release(&mut sink);
@@ -232,7 +232,7 @@ impl SpoutTask {
             // later step of this same task, so the order cannot race.
             let mut trees = trees.lock();
             for emission in self.emissions.drain(..) {
-                if let Some(message_id) = TreeLifecycle::tracked_id(&self.engine, &emission) {
+                if let Some(message_id) = emission.message_id {
                     trees.on_track(message_id, emission, now_s);
                 }
             }

@@ -172,8 +172,9 @@ pub enum JournalEvent {
         snapshot_age_s: Option<f64>,
     },
     /// The metrics-history window hit its retention cap
-    /// (`EngineConfig::metrics_history_cap`) and began evicting its oldest
-    /// snapshots.  Journaled once per run, the first time it trips.
+    /// ([`MetricsHistory::CAPACITY`](crate::metrics::MetricsHistory::CAPACITY))
+    /// and began evicting its oldest snapshots.  Journaled once per run, the
+    /// first time it trips.
     HistoryTruncated {
         /// Runtime clock, seconds.
         time_s: f64,
@@ -356,11 +357,6 @@ impl Journal {
     pub fn is_empty(&self) -> bool {
         self.events.lock().is_empty()
     }
-
-    /// Renders the journal as JSONL.
-    pub fn to_jsonl(&self) -> String {
-        events_jsonl(&self.events())
-    }
 }
 
 impl std::fmt::Debug for Journal {
@@ -384,14 +380,6 @@ pub fn events_jsonl(events: &[JournalEvent]) -> String {
 pub fn write_events_jsonl(path: &Path, events: &[JournalEvent]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(events_jsonl(events).as_bytes())
-}
-
-/// Parses a JSONL journal back into events (inverse of [`events_jsonl`]).
-pub fn parse_jsonl(text: &str) -> Result<Vec<JournalEvent>, serde_json::Error> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
 }
 
 #[cfg(test)]
@@ -505,7 +493,10 @@ mod tests {
             journal.append(e);
         }
         assert_eq!(journal.len(), 16);
-        let back = parse_jsonl(&journal.to_jsonl()).unwrap();
+        let back: Vec<JournalEvent> = events_jsonl(&journal.events())
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
         assert_eq!(back, journal.events());
     }
 

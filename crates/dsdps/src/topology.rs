@@ -347,16 +347,6 @@ impl TopologyBuilder {
                         });
                     }
                 }
-                if let GroupingSpec::Dynamic(Some(r)) = &sub.grouping {
-                    if r.len() != c.parallelism {
-                        return Err(Error::InvalidSplitRatio(format!(
-                            "ratio has {} entries but bolt `{}` has {} tasks",
-                            r.len(),
-                            c.name,
-                            c.parallelism
-                        )));
-                    }
-                }
             }
         }
 
@@ -371,13 +361,9 @@ impl TopologyBuilder {
         let mut dynamic_handles = HashMap::new();
         for c in &components {
             for sub in &c.subscriptions {
-                if let GroupingSpec::Dynamic(initial) = &sub.grouping {
-                    let ratio = match initial {
-                        Some(r) => r.clone(),
-                        None => SplitRatio::uniform(c.parallelism),
-                    };
+                if let GroupingSpec::Dynamic = sub.grouping {
                     let producer = components[sub.from.0].name.clone();
-                    let handle = DynamicGroupingHandle::new(ratio);
+                    let handle = DynamicGroupingHandle::new(SplitRatio::uniform(c.parallelism));
                     dynamic_handles.insert((producer, c.name.clone()), handle);
                 }
             }
@@ -486,13 +472,7 @@ impl BoltDeclarer<'_> {
     /// After `build()`, fetch the live handle with
     /// [`Topology::dynamic_handle`] to change the ratio on the fly.
     pub fn dynamic_grouping(&mut self, from: &str) -> Result<&mut Self> {
-        self.subscribe(from, GroupingSpec::Dynamic(None))
-    }
-
-    /// Dynamic grouping with an explicit initial split ratio (one weight per
-    /// subscriber task).
-    pub fn dynamic_grouping_with(&mut self, from: &str, initial: SplitRatio) -> Result<&mut Self> {
-        self.subscribe(from, GroupingSpec::Dynamic(Some(initial)))
+        self.subscribe(from, GroupingSpec::Dynamic)
     }
 
     /// The component id assigned to this bolt.
@@ -593,7 +573,7 @@ mod tests {
             .unwrap()
             .dynamic_grouping("spout")
             .unwrap()
-            .dynamic_grouping_with("spout", SplitRatio::new(vec![1.0, 0.0]).unwrap())
+            .shuffle_grouping("spout")
             .unwrap();
         assert!(matches!(b.build(), Err(Error::InvalidTopology(_))));
     }
@@ -621,16 +601,6 @@ mod tests {
         let mut b = two_stage();
         b.set_bolt("orphan", 1, || NullBolt).unwrap();
         assert!(matches!(b.build(), Err(Error::InvalidTopology(_))));
-    }
-
-    #[test]
-    fn rejects_wrong_ratio_arity() {
-        let mut b = two_stage();
-        b.set_bolt("b", 3, || NullBolt)
-            .unwrap()
-            .dynamic_grouping_with("spout", SplitRatio::new(vec![0.5, 0.5]).unwrap())
-            .unwrap();
-        assert!(matches!(b.build(), Err(Error::InvalidSplitRatio(_))));
     }
 
     #[test]

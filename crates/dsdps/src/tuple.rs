@@ -8,7 +8,6 @@
 //! `Fields { names: None }`: cloning or dropping it touches no shared
 //! memory.  A declared schema is one shared `Arc` per declaration.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -39,14 +38,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Returns the boolean if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the integer if this is an `I64`.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
@@ -78,11 +69,6 @@ impl Value {
             Value::Bytes(b) => Some(b.as_ref()),
             _ => None,
         }
-    }
-
-    /// True if this value is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 
     /// Approximate in-memory size of the value payload in bytes, used by the
@@ -377,15 +363,6 @@ impl Tuple {
         self.fields.index_of(field).and_then(|i| self.values.get(i))
     }
 
-    /// Field-name → value map, mainly for debugging/tests.
-    pub fn as_map(&self) -> BTreeMap<String, Value> {
-        self.fields
-            .iter()
-            .zip(self.values.iter())
-            .map(|(k, v)| (k.to_owned(), v.clone()))
-            .collect()
-    }
-
     /// Approximate serialized size of the tuple, used by the simulator's
     /// transfer-cost model.
     pub fn size_bytes(&self) -> usize {
@@ -425,10 +402,9 @@ mod tests {
         assert_eq!(Value::from(5i64).as_i64(), Some(5));
         assert_eq!(Value::from(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::from("abc").as_str(), Some("abc"));
-        assert_eq!(Value::from(true).as_bool(), Some(true));
+        assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(7i64).as_f64(), Some(7.0), "i64 widens to f64");
         assert_eq!(Value::from("abc").as_i64(), None);
-        assert!(Value::Null.is_null());
     }
 
     #[test]
@@ -505,8 +481,6 @@ mod tests {
             [Value::from("a"), Value::from(1i64)],
             Fields::new(["k", "v"]),
         );
-        let m = t.as_map();
-        assert_eq!(m["k"].as_str(), Some("a"));
         assert_eq!(format!("{t}"), "(k=a, v=1)");
         let bare = Tuple::of([Value::from(3i64)]);
         assert_eq!(format!("{bare}"), "(3)");

@@ -381,7 +381,6 @@ fn dist_submit_rejects_bad_configs_before_spawning() {
                 format!("echo spawned > {}", marker.display()),
             ],
         )
-        .with_connect_timeout(Duration::from_millis(500))
     };
     let (engine, rt_config) = (EngineConfig::default(), RtConfig::default());
     let bad_engine = EngineConfig {

@@ -31,28 +31,30 @@ const TASKS: usize = 11;
 /// `ack` + `fail` calls heard by the spouts of each test (spouts run in the
 /// test process on every backend, and the tests run concurrently).
 static HEARD_ROUTING: AtomicU64 = AtomicU64::new(0);
-static HEARD_ACK_DISABLED: AtomicU64 = AtomicU64::new(0);
+static HEARD_UNTRACKED: AtomicU64 = AtomicU64::new(0);
 static HEARD_FLAKY: AtomicU64 = AtomicU64::new(0);
 static HEARD_FORK: AtomicU64 = AtomicU64::new(0);
 static HEARD_FAIL_ONCE: AtomicU64 = AtomicU64::new(0);
 
-/// Emits `1..=N`, each tuple tracked under message id `ids + i`.  Every
-/// topology here has two: `src` (`ids` 0) and `void` (`ids` N), to which
-/// nobody subscribes, so each of its trees has zero deliveries and must
-/// complete on its own.
+/// Emits `1..=N`, each tuple tracked under message id `ids + i` unless
+/// `tracked` is off.  Every topology here has two: `src` (`ids` 0) and
+/// `void` (`ids` N), to which nobody subscribes, so each of its trees has
+/// zero deliveries and must complete on its own.
 struct Src {
     next: u64,
     ids: u64,
+    tracked: bool,
     heard: &'static AtomicU64,
 }
 
 impl Src {
     /// Declares `src` and `void`, both counted into `heard`.
-    fn declare(b: &mut TopologyBuilder, heard: &'static AtomicU64) -> Result<()> {
+    fn declare(b: &mut TopologyBuilder, heard: &'static AtomicU64, tracked: bool) -> Result<()> {
         for (name, ids) in [("src", 0), ("void", N)] {
             b.set_spout(name, 1, move || Src {
                 next: 0,
                 ids,
+                tracked,
                 heard,
             })?;
         }
@@ -67,7 +69,11 @@ impl Spout for Src {
         }
         self.next += 1;
         let tuple = Tuple::of([Value::from(self.next as i64)]);
-        out.emit_with_id(tuple, self.ids + self.next);
+        if self.tracked {
+            out.emit_with_id(tuple, self.ids + self.next);
+        } else {
+            out.emit(tuple);
+        }
         true
     }
 
@@ -148,7 +154,11 @@ fn decode(snap: &StateSnapshot) -> u64 {
 /// `global ×2`, `dynamic ×2` (ratio 1 : 3), `side ×2` (shuffle) and
 /// `keyed ×2` (fields on `i`).  Global task ids: src 0, void 1, fan 2,
 /// global 3‥4, dynamic 5‥6, side 7‥8, keyed 9‥10.
-fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topology> {
+fn build(
+    counts: &Arc<Vec<AtomicU64>>,
+    heard: &'static AtomicU64,
+    tracked: bool,
+) -> Result<Topology> {
     let count = |base: usize| {
         let counts = Arc::clone(counts);
         move || Count {
@@ -160,17 +170,22 @@ fn build(counts: &Arc<Vec<AtomicU64>>, heard: &'static AtomicU64) -> Result<Topo
         }
     };
     let mut b = TopologyBuilder::new("parity");
-    Src::declare(&mut b, heard)?;
+    Src::declare(&mut b, heard, tracked)?;
     b.set_bolt("fan", 1, || Fan)?
         .shuffle_grouping("src")?
         .output_fields(Fields::new(["i"]));
     b.set_bolt("global", 2, count(3))?.global_grouping("fan")?;
     b.set_bolt("dynamic", 2, count(5))?
-        .dynamic_grouping_with("fan", SplitRatio::new(vec![1.0, 3.0])?)?;
+        .dynamic_grouping("fan")?;
     b.set_bolt("side", 2, count(7))?.shuffle_grouping("fan")?;
     b.set_bolt("keyed", 2, count(9))?
         .fields_grouping("fan", &["i"])?;
-    b.build()
+    let topology = b.build()?;
+    let dynamic = topology
+        .dynamic_handle("fan", "dynamic")
+        .expect("dynamic edge");
+    dynamic.set_ratio(SplitRatio::new(vec![1.0, 3.0])?)?;
+    Ok(topology)
 }
 
 /// `src ×1 → flaky ×1`: a counter (global task 2) that counts every input
@@ -182,7 +197,7 @@ fn build_flaky(
 ) -> Result<Topology> {
     let counts = Arc::clone(counts);
     let mut b = TopologyBuilder::new("parity-flaky");
-    Src::declare(&mut b, heard)?;
+    Src::declare(&mut b, heard, true)?;
     b.set_bolt("flaky", 1, move || Count {
         counts: Arc::clone(&counts),
         task: 2,
@@ -211,7 +226,7 @@ fn build_fork(counts: &Arc<Vec<AtomicU64>>) -> Result<Topology> {
         }
     };
     let mut b = TopologyBuilder::new("parity-fork");
-    Src::declare(&mut b, &HEARD_FORK)?;
+    Src::declare(&mut b, &HEARD_FORK, true)?;
     b.set_bolt("pass", 1, branch(2, 0))?
         .shuffle_grouping("src")?;
     b.set_bolt("reject", 1, branch(3, 4))?
@@ -229,9 +244,11 @@ fn read(counts: &[AtomicU64]) -> Vec<u64> {
 
 fn registry() -> TopologyRegistry {
     let mut r = TopologyRegistry::new();
-    r.register("routing", |_args| build(&fresh_counts(), &HEARD_ROUTING));
-    r.register("ack-disabled", |_args| {
-        build(&fresh_counts(), &HEARD_ACK_DISABLED)
+    r.register("routing", |_args| {
+        build(&fresh_counts(), &HEARD_ROUTING, true)
+    });
+    r.register("untracked", |_args| {
+        build(&fresh_counts(), &HEARD_UNTRACKED, false)
     });
     r.register("flaky", |_args| {
         build_flaky(&fresh_counts(), 5, &HEARD_FLAKY)
@@ -347,7 +364,7 @@ fn three_backends_route_identically() {
     engine.metrics_interval_s = 0.2;
 
     let counts = fresh_counts();
-    let topology = build(&counts, &HEARD_ROUTING).unwrap();
+    let topology = build(&counts, &HEARD_ROUTING, true).unwrap();
     let mut sim = SimRuntime::new(topology, engine.clone()).unwrap();
     let sim_report = sim.run_until(10.0);
     assert_eq!(sim_report.acked, 2 * N, "{sim_report:?}");
@@ -355,7 +372,7 @@ fn three_backends_route_identically() {
     let sim_flows = worker_flows(sim.history().iter());
 
     let counts = fresh_counts();
-    let topology = build(&counts, &HEARD_ROUTING).unwrap();
+    let topology = build(&counts, &HEARD_ROUTING, true).unwrap();
     let running = rt::submit_with(topology, engine.clone(), RtConfig::default()).unwrap();
     assert!(
         wait_until(Duration::from_secs(30), || running.acked() == 2 * N),
@@ -399,21 +416,39 @@ fn three_backends_route_identically() {
     assert_eq!(HEARD_ROUTING.load(Ordering::Relaxed), 3 * 2 * N);
 }
 
-/// `EngineConfig::ack_enabled = false` means the same on `dist` as on `rt`:
+/// Emissions without a message id mean the same on `dist` as on `rt`:
 /// nothing is tracked or replayed, user code never hears `ack`/`fail`, and
-/// the run still delivers everything and drains clean.
+/// the run still delivers everything (and on `dist` drains clean).
 #[test]
 fn dist_honours_ack_disabled() {
-    let engine = EngineConfig {
-        ack_enabled: false,
-        ..EngineConfig::default()
+    let rt_config = RtConfig::default().with_max_replays(3);
+    let untracked = |report: &Report| {
+        assert_eq!(report.tracked, 0);
+        assert_eq!(report.acked + report.failed + report.timed_out, 0);
+        assert_eq!(report.replays_scheduled + report.replays_emitted, 0);
+        assert_eq!(report.in_flight, 0);
+        assert!(report.conservation_holds(), "{report:?}");
     };
+
+    let counts = fresh_counts();
+    let topology = build(&counts, &HEARD_UNTRACKED, false).unwrap();
+    let running = rt::submit_with(topology, EngineConfig::default(), rt_config.clone()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(30), || read(&counts)[3] == N),
+        "rt delivered {}/{N}",
+        read(&counts)[3]
+    );
+    let (_, report) = running.shutdown();
+    assert_eq!(report.spout_emitted, 2 * N, "{report:?}");
+    untracked(&report);
+    assert_eq!(read(&counts)[3..5], [N, 0], "rt: everything arrived");
+
     let running = dist::submit(
         &registry(),
-        "ack-disabled",
+        "untracked",
         "",
-        engine,
-        RtConfig::default().with_max_replays(3),
+        EngineConfig::default(),
+        rt_config,
         DistConfig::new(2, self_worker_cmd()),
     )
     .unwrap();
@@ -425,13 +460,9 @@ fn dist_honours_ack_disabled() {
     assert_eq!(running.pending_trees(), 0);
     let report = running.shutdown();
     assert!(report.drained_clean, "{report:?}");
-    assert_eq!(report.tracked, 0);
-    assert_eq!(report.acked + report.failed + report.timed_out, 0);
-    assert_eq!(report.replays_scheduled + report.replays_emitted, 0);
-    assert_eq!(report.in_flight, 0);
-    assert!(report.conservation_holds(), "{report:?}");
+    untracked(&report);
     assert_eq!(final_counts(&report)[3..5], [N, 0], "everything arrived");
-    assert_eq!(HEARD_ACK_DISABLED.load(Ordering::Relaxed), 0);
+    assert_eq!(HEARD_UNTRACKED.load(Ordering::Relaxed), 0);
 }
 
 /// Exactly-once effect means the same on `rt` and `dist` for an input the

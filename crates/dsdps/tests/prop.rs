@@ -298,7 +298,6 @@ proptest! {
         a.merge(&b);
         prop_assert_eq!(a.count(), whole.count());
         prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() <= 1e-4 * (1.0 + whole.variance()));
     }
 
     /// Histogram quantiles stay within the documented ~9 % relative error.
@@ -664,8 +663,8 @@ proptest! {
 // --- wire codec (dist runtime) ------------------------------------------
 
 use dsdps::dist::codec::{
-    self, decode_frame, encode_frame, encode_frame_body, AckItem, Dec, FlushReport, Frame,
-    WireMetric, WirePeer, WireSpan, WireTuple,
+    self, decode_frame, encode_frame_body, AckItem, Dec, FlushReport, Frame, WireMetric, WirePeer,
+    WireSpan, WireTuple,
 };
 
 /// Scalar tuple values.  Floats stay finite so value equality is
@@ -961,19 +960,6 @@ proptest! {
             prop_assert!(d.is_done());
         }
         prop_assert_eq!(codec::unzigzag(codec::zigzag(s)), s);
-    }
-
-    /// The length-prefixed encoding is what the frame reader parses:
-    /// `varint(len) ++ body` with `len == body.len()`.
-    #[test]
-    fn codec_length_prefix_matches_body(frame in any_frame()) {
-        let mut framed = Vec::new();
-        encode_frame(&frame, &mut framed);
-        let mut d = Dec::new(&framed);
-        let len = d.varint().unwrap() as usize;
-        let body = &framed[framed.len() - d.remaining()..];
-        prop_assert_eq!(len, body.len());
-        prop_assert_eq!(decode_frame(body), Ok(frame));
     }
 }
 
