@@ -21,12 +21,21 @@
 //! a dying connection fails every tree in flight into replay.  The report is
 //! the threaded runtime's too: one [`Report`], built from the same registry
 //! cells on both, to which `shutdown` adds the fleet's own fields.
+//!
+//! The control plane waits on events, not timers.  The listener blocks in
+//! `accept` and is woken at terminate by a connection of the coordinator's
+//! own.  The supervisor's tick and the spouts' idle naps park on the crate's
+//! `stop::Stop`, so terminate wakes them at once; the tick ends early at
+//! the linger deadline of a partial spout batch.  `submit`'s wait for the
+//! fleet, each shutdown flush round and shutdown's wait for every worker to
+//! exit park on one change counter, bumped by handshakes, `Flushed`
+//! reports, reader threads ending and worker stderr closing.
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,6 +57,7 @@ use crate::route::FanOut;
 use crate::rt::{CreditLedger, RtConfig};
 use crate::spawn_thread;
 use crate::spout_task::{Next, Released, SpoutTask};
+use crate::stop::Stop;
 use crate::telemetry::journal::{Journal, JournalEvent};
 use crate::telemetry::{
     normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer, Registry, Span, Tracer,
@@ -57,6 +67,10 @@ use crate::topology::{ComponentId, ComponentKind, Topology};
 /// How often the supervisor refreshes the cluster-view gauges (outstanding
 /// windows, overflow depth, connection counters).  Off the tuple path.
 const GAUGE_SYNC_INTERVAL: Duration = Duration::from_millis(250);
+
+/// The supervisor's longest nap between rounds of its periodic work; it
+/// wakes sooner for a lingering batch's deadline, and at once on terminate.
+const SUPERVISOR_TICK: Duration = Duration::from_millis(5);
 
 /// Respawn budget per worker slot; beyond it the slot stays down and its
 /// in-flight trees fail into replay/`permanently_failed`.  Every respawn
@@ -78,6 +92,9 @@ struct SlotState {
     /// Send side of the coordinator → worker link.
     out: Outbox,
     child: Option<Child>,
+    /// Set by the stderr pump of `child` when its stderr closes, i.e. when
+    /// the process has exited (a fresh flag per spawn).
+    exited: Arc<AtomicBool>,
     pid: u32,
     generation: u64,
     respawns: u32,
@@ -143,6 +160,44 @@ impl Counters {
     }
 }
 
+/// A count of control-plane events: a handshake completing, a `Flushed`
+/// report filed, a reader thread ending, a worker's stderr closing.  Never
+/// bumped on the tuple, ack or grant path.  A wait re-checks its condition
+/// after each bump instead of polling it.
+#[derive(Default)]
+struct Changes {
+    count: Mutex<u64>,
+    bumped: Condvar,
+}
+
+impl Changes {
+    fn bump(&self) {
+        *self.count.lock().unwrap() += 1;
+        self.bumped.notify_all();
+    }
+
+    /// Runs `check` now and again after every bump until it yields a value;
+    /// `None` once `deadline` passes with no bump since the last check.
+    fn wait_for<T>(&self, deadline: Instant, mut check: impl FnMut() -> Option<T>) -> Option<T> {
+        loop {
+            // Read before checking, so a bump that lands after the check
+            // moves the count and is not slept through.
+            let seen = *self.count.lock().unwrap();
+            if let Some(done) = check() {
+                return Some(done);
+            }
+            let mut count = self.count.lock().unwrap();
+            while *count == seen {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return None;
+                }
+                count = self.bumped.wait_timeout(count, left).unwrap().0;
+            }
+        }
+    }
+}
+
 struct Shared {
     topology: Topology,
     /// The registry key the topology was submitted under (what workers
@@ -181,7 +236,9 @@ struct Shared {
     /// Set at shutdown: spouts stop emitting fresh tuples.
     stop: AtomicBool,
     /// Set after the drain: every background thread exits.
-    terminate: AtomicBool,
+    terminate: Stop,
+    /// Bumped on every control-plane event the waits below watch for.
+    changes: Changes,
     /// Tree roots are small sequential ids (short varints on the wire);
     /// edge ids are the random ones.
     next_root: AtomicU64,
@@ -206,6 +263,13 @@ struct Shared {
 impl Shared {
     fn now_s(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
+    }
+
+    /// Sets `terminate` and wakes the listener's blocking accept with a
+    /// connection of its own.
+    fn terminate_threads(&self) {
+        self.terminate.set();
+        let _ = Conn::connect(&self.endpoint, Duration::ZERO);
     }
 
     /// Hands one spout delivery to the link of its owner; a dead link
@@ -313,9 +377,11 @@ impl Shared {
         // Stderr pump: structured last-words JSONL lines are captured for
         // the supervisor's `worker_died` cause; everything else is
         // forwarded verbatim.  The thread exits at stderr EOF (process
-        // death), so it never needs joining.
+        // death), which it reports as `exited`, so it never needs joining.
         if let Some(stderr) = child.stderr.take() {
             let shared = Arc::clone(self);
+            let exited = Arc::new(AtomicBool::new(false));
+            state.exited = Arc::clone(&exited);
             let _ = std::thread::Builder::new()
                 .name(format!("dist-stderr-{slot_idx}"))
                 .spawn(move || {
@@ -330,6 +396,8 @@ impl Shared {
                         }
                         eprintln!("dsdps worker {slot_idx}: {line}");
                     }
+                    exited.store(true, Ordering::Release);
+                    shared.changes.bump();
                 });
         }
         self.journal.append(JournalEvent::WorkerSpawned {
@@ -341,6 +409,33 @@ impl Shared {
         state.pid = child.id();
         state.child = Some(child);
         Ok(())
+    }
+
+    /// Workers whose link is up (their handshake completed).
+    fn connected(&self) -> usize {
+        let up = |slot: &&WorkerSlot| slot.state.lock().unwrap().out.is_up();
+        self.slots.iter().filter(up).count()
+    }
+
+    /// `submit`'s wait condition: `Ok` once every worker is connected, an
+    /// error naming the first worker whose process exited before its
+    /// handshake — nothing respawns a slot that never connected — with the
+    /// exit status it reaps.
+    fn fleet_up(&self) -> Option<Result<()>> {
+        for (idx, slot) in self.slots.iter().enumerate() {
+            let mut state = slot.state.lock().unwrap();
+            if state.generation > 0 || !state.exited.load(Ordering::Acquire) {
+                continue;
+            }
+            let status = match state.child.take().map(|mut child| child.wait()) {
+                Some(Ok(status)) => status.to_string(),
+                other => format!("{other:?}"),
+            };
+            return Some(Err(Error::Runtime(format!(
+                "worker {idx} exited before its handshake ({status})"
+            ))));
+        }
+        (self.connected() == self.slots.len()).then_some(Ok(()))
     }
 
     /// The coordinator's own part of quiescence: no tree pending, no spout
@@ -372,7 +467,7 @@ fn reader_loop(
         let frame = match reader.read_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => {
-                if shared.terminate.load(Ordering::Acquire) {
+                if shared.terminate.is_set() {
                     break "shutdown".to_owned();
                 }
                 continue;
@@ -414,6 +509,7 @@ fn reader_loop(
             }
             Frame::Flushed(report) => {
                 shared.slots[slot_idx].state.lock().unwrap().flushed = Some(report);
+                shared.changes.bump();
             }
             Frame::SpanBatch {
                 worker: _,
@@ -496,25 +592,26 @@ fn reader_loop(
     shared.counters.bytes_in.add(reader.bytes_in);
     shared.counters.frames_in.add(reader.frames_in);
     shared.cleanup_slot(slot_idx, &reason);
+    shared.changes.bump();
 }
 
 // --- listener / handshake thread ----------------------------------------
 
 fn listener_loop(shared: Arc<Shared>, listener: Listener) {
-    let _ = listener.set_nonblocking(true);
-    while !shared.terminate.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok(Some(conn)) => {
-                if let Err(e) = handshake(&shared, conn) {
-                    shared.journal.append(JournalEvent::WorkerDisconnected {
-                        time_s: shared.now_s(),
-                        worker: usize::MAX,
-                        reason: format!("handshake failed: {e}"),
-                        lost_trace_ids: Vec::new(),
-                    });
-                }
-            }
-            Ok(None) | Err(_) => std::thread::sleep(Duration::from_millis(5)),
+    while let Ok(conn) = listener.accept() {
+        // `terminate_threads` wakes the accept with a connection that sends
+        // no `Hello`: check before the handshake waits 5 s for one.
+        if shared.terminate.is_set() {
+            break;
+        }
+        let Some(conn) = conn else { continue };
+        if let Err(e) = handshake(&shared, conn) {
+            shared.journal.append(JournalEvent::WorkerDisconnected {
+                time_s: shared.now_s(),
+                worker: usize::MAX,
+                reason: format!("handshake failed: {e}"),
+                lost_trace_ids: Vec::new(),
+            });
         }
     }
 }
@@ -660,6 +757,7 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
         reader_loop(shared2, slot_idx, generation, pid, reader)
     })?;
     shared.reader_threads.lock().unwrap().push(handle);
+    shared.changes.bump();
     Ok(())
 }
 
@@ -694,8 +792,8 @@ fn supervisor_loop(shared: Arc<Shared>) {
     } else {
         None
     };
-    while !shared.terminate.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(5));
+    let mut nap = SUPERVISOR_TICK;
+    while !shared.terminate.wait(nap) {
         let now = shared.now_s();
         if last_expire.elapsed() >= EXPIRE_SWEEP {
             last_expire = Instant::now();
@@ -717,13 +815,16 @@ fn supervisor_loop(shared: Arc<Shared>) {
             let pending = shared.ackers.pending_count();
             shared.counters.pending_trees.set(pending as f64);
         }
+        let mut wake = Instant::now() + SUPERVISOR_TICK;
         for (idx, slot) in shared.slots.iter().enumerate() {
             let mut state = slot.state.lock().unwrap();
             // Reap exited children, attaching the captured cause of death
             // (last-words frame / stderr line, else the raw exit status).
+            // A slot that never connected is `submit`'s to reap.
+            let connected_once = state.generation > 0;
             let exit_status = match state.child.as_mut() {
-                Some(child) => child.try_wait().ok().flatten(),
-                None => None,
+                Some(child) if connected_once => child.try_wait().ok().flatten(),
+                _ => None,
             };
             if let Some(status) = exit_status {
                 state.child = None;
@@ -785,7 +886,7 @@ fn supervisor_loop(shared: Arc<Shared>) {
                 && !state.out.is_up()
                 && state.generation > 0
                 && state.respawns < MAX_WORKER_RESTARTS
-                && !shared.terminate.load(Ordering::Acquire)
+                && !shared.terminate.is_set()
             {
                 state.respawns += 1;
                 shared.counters.worker_restarts.inc();
@@ -793,10 +894,14 @@ fn supervisor_loop(shared: Arc<Shared>) {
                 let _ = shared.spawn_worker(idx);
                 continue;
             }
-            // Linger: flush partial tuple batches past their deadline.
-            state.out.poll_linger();
+            // Move what credit allows, flush a partial tuple batch past its
+            // linger deadline and wake in time for one still lingering.
             state.out.drain(&shared.ledger);
+            if let Some(due) = state.out.poll_linger() {
+                wake = wake.min(due);
+            }
         }
+        nap = wake.saturating_duration_since(Instant::now());
     }
 }
 
@@ -823,8 +928,8 @@ fn spout_loop(
     };
     let edge_seed = u64::from(std::process::id()) << 32 | task as u64;
     let fan = FanOut::new(&shared.topology, component, 0, edge_seed);
-    let (engine, dedup) = (&shared.engine, shared.policy.dedup);
-    let mut spout = SpoutTask::new(factory(), &ctx, fan, engine, dedup, shared.now_s());
+    let (pending, dedup) = (shared.engine.max_spout_pending, shared.policy.dedup);
+    let mut spout = SpoutTask::new(factory(), &ctx, fan, pending, dedup, shared.now_s());
     let producer = component.id.0 as u32;
     let trees = &shared.spouts[spout_index];
     let mut ops = AckOps::new(shared.ackers.num_shards());
@@ -854,14 +959,15 @@ fn spout_loop(
         ops.apply(&shared.ackers);
         shared.deliver(ops.take_outcomes());
         shared.counters.run.spout_emitted.add(stepped.emitted);
-        if shared.terminate.load(Ordering::Acquire) {
+        if shared.terminate.is_set() {
             break;
         }
         if stepped.next == Next::Ran {
             idle_spins = 0;
         } else {
             idle_spins = (idle_spins + 1).min(20);
-            std::thread::sleep(Duration::from_micros(50 * u64::from(idle_spins)));
+            let nap = Duration::from_micros(50 * u64::from(idle_spins));
+            shared.terminate.wait(nap);
         }
     }
     spout.close();
@@ -986,7 +1092,8 @@ pub fn submit(
         coord_pid: std::process::id(),
         start: Instant::now(),
         stop: AtomicBool::new(false),
-        terminate: AtomicBool::new(false),
+        terminate: Stop::default(),
+        changes: Changes::default(),
         next_root: AtomicU64::new(0),
         task_owner,
         task_component,
@@ -1019,33 +1126,27 @@ pub fn submit(
     }
     // Wait for every worker to finish its handshake.
     let deadline = Instant::now() + CONNECT_TIMEOUT;
-    loop {
-        let connected = shared
-            .slots
-            .iter()
-            .filter(|s| s.state.lock().unwrap().out.is_up())
-            .count();
-        if connected == shared.slots.len() {
-            break;
-        }
-        if Instant::now() >= deadline {
-            shared.terminate.store(true, Ordering::Release);
-            for slot in &shared.slots {
-                let mut state = slot.state.lock().unwrap();
-                if let Some(child) = state.child.as_mut() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
+    let fleet = shared.changes.wait_for(deadline, || shared.fleet_up());
+    let fleet = fleet.unwrap_or_else(|| {
+        Err(Error::Runtime(format!(
+            "only {}/{} workers connected within {CONNECT_TIMEOUT:?}",
+            shared.connected(),
+            shared.slots.len(),
+        )))
+    });
+    if let Err(e) = fleet {
+        shared.terminate_threads();
+        for slot in &shared.slots {
+            let mut state = slot.state.lock().unwrap();
+            if let Some(child) = state.child.as_mut() {
+                let _ = child.kill();
+                let _ = child.wait();
             }
-            let _ = listener_handle.join();
-            let _ = supervisor_handle.join();
-            return Err(Error::Runtime(format!(
-                "only {connected}/{} workers connected within {:?}",
-                shared.slots.len(),
-                CONNECT_TIMEOUT
-            )));
         }
-        std::thread::sleep(Duration::from_millis(1));
+        let _ = listener_handle.join();
+        let _ = supervisor_handle.join();
+        shared.endpoint.unlink();
+        return Err(e);
     }
 
     let mut spout_handles = Vec::new();
@@ -1167,28 +1268,19 @@ impl RunningDist {
         let shared = &self.shared;
         let idle = shared.idle();
         let asked = shared.broadcast(&Frame::Flush { seq });
-        loop {
+        let reports = shared.changes.wait_for(deadline, || {
             let mut reports = Vec::with_capacity(asked.len());
-            let mut waiting = false;
             for &idx in &asked {
                 let state = shared.slots[idx].state.lock().unwrap();
                 // A worker that disconnected mid-round holds nothing any more.
                 if state.out.is_up() {
-                    match state.flushed.filter(|r| r.seq == seq) {
-                        Some(report) => reports.push(report),
-                        None => waiting = true,
-                    }
+                    reports.push(state.flushed.filter(|r| r.seq == seq)?);
                 }
             }
-            if !waiting {
-                let clean = idle && reports.iter().all(|r| r.in_flight == 0);
-                return clean.then(|| reports.iter().map(|r| r.activity).collect());
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+            Some(reports)
+        })?;
+        let clean = idle && reports.iter().all(|r| r.in_flight == 0);
+        clean.then(|| reports.iter().map(|r| r.activity).collect())
     }
 
     /// Stops the spouts, drains in-flight work (forcing checkpoints so
@@ -1214,12 +1306,16 @@ impl RunningDist {
             if Instant::now() >= deadline {
                 break false;
             }
+            // Work is still in flight: pause before the next round rather
+            // than wait for an event.  Only acks mark that progress, and a
+            // bump per ack would start a round, i.e. force a checkpoint on
+            // every worker, per ack batch.
             if round.is_none() {
                 std::thread::sleep(Duration::from_millis(20));
             }
             previous = round;
         };
-        shared.terminate.store(true, Ordering::Release);
+        shared.terminate_threads();
         // Spouts exit first (they drain their feedback channels on the
         // way out).
         for handle in self.spout_handles.drain(..) {
@@ -1244,24 +1340,18 @@ impl RunningDist {
             }
         }
         for slot in &shared.slots {
-            let Some(mut child) = slot.state.lock().unwrap().child.take() else {
-                continue;
+            let (child, exited) = {
+                let mut state = slot.state.lock().unwrap();
+                (state.child.take(), Arc::clone(&state.exited))
             };
+            let Some(mut child) = child else { continue };
             // Give the worker a moment to exit cleanly, then force it.
             let deadline = Instant::now() + Duration::from_secs(2);
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(1))
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
+            let gone = || exited.load(Ordering::Acquire).then_some(());
+            if shared.changes.wait_for(deadline, gone).is_none() {
+                let _ = child.kill();
             }
+            let _ = child.wait();
         }
         for writer in closed {
             shared.counters.add_writer(&writer);
@@ -1323,3 +1413,66 @@ impl RunningDist {
 /// The report of a distributed run: the one [`Report`] both live backends
 /// return.
 pub type DistReport = Report;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn changes_return_at_once_when_the_condition_holds() {
+        let started = Instant::now();
+        assert_eq!(
+            Changes::default().wait_for(started + LONG, || Some(7)),
+            Some(7)
+        );
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn changes_wake_on_a_bump_from_another_thread() {
+        let (changes, done) = (
+            Arc::new(Changes::default()),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (c, d) = (Arc::clone(&changes), Arc::clone(&done));
+        let bumper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            d.store(true, Ordering::SeqCst);
+            c.bump();
+        });
+        let started = Instant::now();
+        let woke = changes.wait_for(started + LONG, || done.load(Ordering::SeqCst).then_some(()));
+        assert_eq!(woke, Some(()));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        bumper.join().unwrap();
+    }
+
+    #[test]
+    fn changes_give_up_at_the_deadline() {
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(30);
+        assert_eq!(Changes::default().wait_for(deadline, || None::<()>), None);
+        assert!(started.elapsed() >= Duration::from_millis(30));
+    }
+
+    /// The first check fails and bumps before `wait_for` parks, as a change
+    /// on another thread landing right after the check would.
+    #[test]
+    fn a_bump_between_the_check_and_the_wait_is_not_lost() {
+        let changes = Changes::default();
+        let mut checks = 0;
+        let started = Instant::now();
+        let got = changes.wait_for(started + LONG, || {
+            checks += 1;
+            if checks == 1 {
+                changes.bump();
+                return None;
+            }
+            Some(checks)
+        });
+        assert_eq!(got, Some(2));
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+}

@@ -4,6 +4,7 @@
 //! deliveries on the wire under the sender's credit ledger.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
 use super::codec::{Frame, WireTuple};
 use super::transport::BatchWriter;
@@ -86,9 +87,12 @@ impl Outbox {
         self.with_writer(|w| w.flush_items().is_ok());
     }
 
-    /// Flushes the partial tuple batch once it is past the linger deadline.
-    pub(crate) fn poll_linger(&mut self) {
-        self.with_writer(|w| w.poll_linger().is_ok());
+    /// Flushes the partial tuple batch once it is past the linger deadline;
+    /// returns the deadline of a batch still lingering.
+    pub(crate) fn poll_linger(&mut self) -> Option<Instant> {
+        let mut lingering = None;
+        self.with_writer(|w| w.poll_linger().map(|due| lingering = due).is_ok());
+        lingering
     }
 
     /// Sends `item` if its destination has credit and nothing is parked

@@ -155,18 +155,10 @@ impl Listener {
         Ok((Listener(l), Endpoint(path)))
     }
 
-    /// Switches the listener between blocking and non-blocking accepts.
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        self.0.set_nonblocking(nb)
-    }
-
-    /// Accepts one connection; `Ok(None)` when non-blocking and idle.
+    /// Blocks until a connection arrives and accepts it.  The listener
+    /// never polls, so the result is never `Ok(None)`.
     pub fn accept(&self) -> io::Result<Option<Conn>> {
-        match self.0.accept() {
-            Ok((s, _)) => Ok(Some(Conn(s))),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
+        self.0.accept().map(|(s, _)| Some(Conn(s)))
     }
 }
 
@@ -174,8 +166,9 @@ impl Listener {
 pub struct Conn(UnixStream);
 
 impl Conn {
-    /// Connects to `endpoint`, retrying until `timeout` (the coordinator
-    /// may not be listening yet when a worker launches).
+    /// Connects to `endpoint`, retrying every 10 ms until `timeout` (a
+    /// worker started by hand may launch before its coordinator listens;
+    /// `submit` binds before it spawns, so its own fleet never retries).
     pub fn connect(endpoint: &Endpoint, timeout: Duration) -> Result<Conn> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -512,7 +505,6 @@ mod tests {
     fn pair() -> (Conn, Conn) {
         let (listener, ep) = Listener::unix_temp().unwrap();
         let client = Conn::connect(&ep, Duration::from_secs(5)).unwrap();
-        listener.set_nonblocking(false).unwrap();
         let server = listener.accept().unwrap().unwrap();
         ep.unlink();
         (client, server)

@@ -81,6 +81,7 @@ pub mod rt;
 pub mod scheduler;
 pub mod sim;
 mod spout_task;
+mod stop;
 pub mod telemetry;
 pub mod topology;
 pub mod tuple;

@@ -49,7 +49,6 @@ mod config;
 pub mod credit;
 mod fault;
 mod router;
-mod stop;
 mod supervisor;
 mod task;
 
@@ -79,6 +78,7 @@ use crate::metrics::{
 use crate::report::{self, Report, RunCounters};
 use crate::scheduler::{even_placement, MachineId, Placement, WorkerId};
 use crate::spawn_thread;
+use crate::stop::Stop;
 use crate::telemetry::{
     Counter, Gauge, Journal, JournalEvent, MetricsServer, Registry, Summary, Tracer,
 };
@@ -86,7 +86,6 @@ use crate::topology::{TaskId, Topology};
 
 use batch::Batch;
 use fault::FaultInjector;
-use stop::Stop;
 use supervisor::{Slot, Supervision, TaskSpec};
 use task::{deliver_outcomes, TaskAtomics};
 

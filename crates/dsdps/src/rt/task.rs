@@ -230,7 +230,8 @@ pub(super) fn run_spout(
     ack_rx: Receiver<Vec<TreeOutcome>>,
 ) {
     let dedup = shared.recovery().is_some_and(|(policy, _)| policy.dedup);
-    let mut task = SpoutTask::new(spout, &ctx, fan, &shared.engine, dedup, shared.now_s());
+    let pending = shared.engine.max_spout_pending;
+    let mut task = SpoutTask::new(spout, &ctx, fan, pending, dedup, shared.now_s());
     let mut ops = AckOps::new(shared.ackers.num_shards());
     let mut router = Router::new(tid, &shared);
     if let (true, Some(store)) = (my_gen > 0, shared.checkpoints.as_ref()) {

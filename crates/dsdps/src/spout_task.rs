@@ -19,7 +19,6 @@ use parking_lot::Mutex;
 
 use crate::acker::{AckOps, RootId, TreeOutcome};
 use crate::component::{Emission, MessageId, Spout, SpoutOutput, TopologyContext};
-use crate::config::EngineConfig;
 use crate::lifecycle::{Notify, TreeLifecycle};
 use crate::route::{Delivery, FanOut};
 use crate::telemetry::Tracer;
@@ -91,7 +90,8 @@ pub(crate) struct Stepped {
 pub(crate) struct SpoutTask {
     spout: Box<dyn Spout>,
     fan: FanOut,
-    engine: EngineConfig,
+    /// Unresolved messages at which the task stops asking for tuples.
+    max_spout_pending: usize,
     /// Tracked emissions carry their message id as the replay-dedup id of
     /// the first hop (the recovery policy's `dedup`).
     dedup: bool,
@@ -116,7 +116,7 @@ impl SpoutTask {
         mut spout: Box<dyn Spout>,
         ctx: &TopologyContext,
         fan: FanOut,
-        engine: &EngineConfig,
+        max_spout_pending: usize,
         dedup: bool,
         now_s: f64,
     ) -> Self {
@@ -124,7 +124,7 @@ impl SpoutTask {
         SpoutTask {
             spout,
             fan,
-            engine: engine.clone(),
+            max_spout_pending,
             dedup,
             exhausted: false,
             tokens: 0.0,
@@ -196,7 +196,7 @@ impl SpoutTask {
             };
             return stepped;
         }
-        if pending >= self.engine.max_spout_pending {
+        if pending >= self.max_spout_pending {
             stepped.next = Next::Gated;
             return stepped;
         }
@@ -411,10 +411,6 @@ mod tests {
             let topology = b.build().unwrap();
             let src = topology.component_by_name(producer).unwrap();
             let fan = FanOut::new(&topology, src, 0, 7);
-            let engine = EngineConfig {
-                max_spout_pending,
-                ..EngineConfig::default()
-            };
             let rt = RtConfig::default()
                 .with_max_replays(max_replays)
                 .with_replay_backoff(Duration::from_millis(10));
@@ -422,7 +418,7 @@ mod tests {
             let trees = TreeLifecycle::new(&rt, counters.clone(), Arc::new(Journal::new()));
             let ctx = TopologyContext::solo(producer);
             World {
-                task: SpoutTask::new(Box::new(spout), &ctx, fan, &engine, true, 0.0),
+                task: SpoutTask::new(Box::new(spout), &ctx, fan, max_spout_pending, true, 0.0),
                 trees: Mutex::new(trees),
                 counters,
                 seen,

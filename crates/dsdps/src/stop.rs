@@ -1,6 +1,8 @@
-//! The run's one stop signal: a flag the loops read on their hot paths and
-//! a condvar every timed wait parks on, so setting it wakes every waiting
-//! thread at once rather than at the end of its next poll.
+//! A live run's one stop signal: a flag the loops read on their hot paths
+//! and a condvar every timed wait parks on, so setting it wakes every
+//! waiting thread at once rather than at the end of its next poll.  `rt`
+//! stops its whole run on it; the `dist` coordinator its background
+//! threads.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};

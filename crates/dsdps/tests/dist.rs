@@ -427,6 +427,31 @@ fn dist_submit_rejects_bad_configs_before_spawning() {
     assert!(!marker.exists(), "a worker process was spawned");
 }
 
+/// A worker that exits before its handshake fails `submit` at once, naming
+/// the slot's exit status, instead of after the 10 s connect timeout.
+#[test]
+fn dist_submit_fails_fast_when_a_worker_exits_before_its_handshake() {
+    let exits = vec!["/bin/sh".into(), "-c".into(), "exit 3".into()];
+    let started = Instant::now();
+    let submitted = dist::submit(
+        &registry(),
+        "calib",
+        "10",
+        EngineConfig::default(),
+        RtConfig::default(),
+        DistConfig::new(2, exits),
+    );
+    let took = started.elapsed();
+    match submitted {
+        Err(e) => assert!(e.to_string().contains("exit status: 3"), "{e}"),
+        Ok(running) => {
+            running.shutdown();
+            panic!("submit succeeded with workers that exit");
+        }
+    }
+    assert!(took < Duration::from_secs(2), "submit took {took:?}");
+}
+
 /// The calibration acceptance test: the identical topology, run on the
 /// threaded backend and on worker processes, acks every tracked message
 /// with zero loss — `acked == tracked == n` on both.
